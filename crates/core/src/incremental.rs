@@ -20,6 +20,7 @@
 
 use crate::checker::{PvChecker, PvViolation};
 use crate::recognizer::RecognizerStats;
+use crate::token::{ChildSym, Tokens};
 use pv_xml::{Document, NodeId};
 
 /// Outcome of an incremental check, with the work counters that back the
@@ -116,33 +117,27 @@ impl PvChecker<'_> {
         if !analysis.reach.reaches_pcdata(elem) {
             return reject();
         }
-        // Element-content parent: exact check is one ECPV on the
-        // hypothetical child sequence with σ spliced in at `index`.
-        let mut syms = match crate::token::Tokens::children(doc, parent, &analysis.dtd) {
-            Ok(s) => s,
-            Err(e) => {
-                return IncrementalOutcome {
-                    violation: Some(PvViolation {
-                        node: e.node,
-                        kind: crate::checker::PvViolationKind::UndeclaredElement { name: e.name },
-                    }),
-                    stats: RecognizerStats::default(),
-                }
-            }
-        };
-        // Map the child index to a symbol index: count symbols produced by
-        // children before `index`. Splicing between/adjacent-to σ runs
-        // merges, which can only help; insert conservatively and collapse.
-        let child_tokens = doc.child_tokens(parent);
-        let sym_pos = child_tokens
-            .iter()
-            .take(index.min(child_tokens.len()))
-            .count()
-            .min(syms.len());
-        syms.insert(sym_pos, crate::token::ChildSym::Sigma);
-        syms.dedup_by(|a, b| {
-            *a == crate::token::ChildSym::Sigma && *b == crate::token::ChildSym::Sigma
-        });
+        // Element-content parent: exact check is one ECPV on the child
+        // sequence the insertion would produce — the children before
+        // `index`, the new σ (merged into a run the prefix ends with), then
+        // the rest (a leading text run merges into the σ).
+        let kids = doc.children(parent);
+        let (before, after) = kids.split_at(index.min(kids.len()));
+        let mut syms = Vec::with_capacity(kids.len() + 1);
+        let prefix = Tokens::siblings_into(doc, before, &analysis.dtd, &mut syms);
+        if syms.last() != Some(&ChildSym::Sigma) {
+            syms.push(ChildSym::Sigma);
+        }
+        let suffix = Tokens::siblings_into(doc, after, &analysis.dtd, &mut syms);
+        if let Err(e) = prefix.and(suffix) {
+            return IncrementalOutcome {
+                violation: Some(PvViolation {
+                    node: e.node,
+                    kind: crate::checker::PvViolationKind::UndeclaredElement { name: e.name },
+                }),
+                stats: RecognizerStats::default(),
+            };
+        }
         let mut stats = RecognizerStats::default();
         let violation = self.check_symbols(elem, &syms, &mut stats).map(|(i, symbol)| {
             PvViolation {
@@ -271,6 +266,30 @@ mod tests {
         // On an empty <x/> the σ can be wrapped into the single c slot.
         let empty = pv_xml::parse("<x/>").unwrap();
         assert!(tiny.check_text_insertion_at(&empty, empty.root(), 0).preserves_pv());
+    }
+
+    #[test]
+    fn text_insertion_index_counts_sigma_runs_across_transparent_children() {
+        // The guard places σ by the σ-merged symbols of the children
+        // before `index`: comments are transparent and adjacent text
+        // merges, so a child index is not a symbol index.
+        let analysis = pv_dtd::DtdAnalysis::parse(
+            "<!ELEMENT x (c*, d)> <!ELEMENT c (#PCDATA)> <!ELEMENT d EMPTY>",
+            "x",
+        )
+        .unwrap();
+        let checker = PvChecker::new(&analysis);
+        for (xml, index) in [("<x><!--n--><d/></x>", 1), ("<x>a<!--n-->b<d/></x>", 3)] {
+            let mut doc = pv_xml::parse(xml).unwrap();
+            let x = doc.root();
+            let guard = checker.check_text_insertion_at(&doc, x, index);
+            doc.insert_text(x, index, "t").unwrap();
+            assert!(checker.check_document(&doc).is_potentially_valid(), "{xml} @ {index}");
+            assert!(guard.preserves_pv(), "guard refused {xml} @ {index}");
+        }
+        // σ after the d slot stays hopeless, whatever precedes it.
+        let doc = pv_xml::parse("<x>a<!--n--><d/></x>").unwrap();
+        assert!(!checker.check_text_insertion_at(&doc, doc.root(), 3).preserves_pv());
     }
 
     #[test]

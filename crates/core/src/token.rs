@@ -139,7 +139,21 @@ impl Tokens {
         out: &mut Vec<ChildSym>,
     ) -> Result<(), TokenError> {
         out.clear();
-        for &c in doc.children(node) {
+        Self::siblings_into(doc, doc.children(node), dtd, out)
+    }
+
+    /// Appends the child symbols of a run of sibling nodes to `out`, with
+    /// [`Tokens::children_into`]'s rules. The run continues whatever `out`
+    /// already holds: a leading text node merges into a σ that `out` ends
+    /// with. Guards use this to build a hypothetical child sequence from
+    /// slices of the real one.
+    pub fn siblings_into(
+        doc: &Document,
+        siblings: &[NodeId],
+        dtd: &Dtd,
+        out: &mut Vec<ChildSym>,
+    ) -> Result<(), TokenError> {
+        for &c in siblings {
             match &doc.node(c).kind {
                 pv_xml::NodeKind::Element { name, .. } => {
                     let elem = dtd

@@ -4,7 +4,7 @@ use crate::journal::{apply_unit, RevOp, UndoJournal};
 use pv_core::checker::{PvChecker, PvViolation};
 use pv_core::memo::MemoStats;
 use pv_core::recognizer::RecognizerStats;
-use pv_core::token::ChildSym;
+use pv_core::token::{ChildSym, Tokens};
 use pv_dtd::DtdAnalysis;
 use pv_xml::{Document, NodeId, XmlError};
 use std::fmt;
@@ -371,38 +371,22 @@ impl<'a> EditorSession<'a> {
         // Child symbols of the three spans, mirroring what a real wrap
         // produces: σ runs merge within a span but never across the
         // wrapper (it is an element), and the suffix starts a fresh run.
+        let (doc, dtd) = (&self.doc, &analysis.dtd);
         let mut inner: Vec<ChildSym> = Vec::new();
         let mut outer: Vec<ChildSym> = Vec::new();
-        let mut spans_ok = true;
-        let mut collect = |ids: &[NodeId], out: &mut Vec<ChildSym>| {
-            for &c in ids {
-                if let Some(name) = self.doc.name(c) {
-                    match analysis.id(name) {
-                        Some(e) => out.push(ChildSym::Elem(e)),
-                        None => {
-                            spans_ok = false; // undeclared child: no wrap can pass
-                            return;
-                        }
-                    }
-                } else if let Some(t) = self.doc.text(c) {
-                    if !t.is_empty() && out.last() != Some(&ChildSym::Sigma) {
-                        out.push(ChildSym::Sigma);
-                    }
-                }
-                // Comments/PIs are structure-transparent, exactly as in
-                // Tokens::children_into.
-            }
-        };
-        collect(&kids[..range.start], &mut outer);
+        let prefix = Tokens::siblings_into(doc, &kids[..range.start], dtd, &mut outer);
         let wrapper_at = outer.len();
         // Element placeholder (overwritten per candidate): being an
         // element, it correctly stops σ runs from merging across the
         // wrapper, and keeps the suffix starting a fresh run.
         outer.push(ChildSym::Elem(parent_elem));
-        collect(&kids[range.clone()], &mut inner);
-        collect(&kids[range.end..], &mut outer);
-        if !spans_ok {
-            return Vec::new();
+        let spans = [
+            prefix,
+            Tokens::siblings_into(doc, &kids[range.end..], dtd, &mut outer),
+            Tokens::siblings_into(doc, &kids[range], dtd, &mut inner),
+        ];
+        if spans.iter().any(Result::is_err) {
+            return Vec::new(); // undeclared child: no wrap can pass
         }
         let mut ok = Vec::new();
         let mut stats = RecognizerStats::default();
@@ -578,6 +562,24 @@ mod tests {
         assert_eq!(s.stats().recognizer.node_visits, before, "O(1) guard ran the recognizer");
         // Inserting under <d> (mixed) is fine.
         s.insert_text(d, 0, "fine").unwrap();
+        assert!(s.verify_invariant());
+    }
+
+    #[test]
+    fn text_insertion_next_to_a_text_run_is_accepted() {
+        // Both inserts land before <d/>, merging into the existing σ run:
+        // the document stays PV, so neither may be refused.
+        let analysis = DtdAnalysis::parse(
+            "<!ELEMENT x (c*, d)> <!ELEMENT c (#PCDATA)> <!ELEMENT d EMPTY>",
+            "x",
+        )
+        .unwrap();
+        let doc = pv_xml::parse("<x>a<d/></x>").unwrap();
+        let mut s = EditorSession::open(&analysis, doc).unwrap();
+        let root = s.document().root();
+        s.insert_text(root, 1, "b").unwrap();
+        s.insert_text(root, 2, "c").unwrap();
+        assert_eq!(s.document().to_xml(), "<x>abc<d/></x>");
         assert!(s.verify_invariant());
     }
 

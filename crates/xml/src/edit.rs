@@ -75,19 +75,13 @@ impl Document {
     /// Appends a comment node to `parent`.
     pub fn append_comment(&mut self, parent: NodeId, text: &str) -> Result<NodeId> {
         self.expect_element(parent, "append_comment")?;
-        let id = self.alloc(NodeKind::Comment(text.to_owned()));
-        self.node_mut(id).parent = Some(parent);
-        self.node_mut(parent).children.push(id);
-        Ok(id)
+        Ok(self.push_child(parent, NodeKind::Comment(text.to_owned())))
     }
 
     /// Appends a processing instruction to `parent`.
     pub fn append_pi(&mut self, parent: NodeId, target: &str, data: &str) -> Result<NodeId> {
         self.expect_element(parent, "append_pi")?;
-        let id = self.alloc(NodeKind::Pi { target: target.into(), data: data.to_owned() });
-        self.node_mut(id).parent = Some(parent);
-        self.node_mut(parent).children.push(id);
-        Ok(id)
+        Ok(self.push_child(parent, NodeKind::Pi { target: target.into(), data: data.to_owned() }))
     }
 
     /// Replaces the contents of an existing text node — the paper's

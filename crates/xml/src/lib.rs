@@ -4,8 +4,11 @@
 //! ICDE 2006 paper *On Potential Validity of Document-Centric XML Documents*
 //! needs from its document model:
 //!
-//! * a **well-formedness parser** ([`parse`]) producing an arena-based
-//!   [`Document`] tree (the DOM trees of the paper's Figure 2),
+//! * one **XML lexer**, the resumable push parser ([`PushParser`]), which
+//!   turns byte chunks into SAX-style [`Event`]s for streaming validation,
+//! * a **well-formedness parser** ([`parse`]): a small tree builder over the
+//!   push parser's events, producing an arena-based [`Document`] (the DOM
+//!   trees of the paper's Figure 2),
 //! * a **serializer** ([`Document::to_xml`]) that round-trips the token
 //!   structure,
 //! * **edit operations** mirroring the paper's update taxonomy (Section 3.2):
@@ -33,7 +36,7 @@ pub mod stream;
 pub mod tree;
 
 pub use error::{XmlError, XmlErrorKind};
-pub use parser::{parse, parse_fragment, ParseOptions};
+pub use parser::parse;
 pub use stream::{Event, PushParser};
 pub use tree::{Attribute, ChildToken, Document, Doctype, Node, NodeId, NodeKind};
 

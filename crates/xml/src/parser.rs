@@ -1,495 +1,118 @@
 //! Well-formedness XML parser producing a [`Document`] arena.
 //!
-//! The parser is a hand-written cursor over the input bytes with an explicit
-//! open-element stack (no recursion, so arbitrarily deep documents — which
-//! the depth-bound experiments of `pv-bench` generate — parse fine).
+//! [`parse`] is a small tree builder over the crate's one lexer, the
+//! resumable [`PushParser`]. The input is fed in slices (see `SLICE`) and
+//! each event becomes arena nodes in event order: the first start tag
+//! creates the document with that root, later start tags append elements,
+//! end tags pop, a character-data run (or CDATA section) becomes one text
+//! node however many pieces it arrives in, and comments and PIs inside the
+//! root append nodes. The `<!DOCTYPE>` the lexer captured is attached last.
 //!
-//! Checked well-formedness rules: single root, properly nested matching
-//! tags, attribute syntax with no duplicates, legal names, resolvable
-//! character/entity references, `--` not inside comments, `]]>` termination
-//! of CDATA. The `<!DOCTYPE>` internal subset is captured verbatim into
-//! [`Doctype`] for `pv-dtd`.
+//! The accepted language and every error (kind and byte offset) are
+//! therefore the lexer's — see [`crate::stream`]. The open-element stack is
+//! explicit, so arbitrarily deep documents (which the depth-bound
+//! experiments of `pv-bench` generate) parse fine.
 
-use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{is_name_char, is_name_start, resolve_reference, validate_name};
-use crate::tree::{Attribute, Doctype, Document, NodeId, NodeKind};
+use crate::stream::{Event, PushParser};
+use crate::tree::{Document, NodeId, NodeKind};
 use crate::Result;
 
-/// Parser configuration.
-#[derive(Debug, Clone)]
-pub struct ParseOptions {
-    /// Keep comment nodes in the tree (default `true`).
-    pub keep_comments: bool,
-    /// Keep processing-instruction nodes (default `true`).
-    pub keep_pis: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions { keep_comments: true, keep_pis: true }
-    }
-}
+/// Bytes fed to the lexer per push (the streaming CLI's default chunk), so
+/// its buffer never holds a second full copy of the document the way one
+/// whole-input push would. A construct still in flight when a slice runs
+/// out (a long comment, CDATA section, start tag, doctype, or a `&` still
+/// waiting for its `;`) is re-lexed from its first byte on the next push,
+/// so the next slice is at least as long as that construct: every re-lex
+/// is paid for by as many new bytes, which keeps `parse` linear in the
+/// input however long one construct is.
+///
+/// `slice_boundaries_inside_text_tags_and_references` in
+/// `tests/stream_torture.rs` places straddlers at every power-of-two
+/// offset from 4 KiB to 256 KiB, so it covers any power-of-two value from
+/// 4 KiB to 64 KiB here.
+const SLICE: usize = 64 * 1024;
 
 /// Parses a complete XML document (one root element; prolog and trailing
 /// misc allowed).
 pub fn parse(input: &str) -> Result<Document> {
-    Parser::new(input, ParseOptions::default()).parse_document()
+    let mut lexer = PushParser::new();
+    let mut tree = Builder::default();
+    let mut rest = input.as_bytes();
+    while !rest.is_empty() {
+        let (slice, tail) = rest.split_at(rest.len().min(SLICE.max(lexer.pending())));
+        rest = tail;
+        lexer.push(slice);
+        while let Some(event) = lexer.next_event()? {
+            tree.event(event);
+        }
+    }
+    lexer.finish();
+    while let Some(event) = lexer.next_event()? {
+        tree.event(event);
+    }
+    let mut doc = tree.doc.expect("a complete event stream starts with the root's start tag");
+    doc.doctype = lexer.doctype().cloned();
+    debug_assert!(doc.check_integrity().is_ok());
+    Ok(doc)
 }
 
-/// Parses a document with explicit [`ParseOptions`].
-pub fn parse_with(input: &str, options: ParseOptions) -> Result<Document> {
-    Parser::new(input, options).parse_document()
+/// The tree under construction: the document (created by the root's start
+/// tag), the open-element stack, and the text node that continuation
+/// pieces extend.
+#[derive(Default)]
+struct Builder {
+    doc: Option<Document>,
+    open: Vec<NodeId>,
+    text: Option<NodeId>,
 }
 
-/// Parses an XML *fragment*: like [`parse`] but without requiring a prolog;
-/// provided for symmetry and clarity at call sites handling editor buffers.
-pub fn parse_fragment(input: &str) -> Result<Document> {
-    parse(input)
-}
-
-struct Parser<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    options: ParseOptions,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str, options: ParseOptions) -> Self {
-        Parser { src, bytes: src.as_bytes(), pos: 0, options }
-    }
-
-    // ---- low-level cursor ----------------------------------------------
-
-    #[inline]
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    #[inline]
-    fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s)
-    }
-
-    #[inline]
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    fn expect(&mut self, s: &str) -> Result<()> {
-        if self.starts_with(s) {
-            self.bump(s.len());
-            Ok(())
-        } else {
-            Err(self.err_unexpected(&format!("input (expected {s:?})")))
-        }
-    }
-
-    fn err_unexpected(&self, what: &str) -> XmlError {
-        XmlError::new(XmlErrorKind::Unexpected(what.to_owned()), self.pos)
-    }
-
-    fn err_eof(&self) -> XmlError {
-        XmlError::new(XmlErrorKind::UnexpectedEof, self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Consumes an XML name and returns it.
-    fn name(&mut self) -> Result<&'a str> {
-        let start = self.pos;
-        let mut chars = self.src[self.pos..].char_indices();
-        match chars.next() {
-            Some((_, c)) if is_name_start(c) => {}
-            _ => {
-                return Err(XmlError::new(
-                    XmlErrorKind::InvalidName(self.src[self.pos..].chars().take(8).collect()),
-                    self.pos,
-                ))
+impl Builder {
+    fn event(&mut self, event: Event<'_>) {
+        match event {
+            Event::Start { name, attrs, self_closing } => {
+                let id =
+                    self.append(NodeKind::Element { name: name.into(), attrs: attrs.to_vec() });
+                if !self_closing {
+                    self.open.push(id);
+                }
             }
-        }
-        let mut end = self.src.len();
-        for (i, c) in chars {
-            if !is_name_char(c) {
-                end = self.pos + i;
-                break;
+            Event::End { .. } => {
+                self.open.pop();
             }
-        }
-        if end == self.src.len() && self.pos < self.src.len() {
-            // name runs to end of input
-            self.pos = end;
-            return Ok(&self.src[start..end]);
-        }
-        self.pos = end;
-        Ok(&self.src[start..end])
-    }
-
-    // ---- document structure --------------------------------------------
-
-    fn parse_document(mut self) -> Result<Document> {
-        // Optional XML declaration.
-        if self.starts_with("<?xml") {
-            let close = self.src[self.pos..]
-                .find("?>")
-                .ok_or_else(|| self.err_eof())?;
-            self.bump(close + 2);
-        }
-        let mut doctype = None;
-        // Prolog misc + doctype.
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                self.comment_body()?;
-            } else if self.starts_with("<!DOCTYPE") {
-                if doctype.is_some() {
-                    return Err(self.err_unexpected("second <!DOCTYPE"));
-                }
-                doctype = Some(self.doctype()?);
-            } else if self.starts_with("<?") {
-                self.pi_body()?;
-            } else {
-                break;
+            Event::Text { piece, first: true } => {
+                self.text = Some(self.append(NodeKind::Text(piece.to_owned())));
             }
-        }
-        self.skip_ws();
-        if self.peek() != Some(b'<') {
-            return Err(if self.peek().is_none() {
-                XmlError::new(XmlErrorKind::NoRootElement, self.pos)
-            } else {
-                self.err_unexpected("character data before the root element")
-            });
-        }
-
-        // Root element and content, with an explicit element stack.
-        let mut doc = Document::new("\u{0}placeholder");
-        doc.doctype = doctype;
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut root_seen = false;
-
-        loop {
-            if stack.is_empty() && root_seen {
-                // Trailing misc only.
-                self.skip_ws();
-                if self.pos >= self.src.len() {
-                    break;
-                }
-                if self.starts_with("<!--") {
-                    let c = self.comment_body()?;
-                    let _ = c;
-                    continue;
-                }
-                if self.starts_with("<?") {
-                    self.pi_body()?;
-                    continue;
-                }
-                return Err(XmlError::new(XmlErrorKind::TrailingContent, self.pos));
-            }
-
-            match self.peek() {
-                None => {
-                    return Err(if let Some(&open) = stack.last() {
-                        let name = doc.name(open).unwrap_or("?").to_owned();
-                        XmlError::new(XmlErrorKind::UnclosedTag(name), self.pos)
-                    } else {
-                        XmlError::new(XmlErrorKind::NoRootElement, self.pos)
-                    });
-                }
-                Some(b'<') => {
-                    if self.starts_with("</") {
-                        self.bump(2);
-                        let close_pos = self.pos;
-                        let name = self.name()?.to_owned();
-                        self.skip_ws();
-                        self.expect(">")?;
-                        let Some(open) = stack.pop() else {
-                            return Err(XmlError::new(
-                                XmlErrorKind::UnopenedTag(name),
-                                close_pos,
-                            ));
-                        };
-                        let open_name = doc.name(open).unwrap_or("?");
-                        if open_name != name {
-                            return Err(XmlError::new(
-                                XmlErrorKind::MismatchedTag {
-                                    open: open_name.to_owned(),
-                                    close: name,
-                                },
-                                close_pos,
-                            ));
-                        }
-                    } else if self.starts_with("<!--") {
-                        let text = self.comment_body()?;
-                        if self.options.keep_comments {
-                            let parent = *stack.last().expect("comment outside root handled above");
-                            doc.append_comment(parent, &text)?;
-                        }
-                    } else if self.starts_with("<![CDATA[") {
-                        self.bump("<![CDATA[".len());
-                        let end = self.src[self.pos..]
-                            .find("]]>")
-                            .ok_or_else(|| self.err_eof())?;
-                        let text = self.src[self.pos..self.pos + end].to_owned();
-                        self.bump(end + 3);
-                        let parent = *stack.last().ok_or_else(|| self.err_unexpected("CDATA outside root"))?;
-                        doc.append_text(parent, &text)?;
-                    } else if self.starts_with("<?") {
-                        let (target, data) = self.pi_body()?;
-                        if self.options.keep_pis {
-                            if let Some(&parent) = stack.last() {
-                                doc.append_pi(parent, &target, &data)?;
-                            }
-                        }
-                    } else if self.starts_with("<!") {
-                        return Err(self.err_unexpected("markup declaration inside content"));
-                    } else {
-                        // Start tag.
-                        self.bump(1);
-                        let name_pos = self.pos;
-                        let name = self.name()?.to_owned();
-                        validate_name(&name, name_pos)?;
-                        let attrs = self.attributes()?;
-                        let self_closing = if self.starts_with("/>") {
-                            self.bump(2);
-                            true
-                        } else {
-                            self.expect(">")?;
-                            false
-                        };
-                        let id = if let Some(&parent) = stack.last() {
-                            
-                            doc.append_element(parent, &name)?
-                        } else {
-                            if root_seen {
-                                return Err(XmlError::new(
-                                    XmlErrorKind::TrailingContent,
-                                    name_pos,
-                                ));
-                            }
-                            root_seen = true;
-                            // Fix up the placeholder root.
-                            doc.rename_element(doc.root(), &name)?;
-                            doc.root()
-                        };
-                        if let NodeKind::Element { attrs: a, .. } = &mut doc.node_mut(id).kind {
-                            *a = attrs;
-                        }
-                        if !self_closing {
-                            stack.push(id);
-                        }
+            Event::Text { piece, first: false } => {
+                if let (Some(doc), Some(id)) = (&mut self.doc, self.text) {
+                    if let NodeKind::Text(t) = &mut doc.node_mut(id).kind {
+                        t.push_str(piece);
                     }
                 }
-                Some(_) => {
-                    // Character data (must be inside the root).
-                    let parent = *stack
-                        .last()
-                        .ok_or_else(|| self.err_unexpected("character data outside the root"))?;
-                    let text = self.char_data()?;
-                    doc.append_text(parent, &text)?;
-                }
+            }
+            Event::Comment { text } => {
+                self.append(NodeKind::Comment(text.to_owned()));
+            }
+            Event::Pi { target, data } => {
+                self.append(NodeKind::Pi { target: target.into(), data: data.to_owned() });
             }
         }
-        debug_assert!(doc.check_integrity().is_ok());
-        Ok(doc)
     }
 
-    /// Parses character data up to the next `<`, resolving references.
-    fn char_data(&mut self) -> Result<String> {
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None | Some(b'<') => break,
-                Some(b'&') => {
-                    let amp = self.pos;
-                    self.bump(1);
-                    let semi = self.src[self.pos..]
-                        .find(';')
-                        .ok_or_else(|| self.err_eof())?;
-                    let body = &self.src[self.pos..self.pos + semi];
-                    out.push(resolve_reference(body, amp)?);
-                    self.bump(semi + 1);
-                }
-                Some(_) => {
-                    // Copy a run of plain characters.
-                    let rest = &self.src[self.pos..];
-                    let stop = rest.find(['<', '&']).unwrap_or(rest.len());
-                    out.push_str(&rest[..stop]);
-                    self.bump(stop);
-                }
-            }
+    /// Appends a node under the innermost open element. The lexer emits
+    /// nothing outside the root element but the root's own start tag,
+    /// which creates the document.
+    fn append(&mut self, kind: NodeKind) -> NodeId {
+        match (&mut self.doc, self.open.last()) {
+            (Some(doc), Some(&parent)) => doc.push_child(parent, kind),
+            (doc, _) => doc.insert(Document::with_root(kind)).root(),
         }
-        Ok(out)
-    }
-
-    /// Parses the attribute list of a start tag, up to (not including)
-    /// `>` or `/>`.
-    fn attributes(&mut self) -> Result<Vec<Attribute>> {
-        let mut attrs: Vec<Attribute> = Vec::new();
-        loop {
-            let before = self.pos;
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') => break,
-                Some(b'/') if self.starts_with("/>") => break,
-                None => return Err(self.err_eof()),
-                _ => {
-                    if self.pos == before {
-                        return Err(self.err_unexpected("attribute (missing whitespace?)"));
-                    }
-                    let name_pos = self.pos;
-                    let name = self.name()?.to_owned();
-                    if attrs.iter().any(|a| *a.name == *name) {
-                        return Err(XmlError::new(
-                            XmlErrorKind::DuplicateAttribute(name),
-                            name_pos,
-                        ));
-                    }
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let quote = match self.peek() {
-                        Some(q @ (b'"' | b'\'')) => q,
-                        _ => return Err(self.err_unexpected("attribute value (expected quote)")),
-                    };
-                    self.bump(1);
-                    let mut value = String::new();
-                    loop {
-                        match self.peek() {
-                            None => return Err(self.err_eof()),
-                            Some(q) if q == quote => {
-                                self.bump(1);
-                                break;
-                            }
-                            Some(b'<') => {
-                                return Err(self.err_unexpected("'<' in attribute value"))
-                            }
-                            Some(b'&') => {
-                                let amp = self.pos;
-                                self.bump(1);
-                                let semi = self.src[self.pos..]
-                                    .find(';')
-                                    .ok_or_else(|| self.err_eof())?;
-                                let body = &self.src[self.pos..self.pos + semi];
-                                value.push(resolve_reference(body, amp)?);
-                                self.bump(semi + 1);
-                            }
-                            Some(_) => {
-                                let rest = &self.src[self.pos..];
-                                let stop = rest
-                                    .find([quote as char, '&', '<'])
-                                    .unwrap_or(rest.len());
-                                value.push_str(&rest[..stop]);
-                                self.bump(stop);
-                            }
-                        }
-                    }
-                    attrs.push(Attribute { name: name.into(), value });
-                }
-            }
-        }
-        Ok(attrs)
-    }
-
-    /// Parses `<!-- … -->`, returning the comment body. Rejects `--` inside.
-    fn comment_body(&mut self) -> Result<String> {
-        self.expect("<!--")?;
-        let end = self.src[self.pos..].find("-->").ok_or_else(|| self.err_eof())?;
-        let body = &self.src[self.pos..self.pos + end];
-        if body.contains("--") {
-            return Err(self.err_unexpected("'--' inside comment"));
-        }
-        self.bump(end + 3);
-        Ok(body.to_owned())
-    }
-
-    /// Parses `<?target data?>`.
-    fn pi_body(&mut self) -> Result<(String, String)> {
-        self.expect("<?")?;
-        let target = self.name()?.to_owned();
-        let end = self.src[self.pos..].find("?>").ok_or_else(|| self.err_eof())?;
-        let data = self.src[self.pos..self.pos + end].trim_start().to_owned();
-        self.bump(end + 2);
-        Ok((target, data))
-    }
-
-    /// Parses `<!DOCTYPE name [subset]?>`, capturing the internal subset.
-    fn doctype(&mut self) -> Result<Doctype> {
-        self.expect("<!DOCTYPE")?;
-        self.skip_ws();
-        let name = self.name()?.to_owned();
-        // Skip optional external id tokens (SYSTEM/PUBLIC literals).
-        let mut internal_subset = None;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') => {
-                    self.bump(1);
-                    break;
-                }
-                Some(b'[') => {
-                    self.bump(1);
-                    let start = self.pos;
-                    // The internal subset may contain quoted strings and
-                    // comments with ']' inside; scan with minimal structure.
-                    let mut depth = 0usize;
-                    loop {
-                        match self.peek() {
-                            None => return Err(self.err_eof()),
-                            Some(b']') if depth == 0 => break,
-                            Some(b'"') | Some(b'\'') => {
-                                let q = self.peek().unwrap();
-                                self.bump(1);
-                                while let Some(c) = self.peek() {
-                                    self.bump(1);
-                                    if c == q {
-                                        break;
-                                    }
-                                }
-                            }
-                            Some(b'<') if self.starts_with("<!--") => {
-                                self.comment_body()?;
-                            }
-                            Some(b'<') => {
-                                depth += 1;
-                                self.bump(1);
-                            }
-                            Some(b'>') => {
-                                depth = depth.saturating_sub(1);
-                                self.bump(1);
-                            }
-                            Some(_) => self.bump(1),
-                        }
-                    }
-                    internal_subset = Some(self.src[start..self.pos].to_owned());
-                    self.expect("]")?;
-                }
-                Some(b'"') | Some(b'\'') => {
-                    let q = self.peek().unwrap();
-                    self.bump(1);
-                    while let Some(c) = self.peek() {
-                        self.bump(1);
-                        if c == q {
-                            break;
-                        }
-                    }
-                }
-                Some(_) => {
-                    // SYSTEM / PUBLIC keywords etc.
-                    self.bump(1);
-                }
-                None => return Err(self.err_eof()),
-            }
-        }
-        Ok(Doctype { name, internal_subset })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::XmlErrorKind;
     use crate::tree::ChildToken;
 
     #[test]
@@ -611,14 +234,6 @@ mod tests {
         assert_eq!(doc.children(doc.root()).len(), 2);
         // but they contribute no child tokens
         assert!(doc.child_tokens(doc.root()).is_empty());
-    }
-
-    #[test]
-    fn comments_can_be_dropped() {
-        let doc =
-            parse_with("<r><!-- note --></r>", ParseOptions { keep_comments: false, keep_pis: true })
-                .unwrap();
-        assert!(doc.children(doc.root()).is_empty());
     }
 
     #[test]

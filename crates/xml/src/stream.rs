@@ -1,4 +1,4 @@
-//! Streaming (push/SAX-style) front end: a resumable event lexer.
+//! Streaming (push/SAX-style) front end: the crate's one XML lexer.
 //!
 //! [`PushParser`] accepts the document as byte chunks ([`PushParser::push`])
 //! and emits [`Event`]s ([`PushParser::next_event`]) as soon as they are
@@ -8,16 +8,18 @@
 //! UTF-8 sequence — and the lexer simply reports "need more input" until the
 //! construct completes.
 //!
-//! ## Equivalence with the tree parser
+//! ## Events and the tree
 //!
-//! The event stream is the exact trace of [`crate::parse`]: same accepted
-//! language, same error kinds at the same byte offsets, and one event chain
-//! per node the tree parser would allocate, in allocation order (element
-//! starts, one text chain per maximal character-data run, one per CDATA
-//! section, comments and PIs inside the root). Prolog and trailing misc are
-//! consumed but produce no events, exactly as the tree parser produces no
-//! nodes for them. `tests/stream_torture.rs` holds this equivalence over
-//! random documents, all chunkings, and all truncations.
+//! [`crate::parse`] builds its tree from these events, so the event stream
+//! and the tree agree by construction: one event chain per arena node, in
+//! allocation order (element starts, one text chain per maximal
+//! character-data run, one per CDATA section, comments and PIs inside the
+//! root). Prolog and trailing misc are consumed but produce no events, so
+//! the tree has no nodes for them. Events and errors (kind and byte offset)
+//! do not depend on where the chunk boundaries fall.
+//! `tests/stream_torture.rs` holds all of this against an independent
+//! test-side reference lexer over random documents, all chunkings, and all
+//! truncations.
 //!
 //! ## Memory
 //!
@@ -25,12 +27,14 @@
 //! character data streams out in pieces (it never accumulates), while tags,
 //! comments, CDATA sections, references and the doctype are buffered only
 //! until their terminating delimiter arrives. (An unterminated reference or
-//! giant comment therefore buffers until its delimiter — the tree parser
-//! scans the rest of the input for the same delimiter, and matching its
-//! verdict exactly requires waiting just as long.) Constructs interrupted
+//! giant comment therefore buffers until its delimiter — a reference body
+//! runs to the next `;` anywhere in the rest of the input, so only that `;`
+//! or the end of input settles it.) Constructs interrupted
 //! by a chunk boundary re-parse from their first byte when more input
-//! arrives, so pathological 1-byte feeding costs O(construct²) time per
-//! construct but never changes the result. Truncated input surfaces as a
+//! arrives, so fixed `c`-byte chunks cost O(construct²/c) time per
+//! construct (pathological 1-byte feeding O(construct²)) but never change
+//! the result; [`crate::parse`] avoids this by making each push at least
+//! as long as the construct in flight. Truncated input surfaces as a
 //! clean [`XmlErrorKind::UnexpectedEof`]-family error from
 //! [`PushParser::next_event`] after [`PushParser::finish`] — never as a
 //! wrong event stream.
@@ -58,7 +62,6 @@
 
 use crate::error::{XmlError, XmlErrorKind};
 use crate::escape::{is_name_char, is_name_start, resolve_reference, validate_name};
-use crate::parser::ParseOptions;
 use crate::tree::{Attribute, Doctype};
 use crate::Result;
 use std::ops::Range;
@@ -83,17 +86,18 @@ pub enum Event<'a> {
         name: &'a str,
     },
     /// A piece of character data. One maximal run (or one CDATA section)
-    /// corresponds to one text *node* of the tree parser and arrives as one
-    /// or more pieces; `first` marks the piece that begins the node.
+    /// corresponds to one text *node* of the tree [`crate::parse`] builds
+    /// and arrives as one or more pieces; `first` marks the piece that
+    /// begins the node.
     Text {
         /// Resolved character data (empty only for an empty CDATA section,
-        /// which the tree parser stores as an empty text node).
+        /// which becomes an empty text node).
         piece: &'a str,
         /// `true` iff this piece starts a new text node.
         first: bool,
     },
     /// A comment inside the root element (prolog/trailing comments are
-    /// consumed silently, as the tree parser drops them).
+    /// consumed silently; the tree keeps no node for them).
     Comment {
         /// Comment body.
         text: &'a str,
@@ -102,7 +106,7 @@ pub enum Event<'a> {
     Pi {
         /// PI target.
         target: &'a str,
-        /// PI data (leading whitespace trimmed, as in the tree parser).
+        /// PI data (leading whitespace trimmed).
         data: &'a str,
     },
 }
@@ -162,7 +166,6 @@ pub struct PushParser {
     utf8_tail: Vec<u8>,
     eof: bool,
     mode: Mode,
-    options: ParseOptions,
     /// Open element names, concatenated (the name arena): element `i`'s
     /// name spans `names[name_starts[i]..name_starts[i + 1]]` (to the
     /// arena's end for the innermost). The only per-depth state the
@@ -195,14 +198,8 @@ impl Default for PushParser {
 }
 
 impl PushParser {
-    /// A fresh parser with default [`ParseOptions`].
+    /// A fresh parser.
     pub fn new() -> Self {
-        Self::with_options(ParseOptions::default())
-    }
-
-    /// A fresh parser with explicit options (comment/PI events can be
-    /// suppressed, mirroring the tree parser's node filtering).
-    pub fn with_options(options: ParseOptions) -> Self {
         PushParser {
             buf: String::new(),
             base: 0,
@@ -210,7 +207,6 @@ impl PushParser {
             utf8_tail: Vec::new(),
             eof: false,
             mode: Mode::Decl,
-            options,
             names: String::new(),
             name_starts: Vec::new(),
             name_trunc: None,
@@ -260,8 +256,16 @@ impl PushParser {
     /// event), so [`PushParser::peak_buffered`] is a true maximum.
     #[inline]
     fn note_buffered(&mut self) {
-        let now = self.buf.len() - self.pos + self.utf8_tail.len();
-        self.peak_buffered = self.peak_buffered.max(now);
+        self.peak_buffered = self.peak_buffered.max(self.pending());
+    }
+
+    /// Buffered-but-unconsumed bytes, including any split UTF-8 tail.
+    /// Once [`PushParser::next_event`] has asked for more input, this is
+    /// the construct in flight, which the next attempt re-lexes from its
+    /// first byte.
+    #[inline]
+    pub(crate) fn pending(&self) -> usize {
+        self.buf.len() - self.pos + self.utf8_tail.len()
     }
 
     /// Signals end of input. Subsequent [`PushParser::next_event`] calls
@@ -318,8 +322,8 @@ impl PushParser {
     ///   incomplete; push more input.
     /// * `Ok(None)` after `finish` — the document parsed to completion
     ///   ([`PushParser::is_complete`] is `true`).
-    /// * `Err(e)` — well-formedness error, exactly the error the tree
-    ///   parser reports for the same input. The error is sticky.
+    /// * `Err(e)` — well-formedness error, the same (kind and byte offset)
+    ///   at every chunking of the input. The error is sticky.
     pub fn next_event(&mut self) -> Result<Option<Event<'_>>> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -346,8 +350,6 @@ impl PushParser {
         let mut m = Machine {
             s: &self.buf,
             eof: self.eof,
-            keep_comments: self.options.keep_comments,
-            keep_pis: self.options.keep_pis,
             base: self.base,
             p: self.pos,
             pos: &mut self.pos,
@@ -401,8 +403,6 @@ impl PushParser {
 struct Machine<'m> {
     s: &'m str,
     eof: bool,
-    keep_comments: bool,
-    keep_pis: bool,
     base: usize,
     /// Working cursor (uncommitted).
     p: usize,
@@ -448,7 +448,7 @@ impl Machine<'_> {
     }
 
     /// Three-valued `starts_with`: undecidable prefixes ask for more input
-    /// (at eof they resolve to a plain mismatch, as the tree parser sees).
+    /// (at eof they resolve to a plain mismatch).
     fn lit(&self, t: &str) -> Step<bool> {
         let rest = &self.s.as_bytes()[self.p..];
         if rest.len() >= t.len() {
@@ -489,8 +489,8 @@ impl Machine<'_> {
     }
 
     /// Finds `needle` from the cursor, returning its offset relative to the
-    /// cursor. Not-found means "more input" until eof, then the tree
-    /// parser's `UnexpectedEof` at the cursor.
+    /// cursor. Not-found means "more input" until eof, then
+    /// `UnexpectedEof` at the cursor.
     fn find(&self, needle: &str) -> Step<usize> {
         match self.s[self.p..].find(needle) {
             Some(i) => Ok(i),
@@ -507,9 +507,9 @@ impl Machine<'_> {
         match chars.next() {
             Some((_, c)) if is_name_start(c) => {}
             _ => {
-                // The tree parser's InvalidName message carries the next
-                // (up to) 8 characters; wait for them (or eof) so the error
-                // is byte-identical.
+                // The InvalidName message carries the next (up to) 8
+                // characters; wait for them (or eof) so the error does not
+                // depend on the chunking.
                 if !self.eof && rest.chars().take(8).count() < 8 {
                     return Err(Halt::More);
                 }
@@ -534,15 +534,15 @@ impl Machine<'_> {
         }
     }
 
-    /// Resolves a `&…;` reference at the cursor (which sits on the `&`),
-    /// mirroring the tree parser's scan-to-semicolon semantics.
+    /// Resolves a `&…;` reference at the cursor (which sits on the `&`).
+    /// The body runs to the next `;`, wherever it is.
     fn reference(&mut self) -> Step<char> {
         let amp = self.abs();
         self.p += 1; // past '&'
         let semi = match self.s[self.p..].find(';') {
             Some(i) => i,
-            // The tree parser scans the rest of the whole input for ';'
-            // before giving up, so we must wait just as long.
+            // The ';' may arrive in any later chunk; only eof settles
+            // that there is none.
             None if self.eof => return Err(self.err_eof()),
             None => return Err(Halt::More),
         };
@@ -578,7 +578,7 @@ impl Machine<'_> {
     }
 
     /// Optional XML declaration — recognized only as the very first bytes,
-    /// by the exact `<?xml` prefix the tree parser tests.
+    /// by the exact `<?xml` prefix.
     fn decl(&mut self) -> Step<()> {
         debug_assert_eq!(self.abs(), 0);
         if self.lit("<?xml")? {
@@ -590,8 +590,8 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// Prolog misc + doctype; produces no events (the tree parser keeps no
-    /// nodes for these).
+    /// Prolog misc + doctype; produces no events (the tree keeps no nodes
+    /// for these).
     fn prolog(&mut self) -> Step<()> {
         loop {
             self.skip_ws();
@@ -625,9 +625,10 @@ impl Machine<'_> {
         }
     }
 
-    /// One content construct: markup dispatch exactly in the tree parser's
-    /// order. Returns `None` when the construct produced no event (dropped
-    /// comment/PI, or a mode switch).
+    /// One content construct, markup dispatched in a fixed order: end tag,
+    /// comment, CDATA, PI, other `<!`, start tag. Returns `None` when the
+    /// construct produced no event (a PI outside the root, or a mode
+    /// switch).
     fn content(&mut self) -> Step<Option<Raw>> {
         match self.peek_or()? {
             None => {
@@ -675,12 +676,9 @@ impl Machine<'_> {
         } else if self.lit("<!--")? {
             let text = self.comment_body()?;
             self.commit();
-            if !self.keep_comments {
-                return Ok(None);
-            }
             if self.name_starts.is_empty() {
-                // The tree parser treats this as unreachable (the prolog
-                // consumes pre-root comments); keep it an error, not a panic.
+                // Unreachable (the prolog consumes pre-root comments and
+                // the epilog post-root ones); keep it an error, not a panic.
                 return Err(self.err_unexpected("comment outside root"));
             }
             Ok(Some(Raw::Comment { text }))
@@ -697,7 +695,7 @@ impl Machine<'_> {
         } else if self.lit("<?")? {
             let (target, data) = self.pi_body()?;
             self.commit();
-            if self.keep_pis && !self.name_starts.is_empty() {
+            if !self.name_starts.is_empty() {
                 Ok(Some(Raw::Pi { target, data }))
             } else {
                 Ok(None)
@@ -795,9 +793,8 @@ impl Machine<'_> {
                     };
                 }
                 None => {
-                    // True end of input mid-run: emit the tail piece (the
-                    // tree parser appends the text node before noticing the
-                    // unclosed tag), then let Content report the error.
+                    // True end of input mid-run: emit the tail piece, then
+                    // let Content report the unclosed tag.
                     *self.mode = Mode::Content;
                     return Ok(self.flush_piece());
                 }
@@ -1048,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn errors_match_tree_parser() {
+    fn errors_are_chunking_invariant() {
         for bad in [
             "<r><a></b></r>",
             "<r/><x/>",
@@ -1065,10 +1062,10 @@ mod tests {
             "<r a=x>",
             "<r><![CDATA[never closed</r>",
         ] {
-            let tree = crate::parse(bad).unwrap_err();
-            for chunk in [1, 3, bad.len().max(1)] {
-                let stream = events(bad, chunk).unwrap_err();
-                assert_eq!(stream, tree, "input={bad:?} chunk={chunk}");
+            let whole = events(bad, bad.len()).unwrap_err();
+            for chunk in [1, 2, 3] {
+                let split = events(bad, chunk).unwrap_err();
+                assert_eq!(split, whole, "input={bad:?} chunk={chunk}");
             }
         }
     }
@@ -1107,12 +1104,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_yields_clean_error_matching_tree() {
+    fn truncation_errors_are_chunking_invariant() {
         let doc = "<r><a>text &amp; more</a><b x=\"1\"/><!-- c --></r>";
         for cut in 0..doc.len() {
-            let tree = crate::parse(&doc[..cut]).unwrap_err();
-            let stream = events(&doc[..cut], 1).unwrap_err();
-            assert_eq!(stream, tree, "cut={cut}");
+            let whole = events(&doc[..cut], cut).unwrap_err();
+            let by_byte = events(&doc[..cut], 1).unwrap_err();
+            assert_eq!(by_byte, whole, "cut={cut}");
         }
     }
 

@@ -125,12 +125,13 @@ pub struct Document {
 impl Document {
     /// Creates a document consisting of a single empty root element.
     pub fn new(root_name: &str) -> Self {
-        let root = Node {
-            parent: None,
-            kind: NodeKind::Element { name: root_name.into(), attrs: Vec::new() },
-            children: Vec::new(),
-            dead: false,
-        };
+        Self::with_root(NodeKind::Element { name: root_name.into(), attrs: Vec::new() })
+    }
+
+    /// Creates a document whose root node is `kind` (the parser passes the
+    /// root's start tag, attributes included).
+    pub(crate) fn with_root(kind: NodeKind) -> Self {
+        let root = Node { parent: None, kind, children: Vec::new(), dead: false };
         Document { nodes: vec![root], root: NodeId(0), doctype: None }
     }
 
@@ -199,6 +200,15 @@ impl Document {
     pub(crate) fn alloc(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("arena overflow"));
         self.nodes.push(Node { parent: None, kind, children: Vec::new(), dead: false });
+        id
+    }
+
+    /// Allocates a node and links it as the last child of `parent`, which
+    /// the caller guarantees is a live element.
+    pub(crate) fn push_child(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
+        let id = self.alloc(kind);
+        self.node_mut(id).parent = Some(parent);
+        self.node_mut(parent).children.push(id);
         id
     }
 

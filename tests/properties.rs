@@ -83,12 +83,14 @@ proptest! {
     }
 
     /// Proposition 3: the O(1) text-insertion guard agrees with a full
-    /// document re-check after actually inserting text.
+    /// document re-check after actually inserting text, at any child
+    /// position.
     #[test]
     fn proposition3_text_insertion_guard_is_exact(
         class in class_strategy(),
         seed in 0u64..5000,
         pick in 0usize..50,
+        at in 0usize..50,
     ) {
         let analysis = make_analysis(class, seed);
         let mut doc = DocGen::new(&analysis, seed).generate(20);
@@ -97,14 +99,15 @@ proptest! {
         prop_assume!(checker.check_document(&doc).is_potentially_valid());
         let elements: Vec<NodeId> = doc.elements().collect();
         let target = elements[pick % elements.len()];
-        let guard_says = checker.check_text_insertion(&doc, target).preserves_pv();
+        let index = at % (doc.children(target).len() + 1);
+        let guard_says = checker.check_text_insertion_at(&doc, target, index).preserves_pv();
         // Apply for real and re-check from scratch.
-        doc.append_text(target, "inserted!").unwrap();
+        doc.insert_text(target, index, "inserted!").unwrap();
         let recheck = checker.check_document(&doc).is_potentially_valid();
         prop_assert_eq!(guard_says, recheck,
-            "guard={} recheck={} elem={}\n{}\n{}",
+            "guard={} recheck={} elem={} index={}\n{}\n{}",
             guard_says, recheck,
-            doc.name(target).unwrap_or("?"), analysis.dtd, doc.to_xml());
+            doc.name(target).unwrap_or("?"), index, analysis.dtd, doc.to_xml());
     }
 
     /// Corollary 3.1 + Proposition 1: normalization does not change the

@@ -1,14 +1,18 @@
-//! Torture tests for the resumable push lexer ([`pv_xml::PushParser`]):
-//! arbitrary chunk boundaries must be invisible, truncation must be a
-//! clean error (never a wrong verdict), and no input — well-formed,
-//! truncated, or raw byte soup — may panic the parser.
+//! Torture tests for the one XML lexer ([`pv_xml::PushParser`]), which
+//! both streaming validation and `pv_xml::parse` run on: arbitrary chunk
+//! boundaries must be invisible, truncation must be a clean error (never
+//! a wrong verdict), and no input — well-formed, truncated, or raw byte
+//! soup — may panic the parser.
 //!
-//! The equivalence oracle is the tree parser: for every well-formed
-//! document the push parser's event stream must describe exactly the
-//! tree `pv_xml::parse` builds (same elements, attributes, text nodes,
-//! comments, PIs, in the same order), and for every broken input both
-//! parsers must report the **same error** (the push parser reuses the
-//! tree parser's lexer, so diagnostics are byte-identical).
+//! The judge is an independent reference lexer (`tests/support`), a
+//! hand-written cursor parser that shares no lexing code with `pv_xml`.
+//! Every input is judged three ways: the reference's canonical trace, the
+//! trace of the tree `pv_xml::parse` builds (same elements, attributes,
+//! text nodes, comments, PIs, in the same order), and the push parser's
+//! event trace at every chunking tried must be equal — and for a broken
+//! input all three must report the **same error** (kind and byte offset).
+
+mod support;
 
 use proptest::prelude::*;
 use potential_validity::prelude::*;
@@ -77,7 +81,7 @@ fn event_trace(xml: &str, chunk: usize) -> pv_xml::Result<String> {
     Ok(out)
 }
 
-/// The same canonical trace, derived from the tree parser's document.
+/// The same canonical trace, derived from a built document.
 fn tree_trace(doc: &Document) -> String {
     enum Step {
         Enter(NodeId),
@@ -113,6 +117,15 @@ fn tree_trace(doc: &Document) -> String {
     out
 }
 
+/// The reference lexer's verdict on `xml` — its trace, or its error —
+/// after checking that `pv_xml::parse` reaches exactly the same one.
+fn reference(xml: &str) -> pv_xml::Result<String> {
+    let expect = support::reference_trace(xml);
+    let tree = pv_xml::parse(xml).map(|doc| tree_trace(&doc));
+    assert_eq!(tree, expect, "pv_xml::parse disagrees with the reference on {xml:?}");
+    expect
+}
+
 /// Hand-picked markup shapes that stress the lexer's resumption points:
 /// splits land inside names, attributes, references, comments, PIs,
 /// CDATA sections, and multi-byte UTF-8 sequences.
@@ -130,7 +143,7 @@ const EDGE_DOCS: &[&str] = &[
 #[test]
 fn edge_documents_trace_identically_at_every_split() {
     for xml in EDGE_DOCS {
-        let expect = tree_trace(&pv_xml::parse(xml).unwrap());
+        let expect = reference(xml).unwrap();
         for chunk in 1..=xml.len() {
             assert_eq!(
                 event_trace(xml, chunk).unwrap(),
@@ -146,17 +159,86 @@ fn corpus_documents_trace_identically() {
     for b in BuiltinDtd::ALL {
         let Some(doc) = corpus::for_builtin(b, 300) else { continue };
         let xml = doc.to_xml();
-        let expect = tree_trace(&pv_xml::parse(&xml).unwrap());
+        let expect = reference(&xml).unwrap();
         for chunk in [1usize, 7, 64, xml.len()] {
             assert_eq!(event_trace(&xml, chunk).unwrap(), expect, "{} chunk={chunk}", b.name());
         }
     }
 }
 
+/// `pv_xml::parse` feeds the lexer 64 KiB slices. A text run, a start tag
+/// and an `&amp;` straddle every power-of-two offset from 4 KiB to
+/// 256 KiB, in rotation, so any power-of-two slice size from 4 KiB to
+/// 64 KiB cuts through each kind at one of its own boundaries. They must
+/// come out as the reference reads them, both from the tree and at
+/// chunkings of those sizes.
+#[test]
+fn slice_boundaries_inside_text_tags_and_references() {
+    let straddlers = ["text run", "<tag a=\"v\">t</tag>", "pre&amp;post"];
+    let mut xml = String::from("<r>");
+    for (log2, straddler) in (12..=18).zip(straddlers.iter().cycle()) {
+        // Element padding up to 4 bytes before the boundary.
+        let boundary = 1usize << log2;
+        let filler = boundary - 4 - xml.len() - "<p></p>".len();
+        xml.push_str(&format!("<p>{}</p>", "x".repeat(filler)));
+        assert_eq!(xml.len(), boundary - 4);
+        xml.push_str(straddler);
+    }
+    xml.push_str("</r>");
+    let expect = reference(&xml).unwrap();
+    assert!(expect.contains("\nT:\"text run\"\n"));
+    assert!(expect.contains("\nS:tag a=\"v\"\n"));
+    assert!(expect.contains("\nT:\"pre&post\"\n"));
+    let powers = (12..=16).map(|log2| 1usize << log2);
+    for chunk in powers.chain([(1 << 16) - 1, (1 << 16) + 1, 4093]) {
+        assert_eq!(event_trace(&xml, chunk).unwrap(), expect, "chunk={chunk}");
+    }
+}
+
+/// Constructs many slices long — a comment, a CDATA section, attribute
+/// values, a PI, a doctype subset, a reference between two long text
+/// halves — must parse as the reference reads them, and ones the end of
+/// input cuts off (a comment, a CDATA section, an attribute value, a `&`
+/// that never meets its `;`) must give the reference's error. The lexer
+/// re-lexes a construct in flight from its first byte on every push, so
+/// this is also where a slice policy that turns quadratic would show.
+#[test]
+fn constructs_spanning_many_slices() {
+    let long = "y".repeat(200 * 1024);
+    let docs = [
+        format!("<r>a<!--{long}-->b</r>"),
+        format!("<r><![CDATA[{long}]]>tail</r>"),
+        format!("<r a=\"{long}\" b='&amp;{long}'/>"),
+        format!("<r><?pi {long}?></r>"),
+        format!("<!DOCTYPE r [<!-- {long} --><!ELEMENT r ANY>]><r/>"),
+        format!("<r>{long}&amp;{long}</r>"),
+    ];
+    for xml in &docs {
+        let expect = reference(xml).unwrap();
+        for chunk in [1 << 16, 4093] {
+            assert_eq!(event_trace(xml, chunk).unwrap(), expect, "chunk={chunk}");
+        }
+    }
+    let cut = "z".repeat(1 << 20);
+    let broken = [
+        format!("<r><!--{cut}"),
+        format!("<r><![CDATA[{cut}"),
+        format!("<r a=\"{cut}"),
+        format!("<r>&{cut}"),
+        format!("<r>&{cut};</r>"),
+    ];
+    for xml in &broken {
+        let ref_err = reference(xml).expect_err("cut-off construct");
+        let stream_err = event_trace(xml, 1 << 16).expect_err("push parser must reject too");
+        assert_eq!(stream_err.to_string(), ref_err.to_string());
+    }
+}
+
 /// Every strict prefix of a well-formed document (no trailing misc) is
 /// incomplete or broken: the push parser must report a clean error —
-/// the **same** error the tree parser reports for that prefix — and the
-/// streaming checker must propagate it instead of inventing a verdict.
+/// the **same** error the reference and `pv_xml::parse` report for that
+/// prefix — and the streaming checker must propagate it instead of
+/// inventing a verdict.
 #[test]
 fn every_prefix_truncation_is_a_clean_error() {
     let analysis = BuiltinDtd::Figure1.analysis();
@@ -167,13 +249,13 @@ fn every_prefix_truncation_is_a_clean_error() {
             continue; // byte-level truncation of UTF-8 is covered below
         }
         let prefix = &full[..cut];
-        let tree_err = pv_xml::parse(prefix).expect_err("strict prefix cannot be complete");
+        let ref_err = reference(prefix).expect_err("strict prefix cannot be complete");
         for chunk in [1usize, 4, prefix.len()] {
             let stream_err =
                 event_trace(prefix, chunk).expect_err("push parser must also reject");
             assert_eq!(
                 stream_err.to_string(),
-                tree_err.to_string(),
+                ref_err.to_string(),
                 "cut={cut} chunk={chunk}"
             );
             // The checking layer sees the error, not a verdict.
@@ -181,10 +263,10 @@ fn every_prefix_truncation_is_a_clean_error() {
             let fed: Result<Vec<()>, _> =
                 prefix.as_bytes().chunks(chunk).map(|c| check.feed(c)).collect();
             match fed {
-                Err(e) => assert_eq!(e.to_string(), tree_err.to_string(), "cut={cut}"),
+                Err(e) => assert_eq!(e.to_string(), ref_err.to_string(), "cut={cut}"),
                 Ok(_) => {
                     let e = check.finish().expect_err("truncation must not yield a verdict");
-                    assert_eq!(e.to_string(), tree_err.to_string(), "cut={cut}");
+                    assert_eq!(e.to_string(), ref_err.to_string(), "cut={cut}");
                 }
             }
         }
@@ -249,7 +331,8 @@ fn peak_buffered_is_a_true_high_water_mark() {
 
 /// Byte soup — including invalid UTF-8 and mid-codepoint truncations —
 /// must never panic; it either errors or (for the rare well-formed
-/// accident) completes.
+/// accident) completes. Soup that is valid UTF-8 must also get the
+/// reference's verdict, error or trace.
 #[test]
 fn byte_soup_never_panics() {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -285,6 +368,9 @@ fn byte_soup_never_panics() {
                 },
             }
         }
+        if let Ok(text) = std::str::from_utf8(&soup) {
+            assert_eq!(event_trace(text, chunk), reference(text), "soup={text:?} chunk={chunk}");
+        }
     }
 }
 
@@ -292,7 +378,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random well-formed documents × random chunk sizes: the event
-    /// stream describes exactly the tree the batch parser builds.
+    /// stream, the built tree and the reference trace agree.
     #[test]
     fn generated_documents_trace_identically(
         seed in 0u64..5000,
@@ -302,7 +388,7 @@ proptest! {
         let analysis = BuiltinDtd::Play.analysis();
         let doc = DocGen::new(&analysis, seed).generate(nodes);
         let xml = doc.to_xml();
-        let expect = tree_trace(&pv_xml::parse(&xml).unwrap());
+        let expect = reference(&xml).unwrap();
         prop_assert_eq!(event_trace(&xml, chunk).unwrap(), expect);
     }
 
@@ -323,8 +409,8 @@ proptest! {
             cut -= 1;
         }
         let prefix = &xml[..cut];
-        let tree_err = pv_xml::parse(prefix).expect_err("strict prefix cannot be complete");
+        let ref_err = reference(prefix).expect_err("strict prefix cannot be complete");
         let stream_err = event_trace(prefix, chunk).expect_err("push parser must reject too");
-        prop_assert_eq!(stream_err.to_string(), tree_err.to_string());
+        prop_assert_eq!(stream_err.to_string(), ref_err.to_string());
     }
 }
