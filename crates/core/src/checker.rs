@@ -10,7 +10,7 @@ use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, MemoVerdict, ShapeCache};
 use crate::recognizer::{EcRecognizer, RecBuffers, RecCtx, RecognizerStats};
-use crate::token::{ChildSym, Tokens};
+use crate::token::{ChildSym, NameTable, Tokens};
 use pv_dtd::DtdAnalysis;
 use pv_xml::{Document, NodeId};
 use std::fmt;
@@ -332,13 +332,20 @@ impl<'a> PvChecker<'a> {
     /// drivers scanning many documents that want to reuse the buffers
     /// (the batch checker's workers do).
     pub fn check_document_with(&self, doc: &Document, scratch: &mut CheckScratch<'_>) -> PvOutcome {
-        let mut stats = RecognizerStats::default();
         // Root element type must match r.
         if let Some(v) = self.check_root(doc) {
-            return PvOutcome { violation: Some(v), stats };
+            return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
         }
+        self.check_elements(doc, scratch)
+    }
+
+    /// Every element's ECPV instance in document order, stopping at the
+    /// first violation (the root check is the caller's).
+    fn check_elements(&self, doc: &Document, scratch: &mut CheckScratch<'_>) -> PvOutcome {
+        let names = NameTable::new(doc, &self.analysis.dtd);
+        let mut stats = RecognizerStats::default();
         for node in doc.elements() {
-            if let Some(v) = self.check_node_with(doc, node, &mut stats, scratch) {
+            if let Some(v) = self.check_node_with(doc, node, Some(&names), &mut stats, scratch) {
                 return PvOutcome { violation: Some(v), stats };
             }
         }
@@ -393,6 +400,7 @@ impl<'a> PvChecker<'a> {
             return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
         }
         let nodes: Vec<NodeId> = doc.elements().collect();
+        let names = NameTable::new(doc, &self.analysis.dtd);
         // Earliest node index known to carry a violation; only ever
         // decreases, so nodes at or before the final minimum are never
         // pruned and their per-node results are always computed.
@@ -411,7 +419,8 @@ impl<'a> PvChecker<'a> {
                     return None; // after a known violation: result unreachable
                 }
                 let mut stats = RecognizerStats::default();
-                let violation = self.check_node_with(doc, nodes[i], &mut stats, scratch);
+                let violation =
+                    self.check_node_with(doc, nodes[i], Some(&names), &mut stats, scratch);
                 if violation.is_some() {
                     first_bad.fetch_min(i, Ordering::Relaxed);
                 }
@@ -491,7 +500,10 @@ impl<'a> PvChecker<'a> {
         match self.check_root(doc) {
             Some(v) => BatchPlan::RootFailed(v),
             None if doc.element_count() < split_threshold => BatchPlan::Whole,
-            None => BatchPlan::PerNode(doc.elements().collect()),
+            None => {
+                let names = NameTable::new(doc, &self.analysis.dtd);
+                BatchPlan::PerNode(doc.elements().collect(), names)
+            }
         }
     }
 
@@ -509,20 +521,16 @@ impl<'a> PvChecker<'a> {
             BatchPlan::RootFailed(_) => unreachable!("root-failed documents have no tasks"),
             BatchPlan::Whole => {
                 debug_assert_eq!(i, 0);
-                let mut stats = RecognizerStats::default();
-                for node in doc.elements() {
-                    if let Some(v) = self.check_node_with(doc, node, &mut stats, scratch) {
-                        return Some((Some(v), stats));
-                    }
-                }
-                Some((None, stats))
+                let outcome = self.check_elements(doc, scratch);
+                Some((outcome.violation, outcome.stats))
             }
-            BatchPlan::PerNode(nodes) => {
+            BatchPlan::PerNode(nodes, names) => {
                 if i > first_bad.load(Ordering::Relaxed) {
                     return None; // after a known violation in this doc
                 }
                 let mut stats = RecognizerStats::default();
-                let violation = self.check_node_with(doc, nodes[i], &mut stats, scratch);
+                let violation =
+                    self.check_node_with(doc, nodes[i], Some(names), &mut stats, scratch);
                 if violation.is_some() {
                     first_bad.fetch_min(i, Ordering::Relaxed);
                 }
@@ -540,35 +548,44 @@ impl<'a> PvChecker<'a> {
         stats: &mut RecognizerStats,
     ) -> Option<PvViolation> {
         let mut scratch = self.scratch();
-        self.check_node_with(doc, node, stats, &mut scratch)
+        self.check_node_with(doc, node, None, stats, &mut scratch)
     }
 
     /// [`PvChecker::check_node`] against a reusable scratch — the per-node
-    /// body of every document scan. The hot path performs no allocation:
-    /// the child-symbol buffer is refilled in place, a memo hit replays
-    /// the cached stats delta, and a miss re-arms the scratch recognizer.
+    /// body of every document scan. Names resolve through `names`, the
+    /// document's resolved name table, when the caller built one for a
+    /// whole-document check; with `None` (single-node guards) each name
+    /// is looked up in the DTD. The hot path performs no allocation: the
+    /// child-symbol buffer is refilled in place, a memo hit replays the
+    /// cached stats delta, and a miss re-arms the scratch recognizer.
     pub(crate) fn check_node_with(
         &self,
         doc: &Document,
         node: NodeId,
+        names: Option<&NameTable>,
         stats: &mut RecognizerStats,
         scratch: &mut CheckScratch<'_>,
     ) -> Option<PvViolation> {
-        let elem = match self.analysis.id(doc.name(node).unwrap_or("")) {
-            Some(e) => e,
-            None => {
-                return Some(PvViolation {
-                    node,
-                    kind: PvViolationKind::UndeclaredElement {
-                        name: doc.name(node).unwrap_or("").to_owned(),
-                    },
-                })
-            }
+        let elem = doc.name_id(node).and_then(|n| match names {
+            Some(table) => table.elem(n),
+            None => self.analysis.id(doc.name_of(n)),
+        });
+        let Some(elem) = elem else {
+            return Some(PvViolation {
+                node,
+                kind: PvViolationKind::UndeclaredElement {
+                    name: doc.name(node).unwrap_or("").to_owned(),
+                },
+            });
         };
         // Borrow juggling: the symbol buffer is taken out of the scratch so
         // the recognizer half can be borrowed mutably alongside it.
         let mut syms = std::mem::take(&mut scratch.syms);
-        let result = match Tokens::children_into(doc, node, &self.analysis.dtd, &mut syms) {
+        let tokens = match names {
+            Some(table) => Tokens::children_resolved_into(doc, node, table, &mut syms),
+            None => Tokens::children_into(doc, node, &self.analysis.dtd, &mut syms),
+        };
+        let result = match tokens {
             Ok(()) => {
                 self.check_symbols_with(elem, &syms, stats, scratch).map(|(index, symbol)| {
                     PvViolation { node, kind: PvViolationKind::ContentRejected { symbol, index } }
@@ -662,8 +679,9 @@ pub(crate) enum BatchPlan {
     /// materialized for the common small-document case).
     Whole,
     /// One task per node, document-order reduction. Only this plan needs
-    /// random access by task index, so only it collects the node ids.
-    PerNode(Vec<NodeId>),
+    /// random access by task index, so only it collects the node ids; its
+    /// tasks share the document's resolved name table.
+    PerNode(Vec<NodeId>, NameTable),
 }
 
 impl BatchPlan {
@@ -672,7 +690,7 @@ impl BatchPlan {
         match self {
             BatchPlan::RootFailed(_) => 0,
             BatchPlan::Whole => 1,
-            BatchPlan::PerNode(nodes) => nodes.len(),
+            BatchPlan::PerNode(nodes, _) => nodes.len(),
         }
     }
 
@@ -687,7 +705,7 @@ impl BatchPlan {
             }
             // A whole-document task already folded its nodes (stopping at
             // the first violation) — its single result IS the outcome.
-            BatchPlan::Whole | BatchPlan::PerNode(_) => reduce_node_results(results),
+            BatchPlan::Whole | BatchPlan::PerNode(..) => reduce_node_results(results),
         }
     }
 }

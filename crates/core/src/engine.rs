@@ -38,6 +38,7 @@ use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, ShapeCache};
 use crate::recognizer::RecognizerStats;
+use crate::token::NameTable;
 use pv_dtd::budget::StaticReport;
 use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
@@ -83,10 +84,14 @@ impl EngineObs {
         }
     }
 
-    /// Folds one finished document check into the registry.
-    fn record(&self, t0: Option<Instant>, nodes: usize, outcome: &PvOutcome) {
+    /// Folds one finished document check into the registry. The node
+    /// count is a scan over the whole arena, so it is only taken when the
+    /// histogram records.
+    fn record(&self, t0: Option<Instant>, doc: &Document, outcome: &PvOutcome) {
         self.check_us.observe_since(t0);
-        self.doc_nodes.observe(nodes as u64);
+        if self.doc_nodes.is_live() {
+            self.doc_nodes.observe(doc.element_count() as u64);
+        }
         self.checks.inc();
         self.symbols.add(outcome.stats.symbols);
         self.node_visits.add(outcome.stats.node_visits);
@@ -243,7 +248,7 @@ impl CheckEngine {
     ) -> PvOutcome {
         let t0 = self.obs.check_us.start();
         let outcome = self.check_document_pooled_inner(doc, pool, jobs, memo);
-        self.obs.record(t0, doc.element_count(), &outcome);
+        self.obs.record(t0, doc, &outcome);
         outcome
     }
 
@@ -262,6 +267,7 @@ impl CheckEngine {
         if let Some(v) = self.checker().check_root(doc) {
             return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
         }
+        let names = Arc::new(NameTable::new(doc, &self.analysis.dtd));
         let nodes: Arc<Vec<NodeId>> = Arc::new(doc.elements().collect());
         let first_bad = Arc::new(AtomicUsize::new(usize::MAX));
         let len = nodes.len();
@@ -282,8 +288,13 @@ impl CheckEngine {
                     continue;
                 }
                 let mut stats = RecognizerStats::default();
-                let violation =
-                    checker.check_node_with(&doc, task_nodes[i], &mut stats, &mut scratch);
+                let violation = checker.check_node_with(
+                    &doc,
+                    task_nodes[i],
+                    Some(&names),
+                    &mut stats,
+                    &mut scratch,
+                );
                 if violation.is_some() {
                     fb.fetch_min(i, Ordering::Relaxed);
                 }
@@ -308,7 +319,7 @@ impl CheckEngine {
         let outcomes = self.check_batch_pooled_inner(docs, pool, jobs);
         self.obs.batch_us.observe_since(t0);
         for (doc, outcome) in docs.iter().zip(&outcomes) {
-            self.obs.record(None, doc.element_count(), outcome);
+            self.obs.record(None, doc, outcome);
         }
         outcomes
     }

@@ -9,10 +9,12 @@
 //!
 //! Both operators resolve document tag names against the DTD; an element
 //! not declared in `T` violates the problem precondition
-//! (`elements(w) ⊆ T`) and is reported as a [`TokenError`].
+//! (`elements(w) ⊆ T`) and is reported as a [`TokenError`]. A
+//! whole-document check resolves the document's interned name table once
+//! per check; single-node callers resolve each name as they meet it.
 
 use pv_dtd::{Dtd, ElemId};
-use pv_xml::{Document, NodeId};
+use pv_xml::{Document, NameId, NodeId};
 use std::fmt;
 
 /// One terminal of the grammar alphabet `Σ`.
@@ -81,28 +83,25 @@ impl Tokens {
         while let Some(step) = stack.pop() {
             match step {
                 Step::Close(id) => out.push(Tok::Close(id)),
-                Step::Enter(n) => {
-                    let nd = doc.node(n);
-                    match &nd.kind {
-                        pv_xml::NodeKind::Text(t)
-                            if !t.is_empty() && out.last() != Some(&Tok::Sigma) => {
-                                out.push(Tok::Sigma);
-                            }
-                        pv_xml::NodeKind::Element { name, .. } => {
-                            let id = dtd.id(name).ok_or_else(|| TokenError {
-                                name: name.to_string(),
-                                node: n,
-                            })?;
-                            out.push(Tok::Open(id));
-                            stack.push(Step::Close(id));
-                            for &c in nd.children.iter().rev() {
-                                stack.push(Step::Enter(c));
-                            }
-                        }
-                        // Comments/PIs are structure-transparent.
-                        _ => {}
+                Step::Enter(n) => match doc.kind(n) {
+                    pv_xml::NodeKind::Text(t)
+                        if !t.is_empty() && out.last() != Some(&Tok::Sigma) =>
+                    {
+                        out.push(Tok::Sigma);
                     }
-                }
+                    pv_xml::NodeKind::Element { name, .. } => {
+                        let id = dtd
+                            .id(name)
+                            .ok_or_else(|| TokenError { name: name.to_string(), node: n })?;
+                        out.push(Tok::Open(id));
+                        stack.push(Step::Close(id));
+                        for &c in doc.children(n).iter().rev() {
+                            stack.push(Step::Enter(c));
+                        }
+                    }
+                    // Comments/PIs are structure-transparent.
+                    _ => {}
+                },
             }
         }
         Ok(out)
@@ -122,11 +121,9 @@ impl Tokens {
     }
 
     /// Scratch-buffer variant of [`Tokens::children`]: clears `out` and
-    /// fills it with the node's child-symbol sequence. The whole-document
-    /// checker calls this once per element node with one reusable buffer,
-    /// so the per-node hot path performs no allocation at all (the
-    /// `Vec`-returning variant, and the intermediate
-    /// [`pv_xml::ChildToken`] vector it used to build, are both avoided).
+    /// fills it with the node's child-symbol sequence, so a caller
+    /// tokenizing many nodes with one reusable buffer allocates nothing
+    /// per node.
     ///
     /// Semantics are identical to [`Tokens::children`]: child elements
     /// resolve against the DTD (undeclared names error), maximal runs of
@@ -153,25 +150,20 @@ impl Tokens {
         dtd: &Dtd,
         out: &mut Vec<ChildSym>,
     ) -> Result<(), TokenError> {
-        for &c in siblings {
-            match &doc.node(c).kind {
-                pv_xml::NodeKind::Element { name, .. } => {
-                    let elem = dtd
-                        .id(name)
-                        .ok_or_else(|| TokenError { name: name.to_string(), node: c })?;
-                    out.push(ChildSym::Elem(elem));
-                }
-                pv_xml::NodeKind::Text(t)
-                    if !t.is_empty() && out.last() != Some(&ChildSym::Sigma) =>
-                {
-                    out.push(ChildSym::Sigma);
-                }
-                // Comments/PIs carry no structure; σ runs merge across
-                // them exactly as `children` always reported.
-                _ => {}
-            }
-        }
-        Ok(())
+        push_symbols(doc, siblings, out, |name| dtd.id(doc.name_of(name)))
+    }
+
+    /// [`Tokens::children_into`] resolving names through a document's
+    /// [`NameTable`] — the whole-document checkers' per-node step, with no
+    /// hashing at all.
+    pub(crate) fn children_resolved_into(
+        doc: &Document,
+        node: NodeId,
+        names: &NameTable,
+        out: &mut Vec<ChildSym>,
+    ) -> Result<(), TokenError> {
+        out.clear();
+        push_symbols(doc, doc.children(node), out, |name| names.elem(name))
     }
 
     /// Renders a δ token string for diagnostics/tests, e.g.
@@ -194,6 +186,51 @@ impl Tokens {
             }
         }
         s
+    }
+}
+
+/// The σ-merging loop behind every child-symbol view: element children
+/// resolve through `resolve` (`None` = undeclared, an error at that
+/// child), each maximal run of non-empty text adds one σ unless `out`
+/// already ends with one, and comments/PIs add nothing.
+fn push_symbols(
+    doc: &Document,
+    siblings: &[NodeId],
+    out: &mut Vec<ChildSym>,
+    resolve: impl Fn(NameId) -> Option<ElemId>,
+) -> Result<(), TokenError> {
+    for &c in siblings {
+        if let Some(name) = doc.name_id(c) {
+            let elem = resolve(name)
+                .ok_or_else(|| TokenError { name: doc.name_of(name).to_owned(), node: c })?;
+            out.push(ChildSym::Elem(elem));
+        } else if doc.text(c).is_some_and(|t| !t.is_empty()) && out.last() != Some(&ChildSym::Sigma)
+        {
+            out.push(ChildSym::Sigma);
+        }
+    }
+    Ok(())
+}
+
+/// A document's name table resolved against a DTD: entry `n` is the
+/// element type of [`NameId`] `n`, or `None` if the DTD does not declare
+/// that name. Building it costs one DTD lookup per distinct name, so a
+/// whole-document check hashes each name once instead of once or twice
+/// per element. Valid for the document it was built from until the next
+/// edit interns a new name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameTable(Vec<Option<ElemId>>);
+
+impl NameTable {
+    /// Resolves every name `doc` has interned against `dtd`.
+    pub(crate) fn new(doc: &Document, dtd: &Dtd) -> NameTable {
+        NameTable(doc.names().map(|n| dtd.id(n)).collect())
+    }
+
+    /// The element type of interned name `name`.
+    #[inline]
+    pub(crate) fn elem(&self, name: NameId) -> Option<ElemId> {
+        self.0[name.index()]
     }
 }
 

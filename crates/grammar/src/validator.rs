@@ -18,7 +18,7 @@
 use crate::ecfg::{Edge, Grammar, GrammarMode};
 use pv_core::token::ChildSym;
 use pv_dtd::{ContentSpec, Dtd, ElemId};
-use pv_xml::{ChildToken, Document, NodeId};
+use pv_xml::{Document, NodeId};
 use std::fmt;
 
 /// Why a document is not valid.
@@ -100,24 +100,23 @@ pub fn validate_document_with(
         let elem = dtd
             .id(name)
             .ok_or_else(|| ValidityViolation::UndeclaredElement { name: name.to_owned() })?;
+        // The child sequence: element names, and one σ per maximal run of
+        // non-empty text (comments and PIs do not end a run).
+        let drop_sigma = options.ignore_whitespace
+            && element_content_only(&dtd.element(elem).content)
+            && sigma_run_is_whitespace(doc, node);
         let mut syms = Vec::new();
-        for t in doc.child_tokens(node) {
-            match t {
-                ChildToken::Sigma => {
-                    if !(options.ignore_whitespace
-                        && element_content_only(&dtd.element(elem).content)
-                        && sigma_run_is_whitespace(doc, node))
-                        && syms.last() != Some(&ChildSym::Sigma) {
-                            syms.push(ChildSym::Sigma);
-                        }
-                }
-                ChildToken::Element(n, id) => {
-                    let e = dtd.id(n).ok_or_else(|| ValidityViolation::UndeclaredElement {
-                        name: n.to_owned(),
-                    })?;
-                    let _ = id;
-                    syms.push(ChildSym::Elem(e));
-                }
+        for &c in doc.children(node) {
+            if let Some(n) = doc.name(c) {
+                let e = dtd.id(n).ok_or_else(|| ValidityViolation::UndeclaredElement {
+                    name: n.to_owned(),
+                })?;
+                syms.push(ChildSym::Elem(e));
+            } else if doc.text(c).is_some_and(|t| !t.is_empty())
+                && !drop_sigma
+                && syms.last() != Some(&ChildSym::Sigma)
+            {
+                syms.push(ChildSym::Sigma);
             }
         }
         if let Err(index) = accepts_content(dtd, elem, &syms) {

@@ -296,8 +296,8 @@ struct Rebuilder<'a> {
 
 impl Rebuilder<'_> {
     fn copy_attrs(&mut self, from: pv_xml::NodeId, to: pv_xml::NodeId) {
-        if let pv_xml::NodeKind::Element { attrs, .. } = &self.src.node(from).kind {
-            for a in attrs.clone() {
+        if let pv_xml::NodeKind::Element { attrs, .. } = self.src.kind(from) {
+            for a in attrs {
                 self.dst.set_attribute(to, &a.name, &a.value).expect("attr on element");
             }
         }
@@ -322,16 +322,14 @@ impl Rebuilder<'_> {
         let kids: Vec<pv_xml::NodeId> = self.src.children(src_parent).to_vec();
         while *cursor < kids.len() {
             let c = kids[*cursor];
-            match &self.src.node(c).kind {
+            match self.src.kind(c) {
                 pv_xml::NodeKind::Comment(t) => {
-                    let t = t.clone();
-                    self.dst.append_comment(dst_parent, &t).unwrap();
+                    self.dst.append_comment(dst_parent, t).unwrap();
                 }
                 pv_xml::NodeKind::Pi { target, data } => {
-                    let (target, data) = (target.to_string(), data.clone());
-                    self.dst.append_pi(dst_parent, &target, &data).unwrap();
+                    self.dst.append_pi(dst_parent, target, data).unwrap();
                 }
-                pv_xml::NodeKind::Text(t) if t.is_empty() => {}
+                pv_xml::NodeKind::Text("") => {}
                 _ => break,
             }
             *cursor += 1;
@@ -353,11 +351,10 @@ impl Rebuilder<'_> {
                     // Consume the maximal run of text nodes.
                     while *cursor < kids.len() {
                         let c = kids[*cursor];
-                        match &self.src.node(c).kind {
+                        match self.src.kind(c) {
                             pv_xml::NodeKind::Text(t) => {
                                 if !t.is_empty() {
-                                    let t = t.clone();
-                                    self.dst.append_text(dst_parent, &t).unwrap();
+                                    self.dst.append_text(dst_parent, t).unwrap();
                                 }
                                 *cursor += 1;
                             }

@@ -49,7 +49,7 @@ impl Mutator {
             .elements()
             .filter(|&n| {
                 let kids = doc.children(n);
-                kids.iter().filter(|&&c| doc.node(c).kind.is_element()).count() >= 2
+                kids.iter().filter(|&&c| doc.kind(c).is_element()).count() >= 2
             })
             .collect();
         if parents.is_empty() {
@@ -60,7 +60,7 @@ impl Mutator {
             .children(parent)
             .iter()
             .enumerate()
-            .filter(|(_, &c)| doc.node(c).kind.is_element())
+            .filter(|(_, &c)| doc.kind(c).is_element())
             .map(|(i, _)| i)
             .collect();
         let which = self.rng.random_range(0..elem_positions.len() - 1);

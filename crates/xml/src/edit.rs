@@ -21,7 +21,7 @@
 //! can surface the failures.
 
 use crate::error::XmlError;
-use crate::tree::{Attribute, Document, NodeId, NodeKind};
+use crate::tree::{Attribute, Data, Document, NodeId};
 use crate::Result;
 
 impl Document {
@@ -29,10 +29,19 @@ impl Document {
         if !self.is_alive(id) {
             return Err(XmlError::edit(format!("{op}: node {id} is not alive")));
         }
-        if !self.node(id).kind.is_element() {
+        if self.name_id(id).is_none() {
             return Err(XmlError::edit(format!("{op}: node {id} is not an element")));
         }
         Ok(())
+    }
+
+    /// Links the detached node `id` at child position `index` of `parent`
+    /// (any out-of-range index appends).
+    fn link_child(&mut self, parent: NodeId, index: usize, id: NodeId) {
+        self.nodes[id.index()].parent = parent;
+        let kids = self.kids_mut(parent);
+        let at = index.min(kids.len());
+        kids.insert(at, id);
     }
 
     /// Appends a new empty element named `name` as the last child of
@@ -45,11 +54,8 @@ impl Document {
     /// (`usize::MAX` or any out-of-range index appends).
     pub fn insert_element(&mut self, parent: NodeId, index: usize, name: &str) -> Result<NodeId> {
         self.expect_element(parent, "insert_element")?;
-        let id = self.alloc(NodeKind::Element { name: name.into(), attrs: Vec::new() });
-        self.node_mut(id).parent = Some(parent);
-        let kids = &mut self.node_mut(parent).children;
-        let at = index.min(kids.len());
-        kids.insert(at, id);
+        let id = self.alloc_element(name, &[]);
+        self.link_child(parent, index, id);
         Ok(id)
     }
 
@@ -64,24 +70,28 @@ impl Document {
     /// potential-validity check is O(1) by Proposition 3.
     pub fn insert_text(&mut self, parent: NodeId, index: usize, text: &str) -> Result<NodeId> {
         self.expect_element(parent, "insert_text")?;
-        let id = self.alloc(NodeKind::Text(text.to_owned()));
-        self.node_mut(id).parent = Some(parent);
-        let kids = &mut self.node_mut(parent).children;
-        let at = index.min(kids.len());
-        kids.insert(at, id);
+        let slot = self.own_str(text.to_owned());
+        let id = self.alloc(Data::Text(slot));
+        self.link_child(parent, index, id);
         Ok(id)
     }
 
     /// Appends a comment node to `parent`.
     pub fn append_comment(&mut self, parent: NodeId, text: &str) -> Result<NodeId> {
         self.expect_element(parent, "append_comment")?;
-        Ok(self.push_child(parent, NodeKind::Comment(text.to_owned())))
+        let slot = self.own_str(text.to_owned());
+        let id = self.alloc(Data::Comment(slot));
+        self.link_child(parent, usize::MAX, id);
+        Ok(id)
     }
 
     /// Appends a processing instruction to `parent`.
     pub fn append_pi(&mut self, parent: NodeId, target: &str, data: &str) -> Result<NodeId> {
         self.expect_element(parent, "append_pi")?;
-        Ok(self.push_child(parent, NodeKind::Pi { target: target.into(), data: data.to_owned() }))
+        let text = self.own_str(format!("{target}{data}"));
+        let id = self.alloc(Data::Pi { text, split: target.len() as u32 });
+        self.link_child(parent, usize::MAX, id);
+        Ok(id)
     }
 
     /// Replaces the contents of an existing text node — the paper's
@@ -90,13 +100,10 @@ impl Document {
         if !self.is_alive(id) {
             return Err(XmlError::edit(format!("update_text: node {id} is not alive")));
         }
-        match &mut self.node_mut(id).kind {
-            NodeKind::Text(t) => {
-                t.clear();
-                t.push_str(text);
-                Ok(())
-            }
-            _ => Err(XmlError::edit(format!("update_text: node {id} is not a text node"))),
+        if self.set_text(id, text) {
+            Ok(())
+        } else {
+            Err(XmlError::edit(format!("update_text: node {id} is not a text node")))
         }
     }
 
@@ -105,7 +112,7 @@ impl Document {
         if !self.is_alive(id) {
             return Err(XmlError::edit(format!("delete_text: node {id} is not alive")));
         }
-        if !self.node(id).kind.is_text() {
+        if self.text(id).is_none() {
             return Err(XmlError::edit(format!("delete_text: node {id} is not a text node")));
         }
         self.detach(id)
@@ -132,18 +139,13 @@ impl Document {
                 "wrap_children: range {range:?} out of bounds for {len} children"
             )));
         }
-        let wrapper = self.alloc(NodeKind::Element { name: name.into(), attrs: Vec::new() });
-        let moved: Vec<NodeId> = self.node(parent).children[range.clone()].to_vec();
+        let wrapper = self.alloc_element(name, &[]);
+        let moved: Vec<NodeId> = self.kids_mut(parent).splice(range, [wrapper]).collect();
         for &m in &moved {
-            self.node_mut(m).parent = Some(wrapper);
+            self.nodes[m.index()].parent = wrapper;
         }
-        {
-            let w = self.node_mut(wrapper);
-            w.parent = Some(parent);
-            w.children = moved;
-        }
-        let kids = &mut self.node_mut(parent).children;
-        kids.splice(range.clone(), [wrapper]);
+        self.nodes[wrapper.index()].parent = parent;
+        self.set_kids(wrapper, moved);
         Ok(wrapper)
     }
 
@@ -163,8 +165,8 @@ impl Document {
         if !self.is_alive(text_node) {
             return Err(XmlError::edit("wrap_text_range: node is not alive"));
         }
-        let (parent, full) = match (&self.node(text_node).parent, &self.node(text_node).kind) {
-            (Some(p), NodeKind::Text(t)) => (*p, t.clone()),
+        let (parent, full) = match (self.parent(text_node), self.text(text_node)) {
+            (Some(p), Some(t)) => (p, t.to_owned()),
             (None, _) => return Err(XmlError::edit("wrap_text_range: detached text node")),
             _ => return Err(XmlError::edit("wrap_text_range: not a text node")),
         };
@@ -183,21 +185,19 @@ impl Document {
 
         let (before, rest) = full.split_at(start);
         let (middle, after) = rest.split_at(end - start);
-        let (before, middle, after) =
-            (before.to_owned(), middle.to_owned(), after.to_owned());
 
         // Reuse `text_node` for the leading part (or drop it if empty).
         let mut insert_at = idx;
         if before.is_empty() {
             self.detach(text_node)?;
         } else {
-            self.update_text(text_node, &before)?;
+            self.update_text(text_node, before)?;
             insert_at += 1;
         }
         let wrapper = self.insert_element(parent, insert_at, name)?;
-        let inner = self.append_text(wrapper, &middle)?;
+        let inner = self.append_text(wrapper, middle)?;
         if !after.is_empty() {
-            self.insert_text(parent, insert_at + 1, &after)?;
+            self.insert_text(parent, insert_at + 1, after)?;
         }
         Ok((wrapper, inner))
     }
@@ -214,14 +214,26 @@ impl Document {
         let idx = self
             .child_index(id)
             .ok_or_else(|| XmlError::edit("unwrap_element: node not in parent"))?;
-        let moved = std::mem::take(&mut self.node_mut(id).children);
+        let moved = self.take_kids(id);
         for &m in &moved {
-            self.node_mut(m).parent = Some(parent);
+            self.nodes[m.index()].parent = parent;
         }
-        self.node_mut(parent).children.splice(idx..=idx, moved);
-        let n = self.node_mut(id);
+        self.kids_mut(parent).splice(idx..=idx, moved);
+        let n = &mut self.nodes[id.index()];
         n.dead = true;
-        n.parent = None;
+        n.parent = NodeId::NONE;
+        Ok(())
+    }
+
+    /// A tombstoned node's state for the undo primitives: `Err` unless
+    /// `id` is dead and childless.
+    fn expect_tombstone(&self, id: NodeId, op: &str) -> Result<()> {
+        let Some(n) = self.nodes.get(id.index()).filter(|n| n.dead) else {
+            return Err(XmlError::edit(format!("{op}: node {id} is not tombstoned")));
+        };
+        if !self.kids_of(n).is_empty() {
+            return Err(XmlError::edit(format!("{op}: node {id} still has children")));
+        }
         Ok(())
     }
 
@@ -238,23 +250,15 @@ impl Document {
     /// not guarantee cheaply.
     pub fn restore_node(&mut self, id: NodeId, parent: NodeId, index: usize) -> Result<()> {
         self.expect_element(parent, "restore_node")?;
-        if id.index() >= self.nodes.len() || !self.nodes[id.index()].dead {
-            return Err(XmlError::edit(format!("restore_node: node {id} is not tombstoned")));
-        }
-        if !self.nodes[id.index()].children.is_empty() {
-            return Err(XmlError::edit(format!("restore_node: node {id} has children")));
-        }
-        let kids = &mut self.node_mut(parent).children;
-        if index > kids.len() {
+        self.expect_tombstone(id, "restore_node")?;
+        let len = self.children(parent).len();
+        if index > len {
             return Err(XmlError::edit(format!(
-                "restore_node: index {index} out of bounds for {} children",
-                kids.len()
+                "restore_node: index {index} out of bounds for {len} children"
             )));
         }
-        kids.insert(index, id);
-        let n = &mut self.nodes[id.index()];
-        n.dead = false;
-        n.parent = Some(parent);
+        self.nodes[id.index()].dead = false;
+        self.link_child(parent, index, id);
         Ok(())
     }
 
@@ -270,14 +274,9 @@ impl Document {
         count: usize,
     ) -> Result<()> {
         self.expect_element(parent, "rewrap_children")?;
-        if id.index() >= self.nodes.len() || !self.nodes[id.index()].dead {
-            return Err(XmlError::edit(format!("rewrap_children: node {id} is not tombstoned")));
-        }
-        if !self.nodes[id.index()].kind.is_element() {
+        self.expect_tombstone(id, "rewrap_children")?;
+        if !matches!(self.nodes[id.index()].data, Data::Element { .. }) {
             return Err(XmlError::edit(format!("rewrap_children: node {id} is not an element")));
-        }
-        if !self.nodes[id.index()].children.is_empty() {
-            return Err(XmlError::edit(format!("rewrap_children: node {id} still has children")));
         }
         let len = self.children(parent).len();
         if index.checked_add(count).is_none_or(|end| end > len) {
@@ -285,17 +284,15 @@ impl Document {
                 "rewrap_children: range {index}..{index}+{count} out of bounds for {len} children"
             )));
         }
-        let moved: Vec<NodeId> = self.node(parent).children[index..index + count].to_vec();
+        let moved: Vec<NodeId> =
+            self.kids_mut(parent).splice(index..index + count, [id]).collect();
         for &m in &moved {
-            self.node_mut(m).parent = Some(id);
+            self.nodes[m.index()].parent = id;
         }
-        {
-            let n = &mut self.nodes[id.index()];
-            n.dead = false;
-            n.parent = Some(parent);
-            n.children = moved;
-        }
-        self.node_mut(parent).children.splice(index..index + count, [id]);
+        let n = &mut self.nodes[id.index()];
+        n.dead = false;
+        n.parent = parent;
+        self.set_kids(id, moved);
         Ok(())
     }
 
@@ -311,10 +308,10 @@ impl Document {
         let subtree: Vec<NodeId> = self.descendants(id).collect();
         self.detach(id)?;
         for n in subtree {
-            let node = self.node_mut(n);
+            self.take_kids(n);
+            let node = &mut self.nodes[n.index()];
             node.dead = true;
-            node.parent = None;
-            node.children.clear();
+            node.parent = NodeId::NONE;
         }
         Ok(())
     }
@@ -328,10 +325,10 @@ impl Document {
         let idx = self
             .child_index(id)
             .ok_or_else(|| XmlError::edit("detach: node not in parent"))?;
-        self.node_mut(parent).children.remove(idx);
-        let n = self.node_mut(id);
+        self.kids_mut(parent).remove(idx);
+        let n = &mut self.nodes[id.index()];
         n.dead = true;
-        n.parent = None;
+        n.parent = NodeId::NONE;
         Ok(())
     }
 
@@ -340,12 +337,12 @@ impl Document {
     /// validity — callers must re-check (used by mutation workloads).
     pub fn swap_siblings(&mut self, parent: NodeId, a: NodeId, b: NodeId) -> Result<()> {
         self.expect_element(parent, "swap_siblings")?;
-        let kids = &self.node(parent).children;
+        let kids = self.children(parent);
         let ia = kids.iter().position(|&c| c == a);
         let ib = kids.iter().position(|&c| c == b);
         match (ia, ib) {
             (Some(ia), Some(ib)) => {
-                self.node_mut(parent).children.swap(ia, ib);
+                self.kids_mut(parent).swap(ia, ib);
                 Ok(())
             }
             _ => Err(XmlError::edit("swap_siblings: nodes are not children of parent")),
@@ -356,12 +353,11 @@ impl Document {
     /// same name).
     pub fn set_attribute(&mut self, id: NodeId, name: &str, value: &str) -> Result<()> {
         self.expect_element(id, "set_attribute")?;
-        if let NodeKind::Element { attrs, .. } = &mut self.node_mut(id).kind {
-            if let Some(a) = attrs.iter_mut().find(|a| &*a.name == name) {
-                a.value = value.to_owned();
-            } else {
-                attrs.push(Attribute { name: name.into(), value: value.to_owned() });
-            }
+        let attr = Attribute { name: name.into(), value: value.to_owned() };
+        let list = self.attrs_mut(id);
+        match list.iter_mut().find(|a| &*a.name == name) {
+            Some(a) => a.value = attr.value,
+            None => list.push(attr),
         }
         Ok(())
     }
@@ -370,8 +366,9 @@ impl Document {
     /// PV-preserving operations; `pv-editor` re-checks after a rename.
     pub fn rename_element(&mut self, id: NodeId, name: &str) -> Result<()> {
         self.expect_element(id, "rename_element")?;
-        if let NodeKind::Element { name: n, .. } = &mut self.node_mut(id).kind {
-            *n = name.into();
+        let new = self.intern(name);
+        if let Data::Element { name, .. } = &mut self.nodes[id.index()].data {
+            *name = new;
         }
         Ok(())
     }
@@ -380,6 +377,7 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::NodeKind;
 
     #[test]
     fn wrap_children_moves_range() {
@@ -559,7 +557,7 @@ mod tests {
         let mut d = Document::new("r");
         d.set_attribute(d.root(), "id", "1").unwrap();
         d.set_attribute(d.root(), "id", "2").unwrap();
-        if let NodeKind::Element { attrs, .. } = &d.node(d.root()).kind {
+        if let NodeKind::Element { attrs, .. } = d.kind(d.root()) {
             assert_eq!(attrs.len(), 1);
             assert_eq!(attrs[0].value, "2");
         } else {

@@ -15,8 +15,9 @@
 //!   markup insertion/deletion of well-formed tag pairs, character-data
 //!   insertion/update/deletion ([`Document::wrap_children`],
 //!   [`Document::unwrap_element`], [`Document::insert_text`], …),
-//! * document-order traversal, depth computation and child token views that
-//!   the `δ_T` / `Δ_T` operators of `pv-core` are built on.
+//! * document-order traversal, depth computation, and the interned element
+//!   names and child lists that the `δ_T` / `Δ_T` operators of `pv-core`
+//!   are built on.
 //!
 //! The parser handles the document-centric XML subset relevant to potential
 //! validity: elements, attributes, character data, CDATA sections, comments,
@@ -38,7 +39,7 @@ pub mod tree;
 pub use error::{XmlError, XmlErrorKind};
 pub use parser::parse;
 pub use stream::{Event, PushParser};
-pub use tree::{Attribute, ChildToken, Document, Doctype, Node, NodeId, NodeKind};
+pub use tree::{Attribute, Document, Doctype, NameId, NodeId, NodeKind};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, XmlError>;

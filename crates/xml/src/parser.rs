@@ -3,10 +3,17 @@
 //! [`parse`] is a small tree builder over the crate's one lexer, the
 //! resumable [`PushParser`]. The input is fed in slices (see `SLICE`) and
 //! each event becomes arena nodes in event order: the first start tag
-//! creates the document with that root, later start tags append elements,
-//! end tags pop, a character-data run (or CDATA section) becomes one text
-//! node however many pieces it arrives in, and comments and PIs inside the
-//! root append nodes. The `<!DOCTYPE>` the lexer captured is attached last.
+//! creates the root, later start tags allocate elements, a character-data
+//! run (or CDATA section) becomes one text node however many pieces it
+//! arrives in, and comments and PIs inside the root allocate nodes. The
+//! `<!DOCTYPE>` the lexer captured is attached last.
+//!
+//! Node payloads go to the document's parse-time storage (see
+//! [`crate::tree`]): element names are interned, text, comment and PI
+//! bytes are appended to one arena, and the ids of an open element's
+//! children collect on a pending stack until its end tag copies them, as
+//! one range, into the document's flat child array. So a parent's child
+//! list is written once, not grown one push at a time.
 //!
 //! The accepted language and every error (kind and byte offset) are
 //! therefore the lexer's — see [`crate::stream`]. The open-element stack is
@@ -14,7 +21,7 @@
 //! experiments of `pv-bench` generate) parse fine.
 
 use crate::stream::{Event, PushParser};
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Data, Document, NodeId};
 use crate::Result;
 
 /// Bytes fed to the lexer per push (the streaming CLI's default chunk), so
@@ -50,61 +57,77 @@ pub fn parse(input: &str) -> Result<Document> {
     while let Some(event) = lexer.next_event()? {
         tree.event(event);
     }
-    let mut doc = tree.doc.expect("a complete event stream starts with the root's start tag");
+    let mut doc = tree.doc;
+    assert!(!doc.nodes.is_empty(), "a complete event stream starts with the root's start tag");
     doc.doctype = lexer.doctype().cloned();
     debug_assert!(doc.check_integrity().is_ok());
     Ok(doc)
 }
 
-/// The tree under construction: the document (created by the root's start
-/// tag), the open-element stack, and the text node that continuation
-/// pieces extend.
-#[derive(Default)]
+/// The tree under construction: the document (its root is the first
+/// element allocated), the open-element stack, each entry with the
+/// position in `pending` where its children start, and the text node that
+/// continuation pieces extend.
 struct Builder {
-    doc: Option<Document>,
-    open: Vec<NodeId>,
+    doc: Document,
+    open: Vec<(NodeId, usize)>,
+    pending: Vec<NodeId>,
     text: Option<NodeId>,
+}
+
+impl Default for Builder {
+    fn default() -> Self {
+        Builder { doc: Document::empty(), open: Vec::new(), pending: Vec::new(), text: None }
+    }
 }
 
 impl Builder {
     fn event(&mut self, event: Event<'_>) {
         match event {
             Event::Start { name, attrs, self_closing } => {
-                let id =
-                    self.append(NodeKind::Element { name: name.into(), attrs: attrs.to_vec() });
+                let id = self.doc.alloc_element(name, attrs);
+                self.adopt(id);
                 if !self_closing {
-                    self.open.push(id);
+                    self.open.push((id, self.pending.len()));
                 }
             }
             Event::End { .. } => {
-                self.open.pop();
+                if let Some((id, first)) = self.open.pop() {
+                    self.doc.set_parsed_kids(id, &self.pending[first..]);
+                    self.pending.truncate(first);
+                }
             }
             Event::Text { piece, first: true } => {
-                self.text = Some(self.append(NodeKind::Text(piece.to_owned())));
+                let slot = self.doc.parsed_str(piece);
+                let id = self.doc.alloc(Data::Text(slot));
+                self.adopt(id);
+                self.text = Some(id);
             }
             Event::Text { piece, first: false } => {
-                if let (Some(doc), Some(id)) = (&mut self.doc, self.text) {
-                    if let NodeKind::Text(t) = &mut doc.node_mut(id).kind {
-                        t.push_str(piece);
-                    }
+                if let Some(id) = self.text {
+                    self.doc.extend_parsed_text(id, piece);
                 }
             }
             Event::Comment { text } => {
-                self.append(NodeKind::Comment(text.to_owned()));
+                let slot = self.doc.parsed_str(text);
+                let id = self.doc.alloc(Data::Comment(slot));
+                self.adopt(id);
             }
             Event::Pi { target, data } => {
-                self.append(NodeKind::Pi { target: target.into(), data: data.to_owned() });
+                let text = self.doc.parsed_str(&format!("{target}{data}"));
+                let id = self.doc.alloc(Data::Pi { text, split: target.len() as u32 });
+                self.adopt(id);
             }
         }
     }
 
-    /// Appends a node under the innermost open element. The lexer emits
-    /// nothing outside the root element but the root's own start tag,
-    /// which creates the document.
-    fn append(&mut self, kind: NodeKind) -> NodeId {
-        match (&mut self.doc, self.open.last()) {
-            (Some(doc), Some(&parent)) => doc.push_child(parent, kind),
-            (doc, _) => doc.insert(Document::with_root(kind)).root(),
+    /// Makes `id` the next child of the innermost open element. The lexer
+    /// emits nothing outside the root element but the root's own start
+    /// tag, which has no parent.
+    fn adopt(&mut self, id: NodeId) {
+        if let Some(&(parent, _)) = self.open.last() {
+            self.doc.nodes[id.index()].parent = parent;
+            self.pending.push(id);
         }
     }
 }
@@ -113,7 +136,21 @@ impl Builder {
 mod tests {
     use super::*;
     use crate::error::XmlErrorKind;
-    use crate::tree::ChildToken;
+    use crate::tree::NodeKind;
+
+    /// The children of `id` as names, text in quotes, `!` for a comment
+    /// and `?` for a PI.
+    fn child_view(doc: &Document, id: NodeId) -> Vec<String> {
+        doc.children(id)
+            .iter()
+            .map(|&c| match doc.kind(c) {
+                NodeKind::Element { name, .. } => name.to_owned(),
+                NodeKind::Text(t) => format!("{t:?}"),
+                NodeKind::Comment(_) => "!".to_owned(),
+                NodeKind::Pi { .. } => "?".to_owned(),
+            })
+            .collect()
+    }
 
     #[test]
     fn parses_paper_example_string_w() {
@@ -123,15 +160,7 @@ mod tests {
         assert_eq!(doc.name(doc.root()), Some("r"));
         let a = doc.children(doc.root())[0];
         assert_eq!(doc.name(a), Some("a"));
-        let toks = doc.child_tokens(a);
-        let names: Vec<String> = toks
-            .iter()
-            .map(|t| match t {
-                ChildToken::Element(n, _) => n.to_string(),
-                ChildToken::Sigma => "σ".to_string(),
-            })
-            .collect();
-        assert_eq!(names, ["b", "e", "c", "σ"]);
+        assert_eq!(child_view(&doc, a), ["b", "e", "c", "\" dog\""]);
         assert_eq!(doc.content(doc.root()), "A quick brown fox jumps over a lazy dog");
     }
 
@@ -140,15 +169,7 @@ mod tests {
         let s = "<r><a><b>A quick brown</b><c> fox jumps over a lazy</c> dog<e></e></a></r>";
         let doc = parse(s).unwrap();
         let a = doc.children(doc.root())[0];
-        let toks = doc.child_tokens(a);
-        let kinds: Vec<&str> = toks
-            .iter()
-            .map(|t| match t {
-                ChildToken::Element(n, _) => *n,
-                ChildToken::Sigma => "σ",
-            })
-            .collect();
-        assert_eq!(kinds, ["b", "c", "σ", "e"]);
+        assert_eq!(child_view(&doc, a), ["b", "c", "\" dog\"", "e"]);
     }
 
     #[test]
@@ -160,7 +181,7 @@ mod tests {
     #[test]
     fn attributes_parse_and_resolve_references() {
         let doc = parse(r#"<r a="1" b='two &amp; three'/>"#).unwrap();
-        if let NodeKind::Element { attrs, .. } = &doc.node(doc.root()).kind {
+        if let NodeKind::Element { attrs, .. } = doc.kind(doc.root()) {
             assert_eq!(attrs.len(), 2);
             assert_eq!(&*attrs[1].name, "b");
             assert_eq!(attrs[1].value, "two & three");
@@ -231,9 +252,9 @@ mod tests {
     #[test]
     fn comments_and_pis_kept() {
         let doc = parse("<r><!-- note --><?app do?></r>").unwrap();
-        assert_eq!(doc.children(doc.root()).len(), 2);
-        // but they contribute no child tokens
-        assert!(doc.child_tokens(doc.root()).is_empty());
+        assert_eq!(child_view(&doc, doc.root()), ["!", "?"]);
+        let pi = doc.children(doc.root())[1];
+        assert_eq!(doc.kind(pi), NodeKind::Pi { target: "app", data: "do" });
     }
 
     #[test]
@@ -278,12 +299,26 @@ mod tests {
     }
 
     #[test]
+    fn content_of_a_deep_document_fits_the_default_test_stack() {
+        let n = 50_000;
+        let src = format!("{}x{}", "<a>".repeat(n), "</a>".repeat(n));
+        let content = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let doc = parse(&src).unwrap();
+                doc.content(doc.root())
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(content, "x");
+    }
+
+    #[test]
     fn whitespace_only_text_is_kept() {
         let doc = parse("<r> <a/> </r>").unwrap();
-        // two whitespace text nodes + element
-        assert_eq!(doc.children(doc.root()).len(), 3);
-        let toks = doc.child_tokens(doc.root());
-        assert_eq!(toks.len(), 3); // σ, a, σ — δ_T counts any non-empty data
+        // two whitespace text nodes + element: δ_T counts any non-empty data
+        assert_eq!(child_view(&doc, doc.root()), ["\" \"", "a", "\" \""]);
     }
 
     #[test]

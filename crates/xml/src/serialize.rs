@@ -51,7 +51,7 @@ impl Document {
         let mut stack = vec![Step::Enter(id)];
         while let Some(step) = stack.pop() {
             match step {
-                Step::Enter(n) => match &self.node(n).kind {
+                Step::Enter(n) => match self.kind(n) {
                     NodeKind::Text(t) => escape_text(t, out),
                     NodeKind::Comment(c) => {
                         out.push_str("<!--");
@@ -81,9 +81,8 @@ impl Document {
                         // Empty text nodes serialize to nothing; treating
                         // them as absent keeps serialization a normal form
                         // (parse ∘ serialize ∘ parse = parse).
-                        let effectively_empty = children
-                            .iter()
-                            .all(|&c| matches!(self.node(c).kind, NodeKind::Text(ref t) if t.is_empty()));
+                        let effectively_empty =
+                            children.iter().all(|&c| self.text(c).is_some_and(str::is_empty));
                         if effectively_empty {
                             out.push_str("/>");
                         } else {
@@ -140,7 +139,7 @@ mod tests {
         let xml = doc.to_xml();
         assert_eq!(xml, r#"<r t="say &quot;hi&quot; &amp; go"/>"#);
         let back = parse(&xml).unwrap();
-        if let NodeKind::Element { attrs, .. } = &back.node(back.root()).kind {
+        if let NodeKind::Element { attrs, .. } = back.kind(back.root()) {
             assert_eq!(attrs[0].value, "say \"hi\" & go");
         }
     }

@@ -56,7 +56,7 @@ fn event_at_a_time_outcome(
     while let Some(step) = stack.pop() {
         match step {
             Step::Close => stream.on_end(),
-            Step::Enter(n) => match &doc.node(n).kind {
+            Step::Enter(n) => match doc.kind(n) {
                 NodeKind::Text(t) => {
                     if t.is_empty() {
                         stream.on_text("", true);

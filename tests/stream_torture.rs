@@ -94,7 +94,7 @@ fn tree_trace(doc: &Document) -> String {
             Step::Close(n) => {
                 out.push_str(&format!("E:{}\n", doc.name(n).unwrap()));
             }
-            Step::Enter(n) => match &doc.node(n).kind {
+            Step::Enter(n) => match doc.kind(n) {
                 NodeKind::Text(t) => out.push_str(&format!("T:{t:?}\n")),
                 NodeKind::Comment(c) => out.push_str(&format!("C:{c:?}\n")),
                 NodeKind::Pi { target, data } => {
