@@ -5,8 +5,8 @@
 //! recognizer+oracle differential throughput anchor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pv_core::checker::PvChecker;
 use pv_core::depth::DepthPolicy;
+use pv_core::CheckEngine;
 use pv_grammar::oracle::EarleyOracle;
 use pv_workload::{corpus, sweep};
 
@@ -19,7 +19,7 @@ fn bench_completeness(c: &mut Criterion) {
         let analysis = corpus::recursive_analysis(depth, fanout);
         let docs = corpus::recursive(depth, fanout);
         let nodes: usize = docs.iter().map(|d| d.element_count()).sum();
-        let checker = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(64));
+        let checker = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(64));
         group.throughput(Throughput::Elements(nodes as u64));
         group.bench_with_input(
             BenchmarkId::new("recursive", format!("d{depth}_f{fanout}")),
@@ -46,7 +46,7 @@ fn bench_completeness(c: &mut Criterion) {
         b.iter(|| {
             let mut accepted = 0usize;
             for analysis in &dtds {
-                let checker = PvChecker::with_policy(analysis, DepthPolicy::Bounded(64));
+                let checker = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(64));
                 for doc in &docs {
                     accepted += usize::from(checker.check_document(doc).is_potentially_valid());
                 }
@@ -65,7 +65,7 @@ fn bench_completeness(c: &mut Criterion) {
         b.iter(|| {
             let mut divergences = 0usize;
             for analysis in &dtds1 {
-                let checker = PvChecker::with_policy(analysis, DepthPolicy::Bounded(64));
+                let checker = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(64));
                 let oracle = EarleyOracle::new(analysis);
                 divergences += oracle.divergences(&checker, &docs1).len();
             }

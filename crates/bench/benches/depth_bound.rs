@@ -3,8 +3,8 @@
 //! acceptance is monotone in D.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pv_core::checker::PvChecker;
 use pv_core::depth::DepthPolicy;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_workload::docgen::DocGen;
 use pv_workload::mutate::Mutator;
@@ -16,7 +16,7 @@ fn bench_depth_bound(c: &mut Criterion) {
     // The adversarial T2 chain: n b-children need n-2 elisions.
     let doc = pv_xml::parse(&format!("<a>{}</a>", "<b/>".repeat(24))).unwrap();
     for d in [2u32, 8, 22, 64] {
-        let checker = PvChecker::with_policy(&t2, DepthPolicy::Bounded(d));
+        let checker = CheckEngine::with_policy(t2.clone(), DepthPolicy::Bounded(d));
         group.bench_with_input(BenchmarkId::new("t2_chain24", d), &doc, |b, doc| {
             b.iter(|| checker.check_document(doc).is_potentially_valid())
         });
@@ -28,7 +28,7 @@ fn bench_depth_bound(c: &mut Criterion) {
     let mut tdoc = docgen.generate(1000);
     Mutator::new(3).delete_random_markup(&mut tdoc, 200);
     for d in [4u32, 16, 64] {
-        let checker = PvChecker::with_policy(&th, DepthPolicy::Bounded(d));
+        let checker = CheckEngine::with_policy(th.clone(), DepthPolicy::Bounded(d));
         group.bench_with_input(BenchmarkId::new("dissertation1k", d), &tdoc, |b, doc| {
             b.iter(|| checker.check_document(doc).is_potentially_valid())
         });

@@ -2,7 +2,7 @@
 //! document size (Definitions 6–8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pv_core::checker::PvChecker;
+use pv_core::CheckEngine;
 use pv_dtd::DtdClass;
 use pv_workload::docgen::DocGen;
 use pv_workload::dtdgen::{DtdGen, DtdGenParams};
@@ -20,7 +20,7 @@ fn bench_dtd_classes(c: &mut Criterion) {
         let mut doc = docgen.generate(2000);
         let strip = doc.element_count() / 5;
         Mutator::new(17).delete_random_markup(&mut doc, strip);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let label = match class {
             DtdClass::NonRecursive => "non_recursive",
             DtdClass::PvWeakRecursive => "pv_weak",

@@ -8,14 +8,14 @@
 //! per-edit cost must stay flat while the document grows 100×.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pv_core::checker::PvChecker;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_editor::EditorSession;
 use pv_workload::corpus;
 
 fn bench_incremental(c: &mut Criterion) {
     let analysis = BuiltinDtd::TeiLite.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let mut group = c.benchmark_group("incremental");
 
     for target in [100usize, 1000, 10000] {

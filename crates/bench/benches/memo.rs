@@ -11,9 +11,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pv_bench::workloads;
-use pv_core::checker::PvChecker;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
+use pv_dtd::DtdAnalysis;
 use pv_workload::corpus;
+use std::sync::Arc;
+
+/// An engine with shape memoization off.
+fn memo_off(analysis: DtdAnalysis) -> Arc<CheckEngine> {
+    let mut engine = CheckEngine::new(analysis);
+    Arc::get_mut(&mut engine)
+        .expect("a fresh engine is unshared")
+        .set_memo_enabled(false);
+    engine
+}
 
 fn bench_memo(c: &mut Criterion) {
     let analysis = corpus::repetitive_analysis();
@@ -24,13 +35,12 @@ fn bench_memo(c: &mut Criterion) {
         let n = doc.element_count();
         group.throughput(Throughput::Elements(n as u64));
 
-        let mut off = PvChecker::new(&analysis);
-        off.set_memo_enabled(false);
+        let off = memo_off(analysis.clone());
         group.bench_with_input(BenchmarkId::new(format!("{label}_off"), n), &doc, |b, doc| {
             b.iter(|| off.check_document(doc).is_potentially_valid())
         });
 
-        let warm = PvChecker::new(&analysis);
+        let warm = CheckEngine::new(analysis.clone());
         warm.check_document(&doc); // warming pass
         group.bench_with_input(
             BenchmarkId::new(format!("{label}_on_warm"), n),
@@ -38,7 +48,7 @@ fn bench_memo(c: &mut Criterion) {
             |b, doc| b.iter(|| warm.check_document(doc).is_potentially_valid()),
         );
 
-        let cold = PvChecker::new(&analysis);
+        let cold = CheckEngine::new(analysis.clone());
         group.bench_with_input(
             BenchmarkId::new(format!("{label}_on_cold"), n),
             &doc,
@@ -56,12 +66,11 @@ fn bench_memo(c: &mut Criterion) {
     let doc = workloads::parallel_doc();
     let n = doc.element_count();
     group.throughput(Throughput::Elements(n as u64));
-    let mut off = PvChecker::new(&play);
-    off.set_memo_enabled(false);
+    let off = memo_off(play.clone());
     group.bench_with_input(BenchmarkId::new("play_off", n), &doc, |b, doc| {
         b.iter(|| off.check_document(doc).is_potentially_valid())
     });
-    let warm = PvChecker::new(&play);
+    let warm = CheckEngine::new(play);
     warm.check_document(&doc);
     group.bench_with_input(BenchmarkId::new("play_on_warm", n), &doc, |b, doc| {
         b.iter(|| warm.check_document(doc).is_potentially_valid())

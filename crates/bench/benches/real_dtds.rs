@@ -3,8 +3,8 @@
 //! stripped, plus the editorial-trace replay through pv-editor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pv_core::checker::PvChecker;
 use pv_core::token::Tokens;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_editor::EditorSession;
 use pv_workload::corpus;
@@ -18,7 +18,7 @@ fn bench_real_dtds(c: &mut Criterion) {
         let mut doc = corpus::for_builtin(b, 5000).unwrap();
         Mutator::new(1).delete_random_markup(&mut doc, 1000);
         let toks = Tokens::delta(&doc, doc.root(), &analysis.dtd).unwrap();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         group.throughput(Throughput::Elements(toks.len() as u64));
         group.bench_with_input(BenchmarkId::new("pv_check", b.name()), &doc, |bch, doc| {
             bch.iter(|| checker.check_document(doc).is_potentially_valid())

@@ -2,8 +2,8 @@
 //! document size, cost grows at most linearly with the DTD).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pv_core::checker::PvChecker;
 use pv_core::token::Tokens;
+use pv_core::CheckEngine;
 use pv_workload::docgen::DocGen;
 use pv_workload::dtdgen::{DtdGen, DtdGenParams};
 use pv_workload::mutate::Mutator;
@@ -21,7 +21,7 @@ fn bench_scaling_k(c: &mut Criterion) {
         let strip = doc.element_count() / 5;
         Mutator::new(5).delete_random_markup(&mut doc, strip);
         let toks = Tokens::delta(&doc, doc.root(), &analysis.dtd).unwrap();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         group.throughput(Throughput::Elements(toks.len() as u64));
         group.bench_with_input(
             BenchmarkId::new("ecrecognizer", analysis.stats.k),

@@ -3,8 +3,8 @@
 //! ambiguous `G'` is not practical — Section 3.3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pv_core::checker::PvChecker;
 use pv_core::token::Tokens;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_grammar::ecfg::{Grammar, GrammarMode};
 use pv_grammar::earley::EarleyRecognizer;
@@ -13,7 +13,7 @@ use pv_workload::mutate::Mutator;
 
 fn bench_scaling_n(c: &mut Criterion) {
     let analysis = BuiltinDtd::Play.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let g = Grammar::new(&analysis.dtd, analysis.root, GrammarMode::PotentialValidity);
     let earley = EarleyRecognizer::new(&g);
 

@@ -18,15 +18,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pv_bench::workloads::{stream_doc, stream_doc_poisoned};
-use pv_core::checker::PvChecker;
 use pv_core::stream::StreamCheck;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 
 const CHUNK: usize = 64 << 10;
 
 fn bench_stream(c: &mut Criterion) {
     let analysis = BuiltinDtd::Figure1.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let xml = stream_doc(50_000);
 
     // One instrumented pass pins the residency baseline: the document is

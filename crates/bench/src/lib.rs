@@ -17,11 +17,11 @@
 //!   editing guards (claim X4, Theorem 2 + Proposition 3);
 //! * `experiments --table classes` — DTD classes at fixed size (claim X5);
 //! * `experiments --table real-dtds` — realistic corpora (claim X6);
-//! * `experiments --table parallel` — sharded checking on the pv-par
-//!   work-stealing pool: per-node sharding of one large document,
-//!   two-level sharding of a batch, and the persistent-pool-vs-scoped
-//!   region-setup comparison, with speedup vs. the sequential checker
-//!   and an outcome-identity column (claim X7 — this reproduction's own
+//! * `experiments --table parallel` — sharded checking on one persistent
+//!   pv-par work-stealing pool: per-node sharding of one large document,
+//!   the sequential-fallback threshold, and two-level sharding of a
+//!   batch, with speedup vs. the sequential checker and an
+//!   outcome-identity column (claim X7 — this reproduction's own
 //!   addition; the paper is purely sequential);
 //! * `experiments --table memo` — shape-memoized checking (claim X8, also
 //!   an addition): ns/node with the verdict cache off / warm / cold over

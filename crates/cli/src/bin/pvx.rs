@@ -8,7 +8,10 @@ use pv_cli::{
     render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, RemoteTarget, Status, TopOpts,
 };
 use pv_core::depth::DepthPolicy;
+use pv_obs::Registry;
+use pv_par::Pool;
 use pv_service::{metrics_http, Endpoint, GovernorConfig, LogSink, Server};
+use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -37,21 +40,22 @@ Without --dtd/--builtin, documents must carry an internal DTD subset
 (<!DOCTYPE root [ ... ]>). Builtins: figure1, t1, t2, xhtml-basic,
 tei-lite, play, docbook-like, dissertation, docbook-article, tei-drama.
 
---jobs N shards the per-node checks of `check` over N worker threads
-(0 = one per CPU; default 1 = sequential). `check` memoizes repeated
-(element, child-shape) verdicts and reports cache telemetry on a
-trailing `memo:` line; --no-memo disables the cache. The verdict and
+--jobs N gives `check` one pool of N worker threads (0 = one per CPU;
+default 1 = sequential) and shards each document's per-node checks over
+it; a worker the OS cannot start is an error (exit 2). `check` memoizes
+repeated (element, child-shape) verdicts and reports cache telemetry on
+a trailing `memo:` line; --no-memo disables the cache. The verdict and
 the diagnosis are identical at any job/memo setting.
 
 --json makes `check` print one machine-readable JSON line per document
 (verdict, first violation, memo/speculation counters) instead of text.
--v adds a one-line `analysis:` summary (determinism class, certified
-speculation budget) to each text-mode `check` report.
+-v adds a one-line `analysis:` summary (recursion class, determinism,
+speculation-budget certificate) to each text-mode `check` report.
 
 `pvx analyze` runs the static DTD analyzer: Glushkov 1-unambiguity per
 content model (with a concrete witness pair on ambiguity) and a static
-speculation-budget certificate — certified DTDs run every check with a
-reduced budget and a `specs_denied == 0` guarantee. --json emits one
+speculation-budget certificate — a proof that the full budget every
+check runs with is never used up (`specs_denied == 0`). --json emits one
 stable machine-readable object. Exit codes: 0 = budget-certified,
 1 = flagged (analysis ran; certification refused), 2 = error.
 
@@ -542,6 +546,16 @@ fn main() {
         },
     };
 
+    // One pool per process for local tree checks, sized by --jobs.
+    let jobs = args.jobs.unwrap_or(1);
+    let local_pool = match (args.command.as_str(), &remote, args.stream) {
+        ("check", None, false) => match Pool::try_new(jobs, &Registry::disabled()) {
+            Ok(pool) => Some(pool),
+            Err(e) => die(&format!("cannot start {jobs} check workers (--jobs): {e}")),
+        },
+        _ => None,
+    };
+
     let mut worst = Status::Ok;
 
     match args.command.as_str() {
@@ -595,7 +609,7 @@ fn main() {
                         Some(d) => DepthPolicy::Bounded(d),
                         None => DepthPolicy::Auto,
                     },
-                    jobs: args.jobs.unwrap_or(1),
+                    jobs,
                     memo: args.memo,
                     json: args.json,
                     verbose: args.verbose,
@@ -653,7 +667,7 @@ fn main() {
                     }
                 };
                 let doc = match pv_xml::parse(&text) {
-                    Ok(d) => d,
+                    Ok(d) => Arc::new(d),
                     Err(e) => {
                         fail(format!("not well-formed: {e}"), &mut worst);
                         continue;
@@ -692,7 +706,10 @@ fn main() {
                     }
                 };
                 let (report, status) = match args.command.as_str() {
-                    "check" => cmd_check(&ctx, path, &doc, &opts),
+                    "check" => {
+                        let pool = local_pool.as_ref().expect("local checks have a pool");
+                        cmd_check(&ctx, path, &doc, &opts, pool)
+                    }
                     "validate" => cmd_validate(&ctx, path, &doc, args.ignore_whitespace),
                     _ => cmd_complete(&ctx, path, &doc),
                 };

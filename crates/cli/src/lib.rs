@@ -25,17 +25,20 @@
 //! part of this crate (this module) holds the testable command
 //! implementations; `src/bin/pvx.rs` is a thin argv wrapper.
 
-use pv_core::checker::{PvChecker, PvOutcome};
+use pv_core::checker::PvOutcome;
 use pv_core::depth::DepthPolicy;
 use pv_core::memo::MemoStats;
 use pv_core::token::Tokens;
+use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_dtd::{ContentSpec, Dtd, DtdAnalysis};
 use pv_grammar::validator::{validate_document_with, ContentAutomata, ValidateOptions};
 use pv_grammar::witness::{complete_document, complete_tokens};
+use pv_par::Pool;
 use pv_service::json;
 use pv_xml::Document;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Exit status of a command (mirrors the process exit code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,8 +132,8 @@ pub fn resolve_dtd_doctype(
 pub struct CheckOpts {
     /// The depth policy (`--depth N` ⇒ `Bounded(N)`).
     pub depth: DepthPolicy,
-    /// Worker threads (`1` = sequential, `0` = one per available CPU /
-    /// every server pool worker).
+    /// Pool workers per document (`1` = sequential, `0` = every worker of
+    /// the local pool / of the server's pool).
     pub jobs: usize,
     /// Shape memoization (`--no-memo` passes `false`).
     pub memo: bool,
@@ -255,17 +258,19 @@ pub fn render_check(name: &str, r: &CheckReport, json_out: bool) -> (String, Sta
 
 /// The `-v` one-liner: `pvx check -v` shows what the static analyzer
 /// decided for this DTD — recursion class, determinism, and whether the
-/// run used a certified (reduced) speculation budget or the full default.
-pub fn analysis_summary(analysis: &DtdAnalysis, spec_budget: u32) -> String {
+/// full speculation budget every check runs with is certified never to
+/// run out.
+pub fn analysis_summary(analysis: &DtdAnalysis) -> String {
     let report = pv_dtd::StaticReport::analyze(analysis);
     let det = if report.deterministic() {
         "deterministic".to_owned()
     } else {
         format!("1-ambiguous ({} models)", report.ambiguous().count())
     };
+    let full = report.budget.full_budget;
     let budget = match report.certified_budget() {
-        Some(b) => format!("certified budget {b} (full {})", report.budget.full_budget),
-        None => format!("uncertified (full budget {spec_budget})"),
+        Some(b) => format!("certified budget {b} ≤ full {full} (no speculation denied)"),
+        None => format!("uncertified (full budget {full})"),
     };
     format!("{}, {det}, {budget}", report.class)
 }
@@ -287,24 +292,28 @@ pub fn render_check_error(name: &str, msg: &str, json_out: bool) -> String {
     }
 }
 
-/// `pvx check`: potential validity with diagnosis, in-process. Returns
-/// the report text (or JSON line) and status. The verdict and diagnosis
-/// are bit-identical at any `jobs`/`memo` setting; only the `memo:`
-/// telemetry (hit/miss counts are scheduling-dependent under parallel
-/// checking) varies.
-pub fn cmd_check(ctx: &DtdContext, name: &str, doc: &Document, opts: &CheckOpts) -> (String, Status) {
-    let mut checker = PvChecker::with_policy(&ctx.analysis, opts.depth);
-    checker.set_memo_enabled(opts.memo);
-    let outcome = checker.check_document_parallel(doc, opts.jobs);
+/// `pvx check`: potential validity with diagnosis, in-process, on the
+/// process's pool (`opts.jobs` caps how many of its workers one document
+/// uses). Returns the report text (or JSON line) and status. The verdict
+/// and diagnosis are bit-identical at any `jobs`/`memo` setting; only the
+/// `memo:` telemetry (hit/miss counts are scheduling-dependent under
+/// pooled checking) varies.
+pub fn cmd_check(
+    ctx: &DtdContext,
+    name: &str,
+    doc: &Arc<Document>,
+    opts: &CheckOpts,
+    pool: &Pool,
+) -> (String, Status) {
+    let engine = CheckEngine::with_policy(ctx.analysis.clone(), opts.depth);
+    let outcome = engine.check_document_pooled(doc, pool, opts.jobs, opts.memo);
     let report = CheckReport {
         outcome,
-        memo: checker.memo_stats(),
+        memo: engine.memo_stats().filter(|_| opts.memo),
         source: ctx.source.clone(),
         class: ctx.analysis.rec.class.to_string(),
-        depth: checker.depth(),
-        analysis: opts
-            .verbose
-            .then(|| analysis_summary(&ctx.analysis, checker.spec_budget())),
+        depth: engine.depth(),
+        analysis: opts.verbose.then(|| analysis_summary(&ctx.analysis)),
     };
     render_check(name, &report, opts.json)
 }
@@ -492,8 +501,8 @@ pub fn cmd_check_stream(
         Ok(c) => c,
         Err(e) => return (render_check_error(name, &e, opts.json), Status::Error),
     };
-    let checker = PvChecker::with_policy(&ctx.analysis, opts.depth);
-    let mut stream = checker.stream_checker();
+    let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
+    let mut stream = engine.stream_checker();
     stream.on_start(&root_name, root_self_closing);
     loop {
         match parser.next_event() {
@@ -518,12 +527,10 @@ pub fn cmd_check_stream(
     let report = CheckReport {
         outcome: stream.finalize(),
         memo: None,
-        source: ctx.source.clone(),
-        class: ctx.analysis.rec.class.to_string(),
-        depth: checker.depth(),
-        analysis: opts
-            .verbose
-            .then(|| analysis_summary(&ctx.analysis, checker.spec_budget())),
+        source: ctx.source,
+        class: engine.analysis().rec.class.to_string(),
+        depth: engine.depth(),
+        analysis: opts.verbose.then(|| analysis_summary(engine.analysis())),
     };
     render_check(name, &report, opts.json)
 }
@@ -1026,7 +1033,8 @@ pub fn cmd_lint(ctx: &DtdContext) -> (String, Status) {
 /// `--json` emits one line with a stable schema: `ok`, `dtd`, `root`,
 /// `class`, `elements`, `deterministic`, `ambiguous` (array of
 /// `{element, symbol, witness}`), `budget` (`{certified, applied, full,
-/// static_bound, reason, witness}`), and top-level `certified`.
+/// static_bound, reason, witness}`; `applied` is the budget checks run
+/// with, the full default for every DTD), and top-level `certified`.
 pub fn cmd_analyze(ctx: &DtdContext, json_out: bool) -> (String, Status) {
     let a = &ctx.analysis;
     let report = pv_dtd::StaticReport::analyze(a);
@@ -1063,7 +1071,7 @@ pub fn cmd_analyze(ctx: &DtdContext, json_out: bool) -> (String, Status) {
             line,
             "],\"budget\":{{\"certified\":{},\"applied\":{},\"full\":{}",
             b.is_certified(),
-            b.applied_budget(),
+            b.full_budget,
             b.full_budget
         );
         match b.static_bound {
@@ -1120,14 +1128,14 @@ pub fn cmd_analyze(ctx: &DtdContext, json_out: bool) -> (String, Status) {
         pv_dtd::BudgetVerdict::Certified { budget } => {
             let _ = writeln!(
                 out,
-                "  budget: certified {budget} per symbol (full default {}, static bound {})",
+                "  budget: certified {budget} per symbol ≤ full default {} (static bound {})",
                 b.full_budget,
                 b.static_bound.unwrap_or(0)
             );
             let _ = writeln!(
                 out,
-                "    certificate: at this budget every speculation round is exact \
-                 (specs_denied = 0) and the outcome is bit-identical to the full budget"
+                "    certificate: checks run the full default budget and no speculation \
+                 round can use it up (specs_denied = 0)"
             );
         }
         pv_dtd::BudgetVerdict::Flagged { reason, witness } => {
@@ -1137,8 +1145,8 @@ pub fn cmd_analyze(ctx: &DtdContext, json_out: bool) -> (String, Status) {
             }
             let _ = writeln!(
                 out,
-                "    checking runs with the full budget {} (verdicts unchanged; \
-                 speculation may be cut short on adversarial inputs)",
+                "    checking runs with the full budget {} (speculation may be cut \
+                 short on adversarial inputs)",
                 b.full_budget
             );
         }
@@ -1157,6 +1165,11 @@ mod tests {
 
     fn fig1_ctx() -> DtdContext {
         resolve_dtd(None, None, Some("figure1"), None).unwrap()
+    }
+
+    /// [`cmd_check`] on a fresh pool of 8 workers.
+    fn check(ctx: &DtdContext, name: &str, doc: &Document, opts: &CheckOpts) -> (String, Status) {
+        cmd_check(ctx, name, &Arc::new(doc.clone()), opts, &Pool::new(8))
     }
 
     #[test]
@@ -1187,12 +1200,12 @@ mod tests {
     fn check_reports_both_ways() {
         let ctx = fig1_ctx();
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (rep, st) = cmd_check(&ctx, "s", &s, &CheckOpts::default());
+        let (rep, st) = check(&ctx, "s", &s, &CheckOpts::default());
         assert_eq!(st, Status::Ok);
         assert!(rep.contains("POTENTIALLY VALID"));
         assert!(rep.contains("memo:"), "memo telemetry line expected: {rep}");
         let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        let (rep, st) = cmd_check(&ctx, "w", &w, &CheckOpts::default());
+        let (rep, st) = check(&ctx, "w", &w, &CheckOpts::default());
         assert_eq!(st, Status::Failed);
         assert!(rep.contains("NOT potentially valid"));
         assert!(rep.contains("<c>"));
@@ -1203,7 +1216,7 @@ mod tests {
         let ctx = fig1_ctx();
         let json_opts = CheckOpts { json: true, ..CheckOpts::default() };
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (line, st) = cmd_check(&ctx, "s.xml", &s, &json_opts);
+        let (line, st) = check(&ctx, "s.xml", &s, &json_opts);
         assert_eq!(st, Status::Ok);
         let v = json::parse(line.trim_end()).unwrap();
         assert_eq!(v.get("potentially_valid").unwrap().as_bool(), Some(true));
@@ -1214,7 +1227,7 @@ mod tests {
         assert!(v.get("memo").unwrap().get("hits").is_some());
 
         let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        let (line, st) = cmd_check(&ctx, "w.xml", &w, &json_opts);
+        let (line, st) = check(&ctx, "w.xml", &w, &json_opts);
         assert_eq!(st, Status::Failed);
         let v = json::parse(line.trim_end()).unwrap();
         assert_eq!(v.get("potentially_valid").unwrap().as_bool(), Some(false));
@@ -1230,8 +1243,8 @@ mod tests {
     fn check_memo_off_drops_telemetry_but_keeps_the_verdict() {
         let ctx = fig1_ctx();
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (with_memo, st1) = cmd_check(&ctx, "s", &s, &CheckOpts::default());
-        let (without, st2) = cmd_check(&ctx, "s", &s, &CheckOpts { memo: false, ..CheckOpts::default() });
+        let (with_memo, st1) = check(&ctx, "s", &s, &CheckOpts::default());
+        let (without, st2) = check(&ctx, "s", &s, &CheckOpts { memo: false, ..CheckOpts::default() });
         assert_eq!(st1, st2);
         assert!(!without.contains("memo:"), "{without}");
         assert_eq!(strip_memo_lines(&with_memo), without);
@@ -1253,9 +1266,9 @@ mod tests {
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
         let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
         for doc in [&s, &w] {
-            let (rep1, st1) = cmd_check(&ctx, "d", doc, &CheckOpts::default());
+            let (rep1, st1) = check(&ctx, "d", doc, &CheckOpts::default());
             for jobs in [0usize, 2, 8] {
-                let (rep, st) = cmd_check(&ctx, "d", doc, &CheckOpts { jobs, ..CheckOpts::default() });
+                let (rep, st) = check(&ctx, "d", doc, &CheckOpts { jobs, ..CheckOpts::default() });
                 assert_eq!(
                     (strip_memo_lines(&rep), st),
                     (strip_memo_lines(&rep1), st1),
@@ -1278,7 +1291,7 @@ mod tests {
             let doc = pv_xml::parse(xml).unwrap();
             for json in [false, true] {
                 let opts = CheckOpts { json, ..CheckOpts::default() };
-                let (tree_rep, tree_st) = cmd_check(&ctx, "d", &doc, &opts);
+                let (tree_rep, tree_st) = check(&ctx, "d", &doc, &opts);
                 for chunk in [1usize, 7, xml.len()] {
                     let mut input = xml.as_bytes();
                     let (rep, st) = cmd_check_stream(

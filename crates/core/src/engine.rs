@@ -1,24 +1,21 @@
-//! A **resident check engine**: the owned, shareable bundle behind the
-//! validation service.
+//! The **check engine**: the one checker of the stack.
 //!
-//! [`crate::checker::PvChecker`] is a *borrowing* view — right for one-shot
-//! callers whose `DtdAnalysis` lives on the stack, wrong for a long-lived
-//! server that must hand work to persistent pool workers ([`pv_par::Pool`]
-//! regions are `'static`; see the pool docs for why). [`CheckEngine`] owns
-//! everything behind `Arc`s:
+//! A [`CheckEngine`] owns everything a check needs for one DTD:
 //!
 //! * the compiled [`DtdAnalysis`],
-//! * the per-element DAG set (compiled **once**, at engine construction),
-//! * the shape-memo [`ShapeCache`] — the service's **warm cache**: it
-//!   outlives every request, so repeated shapes across requests cost one
-//!   hash lookup even on a cold connection,
-//! * the resolved depth budget.
+//! * the per-element DAG set (compiled **once**, at construction),
+//! * the shape-memo [`ShapeCache`] — in the service, the **warm cache**:
+//!   it outlives every request, so repeated shapes across requests cost
+//!   one hash lookup even on a cold connection,
+//! * the resolved depth budget,
+//! * its telemetry handles.
 //!
-//! Per request the engine derives a cheap checker *view*
-//! ([`CheckEngine::checker`], two `Arc` clones — no compilation), so every
-//! outcome flows through exactly the same code as the in-process paths;
-//! the differential suites (`tests/service_differential.rs`) hold the
-//! resulting bit-identity to the sequential checker.
+//! Constructors hand the engine out in an `Arc` so it can be shared with
+//! the workers of a persistent [`pv_par::Pool`] (pool regions are
+//! `'static`). Sequential checks ([`CheckEngine::check_document`], the
+//! incremental guards, the stream checker, the suggestion queries) run on
+//! the calling thread through the same per-node code as the pooled paths;
+//! the differential suites hold the resulting bit-identity.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -30,29 +27,27 @@
 //! let doc = Arc::new(pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap());
 //!
 //! let pooled = engine.check_document_pooled(&doc, &pool, 0, true);
-//! assert_eq!(pooled, engine.checker().check_document(&doc));
+//! assert_eq!(pooled, engine.check_document(&doc));
 //! ```
 
-use crate::checker::{reduce_node_results, BatchPlan, PvChecker, PvOutcome, ScratchStash};
+use crate::checker::{reduce_node_results, BatchPlan, PvOutcome, ScratchStash};
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, ShapeCache};
-use crate::recognizer::RecognizerStats;
+use crate::recognizer::{RecCtx, RecognizerStats};
 use crate::token::NameTable;
-use pv_dtd::budget::StaticReport;
 use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
 use pv_par::Pool;
 use pv_xml::{Document, NodeId};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The engine's metric handles (`pv_engine_*`). Default is all no-ops;
 /// [`CheckEngine::with_policy_observed`] registers live ones. Recording
-/// happens at document granularity only — the per-node hot path is never
-/// touched, which is what keeps the measured overhead inside the budget
-/// the ISSUE sets (≤ 2% on scaling medians).
+/// happens once per pooled document or batch check only — the per-node
+/// hot path is never touched.
 #[derive(Default, Clone)]
 struct EngineObs {
     /// Wall-clock of one document check (recognize + memo + reduction).
@@ -100,29 +95,42 @@ impl EngineObs {
     }
 }
 
-/// An owned, `'static`, shareable checking bundle for one DTD — see the
-/// [module docs](self). Construct once per loaded DTD, share via `Arc`,
-/// check documents from any thread.
+/// The potential-validity checker for one compiled DTD — see the
+/// [module docs](self). Construct once per DTD, share via `Arc`, check
+/// documents from any thread.
+///
+/// ## Shape memoization
+///
+/// The engine carries a [`ShapeCache`] (on by default): every ECPV run is
+/// keyed by `(element type, child-symbol shape)` and repeated shapes are
+/// answered from the cache with their recorded stats delta replayed, so
+/// outcomes — verdict, failing node/index/symbol, *and every counter* —
+/// are bit-identical with the memo on or off (`tests/memo_differential.rs`
+/// enforces this). Repetitive document-centric corpora drop from a
+/// recognizer walk per node to a hash lookup per node; see
+/// [`crate::memo`] for the sharding and capacity rules. The pooled entry
+/// points take a per-call `memo` flag (the `pvx check --no-memo` and wire
+/// `memo=0` paths); [`CheckEngine::set_memo_enabled`] switches the cache
+/// for every check.
 pub struct CheckEngine {
-    analysis: Arc<DtdAnalysis>,
-    dags: Arc<DagSet>,
+    analysis: DtdAnalysis,
+    dags: DagSet,
     depth: u32,
-    /// Static analysis computed once at construction (the service's
-    /// preflight report, attached to every handle).
-    report: Arc<StaticReport>,
-    /// Budget derived from `report` — certified constant when one exists.
-    spec_budget: u32,
-    memo: Option<Arc<ShapeCache>>,
+    memo: Option<ShapeCache>,
     obs: EngineObs,
 }
 
 impl CheckEngine {
     /// Documents below this many element nodes are checked sequentially
-    /// even when a pool is supplied. Dispatching a pool region costs
-    /// single-digit microseconds (a condvar round-trip — not the ~100 µs
-    /// thread spawn behind [`PvChecker::PARALLEL_MIN_NODES`]), so the
-    /// pooled break-even sits far lower than the scoped one.
+    /// even when a pool is supplied: dispatching a pool region costs
+    /// single-digit microseconds (a condvar round-trip), which only pays
+    /// off once a document has some tens of nodes of recognizer work.
     pub const POOLED_MIN_NODES: usize = 64;
+
+    /// The floor of the batch split threshold: a batch document below
+    /// this many element nodes always runs as one whole-document task
+    /// (see [`CheckEngine::check_batch_pooled`]).
+    pub const BATCH_SPLIT_MIN_NODES: usize = 512;
 
     /// Builds an engine with the default (automatic) depth policy and
     /// shape memoization on.
@@ -130,10 +138,7 @@ impl CheckEngine {
         Self::with_policy(analysis, DepthPolicy::Auto)
     }
 
-    /// Builds an engine with an explicit depth policy. Runs the static
-    /// analyzer (determinism + budget certification) once; the report is
-    /// attached to the engine and its certified budget — when one exists
-    /// — is adopted by every derived checker view.
+    /// Builds an engine with an explicit depth policy.
     pub fn with_policy(analysis: DtdAnalysis, policy: DepthPolicy) -> Arc<CheckEngine> {
         Self::with_policy_observed(analysis, policy, &Registry::disabled())
     }
@@ -150,18 +155,14 @@ impl CheckEngine {
         registry: &Registry,
     ) -> Arc<CheckEngine> {
         let depth = policy.resolve(&analysis);
-        let dags = Arc::new(DagSet::new(&analysis));
-        let report = Arc::new(StaticReport::analyze(&analysis));
-        let spec_budget = report.budget.applied_budget();
+        let dags = DagSet::new(&analysis);
         let mut memo = ShapeCache::new();
         memo.instrument(registry);
         Arc::new(CheckEngine {
-            analysis: Arc::new(analysis),
+            analysis,
             dags,
             depth,
-            report,
-            spec_budget,
-            memo: Some(Arc::new(memo)),
+            memo: Some(memo),
             obs: EngineObs::registered(registry),
         })
     }
@@ -172,40 +173,64 @@ impl CheckEngine {
         &self.analysis
     }
 
+    /// The per-element DAGs (exposed for the incremental layer and tests).
+    #[inline]
+    pub fn dags(&self) -> &DagSet {
+        &self.dags
+    }
+
     /// The resolved elision budget per ECPV instance.
     #[inline]
     pub fn depth(&self) -> u32 {
         self.depth
     }
 
-    /// The static-analysis report computed at construction.
+    /// The engine itself: every check lives on [`CheckEngine`]. Kept so
+    /// callers can spell a stream check `engine.checker().stream_checker()`.
     #[inline]
-    pub fn report(&self) -> &Arc<StaticReport> {
-        &self.report
+    pub fn checker(&self) -> &Self {
+        self
     }
 
-    /// The per-symbol speculation budget every derived checker runs with.
+    /// The recognizer context every execution path of this engine uses:
+    /// its DAGs, reachability, and the per-symbol speculation budget.
+    pub fn rec_ctx(&self) -> RecCtx<'_> {
+        RecCtx::new(&self.analysis, &self.dags)
+    }
+
+    /// The shape cache, when memoization is on.
     #[inline]
-    pub fn spec_budget(&self) -> u32 {
-        self.spec_budget
+    pub(crate) fn memo(&self) -> Option<&ShapeCache> {
+        self.memo.as_ref()
     }
 
-    /// Derives a borrowing checker view sharing this engine's DAGs and
-    /// warm shape cache: two `Arc` clones, no compilation and no
-    /// re-certification. Use it for any sequential or scoped-parallel
-    /// entry point; outcomes are identical to a freshly built
-    /// [`PvChecker`]'s.
-    pub fn checker(&self) -> PvChecker<'_> {
-        PvChecker::from_shared(
-            &self.analysis,
-            self.dags.clone(),
-            self.memo.clone(),
-            self.depth,
-            self.spec_budget,
-        )
+    /// Enables or disables shape memoization. Turning it off drops the
+    /// cache; turning it back on starts cold. Outcomes are identical
+    /// either way — this is purely a time/space knob.
+    pub fn set_memo_enabled(&mut self, enabled: bool) {
+        match (enabled, self.memo.is_some()) {
+            (true, false) => self.memo = Some(ShapeCache::new()),
+            (false, true) => self.memo = None,
+            _ => {}
+        }
     }
 
-    /// Telemetry snapshot of the shared shape cache.
+    /// `true` while shape memoization is active.
+    #[inline]
+    pub fn memo_enabled(&self) -> bool {
+        self.memo.is_some()
+    }
+
+    /// Replaces the memo with a fresh cache bounded to roughly `entries`
+    /// verdicts (the capacity divides over the cache's shards; a full
+    /// shard flushes rather than grows — see [`crate::memo`]).
+    pub fn set_memo_capacity(&mut self, entries: usize) {
+        self.memo = Some(ShapeCache::with_capacity(entries));
+    }
+
+    /// Telemetry snapshot of the shape cache, or `None` when memoization
+    /// is disabled. Hit/miss counts are scheduling-dependent under pooled
+    /// checking (see [`MemoStats`]); outcomes never are.
     pub fn memo_stats(&self) -> Option<MemoStats> {
         self.memo.as_ref().map(|m| m.stats())
     }
@@ -229,16 +254,41 @@ impl CheckEngine {
     }
 
     /// Checks one document with per-node recognizer runs sharded over the
-    /// persistent pool's workers (`jobs` caps participation; `0` = all of
-    /// them). `memo` toggles the shared shape cache for this check
-    /// (`false` gives each worker a detached cache-less view — the
-    /// diagnostic path; outcomes are identical either way). The outcome
-    /// is **bit-identical** to [`PvChecker::check_document`] — same
-    /// reduction discipline as [`PvChecker::check_document_parallel`],
-    /// same per-node code, with the region dispatched to parked workers
-    /// instead of freshly spawned ones. Small documents (below
-    /// [`CheckEngine::POOLED_MIN_NODES`]) and `jobs <= 1` run sequentially
-    /// on the calling thread.
+    /// pool's workers (`jobs` caps participation; `0` = all of them).
+    /// `memo` toggles the shape cache for this check (outcomes are
+    /// identical either way).
+    ///
+    /// Element nodes are independent ECPV instances (paper Section 4), so
+    /// they are distributed over the work-stealing pool and the per-node
+    /// results are **reduced in document order**: the returned
+    /// [`PvOutcome`] — the violation (first failing node in document
+    /// order, same node, same symbol index) *and* the work counters — is
+    /// bit-identical to [`CheckEngine::check_document`]'s, regardless of
+    /// worker count or scheduling. Counter identity holds because
+    /// sequential stats are a prefix sum of per-node stats and
+    /// [`RecognizerStats::merge`] is commutative: the reduction folds
+    /// exactly the nodes the sequential checker would have visited.
+    ///
+    /// On an already-failing document, workers that observe a known
+    /// violation skip nodes *after* it (the known first-failure index only
+    /// ever moves earlier, so no node at or before the final first failure
+    /// is ever skipped); a potentially valid document gets no such
+    /// shortcut and every node is checked, just as sequentially.
+    ///
+    /// The streaming checker ([`CheckEngine::stream_checker`]) shares this
+    /// contract from the other direction: where the pooled path pays a
+    /// `fetch_min` race so concurrently-found violations agree on the
+    /// document-order-first one, the streaming path's candidate protocol
+    /// only ever *replaces* its frozen violation with a preorder-earlier
+    /// one, converging on the same node. All three — sequential
+    /// stop-at-first, pooled `fetch_min`, streaming candidate — report the
+    /// identical violation (node, kind, symbol index) and counters;
+    /// `tests/stream_differential.rs` asserts exactly this
+    /// (`early_exit_reports_the_same_violation_everywhere`).
+    ///
+    /// Small documents (below [`CheckEngine::POOLED_MIN_NODES`] element
+    /// nodes) and `jobs` resolving to one participant run sequentially on
+    /// the calling thread.
     pub fn check_document_pooled(
         self: &Arc<Self>,
         doc: &Arc<Document>,
@@ -260,55 +310,57 @@ impl CheckEngine {
         memo: bool,
     ) -> PvOutcome {
         if pool.participants(jobs) <= 1 || doc.element_count() < Self::POOLED_MIN_NODES {
-            let mut checker = self.checker();
-            checker.set_memo_enabled(memo);
-            return checker.check_document(doc);
+            let mut scratch = self.scratch();
+            scratch.memo = memo;
+            return self.check_document_with(doc, &mut scratch);
         }
-        if let Some(v) = self.checker().check_root(doc) {
+        if let Some(v) = self.check_root(doc) {
             return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
         }
-        let names = Arc::new(NameTable::new(doc, &self.analysis.dtd));
-        let nodes: Arc<Vec<NodeId>> = Arc::new(doc.elements().collect());
-        let first_bad = Arc::new(AtomicUsize::new(usize::MAX));
+        let names = NameTable::new(doc, &self.analysis.dtd);
+        let nodes: Vec<NodeId> = doc.elements().collect();
+        // Earliest node index known to carry a violation; only ever
+        // decreases, so nodes at or before the final minimum are never
+        // pruned and their per-node results are always computed.
+        let first_bad = AtomicUsize::new(usize::MAX);
         let len = nodes.len();
         let engine = Arc::clone(self);
         let doc = Arc::clone(doc);
-        let task_nodes = Arc::clone(&nodes);
-        let fb = Arc::clone(&first_bad);
         let per_node = pool.run(jobs, len, move |scope| {
-            // Once per worker per region: a checker view over the shared
-            // parts and a scratch re-armed from the worker's sticky stash.
-            let mut checker = engine.checker();
-            checker.set_memo_enabled(memo);
+            // Once per worker per region: a scratch re-armed from the
+            // worker's sticky stash. Workers share the engine's shape
+            // cache (sharded, read-mostly; a hit replays the recorded
+            // stats delta, so the reduction stays bit-identical).
             let stash = scope.sticky().take::<ScratchStash>().unwrap_or_default();
-            let mut scratch = checker.scratch_from(stash);
+            let mut scratch = engine.scratch_from(stash);
+            scratch.memo = memo;
             while let Some(i) = scope.claim() {
-                if i > fb.load(Ordering::Relaxed) {
-                    scope.put(i, None); // after a known violation
-                    continue;
-                }
-                let mut stats = RecognizerStats::default();
-                let violation = checker.check_node_with(
-                    &doc,
-                    task_nodes[i],
-                    Some(&names),
-                    &mut stats,
-                    &mut scratch,
-                );
-                if violation.is_some() {
-                    fb.fetch_min(i, Ordering::Relaxed);
-                }
-                scope.put(i, Some((violation, stats)));
+                let r = engine.run_node_task(&doc, nodes[i], &names, &first_bad, i, &mut scratch);
+                scope.put(i, r);
             }
             scope.sticky().put(scratch.into_stash());
         });
         reduce_node_results(per_node)
     }
 
-    /// Checks a batch of documents on the persistent pool with the
-    /// two-level scheduler (whole documents first, node-range joins when
-    /// idle — the pooled sibling of [`PvChecker::check_batch`]). Outcome
-    /// `i` is bit-identical to `check_document(&docs[i])`.
+    /// Checks a batch of documents on the pool, returning one outcome per
+    /// document in input order — outcome `i` is bit-identical to
+    /// `check_document(&docs[i])`.
+    ///
+    /// Scheduling is **two-level** ([`Pool::run_grouped`]): whole
+    /// documents are stolen first (the right granularity while documents
+    /// outnumber idle workers — a worker scans its documents' nodes in
+    /// order, cache-local), and a worker that finds no untouched document
+    /// left *joins* the started document with the most nodes remaining,
+    /// claiming chunks of its node range. Only documents big enough to
+    /// bottleneck the batch are node-granular (joinable) at all — at
+    /// least `max(`[`CheckEngine::BATCH_SPLIT_MIN_NODES`]`,
+    /// total/4·workers)` nodes; the rest run as single whole-document
+    /// tasks with zero per-node scheduling overhead. A batch mixing one
+    /// giant document with many small ones therefore pipelines instead of
+    /// serializing on the giant one. Per-node results are reduced per
+    /// document in document order, exactly as in
+    /// [`CheckEngine::check_document_pooled`].
     pub fn check_batch_pooled(
         self: &Arc<Self>,
         docs: &Arc<Vec<Document>>,
@@ -332,36 +384,31 @@ impl CheckEngine {
     ) -> Vec<PvOutcome> {
         let effective = pool.participants(jobs);
         if effective <= 1 {
-            let checker = self.checker();
-            let mut scratch = checker.scratch();
-            return docs.iter().map(|d| checker.check_document_with(d, &mut scratch)).collect();
+            let mut scratch = self.scratch();
+            return docs.iter().map(|d| self.check_document_with(d, &mut scratch)).collect();
         }
-        // The shared scheduling plan: most documents are one task each,
-        // batch-dominating ones are node-granular joinable groups, root
-        // failures contribute nothing (see `BatchPlan` in the checker
-        // module).
-        let checker = self.checker();
+        // Per-document plan: the root check happens up front (one string
+        // comparison), leaving only per-node ECPV work to shard; most
+        // documents are one task each, batch-dominating ones are
+        // node-granular joinable groups (see `BatchPlan`).
         let total_nodes: usize = docs.iter().map(Document::element_count).sum();
-        let split = PvChecker::batch_split_threshold(effective, total_nodes);
+        let split = Self::batch_split_threshold(effective, total_nodes);
         let plans: Arc<Vec<BatchPlan>> =
-            Arc::new(docs.iter().map(|d| checker.plan_document(d, split)).collect());
-        drop(checker);
+            Arc::new(docs.iter().map(|d| self.plan_document(d, split)).collect());
         let sizes: Vec<usize> = plans.iter().map(BatchPlan::task_count).collect();
-        let first_bad: Arc<Vec<AtomicUsize>> =
-            Arc::new(docs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect());
+        let first_bad: Vec<AtomicUsize> =
+            docs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
         let engine = Arc::clone(self);
         let task_docs = Arc::clone(docs);
         let task_plans = Arc::clone(&plans);
-        let fb = Arc::clone(&first_bad);
         let per_doc = pool.run_grouped(jobs, &sizes, move |scope| {
-            let checker = engine.checker();
             let stash = scope.sticky().take::<ScratchStash>().unwrap_or_default();
-            let mut scratch = checker.scratch_from(stash);
+            let mut scratch = engine.scratch_from(stash);
             while let Some((g, i)) = scope.claim() {
-                let r = checker.run_batch_task(
+                let r = engine.run_batch_task(
                     &task_docs[g],
                     &task_plans[g],
-                    &fb[g],
+                    &first_bad[g],
                     i,
                     &mut scratch,
                 );
@@ -395,9 +442,7 @@ mod tests {
     fn pooled_document_check_bit_identical() {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(4);
-        let analysis = BuiltinDtd::Figure1.analysis();
-        let mut plain = PvChecker::new(&analysis);
-        plain.set_memo_enabled(false);
+        let plain = memo_off();
         for doc in [
             wide_doc(60, false),
             wide_doc(60, true),
@@ -427,7 +472,7 @@ mod tests {
                     if i == 4 {
                         pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
                     } else if i == 7 {
-                        // Above PARALLEL_MIN_NODES: exercises the
+                        // Above BATCH_SPLIT_MIN_NODES: exercises the
                         // node-granular (joinable) plan, poisoned.
                         wide_doc(400, true)
                     } else {
@@ -436,9 +481,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let analysis = BuiltinDtd::Figure1.analysis();
-        let mut plain = PvChecker::new(&analysis);
-        plain.set_memo_enabled(false);
+        let plain = memo_off();
         let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
         for round in 0..3 {
             for jobs in [0usize, 1, 2, 8] {
@@ -454,22 +497,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_checker_view_matches_plain_checker() {
-        let analysis = BuiltinDtd::Play.analysis();
-        let engine = CheckEngine::new(BuiltinDtd::Play.analysis());
-        let plain = PvChecker::new(&analysis);
-        let doc = pv_workload_free_play();
-        assert_eq!(engine.checker().check_document(&doc), plain.check_document(&doc));
-        assert_eq!(engine.depth(), plain.depth());
+    fn pooled_memo_flag_matches_memo_off_engine() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let plain = memo_off();
+        let pool = Pool::new(2);
+        for doc in [wide_doc(60, false), wide_doc(60, true), pv_xml::parse("<r/>").unwrap()] {
+            let expect = plain.check_document(&doc);
+            let doc = Arc::new(doc);
+            let before = engine.memo_stats().unwrap();
+            for jobs in [1usize, 2] {
+                assert_eq!(engine.check_document_pooled(&doc, &pool, jobs, false), expect);
+            }
+            // memo=false leaves the shared cache untouched.
+            assert_eq!(engine.memo_stats().unwrap(), before);
+        }
     }
 
-    /// A small play-shaped document without depending on pv-workload.
-    fn pv_workload_free_play() -> Document {
-        pv_xml::parse(
-            "<PLAY><TITLE>t</TITLE><PERSONAE><TITLE>p</TITLE><PERSONA>A</PERSONA></PERSONAE>\
-             <ACT><TITLE>a</TITLE><SCENE><TITLE>s</TITLE><SPEECH><SPEAKER>A</SPEAKER>\
-             <LINE>line</LINE></SPEECH></SCENE></ACT></PLAY>",
-        )
-        .unwrap()
+    /// A Figure 1 engine with shape memoization off.
+    fn memo_off() -> Arc<CheckEngine> {
+        let mut engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        Arc::get_mut(&mut engine).unwrap().set_memo_enabled(false);
+        engine
     }
 }

@@ -18,7 +18,8 @@
 //! validity; actually applying operations is `pv-xml`'s job, and the
 //! transactional wrapper lives in `pv-editor`.
 
-use crate::checker::{PvChecker, PvViolation};
+use crate::checker::PvViolation;
+use crate::engine::CheckEngine;
 use crate::recognizer::RecognizerStats;
 use crate::token::{ChildSym, Tokens};
 use pv_xml::{Document, NodeId};
@@ -45,7 +46,7 @@ impl IncrementalOutcome {
     }
 }
 
-impl PvChecker<'_> {
+impl CheckEngine {
     /// **Character-data update** of an existing text node: always preserves
     /// potential validity (Theorem 2). Constant time, no recognizer work.
     pub fn check_text_update(&self) -> IncrementalOutcome {
@@ -79,7 +80,7 @@ impl PvChecker<'_> {
         self.check_text_insertion_at(doc, parent, usize::MAX)
     }
 
-    /// Position-aware variant of [`PvChecker::check_text_insertion`]:
+    /// Position-aware variant of [`CheckEngine::check_text_insertion`]:
     /// `index` is the child position the text node would take
     /// (`usize::MAX` appends).
     pub fn check_text_insertion_at(
@@ -202,13 +203,13 @@ impl PvChecker<'_> {
 #[cfg(test)]
 mod tests {
     
-    use crate::checker::PvChecker;
+    use crate::engine::CheckEngine;
     use pv_dtd::builtin::BuiltinDtd;
 
     #[test]
     fn text_update_and_deletions_are_free() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         assert!(checker.check_text_update().preserves_pv());
         assert!(checker.check_markup_deletion().preserves_pv());
         assert_eq!(checker.check_text_update().stats.node_visits, 0);
@@ -217,7 +218,7 @@ mod tests {
     #[test]
     fn text_insertion_fast_paths_are_constant_time() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let doc = pv_xml::parse("<r><a><b/><c/><d><e/></d></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         let d = doc.children(a)[2];
@@ -239,7 +240,7 @@ mod tests {
         // sufficient. Children of a are (b, c, d); appending σ after d can
         // never be fixed, even though a ⇝ PCDATA.
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let doc = pv_xml::parse("<r><a><b/><c/><d/></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         assert!(analysis.reach.reaches_pcdata(analysis.id("a").unwrap()));
@@ -257,7 +258,7 @@ mod tests {
         // yet x ⇝ PCDATA.
         let tiny_analysis =
             pv_dtd::DtdAnalysis::parse("<!ELEMENT x (c)><!ELEMENT c (#PCDATA)>", "x").unwrap();
-        let tiny = PvChecker::new(&tiny_analysis);
+        let tiny = CheckEngine::new(tiny_analysis.clone());
         assert!(tiny_analysis.reach.reaches_pcdata(tiny_analysis.id("x").unwrap()));
         let tdoc = pv_xml::parse("<x><c/></x>").unwrap();
         let x = tdoc.root();
@@ -278,7 +279,7 @@ mod tests {
             "x",
         )
         .unwrap();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         for (xml, index) in [("<x><!--n--><d/></x>", 1), ("<x>a<!--n-->b<d/></x>", 3)] {
             let mut doc = pv_xml::parse(xml).unwrap();
             let x = doc.root();
@@ -295,7 +296,7 @@ mod tests {
     #[test]
     fn markup_insertion_rechecks_two_nodes() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         // Start from the paper's potentially valid s.
         let mut doc = pv_xml::parse(
             "<r><a><b>A quick brown</b><c> fox jumps over a lazy</c> dog<e></e></a></r>",
@@ -312,7 +313,7 @@ mod tests {
     #[test]
     fn bad_markup_insertion_detected() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut doc = pv_xml::parse("<r><a><b/><c/><d/></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         // Wrapping <c/> in <e> is hopeless: e must be EMPTY.
@@ -324,7 +325,7 @@ mod tests {
     #[test]
     fn insertion_violating_parent_detected() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut doc = pv_xml::parse("<r><a><b/><c/><d/></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         // Wrapping everything under <a> in another <a> breaks <a>'s own
@@ -339,7 +340,7 @@ mod tests {
     #[test]
     fn rename_rechecked() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut doc = pv_xml::parse("<r><a><b/><c/><d/></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         let c = doc.children(a)[1];
@@ -357,7 +358,7 @@ mod tests {
         // Renaming <b> to <e> keeps the document potentially valid:
         // e can sink into an elided b → d → e chain.
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut doc = pv_xml::parse("<r><a><b/><c/><d/></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         let b = doc.children(a)[0];

@@ -29,13 +29,13 @@
 //! * [`recognizer`] — the **ECRecognizer** algorithm (Figure 5): a greedy,
 //!   depth-bounded recognizer solving Element Content Potential Validity
 //!   in `O(k·D)` per input symbol (Theorem 4).
+//! * [`engine`] — [`CheckEngine`], the one checker: it owns the compiled
+//!   DTD, its DAGs, the shape cache and the depth budget, is shared via
+//!   `Arc`, and checks on the calling thread or on a persistent
+//!   [`pv_par::Pool`].
 //! * [`checker`] — whole-document potential validity (Problem PV) by
 //!   running ECPV at every element node, with diagnostics pointing at the
 //!   offending node and symbol.
-//! * [`engine`] — the owned, `Arc`-shareable sibling of the checker for
-//!   resident services: pre-compiled DAGs, a warm cross-request shape
-//!   cache, and check entry points that dispatch onto a persistent
-//!   [`pv_par::Pool`].
 //! * [`memo`] — shape-memoized verdicts: child-symbol sequences are
 //!   hash-consed into interned shapes and `(element, shape)` ECPV results
 //!   are cached with their stats delta, so repetitive markup checks in
@@ -54,10 +54,9 @@
 //!
 //! ```
 //! use pv_dtd::builtin::BuiltinDtd;
-//! use pv_core::checker::PvChecker;
+//! use pv_core::CheckEngine;
 //!
-//! let analysis = BuiltinDtd::Figure1.analysis();
-//! let checker = PvChecker::new(&analysis);
+//! let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
 //!
 //! // Example 1 of the paper: `s` is potentially valid …
 //! let s = pv_xml::parse(
@@ -85,7 +84,7 @@ pub mod stream;
 pub mod suggest;
 pub mod token;
 
-pub use checker::{CheckScratch, PvChecker, PvOutcome, PvViolation, PvViolationKind, ScratchStash};
+pub use checker::{CheckScratch, PvOutcome, PvViolation, PvViolationKind, ScratchStash};
 pub use engine::CheckEngine;
 pub use dag::{DagNode, DagNodeKind, DagSet, ElementDag};
 pub use depth::DepthPolicy;

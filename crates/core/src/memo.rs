@@ -26,8 +26,8 @@
 //!
 //! ## Concurrency
 //!
-//! The cache is shared by reference across the parallel checker's workers
-//! ([`PvChecker::check_document_parallel`](crate::checker::PvChecker::check_document_parallel)),
+//! The cache is shared by reference across the pool workers of a pooled
+//! check ([`CheckEngine::check_document_pooled`](crate::engine::CheckEngine::check_document_pooled)),
 //! so it is sharded: a deterministic hash of the symbol sequence picks one
 //! of [`SHARD_COUNT`] shards, each behind its own `RwLock` — hits take a
 //! read lock (read-mostly by design), only misses write. Races are benign:
@@ -164,9 +164,9 @@ impl Shard {
 /// A sharded, bounded, read-mostly cache of ECPV verdicts keyed by
 /// `(element type, interned child-symbol shape)`.
 ///
-/// One cache belongs to one [`PvChecker`](crate::checker::PvChecker)
+/// One cache belongs to one [`CheckEngine`](crate::engine::CheckEngine)
 /// (verdicts depend on its DTD analysis and depth budget, both fixed at
-/// construction) and lives as long as the checker — which is what makes
+/// construction) and lives as long as the engine — which is what makes
 /// editor sessions amortized: the guards' re-checks of unchanged shapes
 /// become hash lookups across edits.
 pub struct ShapeCache {
@@ -184,9 +184,9 @@ pub struct ShapeCache {
 }
 
 /// Telemetry snapshot of a [`ShapeCache`] (see
-/// [`PvChecker::memo_stats`](crate::checker::PvChecker::memo_stats)).
+/// [`CheckEngine::memo_stats`](crate::engine::CheckEngine::memo_stats)).
 ///
-/// Hit/miss counts are telemetry, not semantics: under parallel checking
+/// Hit/miss counts are telemetry, not semantics: under pooled checking
 /// two workers can race to the same cold shape and both count a miss, so
 /// these numbers may vary across schedules while outcomes never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

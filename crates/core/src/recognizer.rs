@@ -92,42 +92,29 @@ use crate::token::ChildSym;
 use pv_dtd::{DtdAnalysis, ElemId, GroupSet, Reachability};
 
 /// Shared immutable context for a family of recognizers: the per-element
-/// DAGs, the reachability lookup table, and (optionally) a statically
-/// certified speculation budget.
+/// DAGs, the reachability lookup table, and the per-symbol speculation
+/// budget.
 #[derive(Clone, Copy)]
 pub struct RecCtx<'a> {
     /// All element DAGs.
     pub dags: &'a DagSet,
     /// Reachability closure `LT`.
     pub reach: &'a Reachability,
-    /// Per-symbol speculation budget: `Some` when a static certificate
-    /// (or an explicit override) fixed it, `None` for the default
-    /// `max(32, (m+1)²)` formula.
-    budget: Option<u32>,
+    /// Per-symbol speculation budget, [`pv_dtd::budget::full_budget`]`(m)`.
+    budget: u32,
 }
 
 impl<'a> RecCtx<'a> {
-    /// Builds a context from a compiled DTD and its DAG set, using the
-    /// default budget formula.
+    /// Builds a context from a compiled DTD and its DAG set.
     pub fn new(analysis: &'a DtdAnalysis, dags: &'a DagSet) -> Self {
-        RecCtx { dags, reach: &analysis.reach, budget: None }
-    }
-
-    /// Builds a context with a fixed per-symbol speculation budget —
-    /// normally one certified by [`pv_dtd::budget::certify`]. Soundness
-    /// contract: a certified budget parks the same requests in the same
-    /// agenda order as the default, so outcomes stay bit-identical.
-    pub fn with_budget(analysis: &'a DtdAnalysis, dags: &'a DagSet, budget: u32) -> Self {
-        RecCtx { dags, reach: &analysis.reach, budget: Some(budget) }
+        let budget = pv_dtd::budget::full_budget(analysis.reach.element_count());
+        RecCtx { dags, reach: &analysis.reach, budget }
     }
 
     /// The per-symbol speculation budget this context runs with.
     #[inline]
     pub fn spec_budget(&self) -> u32 {
-        match self.budget {
-            Some(b) => b,
-            None => pv_dtd::budget::full_budget(self.reach.element_count()),
-        }
+        self.budget
     }
 
     /// Proposition 2's star-group test: membership or reachability.
@@ -379,8 +366,6 @@ impl<'a> EcRecognizer<'a> {
         // Every finite md value is < k, so k + 1 covers the globally
         // cheapest elision chain; (k + 1)² additionally covers the
         // side requests accompanying each chain level (see const docs).
-        // Contexts carrying a static certificate substitute their proven
-        // constant here (same parks, same order — see pv_dtd::budget).
         let mut budget = self.ctx.spec_budget();
         if self.begin_round(x, stats) {
             return self.matched;
@@ -1176,8 +1161,8 @@ mod tests {
         // the full per-node pipeline.
         let analysis =
             DtdAnalysis::parse("<!ELEMENT a (a?, b)><!ELEMENT b ANY>", "a").unwrap();
-        let checker = crate::checker::PvChecker::with_policy(
-            &analysis,
+        let checker = crate::engine::CheckEngine::with_policy(
+            analysis,
             crate::depth::DepthPolicy::Bounded(64),
         );
         for xml in ["<a><a>t</a>t</a>", "<a><a>t</a><b/>t</a>", "<a>t</a>"] {

@@ -12,7 +12,7 @@
 //!
 //! For any complete event stream, [`StreamChecker::finalize`] returns a
 //! [`PvOutcome`] — violation *and* work counters — identical to
-//! [`PvChecker::check_document`](crate::checker::PvChecker::check_document)
+//! [`CheckEngine::check_document`](crate::engine::CheckEngine::check_document)
 //! on the parsed tree. That invariant is non-trivial because the two
 //! traversals do their work in different orders:
 //!
@@ -61,10 +61,11 @@
 //! ## Early exit
 //!
 //! First-violation early exit is *free* here — once a candidate freezes,
-//! no recognizer below the spine ever runs again — whereas the
-//! tree-parallel path pays a `fetch_min` race to agree on the
-//! document-order-first violation. Both converge on the same node; see
-//! `check_document_parallel` and the `stream_differential` suite.
+//! no recognizer below the spine ever runs again — whereas the pooled
+//! tree path pays a `fetch_min` race to agree on the document-order-first
+//! violation. Both converge on the same node; see
+//! `CheckEngine::check_document_pooled` and the `stream_differential`
+//! suite.
 //!
 //! ## Batched dispatch
 //!
@@ -90,7 +91,8 @@
 //! children — the common first-violation shape — still decide
 //! immediately, and final outcomes are bit-identical everywhere.
 
-use crate::checker::{PvChecker, PvOutcome, PvViolation, PvViolationKind};
+use crate::checker::{PvOutcome, PvViolation, PvViolationKind};
+use crate::engine::CheckEngine;
 use crate::recognizer::{EcRecognizer, RecBuffers, RecCtx, RecognizerStats};
 use crate::token::ChildSym;
 use pv_dtd::{DtdAnalysis, ElemId};
@@ -156,17 +158,16 @@ enum State {
 
 /// Incremental potential-validity checker over a SAX-style event stream.
 ///
-/// Obtain one from [`PvChecker::stream_checker`], feed it events (or use
+/// Obtain one from [`CheckEngine::stream_checker`], feed it events (or use
 /// the [`StreamCheck`] wrapper to drive it straight from byte chunks),
 /// then call [`finalize`](Self::finalize):
 ///
 /// ```
 /// use pv_dtd::builtin::BuiltinDtd;
-/// use pv_core::checker::PvChecker;
+/// use pv_core::CheckEngine;
 /// use pv_core::stream::StreamCheck;
 ///
-/// let analysis = BuiltinDtd::Figure1.analysis();
-/// let checker = PvChecker::new(&analysis);
+/// let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
 /// let mut stream = StreamCheck::new(checker.stream_checker());
 /// for chunk in ["<r><a><b>A quick", " brown</b><c> fox</c>", " dog<e/></a></r>"] {
 ///     stream.feed(chunk.as_bytes()).unwrap();
@@ -345,7 +346,7 @@ impl<'c> StreamChecker<'c> {
 
     /// Consumes the checker and produces the outcome for the completed
     /// stream. Bit-identical — violation and counters — to
-    /// [`PvChecker::check_document`](crate::checker::PvChecker::check_document)
+    /// [`CheckEngine::check_document`](crate::engine::CheckEngine::check_document)
     /// on the tree built from the same bytes. Only meaningful after a
     /// complete event stream (all elements closed).
     pub fn finalize(self) -> PvOutcome {
@@ -670,8 +671,8 @@ impl<'c> StreamChecker<'c> {
     }
 }
 
-impl<'a> PvChecker<'a> {
-    /// Creates a [`StreamChecker`] sharing this checker's compiled DAGs
+impl CheckEngine {
+    /// Creates a [`StreamChecker`] sharing this engine's compiled DAGs
     /// and depth policy. The stream checker holds O(depth) state and
     /// produces outcomes bit-identical to
     /// [`check_document`](Self::check_document); it never touches the
@@ -757,13 +758,13 @@ mod tests {
     use pv_dtd::builtin::BuiltinDtd;
 
     fn tree_outcome(analysis: &DtdAnalysis, xml: &str) -> PvOutcome {
-        let checker = PvChecker::new(analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let doc = pv_xml::parse(xml).unwrap();
         checker.check_document(&doc)
     }
 
     fn stream_outcome(analysis: &DtdAnalysis, xml: &str, chunk: usize) -> PvOutcome {
-        let checker = PvChecker::new(analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut stream = StreamCheck::new(checker.stream_checker());
         for piece in xml.as_bytes().chunks(chunk.max(1)) {
             stream.feed(piece).unwrap();
@@ -837,7 +838,7 @@ mod tests {
     #[test]
     fn verdict_decided_before_document_end() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut stream = StreamCheck::new(checker.stream_checker());
         stream.feed(b"<r><a><b>x</b><e/>").unwrap();
         assert!(!stream.decided(), "b,e still extendable (insertions may follow)");
@@ -858,7 +859,7 @@ mod tests {
     #[test]
     fn residency_is_depth_bounded_on_wide_documents() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut stream = StreamCheck::new(checker.stream_checker());
         stream.feed(b"<r>").unwrap();
         for _ in 0..5_000 {

@@ -12,7 +12,7 @@
 //! could snapshot the recognizer state instead, but candidate counts are
 //! tiny (`m + 1`).
 
-use crate::checker::PvChecker;
+use crate::engine::CheckEngine;
 use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::{ChildSym, Tokens};
 use pv_dtd::ElemId;
@@ -20,11 +20,7 @@ use pv_xml::{Document, NodeId};
 
 /// Symbols that may follow `prefix` in the content of `elem` while keeping
 /// it potentially valid. σ is included when character data may follow.
-pub fn expected_next(
-    checker: &PvChecker<'_>,
-    elem: ElemId,
-    prefix: &[ChildSym],
-) -> Vec<ChildSym> {
+pub fn expected_next(checker: &CheckEngine, elem: ElemId, prefix: &[ChildSym]) -> Vec<ChildSym> {
     let analysis = checker.analysis();
     let ctx = checker.rec_ctx();
     let mut out = Vec::new();
@@ -57,7 +53,7 @@ pub fn expected_next(
 /// Convenience wrapper over a live document node: which symbols could be
 /// appended to `node`'s children?
 pub fn expected_next_for_node(
-    checker: &PvChecker<'_>,
+    checker: &CheckEngine,
     doc: &Document,
     node: NodeId,
 ) -> Option<Vec<ChildSym>> {
@@ -81,7 +77,7 @@ mod tests {
     #[test]
     fn figure1_a_suggestions_follow_the_model() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let a = analysis.id("a").unwrap();
         let b = analysis.id("b").unwrap();
         let e = analysis.id("e").unwrap();
@@ -108,7 +104,7 @@ mod tests {
     #[test]
     fn empty_content_suggests_nothing() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let e = analysis.id("e").unwrap();
         assert!(expected_next(&checker, e, &[]).is_empty());
     }
@@ -116,7 +112,7 @@ mod tests {
     #[test]
     fn sigma_not_suggested_after_sigma() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let d = analysis.id("d").unwrap();
         let next = expected_next(&checker, d, &[ChildSym::Sigma]);
         assert!(!next.contains(&ChildSym::Sigma));
@@ -126,7 +122,7 @@ mod tests {
     #[test]
     fn node_wrapper_resolves_prefix() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let doc = pv_xml::parse("<r><a><b/></a></r>").unwrap();
         let a = doc.children(doc.root())[0];
         let next = expected_next_for_node(&checker, &doc, a).unwrap();
@@ -140,7 +136,7 @@ mod tests {
         // Every suggested symbol, when appended, must keep the content
         // potentially valid per the full checker.
         let analysis = BuiltinDtd::TeiLite.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let div = analysis.id("div").unwrap();
         let head = analysis.id("head").unwrap();
         let prefix = vec![ChildSym::Elem(head)];

@@ -35,12 +35,11 @@
 //! — the `(m+1)` term covering the root-level recognizer's own positions
 //! and the factor 2 covering the speculative/committed double-tracking of
 //! each chain. If `B_static ≤ full_budget(m)` the DTD is **certified**:
-//! running with budget `max(32, B_static)` parks exactly the same
-//! requests in exactly the same agenda order as the full budget, so the
-//! `PvOutcome` is bit-identical and `specs_denied` stays 0 at any depth.
-//! Certificates may only *shrink* budgets — a DTD whose static bound
-//! exceeds the runtime budget is flagged (with the heaviest chain as
-//! witness), never granted a larger budget, so verdicts can never change.
+//! the default budget every checker runs with is provably never used up,
+//! so `specs_denied == 0` on every document at any depth. The certificate
+//! is a static proof, not a runtime knob — checks run the full default
+//! whether or not it exists. A DTD whose static bound exceeds the runtime
+//! budget is flagged (with the heaviest chain as witness).
 //!
 //! PV-strong recursive DTDs have cyclic strong graphs — elision chains
 //! are unbounded and no linear certificate exists; they are flagged with
@@ -68,11 +67,11 @@ pub fn full_budget(element_count: usize) -> u32 {
 /// Outcome of budget certification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BudgetVerdict {
-    /// `budget` parked requests per symbol provably suffice: the run is
-    /// budget-independent (`specs_denied == 0`, outcome bit-identical to
-    /// the full budget) at any depth.
+    /// `budget` parked requests per symbol provably suffice, and `budget`
+    /// is at most the default: checks at the default budget never deny
+    /// speculation (`specs_denied == 0`) at any depth.
     Certified {
-        /// The certified per-symbol budget (already floored at
+        /// The smallest budget the proof covers (`B_static` floored at
         /// [`SPEC_FLOOR`], always ≤ [`full_budget`]).
         budget: u32,
     },
@@ -118,13 +117,6 @@ impl BudgetReport {
             BudgetVerdict::Certified { budget } => Some(budget),
             BudgetVerdict::Flagged { .. } => None,
         }
-    }
-
-    /// The budget a checker should actually run with: the certified
-    /// budget when one exists, the full default otherwise.
-    #[inline]
-    pub fn applied_budget(&self) -> u32 {
-        self.certified_budget().unwrap_or(self.full_budget)
     }
 
     /// `true` when the verdict is [`BudgetVerdict::Certified`].
@@ -303,8 +295,8 @@ pub struct ModelReport {
 
 /// The combined static-analysis report: recursion class, per-model
 /// determinism, and budget certification. Computed once per compiled DTD
-/// (at engine construction / service `LOAD` time) and attached to the
-/// handle.
+/// (by `pvx analyze`, `pvx check -v`, and the service at `LOAD` time,
+/// which keeps it beside the handle's engine).
 #[derive(Debug, Clone)]
 pub struct StaticReport {
     /// The DTD's recursion class.
@@ -410,9 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn flagged_keeps_full_budget_applied() {
+    fn flagged_has_no_certified_budget() {
         let r = report("<!ELEMENT a (a?)>", "a");
-        assert_eq!(r.applied_budget(), r.full_budget);
+        assert_eq!(r.certified_budget(), None);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! bundles the normalized models, lookup table, classification and stats.
 //! On top of it sits the static analyzer ([`budget::StaticReport`]):
 //! Glushkov determinism classification ([`glushkov`]) and speculation-budget
-//! certification ([`budget`]), consumed by engines and the service at load
-//! time.
+//! certification ([`budget`]), reported by `pvx analyze`, `pvx check -v`
+//! and the service at `LOAD` time.
 
 #![warn(missing_docs)]
 

@@ -5,9 +5,9 @@
 //! buffer **always potentially valid**, so that the markup campaign can
 //! always be finished without undoing work.
 //!
-//! An [`EditorSession`] owns a document and a [`pv_core::checker::PvChecker`] and exposes the
-//! paper's update taxonomy with exactly the incremental costs of
-//! Sections 3.2/4:
+//! An [`EditorSession`] owns a document and a [`pv_core::CheckEngine`] and
+//! exposes the paper's update taxonomy with exactly the incremental costs
+//! of Sections 3.2/4:
 //!
 //! | operation              | guard                                    |
 //! |------------------------|------------------------------------------|
@@ -23,7 +23,7 @@
 //!
 //! Undo (and guard rollback) is a **reverse-operation journal**: every
 //! applied edit records the O(edit-size) inverse ops that revert it, so no
-//! operation ever clones the document. The session's checker keeps its
+//! operation ever clones the document. The session's engine keeps its
 //! shape cache warm across edits, making repeated guards on unchanged
 //! shapes amortized hash lookups.
 

@@ -1,14 +1,16 @@
 //! The editing session: a document plus the incremental PV guards.
 
 use crate::journal::{apply_unit, RevOp, UndoJournal};
-use pv_core::checker::{PvChecker, PvViolation};
+use pv_core::checker::PvViolation;
 use pv_core::memo::MemoStats;
 use pv_core::recognizer::RecognizerStats;
 use pv_core::token::{ChildSym, Tokens};
+use pv_core::CheckEngine;
 use pv_dtd::DtdAnalysis;
 use pv_xml::{Document, NodeId, XmlError};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Why an edit was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,89 +74,61 @@ pub struct SessionStats {
 /// * **Undo** is a reverse-operation journal (not document snapshots): a
 ///   guarded edit records the O(edit-size) inverse ops that revert it, so
 ///   applying, rejecting, or undoing an edit never clones the buffer.
-/// * The session's [`PvChecker`] persists across edits with its **shape
-///   cache** warm, so the two-ECPV guards of markup insertion/rename —
-///   and full [`EditorSession::verify_invariant`] sweeps — answer from
-///   the cache for every node shape the edit did not change.
+/// * The session's [`CheckEngine`] persists across edits with its
+///   **shape cache** warm, so the two-ECPV guards of markup
+///   insertion/rename — and full [`EditorSession::verify_invariant`]
+///   sweeps — answer from the cache for every node shape the edit did not
+///   change.
 pub struct EditorSession<'a> {
-    checker: PvChecker<'a>,
+    analysis: &'a DtdAnalysis,
+    /// Built from a clone of `analysis` and never shared, so the session
+    /// can reconfigure it through [`Arc::get_mut`].
+    engine: Arc<CheckEngine>,
     doc: Document,
     undo: UndoJournal,
     stats: SessionStats,
-    /// Worker threads for full-document re-checks (1 = sequential,
-    /// 0 = one per CPU). Incremental guards are O(1)/two-node and always
-    /// run inline regardless of this setting.
-    jobs: usize,
 }
 
 impl<'a> EditorSession<'a> {
     /// Opens a session on `doc`; fails unless the document is potentially
     /// valid (the invariant the session maintains thereafter).
     pub fn open(analysis: &'a DtdAnalysis, doc: Document) -> Result<Self, EditError> {
-        Self::open_with_jobs(analysis, doc, 1)
-    }
-
-    /// [`EditorSession::open`] with the opening full-document check — and
-    /// every later full re-check — sharded over `jobs` worker threads
-    /// (`0` = one per available CPU). Parallel and sequential checks
-    /// return bit-identical outcomes, so the accepted/rejected behaviour
-    /// of the session is unchanged; only the wall-clock of whole-document
-    /// scans on large buffers is.
-    pub fn open_with_jobs(
-        analysis: &'a DtdAnalysis,
-        doc: Document,
-        jobs: usize,
-    ) -> Result<Self, EditError> {
-        let checker = PvChecker::new(analysis);
-        let outcome = checker.check_document_parallel(&doc, jobs);
-        match outcome.violation {
+        let session = Self::with_document(analysis, doc);
+        match session.engine.check_document(&session.doc).violation {
             Some(v) => Err(EditError::NotPotentiallyValid(v)),
-            None => Ok(EditorSession {
-                checker,
-                doc,
-                undo: UndoJournal::default(),
-                stats: SessionStats::default(),
-                jobs,
-            }),
+            None => Ok(session),
         }
     }
 
     /// Opens a session on a fresh `<root/>` document.
     pub fn blank(analysis: &'a DtdAnalysis) -> Self {
-        let doc = Document::new(analysis.name(analysis.root));
+        Self::with_document(analysis, Document::new(analysis.name(analysis.root)))
+    }
+
+    fn with_document(analysis: &'a DtdAnalysis, doc: Document) -> Self {
         EditorSession {
-            checker: PvChecker::new(analysis),
+            analysis,
+            engine: CheckEngine::new(analysis.clone()),
             doc,
             undo: UndoJournal::default(),
             stats: SessionStats::default(),
-            jobs: 1,
         }
     }
 
-    /// Enables or disables the checker's shape memoization for this
-    /// session (on by default; see
-    /// [`PvChecker::set_memo_enabled`]). Guard verdicts are identical
-    /// either way — this only trades cache memory for guard latency.
+    /// Enables or disables the engine's shape memoization for this
+    /// session (on by default; see [`CheckEngine::set_memo_enabled`]).
+    /// Guard verdicts are identical either way — this only trades cache
+    /// memory for guard latency.
     pub fn set_memo(&mut self, enabled: bool) {
-        self.checker.set_memo_enabled(enabled);
+        Arc::get_mut(&mut self.engine)
+            .expect("a session never shares its engine")
+            .set_memo_enabled(enabled);
     }
 
-    /// Telemetry of the session checker's shape cache, or `None` when
+    /// Telemetry of the session engine's shape cache, or `None` when
     /// memoization is disabled.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.checker.memo_stats()
-    }
-
-    /// Sets the worker-thread count for full-document re-checks
-    /// (`1` = sequential, `0` = one per available CPU).
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs;
-    }
-
-    /// The configured full-re-check worker count.
-    #[inline]
-    pub fn jobs(&self) -> usize {
-        self.jobs
+        self.engine.memo_stats()
     }
 
     /// The current document.
@@ -169,10 +143,10 @@ impl<'a> EditorSession<'a> {
         &self.stats
     }
 
-    /// The checker in use (for ad-hoc queries).
+    /// The engine in use (for ad-hoc queries).
     #[inline]
-    pub fn checker(&self) -> &PvChecker<'a> {
-        &self.checker
+    pub fn engine(&self) -> &CheckEngine {
+        &self.engine
     }
 
     // --- PV-preserving operations (Theorem 2): no guard -----------------
@@ -234,7 +208,7 @@ impl<'a> EditorSession<'a> {
         index: usize,
         text: &str,
     ) -> Result<NodeId, EditError> {
-        let guard = self.checker.check_text_insertion_at(&self.doc, parent, index);
+        let guard = self.engine.check_text_insertion_at(&self.doc, parent, index);
         self.stats.constant_time_guards += 1;
         if let Some(v) = guard.violation {
             self.stats.rejected += 1;
@@ -257,7 +231,7 @@ impl<'a> EditorSession<'a> {
         name: &str,
     ) -> Result<NodeId, EditError> {
         let node = self.doc.wrap_children(parent, range, name)?;
-        let outcome = self.checker.check_markup_insertion(&self.doc, node, parent);
+        let outcome = self.engine.check_markup_insertion(&self.doc, node, parent);
         self.absorb(outcome.stats);
         self.stats.ecpv_guards += 1;
         if let Some(v) = outcome.violation {
@@ -313,7 +287,7 @@ impl<'a> EditorSession<'a> {
         } else {
             unit.push(RevOp::Relink { node: text_node, parent, index });
         }
-        let outcome = self.checker.check_markup_insertion(&self.doc, node, parent);
+        let outcome = self.engine.check_markup_insertion(&self.doc, node, parent);
         self.absorb(outcome.stats);
         self.stats.ecpv_guards += 1;
         if let Some(v) = outcome.violation {
@@ -334,7 +308,7 @@ impl<'a> EditorSession<'a> {
         self.doc.rename_element(node, name)?;
         let old = old.expect("renamed node had a name");
         let unit = vec![RevOp::Rename { node, name: old }];
-        let outcome = self.checker.check_rename(&self.doc, node);
+        let outcome = self.engine.check_rename(&self.doc, node);
         self.absorb(outcome.stats);
         self.stats.ecpv_guards += 1;
         if let Some(v) = outcome.violation {
@@ -357,7 +331,7 @@ impl<'a> EditorSession<'a> {
     /// leaves the buffer byte-identical. Cost `O(m · |children|)`,
     /// amortized further by the shape cache on repeat queries.
     pub fn allowed_wraps(&mut self, parent: NodeId, range: Range<usize>) -> Vec<String> {
-        let analysis = self.checker.analysis();
+        let analysis = self.analysis;
         if !self.doc.is_alive(parent) {
             return Vec::new();
         }
@@ -394,12 +368,12 @@ impl<'a> EditorSession<'a> {
             // The paper's two-ECPV guard, wrapper first; the parent check
             // runs only when the wrapper content passes (same
             // short-circuit as check_markup_insertion).
-            let inner_ok = self.checker.check_symbols(cand, &inner, &mut stats).is_none();
+            let inner_ok = self.engine.check_symbols(cand, &inner, &mut stats).is_none();
             if !inner_ok {
                 continue;
             }
             outer[wrapper_at] = ChildSym::Elem(cand);
-            if self.checker.check_symbols(parent_elem, &outer, &mut stats).is_none() {
+            if self.engine.check_symbols(parent_elem, &outer, &mut stats).is_none() {
                 ok.push(decl.name.to_string());
             }
         }
@@ -409,7 +383,7 @@ impl<'a> EditorSession<'a> {
 
     /// Can character data be inserted under `parent`? O(1).
     pub fn can_insert_text(&self, parent: NodeId) -> bool {
-        self.checker.check_text_insertion(&self.doc, parent).preserves_pv()
+        self.engine.check_text_insertion(&self.doc, parent).preserves_pv()
     }
 
     /// Which symbols (child elements, or σ for text) could be appended to
@@ -417,8 +391,8 @@ impl<'a> EditorSession<'a> {
     /// autocomplete query (see [`pv_core::suggest`]). Names are returned
     /// ready for display; σ appears as `"#text"`.
     pub fn expected_next(&self, node: NodeId) -> Vec<String> {
-        let analysis = self.checker.analysis();
-        pv_core::suggest::expected_next_for_node(&self.checker, &self.doc, node)
+        let analysis = self.analysis;
+        pv_core::suggest::expected_next_for_node(&self.engine, &self.doc, node)
             .unwrap_or_default()
             .into_iter()
             .map(|s| match s {
@@ -444,10 +418,9 @@ impl<'a> EditorSession<'a> {
     }
 
     /// Re-checks the whole document (should always hold — exposed for
-    /// tests and defensive callers). Runs on the session's configured
-    /// [`EditorSession::jobs`] worker threads.
+    /// tests and defensive callers).
     pub fn verify_invariant(&self) -> bool {
-        self.checker.check_document_parallel(&self.doc, self.jobs).is_potentially_valid()
+        self.engine.check_document(&self.doc).is_potentially_valid()
     }
 
     // --- internals --------------------------------------------------------
@@ -467,37 +440,6 @@ mod tests {
         let analysis = BuiltinDtd::Figure1.analysis();
         let s = EditorSession::blank(&analysis);
         assert!(s.verify_invariant());
-    }
-
-    #[test]
-    fn parallel_sessions_behave_like_sequential_ones() {
-        let analysis = BuiltinDtd::XhtmlBasic.analysis();
-        let xml = "<html><body><p>Hello <b>bold</b> world</p>\
-                   <ul><li>one</li><li>two</li></ul></body></html>";
-        let doc = pv_xml::parse(xml).unwrap();
-        let mut s = EditorSession::open_with_jobs(&analysis, doc, 4).unwrap();
-        assert_eq!(s.jobs(), 4);
-        assert!(s.verify_invariant());
-        s.set_jobs(0); // auto: one worker per CPU
-        assert!(s.verify_invariant());
-        // The guard verdicts are unchanged by the jobs setting.
-        let body = s
-            .document()
-            .elements()
-            .find(|&n| s.document().name(n) == Some("body"))
-            .unwrap();
-        // <br> is EMPTY — it can never absorb the wrapped children.
-        assert!(matches!(
-            s.insert_markup(body, 0..2, "br"),
-            Err(EditError::WouldBreakPv(_))
-        ));
-        assert!(s.verify_invariant());
-        // Rejection at open is identical too.
-        let bad = pv_xml::parse("<html><body><p><li>nope</li></p></body></html>").unwrap();
-        assert!(matches!(
-            EditorSession::open_with_jobs(&analysis, bad, 8),
-            Err(EditError::NotPotentiallyValid(_))
-        ));
     }
 
     #[test]

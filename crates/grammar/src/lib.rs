@@ -23,7 +23,7 @@
 //!   oracle for differential testing on tiny instances.
 //! * [`oracle`] — the cached-grammar [`oracle::EarleyOracle`] for *bulk*
 //!   differential comparison: one grammar per DTD, whole corpora checked
-//!   against a `PvChecker` in one call (the completeness suites' API).
+//!   against a `CheckEngine` in one call (the completeness suites' API).
 //! * [`derivative`] — a Brzozowski-derivative content matcher: a second,
 //!   code-independent implementation of content-model matching that
 //!   cross-checks the NFA validator.

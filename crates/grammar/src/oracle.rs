@@ -7,7 +7,7 @@
 //! early test helpers did) dominates the sweep. [`EarleyOracle`] compiles
 //! the grammar once per DTD and answers per-document queries from it, and
 //! [`EarleyOracle::divergences`] runs a whole corpus against a
-//! [`PvChecker`] in one call, returning exactly the disagreements — the
+//! [`CheckEngine`] in one call, returning exactly the disagreements — the
 //! completeness suites assert that list is empty.
 //!
 //! The oracle is *exact* (no depth bound, no speculation budget): it
@@ -18,8 +18,8 @@
 
 use crate::earley::EarleyRecognizer;
 use crate::ecfg::{Grammar, GrammarMode};
-use pv_core::checker::PvChecker;
 use pv_core::token::{Tok, Tokens};
+use pv_core::CheckEngine;
 use pv_dtd::DtdAnalysis;
 use pv_xml::Document;
 use std::fmt;
@@ -76,7 +76,7 @@ impl<'a> EarleyOracle<'a> {
     /// Exact Problem PV for a whole document: root must be the designated
     /// root and the `δ_T` token stream must be in `L(G')`. Documents using
     /// undeclared element names violate the problem precondition and are
-    /// not potentially valid (matching [`PvChecker`]'s verdict).
+    /// not potentially valid (matching [`CheckEngine`]'s verdict).
     ///
     /// The explicit root-name check matters: `G'` elides *every* element's
     /// tags including the root's, so a misrooted document's token stream
@@ -98,7 +98,7 @@ impl<'a> EarleyOracle<'a> {
     /// oracle on the whole corpus). The checker must have been built for
     /// the same `DtdAnalysis` — and with a depth bound generous enough for
     /// the corpus, since the oracle has none.
-    pub fn divergences<'d, I>(&self, checker: &PvChecker<'_>, docs: I) -> Vec<Divergence>
+    pub fn divergences<'d, I>(&self, checker: &CheckEngine, docs: I) -> Vec<Divergence>
     where
         I: IntoIterator<Item = &'d Document>,
     {
@@ -147,7 +147,7 @@ mod tests {
     fn bulk_comparison_finds_no_divergence_on_the_builtin_corpus() {
         let analysis = BuiltinDtd::Figure1.analysis();
         let oracle = EarleyOracle::new(&analysis);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let docs: Vec<Document> = [
             "<r/>",
             "<r>text</r>",

@@ -1,31 +1,24 @@
-//! The **persistent** work-stealing pool behind resident services.
+//! The **persistent** work-stealing pool: the workspace's one parallel
+//! regime.
 //!
-//! The scoped entry points in the crate root spawn OS threads per parallel
-//! region — right for one-shot CLI calls (tasks may borrow anything on the
-//! caller's stack), wrong for a long-lived server where the ~100 µs
-//! spawn/join cost is paid again on every request. [`Pool`] keeps its
-//! workers alive and **parked on a condvar** between regions: dispatching
-//! a region costs one mutex/notify round-trip (single-digit microseconds)
-//! instead of thread creation, and each worker carries a [`Sticky`] slot
-//! that survives regions, so per-worker scratch (the checker's recognizer
-//! buffers) stays warm across requests.
+//! [`Pool`] keeps its workers alive and **parked on a condvar** between
+//! regions: dispatching a region costs one mutex/notify round-trip
+//! (single-digit microseconds) instead of thread creation, and each worker
+//! carries a [`Sticky`] slot that survives regions, so per-worker scratch
+//! (the checker's recognizer buffers) stays warm across requests.
 //!
 //! ## Why pool jobs are `'static`
 //!
-//! The scoped API lets tasks borrow the caller's stack because
-//! `std::thread::scope` proves the workers are joined before the borrow
-//! ends. Persistent workers outlive every caller frame, and the workspace
+//! Persistent workers outlive every caller frame, and the workspace
 //! forbids `unsafe` (so the lifetime-erasure trick every scoped-pool crate
 //! uses is off the table) — pool regions therefore require `'static`
-//! closures and share state via `Arc`. Resident servers hold their state
-//! in `Arc`s anyway, so this costs them nothing; one-shot borrowing
-//! callers keep using the scoped API.
+//! closures and share state via `Arc`. The check engine, its documents
+//! and batches are held in `Arc`s for exactly this reason.
 //!
 //! ## Region model
 //!
-//! A region is dispatched with [`Pool::run`] (flat index range, like
-//! [`crate::map_indexed_with`]) or [`Pool::run_grouped`] (two-level
-//! group/index scheduling, like [`crate::map_grouped_with`]). Both take a
+//! A region is dispatched with [`Pool::run`] (flat index range) or
+//! [`Pool::run_grouped`] (two-level group/index scheduling). Both take a
 //! **drain-style** closure: the pool calls it once per participating
 //! worker, and the closure pulls tasks from the scope it is handed —
 //!
@@ -57,14 +50,15 @@ use crate::queue::{GroupCounters, GroupQueues, StealQueues};
 use crate::PoolStats;
 use pv_obs::{Counter, Gauge, Histogram, Registry};
 use std::any::Any;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// The pool's metric handles — all no-ops unless the pool was built with
-/// [`Pool::new_observed`]. Region-level only: recording happens once per
-/// dispatched region (and once per park/unpark episode), never per task,
-/// so the per-task claim path stays exactly as fast as before.
+/// a live registry ([`Pool::try_new`]). Region-level only: recording
+/// happens once per dispatched region (and once per park/unpark episode),
+/// never per task, so the per-task claim path pays nothing for it.
 #[derive(Default, Clone)]
 struct PoolObs {
     /// Regions dispatched.
@@ -178,17 +172,20 @@ pub struct Pool {
 
 impl Pool {
     /// Spawns a pool of [`crate::effective_jobs`]`(jobs)` parked workers
-    /// (`0` = one per available CPU).
+    /// (`0` = one per available CPU). Panics if the OS refuses a thread;
+    /// processes that must report that cleanly use [`Pool::try_new`].
     pub fn new(jobs: usize) -> Pool {
-        Self::new_observed(jobs, &Registry::disabled())
+        Self::try_new(jobs, &Registry::disabled()).expect("spawning pool workers")
     }
 
-    /// [`Pool::new`], recording pool telemetry (`pv_pool_*`: regions,
-    /// tasks, steals, group joins, park/unpark episodes, region
-    /// wall-clock and size histograms, an active-worker gauge) into
-    /// `registry`. A disabled registry makes this identical to
-    /// [`Pool::new`] — every handle is a no-op.
-    pub fn new_observed(jobs: usize, registry: &Registry) -> Pool {
+    /// Spawns a pool of [`crate::effective_jobs`]`(jobs)` parked workers,
+    /// returning the spawn error when the OS refuses a thread (the
+    /// workers already started are shut down and joined first). Pool
+    /// telemetry (`pv_pool_*`: regions, tasks, steals, group joins,
+    /// park/unpark episodes, region wall-clock and size histograms, an
+    /// active-worker gauge) records into `registry`; a disabled registry
+    /// makes every handle a no-op.
+    pub fn try_new(jobs: usize, registry: &Registry) -> io::Result<Pool> {
         let workers = crate::effective_jobs(jobs).max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(Central {
@@ -203,16 +200,16 @@ impl Pool {
             done_cv: Condvar::new(),
             obs: PoolObs::registered(registry),
         });
-        let handles = (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("pv-pool-{w}"))
-                    .spawn(move || worker_main(&shared, w))
-                    .expect("spawning a pool worker")
-            })
-            .collect();
-        Pool { shared, workers, handles }
+        let mut pool = Pool { shared, workers, handles: Vec::with_capacity(workers) };
+        for w in 0..workers {
+            let shared = Arc::clone(&pool.shared);
+            // On error, dropping `pool` stops and joins the workers so far.
+            let handle = std::thread::Builder::new()
+                .name(format!("pv-pool-{w}"))
+                .spawn(move || worker_main(&shared, w))?;
+            pool.handles.push(handle);
+        }
+        Ok(pool)
     }
 
     /// Number of resident workers.
@@ -286,8 +283,12 @@ impl Pool {
     }
 
     /// Dispatches a two-level grouped region (`sizes[g]` tasks in group
-    /// `g`, scheduling as in [`crate::map_grouped_with`]: whole groups
-    /// first, join a started group's range when idle). `f` must drain its
+    /// `g`). Scheduling is group-first: whole groups are seeded over the
+    /// workers' deques and stolen whole, and only a worker that finds no
+    /// unstarted group anywhere *joins* a started group's remaining index
+    /// range, claiming chunks of it — so a batch mixing one giant group
+    /// with many small ones drains the small ones as cache-local units
+    /// while the giant one ends up shared. `f` must drain its
     /// [`GroupScope`]. Results come back as one ordered `Vec<R>` per
     /// group.
     pub fn run_grouped<R, F>(&self, jobs: usize, sizes: &[usize], f: F) -> Vec<Vec<R>>
@@ -637,6 +638,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn pool_matches_sequential_across_regions() {
@@ -753,7 +756,7 @@ mod tests {
     #[test]
     fn observed_pool_records_region_telemetry() {
         let reg = Registry::new();
-        let pool = Pool::new_observed(2, &reg);
+        let pool = Pool::try_new(2, &reg).unwrap();
         let out = pool.run(0, 100, |scope| {
             while let Some(i) = scope.claim() {
                 scope.put(i, i);
@@ -773,6 +776,82 @@ mod tests {
         assert_eq!(snap.histograms["pv_pool_region_us"].count, 2);
         // All workers are parked again once the regions are done.
         assert_eq!(snap.gauges["pv_pool_active_workers"], 0);
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once() {
+        let pool = Pool::new(4);
+        let counters: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..500).map(|_| AtomicUsize::new(0)).collect());
+        let c = Arc::clone(&counters);
+        pool.run(4, 500, move |scope| {
+            while let Some(i) = scope.claim() {
+                c[i].fetch_add(1, Ordering::Relaxed);
+                scope.put(i, ());
+            }
+        });
+        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn unbalanced_load_triggers_stealing() {
+        // The first worker's whole block is slow; the rest are instant.
+        // Even on a single-CPU host the OS interleaves the workers, so the
+        // fast ones drain their blocks and then steal from the slow one.
+        let pool = Pool::new(4);
+        let (out, stats) = pool.run_stats(0, 64, |scope| {
+            while let Some(i) = scope.claim() {
+                if i < 16 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                scope.put(i, i);
+            }
+        });
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
+        assert_eq!(stats.executed_per_worker.iter().sum::<u64>(), 64);
+        assert!(stats.steals > 0, "expected steals, got {stats:?}");
+    }
+
+    #[test]
+    fn workers_capped_by_task_count() {
+        let pool = Pool::new(16);
+        let (_, stats) = pool.run_stats(0, 3, |scope| {
+            while let Some(i) = scope.claim() {
+                scope.put(i, i);
+            }
+        });
+        assert_eq!(stats.executed_per_worker.len(), 3);
+    }
+
+    #[test]
+    fn grouped_map_empty_and_degenerate() {
+        let pool = Pool::new(4);
+        let drain = |scope: &mut GroupScope<'_, (usize, usize)>| {
+            while let Some((g, i)) = scope.claim() {
+                scope.put(g, i, (g, i));
+            }
+        };
+        assert_eq!(pool.run_grouped(4, &[], drain), Vec::<Vec<(usize, usize)>>::new());
+        assert_eq!(pool.run_grouped(4, &[0, 0], drain), vec![Vec::new(), Vec::new()]);
+    }
+
+    #[test]
+    fn grouped_map_mixed_batch_pipelines() {
+        // One giant slow group among small ones: the counters must show
+        // the idle workers joining the giant group's range.
+        let pool = Pool::new(4);
+        let sizes = [2000usize, 8, 8, 8];
+        let (out, stats) = pool.run_grouped_stats(0, &sizes, |scope| {
+            while let Some((g, i)) = scope.claim() {
+                if g == 0 {
+                    std::thread::sleep(Duration::from_micros(20));
+                }
+                scope.put(g, i, g + i);
+            }
+        });
+        assert_eq!(out[0].len(), 2000);
+        assert_eq!(stats.executed_per_worker.iter().sum::<u64>(), 2024);
+        assert!(stats.group_joins > 0, "expected range joins, got {stats:?}");
     }
 
     #[test]

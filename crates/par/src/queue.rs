@@ -211,27 +211,28 @@ impl GroupQueues {
             }
         }
     }
-
-    /// Drains the region from worker `w`'s perspective, calling
-    /// `run(group, index)` for every task this worker claims.
-    pub(crate) fn drain<F: FnMut(usize, usize)>(
-        &self,
-        w: usize,
-        counters: &GroupCounters,
-        mut run: F,
-    ) {
-        let mut current: Option<usize> = None;
-        while let Some((g, lo, hi)) = self.next_chunk(w, &mut current, counters) {
-            for i in lo..hi {
-                run(g, i);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drains the region from worker `w`'s perspective, calling
+    /// `run(group, index)` for every task this worker claims (the loop a
+    /// pool worker's [`crate::GroupScope`] runs).
+    fn drain(
+        q: &GroupQueues,
+        w: usize,
+        counters: &GroupCounters,
+        mut run: impl FnMut(usize, usize),
+    ) {
+        let mut current: Option<usize> = None;
+        while let Some((g, lo, hi)) = q.next_chunk(w, &mut current, counters) {
+            for i in lo..hi {
+                run(g, i);
+            }
+        }
+    }
 
     #[test]
     fn split_is_balanced_and_complete() {
@@ -275,7 +276,7 @@ mod tests {
             seen[g] = vec![0; len];
         }
         // A single worker must still drain everything (joins included).
-        q.drain(0, &counters, |g, i| seen[g][i] += 1);
+        drain(&q, 0, &counters, |g, i| seen[g][i] += 1);
         for (g, group) in seen.iter().enumerate() {
             assert!(group.iter().all(|&c| c == 1), "group {g}: {group:?}");
         }
@@ -297,7 +298,7 @@ mod tests {
                 let counters = &counters;
                 let hits = &hits;
                 s.spawn(move || {
-                    q.drain(w, counters, |g, i| {
+                    drain(q, w, counters, |g, i| {
                         hits[g][i].fetch_add(1, Ordering::Relaxed);
                     })
                 });
@@ -323,7 +324,7 @@ mod tests {
                 let q = &q;
                 let counters = &counters;
                 s.spawn(move || {
-                    q.drain(w, counters, |_, _| {
+                    drain(q, w, counters, |_, _| {
                         std::thread::sleep(std::time::Duration::from_micros(20));
                     })
                 });

@@ -430,10 +430,10 @@ mod tests {
 
     #[test]
     fn outcome_round_trip_is_lossless() {
-        use pv_core::checker::PvChecker;
+        use pv_core::CheckEngine;
         use pv_dtd::builtin::BuiltinDtd;
         let analysis = BuiltinDtd::Figure1.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         for xml in [
             "<r><a><b>x</b><c>y</c> z<e/></a></r>",
             "<r><a><b>x</b><e/><c>y</c></a></r>",

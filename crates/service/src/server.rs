@@ -8,7 +8,7 @@
 //! sequential; the pool serializes parallel regions across connections),
 //! and every check flows through exactly the same `pv-core` code as the
 //! in-process entry points, so outcomes are bit-identical to
-//! `PvChecker::check_document` — `tests/service_differential.rs` holds
+//! `CheckEngine::check_document` — `tests/service_differential.rs` holds
 //! that over the wire.
 //!
 //! DTD loading is **idempotent by content**: `LOAD`/`BUILTIN` intern the
@@ -23,7 +23,7 @@ use pv_core::depth::DepthPolicy;
 use pv_core::engine::CheckEngine;
 use pv_core::recognizer::RecognizerStats;
 use pv_dtd::builtin::BuiltinDtd;
-use pv_dtd::DtdAnalysis;
+use pv_dtd::{DtdAnalysis, StaticReport};
 use pv_obs::{Counter, Gauge, Histogram, Registry, Trace};
 use pv_par::Pool;
 use std::collections::HashMap;
@@ -205,9 +205,11 @@ impl Listener {
     }
 }
 
-/// One interned DTD: the engine plus display metadata.
+/// One interned DTD: the engine, the static-analysis report computed at
+/// `LOAD`, and display metadata.
 struct DtdEntry {
     engine: Arc<CheckEngine>,
+    report: StaticReport,
     label: String,
 }
 
@@ -367,11 +369,9 @@ impl ServiceState {
             return Ok((handle.clone(), entry));
         }
         let (analysis, label) = build()?;
-        let engine = CheckEngine::with_policy_observed(analysis, DepthPolicy::Auto, &self.obs);
+        let report = StaticReport::analyze(&analysis);
         if self.gov.config.strict_load {
-            if let pv_dtd::BudgetVerdict::Flagged { reason, witness } =
-                &engine.report().budget.verdict
-            {
+            if let pv_dtd::BudgetVerdict::Flagged { reason, witness } = &report.budget.verdict {
                 let chain = if witness.is_empty() {
                     String::new()
                 } else {
@@ -382,7 +382,8 @@ impl ServiceState {
                 ));
             }
         }
-        let entry = Arc::new(DtdEntry { engine, label });
+        let engine = CheckEngine::with_policy_observed(analysis, DepthPolicy::Auto, &self.obs);
+        let entry = Arc::new(DtdEntry { engine, report, label });
         let mut interned = self.interned.write().unwrap();
         // Double-checked under the write lock: a racing loader wins once.
         if let Some(handle) = interned.get(key) {
@@ -514,12 +515,21 @@ impl Server {
         Self::bind_with(endpoint, jobs, GovernorConfig::default())
     }
 
-    /// [`Server::bind`] with explicit governance policy.
+    /// [`Server::bind`] with explicit governance policy. A pool worker
+    /// (or the acceptor) the OS refuses to spawn fails the bind with the
+    /// spawn error.
     pub fn bind_with(
         endpoint: &Endpoint,
         jobs: usize,
         config: GovernorConfig,
     ) -> io::Result<ServerHandle> {
+        // The registry is always enabled: METRICS and the HTTP
+        // exposition must answer without opt-in flags, and the handles'
+        // cost is one relaxed atomic add per touch. The pool starts
+        // before the listener binds, so a refused worker leaves no
+        // socket file behind.
+        let obs = Registry::new();
+        let pool = Pool::try_new(jobs, &obs)?;
         let (listener, endpoint) = match endpoint {
             #[cfg(unix)]
             Endpoint::Unix(path) => {
@@ -551,13 +561,9 @@ impl Server {
                 (Listener::Tcp(l), Endpoint::Tcp(resolved))
             }
         };
-        // The registry is always enabled: METRICS and the HTTP
-        // exposition must answer without opt-in flags, and the handles'
-        // cost is one relaxed atomic add per touch.
-        let obs = Registry::new();
         let metrics = ServiceMetrics::registered(&obs);
         let state = Arc::new(ServiceState {
-            pool: Pool::new_observed(jobs, &obs),
+            pool,
             obs,
             metrics,
             gov: Governor::new(config),
@@ -577,8 +583,7 @@ impl Server {
             .name("pv-serve-accept".into())
             .spawn(move || {
                 accept_loop(&listener, &accept_state);
-            })
-            .expect("spawning the acceptor");
+            })?;
         Ok(ServerHandle { endpoint, state, acceptor })
     }
 }
@@ -1055,12 +1060,12 @@ fn handle_check_stream(
     let entry = state.entry(handle);
     // A shed request drains its chunks but never builds a checker: the
     // whole point is to do no pool-bound work.
-    let checker = if inflight.is_some() {
-        entry.as_ref().ok().map(|e| e.engine.checker())
+    let engine = if inflight.is_some() {
+        entry.as_ref().ok().map(|e| &e.engine)
     } else {
         None
     };
-    let mut stream = checker.as_ref().map(|c| pv_core::stream::StreamCheck::new(c.stream_checker()));
+    let mut stream = engine.map(|e| pv_core::stream::StreamCheck::new(e.stream_checker()));
     let mut parse_err: Option<pv_xml::XmlError> = None;
     let mut total = 0usize;
     loop {
@@ -1169,13 +1174,13 @@ fn handle_batch_stream(
     let entry = state.entry(handle);
     let shed = permits.is_none();
     let mut permits = permits.unwrap_or_default();
-    let checker = match (&entry, shed) {
-        (Ok(e), false) => Some(e.engine.checker()),
+    let engine = match (&entry, shed) {
+        (Ok(e), false) => Some(&e.engine),
         _ => None,
     };
     let mut slots: Vec<Slot> = (0..count)
-        .map(|_| match &checker {
-            Some(c) => Slot::Open(Box::new(pv_core::stream::StreamCheck::new(c.stream_checker()))),
+        .map(|_| match engine {
+            Some(e) => Slot::Open(Box::new(pv_core::stream::StreamCheck::new(e.stream_checker()))),
             None => Slot::Draining(None),
         })
         .collect();
@@ -1390,7 +1395,7 @@ fn handle_request(
                     None => out.push_str("null"),
                 }
                 out.push_str(",\"analysis\":");
-                write_analysis(&mut out, &entry.engine);
+                write_analysis(&mut out, &entry.report);
                 out.push('}');
             }
             out.push_str("]}");
@@ -1576,7 +1581,7 @@ fn load_response(result: Result<(String, Arc<DtdEntry>), String>) -> String {
                 entry.engine.depth()
             );
             out.push_str(",\"analysis\":");
-            write_analysis(&mut out, &entry.engine);
+            write_analysis(&mut out, &entry.report);
             out.push('}');
             out
         }
@@ -1585,15 +1590,15 @@ fn load_response(result: Result<(String, Arc<DtdEntry>), String>) -> String {
 
 /// The static-analysis summary attached to a handle (`LOAD`/`BUILTIN`
 /// responses and per-DTD `STATS` entries): certification verdict, the
-/// budget actually in effect vs the full default, and determinism.
-fn write_analysis(out: &mut String, engine: &CheckEngine) {
-    let report = engine.report();
+/// budget in effect (the full default for every DTD; a certificate proves
+/// it is never used up), and determinism.
+fn write_analysis(out: &mut String, report: &StaticReport) {
     let _ = write!(
         out,
         "{{\"certified\":{},\"budget\":{},\"full_budget\":{},\"deterministic\":{},\
          \"ambiguous_models\":{}}}",
         report.budget.is_certified(),
-        engine.spec_budget(),
+        report.budget.full_budget,
         report.budget.full_budget,
         report.deterministic(),
         report.ambiguous().count(),

@@ -291,8 +291,8 @@ pub fn for_builtin(b: BuiltinDtd, target_elements: usize) -> Option<Document> {
 }
 
 /// A deterministic batch of `docs` corpus documents for `b` — the standard
-/// many-document workload behind the `PvChecker::check_batch` benchmarks
-/// and tests. Document `i` targets a size jittered over
+/// many-document workload behind the `CheckEngine::check_batch_pooled`
+/// benchmarks and tests. Document `i` targets a size jittered over
 /// `[target_elements/2, 3·target_elements/2)` by a fixed Weyl sequence, so
 /// batches are irregular enough to exercise work stealing (equal-sized
 /// documents would never leave a worker idle) while staying bit-identical
@@ -525,9 +525,9 @@ mod tests {
 
     #[test]
     fn repetitive_corpus_is_pv_deterministic_and_shape_controlled() {
-        use pv_core::checker::PvChecker;
+        use pv_core::CheckEngine;
         let analysis = repetitive_analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         for distinct in [1usize, 7, 64, usize::MAX] {
             let doc = repetitive(2_000, distinct);
             let again = repetitive(2_000, distinct);
@@ -544,15 +544,14 @@ mod tests {
         }
         // Shape-count control: a cold cache sees exactly `distinct` s-shapes
         // (+1 for the root's own child sequence).
-        let mut checker = PvChecker::new(&analysis);
-        checker.set_memo_enabled(true);
+        let checker = CheckEngine::new(analysis.clone());
         let doc = repetitive(2_000, 7);
         checker.check_document(&doc);
         let stats = checker.memo_stats().unwrap();
         assert_eq!(stats.entries, 8, "{stats:?}");
         // All-distinct: every block its own shape.
         let blocks = (2_000 - 1) / (REPETITIVE_WIDTH + 1);
-        let checker2 = PvChecker::new(&analysis);
+        let checker2 = CheckEngine::new(analysis);
         checker2.check_document(&repetitive(2_000, usize::MAX));
         let stats2 = checker2.memo_stats().unwrap();
         assert_eq!(stats2.entries, blocks + 1, "{stats2:?}");

@@ -111,7 +111,7 @@ mod tests {
     use super::*;
     use crate::corpus;
     use crate::docgen::DocGen;
-    use pv_core::checker::PvChecker;
+    use pv_core::CheckEngine;
     use pv_dtd::builtin::BuiltinDtd;
     use pv_grammar::validator::validate_document;
 
@@ -133,7 +133,7 @@ mod tests {
         let strictly_valid = validate_document(&trace.start, &analysis.dtd, analysis.root).is_ok();
         let _ = strictly_valid; // (may or may not hold; PV must)
         // …but always potentially valid (Theorem 2).
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         assert!(checker.check_document(&trace.start).is_potentially_valid());
     }
 
@@ -142,7 +142,7 @@ mod tests {
         let analysis = BuiltinDtd::XhtmlBasic.analysis();
         let doc = corpus::xhtml(60);
         let trace = strip_and_trace(&doc, 20, 11);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let mut cur = trace.start.clone();
         assert!(checker.check_document(&cur).is_potentially_valid());
         for op in &trace.ops {

@@ -19,7 +19,7 @@ fn main() {
     let analysis = BuiltinDtd::Figure1.analysis();
     println!("DTD (Figure 1), root <r>, class: {}\n{}", analysis.rec.class, analysis.dtd);
 
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
 
     // Example 1, string w: <b>, then <e>, then <c> — the order contradicts
     // a's content model (b?, (c|f), d) and no markup insertion can fix it.

@@ -29,7 +29,7 @@ fn main() {
     let t1 = BuiltinDtd::T1.analysis();
     let doc = pv_xml::parse("<a><b/><b/></a>").unwrap();
     for policy in [DepthPolicy::Auto, DepthPolicy::Bounded(2), DepthPolicy::Bounded(0)] {
-        let checker = PvChecker::with_policy(&t1, policy);
+        let checker = CheckEngine::with_policy(t1.clone(), policy);
         let out = checker.check_document(&doc);
         println!(
             "  policy {:?} (budget {}): accepted={} subs_created={}",
@@ -49,7 +49,7 @@ fn main() {
         print!("  {n} b-children: accepted at budget ");
         let mut first = None;
         for d in 0..=(n as u32) {
-            let checker = PvChecker::with_policy(&t2, DepthPolicy::Bounded(d));
+            let checker = CheckEngine::with_policy(t2.clone(), DepthPolicy::Bounded(d));
             if checker.check_document(&doc).is_potentially_valid() {
                 first = Some(d);
                 break;
@@ -77,7 +77,7 @@ fn main() {
     // A realistic PV-strong schema: the dissertation DTD.
     println!("\n== realistic PV-strong DTD (dissertation) ==");
     let th = BuiltinDtd::Dissertation.analysis();
-    let checker = PvChecker::new(&th);
+    let checker = CheckEngine::new(th.clone());
     // A floating paragraph deep under nothing: needs part/unit elisions.
     let doc = pv_xml::parse("<thesis><para>conclusions first</para></thesis>").unwrap();
     println!(

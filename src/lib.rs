@@ -15,9 +15,9 @@
 //! * [`core`] ([`pv_core`]) — the paper's contribution: `δ_T`/`Δ_T`,
 //!   the per-element DAG model, the ECRecognizer, whole-document and
 //!   incremental potential-validity checking;
-//! * [`par`] ([`pv_par`]) — the work-stealing parallelism layer: scoped
-//!   regions for one-shot callers and the persistent [`pv_par::Pool`]
-//!   behind the resident service;
+//! * [`par`] ([`pv_par`]) — the work-stealing parallelism layer: one
+//!   persistent [`pv_par::Pool`] of parked workers per process, behind
+//!   `pvx check --jobs` and the resident service alike;
 //! * [`service`] ([`pv_service`]) — the resident validation server and
 //!   its client (`pvx serve` / `pvx check --remote`): warm caches,
 //!   parked workers, a newline-framed length-prefixed wire protocol;
@@ -30,9 +30,8 @@
 //! ```
 //! use potential_validity::prelude::*;
 //!
-//! // Compile a DTD (the paper's Figure 1) once…
-//! let analysis = BuiltinDtd::Figure1.analysis();
-//! let checker = PvChecker::new(&analysis);
+//! // Compile a DTD (the paper's Figure 1) into a checker once…
+//! let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
 //!
 //! // …and check in-progress documents in linear time.
 //! let doc = pv_xml::parse("<r><a><b>A quick brown</b> fox</a></r>").unwrap();
@@ -42,25 +41,28 @@
 //! ## Parallel quickstart
 //!
 //! Element nodes are independent ECPV instances, so big documents and
-//! corpora shard across cores — with outcomes **bit-identical** to the
-//! sequential checker (same first-failing node in document order, same
-//! work counters), so parallelism is purely a wall-clock decision:
+//! corpora shard across the workers of one persistent pool — with
+//! outcomes **bit-identical** to the sequential checker (same
+//! first-failing node in document order, same work counters), so
+//! parallelism is purely a wall-clock decision. Pool regions are
+//! `'static`, so documents travel in an `Arc`:
 //!
 //! ```
+//! use std::sync::Arc;
 //! use potential_validity::prelude::*;
 //!
-//! let analysis = BuiltinDtd::Play.analysis();
-//! let checker = PvChecker::new(&analysis);
-//! let play = pv_workload::corpus::play(2_000);
+//! let checker = CheckEngine::new(BuiltinDtd::Play.analysis());
+//! let pool = Pool::new(0); // one parked worker per CPU
+//! let play = Arc::new(pv_workload::corpus::play(2_000));
 //!
-//! // One large document, per-node sharding; 0 = one worker per CPU.
-//! let outcome = checker.check_document_parallel(&play, 0);
+//! // One large document, per-node sharding over every pool worker.
+//! let outcome = checker.check_document_pooled(&play, &pool, 0, true);
 //! assert!(outcome.is_potentially_valid());
 //! assert_eq!(outcome, checker.check_document(&play));
 //!
 //! // A corpus, per-document sharding: outcome i == check_document(&docs[i]).
-//! let docs = pv_workload::corpus::batch(BuiltinDtd::Play, 8, 300).unwrap();
-//! let outcomes = checker.check_batch(&docs, 4);
+//! let docs = Arc::new(pv_workload::corpus::batch(BuiltinDtd::Play, 8, 300).unwrap());
+//! let outcomes = checker.check_batch_pooled(&docs, &pool, 0);
 //! assert!(outcomes.iter().all(|o| o.is_potentially_valid()));
 //! ```
 
@@ -75,7 +77,7 @@ pub use pv_xml as xml;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use pv_core::checker::{PvChecker, PvOutcome, PvViolation};
+    pub use pv_core::checker::{PvOutcome, PvViolation};
     pub use pv_core::depth::DepthPolicy;
     pub use pv_core::engine::CheckEngine;
     pub use pv_core::token::{ChildSym, Tok, Tokens};
@@ -84,5 +86,6 @@ pub mod prelude {
     pub use pv_editor::{EditError, EditorSession};
     pub use pv_grammar::validator::validate_document;
     pub use pv_grammar::witness::{complete_document, complete_tokens};
+    pub use pv_par::Pool;
     pub use pv_xml::{parse, Document, NodeId};
 }

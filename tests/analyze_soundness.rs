@@ -1,21 +1,20 @@
 //! Soundness of the static analyzer's budget certificates
-//! (`pv_dtd::budget`): **certified ⇒ the reduced budget is invisible**.
+//! (`pv_dtd::budget`): **certified ⇒ `specs_denied == 0` at the default
+//! budget**.
 //!
-//! A certificate `Certified { budget: B }` claims that running the
-//! recognizer with speculation budget `B` instead of the full default
-//! `(m+1)²` changes *nothing observable*: every check ends with
-//! `specs_denied == 0` and a `PvOutcome` bit-identical (verdict, first
-//! violation, every stats counter) to the full-budget run. This suite
-//! holds the analyzer to that claim across:
+//! A certificate `Certified { budget: B }` claims that no speculation
+//! round can park more than `B ≤ (m+1)²` requests, so the default budget
+//! every check runs with is never used up: every check of every document
+//! ends with `specs_denied == 0`. This suite holds the analyzer to that
+//! claim — sequential and pooled at jobs ∈ {1, 2, 8}, memo on and off —
+//! across:
 //!
 //! 1. the builtin DTD corpus (the certified seven, with their generated
-//!    corpora in several states of disrepair), at jobs ∈ {1, 2, 8} and
-//!    memo on/off;
+//!    corpora in several states of disrepair);
 //! 2. exhaustive tiny-DTD sweeps (`pv_workload::sweep`) at k ≤ 2, plus
 //!    the `SWEEP_K3=1` nightly product — spaces closed out completely;
 //! 3. the `corpus::recursive` adversarial families (certified configs
-//!    must satisfy the claim; flagged configs must run the full budget,
-//!    making reduced-vs-full identity trivial);
+//!    must satisfy the claim; flagged configs claim nothing);
 //! 4. randomized DtdGen families across all three DTD classes (proptest).
 //!
 //! The Glushkov determinism pass rides along: ambiguity witnesses are
@@ -35,60 +34,38 @@ use pv_workload::docgen::DocGen;
 use pv_workload::dtdgen::{DtdGen, DtdGenParams};
 use pv_workload::mutate::Mutator;
 use pv_workload::sweep;
+use std::sync::{Arc, OnceLock};
 
 const JOBS: [usize; 3] = [1, 2, 8];
 
-/// A checker forced back onto the full default budget, memo state
-/// mirrored from `memo`.
-fn full_budget_checker(analysis: &DtdAnalysis, memo: bool) -> PvChecker<'_> {
-    let mut c = PvChecker::new(analysis);
-    c.set_spec_budget(budget::full_budget(analysis.dtd.len()));
-    c.set_memo_enabled(memo);
-    c
+/// The suite's one pool; `jobs` caps how many of its workers a check
+/// uses (`jobs = 1` is the sequential path).
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(8))
 }
 
-/// The certificate's whole claim, for one (analysis, documents) pair:
-/// with a certified (reduced) budget, every outcome is bit-identical to
-/// the full-budget run and records zero denied speculation requests —
-/// sequential and parallel, memo on and off.
+/// The certificate's whole claim, for one (analysis, documents) pair: if
+/// the DTD is certified, every check at the default budget records zero
+/// denied speculation requests — sequential and pooled, memo on and off.
+/// Flagged DTDs claim nothing.
 fn assert_certificate_holds(analysis: &DtdAnalysis, docs: &[Document], ctx: &str) {
-    let report = budget::certify(analysis);
+    let BudgetVerdict::Certified { budget: b } = budget::certify(analysis).verdict else {
+        return;
+    };
     let full = budget::full_budget(analysis.dtd.len());
-    match &report.verdict {
-        BudgetVerdict::Flagged { reason, .. } => {
-            // No certificate: the applied budget must be the full one
-            // (flagging must never *shrink* the budget).
-            assert_eq!(report.applied_budget(), full, "{ctx}: flagged ({reason}) but budget shrank");
-            let chk = PvChecker::new(analysis);
-            assert_eq!(chk.spec_budget(), full, "{ctx}: checker disagrees with flagged report");
-        }
-        BudgetVerdict::Certified { budget: b } => {
-            assert!(*b <= full, "{ctx}: certificate raised the budget ({b} > {full})");
-            for memo in [true, false] {
-                let mut reduced = PvChecker::new(analysis);
-                reduced.set_memo_enabled(memo);
-                assert_eq!(reduced.spec_budget(), *b, "{ctx}: checker ignored the certificate");
-                let reference = full_budget_checker(analysis, memo);
-                for (i, doc) in docs.iter().enumerate() {
-                    let expect = reference.check_document(doc);
-                    let got = reduced.check_document(doc);
-                    assert_eq!(
-                        got, expect,
-                        "{ctx}: doc {i} diverged at certified budget {b} (full {full}, memo {memo})"
-                    );
-                    assert_eq!(
-                        got.stats.specs_denied, 0,
-                        "{ctx}: doc {i} denied speculation under a certificate (memo {memo})"
-                    );
-                    for jobs in JOBS {
-                        let par = reduced.check_document_parallel(doc, jobs);
-                        assert_eq!(
-                            par, expect,
-                            "{ctx}: doc {i} diverged at jobs={jobs} (memo {memo})"
-                        );
-                        assert_eq!(par.stats.specs_denied, 0, "{ctx}: doc {i} jobs={jobs}");
-                    }
-                }
+    assert!(b <= full, "{ctx}: certificate exceeds the default budget ({b} > {full})");
+    let engine = CheckEngine::new(analysis.clone());
+    for (i, doc) in docs.iter().enumerate() {
+        let doc = Arc::new(doc.clone());
+        for memo in [true, false] {
+            for jobs in JOBS {
+                let out = engine.check_document_pooled(&doc, pool(), jobs, memo);
+                assert_eq!(
+                    out.stats.specs_denied, 0,
+                    "{ctx}: doc {i} denied speculation under a certificate \
+                     (jobs {jobs}, memo {memo})"
+                );
             }
         }
     }
@@ -185,8 +162,8 @@ fn exhaustive_sweep_k3_certificates_hold() {
 }
 
 /// The adversarial recursive families: whatever the analyzer decides per
-/// configuration, its claim must hold — certified configs run reduced
-/// with zero denials, flagged configs run the full budget.
+/// configuration, its claim must hold — certified configs check with zero
+/// denials.
 #[test]
 fn recursive_family_certificates_hold() {
     for (depth, fanout) in [(2usize, 16usize), (4, 8), (8, 4), (11, 3), (16, 2), (32, 1)] {
@@ -281,11 +258,13 @@ proptest! {
             &format!("random (seed {seed}, {class})"),
         );
         // Strong recursion must always flag (the certificate's linear
-        // bound does not exist), and certificates never raise budgets.
+        // bound does not exist), and a certified budget never exceeds the
+        // default.
         let report = budget::certify(&analysis);
         if analysis.rec.class == DtdClass::PvStrongRecursive {
             prop_assert!(!report.is_certified(), "strong recursive DTD was certified");
         }
-        prop_assert!(report.applied_budget() <= budget::full_budget(analysis.dtd.len()).max(budget::SPEC_FLOOR));
+        let full = budget::full_budget(analysis.dtd.len());
+        prop_assert!(report.certified_budget().is_none_or(|b| b <= full));
     }
 }

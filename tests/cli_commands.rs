@@ -4,9 +4,11 @@
 
 use pv_cli::{
     cmd_analyze, cmd_check, cmd_classify, cmd_complete, cmd_lint, cmd_validate, resolve_dtd,
-    CheckOpts, Status,
+    CheckOpts, DtdContext, Status,
 };
 use pv_core::depth::DepthPolicy;
+use pv_par::Pool;
+use std::sync::Arc;
 
 const FIG1_SUBSET: &str = "
 <!ELEMENT r (a+)><!ELEMENT a (b?, (c | f), d)><!ELEMENT b (d | f)>
@@ -17,12 +19,22 @@ fn doc_with_subset(body: &str) -> pv_xml::Document {
     pv_xml::parse(&format!("<!DOCTYPE r [{FIG1_SUBSET}]>\n{body}")).unwrap()
 }
 
+/// `pvx check` on one document, on a two-worker pool.
+fn check(
+    ctx: &DtdContext,
+    name: &str,
+    doc: &pv_xml::Document,
+    opts: &CheckOpts,
+) -> (String, Status) {
+    cmd_check(ctx, name, &Arc::new(doc.clone()), opts, &Pool::new(2))
+}
+
 #[test]
 fn check_via_internal_subset() {
     let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
     assert_eq!(ctx.source, "internal subset");
-    let (report, status) = cmd_check(&ctx, "s.xml", &doc, &CheckOpts::default());
+    let (report, status) = check(&ctx, "s.xml", &doc, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
     assert!(report.contains("POTENTIALLY VALID"));
     assert!(report.contains("non-recursive"));
@@ -32,7 +44,7 @@ fn check_via_internal_subset() {
 fn check_failure_names_the_symbol() {
     let doc = doc_with_subset("<r><a><b>x</b><e/><c>y</c></a></r>");
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let (report, status) = cmd_check(&ctx, "w.xml", &doc, &CheckOpts { jobs: 2, ..CheckOpts::default() });
+    let (report, status) = check(&ctx, "w.xml", &doc, &CheckOpts { jobs: 2, ..CheckOpts::default() });
     assert_eq!(status, Status::Failed);
     assert!(report.contains("<c>"), "{report}");
     assert!(report.contains("deletion or renaming"), "{report}");
@@ -79,7 +91,7 @@ fn explicit_root_respects_usability() {
     ))
     .unwrap();
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let (_, status) = cmd_check(&ctx, "frag", &doc, &CheckOpts::default());
+    let (_, status) = check(&ctx, "frag", &doc, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
 }
 
@@ -154,9 +166,9 @@ fn analyze_json_schema_is_stable() {
 fn check_verbose_appends_analysis_summary() {
     let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let quiet = cmd_check(&ctx, "s.xml", &doc, &CheckOpts::default()).0;
+    let quiet = check(&ctx, "s.xml", &doc, &CheckOpts::default()).0;
     assert!(!quiet.contains("analysis:"), "{quiet}");
-    let verbose = cmd_check(
+    let verbose = check(
         &ctx,
         "s.xml",
         &doc,
@@ -176,11 +188,11 @@ fn bounded_depth_flag_reaches_the_checker() {
     .unwrap();
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
     assert_eq!(
-        cmd_check(&ctx, "t", &doc, &CheckOpts { depth: DepthPolicy::Bounded(0), ..CheckOpts::default() }).1,
+        check(&ctx, "t", &doc, &CheckOpts { depth: DepthPolicy::Bounded(0), ..CheckOpts::default() }).1,
         Status::Failed
     );
     assert_eq!(
-        cmd_check(
+        check(
             &ctx,
             "t",
             &doc,

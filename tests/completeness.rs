@@ -43,8 +43,8 @@ use pv_workload::sweep;
 /// corpora below fits comfortably.
 const GENEROUS_DEPTH: u32 = 64;
 
-fn checker(analysis: &DtdAnalysis) -> PvChecker<'_> {
-    PvChecker::with_policy(analysis, DepthPolicy::Bounded(GENEROUS_DEPTH))
+fn checker(analysis: &DtdAnalysis) -> std::sync::Arc<CheckEngine> {
+    CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(GENEROUS_DEPTH))
 }
 
 /// Asserts the recognizer and the oracle agree on every document, with a

@@ -59,7 +59,7 @@ fn valid_documents_accepted_by_all_engines() {
     for class in classes() {
         for seed in 0..25u64 {
             let (analysis, docs) = scenarios(class, seed);
-            let checker = PvChecker::new(&analysis);
+            let checker = CheckEngine::new(analysis.clone());
             let (label, doc) = &docs[0];
             assert_eq!(*label, "valid");
             assert!(
@@ -82,7 +82,7 @@ fn stripped_documents_remain_potentially_valid_everywhere() {
     for class in classes() {
         for seed in 0..25u64 {
             let (analysis, docs) = scenarios(class, seed);
-            let checker = PvChecker::new(&analysis);
+            let checker = CheckEngine::new(analysis.clone());
             let (_, doc) = &docs[1];
             assert!(
                 checker.check_document(doc).is_potentially_valid(),
@@ -103,7 +103,7 @@ fn recognizer_agrees_with_earley_on_mutated_documents() {
             let (analysis, docs) = scenarios(class, seed);
             // A deep budget so that PV-strong elision chains the small
             // documents could need are all within reach.
-            let checker = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(64));
+            let checker = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(64));
             for (label, doc) in &docs {
                 let rec = checker.check_document(doc).is_potentially_valid();
                 let ear = earley_pv(&analysis, doc);
@@ -209,7 +209,7 @@ fn depth_budget_is_monotone_on_strong_dtds() {
         Mutator::new(seed).delete_random_markup(&mut doc, 8);
         let mut prev = false;
         for d in 0..20u32 {
-            let checker = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(d));
+            let checker = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(d));
             let now = checker.check_document(&doc).is_potentially_valid();
             assert!(
                 !prev || now,
@@ -251,7 +251,7 @@ proptest! {
         }
         let mut prev = false;
         for d in [0u32, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64] {
-            let checker = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(d));
+            let checker = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(d));
             let now = checker.check_document(&doc).is_potentially_valid();
             prop_assert!(
                 !prev || now,

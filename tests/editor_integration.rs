@@ -105,7 +105,7 @@ fn stripped_corpora_check_fast_and_positive() {
         let analysis = b.analysis();
         let mut doc = corpus::for_builtin(b, 1000).unwrap();
         Mutator::new(13).delete_random_markup(&mut doc, 300);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         assert!(checker.check_document(&doc).is_potentially_valid(), "{}", b.name());
     }
 }

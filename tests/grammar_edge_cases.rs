@@ -10,7 +10,7 @@ use pv_grammar::earley::EarleyRecognizer;
 
 fn both(analysis: &DtdAnalysis, xml: &str, depth: DepthPolicy) -> (bool, bool) {
     let doc = pv_xml::parse(xml).unwrap();
-    let rec = PvChecker::with_policy(analysis, depth)
+    let rec = CheckEngine::with_policy(analysis.clone(), depth)
         .check_document(&doc)
         .is_potentially_valid();
     let g = Grammar::new(&analysis.dtd, analysis.root, GrammarMode::PotentialValidity);
@@ -42,7 +42,7 @@ fn deep_epsilon_chain() {
     agree(&analysis, "<e0>deep text</e0>", true);
     // …but not within a tight one.
     let doc = pv_xml::parse("<e0>deep text</e0>").unwrap();
-    let tight = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(10));
+    let tight = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(10));
     assert!(!tight.check_document(&doc).is_potentially_valid());
 }
 
@@ -60,7 +60,7 @@ fn mutual_recursion_even_odd() {
     agree(&analysis, "<even><odd><odd/></odd></even>", true);
     // A hard violation needs the root: odd is not the root element.
     let doc = pv_xml::parse("<odd><even/></odd>").unwrap();
-    assert!(!PvChecker::new(&analysis).check_document(&doc).is_potentially_valid());
+    assert!(!CheckEngine::new(analysis.clone()).check_document(&doc).is_potentially_valid());
 }
 
 #[test]
@@ -130,10 +130,10 @@ fn strong_self_loop_depth_semantics() {
     for n in 1..6usize {
         let xml = format!("<a>{}</a>", "<b/>".repeat(n));
         let doc = pv_xml::parse(&xml).unwrap();
-        let exact = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(n as u32 - 1));
+        let exact = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(n as u32 - 1));
         assert!(exact.check_document(&doc).is_potentially_valid(), "n={n}");
         if n >= 2 {
-            let under = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(n as u32 - 2));
+            let under = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(n as u32 - 2));
             assert!(!under.check_document(&doc).is_potentially_valid(), "n={n} under-budget");
         }
         // Earley agrees without any bound.

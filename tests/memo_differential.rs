@@ -1,15 +1,16 @@
 //! Memo/no-memo differential: shape-memoized checking must be
 //! **observationally invisible**. For every (DTD, document) pair the
-//! memoized checker — cold cache, warm cache, sequential, parallel at any
+//! memoized checker — cold cache, warm cache, sequential, pooled at any
 //! job count, batched, or driving an editor session — must produce
-//! outcomes bit-identical to the memo-off checker: same verdict, same
+//! outcomes bit-identical to the memo-off checker (and so must a pooled
+//! check with the per-call memo flag off): same verdict, same
 //! first failing node in document order, same failing symbol index and
 //! rendering, and the same value in **every** `RecognizerStats` counter
 //! (a cache hit replays the recorded stats delta of the run it elides).
 //!
 //! The suite sweeps the builtin DTD corpus in several states of
 //! (dis)repair, proptest-generated DTD/document/mutation families, the
-//! parallel and batch paths at jobs ∈ {1, 2, 8}, editor sessions replaying
+//! pooled and batch paths at jobs ∈ {1, 2, 8}, editor sessions replaying
 //! identical edit scripts, and an eviction guard on the adversarial
 //! all-distinct-shapes corpus family.
 
@@ -20,35 +21,48 @@ use pv_workload::corpus;
 use pv_workload::docgen::DocGen;
 use pv_workload::dtdgen::{DtdGen, DtdGenParams};
 use pv_workload::mutate::Mutator;
+use std::sync::{Arc, OnceLock};
 
 const JOBS: [usize; 3] = [1, 2, 8];
 
+/// The suite's one pool; `jobs` caps how many of its workers a check uses.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(8))
+}
+
 /// Memo-off reference checker.
-fn plain(analysis: &DtdAnalysis) -> PvChecker<'_> {
-    let mut c = PvChecker::new(analysis);
-    c.set_memo_enabled(false);
+fn plain(analysis: &DtdAnalysis) -> Arc<CheckEngine> {
+    let mut c = CheckEngine::new(analysis.clone());
+    Arc::get_mut(&mut c).unwrap().set_memo_enabled(false);
     c
 }
 
 /// Asserts memoized == plain for one (analysis, document) pair, across
-/// cold/warm caches and every parallel job count.
+/// cold/warm caches and every pooled job count.
 fn assert_memo_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) {
     let expect = plain(analysis).check_document(doc);
-    let memoized = PvChecker::new(analysis);
+    let memoized = CheckEngine::new(analysis.clone());
     assert!(memoized.memo_enabled(), "{ctx}: memo must default on");
     assert_eq!(memoized.check_document(doc), expect, "{ctx}: cold cache diverged");
     assert_eq!(memoized.check_document(doc), expect, "{ctx}: warm cache diverged");
+    let doc = Arc::new(doc.clone());
     for jobs in JOBS {
         assert_eq!(
-            memoized.check_document_parallel(doc, jobs),
+            memoized.check_document_pooled(&doc, pool(), jobs, true),
             expect,
-            "{ctx}: warm parallel diverged at jobs={jobs}"
+            "{ctx}: warm pooled diverged at jobs={jobs}"
         );
-        let cold = PvChecker::new(analysis);
         assert_eq!(
-            cold.check_document_parallel(doc, jobs),
+            memoized.check_document_pooled(&doc, pool(), jobs, false),
             expect,
-            "{ctx}: cold parallel diverged at jobs={jobs}"
+            "{ctx}: memo=false pooled diverged at jobs={jobs}"
+        );
+        let cold = CheckEngine::new(analysis.clone());
+        assert_eq!(
+            cold.check_document_pooled(&doc, pool(), jobs, true),
+            expect,
+            "{ctx}: cold pooled diverged at jobs={jobs}"
         );
     }
 }
@@ -98,8 +112,8 @@ fn adversarial_all_distinct_family_respects_the_capacity_bound() {
     // flush rather than grow, and outcomes must stay identical.
     let doc = corpus::repetitive(10_000, usize::MAX);
     let expect = plain(&analysis).check_document(&doc);
-    let mut bounded = PvChecker::new(&analysis);
-    bounded.set_memo_capacity(128);
+    let mut bounded = CheckEngine::new(analysis.clone());
+    Arc::get_mut(&mut bounded).unwrap().set_memo_capacity(128);
     for pass in 0..3 {
         assert_eq!(bounded.check_document(&doc), expect, "pass {pass}");
     }
@@ -107,7 +121,7 @@ fn adversarial_all_distinct_family_respects_the_capacity_bound() {
     assert!(stats.entries <= 128, "unbounded growth: {stats:?}");
     assert!(stats.flushes > 0, "capacity bound never engaged: {stats:?}");
     // Sanity: an unbounded cache on the same corpus holds every shape.
-    let unbounded = PvChecker::new(&analysis);
+    let unbounded = CheckEngine::new(analysis.clone());
     unbounded.check_document(&doc);
     let big = unbounded.memo_stats().unwrap();
     assert!(big.entries > 128, "{big:?}");
@@ -127,9 +141,10 @@ fn batch_checking_matches_memo_off_at_any_job_count() {
     let expect: Vec<PvOutcome> = docs.iter().map(|d| reference.check_document(d)).collect();
     assert!(expect.iter().any(|o| o.is_potentially_valid()));
     assert!(expect.iter().any(|o| !o.is_potentially_valid()));
-    let memoized = PvChecker::new(&analysis);
+    let memoized = CheckEngine::new(analysis.clone());
+    let docs = Arc::new(docs);
     for jobs in [0usize, 1, 2, 8] {
-        assert_eq!(memoized.check_batch(&docs, jobs), expect, "jobs={jobs}");
+        assert_eq!(memoized.check_batch_pooled(&docs, pool(), jobs), expect, "jobs={jobs}");
     }
 }
 
@@ -227,19 +242,20 @@ proptest! {
             Mutator::new(seed ^ 4).rename_random_element(&mut doc, &analysis.dtd);
         }
         let expect = plain(&analysis).check_document(&doc);
-        let memoized = PvChecker::new(&analysis);
+        let memoized = CheckEngine::new(analysis.clone());
         prop_assert_eq!(&memoized.check_document(&doc), &expect, "cold");
         prop_assert_eq!(&memoized.check_document(&doc), &expect, "warm");
+        let doc = Arc::new(doc);
         for jobs in JOBS {
             prop_assert_eq!(
-                &memoized.check_document_parallel(&doc, jobs),
+                &memoized.check_document_pooled(&doc, pool(), jobs, true),
                 &expect,
                 "jobs={} class={:?} seed={}", jobs, class, seed
             );
         }
     }
 
-    /// Random batches: memoized `check_batch` equals per-document memo-off
+    /// Random batches: memoized `check_batch_pooled` equals per-document memo-off
     /// checking, at any job count (one shared cache across documents).
     #[test]
     fn memoized_batch_is_bit_identical(class in class_strategy(), seed in 0u64..5000) {
@@ -260,9 +276,10 @@ proptest! {
             .collect();
         let reference = plain(&analysis);
         let expect: Vec<PvOutcome> = docs.iter().map(|d| reference.check_document(d)).collect();
-        let memoized = PvChecker::new(&analysis);
+        let memoized = CheckEngine::new(analysis.clone());
+        let docs = Arc::new(docs);
         for jobs in JOBS {
-            prop_assert_eq!(&memoized.check_batch(&docs, jobs), &expect, "jobs={}", jobs);
+            prop_assert_eq!(&memoized.check_batch_pooled(&docs, pool(), jobs), &expect, "jobs={}", jobs);
         }
     }
 }

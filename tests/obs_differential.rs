@@ -51,7 +51,7 @@ fn outcomes_bit_identical_with_metrics_on_and_off() {
         let registry = Registry::new();
         let observed = CheckEngine::with_policy_observed(b.analysis(), DepthPolicy::Auto, &registry);
         let plain = CheckEngine::new(b.analysis());
-        let pool_observed = Pool::new_observed(4, &registry);
+        let pool_observed = Pool::try_new(4, &registry).unwrap();
         let pool_plain = Pool::new(4);
         for xml in scenarios(b) {
             let Ok(doc) = pv_xml::parse(&xml) else { continue };
@@ -69,12 +69,11 @@ fn outcomes_bit_identical_with_metrics_on_and_off() {
                     assert_eq!(par, seq_plain, "jobs={jobs} memo={memo} {}", b.name());
                 }
             }
-            // Streaming through the observed engine's checker view, at
-            // an adversarial 1-byte chunking and a whole-document feed.
-            let observed_checker = observed.checker();
-            let expect = plain.checker().check_document(&doc);
+            // Streaming through the observed engine, at an adversarial
+            // 1-byte chunking and a whole-document feed.
+            let expect = plain.check_document(&doc);
             for chunk in [1usize, xml.len().max(1)] {
-                let mut stream = StreamCheck::new(observed_checker.stream_checker());
+                let mut stream = StreamCheck::new(observed.stream_checker());
                 for piece in xml.as_bytes().chunks(chunk) {
                     stream.feed(piece).expect("well-formed");
                 }
@@ -94,7 +93,7 @@ fn remote_outcomes_bit_identical_to_unobserved_local() {
     let mut client = Client::connect_endpoint(server.endpoint()).expect("connect");
     for b in BUILTINS {
         let analysis = b.analysis();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let dtd = client.load_builtin(b.name()).unwrap();
         for xml in scenarios(b) {
             let Ok(doc) = pv_xml::parse(&xml) else { continue };
@@ -117,7 +116,7 @@ fn registry_counters_mirror_recognizer_stats_totals() {
     let registry = Registry::new();
     let engine =
         CheckEngine::with_policy_observed(BuiltinDtd::Play.analysis(), DepthPolicy::Auto, &registry);
-    let pool = Pool::new_observed(2, &registry);
+    let pool = Pool::try_new(2, &registry).unwrap();
     let docs = scenarios(BuiltinDtd::Play);
     let mut checks = 0u64;
     let mut totals = (0u64, 0u64, 0u64, 0u64); // symbols, visits, subs, denied

@@ -22,7 +22,7 @@ const COMPLETED: &str =
 
 fn engines_agree(analysis: &DtdAnalysis, xml: &str) -> bool {
     let doc = pv_xml::parse(xml).unwrap();
-    let checker = PvChecker::new(analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let rec = checker.check_document(&doc).is_potentially_valid();
     let toks = Tokens::delta(&doc, doc.root(), &analysis.dtd).unwrap();
     let g = Grammar::new(&analysis.dtd, analysis.root, GrammarMode::PotentialValidity);
@@ -47,7 +47,7 @@ fn e1_example1_string_w_not_potentially_valid() {
     assert!(!engines_agree(&analysis, W));
     // The paper's diagnosis: the order of <c> and <e> contradicts the DTD.
     let doc = pv_xml::parse(W).unwrap();
-    let out = PvChecker::new(&analysis).check_document(&doc);
+    let out = CheckEngine::new(analysis.clone()).check_document(&doc);
     let v = out.violation.unwrap();
     match v.kind {
         pv_core::checker::PvViolationKind::ContentRejected { symbol, index } => {
@@ -117,7 +117,7 @@ fn f6_recognizer_trace_semantics() {
     // recognizers for d and f while hunting e, then rejects at c; on s's
     // children (b, c, σ, e) every symbol matches.
     let analysis = BuiltinDtd::Figure1.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let doc_w = pv_xml::parse(W).unwrap();
     let out_w = checker.check_document(&doc_w);
     assert!(!out_w.is_potentially_valid());
@@ -136,7 +136,7 @@ fn e5_example5_t1_strong_recursion() {
     let doc = pv_xml::parse("<a><b/><b/></a>").unwrap();
     validate_document(&doc, &t1.dtd, t1.root).unwrap();
     for d in [0u32, 1, 4, 64] {
-        let checker = PvChecker::with_policy(&t1, DepthPolicy::Bounded(d));
+        let checker = CheckEngine::with_policy(t1.clone(), DepthPolicy::Bounded(d));
         assert!(checker.check_document(&doc).is_potentially_valid(), "depth {d}");
     }
 }
@@ -150,9 +150,9 @@ fn e6_example6_t2_needs_recursive_step() {
     // too, so probe the 3-b variant where "taking one recursive step is
     // absolutely necessary".
     let doc = pv_xml::parse("<a><b/><b/><b/></a>").unwrap();
-    let c0 = PvChecker::with_policy(&t2, DepthPolicy::Bounded(0));
+    let c0 = CheckEngine::with_policy(t2.clone(), DepthPolicy::Bounded(0));
     assert!(!c0.check_document(&doc).is_potentially_valid());
-    let c1 = PvChecker::with_policy(&t2, DepthPolicy::Bounded(1));
+    let c1 = CheckEngine::with_policy(t2.clone(), DepthPolicy::Bounded(1));
     assert!(c1.check_document(&doc).is_potentially_valid());
     // The paper's own completed form for the 2-b case is valid:
     let completed = pv_xml::parse("<a><a><b/><b/></a><b/></a>").unwrap();

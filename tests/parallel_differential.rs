@@ -1,10 +1,10 @@
-//! Parallel/sequential differential: `check_document_parallel` and
-//! `check_batch` must return **bit-identical** outcomes to the sequential
-//! checker — same verdict, same first failing node (in document order),
+//! Parallel/sequential differential: `check_document_pooled` and
+//! `check_batch_pooled` must return **bit-identical** outcomes to the
+//! sequential checker — same verdict, same first failing node (in document order),
 //! same failing symbol index, same work counters — at every job count.
 //!
 //! Counter identity is the strong part of the claim: it holds because the
-//! parallel checker reduces per-node results in document order and merges
+//! pooled checker reduces per-node results in document order and merges
 //! per-node stats with a commutative addition, folding exactly the nodes
 //! the sequential checker would have visited (nodes after the first
 //! violation are skipped on both sides). These tests sweep the builtin DTD
@@ -18,15 +18,23 @@ use pv_workload::corpus;
 use pv_workload::docgen::DocGen;
 use pv_workload::dtdgen::{DtdGen, DtdGenParams};
 use pv_workload::mutate::Mutator;
+use std::sync::{Arc, OnceLock};
 
 const JOBS: [usize; 3] = [1, 2, 8];
 
-/// Asserts parallel == sequential for one (analysis, document) pair.
+/// The suite's one pool; `jobs` caps how many of its workers a check uses.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(8))
+}
+
+/// Asserts pooled == sequential for one (analysis, document) pair.
 fn assert_parallel_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) {
-    let checker = PvChecker::new(analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let seq = checker.check_document(doc);
+    let doc = Arc::new(doc.clone());
     for jobs in JOBS {
-        let par = checker.check_document_parallel(doc, jobs);
+        let par = checker.check_document_pooled(&doc, pool(), jobs, true);
         assert_eq!(par, seq, "{ctx}: outcome diverged at jobs={jobs}");
     }
 }
@@ -85,7 +93,7 @@ fn builtin_dtds_with_generated_documents_check_identically() {
 #[test]
 fn batch_checking_matches_per_document_sequential() {
     let analysis = BuiltinDtd::Play.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     // A batch mixing healthy, stripped, and broken documents.
     let mut docs = corpus::batch(BuiltinDtd::Play, 10, 300).unwrap();
     for (i, doc) in docs.iter_mut().enumerate() {
@@ -98,8 +106,9 @@ fn batch_checking_matches_per_document_sequential() {
     // At least one of each verdict, or the scenario is too weak to matter.
     assert!(expect.iter().any(|o| o.is_potentially_valid()));
     assert!(expect.iter().any(|o| !o.is_potentially_valid()));
+    let docs = Arc::new(docs);
     for jobs in [0, 1, 2, 8] {
-        assert_eq!(checker.check_batch(&docs, jobs), expect, "jobs={jobs}");
+        assert_eq!(checker.check_batch_pooled(&docs, pool(), jobs), expect, "jobs={jobs}");
     }
 }
 
@@ -110,9 +119,9 @@ fn mixed_batch_with_giant_document_checks_identically() {
     // document's node range. Outcomes must stay bit-identical to the
     // per-document sequential checks — healthy and poisoned variants.
     let analysis = BuiltinDtd::Play.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     for poison_giant in [false, true] {
-        let mut docs = vec![corpus::play(3_000)]; // >> PARALLEL_MIN_NODES
+        let mut docs = vec![corpus::play(3_000)]; // >> BATCH_SPLIT_MIN_NODES
         docs.extend((0..6).map(|i| corpus::play(60 + 10 * i)));
         if poison_giant {
             // An undeclared element deep in the giant document.
@@ -128,9 +137,10 @@ fn mixed_batch_with_giant_document_checks_identically() {
             !poison_giant,
             "scenario must exercise both verdicts"
         );
+        let docs = Arc::new(docs);
         for jobs in [2usize, 3, 8] {
             assert_eq!(
-                checker.check_batch(&docs, jobs),
+                checker.check_batch_pooled(&docs, pool(), jobs),
                 expect,
                 "poison={poison_giant} jobs={jobs}"
             );
@@ -150,7 +160,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// Random DTD families × random documents × random mutations: the
-    /// parallel checker is observationally equal to the sequential one.
+    /// pooled checker is observationally equal to the sequential one.
     #[test]
     fn parallel_checking_is_bit_identical(
         class in class_strategy(),
@@ -169,18 +179,19 @@ proptest! {
             Mutator::new(seed ^ 3).swap_random_siblings(&mut doc);
             Mutator::new(seed ^ 4).rename_random_element(&mut doc, &analysis.dtd);
         }
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let seq = checker.check_document(&doc);
+        let doc = Arc::new(doc);
         for jobs in JOBS {
             prop_assert_eq!(
-                &checker.check_document_parallel(&doc, jobs),
+                &checker.check_document_pooled(&doc, pool(), jobs, true),
                 &seq,
                 "jobs={} class={:?} seed={}", jobs, class, seed
             );
         }
     }
 
-    /// Batches of generated documents: `check_batch` outcome `i` equals
+    /// Batches of generated documents: `check_batch_pooled` outcome `i` equals
     /// `check_document(&docs[i])`, at any job count.
     #[test]
     fn batch_is_bit_identical(class in class_strategy(), seed in 0u64..5000) {
@@ -199,10 +210,11 @@ proptest! {
                 d
             })
             .collect();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+        let docs = Arc::new(docs);
         for jobs in JOBS {
-            prop_assert_eq!(&checker.check_batch(&docs, jobs), &expect, "jobs={}", jobs);
+            prop_assert_eq!(&checker.check_batch_pooled(&docs, pool(), jobs), &expect, "jobs={}", jobs);
         }
     }
 }

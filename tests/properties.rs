@@ -31,7 +31,7 @@ proptest! {
         let analysis = make_analysis(class, seed);
         let doc = DocGen::new(&analysis, seed).generate(25);
         validate_document(&doc, &analysis.dtd, analysis.root).unwrap();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         prop_assert!(checker.check_document(&doc).is_potentially_valid());
     }
 
@@ -40,7 +40,7 @@ proptest! {
     fn theorem2_deletion_closure(class in class_strategy(), seed in 0u64..5000, dels in 1usize..12) {
         let analysis = make_analysis(class, seed);
         let mut doc = DocGen::new(&analysis, seed).generate(25);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         // Delete one at a time; PV must hold after EVERY deletion.
         for _ in 0..dels {
             if Mutator::new(seed).delete_random_markup(&mut doc, 1) == 0 {
@@ -59,7 +59,7 @@ proptest! {
         let analysis = make_analysis(class, seed);
         let mut doc = DocGen::new(&analysis, seed).generate(25);
         Mutator::new(seed).delete_random_markup(&mut doc, 5);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         prop_assume!(checker.check_document(&doc).is_potentially_valid());
         // Update every text node to the arbitrary new content.
         let texts: Vec<NodeId> = doc
@@ -95,7 +95,7 @@ proptest! {
         let analysis = make_analysis(class, seed);
         let mut doc = DocGen::new(&analysis, seed).generate(20);
         Mutator::new(seed).delete_random_markup(&mut doc, 4);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         prop_assume!(checker.check_document(&doc).is_potentially_valid());
         let elements: Vec<NodeId> = doc.elements().collect();
         let target = elements[pick % elements.len()];
@@ -136,8 +136,8 @@ proptest! {
         // And both checkers agree on concrete documents.
         let mut doc = DocGen::new(&analysis, seed).generate(20);
         Mutator::new(seed).delete_random_markup(&mut doc, 6);
-        let c1 = PvChecker::with_policy(&analysis, DepthPolicy::Bounded(32));
-        let c2 = PvChecker::with_policy(&analysis2, DepthPolicy::Bounded(32));
+        let c1 = CheckEngine::with_policy(analysis.clone(), DepthPolicy::Bounded(32));
+        let c2 = CheckEngine::with_policy(analysis2.clone(), DepthPolicy::Bounded(32));
         prop_assert_eq!(
             c1.check_document(&doc).is_potentially_valid(),
             c2.check_document(&doc).is_potentially_valid()
@@ -211,7 +211,7 @@ proptest! {
         let analysis = make_analysis(class, seed);
         let mut doc = DocGen::new(&analysis, seed).generate(15);
         Mutator::new(seed).delete_random_markup(&mut doc, 4);
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         prop_assume!(checker.check_document(&doc).is_potentially_valid());
         let elements: Vec<NodeId> = doc.elements().collect();
         let node = elements[pick % elements.len()];

@@ -29,7 +29,7 @@ fn start_server() -> (ServerHandle, Client) {
 /// In-process expectation for a document text under a builtin DTD.
 fn expect_outcome(b: BuiltinDtd, xml: &str) -> PvOutcome {
     let analysis = b.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let doc = pv_xml::parse(xml).unwrap();
     checker.check_document(&doc)
 }
@@ -215,7 +215,7 @@ fn unix_socket_round_trip() {
 /// In-process **streaming** expectation for a document text.
 fn expect_stream_outcome(b: BuiltinDtd, xml: &str, chunk: usize) -> PvOutcome {
     let analysis = b.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let mut stream = pv_core::stream::StreamCheck::new(checker.stream_checker());
     for piece in xml.as_bytes().chunks(chunk.max(1)) {
         stream.feed(piece).unwrap();
@@ -626,8 +626,9 @@ fn strict_load_refuses_uncertified_dtds() {
     drop(client);
     server.join();
 
-    // Strict: certified loads succeed (reduced budget visible in the
-    // analysis block), flagged loads are refused with the reason.
+    // Strict: certified loads succeed (the analysis block shows the full
+    // budget in effect, certified), flagged loads are refused with the
+    // reason.
     let server = Server::bind_with(
         &Endpoint::parse("127.0.0.1:0"),
         2,
@@ -649,9 +650,10 @@ fn strict_load_refuses_uncertified_dtds() {
     assert_eq!(dtds.len(), 1, "the refused DTD must not be interned");
     let analysis = dtds[0].get("analysis").unwrap();
     assert_eq!(analysis.get("certified").unwrap().as_bool(), Some(true));
-    assert!(
-        analysis.get("budget").unwrap().as_u64() < analysis.get("full_budget").unwrap().as_u64(),
-        "certified DTD must run a reduced budget"
+    assert_eq!(
+        analysis.get("budget").unwrap().as_u64(),
+        analysis.get("full_budget").unwrap().as_u64(),
+        "certified DTD runs the full budget"
     );
     client.shutdown().unwrap();
     drop(client);

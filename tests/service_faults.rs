@@ -49,7 +49,7 @@ fn tcp_addr(server: &ServerHandle) -> String {
 
 fn expect_outcome(b: BuiltinDtd, xml: &str) -> PvOutcome {
     let analysis = b.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     checker.check_document(&pv_xml::parse(xml).unwrap())
 }
 

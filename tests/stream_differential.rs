@@ -25,9 +25,16 @@ use pv_workload::docgen::DocGen;
 use pv_workload::dtdgen::{DtdGen, DtdGenParams};
 use pv_workload::mutate::Mutator;
 use pv_xml::NodeKind;
+use std::sync::{Arc, OnceLock};
+
+/// The suite's one pool; `jobs` caps how many of its workers a check uses.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(8))
+}
 
 /// Streams `xml` through a fresh [`StreamCheck`] in the given chunks.
-fn stream_outcome(checker: &PvChecker, chunks: &[&[u8]]) -> PvOutcome {
+fn stream_outcome(checker: &CheckEngine, chunks: &[&[u8]]) -> PvOutcome {
     let mut stream = StreamCheck::new(checker.stream_checker());
     for chunk in chunks {
         stream.feed(chunk).expect("document is well-formed");
@@ -43,7 +50,7 @@ fn stream_outcome(checker: &PvChecker, chunks: &[&[u8]]) -> PvOutcome {
 /// internal queue may batch however it likes; the outcome must be
 /// bit-identical to this dispatch.
 fn event_at_a_time_outcome(
-    checker: &PvChecker,
+    checker: &CheckEngine,
     doc: &Document,
     expand_self_closing: bool,
 ) -> PvOutcome {
@@ -104,18 +111,19 @@ fn chunkings(xml: &str) -> Vec<Vec<&[u8]>> {
     out
 }
 
-/// Asserts streaming == tree (== parallel tree) for one document at every
+/// Asserts streaming == tree (== pooled tree) for one document at every
 /// chunking. The document is passed as text so both sides parse the
 /// exact same bytes the stream sees.
 fn assert_stream_identical(analysis: &DtdAnalysis, xml: &str, ctx: &str) {
     let doc = pv_xml::parse(xml).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let checker = PvChecker::new(analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let tree = checker.check_document(&doc);
+    let shared = Arc::new(doc.clone());
     for jobs in [2usize, 8] {
         assert_eq!(
-            checker.check_document_parallel(&doc, jobs),
+            checker.check_document_pooled(&shared, pool(), jobs, true),
             tree,
-            "{ctx}: parallel tree check diverged at jobs={jobs}"
+            "{ctx}: pooled tree check diverged at jobs={jobs}"
         );
     }
     for expand in [false, true] {
@@ -231,7 +239,7 @@ fn markup_edge_shapes_stream_identically() {
 }
 
 /// Satellite: the tree checkers' first-violation early exit (sequential
-/// stop-at-first, parallel `fetch_min` reduction) and the streaming
+/// stop-at-first, pooled `fetch_min` reduction) and the streaming
 /// candidate protocol must all report the **same violation node** — the
 /// first in document order — even when a preorder-later node fails first
 /// in event order. Here the undeclared `<zzz/>` (inside `<b>`) freezes
@@ -242,12 +250,13 @@ fn early_exit_reports_the_same_violation_everywhere() {
     let analysis = BuiltinDtd::Figure1.analysis();
     let xml = "<r><a><b><zzz/></b><e/><c>y</c></a></r>";
     let doc = pv_xml::parse(xml).unwrap();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let seq = checker.check_document(&doc);
     let violation = seq.violation.as_ref().expect("document is not PV");
     assert_eq!(violation.node.index(), 1, "first violation is <a>, in document order");
+    let shared = Arc::new(doc.clone());
     for jobs in [1usize, 2, 8] {
-        let par = checker.check_document_parallel(&doc, jobs);
+        let par = checker.check_document_pooled(&shared, pool(), jobs, true);
         assert_eq!(par.violation.as_ref().map(|v| v.node), Some(violation.node));
         assert_eq!(par, seq, "jobs={jobs}");
     }
@@ -272,10 +281,9 @@ fn streaming_matches_the_tree_checker_at_any_memo_setting() {
     Mutator::new(21).delete_random_markup(&mut doc, 50);
     let xml = doc.to_xml();
     let parsed = pv_xml::parse(&xml).unwrap();
-    let mut memoized = PvChecker::new(&analysis);
-    memoized.set_memo_enabled(true);
-    let mut plain = PvChecker::new(&analysis);
-    plain.set_memo_enabled(false);
+    let memoized = CheckEngine::new(analysis.clone());
+    let mut plain = CheckEngine::new(analysis.clone());
+    Arc::get_mut(&mut plain).unwrap().set_memo_enabled(false);
     let with_memo = memoized.check_document(&parsed);
     let without = plain.check_document(&parsed);
     assert_eq!(with_memo, without);
@@ -321,7 +329,7 @@ proptest! {
         }
         let xml = doc.to_xml();
         let parsed = pv_xml::parse(&xml).unwrap();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let tree = checker.check_document(&parsed);
         let chunks: Vec<&[u8]> = xml.as_bytes().chunks(chunk).collect();
         prop_assert_eq!(
@@ -355,7 +363,7 @@ proptest! {
         }
         let xml = doc.to_xml();
         let parsed = pv_xml::parse(&xml).unwrap();
-        let checker = PvChecker::new(&analysis);
+        let checker = CheckEngine::new(analysis.clone());
         let tree = checker.check_document(&parsed);
         prop_assert_eq!(
             &event_at_a_time_outcome(&checker, &parsed, expand),

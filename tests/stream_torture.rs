@@ -242,7 +242,7 @@ fn constructs_spanning_many_slices() {
 #[test]
 fn every_prefix_truncation_is_a_clean_error() {
     let analysis = BuiltinDtd::Figure1.analysis();
-    let checker = PvChecker::new(&analysis);
+    let checker = CheckEngine::new(analysis.clone());
     let full = "<r><a><b>x&amp;y</b><c a=\"v\">ü</c> z<!--c--><e/></a></r>";
     for cut in 1..full.len() {
         if !full.is_char_boundary(cut) {
