@@ -4,12 +4,12 @@
 //! irregular 24-document corpus.
 //!
 //! Per-element-node ECPV instances are independent, so on a multi-core
-//! host the document check should scale near-linearly until the per-task
-//! overhead (one deque pop + result tag per node) dominates. Once `jobs`
-//! exceeds the host's CPUs the same bench measures exactly that overhead
-//! — both numbers are worth tracking, so the bench always runs every job
-//! count. The pool is sized for the largest count; `jobs` caps how many
-//! of its workers a region uses.
+//! host the document check should scale until the per-task overhead (a
+//! chunked cursor claim, a result tag and shared-cache traffic per node)
+//! dominates. Once `jobs` exceeds the host's CPUs the same bench measures
+//! exactly that overhead — both numbers are worth tracking, so the bench
+//! always runs every job count. The pool is sized for the largest count;
+//! `jobs` caps how many of its workers a region uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pv_bench::workloads::{parallel_batch, parallel_doc, PARALLEL_JOBS};

@@ -543,10 +543,10 @@ fn table_parallel() {
         );
     }
 
-    // The sequential-fallback threshold: below POOLED_MIN_NODES element
-    // nodes a pooled check runs on the calling thread — the region
-    // dispatch would dominate. The rows show the cutover.
-    for target in [CheckEngine::POOLED_MIN_NODES / 2, CheckEngine::POOLED_MIN_NODES * 4] {
+    // The split floor: below SPLIT_MIN_NODES element nodes a document is
+    // one task, and a one-task check runs on the calling thread. The rows
+    // show the cutover.
+    for target in [CheckEngine::SPLIT_MIN_NODES / 2, CheckEngine::SPLIT_MIN_NODES * 2] {
         let small = Arc::new(corpus::play(target));
         let n = small.element_count();
         let seq_out = checker.check_document(&small);
@@ -559,10 +559,10 @@ fn table_parallel() {
         });
         println!(
             "| 1 doc × {n} nodes ({}) | 2 | {} | {:.2}× | {} |",
-            if n < CheckEngine::POOLED_MIN_NODES {
-                "< threshold: sequential fallback"
+            if n < CheckEngine::SPLIT_MIN_NODES {
+                "< split floor: calling thread"
             } else {
-                "≥ threshold: sharded"
+                "≥ split floor: split per node"
             },
             fmt_dur(t),
             t_small_seq.as_secs_f64() / t.as_secs_f64().max(f64::EPSILON),

@@ -41,11 +41,13 @@ Without --dtd/--builtin, documents must carry an internal DTD subset
 tei-lite, play, docbook-like, dissertation, docbook-article, tei-drama.
 
 --jobs N gives `check` one pool of N worker threads (0 = one per CPU;
-default 1 = sequential) and shards each document's per-node checks over
-it; a worker the OS cannot start is an error (exit 2). `check` memoizes
-repeated (element, child-shape) verdicts and reports cache telemetry on
-a trailing `memo:` line; --no-memo disables the cache. The verdict and
-the diagnosis are identical at any job/memo setting.
+default 1 = sequential) and splits the per-node checks of each document
+of at least 512 element nodes over it (smaller documents are checked on
+the calling thread); a worker the OS cannot start is an error (exit 2).
+`check` memoizes repeated (element, child-shape) verdicts and reports
+cache telemetry on a trailing `memo:` line; --no-memo disables the
+cache. The verdict and the diagnosis are identical at any job/memo
+setting.
 
 --json makes `check` print one machine-readable JSON line per document
 (verdict, first violation, memo/speculation counters) instead of text.

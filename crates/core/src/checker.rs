@@ -8,7 +8,7 @@
 
 use crate::engine::CheckEngine;
 use crate::memo::MemoVerdict;
-use crate::recognizer::{EcRecognizer, RecBuffers, RecognizerStats};
+use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::{ChildSym, NameTable, Tokens};
 use pv_xml::{Document, NodeId};
 use std::fmt;
@@ -103,27 +103,6 @@ pub struct CheckScratch<'s> {
     pub(crate) memo: bool,
 }
 
-impl CheckScratch<'_> {
-    /// Retires this scratch into a lifetime-free [`ScratchStash`] whose
-    /// buffer capacities a later scan can adopt via
-    /// [`CheckEngine::scratch_from`]. This is how a pool worker keeps its
-    /// scratch warm across regions: the scratch itself borrows the engine
-    /// and cannot leave the region, but its plain-data buffers can.
-    pub fn into_stash(mut self) -> ScratchStash {
-        self.syms.clear();
-        ScratchStash { syms: self.syms, rec: self.rec.into_buffers() }
-    }
-}
-
-/// Lifetime-free recycled checker buffers (see
-/// [`CheckScratch::into_stash`]). Carries no verdict state — only heap
-/// capacities — so adopting a stash can never influence an outcome.
-#[derive(Default)]
-pub struct ScratchStash {
-    syms: Vec<ChildSym>,
-    rec: RecBuffers,
-}
-
 /// Problem PV on a [`CheckEngine`]: document, node and symbol-sequence
 /// checks. Construction compiled the per-element DAGs once (`O(k)`); each
 /// document check is then `O(k·D·n)` (Theorem 4), linear in the document
@@ -136,22 +115,6 @@ impl CheckEngine {
         CheckScratch {
             rec: EcRecognizer::new(self.rec_ctx(), self.analysis().root, self.depth()),
             syms: Vec::new(),
-            memo: true,
-        }
-    }
-
-    /// [`CheckEngine::scratch`] adopting the buffer capacities of a
-    /// retired stash (see [`CheckScratch::into_stash`]). The stash carries
-    /// no verdict state, so the scratch behaves exactly like a fresh one.
-    pub fn scratch_from(&self, stash: ScratchStash) -> CheckScratch<'_> {
-        CheckScratch {
-            rec: EcRecognizer::with_buffers(
-                self.rec_ctx(),
-                self.analysis().root,
-                self.depth(),
-                stash.rec,
-            ),
-            syms: stash.syms,
             memo: true,
         }
     }
@@ -203,76 +166,53 @@ impl CheckEngine {
         PvOutcome { violation: None, stats }
     }
 
-    /// The node count above which a batch document becomes a joinable
-    /// node-granular group instead of one whole-document task. Splitting
-    /// costs per-node scheduling overhead, so it is only worth paying for
-    /// documents that could actually bottleneck the region: at least
-    /// [`CheckEngine::BATCH_SPLIT_MIN_NODES`] **and** large relative to
-    /// the batch (a document holding less than a quarter of one worker's
-    /// average share can never leave the other workers idle long —
-    /// whole-document stealing balances it fine).
-    pub(crate) fn batch_split_threshold(workers: usize, total_nodes: usize) -> usize {
-        Self::BATCH_SPLIT_MIN_NODES.max(total_nodes / (4 * workers.max(1)))
-    }
-
-    /// How one batch document is scheduled (see
-    /// [`CheckEngine::check_batch_pooled`]).
-    pub(crate) fn plan_document(&self, doc: &Document, split_threshold: usize) -> BatchPlan {
+    /// How one document of a pooled check is scheduled (see
+    /// [`CheckEngine::check_batch_pooled`]); `split` is the split rule's
+    /// verdict on its node count.
+    pub(crate) fn plan_document(&self, doc: &Document, split: bool) -> DocPlan {
         match self.check_root(doc) {
-            Some(v) => BatchPlan::RootFailed(v),
-            None if doc.element_count() < split_threshold => BatchPlan::Whole,
+            Some(v) => DocPlan::RootFailed(v),
+            None if !split => DocPlan::Whole,
             None => {
                 let names = NameTable::new(doc, &self.analysis().dtd);
-                BatchPlan::PerNode(doc.elements().collect(), names)
+                DocPlan::PerNode(doc.elements().collect(), names)
             }
         }
     }
 
-    /// One scheduled task of a batch region: either the whole document
-    /// (small documents) or one node (joinable large documents).
-    pub(crate) fn run_batch_task(
+    /// One task of a pooled region: the whole document, or one node of a
+    /// split document. A node is pruned (`None`) when it lies after a
+    /// known violation; a found violation lowers `first_bad` (it only
+    /// ever decreases, so no node at or before the final first failure is
+    /// ever pruned).
+    pub(crate) fn run_task(
         &self,
         doc: &Document,
-        plan: &BatchPlan,
+        plan: &DocPlan,
         first_bad: &AtomicUsize,
         i: usize,
         scratch: &mut CheckScratch<'_>,
     ) -> Option<(Option<PvViolation>, RecognizerStats)> {
         match plan {
-            BatchPlan::RootFailed(_) => unreachable!("root-failed documents have no tasks"),
-            BatchPlan::Whole => {
+            DocPlan::RootFailed(_) => unreachable!("root-failed documents have no tasks"),
+            DocPlan::Whole => {
                 debug_assert_eq!(i, 0);
                 let outcome = self.check_elements(doc, scratch);
                 Some((outcome.violation, outcome.stats))
             }
-            BatchPlan::PerNode(nodes, names) => {
-                self.run_node_task(doc, nodes[i], names, first_bad, i, scratch)
+            DocPlan::PerNode(nodes, names) => {
+                if i > first_bad.load(Ordering::Relaxed) {
+                    return None; // after a known violation: result unreachable
+                }
+                let mut stats = RecognizerStats::default();
+                let node = nodes[i];
+                let violation = self.check_node_with(doc, node, Some(names), &mut stats, scratch);
+                if violation.is_some() {
+                    first_bad.fetch_min(i, Ordering::Relaxed);
+                }
+                Some((violation, stats))
             }
         }
-    }
-
-    /// One node of a sharded document check: pruned (`None`) when it lies
-    /// after a known violation, otherwise its violation and stats delta.
-    /// A found violation lowers `first_bad` (it only ever decreases, so no
-    /// node at or before the final first failure is ever pruned).
-    pub(crate) fn run_node_task(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        names: &NameTable,
-        first_bad: &AtomicUsize,
-        i: usize,
-        scratch: &mut CheckScratch<'_>,
-    ) -> Option<(Option<PvViolation>, RecognizerStats)> {
-        if i > first_bad.load(Ordering::Relaxed) {
-            return None; // after a known violation: result unreachable
-        }
-        let mut stats = RecognizerStats::default();
-        let violation = self.check_node_with(doc, node, Some(names), &mut stats, scratch);
-        if violation.is_some() {
-            first_bad.fetch_min(i, Ordering::Relaxed);
-        }
-        Some((violation, stats))
     }
 
     /// Checks Problem ECPV for a single node's content (used by the
@@ -393,28 +333,23 @@ impl CheckEngine {
     ) -> (Option<u32>, RecognizerStats) {
         let mut delta = RecognizerStats::default();
         scratch.rec.reset(elem, self.depth());
-        for (i, &x) in syms.iter().enumerate() {
-            delta.symbols += 1;
-            if !scratch.rec.validate(x, &mut delta) {
-                return (Some(i as u32), delta);
-            }
-        }
-        (None, delta)
+        let failing = scratch.rec.advance_run(syms, &mut delta);
+        (failing.map(|i| i as u32), delta)
     }
 }
 
-/// How one document of a batch is scheduled: no tasks at all (root
-/// violation, found in the planning pre-pass), one whole-document task
-/// (small documents — no per-node sharding overhead), or one task per
-/// element node (large documents idle workers may join). The reduction
-/// produces outcomes bit-identical to the sequential checker in every
-/// variant.
-pub(crate) enum BatchPlan {
+/// How one document of a pooled check is scheduled: no tasks at all
+/// (root violation, found in the planning pre-pass), one whole-document
+/// task (documents the split rule keeps whole — no per-node scheduling
+/// overhead), or one task per element node (documents idle workers may
+/// join). The reduction produces outcomes bit-identical to the sequential
+/// checker in every variant.
+pub(crate) enum DocPlan {
     /// The root check already failed; zero tasks.
     RootFailed(PvViolation),
     /// One task running every node sequentially with early exit (the
     /// task iterates `doc.elements()` directly — no node list is
-    /// materialized for the common small-document case).
+    /// materialized).
     Whole,
     /// One task per node, document-order reduction. Only this plan needs
     /// random access by task index, so only it collects the node ids; its
@@ -422,51 +357,41 @@ pub(crate) enum BatchPlan {
     PerNode(Vec<NodeId>, NameTable),
 }
 
-impl BatchPlan {
-    /// Number of tasks this document contributes to the grouped region.
+impl DocPlan {
+    /// Number of tasks this document contributes to the region.
     pub(crate) fn task_count(&self) -> usize {
         match self {
-            BatchPlan::RootFailed(_) => 0,
-            BatchPlan::Whole => 1,
-            BatchPlan::PerNode(nodes, _) => nodes.len(),
+            DocPlan::RootFailed(_) => 0,
+            DocPlan::Whole => 1,
+            DocPlan::PerNode(nodes, _) => nodes.len(),
         }
     }
 
-    /// Folds the group's task results into the document outcome.
+    /// Folds the document's task results into its outcome: in document
+    /// order, stopping at the first violation exactly as the sequential
+    /// scan would (a whole-document task already did so — its single
+    /// result *is* the outcome). `None` entries are nodes pruned *after*
+    /// a known violation; the fold never reaches them, which the pruning
+    /// protocol guarantees (the known first-failure index only ever
+    /// decreases).
     pub(crate) fn reduce(
         &self,
         results: Vec<Option<(Option<PvViolation>, RecognizerStats)>>,
     ) -> PvOutcome {
-        match self {
-            BatchPlan::RootFailed(v) => {
-                PvOutcome { violation: Some(v.clone()), stats: RecognizerStats::default() }
+        if let DocPlan::RootFailed(v) = self {
+            return PvOutcome { violation: Some(v.clone()), stats: RecognizerStats::default() };
+        }
+        let mut stats = RecognizerStats::default();
+        for entry in results {
+            let (violation, node_stats) =
+                entry.expect("nodes up to the first violation are never pruned");
+            stats.merge(&node_stats);
+            if violation.is_some() {
+                return PvOutcome { violation, stats };
             }
-            // A whole-document task already folded its nodes (stopping at
-            // the first violation) — its single result IS the outcome.
-            BatchPlan::Whole | BatchPlan::PerNode(..) => reduce_node_results(results),
         }
+        PvOutcome { violation: None, stats }
     }
-}
-
-/// The deterministic document-order reduction shared by every sharded
-/// check (the pooled document check and the two-level batch): folds per-node `(violation, stats)` results in document order,
-/// stopping at the first violation exactly as the sequential scan would.
-/// `None` entries are nodes pruned *after* a known violation — the fold
-/// never reaches them, which the pruning protocol guarantees (the known
-/// first-failure index only ever decreases).
-pub(crate) fn reduce_node_results(
-    per_node: impl IntoIterator<Item = Option<(Option<PvViolation>, RecognizerStats)>>,
-) -> PvOutcome {
-    let mut stats = RecognizerStats::default();
-    for entry in per_node {
-        let (violation, node_stats) =
-            entry.expect("nodes up to the first violation are never pruned");
-        stats.merge(&node_stats);
-        if violation.is_some() {
-            return PvOutcome { violation, stats };
-        }
-    }
-    PvOutcome { violation: None, stats }
 }
 
 #[cfg(test)]
@@ -632,7 +557,7 @@ mod tests {
     fn pooled_outcome_bit_identical_on_valid_docs() {
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(3);
-        for doc in [pv_xml::parse(S).unwrap(), wide_doc(60, false)] {
+        for doc in [pv_xml::parse(S).unwrap(), wide_doc(150, false)] {
             let seq = checker.check_document(&doc);
             assert!(seq.is_potentially_valid());
             let doc = Arc::new(doc);
@@ -649,7 +574,7 @@ mod tests {
         let pool = Pool::new(3);
         for doc in [
             pv_xml::parse(W).unwrap(),
-            wide_doc(60, true),
+            wide_doc(150, true),
             pv_xml::parse("<a><b/></a>").unwrap(), // root mismatch
             pv_xml::parse("<r><zzz/></r>").unwrap(), // undeclared element
         ] {
@@ -667,8 +592,10 @@ mod tests {
     fn batch_matches_per_document_checks() {
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(4);
-        let docs: Arc<Vec<Document>> =
-            Arc::new((0..12).map(|i| wide_doc(10 + i, i % 3 == 0)).collect());
+        // Eleven whole-document tasks and one document split per node.
+        let docs: Arc<Vec<Document>> = Arc::new(
+            (0..12).map(|i| wide_doc(if i == 5 { 150 } else { 10 + i }, i % 3 == 0)).collect(),
+        );
         let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
         for jobs in [0usize, 1, 2, 8] {
             assert_eq!(checker.check_batch_pooled(&docs, &pool, jobs), expect, "jobs={jobs}");
@@ -753,7 +680,7 @@ mod tests {
         let plain = memo_off(analysis.clone());
         let memoized = CheckEngine::new(analysis);
         let pool = Pool::new(3);
-        for doc in [wide_doc(120, false), wide_doc(120, true)] {
+        for doc in [wide_doc(150, false), wide_doc(150, true)] {
             let expect = plain.check_document(&doc);
             let doc = Arc::new(doc);
             for jobs in [1usize, 2, 8] {

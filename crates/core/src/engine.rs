@@ -30,16 +30,15 @@
 //! assert_eq!(pooled, engine.check_document(&doc));
 //! ```
 
-use crate::checker::{reduce_node_results, BatchPlan, PvOutcome, ScratchStash};
+use crate::checker::{DocPlan, PvOutcome};
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, ShapeCache};
-use crate::recognizer::{RecCtx, RecognizerStats};
-use crate::token::NameTable;
+use crate::recognizer::RecCtx;
 use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
 use pv_par::Pool;
-use pv_xml::{Document, NodeId};
+use pv_xml::Document;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -121,16 +120,14 @@ pub struct CheckEngine {
 }
 
 impl CheckEngine {
-    /// Documents below this many element nodes are checked sequentially
-    /// even when a pool is supplied: dispatching a pool region costs
-    /// single-digit microseconds (a condvar round-trip), which only pays
-    /// off once a document has some tens of nodes of recognizer work.
-    pub const POOLED_MIN_NODES: usize = 64;
-
-    /// The floor of the batch split threshold: a batch document below
-    /// this many element nodes always runs as one whole-document task
-    /// (see [`CheckEngine::check_batch_pooled`]).
-    pub const BATCH_SPLIT_MIN_NODES: usize = 512;
+    /// The floor of the split rule: a document below this many element
+    /// nodes is never split per node. A pooled check splits a document
+    /// only at `max(SPLIT_MIN_NODES, total / (4·workers))` element nodes
+    /// (`total` over every document of the check), so a split document
+    /// is both large and a real share of the work; every other document
+    /// is one whole-document task. Per-node tasks cost scheduling and
+    /// shared-cache traffic that only a document this size repays.
+    pub const SPLIT_MIN_NODES: usize = 512;
 
     /// Builds an engine with the default (automatic) depth policy and
     /// shape memoization on.
@@ -253,21 +250,23 @@ impl CheckEngine {
         }
     }
 
-    /// Checks one document with per-node recognizer runs sharded over the
-    /// pool's workers (`jobs` caps participation; `0` = all of them).
-    /// `memo` toggles the shape cache for this check (outcomes are
-    /// identical either way).
+    /// Checks one document on the pool (`jobs` caps participation; `0` =
+    /// all of them, `1` = the calling thread). `memo` toggles the shape
+    /// cache for this check (outcomes are identical either way).
     ///
-    /// Element nodes are independent ECPV instances (paper Section 4), so
-    /// they are distributed over the work-stealing pool and the per-node
-    /// results are **reduced in document order**: the returned
-    /// [`PvOutcome`] — the violation (first failing node in document
-    /// order, same node, same symbol index) *and* the work counters — is
-    /// bit-identical to [`CheckEngine::check_document`]'s, regardless of
-    /// worker count or scheduling. Counter identity holds because
-    /// sequential stats are a prefix sum of per-node stats and
-    /// [`RecognizerStats::merge`] is commutative: the reduction folds
-    /// exactly the nodes the sequential checker would have visited.
+    /// This is the one-document case of [`CheckEngine::check_batch_pooled`]:
+    /// a document of at least [`CheckEngine::SPLIT_MIN_NODES`] element
+    /// nodes is split per node — element nodes are independent ECPV
+    /// instances (paper Section 4) — and the per-node results are
+    /// **reduced in document order**, so the returned [`PvOutcome`] — the
+    /// violation (first failing node in document order, same node, same
+    /// symbol index) *and* the work counters — is bit-identical to
+    /// [`CheckEngine::check_document`]'s regardless of worker count or
+    /// scheduling. Counter identity holds because sequential stats are a
+    /// prefix sum of per-node stats and [`RecognizerStats::merge`] is
+    /// commutative: the reduction folds exactly the nodes the sequential
+    /// checker would have visited. A smaller document is a single task,
+    /// and a single task runs on the calling thread.
     ///
     /// On an already-failing document, workers that observe a known
     /// violation skip nodes *after* it (the known first-failure index only
@@ -286,9 +285,7 @@ impl CheckEngine {
     /// `tests/stream_differential.rs` asserts exactly this
     /// (`early_exit_reports_the_same_violation_everywhere`).
     ///
-    /// Small documents (below [`CheckEngine::POOLED_MIN_NODES`] element
-    /// nodes) and `jobs` resolving to one participant run sequentially on
-    /// the calling thread.
+    /// [`RecognizerStats::merge`]: crate::recognizer::RecognizerStats::merge
     pub fn check_document_pooled(
         self: &Arc<Self>,
         doc: &Arc<Document>,
@@ -297,70 +294,32 @@ impl CheckEngine {
         memo: bool,
     ) -> PvOutcome {
         let t0 = self.obs.check_us.start();
-        let outcome = self.check_document_pooled_inner(doc, pool, jobs, memo);
+        let mut outcomes = self.check_pooled(Docs::One(Arc::clone(doc)), pool, jobs, memo);
+        let outcome = outcomes.pop().expect("one outcome per document");
         self.obs.record(t0, doc, &outcome);
         outcome
-    }
-
-    fn check_document_pooled_inner(
-        self: &Arc<Self>,
-        doc: &Arc<Document>,
-        pool: &Pool,
-        jobs: usize,
-        memo: bool,
-    ) -> PvOutcome {
-        if pool.participants(jobs) <= 1 || doc.element_count() < Self::POOLED_MIN_NODES {
-            let mut scratch = self.scratch();
-            scratch.memo = memo;
-            return self.check_document_with(doc, &mut scratch);
-        }
-        if let Some(v) = self.check_root(doc) {
-            return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
-        }
-        let names = NameTable::new(doc, &self.analysis.dtd);
-        let nodes: Vec<NodeId> = doc.elements().collect();
-        // Earliest node index known to carry a violation; only ever
-        // decreases, so nodes at or before the final minimum are never
-        // pruned and their per-node results are always computed.
-        let first_bad = AtomicUsize::new(usize::MAX);
-        let len = nodes.len();
-        let engine = Arc::clone(self);
-        let doc = Arc::clone(doc);
-        let per_node = pool.run(jobs, len, move |scope| {
-            // Once per worker per region: a scratch re-armed from the
-            // worker's sticky stash. Workers share the engine's shape
-            // cache (sharded, read-mostly; a hit replays the recorded
-            // stats delta, so the reduction stays bit-identical).
-            let stash = scope.sticky().take::<ScratchStash>().unwrap_or_default();
-            let mut scratch = engine.scratch_from(stash);
-            scratch.memo = memo;
-            while let Some(i) = scope.claim() {
-                let r = engine.run_node_task(&doc, nodes[i], &names, &first_bad, i, &mut scratch);
-                scope.put(i, r);
-            }
-            scope.sticky().put(scratch.into_stash());
-        });
-        reduce_node_results(per_node)
     }
 
     /// Checks a batch of documents on the pool, returning one outcome per
     /// document in input order — outcome `i` is bit-identical to
     /// `check_document(&docs[i])`.
     ///
-    /// Scheduling is **two-level** ([`Pool::run_grouped`]): whole
-    /// documents are stolen first (the right granularity while documents
-    /// outnumber idle workers — a worker scans its documents' nodes in
-    /// order, cache-local), and a worker that finds no untouched document
-    /// left *joins* the started document with the most nodes remaining,
-    /// claiming chunks of its node range. Only documents big enough to
-    /// bottleneck the batch are node-granular (joinable) at all — at
-    /// least `max(`[`CheckEngine::BATCH_SPLIT_MIN_NODES`]`,
+    /// Scheduling is **two-level** ([`Pool::run`]): each document is a
+    /// group, and whole documents are stolen first (the right granularity
+    /// while documents outnumber idle workers — a worker scans its
+    /// documents' nodes in order, cache-local); a worker that finds no
+    /// untouched document left *joins* the started document with the most
+    /// nodes remaining, claiming chunks of its node range. Only documents
+    /// big enough to bottleneck the batch are node-granular (joinable) at
+    /// all — at least `max(`[`CheckEngine::SPLIT_MIN_NODES`]`,
     /// total/4·workers)` nodes; the rest run as single whole-document
     /// tasks with zero per-node scheduling overhead. A batch mixing one
     /// giant document with many small ones therefore pipelines instead of
     /// serializing on the giant one. Per-node results are reduced per
     /// document in document order, exactly as in
-    /// [`CheckEngine::check_document_pooled`].
+    /// [`CheckEngine::check_document_pooled`]. A batch that plans to a
+    /// single task, or `jobs` resolving to one participant, runs on the
+    /// calling thread.
     pub fn check_batch_pooled(
         self: &Arc<Self>,
         docs: &Arc<Vec<Document>>,
@@ -368,7 +327,7 @@ impl CheckEngine {
         jobs: usize,
     ) -> Vec<PvOutcome> {
         let t0 = self.obs.batch_us.start();
-        let outcomes = self.check_batch_pooled_inner(docs, pool, jobs);
+        let outcomes = self.check_pooled(Docs::Batch(Arc::clone(docs)), pool, jobs, true);
         self.obs.batch_us.observe_since(t0);
         for (doc, outcome) in docs.iter().zip(&outcomes) {
             self.obs.record(None, doc, outcome);
@@ -376,47 +335,71 @@ impl CheckEngine {
         outcomes
     }
 
-    fn check_batch_pooled_inner(
+    /// The one pooled check body. `jobs` resolving to one participant is
+    /// tested first and checks every document on the calling thread
+    /// without planning. Otherwise every document is planned by the split
+    /// rule ([`CheckEngine::SPLIT_MIN_NODES`]) — its root checked up
+    /// front, leaving only ECPV work to shard — and the planned tasks run
+    /// as one region, one group per document, unless they are a single
+    /// task, which again runs on the calling thread.
+    fn check_pooled(
         self: &Arc<Self>,
-        docs: &Arc<Vec<Document>>,
+        docs: Docs,
         pool: &Pool,
         jobs: usize,
+        memo: bool,
     ) -> Vec<PvOutcome> {
-        let effective = pool.participants(jobs);
-        if effective <= 1 {
+        let on_caller = || {
             let mut scratch = self.scratch();
-            return docs.iter().map(|d| self.check_document_with(d, &mut scratch)).collect();
+            scratch.memo = memo;
+            docs.docs().iter().map(|d| self.check_document_with(d, &mut scratch)).collect()
+        };
+        let workers = pool.participants(jobs);
+        if workers <= 1 {
+            return on_caller();
         }
-        // Per-document plan: the root check happens up front (one string
-        // comparison), leaving only per-node ECPV work to shard; most
-        // documents are one task each, batch-dominating ones are
-        // node-granular joinable groups (see `BatchPlan`).
-        let total_nodes: usize = docs.iter().map(Document::element_count).sum();
-        let split = Self::batch_split_threshold(effective, total_nodes);
-        let plans: Arc<Vec<BatchPlan>> =
-            Arc::new(docs.iter().map(|d| self.plan_document(d, split)).collect());
-        let sizes: Vec<usize> = plans.iter().map(BatchPlan::task_count).collect();
+        let counts: Vec<usize> = docs.docs().iter().map(Document::element_count).collect();
+        let split = Self::SPLIT_MIN_NODES.max(counts.iter().sum::<usize>() / (4 * workers));
+        let plans: Vec<DocPlan> =
+            docs.docs().iter().zip(&counts).map(|(d, &n)| self.plan_document(d, n >= split)).collect();
+        let plans = Arc::new(plans);
+        let sizes: Vec<usize> = plans.iter().map(DocPlan::task_count).collect();
+        if sizes.iter().sum::<usize>() <= 1 {
+            return on_caller();
+        }
         let first_bad: Vec<AtomicUsize> =
-            docs.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
+            sizes.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
         let engine = Arc::clone(self);
-        let task_docs = Arc::clone(docs);
         let task_plans = Arc::clone(&plans);
-        let per_doc = pool.run_grouped(jobs, &sizes, move |scope| {
-            let stash = scope.sticky().take::<ScratchStash>().unwrap_or_default();
-            let mut scratch = engine.scratch_from(stash);
+        let per_doc = pool.run(jobs, &sizes, move |scope| {
+            // Once per worker per region: a fresh scratch. Workers share
+            // the engine's shape cache (sharded, read-mostly; a hit
+            // replays the recorded stats delta, so the reduction stays
+            // bit-identical).
+            let mut scratch = engine.scratch();
+            scratch.memo = memo;
             while let Some((g, i)) = scope.claim() {
-                let r = engine.run_batch_task(
-                    &task_docs[g],
-                    &task_plans[g],
-                    &first_bad[g],
-                    i,
-                    &mut scratch,
-                );
+                let doc = &docs.docs()[g];
+                let r = engine.run_task(doc, &task_plans[g], &first_bad[g], i, &mut scratch);
                 scope.put(g, i, r);
             }
-            scope.sticky().put(scratch.into_stash());
         });
         plans.iter().zip(per_doc).map(|(plan, results)| plan.reduce(results)).collect()
+    }
+}
+
+/// The documents of one pooled check: one shared document, or a batch.
+enum Docs {
+    One(Arc<Document>),
+    Batch(Arc<Vec<Document>>),
+}
+
+impl Docs {
+    fn docs(&self) -> &[Document] {
+        match self {
+            Docs::One(doc) => std::slice::from_ref(&**doc),
+            Docs::Batch(docs) => docs,
+        }
     }
 }
 
@@ -444,8 +427,9 @@ mod tests {
         let pool = Pool::new(4);
         let plain = memo_off();
         for doc in [
-            wide_doc(60, false),
-            wide_doc(60, true),
+            wide_doc(150, false), // 601 element nodes: split per node
+            wide_doc(150, true),
+            wide_doc(60, true), // 241: one task, on the calling thread
             pv_xml::parse("<a><b/></a>").unwrap(), // root mismatch
             pv_xml::parse("<r><zzz/></r>").unwrap(), // undeclared element
             pv_xml::parse("<r/>").unwrap(),        // tiny: sequential path
@@ -472,7 +456,7 @@ mod tests {
                     if i == 4 {
                         pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
                     } else if i == 7 {
-                        // Above BATCH_SPLIT_MIN_NODES: exercises the
+                        // Above SPLIT_MIN_NODES: exercises the
                         // node-granular (joinable) plan, poisoned.
                         wide_doc(400, true)
                     } else {
@@ -501,7 +485,7 @@ mod tests {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let plain = memo_off();
         let pool = Pool::new(2);
-        for doc in [wide_doc(60, false), wide_doc(60, true), pv_xml::parse("<r/>").unwrap()] {
+        for doc in [wide_doc(150, false), wide_doc(150, true), pv_xml::parse("<r/>").unwrap()] {
             let expect = plain.check_document(&doc);
             let doc = Arc::new(doc);
             let before = engine.memo_stats().unwrap();
@@ -510,6 +494,42 @@ mod tests {
             }
             // memo=false leaves the shared cache untouched.
             assert_eq!(engine.memo_stats().unwrap(), before);
+        }
+    }
+
+    /// A potentially valid Figure 1 document of exactly `nodes` element
+    /// nodes: `<r>`, four-node `<a>` blocks, then empty `<a/>` padding.
+    fn sized_doc(nodes: usize) -> Document {
+        let mut xml = String::from("<r>");
+        let mut left = nodes - 1;
+        while left >= 4 {
+            xml.push_str("<a><b/><c>text</c><d/></a>");
+            left -= 4;
+        }
+        xml.push_str(&"<a/>".repeat(left));
+        xml.push_str("</r>");
+        pv_xml::parse(&xml).unwrap()
+    }
+
+    /// The split floor on an observed pool at jobs 2: one node below it
+    /// the check is a single task on the calling thread (no region); at
+    /// it the document is split into one task per element node.
+    #[test]
+    fn split_floor_boundary() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let plain = memo_off();
+        let floor = CheckEngine::SPLIT_MIN_NODES;
+        for (nodes, regions) in [(floor - 1, 0), (floor, 1)] {
+            let doc = Arc::new(sized_doc(nodes));
+            assert_eq!(doc.element_count(), nodes);
+            let reg = Registry::new();
+            let pool = Pool::try_new(2, &reg).unwrap();
+            let expect = plain.check_document(&doc);
+            assert_eq!(engine.check_document_pooled(&doc, &pool, 2, true), expect, "nodes={nodes}");
+            let snap = reg.snapshot();
+            assert_eq!(snap.counters["pv_pool_regions_total"], regions, "nodes={nodes}");
+            let tasks = if regions == 0 { 0 } else { nodes as u64 };
+            assert_eq!(snap.counters["pv_pool_tasks_total"], tasks, "nodes={nodes}");
         }
     }
 

@@ -84,7 +84,7 @@ pub mod stream;
 pub mod suggest;
 pub mod token;
 
-pub use checker::{CheckScratch, PvOutcome, PvViolation, PvViolationKind, ScratchStash};
+pub use checker::{CheckScratch, PvOutcome, PvViolation, PvViolationKind};
 pub use engine::CheckEngine;
 pub use dag::{DagNode, DagNodeKind, DagSet, ElementDag};
 pub use depth::DepthPolicy;

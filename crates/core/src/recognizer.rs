@@ -159,24 +159,6 @@ impl RecognizerStats {
     }
 }
 
-/// Lifetime-free heap buffers recovered from a retiring recognizer, so a
-/// persistent pool worker can carry warmed capacities **across** parallel
-/// regions (a [`EcRecognizer`] itself borrows the checker's DAGs and
-/// cannot outlive one region; its plain-data buffers can).
-///
-/// Only the buffers whose element types carry no borrow are recoverable:
-/// the current/next generation bitmaps and the two speculation-round
-/// queues. The entry lists hold in-progress nested recognizers (borrowed)
-/// and are rebuilt per region; they reach steady-state capacity within
-/// the first node or two, so the loss is noise.
-#[derive(Default)]
-pub struct RecBuffers {
-    cur: Vec<bool>,
-    nxt: Vec<bool>,
-    pending: Vec<(u32, DagNodeId)>,
-    parked_round: Vec<(ElemId, DagNodeId)>,
-}
-
 /// One active DAG position, optionally carrying an in-progress nested
 /// recognizer for an elided element.
 struct Entry<'a> {
@@ -289,38 +271,6 @@ impl<'a> EcRecognizer<'a> {
                 self.cur[s as usize] = true;
                 self.active.push(Entry::fresh(s));
             }
-        }
-    }
-
-    /// [`EcRecognizer::new`] seeded with recycled buffers (see
-    /// [`RecBuffers`]); observationally identical to a fresh recognizer.
-    pub fn with_buffers(ctx: RecCtx<'a>, e: ElemId, depth: u32, bufs: RecBuffers) -> Self {
-        let mut rec = Self::new(ctx, e, depth);
-        let RecBuffers { cur, nxt, pending, parked_round } = bufs;
-        // Adopt whichever recycled buffer has more capacity than the
-        // fresh one, then re-arm from scratch.
-        if cur.capacity() > rec.cur.capacity() {
-            rec.cur = cur;
-        }
-        if nxt.capacity() > rec.nxt.capacity() {
-            rec.nxt = nxt;
-        }
-        rec.pending = pending;
-        rec.parked_round = parked_round;
-        rec.reset(e, depth);
-        rec
-    }
-
-    /// Retires this recognizer, handing back its lifetime-free buffers
-    /// for a later [`EcRecognizer::with_buffers`].
-    pub fn into_buffers(mut self) -> RecBuffers {
-        self.pending.clear();
-        self.parked_round.clear();
-        RecBuffers {
-            cur: std::mem::take(&mut self.cur),
-            nxt: std::mem::take(&mut self.nxt),
-            pending: std::mem::take(&mut self.pending),
-            parked_round: std::mem::take(&mut self.parked_round),
         }
     }
 
@@ -801,24 +751,12 @@ impl<'a> EcRecognizer<'a> {
         self.matched
     }
 
-    /// Figure 5's `recognize(x1 … xn)`: feeds a whole child sequence.
-    pub fn recognize(
-        &mut self,
-        syms: impl IntoIterator<Item = ChildSym>,
-        stats: &mut RecognizerStats,
-    ) -> bool {
-        for x in syms {
-            stats.symbols += 1;
-            if !self.validate(x, stats) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Feeds a whole sibling run of symbols in one call, returning the
-    /// index of the first rejected symbol (`None` = every symbol
-    /// accepted; symbols after a rejection are not fed).
+    /// Figure 5's `recognize(x1 … xn)`, and the only multi-symbol entry
+    /// point: feeds a whole run of sibling symbols in one call, returning
+    /// the index of the first rejected symbol (`None` = every symbol
+    /// accepted; symbols after a rejection are not fed). Runs compose:
+    /// feeding a sequence in several consecutive calls is the same as
+    /// feeding it in one.
     ///
     /// Observationally identical — verdicts, stopping point, and every
     /// [`RecognizerStats`] counter — to counting and feeding each symbol
@@ -828,8 +766,9 @@ impl<'a> EcRecognizer<'a> {
     /// round that `begin_round` resolves conclusively —
     /// the non-speculating common case — short-circuits the agenda
     /// driver and bottom-up resolution entirely, staying on the FIFO
-    /// lane for the whole run. This is the streaming checker's batched
-    /// dispatch path (see [`crate::stream`]).
+    /// lane for the whole run. The tree checker feeds each node's whole
+    /// child sequence through it, the streaming checker each buffered
+    /// sibling run (see [`crate::stream`]).
     pub fn advance_run(
         &mut self,
         syms: &[ChildSym],
@@ -864,7 +803,7 @@ pub fn accepts_children(
 ) -> bool {
     let ctx = RecCtx::new(analysis, dags);
     let mut stats = RecognizerStats::default();
-    EcRecognizer::new(ctx, elem, depth).recognize(syms.iter().copied(), &mut stats)
+    EcRecognizer::new(ctx, elem, depth).advance_run(syms, &mut stats).is_none()
 }
 
 #[cfg(test)]
@@ -1185,12 +1124,13 @@ mod tests {
         let a = analysis.id("a").unwrap();
         let b = analysis.id("b").unwrap();
         let mut rec = EcRecognizer::new(ctx, a, u32::MAX);
-        rec.recognize([ChildSym::Elem(b), ChildSym::Sigma, ChildSym::Elem(b)], &mut stats);
+        rec.advance_run(&[ChildSym::Elem(b), ChildSym::Sigma, ChildSym::Elem(b)], &mut stats);
         assert_eq!(stats.specs_denied, 0, "{stats:?}");
     }
 
-    /// Feeds `syms` one at a time through `validate`, mirroring
-    /// `recognize`'s counting, and returns the first rejected index.
+    /// Feeds `syms` one at a time through `validate`, counting each fed
+    /// symbol, and returns the first rejected index — the per-symbol
+    /// reference `advance_run` is held to.
     fn repeated_validate(
         rec: &mut EcRecognizer<'_>,
         syms: &[ChildSym],
@@ -1278,7 +1218,7 @@ mod tests {
         let a = analysis.id("a").unwrap();
         let b = analysis.id("b").unwrap();
         let mut rec = EcRecognizer::new(ctx, a, u32::MAX);
-        rec.recognize([ChildSym::Elem(b), ChildSym::Sigma], &mut stats);
+        rec.advance_run(&[ChildSym::Elem(b), ChildSym::Sigma], &mut stats);
         assert_eq!(stats.symbols, 2);
         assert!(stats.node_visits >= 2);
     }

@@ -93,7 +93,7 @@
 
 use crate::checker::{PvOutcome, PvViolation, PvViolationKind};
 use crate::engine::CheckEngine;
-use crate::recognizer::{EcRecognizer, RecBuffers, RecCtx, RecognizerStats};
+use crate::recognizer::{EcRecognizer, RecCtx, RecognizerStats};
 use crate::token::ChildSym;
 use pv_dtd::{DtdAnalysis, ElemId};
 use pv_xml::{Event, NodeId, PushParser};
@@ -190,10 +190,6 @@ pub struct StreamChecker<'c> {
     /// sized by an element that actually occurs at that depth — on
     /// regular documents, usually the *same* element.
     spare: Vec<Vec<(EcRecognizer<'c>, Vec<ChildSym>)>>,
-    /// Lifetime-free recognizer buffers recovered from a retired checker
-    /// ([`StreamChecker::seed_buffers`]); consumed when a level opens at
-    /// a depth whose spare pool is empty.
-    seed: Vec<RecBuffers>,
     /// Deltas of all cleanly completed node checks (normal mode only).
     done: RecognizerStats,
     state: State,
@@ -214,7 +210,6 @@ impl<'c> StreamChecker<'c> {
             depth,
             levels: Vec::new(),
             spare: Vec::new(),
-            seed: Vec::new(),
             done: RecognizerStats::default(),
             state: State::Normal,
             skip_depth: 0,
@@ -364,31 +359,6 @@ impl<'c> StreamChecker<'c> {
         }
     }
 
-    /// Seeds the recognizer pool with lifetime-free buffers harvested
-    /// from a retired checker ([`Self::finalize_recycling`]), so
-    /// back-to-back documents reuse
-    /// warmed allocations instead of re-growing them per document.
-    pub fn seed_buffers(&mut self, bufs: Vec<RecBuffers>) {
-        self.seed.extend(bufs);
-    }
-
-    /// Like [`finalize`](Self::finalize), additionally harvesting every
-    /// recognizer's buffers (spare pool, unconsumed seeds, any levels
-    /// still open) for a future checker's
-    /// [`seed_buffers`](Self::seed_buffers).
-    pub fn finalize_recycling(mut self) -> (PvOutcome, Vec<RecBuffers>) {
-        let mut bufs: Vec<RecBuffers> = std::mem::take(&mut self.seed);
-        for slot in std::mem::take(&mut self.spare) {
-            for (rec, _) in slot {
-                bufs.push(rec.into_buffers());
-            }
-        }
-        for level in std::mem::take(&mut self.levels) {
-            bufs.push(level.rec.into_buffers());
-        }
-        (self.finalize(), bufs)
-    }
-
     fn alloc_node(&mut self) -> NodeId {
         let id = NodeId::from_index(self.next_node as usize);
         self.next_node += 1;
@@ -401,13 +371,7 @@ impl<'c> StreamChecker<'c> {
                 rec.reset(elem, self.depth);
                 (rec, run)
             }
-            None => {
-                let rec = match self.seed.pop() {
-                    Some(bufs) => EcRecognizer::with_buffers(self.ctx, elem, self.depth, bufs),
-                    None => EcRecognizer::new(self.ctx, elem, self.depth),
-                };
-                (rec, Vec::new())
-            }
+            None => (EcRecognizer::new(self.ctx, elem, self.depth), Vec::new()),
         };
         self.levels.push(Level {
             node,
@@ -716,17 +680,6 @@ impl<'c> StreamCheck<'c> {
         self.drain()?;
         debug_assert!(self.parser.is_complete());
         Ok(self.checker.finalize())
-    }
-
-    /// Variant of [`finish`](Self::finish) that also harvests the
-    /// checker's recognizer buffers for the next document's
-    /// [`StreamChecker::seed_buffers`]. A malformed stream forfeits the
-    /// buffers along with the error.
-    pub fn finish_recycling(mut self) -> pv_xml::Result<(PvOutcome, Vec<RecBuffers>)> {
-        self.parser.finish();
-        self.drain()?;
-        debug_assert!(self.parser.is_complete());
-        Ok(self.checker.finalize_recycling())
     }
 
     /// `true` once the verdict is final (see [`StreamChecker::decided`]).

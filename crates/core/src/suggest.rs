@@ -36,14 +36,9 @@ pub fn expected_next(checker: &CheckEngine, elem: ElemId, prefix: &[ChildSym]) -
         }
         let mut stats = RecognizerStats::default();
         let mut rec = EcRecognizer::new(ctx, elem, checker.depth());
-        let mut ok = true;
-        for &p in prefix {
-            if !rec.validate(p, &mut stats) {
-                ok = false;
-                break;
-            }
-        }
-        if ok && rec.validate(cand, &mut stats) {
+        if rec.advance_run(prefix, &mut stats).is_none()
+            && rec.advance_run(&[cand], &mut stats).is_none()
+        {
             out.push(cand);
         }
     }

@@ -11,27 +11,26 @@
 //!
 //! ## Design
 //!
-//! * **Per-worker deques + stealing** (the `queue` internals): task indices
-//!   are pre-seeded as contiguous blocks, owners pop from the front of
-//!   their own deque, idle workers steal from the back of a victim's.
-//!   Contiguous blocks keep an owner's tasks cache-local (adjacent document
-//!   nodes); back-stealing takes the work the owner would reach last, so
-//!   owner and thief rarely contend on the same lock.
+//! * **One region kind, two levels** (the `queue` internals): a region is
+//!   a list of *groups* of tasks (a batch's documents, or the one document
+//!   of a single check). Group ids are pre-seeded as contiguous blocks
+//!   over per-worker deques; owners pop from the front of their own
+//!   deque, idle workers steal whole groups from the back of a victim's,
+//!   and a worker that finds no unstarted group anywhere *joins* the
+//!   started group with the most work left, claiming chunks of its index
+//!   range — the cross-document pipelining a batch mixing one giant
+//!   document with many small ones needs, and chunked claims (never one
+//!   deque pop per task) when one document is split per node.
 //! * **Persistent parked workers**: a region is dispatched to workers
-//!   waiting on a condvar (single-digit microseconds, no thread spawn),
-//!   and each worker keeps a [`Sticky`] slot across regions for warm
-//!   scratch. Region closures are `'static`; inputs are shared via `Arc`.
+//!   waiting on a condvar (single-digit microseconds, no thread spawn).
+//!   Region closures are `'static`; inputs are shared via `Arc`.
 //! * **Deterministic result join**: each worker tags results with their
-//!   task index; the caller receives `Vec<R>` in **task order** regardless
-//!   of which worker ran what when. Reductions that depend on order (the
-//!   checker's first-failing-node-in-document-order rule) stay exact.
+//!   `(group, index)`; the caller receives one `Vec<R>` per group in
+//!   **task order** regardless of which worker ran what when. Reductions
+//!   that depend on order (the checker's first-failing-node-in-document-
+//!   order rule) stay exact.
 //! * **Panic transparency**: a panicking task propagates to the
 //!   dispatching caller; the workers survive and the pool stays usable.
-//! * **Two-level grouped regions** ([`Pool::run_grouped`]): tasks organized
-//!   as groups (a batch's documents) are stolen group-first, and idle
-//!   workers *join* a started group's remaining index range — the
-//!   cross-document pipelining a batch mixing one giant document with
-//!   many small ones needs.
 //!
 //! ## Quick start
 //!
@@ -41,22 +40,24 @@
 //! // One pool per process; `try_new` reports a failed thread spawn.
 //! let pool = pv_par::Pool::new(4);
 //!
-//! // Square 0..100; results come back in index order.
-//! let squares = pool.run(0, 100, |scope| {
-//!     while let Some(i) = scope.claim() {
-//!         scope.put(i, i * i);
+//! // Square 0..100 as one group; results come back in index order.
+//! let squares = pool.run(0, &[100], |scope| {
+//!     while let Some((g, i)) = scope.claim() {
+//!         scope.put(g, i, i * i);
 //!     }
 //! });
-//! assert_eq!(squares[7], 49);
+//! assert_eq!(squares[0][7], 49);
 //!
-//! // Regions are `'static`: inputs travel in an `Arc`.
+//! // Regions are `'static`: inputs travel in an `Arc`. One group per
+//! // word here, one task per character.
 //! let words = Arc::new(["potential", "validity"]);
-//! let lens = pool.run(2, words.len(), move |scope| {
-//!     while let Some(i) = scope.claim() {
-//!         scope.put(i, words[i].len());
+//! let sizes: Vec<usize> = words.iter().map(|w| w.len()).collect();
+//! let chars = pool.run(2, &sizes, move |scope| {
+//!     while let Some((g, i)) = scope.claim() {
+//!         scope.put(g, i, words[g].as_bytes()[i]);
 //!     }
 //! });
-//! assert_eq!(lens, vec![9, 8]);
+//! assert_eq!(chars[1], b"validity");
 //! ```
 
 #![warn(missing_docs)]
@@ -64,7 +65,7 @@
 mod pool;
 mod queue;
 
-pub use pool::{GroupScope, Pool, Sticky, WorkerScope};
+pub use pool::{Pool, Scope};
 
 /// Resolves a `jobs` request to a worker count: `0` means "one worker per
 /// available CPU" (`std::thread::available_parallelism`, falling back to 1
@@ -78,21 +79,6 @@ pub fn effective_jobs(requested: usize) -> usize {
     } else {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
-}
-
-/// Work distribution counters for one parallel region, for tests and
-/// benchmarks that want to see the stealing actually happen.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks executed by each worker (summing to the region's task count).
-    pub executed_per_worker: Vec<u64>,
-    /// Successful steals (tasks — or, in a grouped region, whole groups —
-    /// a worker took from another's deque).
-    pub steals: u64,
-    /// Grouped regions only: times an idle worker joined the index range
-    /// of a group another worker had already started (the two-level
-    /// scheduler's "split a large document when idle" path).
-    pub group_joins: u64,
 }
 
 #[cfg(test)]

@@ -1,86 +1,38 @@
-//! Per-worker task deques with stealing.
+//! The two-level task queues of one region.
 //!
-//! Every task index is seeded up front into one worker's deque (contiguous
-//! blocks, so a worker's own work is cache-local and document-order
-//! adjacent). Owners pop from the **front** of their deque; thieves pop
-//! from the **back** of a victim's, so a steal takes the work the owner
-//! would reach last. Because no task ever enqueues another task, deques
-//! only shrink — one full failed scan over all deques therefore proves
-//! global completion, which keeps termination detection trivial (no
-//! sleeping/waking protocol is needed for this finite-batch pool).
+//! Level 1 is a deque of whole *groups* per worker (a group is a document
+//! of the checker's region), level 2 a chunk-claimable cursor over each
+//! group's task indices.
+//!
+//! Every group id is seeded up front into one worker's deque (contiguous
+//! blocks, so a worker's own groups are document-order adjacent). Owners
+//! pop from the **front** of their deque; thieves pop from the **back** of
+//! a victim's, so a steal takes the group the owner would reach last. Only
+//! when no unstarted group exists anywhere does a worker **join** the
+//! started group with the most work left, claiming chunks of its remaining
+//! index range. A batch mixing one giant document with many small ones
+//! thus keeps every worker busy — the small documents drain first as whole
+//! units, then everyone converges on the giant one's node range — and a
+//! region of one group (a single document) is shared chunk by chunk from
+//! the start.
+//!
+//! Claiming is a CAS loop on the group's cursor, so every `(group, index)`
+//! task is handed out exactly once; a worker that claims a chunk always
+//! runs all of it before claiming again. No task ever creates work, so
+//! deques and cursors only drain, and one full failed scan — own deque,
+//! every victim deque, every group cursor — proves the region complete
+//! (no sleeping/waking protocol is needed for this finite-batch pool).
 //!
 //! The deques are `Mutex<VecDeque<usize>>`, not lock-free ring buffers:
-//! the workspace forbids `unsafe`, and one uncontended lock per ~µs-scale
-//! recognizer task is noise in practice (the `parallel_scaling` bench
-//! measures the end-to-end overhead).
+//! the workspace forbids `unsafe`, and a deque is touched once per group,
+//! not once per task.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The shared task queues of one parallel region.
-pub(crate) struct StealQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Seeds `len` task indices into `workers` deques as contiguous,
-    /// balanced blocks (`len mod workers` leading deques get one extra).
-    pub(crate) fn split(workers: usize, len: usize) -> Self {
-        debug_assert!(workers > 0);
-        let base = len / workers;
-        let extra = len % workers;
-        let mut deques = Vec::with_capacity(workers);
-        let mut next = 0usize;
-        for w in 0..workers {
-            let take = base + usize::from(w < extra);
-            deques.push(Mutex::new((next..next + take).collect()));
-            next += take;
-        }
-        debug_assert_eq!(next, len);
-        StealQueues { deques }
-    }
-
-    /// The next task for worker `w`: its own front, else a steal from the
-    /// back of the first non-empty victim (scanning round-robin from
-    /// `w + 1`). `None` means every deque is empty — and since deques only
-    /// shrink, that is a stable state: the region is done.
-    pub(crate) fn next(&self, w: usize, steals: &AtomicU64) -> Option<usize> {
-        if let Some(i) = self.deques[w].lock().unwrap().pop_front() {
-            return Some(i);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (w + off) % n;
-            if let Some(i) = self.deques[victim].lock().unwrap().pop_back() {
-                steals.fetch_add(1, Ordering::Relaxed);
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
-/// The shared task state of one **two-level** (grouped) parallel region:
-/// level 1 is a deque of whole *groups* per worker (a group is a document
-/// in the batch checker), level 2 is a chunk-claimable cursor over each
-/// group's task indices.
-///
-/// Workers prefer whole groups — their own deque's front, then a steal
-/// from the back of a victim's — and only when no unstarted group exists
-/// anywhere do they **join** the started group with the most work left,
-/// claiming chunks of its remaining index range. That is exactly the
-/// cross-document pipelining the batch checker needs: a batch mixing one
-/// giant document with many small ones keeps every worker busy — the
-/// small documents drain first as whole units, then everyone converges on
-/// the giant one's node range.
-///
-/// Claiming is a CAS loop on the group's cursor, so every `(group, index)`
-/// task is handed out exactly once; a worker that claims a chunk always
-/// runs all of it before claiming again. Groups only drain (no task ever
-/// creates work), so a full failed scan — own deque, every victim deque,
-/// every group cursor — proves the region is complete, same as the flat
-/// [`StealQueues`].
+/// The shared task state of one region.
 pub(crate) struct GroupQueues {
     deques: Vec<Mutex<VecDeque<usize>>>,
     groups: Vec<GroupCursor>,
@@ -96,7 +48,7 @@ struct GroupCursor {
     chunk: usize,
 }
 
-/// Work-distribution counters of one grouped region.
+/// Work-distribution counters of one region.
 pub(crate) struct GroupCounters {
     /// Whole groups taken from another worker's deque.
     pub(crate) steals: AtomicU64,
@@ -112,9 +64,9 @@ impl GroupCounters {
 
 impl GroupQueues {
     /// Seeds the group ids `0..sizes.len()` into `workers` deques as
-    /// contiguous balanced blocks (like [`StealQueues::split`], one level
-    /// up). Chunk sizes scale with the group and shrink with the worker
-    /// count, clamped to `[1, 64]`.
+    /// contiguous balanced blocks (`len mod workers` leading deques get
+    /// one extra). Chunk sizes scale with the group and shrink with the
+    /// worker count, clamped to `[1, 64]`.
     pub(crate) fn split(workers: usize, sizes: &[usize]) -> Self {
         debug_assert!(workers > 0);
         let n = sizes.len();
@@ -139,9 +91,9 @@ impl GroupQueues {
         GroupQueues { deques, groups }
     }
 
-    /// Claims the next chunk `[lo, hi)` of group `g`, or `None` once the
-    /// group is fully claimed.
-    fn claim(&self, g: usize) -> Option<(usize, usize)> {
+    /// Claims the next chunk of group `g`, or `None` once the group is
+    /// fully claimed. A returned range is never empty.
+    fn claim(&self, g: usize) -> Option<Range<usize>> {
         let c = &self.groups[g];
         let mut cur = c.next.load(Ordering::Relaxed);
         loop {
@@ -150,7 +102,7 @@ impl GroupQueues {
             }
             let hi = (cur + c.chunk).min(c.len);
             match c.next.compare_exchange_weak(cur, hi, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return Some((cur, hi)),
+                Ok(_) => return Some(cur..hi),
                 Err(seen) => cur = seen,
             }
         }
@@ -168,8 +120,8 @@ impl GroupQueues {
         best.map(|(g, _)| g)
     }
 
-    /// One scheduling step for worker `w`: claims the next chunk
-    /// `(group, lo, hi)` of work, updating `current` (the group this
+    /// One scheduling step for worker `w`: claims the next chunk of work
+    /// as `(group, index range)`, updating `current` (the group this
     /// worker is attached to, threaded by the caller so claiming stays
     /// incremental). `None` means no claimable task is left anywhere —
     /// tasks another worker already claimed may still be *executing*; the
@@ -179,12 +131,12 @@ impl GroupQueues {
         w: usize,
         current: &mut Option<usize>,
         counters: &GroupCounters,
-    ) -> Option<(usize, usize, usize)> {
+    ) -> Option<(usize, Range<usize>)> {
         loop {
             // Level 2: drain the group this worker is attached to.
             if let Some(g) = *current {
                 match self.claim(g) {
-                    Some((lo, hi)) => return Some((g, lo, hi)),
+                    Some(chunk) => return Some((g, chunk)),
                     None => *current = None,
                 }
             }
@@ -219,7 +171,7 @@ mod tests {
 
     /// Drains the region from worker `w`'s perspective, calling
     /// `run(group, index)` for every task this worker claims (the loop a
-    /// pool worker's [`crate::GroupScope`] runs).
+    /// pool worker's [`crate::Scope`] runs).
     fn drain(
         q: &GroupQueues,
         w: usize,
@@ -227,8 +179,8 @@ mod tests {
         mut run: impl FnMut(usize, usize),
     ) {
         let mut current: Option<usize> = None;
-        while let Some((g, lo, hi)) = q.next_chunk(w, &mut current, counters) {
-            for i in lo..hi {
+        while let Some((g, chunk)) = q.next_chunk(w, &mut current, counters) {
+            for i in chunk {
                 run(g, i);
             }
         }
@@ -236,7 +188,7 @@ mod tests {
 
     #[test]
     fn split_is_balanced_and_complete() {
-        let q = StealQueues::split(3, 10);
+        let q = GroupQueues::split(3, &[1; 10]);
         let sizes: Vec<usize> = q.deques.iter().map(|d| d.lock().unwrap().len()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
         let mut all: Vec<usize> =
@@ -247,22 +199,27 @@ mod tests {
 
     #[test]
     fn owner_drains_front_thief_drains_back() {
-        let q = StealQueues::split(2, 4); // deque 0: [0,1], deque 1: [2,3]
-        let steals = AtomicU64::new(0);
-        assert_eq!(q.next(0, &steals), Some(0)); // own front
-        assert_eq!(q.next(1, &steals), Some(2));
-        assert_eq!(q.next(1, &steals), Some(3));
-        assert_eq!(q.next(1, &steals), Some(1)); // stolen from 0's back
-        assert_eq!(steals.load(Ordering::Relaxed), 1);
-        assert_eq!(q.next(0, &steals), None);
+        // Four one-task groups: deque 0 holds [0, 1], deque 1 holds [2, 3].
+        let q = GroupQueues::split(2, &[1; 4]);
+        let counters = GroupCounters::new();
+        let (mut cur0, mut cur1) = (None, None);
+        assert_eq!(q.next_chunk(0, &mut cur0, &counters), Some((0, 0..1))); // own front
+        assert_eq!(q.next_chunk(1, &mut cur1, &counters), Some((2, 0..1)));
+        assert_eq!(q.next_chunk(1, &mut cur1, &counters), Some((3, 0..1)));
+        assert_eq!(q.next_chunk(1, &mut cur1, &counters), Some((1, 0..1))); // 0's back
+        assert_eq!(counters.steals.load(Ordering::Relaxed), 1);
+        assert_eq!(q.next_chunk(0, &mut cur0, &counters), None);
+        assert_eq!(counters.joins.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn empty_region_terminates_immediately() {
-        let q = StealQueues::split(4, 0);
-        let steals = AtomicU64::new(0);
-        for w in 0..4 {
-            assert_eq!(q.next(w, &steals), None);
+        for sizes in [&[][..], &[0, 0][..]] {
+            let q = GroupQueues::split(4, sizes);
+            let counters = GroupCounters::new();
+            for w in 0..4 {
+                assert_eq!(q.next_chunk(w, &mut None, &counters), None);
+            }
         }
     }
 
@@ -271,10 +228,7 @@ mod tests {
         let sizes = [5usize, 0, 200, 3, 1];
         let q = GroupQueues::split(3, &sizes);
         let counters = GroupCounters::new();
-        let mut seen = vec![vec![0u32; 0]; sizes.len()];
-        for (g, &len) in sizes.iter().enumerate() {
-            seen[g] = vec![0; len];
-        }
+        let mut seen: Vec<Vec<u32>> = sizes.iter().map(|&len| vec![0; len]).collect();
         // A single worker must still drain everything (joins included).
         drain(&q, 0, &counters, |g, i| seen[g][i] += 1);
         for (g, group) in seen.iter().enumerate() {

@@ -55,12 +55,12 @@
 //! let pool = Pool::new(0); // one parked worker per CPU
 //! let play = Arc::new(pv_workload::corpus::play(2_000));
 //!
-//! // One large document, per-node sharding over every pool worker.
+//! // One large document, split per node over every pool worker.
 //! let outcome = checker.check_document_pooled(&play, &pool, 0, true);
 //! assert!(outcome.is_potentially_valid());
 //! assert_eq!(outcome, checker.check_document(&play));
 //!
-//! // A corpus, per-document sharding: outcome i == check_document(&docs[i]).
+//! // A corpus, one task per document: outcome i == check_document(&docs[i]).
 //! let docs = Arc::new(pv_workload::corpus::batch(BuiltinDtd::Play, 8, 300).unwrap());
 //! let outcomes = checker.check_batch_pooled(&docs, &pool, 0);
 //! assert!(outcomes.iter().all(|o| o.is_potentially_valid()));

@@ -26,10 +26,12 @@ use pv_workload::mutate::Mutator;
 use std::sync::Arc;
 
 /// Builtin corpus documents in several states of (dis)repair — the same
-/// scenario shapes the service differential uses.
+/// scenario shapes the service differential uses, sized so a pooled check
+/// at jobs ≥ 2 splits them per node (stripped: above
+/// `CheckEngine::SPLIT_MIN_NODES`).
 fn scenarios(b: BuiltinDtd) -> Vec<String> {
     let mut out = Vec::new();
-    if let Some(valid) = corpus::for_builtin(b, 300) {
+    if let Some(valid) = corpus::for_builtin(b, 600) {
         let mut stripped = valid.clone();
         Mutator::new(21).delete_random_markup(&mut stripped, 60);
         let mut swapped = stripped.clone();

@@ -9,7 +9,11 @@
 //! the sequential checker would have visited (nodes after the first
 //! violation are skipped on both sides). These tests sweep the builtin DTD
 //! corpus (realistic documents, stripped and broken variants) and
-//! proptest-generated DTD/document families at jobs ∈ {1, 2, 8}.
+//! proptest-generated DTD/document families at jobs ∈ {1, 2, 8}. A pooled
+//! check splits a document per node only from
+//! `CheckEngine::SPLIT_MIN_NODES` element nodes on (smaller ones run on
+//! the calling thread), so every test here checks documents above that
+//! floor.
 
 use proptest::prelude::*;
 use potential_validity::prelude::*;
@@ -28,6 +32,23 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool::new(8))
 }
 
+/// A DTD of `params.class` drawn from `seed`, with a generated valid
+/// document big enough that the pooled check splits it per node even
+/// after a dozen deletions. Not every DTD yields one (a non-recursive DTD
+/// may have little repeatable content), so the DTD and document are
+/// redrawn from derived seeds until one does; every seed the strategies
+/// below draw (`0..5000`) succeeds within the first 64 draws.
+fn dtd_with_split_size_doc(params: &DtdGenParams, seed: u64) -> (DtdAnalysis, Document) {
+    for attempt in 0..128u64 {
+        let analysis = DtdGen::new(seed + 5000 * attempt, params.clone()).generate();
+        let doc = DocGen::new(&analysis, (seed ^ 0xB16) + attempt).generate(600);
+        if doc.element_count() >= CheckEngine::SPLIT_MIN_NODES + 16 {
+            return (analysis, doc);
+        }
+    }
+    panic!("no split-size document for seed {seed}");
+}
+
 /// Asserts pooled == sequential for one (analysis, document) pair.
 fn assert_parallel_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) {
     let checker = CheckEngine::new(analysis.clone());
@@ -39,12 +60,14 @@ fn assert_parallel_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) 
     }
 }
 
-/// The builtin corpus documents, in several states of (dis)repair.
+/// The builtin corpus documents, in several states of (dis)repair, every
+/// one above the split floor.
 fn corpus_scenarios(b: BuiltinDtd) -> Vec<(String, Document)> {
     let mut docs = Vec::new();
-    if let Some(valid) = corpus::for_builtin(b, 400) {
+    if let Some(valid) = corpus::for_builtin(b, 800) {
         let mut stripped = valid.clone();
         Mutator::new(11).delete_random_markup(&mut stripped, 80);
+        assert!(stripped.element_count() >= CheckEngine::SPLIT_MIN_NODES, "{}", b.name());
         let mut swapped = stripped.clone();
         Mutator::new(12).swap_random_siblings(&mut swapped);
         let mut renamed = stripped.clone();
@@ -70,11 +93,14 @@ fn corpus_documents_check_identically_in_parallel() {
 #[test]
 fn builtin_dtds_with_generated_documents_check_identically() {
     // Builtins without a realistic corpus builder still get coverage via
-    // the grammar-walking generator + PV-breaking mutations.
+    // the grammar-walking generator + PV-breaking mutations. At 600
+    // elements its documents clear the split floor for every builtin whose
+    // grammar allows one that wide (all but figure1, t1, t2 and
+    // dissertation, whose documents stay on the calling thread).
     for b in BuiltinDtd::ALL {
         let analysis = b.analysis();
         for seed in 0..4u64 {
-            let valid = DocGen::new(&analysis, seed).generate(50);
+            let valid = DocGen::new(&analysis, seed).generate(600);
             let mut stripped = valid.clone();
             Mutator::new(seed).delete_random_markup(&mut stripped, 15);
             let mut swapped = stripped.clone();
@@ -94,8 +120,9 @@ fn builtin_dtds_with_generated_documents_check_identically() {
 fn batch_checking_matches_per_document_sequential() {
     let analysis = BuiltinDtd::Play.analysis();
     let checker = CheckEngine::new(analysis.clone());
-    // A batch mixing healthy, stripped, and broken documents.
-    let mut docs = corpus::batch(BuiltinDtd::Play, 10, 300).unwrap();
+    // A batch mixing healthy, stripped, and broken documents of ~300 to
+    // ~900 elements: whole-document tasks and documents split per node.
+    let mut docs = corpus::batch(BuiltinDtd::Play, 10, 600).unwrap();
     for (i, doc) in docs.iter_mut().enumerate() {
         Mutator::new(i as u64).delete_random_markup(doc, 40);
         if i % 3 == 0 {
@@ -121,7 +148,7 @@ fn mixed_batch_with_giant_document_checks_identically() {
     let analysis = BuiltinDtd::Play.analysis();
     let checker = CheckEngine::new(analysis.clone());
     for poison_giant in [false, true] {
-        let mut docs = vec![corpus::play(3_000)]; // >> BATCH_SPLIT_MIN_NODES
+        let mut docs = vec![corpus::play(3_000)]; // >> SPLIT_MIN_NODES
         docs.extend((0..6).map(|i| corpus::play(60 + 10 * i)));
         if poison_giant {
             // An undeclared element deep in the giant document.
@@ -160,7 +187,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// Random DTD families × random documents × random mutations: the
-    /// pooled checker is observationally equal to the sequential one.
+    /// pooled checker is observationally equal to the sequential one, on
+    /// a ~40-element document (the calling thread) and one above the
+    /// split floor (split per node).
     #[test]
     fn parallel_checking_is_bit_identical(
         class in class_strategy(),
@@ -168,39 +197,40 @@ proptest! {
         dels in 0usize..12,
     ) {
         let break_it = seed % 2 == 0;
-        let analysis = DtdGen::new(
-            seed,
-            DtdGenParams { class, elements: 7, max_model_atoms: 4, ..Default::default() },
-        )
-        .generate();
-        let mut doc = DocGen::new(&analysis, seed ^ 0x5EED).generate(40);
-        Mutator::new(seed).delete_random_markup(&mut doc, dels);
-        if break_it {
-            Mutator::new(seed ^ 3).swap_random_siblings(&mut doc);
-            Mutator::new(seed ^ 4).rename_random_element(&mut doc, &analysis.dtd);
-        }
+        let params = DtdGenParams { class, elements: 7, max_model_atoms: 4, ..Default::default() };
+        let (analysis, big) = dtd_with_split_size_doc(&params, seed);
+        let small = DocGen::new(&analysis, seed ^ 0x5EED).generate(40);
         let checker = CheckEngine::new(analysis.clone());
-        let seq = checker.check_document(&doc);
-        let doc = Arc::new(doc);
-        for jobs in JOBS {
-            prop_assert_eq!(
-                &checker.check_document_pooled(&doc, pool(), jobs, true),
-                &seq,
-                "jobs={} class={:?} seed={}", jobs, class, seed
-            );
+        for mut doc in [small, big] {
+            Mutator::new(seed).delete_random_markup(&mut doc, dels);
+            if break_it {
+                Mutator::new(seed ^ 3).swap_random_siblings(&mut doc);
+                Mutator::new(seed ^ 4).rename_random_element(&mut doc, &analysis.dtd);
+            }
+            let seq = checker.check_document(&doc);
+            let doc = Arc::new(doc);
+            for jobs in JOBS {
+                prop_assert_eq!(
+                    &checker.check_document_pooled(&doc, pool(), jobs, true),
+                    &seq,
+                    "jobs={} class={:?} seed={} nodes={}", jobs, class, seed, doc.element_count()
+                );
+            }
         }
     }
 
-    /// Batches of generated documents: `check_batch_pooled` outcome `i` equals
+    /// Batches of generated documents, one of them above the split floor
+    /// at a seed-chosen position: `check_batch_pooled` outcome `i` equals
     /// `check_document(&docs[i])`, at any job count.
     #[test]
     fn batch_is_bit_identical(class in class_strategy(), seed in 0u64..5000) {
-        let analysis = DtdGen::new(
-            seed,
-            DtdGenParams { class, elements: 6, ..Default::default() },
-        )
-        .generate();
-        let docs: Vec<Document> = (0..6)
+        let params = DtdGenParams { class, elements: 6, ..Default::default() };
+        let (analysis, mut big) = dtd_with_split_size_doc(&params, seed);
+        Mutator::new(seed).delete_random_markup(&mut big, 4);
+        if seed % 2 == 1 {
+            Mutator::new(seed ^ 5).swap_random_siblings(&mut big);
+        }
+        let mut docs: Vec<Document> = (0..6)
             .map(|i| {
                 let mut d = DocGen::new(&analysis, seed ^ i).generate(15 + 5 * i as usize);
                 Mutator::new(seed ^ i).delete_random_markup(&mut d, i as usize);
@@ -210,6 +240,7 @@ proptest! {
                 d
             })
             .collect();
+        docs.insert(seed as usize % 7, big);
         let checker = CheckEngine::new(analysis.clone());
         let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
         let docs = Arc::new(docs);

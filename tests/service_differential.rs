@@ -8,8 +8,8 @@
 //! parses, runs the same `pv-core` code (sequential, or pooled on parked
 //! workers), and ships the outcome as JSON; the client rebuilds a real
 //! `PvOutcome`. Anything lost or perturbed anywhere in that pipeline —
-//! framing, JSON codecs, engine sharing, pool scheduling, sticky scratch
-//! reuse — shows up here as an inequality.
+//! framing, JSON codecs, engine sharing, pool scheduling — shows up here
+//! as an inequality.
 
 use potential_validity::prelude::*;
 use pv_dtd::builtin::BuiltinDtd;
@@ -149,8 +149,8 @@ fn warm_cache_sequences_identical_to_cold() {
 #[test]
 fn pool_reuse_leaks_no_state_between_dtds_and_requests() {
     let (server, mut client) = start_server();
-    // Two structurally different DTDs interleaved on one pool: sticky
-    // scratch and the shared pool must carry nothing across requests.
+    // Two structurally different DTDs interleaved on one pool: the
+    // shared pool must carry nothing across requests.
     let fig1 = client.load_builtin("figure1").unwrap();
     let article = client.load_builtin("docbook-article").unwrap();
     assert_ne!(fig1.handle, article.handle);
