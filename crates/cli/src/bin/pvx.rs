@@ -5,12 +5,12 @@
 use pv_cli::{
     cmd_analyze, cmd_bench_serve, cmd_check, cmd_check_remote, cmd_check_stream,
     cmd_check_stream_remote, cmd_classify, cmd_complete, cmd_lint, cmd_top, cmd_validate,
-    render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, RemoteTarget, Status, TopOpts,
+    render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, Status, TopOpts,
 };
 use pv_core::depth::DepthPolicy;
 use pv_obs::Registry;
 use pv_par::Pool;
-use pv_service::{metrics_http, Endpoint, GovernorConfig, LogSink, Server};
+use pv_service::{metrics_http, Client, Endpoint, GovernorConfig, LogSink, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,7 +20,7 @@ pvx — potential validity of document-centric XML (ICDE 2006)
 USAGE:
   pvx check    [--dtd FILE --root NAME | --builtin NAME] [--depth N] [--jobs N]
                [--no-memo] [--json] [-v] [--stream [--chunk-size N]]
-               [--remote ADDR[,ADDR...]] DOC.xml...
+               [--remote ADDR] DOC.xml...
   pvx validate [--dtd FILE --root NAME | --builtin NAME] [--ignore-whitespace] DOC.xml...
   pvx complete [--dtd FILE --root NAME | --builtin NAME] DOC.xml
   pvx classify (--dtd FILE --root NAME | --builtin NAME)
@@ -32,9 +32,9 @@ USAGE:
                [--max-request BYTES] [--access-log] [--strict-load]
                [--metrics-port N]
   pvx top      ADDR [--interval-ms N] [--count N]
-  pvx bench-serve --remote ADDR[,ADDR...] [--builtin NAME] [--doc FILE]
+  pvx bench-serve --remote ADDR [--builtin NAME] [--doc FILE]
                [--requests N] [--concurrency N] [--flood N]
-               [--stream [--chunk-size N] [--streams N]] [--json]
+               [--stream [--chunk-size N]] [--json]
 
 Without --dtd/--builtin, documents must carry an internal DTD subset
 (<!DOCTYPE root [ ... ]>). Builtins: figure1, t1, t2, xhtml-basic,
@@ -75,10 +75,7 @@ per loaded DTD, pre-compiled DAGs plus a warm shape cache shared across
 requests. `pvx check --remote ADDR` ships documents to such a server
 (ADDR is the socket path or host:port) and renders the bit-identical
 outcome; the DTD resolves locally as usual and is loaded (idempotently)
-into the server on first use. A comma-separated --remote list routes
-DTDs across the backends by consistent hash, replicates loads, and
-fails over on a dead or overloaded backend — outcomes stay
-bit-identical.
+into the server on first use.
 
 `pvx serve` governance: --max-conns caps concurrent connections (excess
 gets a clean BUSY error; 0 = unlimited), --max-inflight caps concurrent
@@ -107,9 +104,9 @@ throughput and shed rate are real. Completed checks feed a latency
 histogram reported as p50/p95/p99/max. --flood holds N extra idle
 connections open to push a --max-conns-limited server into shedding.
 With --stream each request uploads the document as CHECK_STREAM chunks
-(default 64 KiB, --chunk-size N); --streams N multiplexes N interleaved
-copies per request as one BATCH_STREAM, measuring the streaming path at
-service scale.
+(default 64 KiB, --chunk-size N); --concurrency N runs N such uploads
+at once, one connection each, measuring the streaming path at service
+scale.
 
 EXIT CODES: 0 ok / potentially valid · 1 check failed · 2 usage or parse error";
 
@@ -142,7 +139,6 @@ struct Args {
     requests: Option<usize>,
     concurrency: Option<usize>,
     flood: Option<usize>,
-    streams: Option<usize>,
     doc_file: Option<String>,
     metrics_port: Option<u16>,
     interval_ms: Option<u64>,
@@ -182,7 +178,6 @@ fn parse_args() -> Result<Args, String> {
         requests: None,
         concurrency: None,
         flood: None,
-        streams: None,
         doc_file: None,
         metrics_port: None,
         interval_ms: None,
@@ -286,14 +281,6 @@ fn parse_args() -> Result<Args, String> {
             "--count" => {
                 let v = need_value(&mut argv, "--count")?;
                 args.count = Some(v.parse().map_err(|_| format!("bad --count {v:?}"))?);
-            }
-            "--streams" => {
-                let v = need_value(&mut argv, "--streams")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --streams {v:?}"))?;
-                if n == 0 {
-                    return Err("--streams must be at least 1".to_owned());
-                }
-                args.streams = Some(n);
             }
             "--chunk-size" => {
                 let v = need_value(&mut argv, "--chunk-size")?;
@@ -408,7 +395,7 @@ fn bench_doc(builtin: &str) -> Option<&'static str> {
 
 fn cmd_bench(args: &Args) -> ! {
     let Some(addr) = args.remote.clone() else {
-        die("bench-serve needs --remote ADDR[,ADDR...]");
+        die("bench-serve needs --remote ADDR");
     };
     let builtin = args.builtin.clone().unwrap_or_else(|| "figure1".to_owned());
     let xml = match &args.doc_file {
@@ -424,9 +411,6 @@ fn cmd_bench(args: &Args) -> ! {
     if args.chunk_size.is_some() && !args.stream {
         die("--chunk-size requires --stream");
     }
-    if args.streams.is_some() && !args.stream {
-        die("--streams requires --stream");
-    }
     let opts = BenchServeOpts {
         addr,
         builtin,
@@ -435,7 +419,6 @@ fn cmd_bench(args: &Args) -> ! {
         concurrency: args.concurrency.unwrap_or(4),
         flood: args.flood.unwrap_or(0),
         stream_chunk: if args.stream { args.chunk_size.unwrap_or(64 * 1024) } else { 0 },
-        streams: args.streams.unwrap_or(1),
         json: args.json,
     };
     let (report, status) = cmd_bench_serve(&opts);
@@ -449,17 +432,25 @@ fn cmd_bench(args: &Args) -> ! {
 /// **once** per run: the handle does not depend on the document, so
 /// re-shipping the DTD source per document would only waste round trips.
 fn remote_handle_fixed(
-    target: &mut RemoteTarget,
+    client: &mut Client,
     args: &Args,
     dtd_src: Option<&str>,
 ) -> Option<Result<String, String>> {
     if let Some(name) = &args.builtin {
-        return Some(target.load_builtin(name).map_err(|e| e.to_string()));
+        return Some(
+            client
+                .load_builtin(name)
+                .map(|i| i.handle)
+                .map_err(|e| e.to_string()),
+        );
     }
     if let Some(src) = dtd_src {
         return Some(match args.root.as_deref() {
             None => Err("--dtd requires --root NAME".to_owned()),
-            Some(root) => target.load_dtd(root, src).map_err(|e| e.to_string()),
+            Some(root) => client
+                .load_dtd(root, src)
+                .map(|i| i.handle)
+                .map_err(|e| e.to_string()),
         });
     }
     None
@@ -468,7 +459,7 @@ fn remote_handle_fixed(
 /// The per-document fallback: load the document's internal DTD subset
 /// (interned server-side, so repeated subsets share one engine).
 fn remote_handle_for_doc(
-    target: &mut RemoteTarget,
+    client: &mut Client,
     args: &Args,
     doc: &pv_xml::Document,
 ) -> Result<String, String> {
@@ -481,7 +472,10 @@ fn remote_handle_for_doc(
         .as_deref()
         .ok_or("document DOCTYPE has no internal subset; pass --dtd")?;
     let root = args.root.clone().unwrap_or_else(|| dt.name.clone());
-    target.load_dtd(&root, subset).map_err(|e| e.to_string())
+    client
+        .load_dtd(&root, subset)
+        .map(|i| i.handle)
+        .map_err(|e| e.to_string())
 }
 
 fn main() {
@@ -542,7 +536,7 @@ fn main() {
 
     let mut remote = match &args.remote {
         None => None,
-        Some(addr) => match RemoteTarget::connect(addr) {
+        Some(addr) => match Client::connect(addr) {
             Ok(c) => Some(c),
             Err(e) => die(&format!("cannot connect to {addr}: {e}")),
         },

@@ -318,110 +318,27 @@ pub fn cmd_check(
     render_check(name, &report, opts.json)
 }
 
-/// What `pvx check --remote ADDR[,ADDR...]` talks to: one server, or a
-/// consistent-hash router over several (see [`pv_service::MultiClient`]).
-/// The `handle` strings the load calls return are opaque to callers —
-/// a server-issued handle in the single case, a routing key in the
-/// multi case — and flow unchanged into the check calls.
-pub enum RemoteTarget {
-    /// One backend, one connection.
-    Single(pv_service::Client),
-    /// N backends behind the consistent-hash router (boxed: the router
-    /// carries ring, spec, and telemetry state a plain client doesn't).
-    Multi(Box<pv_service::MultiClient>),
-}
-
-impl RemoteTarget {
-    /// Connects: a comma in `addr` selects the multi-backend router
-    /// (which connects lazily); otherwise a single blocking client.
-    pub fn connect(addr: &str) -> std::io::Result<RemoteTarget> {
-        if addr.contains(',') {
-            let addrs: Vec<String> = addr
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_owned)
-                .collect();
-            if addrs.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "no backend addresses given",
-                ));
-            }
-            Ok(RemoteTarget::Multi(Box::new(pv_service::MultiClient::new(
-                &addrs,
-                pv_service::RouterConfig::default(),
-            ))))
-        } else {
-            pv_service::Client::connect(addr).map(RemoteTarget::Single)
-        }
-    }
-
-    /// Loads a built-in DTD, returning the opaque handle/key.
-    pub fn load_builtin(&mut self, name: &str) -> pv_service::Result<String> {
-        match self {
-            RemoteTarget::Single(c) => c.load_builtin(name).map(|i| i.handle),
-            RemoteTarget::Multi(m) => m.load_builtin(name).map(|l| l.key),
-        }
-    }
-
-    /// Loads a DTD from source, returning the opaque handle/key.
-    pub fn load_dtd(&mut self, root: &str, source: &str) -> pv_service::Result<String> {
-        match self {
-            RemoteTarget::Single(c) => c.load_dtd(root, source).map(|i| i.handle),
-            RemoteTarget::Multi(m) => m.load_dtd(root, source).map(|l| l.key),
-        }
-    }
-
-    /// Checks one document (`CHECK`).
-    pub fn check(
-        &mut self,
-        handle: &str,
-        xml: &str,
-        jobs: usize,
-        memo: bool,
-    ) -> pv_service::Result<pv_service::RemoteCheck> {
-        match self {
-            RemoteTarget::Single(c) => c.check(handle, xml, jobs, memo),
-            RemoteTarget::Multi(m) => m.check(handle, xml, jobs, memo),
-        }
-    }
-
-    /// Streams one document in `chunk`-byte pieces (`CHECK_STREAM`). A
-    /// zero `chunk` is rejected up front rather than silently
-    /// reinterpreted (`data.chunks(0)` would panic; "stream it in one
-    /// 0-byte chunk" has no meaning on the wire, where a zero-length
-    /// block is the terminator).
-    pub fn check_stream(
-        &mut self,
-        handle: &str,
-        data: &[u8],
-        chunk: usize,
-    ) -> pv_service::Result<pv_service::RemoteCheck> {
-        if chunk == 0 {
-            return Err(pv_service::ServiceError::Invalid(
-                "chunk size must be at least 1 byte".into(),
-            ));
-        }
-        match self {
-            RemoteTarget::Single(c) => c.check_stream(handle, data.chunks(chunk)),
-            RemoteTarget::Multi(m) => m.check_stream(handle, data, chunk),
-        }
-    }
-}
-
-/// `pvx check --remote`: ship the document to a resident `pvx serve` (or
-/// a set of them) and render the (bit-identical) outcome with the same
-/// renderer as the local path. `handle` comes from a prior
-/// [`RemoteTarget`] load call.
+/// `pvx check --remote`: ship the document to a resident `pvx serve` and
+/// render the (bit-identical) outcome with the same renderer as the local
+/// path. `handle` comes from a prior `load_builtin`/`load_dtd` on the
+/// same client.
 pub fn cmd_check_remote(
-    target: &mut RemoteTarget,
+    client: &mut pv_service::Client,
     handle: &str,
     name: &str,
     xml: &str,
     opts: &CheckOpts,
 ) -> (String, Status) {
-    match target.check(handle, xml, opts.jobs, opts.memo) {
+    render_remote(name, client.check(handle, xml, opts.jobs, opts.memo), opts)
+}
+
+/// Renders a remote check result (or its failure) like a local report.
+fn render_remote(
+    name: &str,
+    result: pv_service::Result<pv_service::RemoteCheck>,
+    opts: &CheckOpts,
+) -> (String, Status) {
+    match result {
         Err(e) => (render_check_error(name, &e.to_string(), opts.json), Status::Error),
         Ok(remote) => {
             let report = CheckReport {
@@ -540,32 +457,31 @@ pub fn cmd_check_stream(
 /// client uploads, holding O(depth) state — and render the
 /// (bit-identical) outcome with the shared renderer.
 pub fn cmd_check_stream_remote(
-    target: &mut RemoteTarget,
+    client: &mut pv_service::Client,
     handle: &str,
     name: &str,
     xml: &str,
     chunk_size: usize,
     opts: &CheckOpts,
 ) -> (String, Status) {
-    match target.check_stream(handle, xml.as_bytes(), chunk_size) {
-        Err(e) => (render_check_error(name, &e.to_string(), opts.json), Status::Error),
-        Ok(remote) => {
-            let report = CheckReport {
-                outcome: remote.outcome,
-                memo: remote.memo,
-                source: remote.label,
-                class: remote.class,
-                depth: remote.depth,
-                analysis: None,
-            };
-            render_check(name, &report, opts.json)
-        }
+    if chunk_size == 0 {
+        // `chunks(0)` would panic, and on the wire a zero-length block is
+        // the terminator: reject it as `cmd_check_stream` does.
+        return (
+            render_check_error(name, "chunk size must be at least 1 byte", opts.json),
+            Status::Error,
+        );
     }
+    render_remote(
+        name,
+        client.check_stream(handle, xml.as_bytes().chunks(chunk_size)),
+        opts,
+    )
 }
 
 /// Options for the `pvx bench-serve` load generator.
 pub struct BenchServeOpts {
-    /// Backend address(es), comma-separated.
+    /// Server address (socket path or host:port).
     pub addr: String,
     /// Built-in DTD every request checks against.
     pub builtin: String,
@@ -579,14 +495,9 @@ pub struct BenchServeOpts {
     /// flood: against a low `--max-conns` server these soak up permits,
     /// so the workers' shed rate becomes measurable).
     pub flood: usize,
-    /// Upload chunk size for streaming requests; `0` keeps the plain
-    /// `CHECK` request shape (the document ships as one payload).
+    /// Upload chunk size for `CHECK_STREAM` requests; `0` keeps the
+    /// plain `CHECK` request shape (the document ships as one payload).
     pub stream_chunk: usize,
-    /// Documents multiplexed per streaming request: `1` issues
-    /// `CHECK_STREAM`, above that each request is a `BATCH_STREAM` of
-    /// this many copies of the document, round-robin interleaved.
-    /// Ignored when `stream_chunk` is 0.
-    pub streams: usize,
     /// Emit one JSON line instead of text.
     pub json: bool,
 }
@@ -595,27 +506,17 @@ pub struct BenchServeOpts {
 /// request lands in exactly one bucket — `ok`, `shed` (the server said
 /// `busy`/`draining`; nothing was checked), or `errors` — so the
 /// reported shed rate is the real one, not retries hidden as successes.
-/// Workers round-robin over the backends and reconnect after a shed or
+/// Each worker holds one connection and reconnects after a shed or
 /// transport failure (the next request pays the reconnect, as a real
 /// client would). The request shape is selectable: plain `CHECK`
-/// (default), chunked `CHECK_STREAM` uploads (`stream_chunk > 0`), or
-/// multiplexed `BATCH_STREAM` requests of `streams` interleaved copies
-/// — this is how streaming throughput is measured at service scale.
+/// (default) or chunked `CHECK_STREAM` uploads (`stream_chunk > 0`);
+/// `concurrency` workers streaming at once are how streaming throughput
+/// is measured at service scale.
 pub fn cmd_bench_serve(opts: &BenchServeOpts) -> (String, Status) {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let addrs: Vec<String> = opts
-        .addr
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if addrs.is_empty() {
-        return ("bench-serve: no backend addresses given\n".to_owned(), Status::Error);
-    }
     // The flood connects first and holds its sockets for the whole run.
     let flood: Vec<pv_service::Client> = (0..opts.flood)
-        .filter_map(|i| pv_service::Client::connect(&addrs[i % addrs.len()]).ok())
+        .filter_map(|_| pv_service::Client::connect(&opts.addr).ok())
         .collect();
     let ok = AtomicUsize::new(0);
     let shed = AtomicUsize::new(0);
@@ -631,14 +532,13 @@ pub fn cmd_bench_serve(opts: &BenchServeOpts) -> (String, Status) {
     std::thread::scope(|scope| {
         for w in 0..workers {
             let share = opts.requests / workers + usize::from(w < opts.requests % workers);
-            let (addrs, ok, shed, errors) = (&addrs, &ok, &shed, &errors);
+            let (ok, shed, errors) = (&ok, &shed, &errors);
             let latency = latency.clone();
             scope.spawn(move || {
-                let addr = &addrs[w % addrs.len()];
                 let mut conn: Option<(pv_service::Client, String)> = None;
                 for _ in 0..share {
                     if conn.is_none() {
-                        match pv_service::Client::connect(addr) {
+                        match pv_service::Client::connect(&opts.addr) {
                             Ok(mut c) => match c.load_builtin(&opts.builtin) {
                                 Ok(info) => conn = Some((c, info.handle)),
                                 Err(pv_service::ServiceError::Unavailable { .. }) => {
@@ -657,33 +557,20 @@ pub fn cmd_bench_serve(opts: &BenchServeOpts) -> (String, Status) {
                         }
                     }
                     let (c, handle) = conn.as_mut().expect("connected above");
-                    // One loop iteration is one wire request, whatever
-                    // its shape: CHECK, CHECK_STREAM, or a BATCH_STREAM
-                    // multiplexing `streams` copies of the document. A
-                    // batch counts ok only when every slot carried an
-                    // outcome.
                     let rt0 = latency.start();
                     let outcome = if opts.stream_chunk == 0 {
-                        c.check(handle, &opts.xml, 1, true).map(|_| true)
-                    } else if opts.streams <= 1 {
-                        c.check_stream(handle, opts.xml.as_bytes().chunks(opts.stream_chunk))
-                            .map(|_| true)
+                        c.check(handle, &opts.xml, 1, true)
                     } else {
-                        let docs = vec![opts.xml.as_bytes(); opts.streams];
-                        c.check_stream_batch(handle, &docs, opts.stream_chunk)
-                            .map(|slots| slots.iter().all(std::result::Result::is_ok))
+                        c.check_stream(handle, opts.xml.as_bytes().chunks(opts.stream_chunk))
                     };
                     match outcome {
-                        Ok(true) => {
+                        Ok(_) => {
                             // Only completed checks count toward the
                             // latency distribution: a shed answer is
                             // fast precisely because nothing ran, and
                             // mixing it in would flatter the tail.
                             latency.observe_since(rt0);
                             ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(false) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(pv_service::ServiceError::Unavailable { .. }) => {
                             shed.fetch_add(1, Ordering::Relaxed);
@@ -709,10 +596,9 @@ pub fn cmd_bench_serve(opts: &BenchServeOpts) -> (String, Status) {
     let shed_rate = shed as f64 / (opts.requests.max(1)) as f64;
     let status = if errors == 0 { Status::Ok } else { Status::Error };
     let lat = latency.snapshot();
-    let mode = match (opts.stream_chunk, opts.streams) {
-        (0, _) => "check".to_owned(),
-        (chunk, s) if s <= 1 => format!("stream{chunk}"),
-        (chunk, s) => format!("batchstream{chunk}x{s}"),
+    let mode = match opts.stream_chunk {
+        0 => "check".to_owned(),
+        chunk => format!("stream{chunk}"),
     };
     if opts.json {
         let line = format!(

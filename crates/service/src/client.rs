@@ -22,9 +22,8 @@ pub enum ServiceError {
     /// The server answered `ok:false` with this message.
     Remote(String),
     /// The server turned the request away for capacity reasons (`kind`
-    /// is `busy` or `draining`) — nothing is wrong with the request;
-    /// retrying elsewhere or later is legitimate. [`crate::MultiClient`]
-    /// treats this as a failover signal.
+    /// is `busy` or `draining`) — nothing is wrong with the request, and
+    /// retrying later is legitimate.
     Unavailable {
         /// The refusal kind (`busy`, `draining`).
         kind: String,
@@ -34,8 +33,8 @@ pub enum ServiceError {
     /// The server answered something unintelligible.
     Protocol(String),
     /// The request is invalid on the client side and was rejected
-    /// before (or instead of) reaching the server: a zero chunk size,
-    /// an empty stream chunk, a frame for a closed stream, ….
+    /// before (or instead of) reaching the server, such as an empty
+    /// stream chunk.
     Invalid(String),
 }
 
@@ -129,8 +128,8 @@ impl Client {
     }
 
     /// Deadline on response reads (`None` = wait forever). A client
-    /// facing a possibly-wedged server sets this so a failover decision
-    /// happens in bounded time.
+    /// facing a possibly-wedged server sets this so a call fails with
+    /// [`ServiceError::Io`] in bounded time instead of blocking.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         self.reader.get_ref().set_read_timeout(dur)
     }
@@ -247,60 +246,6 @@ impl Client {
         Self::remote_check(&v)
     }
 
-    /// Opens a multiplexed streaming check (`BATCH_STREAM`) of `count`
-    /// documents over this one connection. Send interleaved chunks on
-    /// the returned [`BatchStream`], terminate or abort each stream,
-    /// then [`BatchStream::finish`] to collect per-stream results —
-    /// each bit-identical to a separate
-    /// [`check_stream`](Self::check_stream) of the same bytes.
-    pub fn batch_stream(&mut self, handle: &str, count: usize) -> Result<BatchStream<'_>> {
-        if count == 0 {
-            return Err(ServiceError::Invalid("BATCH_STREAM needs at least one stream".into()));
-        }
-        let req = Request::BatchStream { handle: handle.to_owned(), count };
-        proto::write_request(self.reader.get_mut(), &req)?;
-        self.reader.get_mut().flush()?;
-        Ok(BatchStream { client: self, closed: vec![false; count] })
-    }
-
-    /// Convenience driver over [`batch_stream`](Self::batch_stream):
-    /// splits every document into `chunk`-byte pieces and interleaves
-    /// them round-robin — the maximally multiplexed upload order.
-    pub fn check_stream_batch(
-        &mut self,
-        handle: &str,
-        docs: &[&[u8]],
-        chunk: usize,
-    ) -> Result<Vec<std::result::Result<RemoteCheck, String>>> {
-        if chunk == 0 {
-            return Err(ServiceError::Invalid("chunk size must be at least 1 byte".into()));
-        }
-        let mut bs = self.batch_stream(handle, docs.len())?;
-        let mut offset = vec![0usize; docs.len()];
-        let mut done = vec![false; docs.len()];
-        loop {
-            let mut progressed = false;
-            for (i, doc) in docs.iter().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                progressed = true;
-                if offset[i] >= doc.len() {
-                    bs.end_stream(i)?;
-                    done[i] = true;
-                } else {
-                    let end = (offset[i] + chunk).min(doc.len());
-                    bs.send(i, &doc[offset[i]..end])?;
-                    offset[i] = end;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        bs.finish()
-    }
-
     fn remote_check(v: &Json) -> Result<RemoteCheck> {
         let outcome_v = v
             .get("outcome")
@@ -370,139 +315,5 @@ impl Client {
     /// Asks the server to stop accepting connections.
     pub fn shutdown(&mut self) -> Result<()> {
         self.round_trip(&Request::Shutdown).map(|_| ())
-    }
-}
-
-/// An in-flight `BATCH_STREAM` request: `count` interleaved chunked
-/// uploads multiplexed over the parent [`Client`]'s connection.
-///
-/// Streams are addressed by 0-based index. Feed each with [`send`]
-/// (chunks interleave freely across streams), close it with
-/// [`end_stream`] or abandon it with [`abort`], and once every stream
-/// is closed collect the per-stream results with [`finish`]. Dropping
-/// the value without finishing leaves the connection mid-request —
-/// unusable for further calls — so always drive it to completion on
-/// the happy path.
-///
-/// [`send`]: BatchStream::send
-/// [`end_stream`]: BatchStream::end_stream
-/// [`abort`]: BatchStream::abort
-/// [`finish`]: BatchStream::finish
-pub struct BatchStream<'a> {
-    client: &'a mut Client,
-    closed: Vec<bool>,
-}
-
-impl BatchStream<'_> {
-    fn check_open(&self, idx: usize) -> Result<()> {
-        match self.closed.get(idx) {
-            None => Err(ServiceError::Invalid(format!(
-                "stream index {idx} out of range (count {})",
-                self.closed.len()
-            ))),
-            Some(true) => {
-                Err(ServiceError::Invalid(format!("stream {idx} is already closed")))
-            }
-            Some(false) => Ok(()),
-        }
-    }
-
-    /// Sends one non-empty chunk on stream `idx`. Chunk boundaries may
-    /// fall anywhere in the document, including mid-UTF-8 sequence.
-    pub fn send(&mut self, idx: usize, chunk: &[u8]) -> Result<()> {
-        self.check_open(idx)?;
-        if chunk.is_empty() {
-            return Err(ServiceError::Invalid(
-                "empty stream chunk: chunks must be at least 1 byte \
-                 (a zero-length block terminates the stream)"
-                    .into(),
-            ));
-        }
-        let w = self.client.reader.get_mut();
-        proto::write_stream_frame(w, idx, chunk)?;
-        // Flush per chunk so the server validates while we upload.
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Terminates stream `idx`: its document is complete and the server
-    /// finalizes its outcome.
-    pub fn end_stream(&mut self, idx: usize) -> Result<()> {
-        self.check_open(idx)?;
-        let w = self.client.reader.get_mut();
-        proto::write_stream_frame_end(w, idx)?;
-        w.flush()?;
-        self.closed[idx] = true;
-        Ok(())
-    }
-
-    /// Abandons stream `idx` mid-document. Its result slot reports an
-    /// error; every other stream is unaffected.
-    pub fn abort(&mut self, idx: usize) -> Result<()> {
-        self.check_open(idx)?;
-        let w = self.client.reader.get_mut();
-        proto::write_stream_abort(w, idx)?;
-        w.flush()?;
-        self.closed[idx] = true;
-        Ok(())
-    }
-
-    /// Reads the batched reply once every stream is closed. Slot `i`
-    /// holds stream `i`'s result: a full [`RemoteCheck`] (bit-identical
-    /// to a standalone `CHECK_STREAM` of the same bytes, `memo` always
-    /// `None`) or the per-stream error message (not-well-formed
-    /// document, client abort).
-    pub fn finish(self) -> Result<Vec<std::result::Result<RemoteCheck, String>>> {
-        if let Some(idx) = self.closed.iter().position(|c| !c) {
-            return Err(ServiceError::Invalid(format!(
-                "stream {idx} is still open: end or abort every stream before finish"
-            )));
-        }
-        let line = proto::read_line(&mut self.client.reader)?
-            .ok_or_else(|| ServiceError::Protocol("server closed the connection".into()))?;
-        let v = parse_response(&line).map_err(|f| map_failure(&line, f))?;
-        let slots = v
-            .get("streams")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ServiceError::Protocol("batch-stream reply missing streams".into()))?;
-        if slots.len() != self.closed.len() {
-            return Err(ServiceError::Protocol(format!(
-                "batch-stream reply has {} slots, expected {}",
-                slots.len(),
-                self.closed.len()
-            )));
-        }
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| ServiceError::Protocol(format!("batch-stream reply missing {k:?}")))
-        };
-        let label = field("label")?;
-        let class = field("class")?;
-        let depth = v
-            .get("depth")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServiceError::Protocol("batch-stream reply missing depth".into()))?
-            as u32;
-        slots
-            .iter()
-            .map(|slot| {
-                if let Some(msg) = slot.get("error").and_then(Json::as_str) {
-                    return Ok(Err(msg.to_owned()));
-                }
-                let outcome_v = slot.get("outcome").ok_or_else(|| {
-                    ServiceError::Protocol("batch-stream slot missing outcome".into())
-                })?;
-                let outcome = json::read_outcome(outcome_v).map_err(ServiceError::Protocol)?;
-                Ok(Ok(RemoteCheck {
-                    outcome,
-                    memo: None,
-                    label: label.clone(),
-                    class: class.clone(),
-                    depth,
-                }))
-            })
-            .collect()
     }
 }

@@ -1,10 +1,10 @@
 //! # pv-service — the resident potential-validity server
 //!
-//! The paper's payoff is *interactive-speed* checking; the ROADMAP's north
-//! star is a production system serving heavy traffic. Between them sits a
-//! deployment fact: a checker process that starts, compiles the DTD, cold
-//! caches, spawns threads, checks one document, and exits pays more in
-//! setup than in checking. This crate keeps all of that **resident**:
+//! The paper's payoff is *interactive-speed* checking: an editor asks
+//! after every edit whether the document can still be completed. A
+//! checker process that starts, compiles the DTD, cold caches, spawns
+//! threads, checks one document, and exits pays more in setup than in
+//! checking. This crate keeps all of that **resident**:
 //!
 //! * a [`Server`] holding a persistent [`pv_par::Pool`] (parked workers —
 //!   a parallel region costs a condvar round-trip, not thread spawns) and
@@ -12,8 +12,8 @@
 //!   DAGs and a **warm shape cache** shared across requests and
 //!   connections);
 //! * a newline-framed, length-prefixed wire [`proto`]col over unix
-//!   sockets or loopback TCP (`LOAD`/`BUILTIN`, `CHECK`, `BATCH`,
-//!   `STATS`, `RESET`, `SHUTDOWN`);
+//!   sockets or loopback TCP (`PING`, `LOAD`/`BUILTIN`, `CHECK`,
+//!   `CHECK_STREAM`, `BATCH`, `STATS`, `METRICS`, `RESET`, `SHUTDOWN`);
 //! * a blocking [`Client`] that rebuilds full [`pv_core::PvOutcome`]
 //!   values from the wire — **bit-identical** to in-process checking,
 //!   held by `tests/service_differential.rs`;
@@ -50,10 +50,8 @@ mod governor;
 pub mod json;
 pub mod metrics_http;
 pub mod proto;
-mod router;
 mod server;
 
-pub use client::{BatchStream, Client, LoadInfo, RemoteCheck, Result, ServiceError};
+pub use client::{Client, LoadInfo, RemoteCheck, Result, ServiceError};
 pub use governor::{GovernorConfig, LogSink};
-pub use router::{DtdSpec, MultiClient, MultiLoad, RouterConfig};
 pub use server::{Endpoint, MetricsSource, Server, ServerHandle};

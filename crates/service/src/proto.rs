@@ -20,7 +20,6 @@
 //! | `BUILTIN <name>` | — | same, for a built-in DTD |
 //! | `CHECK <handle> [jobs=N] [memo=0]` | 1 (XML) | potential-validity check of one document |
 //! | `CHECK_STREAM <handle>` | chunked (see below) | streaming check: raw byte chunks, validated as they arrive |
-//! | `BATCH_STREAM <handle> <count>` | interleaved frames (see below) | `count` multiplexed streaming checks over one connection |
 //! | `BATCH <handle> <count> [jobs=N]` | `count` (XML each) | check a document batch on the two-level scheduler |
 //! | `STATS` | — | server telemetry (uptime, request/work counters, per-DTD memo) |
 //! | `METRICS` | — | metrics-registry snapshot: counters, gauges, histogram percentiles, slow traces |
@@ -34,22 +33,10 @@
 //! arrives — the document never materializes on either side, and the
 //! socket's flow control gives per-chunk backpressure. Chunks are raw
 //! bytes, not UTF-8 blocks: a chunk boundary may fall anywhere, including
-//! mid-tag or mid-UTF-8-sequence. If the document turns out malformed or
-//! the handle is unknown, the server still drains every chunk up to the
-//! terminator before answering, so the connection stays in sync.
-//!
-//! `BATCH_STREAM` multiplexes `count` independent chunked streams over
-//! one connection. After the verb line the client sends *frames*,
-//! interleaved across streams in any order: a frame is a stream-index
-//! line (`0`-based decimal) followed by one length-prefixed block, where
-//! a zero-length block terminates that stream; the line `<idx> ABORT`
-//! abandons a stream mid-flight — its reply slot reports an error while
-//! the other streams and the connection carry on. The request ends once
-//! every stream has terminated or aborted, and the reply carries one
-//! result slot per stream in stream-id order, each bit-identical to what
-//! an independent `CHECK_STREAM` of the same bytes would produce. The
-//! governor accounts one in-flight unit per stream, retired as each
-//! stream closes.
+//! mid-tag or mid-UTF-8-sequence. If the document turns out malformed,
+//! the handle is unknown, or the request is shed at the in-flight limit,
+//! the server still drains every chunk up to the terminator before
+//! answering, so the connection stays in sync.
 //!
 //! Every response is exactly one line of JSON (strings escape `\n`, so a
 //! line is always a full document): `{"ok":true,…}` on success,
@@ -142,16 +129,6 @@ pub enum Request {
     CheckStream {
         /// Handle from a previous `LOAD`/`BUILTIN`.
         handle: String,
-    },
-    /// Check `count` documents streamed as interleaved chunk frames
-    /// over one connection. Like [`Request::CheckStream`], the frames
-    /// are not part of the parsed request: they follow on the wire and
-    /// are consumed incrementally (see [`read_stream_frame`]).
-    BatchStream {
-        /// Handle from a previous `LOAD`/`BUILTIN`.
-        handle: String,
-        /// How many interleaved streams follow.
-        count: usize,
     },
     /// Check a batch of documents.
     Batch {
@@ -273,53 +250,6 @@ pub fn write_stream_end(w: &mut impl Write) -> io::Result<()> {
     writeln!(w, "0")
 }
 
-/// One parsed `BATCH_STREAM` frame header (the stream-index line).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamFrame {
-    /// A length-prefixed block for this stream follows (zero-length =
-    /// that stream's terminator); read it with [`read_chunk`].
-    Chunk(usize),
-    /// The client abandoned this stream mid-flight.
-    Abort(usize),
-}
-
-/// Reads one `BATCH_STREAM` frame header.
-pub fn read_stream_frame(r: &mut impl BufRead) -> Result<StreamFrame, ReadError> {
-    let line = match read_line(r) {
-        Ok(Some(l)) => l,
-        Ok(None) => return Err(ReadError::frame("eof before stream frame")),
-        Err(e) => return Err(ReadError::Io(e)),
-    };
-    let mut parts = line.split_whitespace();
-    let idx: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ReadError::Frame(format!("bad stream frame {line:?}")))?;
-    match parts.next() {
-        None => Ok(StreamFrame::Chunk(idx)),
-        Some("ABORT") if parts.next().is_none() => Ok(StreamFrame::Abort(idx)),
-        Some(_) => Err(ReadError::Frame(format!("bad stream frame {line:?}"))),
-    }
-}
-
-/// Writes one `BATCH_STREAM` frame carrying a data chunk for stream
-/// `idx`.
-pub fn write_stream_frame(w: &mut impl Write, idx: usize, chunk: &[u8]) -> io::Result<()> {
-    writeln!(w, "{idx}")?;
-    write_block(w, chunk)
-}
-
-/// Writes the frame terminating `BATCH_STREAM` stream `idx`.
-pub fn write_stream_frame_end(w: &mut impl Write, idx: usize) -> io::Result<()> {
-    writeln!(w, "{idx}")?;
-    write_stream_end(w)
-}
-
-/// Writes the frame abandoning `BATCH_STREAM` stream `idx` mid-flight.
-pub fn write_stream_abort(w: &mut impl Write, idx: usize) -> io::Result<()> {
-    writeln!(w, "{idx} ABORT")
-}
-
 fn parse_kv(args: &[&str], key: &str) -> Result<Option<u64>, String> {
     for a in args {
         if let Some(v) = a.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')) {
@@ -412,22 +342,6 @@ pub fn finish_request(line: &str, r: &mut impl BufRead, limits: &Limits) -> io::
             [handle] => Ok(Frame::Req(Request::CheckStream { handle: (*handle).to_owned() })),
             _ => bad("CHECK_STREAM takes exactly one handle".into()),
         },
-        "BATCH_STREAM" => match args {
-            [handle, count_s] => {
-                let count: usize = match count_s.parse() {
-                    Ok(c) => c,
-                    Err(_) => return bad(format!("bad BATCH_STREAM count {count_s:?}")),
-                };
-                if count == 0 {
-                    return bad("BATCH_STREAM needs at least one stream".into());
-                }
-                if count > 100_000 {
-                    return bad(format!("BATCH_STREAM count {count} is absurd"));
-                }
-                Ok(Frame::Req(Request::BatchStream { handle: (*handle).to_owned(), count }))
-            }
-            _ => bad("BATCH_STREAM takes a handle and a stream count".into()),
-        },
         "BATCH" => {
             let (&handle, rest) = match args.split_first() {
                 Some(x) => x,
@@ -492,9 +406,6 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
         // Chunks follow separately (write_block per chunk, then
         // write_stream_end) — see Client::check_stream.
         Request::CheckStream { handle } => writeln!(w, "CHECK_STREAM {handle}"),
-        // Frames follow separately (write_stream_frame and friends) —
-        // see Client::batch_stream.
-        Request::BatchStream { handle, count } => writeln!(w, "BATCH_STREAM {handle} {count}"),
         Request::Batch { handle, jobs, xmls } => {
             writeln!(w, "BATCH {handle} {} jobs={jobs}", xmls.len())?;
             for xml in xmls {
@@ -541,42 +452,6 @@ mod tests {
             xmls: vec!["<r/>".into(), "<r>two</r>".into()],
         });
         round_trip(Request::CheckStream { handle: "d2".into() });
-        round_trip(Request::BatchStream { handle: "d3".into(), count: 4 });
-    }
-
-    #[test]
-    fn batch_stream_counts_validated() {
-        for (line, msg) in [
-            ("BATCH_STREAM d0 0\n", "at least one"),
-            ("BATCH_STREAM d0 100001\n", "absurd"),
-            ("BATCH_STREAM d0 x\n", "bad BATCH_STREAM count"),
-            ("BATCH_STREAM d0\n", "handle and a stream count"),
-        ] {
-            let mut r = BufReader::new(line.as_bytes());
-            match read_request(&mut r).unwrap() {
-                Frame::Bad(e) => assert!(e.contains(msg), "{line:?}: {e}"),
-                other => panic!("{line:?}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn stream_frames_round_trip() {
-        let mut wire = Vec::new();
-        write_stream_frame(&mut wire, 2, b"<r>").unwrap();
-        write_stream_abort(&mut wire, 0).unwrap();
-        write_stream_frame_end(&mut wire, 2).unwrap();
-        let mut r = BufReader::new(wire.as_slice());
-        assert_eq!(read_stream_frame(&mut r).unwrap(), StreamFrame::Chunk(2));
-        assert_eq!(read_chunk(&mut r, MAX_PAYLOAD).unwrap().as_deref(), Some(b"<r>".as_slice()));
-        assert_eq!(read_stream_frame(&mut r).unwrap(), StreamFrame::Abort(0));
-        assert_eq!(read_stream_frame(&mut r).unwrap(), StreamFrame::Chunk(2));
-        assert_eq!(read_chunk(&mut r, MAX_PAYLOAD).unwrap(), None);
-        // Garbled headers are framing errors.
-        for bad in ["x\n", "1 NOPE\n", "1 ABORT extra\n", ""] {
-            let mut r = BufReader::new(bad.as_bytes());
-            assert!(matches!(read_stream_frame(&mut r), Err(ReadError::Frame(_))), "{bad:?}");
-        }
     }
 
     #[test]
@@ -611,6 +486,12 @@ mod tests {
         assert!(matches!(read_request(&mut r).unwrap(), Frame::Bad(_)));
         let mut r = BufReader::new("CHECK d0\nnot-a-length\n".as_bytes());
         assert!(matches!(read_request(&mut r).unwrap(), Frame::Bad(_)));
+        // A retired verb is refused like any other unknown one.
+        let mut r = BufReader::new("BATCH_STREAM d0 2\n".as_bytes());
+        match read_request(&mut r).unwrap() {
+            Frame::Bad(e) => assert!(e.contains("unknown verb"), "{e}"),
+            other => panic!("{other:?}"),
+        }
         let mut r = BufReader::new("".as_bytes());
         assert!(matches!(read_request(&mut r).unwrap(), Frame::Eof));
     }

@@ -232,7 +232,6 @@ struct ServiceMetrics {
     check_us: Histogram,
     batch_us: Histogram,
     stream_us: Histogram,
-    batch_stream_us: Histogram,
     load_us: Histogram,
     other_us: Histogram,
     /// `CHECK` stage wall-clocks (the recognize stage also lands in the
@@ -269,7 +268,6 @@ impl ServiceMetrics {
             check_us: reg.histogram("pv_service_check_us"),
             batch_us: reg.histogram("pv_service_batch_us"),
             stream_us: reg.histogram("pv_service_stream_us"),
-            batch_stream_us: reg.histogram("pv_service_batch_stream_us"),
             load_us: reg.histogram("pv_service_load_us"),
             other_us: reg.histogram("pv_service_other_us"),
             read_us: reg.histogram("pv_service_read_us"),
@@ -301,7 +299,6 @@ impl ServiceMetrics {
             "CHECK" => &self.check_us,
             "BATCH" => &self.batch_us,
             "CHECK_STREAM" => &self.stream_us,
-            "BATCH_STREAM" => &self.batch_stream_us,
             "LOAD" | "BUILTIN" => &self.load_us,
             _ => &self.other_us,
         }
@@ -900,60 +897,6 @@ fn connection_loop(
                     }
                 }
             }
-            Frame::Req(Request::BatchStream { handle, count }) => {
-                // Like CHECK_STREAM, the frames are still on the wire.
-                // The governor accounts one in-flight unit per stream,
-                // acquired all-or-nothing: a batch the server cannot
-                // fully admit is shed whole (drained, answered `busy`)
-                // rather than checked partially.
-                let mut permits = Vec::with_capacity(count);
-                while permits.len() < count {
-                    match gov.try_inflight() {
-                        Some(p) => permits.push(p),
-                        None => break,
-                    }
-                }
-                let shed = permits.len() < count;
-                let permits = (!shed).then_some(permits);
-                let _ = reader.get_ref().set_read_timeout(gov.config.idle_timeout);
-                match handle_batch_stream(&mut reader, &handle, count, state, permits) {
-                    Err(e) if is_timeout(&e) => {
-                        gov.note_timeout();
-                        let access =
-                            Access { op: &op, handle: &handle, dur: t0.elapsed(), ..Access::default() };
-                        gov.log_request(conn_id, &access, "read_timeout");
-                        state.observe_request(&op, "read_timeout", t0, Vec::new());
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                    Ok((StreamBody::Done(body), bytes)) => {
-                        let disp = if shed { "shed" } else { disposition_of(&body) };
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: verdict_of(&body),
-                        };
-                        gov.log_request(conn_id, &access, disp);
-                        state.observe_request(&op, disp, t0, Vec::new());
-                        respond(reader.get_mut(), body)?;
-                    }
-                    Ok((StreamBody::Abort(msg), bytes)) => {
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: "-",
-                        };
-                        gov.log_request(conn_id, &access, "framing_error");
-                        state.observe_request(&op, "framing_error", t0, Vec::new());
-                        let _ = respond(reader.get_mut(), err_response(&msg));
-                        return Ok(());
-                    }
-                }
-            }
             Frame::Req(req) => {
                 let shutdown = matches!(req, Request::Shutdown);
                 let handle = request_handle(&req).unwrap_or("-").to_owned();
@@ -1015,7 +958,6 @@ fn request_handle(req: &Request) -> Option<&str> {
     match req {
         Request::Check { handle, .. }
         | Request::CheckStream { handle }
-        | Request::BatchStream { handle, .. }
         | Request::Batch { handle, .. }
         | Request::Reset { handle } => Some(handle),
         _ => None,
@@ -1124,169 +1066,6 @@ fn handle_check_stream(
         },
     };
     Ok((StreamBody::Done(body), total))
-}
-
-/// One `BATCH_STREAM` stream's server-side state.
-enum Slot<'c> {
-    /// Live: chunks feed this checker.
-    Open(Box<pv_core::stream::StreamCheck<'c>>),
-    /// Still receiving chunks, but nothing to feed: the request was
-    /// shed or the handle is unknown (request-level error after the
-    /// drain), or this stream's document already failed to parse (the
-    /// recorded message becomes its reply slot).
-    Draining(Option<String>),
-    /// Closed with a prerendered reply slot.
-    Closed(String),
-}
-
-/// Renders one `BATCH_STREAM` reply slot.
-fn stream_slot_ok(outcome: &pv_core::checker::PvOutcome) -> String {
-    let mut out = String::from("{\"outcome\":");
-    json::write_outcome(&mut out, outcome);
-    out.push('}');
-    out
-}
-
-/// Renders one `BATCH_STREAM` error reply slot.
-fn stream_slot_err(msg: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    json::write_str(&mut out, msg);
-    out.push('}');
-    out
-}
-
-/// Consumes a `BATCH_STREAM` frame sequence, validating `count`
-/// interleaved streams incrementally — one O(depth) checker per stream,
-/// never a materialized document. Each result slot is bit-identical to
-/// an independent `CHECK_STREAM` of that stream's bytes; a per-stream
-/// parse error or client abort fills only that slot. Request-level
-/// application errors — unknown handle, a shed batch (`permits` is
-/// `None`) — still drain every frame before responding, exactly like
-/// `CHECK_STREAM`; framing errors (`Abort`) poison the connection.
-fn handle_batch_stream(
-    reader: &mut BufReader<Stream>,
-    handle: &str,
-    count: usize,
-    state: &Arc<ServiceState>,
-    permits: Option<Vec<InflightPermit>>,
-) -> io::Result<(StreamBody, usize)> {
-    let limits = state.gov.config.limits;
-    let entry = state.entry(handle);
-    let shed = permits.is_none();
-    let mut permits = permits.unwrap_or_default();
-    let engine = match (&entry, shed) {
-        (Ok(e), false) => Some(&e.engine),
-        _ => None,
-    };
-    let mut slots: Vec<Slot> = (0..count)
-        .map(|_| match engine {
-            Some(e) => Slot::Open(Box::new(pv_core::stream::StreamCheck::new(e.stream_checker()))),
-            None => Slot::Draining(None),
-        })
-        .collect();
-    let mut open = count;
-    let mut total = 0usize;
-    while open > 0 {
-        let frame = match proto::read_stream_frame(reader) {
-            Err(ReadError::Io(e)) => return Err(e),
-            Err(ReadError::Frame(msg)) => return Ok((StreamBody::Abort(msg), total)),
-            Ok(f) => f,
-        };
-        let idx = match frame {
-            proto::StreamFrame::Chunk(i) | proto::StreamFrame::Abort(i) => i,
-        };
-        if idx >= count {
-            return Ok((
-                StreamBody::Abort(format!("stream index {idx} out of range (count {count})")),
-                total,
-            ));
-        }
-        if matches!(slots[idx], Slot::Closed(_)) {
-            return Ok((StreamBody::Abort(format!("frame for closed stream {idx}")), total));
-        }
-        if let proto::StreamFrame::Abort(_) = frame {
-            slots[idx] = Slot::Closed(stream_slot_err("stream aborted by the client"));
-            open -= 1;
-            permits.pop(); // this stream's in-flight unit retires now
-            continue;
-        }
-        match proto::read_chunk(reader, limits.max_payload) {
-            Err(ReadError::Io(e)) => return Err(e),
-            Err(ReadError::Frame(msg)) => return Ok((StreamBody::Abort(msg), total)),
-            Ok(None) => {
-                // This stream's terminator: settle its reply slot.
-                let slot = std::mem::replace(&mut slots[idx], Slot::Draining(None));
-                slots[idx] = Slot::Closed(match slot {
-                    Slot::Open(s) => match s.finish() {
-                        Ok(outcome) => {
-                            state.record(1, &outcome.stats);
-                            stream_slot_ok(&outcome)
-                        }
-                        Err(e) => stream_slot_err(&format!("document is not well-formed: {e}")),
-                    },
-                    Slot::Draining(Some(msg)) => stream_slot_err(&msg),
-                    Slot::Draining(None) => String::new(), // request-level error: never rendered
-                    Slot::Closed(_) => unreachable!("closed streams rejected above"),
-                });
-                open -= 1;
-                permits.pop();
-            }
-            Ok(Some(chunk)) => {
-                total += chunk.len();
-                state.metrics.stream_chunks.inc();
-                state.metrics.stream_bytes.add(chunk.len() as u64);
-                if total > limits.max_request {
-                    return Ok((
-                        StreamBody::Abort(format!(
-                            "streams exceed the {}-byte aggregate limit",
-                            limits.max_request
-                        )),
-                        total,
-                    ));
-                }
-                if let Slot::Open(s) = &mut slots[idx] {
-                    let ft = state.metrics.stream_feed_us.start();
-                    let fed = s.feed(&chunk);
-                    state.metrics.stream_feed_us.observe_since(ft);
-                    if let Err(e) = fed {
-                        // This stream's error is final; keep draining its
-                        // chunks (the framing is intact) without feeding.
-                        slots[idx] =
-                            Slot::Draining(Some(format!("document is not well-formed: {e}")));
-                    }
-                }
-            }
-        }
-    }
-    if shed {
-        return Ok((
-            StreamBody::Done(err_response_kind(
-                "busy",
-                "server cannot admit all streams at its in-flight request limit",
-            )),
-            total,
-        ));
-    }
-    let entry = match &entry {
-        Err(e) => return Ok((StreamBody::Done(err_response(e)), total)),
-        Ok(entry) => entry,
-    };
-    let mut out = String::from("{\"ok\":true,\"streams\":[");
-    for (i, slot) in slots.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match slot {
-            Slot::Closed(json) => out.push_str(json),
-            _ => unreachable!("all streams closed"),
-        }
-    }
-    out.push_str("],\"label\":");
-    json::write_str(&mut out, &entry.label);
-    out.push_str(",\"class\":");
-    json::write_str(&mut out, &entry.engine.analysis().rec.class.to_string());
-    let _ = write!(out, ",\"depth\":{}}}", entry.engine.depth());
-    Ok((StreamBody::Done(out), total))
 }
 
 /// Serves one buffered request. `stages` accumulates named stage
@@ -1439,14 +1218,10 @@ fn handle_request(
             }
             Err(e) => err_response(&e),
         },
-        // Intercepted by serve_connection (their chunks live on the
-        // wire, interleaved with validation); they can never reach this
-        // point.
+        // Intercepted by serve_connection (its chunks live on the wire,
+        // interleaved with validation); it can never reach this point.
         Request::CheckStream { .. } => {
             err_response("CHECK_STREAM is handled by the connection loop")
-        }
-        Request::BatchStream { .. } => {
-            err_response("BATCH_STREAM is handled by the connection loop")
         }
         Request::Batch { handle, jobs, xmls } => match state.entry(&handle) {
             Ok(entry) => {

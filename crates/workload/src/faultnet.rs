@@ -1,18 +1,17 @@
 //! # faultnet — a fault-injecting TCP proxy for service hardening tests
 //!
 //! [`FaultProxy`] sits between a `pv-service` client and server and
-//! degrades the client→server byte stream on purpose: refused
-//! connections, mid-frame cuts, long stalls, byte-trickling, and
-//! garbage prefixes. The server→client direction is always a faithful
-//! copy — the tests assert on what the *server* does under client
-//! misbehaviour, so only the client side lies.
+//! degrades the client→server byte stream on purpose: mid-frame cuts,
+//! long stalls, byte-trickling, and garbage prefixes. The server→client
+//! direction is always a faithful copy — the tests assert on what the
+//! *server* does under client misbehaviour, so only the client side lies.
 //!
 //! The proxy is TCP-only (`127.0.0.1:0`) and deliberately simple:
-//! thread-per-connection pumps with short read timeouts so `stop` and
-//! [`FaultProxy::sever_all`] take effect promptly. The active
-//! [`FaultMode`] is sampled once per connection at accept time, so a
-//! `set_mode` call affects the next connection, never a pump mid-copy —
-//! that keeps every scenario deterministic.
+//! thread-per-connection pumps with short read timeouts so dropping the
+//! proxy takes effect promptly. The active [`FaultMode`] is sampled once
+//! per connection at accept time, so a `set_mode` call affects the next
+//! connection, never a pump mid-copy — that keeps every scenario
+//! deterministic.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -26,9 +25,6 @@ use std::time::Duration;
 pub enum FaultMode {
     /// Faithful copy (control runs).
     Forward,
-    /// Drop the client connection immediately, before any upstream
-    /// connect — models a dead backend.
-    Refuse,
     /// Forward exactly `n` client bytes, then sever both directions —
     /// models a mid-frame disconnect.
     CutAfter(usize),
@@ -56,8 +52,8 @@ struct Shared {
     mode: Mutex<FaultMode>,
     stop: AtomicBool,
     accepted: AtomicU64,
-    /// Clones of both sides of every live connection, so `sever_all`
-    /// can cut them without cooperation from the pump threads.
+    /// Clones of both sides of every live connection, so dropping the
+    /// proxy can cut them without cooperation from the pump threads.
     conns: Mutex<Vec<TcpStream>>,
 }
 
@@ -100,16 +96,13 @@ impl FaultProxy {
         *self.shared.mode.lock().unwrap() = mode;
     }
 
-    /// How many connections the proxy has accepted (including refused
-    /// ones).
+    /// How many connections the proxy has accepted.
     pub fn accepted(&self) -> u64 {
         self.shared.accepted.load(Ordering::Relaxed)
     }
 
-    /// Severs every live proxied connection in both directions. With
-    /// [`FaultMode::Refuse`] set first, this turns a healthy backend
-    /// into a dead one mid-batch.
-    pub fn sever_all(&self) {
+    /// Severs every live proxied connection in both directions.
+    fn sever_all(&self) {
         let mut conns = self.shared.conns.lock().unwrap();
         for s in conns.drain(..) {
             let _ = s.shutdown(Shutdown::Both);
@@ -139,10 +132,6 @@ fn accept_loop(listener: &TcpListener, upstream: &str, shared: &Arc<Shared>) {
         };
         shared.accepted.fetch_add(1, Ordering::Relaxed);
         let mode = shared.mode.lock().unwrap().clone();
-        if matches!(mode, FaultMode::Refuse) {
-            drop(client);
-            continue;
-        }
         let server = match TcpStream::connect(upstream) {
             Ok(s) => s,
             Err(_) => continue,
@@ -202,7 +191,7 @@ fn pump(mut from: TcpStream, mut to: TcpStream, mode: FaultMode, shared: &Shared
         };
         let mut out: &[u8] = &buf[..n];
         match &mode {
-            FaultMode::Forward | FaultMode::GarbagePrefix(_) | FaultMode::Refuse => {}
+            FaultMode::Forward | FaultMode::GarbagePrefix(_) => {}
             FaultMode::CutAfter(cap) => {
                 let room = cap.saturating_sub(forwarded);
                 if room < out.len() {
@@ -294,20 +283,6 @@ mod tests {
         drop(c);
         drop(proxy);
         server.join().unwrap();
-    }
-
-    #[test]
-    fn refuse_mode_drops_connections() {
-        let (upstream, _server) = echo_upstream();
-        let proxy = FaultProxy::spawn(&upstream).unwrap();
-        proxy.set_mode(FaultMode::Refuse);
-        let mut c = TcpStream::connect(proxy.addr()).unwrap();
-        // The accept succeeds (the proxy is listening) but the far side
-        // closes without echoing anything.
-        c.write_all(b"hello\n").ok();
-        let mut buf = Vec::new();
-        let n = c.read_to_end(&mut buf).unwrap_or(0);
-        assert_eq!(n, 0, "refused connection must carry no data");
     }
 
     #[test]

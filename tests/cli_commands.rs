@@ -3,11 +3,12 @@
 //! subset — the self-contained file format the tool is built around).
 
 use pv_cli::{
-    cmd_analyze, cmd_check, cmd_classify, cmd_complete, cmd_lint, cmd_validate, resolve_dtd,
-    CheckOpts, DtdContext, Status,
+    cmd_analyze, cmd_check, cmd_check_stream_remote, cmd_classify, cmd_complete, cmd_lint,
+    cmd_validate, resolve_dtd, CheckOpts, DtdContext, Status,
 };
 use pv_core::depth::DepthPolicy;
 use pv_par::Pool;
+use pv_service::{Client, Endpoint, Server};
 use std::sync::Arc;
 
 const FIG1_SUBSET: &str = "
@@ -201,4 +202,27 @@ fn bounded_depth_flag_reaches_the_checker() {
         .1,
         Status::Ok
     );
+}
+
+/// `pvx check --stream --remote` with a zero chunk size is an error, not
+/// a panic (`chunks(0)` panics, and a zero-length block would end the
+/// upload), and the same connection then streams a document normally.
+#[test]
+fn remote_stream_check_rejects_zero_chunk_size() {
+    let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 1).unwrap();
+    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
+    let handle = client.load_builtin("figure1").unwrap().handle;
+    let xml = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
+    let opts = CheckOpts::default();
+    let (report, status) = cmd_check_stream_remote(&mut client, &handle, "z.xml", xml, 0, &opts);
+    assert_eq!(status, Status::Error);
+    assert!(
+        report.contains("chunk size must be at least 1 byte"),
+        "{report}"
+    );
+    let (report, status) = cmd_check_stream_remote(&mut client, &handle, "z.xml", xml, 7, &opts);
+    assert_eq!(status, Status::Ok, "{report}");
+    assert!(report.contains("POTENTIALLY VALID"), "{report}");
+    client.shutdown().unwrap();
+    server.join();
 }

@@ -13,7 +13,7 @@
 
 use potential_validity::prelude::*;
 use pv_dtd::builtin::BuiltinDtd;
-use pv_service::{Client, Endpoint, GovernorConfig, LogSink, Server, ServerHandle};
+use pv_service::{Client, Endpoint, GovernorConfig, LogSink, Server, ServerHandle, ServiceError};
 use pv_workload::corpus;
 use pv_workload::mutate::Mutator;
 use std::time::Duration;
@@ -305,6 +305,16 @@ fn check_stream_errors_leave_the_connection_usable() {
     // Truncated document: same surface.
     let err = client.check_stream(&dtd.handle, "<r><a>".as_bytes().chunks(2)).unwrap_err();
     assert!(err.to_string().contains("not well-formed"), "{err}");
+    // The empty-chunk guard: clean Invalid, clean terminator on the
+    // wire, connection stays in sync.
+    let err = client
+        .check_stream(&dtd.handle, [&b"<r/>"[..], &b""[..]])
+        .unwrap_err();
+    assert!(matches!(err, ServiceError::Invalid(_)), "{err}");
+    assert_eq!(
+        client.check(&dtd.handle, xml, 1, true).unwrap().outcome,
+        expect_outcome(BuiltinDtd::Figure1, xml)
+    );
     let got = client.check_stream(&dtd.handle, xml.as_bytes().chunks(7)).unwrap();
     assert_eq!(got.outcome, expect_outcome(BuiltinDtd::Figure1, xml));
     // And the plain tree path still works on the same connection.
@@ -453,150 +463,6 @@ fn protocol_errors_leave_the_connection_usable() {
     let xml = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
     let got = client.check(&dtd.handle, xml, 2, true).unwrap();
     assert_eq!(got.outcome, expect_outcome(BuiltinDtd::Figure1, xml));
-    client.shutdown().unwrap();
-    drop(client);
-    server.join();
-}
-
-// ---------------------------------------------------------------------
-// BATCH_STREAM: multiplexed streaming checks over one connection
-// ---------------------------------------------------------------------
-
-#[test]
-fn batch_stream_bit_identical_to_independent_check_streams() {
-    let (server, mut client) = start_server();
-    let fig1 = client.load_builtin("figure1").unwrap();
-    let docs_owned: [&str; 5] = [
-        "<r><a><b>A quick brown</b><c> fox</c> dog<e/></a></r>", // PV
-        "<r><a><b>A quick brown</b><e/><c> fox</c></a></r>",     // content-rejected
-        "<r><zzz/></r>",                                         // undeclared element
-        "<r/>",                                                  // trivial
-        "<a><b/></a>",                                           // root mismatch
-    ];
-    let docs: Vec<&[u8]> = docs_owned.iter().map(|s| s.as_bytes()).collect();
-    for chunk in [1usize, 7, 4096] {
-        let got = client.check_stream_batch(&fig1.handle, &docs, chunk).unwrap();
-        assert_eq!(got.len(), docs.len());
-        for (i, slot) in got.iter().enumerate() {
-            // The oracle: the same bytes as one standalone CHECK_STREAM.
-            let solo = client.check_stream(&fig1.handle, docs[i].chunks(chunk)).unwrap();
-            let slot = slot.as_ref().expect("well-formed document slot");
-            assert_eq!(slot.outcome, solo.outcome, "stream {i} chunk={chunk}");
-            assert_eq!(slot.label, solo.label);
-            assert_eq!(slot.class, solo.class);
-            assert_eq!(slot.depth, solo.depth);
-            assert!(slot.memo.is_none(), "streaming never reports memo telemetry");
-        }
-    }
-    // Realistic corpora: one BATCH_STREAM carrying every scenario at a
-    // mid-construct-splitting chunk size.
-    for b in [BuiltinDtd::Play, BuiltinDtd::TeiLite] {
-        let dtd = client.load_builtin(b.name()).unwrap();
-        let texts: Vec<(String, String)> = scenarios(b);
-        let bytes: Vec<&[u8]> = texts.iter().map(|(_, x)| x.as_bytes()).collect();
-        let got = client.check_stream_batch(&dtd.handle, &bytes, 113).unwrap();
-        for ((label, xml), slot) in texts.iter().zip(&got) {
-            let expect = expect_outcome(b, xml);
-            assert_eq!(
-                slot.as_ref().expect("well-formed document slot").outcome,
-                expect,
-                "{}:{label}",
-                b.name()
-            );
-        }
-    }
-    // A malformed document fills only its own slot; its neighbours and
-    // the connection are untouched.
-    let bad: [&[u8]; 3] =
-        [b"<r><a><b>x</b><c>y</c> z<e/></a></r>", b"<r><broken", b"<r/>"];
-    let got = client.check_stream_batch(&fig1.handle, &bad, 3).unwrap();
-    assert!(got[0].is_ok() && got[2].is_ok());
-    let msg = got[1].as_ref().unwrap_err();
-    assert!(msg.contains("not well-formed"), "{msg}");
-    let xml = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
-    let after = client.check(&fig1.handle, xml, 1, true).unwrap();
-    assert_eq!(after.outcome, expect_outcome(BuiltinDtd::Figure1, xml));
-    client.shutdown().unwrap();
-    drop(client);
-    server.join();
-}
-
-#[test]
-fn batch_stream_abort_leaves_other_streams_and_connection_usable() {
-    let (server, mut client) = start_server();
-    let fig1 = client.load_builtin("figure1").unwrap();
-    let xml = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
-    let expect = expect_outcome(BuiltinDtd::Figure1, xml);
-    // Manually interleave three streams and kill the middle one
-    // mid-document: its slot reports the abort, the other two finish
-    // with bit-identical outcomes.
-    let mut bs = client.batch_stream(&fig1.handle, 3).unwrap();
-    bs.send(0, &xml.as_bytes()[..10]).unwrap();
-    bs.send(1, &xml.as_bytes()[..10]).unwrap();
-    bs.send(2, xml.as_bytes()).unwrap();
-    bs.abort(1).unwrap();
-    bs.send(0, &xml.as_bytes()[10..]).unwrap();
-    bs.end_stream(0).unwrap();
-    bs.end_stream(2).unwrap();
-    let got = bs.finish().unwrap();
-    assert_eq!(got[0].as_ref().unwrap().outcome, expect);
-    assert!(got[1].as_ref().unwrap_err().contains("aborted"), "{:?}", got[1]);
-    assert_eq!(got[2].as_ref().unwrap().outcome, expect);
-    // The connection serves every request shape afterwards.
-    assert_eq!(client.check(&fig1.handle, xml, 1, true).unwrap().outcome, expect);
-    assert_eq!(
-        client.check_stream(&fig1.handle, xml.as_bytes().chunks(5)).unwrap().outcome,
-        expect
-    );
-    let again = client.check_stream_batch(&fig1.handle, &[xml.as_bytes(); 2], 4).unwrap();
-    assert_eq!(again[0].as_ref().unwrap().outcome, expect);
-    assert_eq!(again[1].as_ref().unwrap().outcome, expect);
-    client.shutdown().unwrap();
-    drop(client);
-    server.join();
-}
-
-#[test]
-fn batch_stream_client_misuse_is_rejected_before_the_wire() {
-    use pv_service::ServiceError;
-    let (server, mut client) = start_server();
-    let fig1 = client.load_builtin("figure1").unwrap();
-    let xml = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
-    let expect = expect_outcome(BuiltinDtd::Figure1, xml);
-    // Zero streams / zero chunk size never reach the server.
-    assert!(matches!(
-        client.batch_stream(&fig1.handle, 0),
-        Err(ServiceError::Invalid(_))
-    ));
-    assert!(matches!(
-        client.check_stream_batch(&fig1.handle, &[xml.as_bytes()], 0),
-        Err(ServiceError::Invalid(_))
-    ));
-    // Out-of-range index, empty chunk, frame after close, premature
-    // finish: all caught client-side, and the request still completes.
-    let mut bs = client.batch_stream(&fig1.handle, 2).unwrap();
-    assert!(matches!(bs.send(5, b"x"), Err(ServiceError::Invalid(_))));
-    assert!(matches!(bs.send(0, b""), Err(ServiceError::Invalid(_))));
-    bs.send(0, xml.as_bytes()).unwrap();
-    bs.end_stream(0).unwrap();
-    assert!(matches!(bs.send(0, b"x"), Err(ServiceError::Invalid(_))));
-    let err = bs.finish();
-    // finish with stream 1 still open is itself a client error…
-    assert!(matches!(err, Err(ServiceError::Invalid(_))));
-    // …so drop that connection (its request was left mid-flight) and
-    // drive a fresh, correct batch to show nothing leaked server-side.
-    drop(client);
-    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
-    let got = client.check_stream_batch(&fig1.handle, &[xml.as_bytes(); 2], 6).unwrap();
-    assert_eq!(got[0].as_ref().unwrap().outcome, expect);
-    assert_eq!(got[1].as_ref().unwrap().outcome, expect);
-    // The empty-chunk guard on plain CHECK_STREAM: clean Invalid, clean
-    // terminator on the wire, connection stays in sync.
-    let err = client
-        .check_stream(&fig1.handle, [&b"<r/>"[..], &b""[..]])
-        .unwrap_err();
-    assert!(matches!(err, ServiceError::Invalid(_)), "{err}");
-    assert_eq!(client.check(&fig1.handle, xml, 1, true).unwrap().outcome, expect);
     client.shutdown().unwrap();
     drop(client);
     server.join();

@@ -1,5 +1,5 @@
 //! Fault injection against a governed `pv-service`: hostile clients,
-//! saturated pools, dying backends — and through all of it, two
+//! saturated pools, degraded transport — and through all of it, two
 //! invariants:
 //!
 //! 1. **Bounded damage.** Every degraded path ends in a clean refusal
@@ -9,8 +9,7 @@
 //!    is disabled.
 //! 2. **Bit-identity.** `PvOutcome` stays bit-identical to the
 //!    in-process check on every path that answers at all: direct,
-//!    single remote, through a degraded proxy, and multi-backend with a
-//!    backend killed mid-batch.
+//!    remote, and through a degraded proxy.
 //!
 //! The injectors live in `pv_workload::faultnet` ([`FaultProxy`]); the
 //! assertions lean on the governor's memory [`LogSink`], so they check
@@ -18,10 +17,7 @@
 
 use potential_validity::prelude::*;
 use pv_dtd::builtin::BuiltinDtd;
-use pv_service::{
-    Client, Endpoint, GovernorConfig, LogSink, MultiClient, RouterConfig, Server, ServerHandle,
-    ServiceError,
-};
+use pv_service::{Client, Endpoint, GovernorConfig, LogSink, Server, ServerHandle, ServiceError};
 use pv_workload::faultnet::{FaultMode, FaultProxy};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -194,8 +190,10 @@ fn connection_flood_sheds_cleanly_and_recovers() {
 
 /// Pool saturation: with `max_inflight: 1` held by a parked stream, a
 /// second check is shed with a `busy` app error while its connection
-/// stays usable — and the shed is logged. With shedding disabled this
-/// test fails on the Ok(..) arm below.
+/// stays usable — and the shed is logged. A shed `CHECK_STREAM` still
+/// drains its chunks, so the next request on its connection parses
+/// cleanly. With shedding disabled this test fails on the Ok(..) arm
+/// below.
 #[test]
 fn pool_saturation_sheds_requests_not_connections() {
     let (server, log) = governed(GovernorConfig {
@@ -234,6 +232,15 @@ fn pool_saturation_sheds_requests_not_connections() {
     }
     wait_for_log(&log, "disposition=shed");
     // The shed connection still works…
+    client.ping().unwrap();
+    // …a multi-chunk CHECK_STREAM is shed the same way, after the server
+    // drained every chunk without checking them…
+    match client.check_stream(&dtd.handle, PV_XML.as_bytes().chunks(4)) {
+        Err(ServiceError::Unavailable { kind, .. }) => assert_eq!(kind, "busy"),
+        other => panic!("expected busy shed, got {other:?}"),
+    }
+    // …so the framing is still in sync: a PING answers at once.
+    client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     client.ping().unwrap();
     // …and once the holder finishes its upload, the answer it gets is
     // bit-identical to in-process.
@@ -439,115 +446,6 @@ fn late_connections_get_clean_draining_refusal() {
 }
 
 // ---------------------------------------------------------------------
-// Multi-backend failover
-// ---------------------------------------------------------------------
-
-/// Three backends behind fault proxies; kill one mid-batch. Only keys
-/// whose primary was the dead backend reroute, every answer stays
-/// bit-identical to in-process, and after the quarantine backoff the
-/// revived backend serves again.
-#[test]
-fn multi_backend_failover_is_deterministic_and_bit_identical() {
-    let mut servers = Vec::new();
-    let mut proxies = Vec::new();
-    for _ in 0..3 {
-        let (server, _log) = governed(GovernorConfig::default());
-        let addr = tcp_addr(&server);
-        proxies.push(FaultProxy::spawn(&addr).unwrap());
-        servers.push((server, addr));
-    }
-    let addrs: Vec<String> = proxies.iter().map(|p| p.addr().to_owned()).collect();
-    let config = RouterConfig {
-        backoff_base: Duration::from_millis(50),
-        ..RouterConfig::default()
-    };
-    let mut multi = MultiClient::new(&addrs, config.clone());
-
-    // Several DTDs so the ring actually spreads keys over backends.
-    let names = ["figure1", "t1", "play", "tei-lite", "docbook-article"];
-    let builtins = [
-        BuiltinDtd::Figure1,
-        BuiltinDtd::T1,
-        BuiltinDtd::Play,
-        BuiltinDtd::TeiLite,
-        BuiltinDtd::DocbookArticle,
-    ];
-    let mut keys = Vec::new();
-    for name in names {
-        keys.push(multi.load_builtin(name).unwrap().key);
-    }
-    let primaries: Vec<usize> =
-        keys.iter().map(|k| multi.primary_of(k).unwrap()).collect();
-    assert!(
-        primaries.iter().collect::<std::collections::HashSet<_>>().len() > 1,
-        "ring placed every key on one backend; the scenario is vacuous"
-    );
-
-    // Documents per DTD: one PV, one not.
-    let docs: Vec<[&str; 2]> = vec![
-        [PV_XML, "<r><a><b>x</b><e/><c>y</c></a></r>"],
-        ["<a><a/></a>", "<b/>"],
-        ["<PLAY><TITLE>t</TITLE></PLAY>", "<ACT><TITLE>a</TITLE></ACT>"],
-        ["<TEI.2><text><body><p>x</p></body></text></TEI.2>", "<body><zzz/></body>"],
-        ["<article><title>t</title><para>p</para></article>", "<article><zzz/></article>"],
-    ];
-    let expects: Vec<Vec<PvOutcome>> = builtins
-        .iter()
-        .zip(&docs)
-        .map(|(b, pair)| pair.iter().map(|x| expect_outcome(*b, x)).collect())
-        .collect();
-
-    // Healthy pass: all bit-identical, served by the primary.
-    for (i, key) in keys.iter().enumerate() {
-        for (j, xml) in docs[i].iter().enumerate() {
-            let got = multi.check(key, xml, 1, true).unwrap();
-            assert_eq!(got.outcome, expects[i][j], "healthy {key}");
-        }
-        assert_eq!(multi.last_backend(key), Some(primaries[i]), "healthy routing");
-    }
-    assert_eq!(multi.reroutes(), 0, "no failovers while healthy");
-
-    // Kill the backend serving the first key: refuse new connections and
-    // sever live ones mid-batch.
-    let dead = primaries[0];
-    proxies[dead].set_mode(FaultMode::Refuse);
-    proxies[dead].sever_all();
-
-    for (i, key) in keys.iter().enumerate() {
-        for (j, xml) in docs[i].iter().enumerate() {
-            let got = multi.check(key, xml, 1, true).unwrap();
-            assert_eq!(got.outcome, expects[i][j], "degraded {key}");
-        }
-        let now = multi.last_backend(key).unwrap();
-        if primaries[i] == dead {
-            assert_ne!(now, dead, "key on the dead backend must move");
-        } else {
-            assert_eq!(now, primaries[i], "keys off the dead backend must not move");
-        }
-    }
-    assert!(multi.reroutes() > 0, "the dead backend's keys rerouted");
-
-    // Revive it; after the quarantine backoff its keys come home.
-    proxies[dead].set_mode(FaultMode::Forward);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        std::thread::sleep(config.backoff_base);
-        let got = multi.check(&keys[0], docs[0][0], 1, true).unwrap();
-        assert_eq!(got.outcome, expects[0][0], "revived {0}", keys[0]);
-        if multi.last_backend(&keys[0]) == Some(dead) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "revived backend never re-admitted");
-    }
-
-    multi.shutdown_all();
-    drop(proxies);
-    for (server, _) in servers {
-        server.join();
-    }
-}
-
-// ---------------------------------------------------------------------
 // Framing fuzz
 // ---------------------------------------------------------------------
 
@@ -609,7 +507,7 @@ mod fuzz {
             shapes in prop::collection::vec(any::<u8>(), 1..4),
             bytes in prop::collection::vec(any::<u8>(), 0..64),
             claim in 0u64..u64::MAX,
-            line in "(CHECK|LOAD|BATCH|CHECK_STREAM|BUILTIN|STATS|RESET|PING|NOPE)( [ -~]{0,20}){0,3}\n",
+            line in "(CHECK|LOAD|BATCH|CHECK_STREAM|BATCH_STREAM|BUILTIN|STATS|RESET|PING|NOPE)( [ -~]{0,20}){0,3}\n",
         ) {
             let addr = fuzz_addr();
             let mut raw = TcpStream::connect(addr).unwrap();
@@ -641,36 +539,4 @@ mod fuzz {
             prop_assert!(probe.ping().is_ok(), "server wedged after garbage");
         }
     }
-}
-
-/// `BATCH_STREAM` admission is all-or-nothing: each stream costs one
-/// in-flight unit, so a 3-stream batch against `max_inflight: 2` is shed
-/// `busy` as a whole — its frames drained, the connection usable — while
-/// a 2-stream batch on the same connection is admitted and answers
-/// bit-identically per stream. With partial admission this test fails on
-/// the Err arm below.
-#[test]
-fn batch_stream_admission_is_all_or_nothing() {
-    let (server, log) = governed(GovernorConfig {
-        max_inflight: 2,
-        idle_timeout: Some(Duration::from_secs(30)),
-        ..GovernorConfig::default()
-    });
-    let addr = tcp_addr(&server);
-    let mut client = Client::connect(&addr).unwrap();
-    let dtd = client.load_builtin("figure1").unwrap();
-    let docs = [PV_XML.as_bytes(); 3];
-    match client.check_stream_batch(&dtd.handle, &docs, 4) {
-        Err(ServiceError::Unavailable { kind, .. }) => assert_eq!(kind, "busy"),
-        other => panic!("expected busy shed, got {other:?}"),
-    }
-    wait_for_log(&log, "disposition=shed");
-    // The shed connection still works, and a batch within the limit is
-    // admitted with per-stream outcomes bit-identical to in-process.
-    let expect = expect_outcome(BuiltinDtd::Figure1, PV_XML);
-    let got = client.check_stream_batch(&dtd.handle, &docs[..2], 4).unwrap();
-    for slot in &got {
-        assert_eq!(slot.as_ref().unwrap().outcome, expect);
-    }
-    shutdown(server, &addr);
 }
