@@ -1,4 +1,5 @@
-//! Experiment runner: regenerates the tables recorded in EXPERIMENTS.md.
+//! Experiment runner: prints the paper-claim tables (`pv_bench::all_tables`)
+//! as markdown.
 //!
 //! Usage:
 //!   cargo run --release -p pv-bench --bin experiments            # all tables

@@ -506,14 +506,15 @@ fn table_real_dtds() {
     println!();
 }
 
-/// X7 — parallel sharded checking on one persistent pool (pv-par).
+/// X7 — batched checking on one persistent pool (pv-par), one document
+/// per task.
 fn table_parallel() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("## Table X7 — parallel sharded checking (persistent work-stealing pool, play DTD)\n");
+    println!("## Table X7 — batched checking (persistent pool, one document per task, play DTD)\n");
     println!(
         "host CPUs available: {cores} — speedup is overhead-bounded once jobs exceed this\n"
     );
-    println!("| workload | jobs | time | speedup vs sequential | outcome identical |");
+    println!("| workload | jobs | time | speedup vs jobs 1 | outcome identical |");
     println!("|---|---|---|---|---|");
 
     let checker = CheckEngine::new(BuiltinDtd::Play.analysis());
@@ -522,74 +523,32 @@ fn table_parallel() {
     let max_jobs = crate::workloads::PARALLEL_JOBS.into_iter().max().unwrap_or(1);
     let pool = Pool::new(max_jobs);
 
-    // One large in-progress document, sharded per element node (same
-    // workload as the parallel_scaling bench — see crate::workloads).
-    let doc = Arc::new(crate::workloads::parallel_doc());
-    let n = Tokens::delta(&doc, doc.root(), &checker.analysis().dtd).unwrap().len();
-    let seq = checker.check_document(&doc);
-    let t_seq = median(5, || {
-        std::hint::black_box(checker.check_document(&doc).is_potentially_valid());
-    });
-    for jobs in crate::workloads::PARALLEL_JOBS {
-        let out = checker.check_document_pooled(&doc, &pool, jobs, true);
-        let t = median(5, || {
-            std::hint::black_box(checker.check_document_pooled(&doc, &pool, jobs, true));
+    // The same workloads as the parallel_scaling bench (see
+    // crate::workloads): irregular documents, then the mixed batch whose
+    // first document is about ten times the size of the others.
+    for (label, docs) in [
+        ("irregular batch", crate::workloads::parallel_batch()),
+        ("mixed batch", crate::workloads::mixed_batch()),
+    ] {
+        let docs = Arc::new(docs);
+        let total: usize = docs.iter().map(|d| d.element_count()).sum();
+        let expect: Vec<_> = docs.iter().map(|d| checker.check_document(d)).collect();
+        let t_seq = median(5, || {
+            std::hint::black_box(checker.check_batch_pooled(&docs, &pool, 1).len());
         });
-        println!(
-            "| 1 doc × {n} tokens | {jobs} | {} | {:.2}× | {} |",
-            fmt_dur(t),
-            t_seq.as_secs_f64() / t.as_secs_f64().max(f64::EPSILON),
-            out == seq
-        );
-    }
-
-    // The split floor: below SPLIT_MIN_NODES element nodes a document is
-    // one task, and a one-task check runs on the calling thread. The rows
-    // show the cutover.
-    for target in [CheckEngine::SPLIT_MIN_NODES / 2, CheckEngine::SPLIT_MIN_NODES * 2] {
-        let small = Arc::new(corpus::play(target));
-        let n = small.element_count();
-        let seq_out = checker.check_document(&small);
-        let t_small_seq = median(9, || {
-            std::hint::black_box(checker.check_document(&small).is_potentially_valid());
-        });
-        let out = checker.check_document_pooled(&small, &pool, 2, true);
-        let t = median(9, || {
-            std::hint::black_box(checker.check_document_pooled(&small, &pool, 2, true));
-        });
-        println!(
-            "| 1 doc × {n} nodes ({}) | 2 | {} | {:.2}× | {} |",
-            if n < CheckEngine::SPLIT_MIN_NODES {
-                "< split floor: calling thread"
-            } else {
-                "≥ split floor: split per node"
-            },
-            fmt_dur(t),
-            t_small_seq.as_secs_f64() / t.as_secs_f64().max(f64::EPSILON),
-            out == seq_out
-        );
-    }
-
-    // A batch of irregular documents, sharded per document.
-    let docs = Arc::new(crate::workloads::parallel_batch());
-    let total: usize = docs.iter().map(|d| d.element_count()).sum();
-    let expect: Vec<_> = docs.iter().map(|d| checker.check_document(d)).collect();
-    let t_batch_seq = median(5, || {
-        std::hint::black_box(checker.check_batch_pooled(&docs, &pool, 1).len());
-    });
-    for jobs in crate::workloads::PARALLEL_JOBS {
-        let outs = checker.check_batch_pooled(&docs, &pool, jobs);
-        let t = median(5, || {
-            std::hint::black_box(checker.check_batch_pooled(&docs, &pool, jobs).len());
-        });
-        println!(
-            "| {} docs × ~{} elements | {jobs} | {} | {:.2}× | {} |",
-            docs.len(),
-            total / docs.len(),
-            fmt_dur(t),
-            t_batch_seq.as_secs_f64() / t.as_secs_f64().max(f64::EPSILON),
-            outs == expect
-        );
+        for jobs in crate::workloads::PARALLEL_JOBS {
+            let outs = checker.check_batch_pooled(&docs, &pool, jobs);
+            let t = median(5, || {
+                std::hint::black_box(checker.check_batch_pooled(&docs, &pool, jobs).len());
+            });
+            println!(
+                "| {label}: {} docs, {total} elements | {jobs} | {} | {:.2}× | {} |",
+                docs.len(),
+                fmt_dur(t),
+                t_seq.as_secs_f64() / t.as_secs_f64().max(f64::EPSILON),
+                outs == expect
+            );
+        }
     }
     println!();
 }

@@ -17,10 +17,9 @@
 //!   editing guards (claim X4, Theorem 2 + Proposition 3);
 //! * `experiments --table classes` — DTD classes at fixed size (claim X5);
 //! * `experiments --table real-dtds` — realistic corpora (claim X6);
-//! * `experiments --table parallel` — sharded checking on one persistent
-//!   pv-par work-stealing pool: per-node sharding of one large document,
-//!   the sequential-fallback threshold, and two-level sharding of a
-//!   batch, with speedup vs. the sequential checker and an
+//! * `experiments --table parallel` — batched checking on one persistent
+//!   pv-par pool, one document per task: an irregular batch and a mixed
+//!   batch led by one large document, with speedup vs. jobs 1 and an
 //!   outcome-identity column (claim X7 — this reproduction's own
 //!   addition; the paper is purely sequential);
 //! * `experiments --table memo` — shape-memoized checking (claim X8, also
@@ -35,9 +34,9 @@
 //!   first-violation latency, each row with an outcome-identity column.
 //!
 //! The same workloads back the Criterion benches under `benches/`
-//! (including `parallel_scaling` and the end-to-end `service` bench,
-//! which measures full wire round trips against a live `pv-service`
-//! server). Set `BENCH_JSON=path` while running
+//! (including `parallel_scaling`; the service's wire round trips are
+//! timed by the repository benchmark's `serve_mixed` pass instead). Set
+//! `BENCH_JSON=path` while running
 //! `cargo bench` to also append machine-readable results to a JSON file —
 //! the repository's `BENCH_*.json` baselines are captured that way (see
 //! BENCHMARKS.md at the repo root).

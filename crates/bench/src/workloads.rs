@@ -11,19 +11,29 @@ use pv_xml::Document;
 /// Worker counts swept by the parallel bench and table X7.
 pub const PARALLEL_JOBS: [usize; 4] = [1, 2, 4, 8];
 
-/// The per-node sharding workload: one large in-progress play document
-/// (~10k target elements → ~24k δ tokens, 20% of the markup stripped).
+/// The large-document workload: one in-progress play document (~10k
+/// target elements → ~24k δ tokens, 20% of the markup stripped).
 pub fn parallel_doc() -> Document {
     let mut doc = corpus::play(10_000);
     Mutator::new(7).delete_random_markup(&mut doc, 2_000);
     doc
 }
 
-/// The per-document sharding workload: 24 play documents with sizes
-/// jittered over `[400, 1200)` elements (irregular on purpose — equal
-/// documents would never make a worker steal).
+/// The batch workload: 24 play documents with sizes jittered over
+/// `[400, 1200)` elements (irregular on purpose, so workers finish their
+/// documents at different times).
 pub fn parallel_batch() -> Vec<Document> {
     corpus::batch(BuiltinDtd::Play, 24, 800).expect("play has a corpus builder")
+}
+
+/// The mixed batch: [`parallel_doc`] first, then 23 of the
+/// [`parallel_batch`] documents — one document about ten times the size
+/// of each of the others.
+pub fn mixed_batch() -> Vec<Document> {
+    let mut docs = parallel_batch();
+    docs.truncate(23);
+    docs.insert(0, parallel_doc());
+    docs
 }
 
 /// Target element count of the memoization workloads.
@@ -83,5 +93,8 @@ mod tests {
             batch.iter().map(|d| d.element_count()).sum::<usize>(),
             parallel_batch().iter().map(|d| d.element_count()).sum::<usize>(),
         );
+        let mixed = mixed_batch();
+        assert_eq!(mixed.len(), 24);
+        assert_eq!(mixed[0].element_count(), a.element_count());
     }
 }

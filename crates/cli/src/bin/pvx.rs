@@ -8,19 +8,15 @@ use pv_cli::{
     render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, Status, TopOpts,
 };
 use pv_core::depth::DepthPolicy;
-use pv_obs::Registry;
-use pv_par::Pool;
 use pv_service::{metrics_http, Client, Endpoint, GovernorConfig, LogSink, Server};
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
 pvx — potential validity of document-centric XML (ICDE 2006)
 
 USAGE:
-  pvx check    [--dtd FILE --root NAME | --builtin NAME] [--depth N] [--jobs N]
-               [--no-memo] [--json] [-v] [--stream [--chunk-size N]]
-               [--remote ADDR] DOC.xml...
+  pvx check    [--dtd FILE --root NAME | --builtin NAME] [--depth N] [--no-memo]
+               [--json] [-v] [--stream [--chunk-size N]] [--remote ADDR] DOC.xml...
   pvx validate [--dtd FILE --root NAME | --builtin NAME] [--ignore-whitespace] DOC.xml...
   pvx complete [--dtd FILE --root NAME | --builtin NAME] DOC.xml
   pvx classify (--dtd FILE --root NAME | --builtin NAME)
@@ -40,14 +36,12 @@ Without --dtd/--builtin, documents must carry an internal DTD subset
 (<!DOCTYPE root [ ... ]>). Builtins: figure1, t1, t2, xhtml-basic,
 tei-lite, play, docbook-like, dissertation, docbook-article, tei-drama.
 
---jobs N gives `check` one pool of N worker threads (0 = one per CPU;
-default 1 = sequential) and splits the per-node checks of each document
-of at least 512 element nodes over it (smaller documents are checked on
-the calling thread); a worker the OS cannot start is an error (exit 2).
-`check` memoizes repeated (element, child-shape) verdicts and reports
-cache telemetry on a trailing `memo:` line; --no-memo disables the
-cache. The verdict and the diagnosis are identical at any job/memo
-setting.
+`check` checks each document on the calling thread: a single document
+is never split over threads, so --jobs belongs to `serve` alone and is
+refused elsewhere (exit 2). `check` memoizes repeated (element,
+child-shape) verdicts and reports cache telemetry on a trailing `memo:`
+line; --no-memo disables the cache. The verdict and the diagnosis are
+identical either way.
 
 --json makes `check` print one machine-readable JSON line per document
 (verdict, first violation, memo/speculation counters) instead of text.
@@ -67,15 +61,16 @@ and validated as it parses, in O(depth) memory, with a verdict and
 counters bit-identical to the tree path. With --remote the chunks
 upload as CHECK_STREAM requests while the server validates them
 (requires --builtin/--dtd: the DTD cannot ride inside the byte stream).
---jobs/--no-memo do not apply to streaming checks.
+--no-memo does not apply to streaming checks.
 
-`pvx serve` runs the resident validation server: a persistent
-work-stealing pool (parked workers — no per-request thread spawns) and,
-per loaded DTD, pre-compiled DAGs plus a warm shape cache shared across
-requests. `pvx check --remote ADDR` ships documents to such a server
-(ADDR is the socket path or host:port) and renders the bit-identical
-outcome; the DTD resolves locally as usual and is loaded (idempotently)
-into the server on first use.
+`pvx serve` runs the resident validation server: a persistent pool of
+--jobs N parked workers (default 0 = one per CPU; a worker the OS cannot
+start is an error, exit 2) that checks each BATCH request one document
+per task, and, per loaded DTD, pre-compiled DAGs plus a warm shape
+cache shared across requests. `pvx check --remote ADDR` ships documents
+to such a server (ADDR is the socket path or host:port) and renders the
+bit-identical outcome; the DTD resolves locally as usual and is loaded
+(idempotently) into the server on first use.
 
 `pvx serve` governance: --max-conns caps concurrent connections (excess
 gets a clean BUSY error; 0 = unlimited), --max-inflight caps concurrent
@@ -344,8 +339,8 @@ fn cmd_serve(args: &Args) -> ! {
         (None, Some(port)) => Endpoint::Tcp(format!("127.0.0.1:{port}")),
         _ => die("serve needs exactly one of --socket PATH or --port N"),
     };
-    // `check` defaults to sequential, but a server wants every CPU:
-    // unset --jobs means 0 (one parked worker per CPU) here.
+    // A server wants every CPU: unset --jobs means 0 (one parked worker
+    // per CPU).
     let jobs = args.jobs.unwrap_or(0);
     match Server::bind_with(&endpoint, jobs, governance(args)) {
         Err(e) => die(&format!("cannot bind {endpoint}: {e}")),
@@ -490,6 +485,11 @@ fn main() {
     if args.command == "serve" {
         cmd_serve(&args);
     }
+    if args.jobs.is_some() {
+        // Only the server's pool has workers to give: `check` never
+        // splits a single document.
+        die("--jobs is only supported by `pvx serve`");
+    }
     if args.command == "top" {
         cmd_top_main(&args);
     }
@@ -540,16 +540,6 @@ fn main() {
             Ok(c) => Some(c),
             Err(e) => die(&format!("cannot connect to {addr}: {e}")),
         },
-    };
-
-    // One pool per process for local tree checks, sized by --jobs.
-    let jobs = args.jobs.unwrap_or(1);
-    let local_pool = match (args.command.as_str(), &remote, args.stream) {
-        ("check", None, false) => match Pool::try_new(jobs, &Registry::disabled()) {
-            Ok(pool) => Some(pool),
-            Err(e) => die(&format!("cannot start {jobs} check workers (--jobs): {e}")),
-        },
-        _ => None,
     };
 
     let mut worst = Status::Ok;
@@ -605,7 +595,6 @@ fn main() {
                         Some(d) => DepthPolicy::Bounded(d),
                         None => DepthPolicy::Auto,
                     },
-                    jobs,
                     memo: args.memo,
                     json: args.json,
                     verbose: args.verbose,
@@ -663,7 +652,7 @@ fn main() {
                     }
                 };
                 let doc = match pv_xml::parse(&text) {
-                    Ok(d) => Arc::new(d),
+                    Ok(d) => d,
                     Err(e) => {
                         fail(format!("not well-formed: {e}"), &mut worst);
                         continue;
@@ -702,10 +691,7 @@ fn main() {
                     }
                 };
                 let (report, status) = match args.command.as_str() {
-                    "check" => {
-                        let pool = local_pool.as_ref().expect("local checks have a pool");
-                        cmd_check(&ctx, path, &doc, &opts, pool)
-                    }
+                    "check" => cmd_check(&ctx, path, &doc, &opts),
                     "validate" => cmd_validate(&ctx, path, &doc, args.ignore_whitespace),
                     _ => cmd_complete(&ctx, path, &doc),
                 };

@@ -34,7 +34,6 @@ use pv_dtd::builtin::BuiltinDtd;
 use pv_dtd::{ContentSpec, Dtd, DtdAnalysis};
 use pv_grammar::validator::{validate_document_with, ContentAutomata, ValidateOptions};
 use pv_grammar::witness::{complete_document, complete_tokens};
-use pv_par::Pool;
 use pv_service::json;
 use pv_xml::Document;
 use std::fmt::Write as _;
@@ -132,9 +131,6 @@ pub fn resolve_dtd_doctype(
 pub struct CheckOpts {
     /// The depth policy (`--depth N` ⇒ `Bounded(N)`).
     pub depth: DepthPolicy,
-    /// Pool workers per document (`1` = sequential, `0` = every worker of
-    /// the local pool / of the server's pool).
-    pub jobs: usize,
     /// Shape memoization (`--no-memo` passes `false`).
     pub memo: bool,
     /// Emit one machine-readable JSON line per document instead of text.
@@ -147,7 +143,7 @@ pub struct CheckOpts {
 
 impl Default for CheckOpts {
     fn default() -> Self {
-        CheckOpts { depth: DepthPolicy::Auto, jobs: 1, memo: true, json: false, verbose: false }
+        CheckOpts { depth: DepthPolicy::Auto, memo: true, json: false, verbose: false }
     }
 }
 
@@ -293,23 +289,22 @@ pub fn render_check_error(name: &str, msg: &str, json_out: bool) -> String {
 }
 
 /// `pvx check`: potential validity with diagnosis, in-process, on the
-/// process's pool (`opts.jobs` caps how many of its workers one document
-/// uses). Returns the report text (or JSON line) and status. The verdict
-/// and diagnosis are bit-identical at any `jobs`/`memo` setting; only the
-/// `memo:` telemetry (hit/miss counts are scheduling-dependent under
-/// pooled checking) varies.
+/// calling thread, against a fresh engine whose shape cache `opts.memo`
+/// switches. Returns the report text (or JSON line) and status. The
+/// verdict and diagnosis are bit-identical at either `memo` setting;
+/// only the `memo:` telemetry line comes and goes.
 pub fn cmd_check(
     ctx: &DtdContext,
     name: &str,
-    doc: &Arc<Document>,
+    doc: &Document,
     opts: &CheckOpts,
-    pool: &Pool,
 ) -> (String, Status) {
-    let engine = CheckEngine::with_policy(ctx.analysis.clone(), opts.depth);
-    let outcome = engine.check_document_pooled(doc, pool, opts.jobs, opts.memo);
+    let mut engine = CheckEngine::with_policy(ctx.analysis.clone(), opts.depth);
+    Arc::get_mut(&mut engine).expect("a fresh engine").set_memo_enabled(opts.memo);
+    let outcome = engine.check_document(doc);
     let report = CheckReport {
         outcome,
-        memo: engine.memo_stats().filter(|_| opts.memo),
+        memo: engine.memo_stats(),
         source: ctx.source.clone(),
         class: ctx.analysis.rec.class.to_string(),
         depth: engine.depth(),
@@ -329,7 +324,9 @@ pub fn cmd_check_remote(
     xml: &str,
     opts: &CheckOpts,
 ) -> (String, Status) {
-    render_remote(name, client.check(handle, xml, opts.jobs, opts.memo), opts)
+    // The server checks one document on its connection thread at any
+    // `jobs`; 1 says so on the wire.
+    render_remote(name, client.check(handle, xml, 1, opts.memo), opts)
 }
 
 /// Renders a remote check result (or its failure) like a local report.
@@ -705,10 +702,9 @@ fn top_frame(m: &json::Json, addr: &str, rps: Option<f64>) -> String {
     );
     let _ = writeln!(
         out,
-        "pool: regions {} · tasks {} · steals {} · parks {}",
+        "pool: regions {} · tasks {} · parks {}",
         top_counter(m, "pv_pool_regions_total"),
         top_counter(m, "pv_pool_tasks_total"),
-        top_counter(m, "pv_pool_steals_total"),
         top_counter(m, "pv_pool_parks_total"),
     );
     let _ = writeln!(
@@ -1053,10 +1049,6 @@ mod tests {
         resolve_dtd(None, None, Some("figure1"), None).unwrap()
     }
 
-    /// [`cmd_check`] on a fresh pool of 8 workers.
-    fn check(ctx: &DtdContext, name: &str, doc: &Document, opts: &CheckOpts) -> (String, Status) {
-        cmd_check(ctx, name, &Arc::new(doc.clone()), opts, &Pool::new(8))
-    }
 
     #[test]
     fn resolve_builtin() {
@@ -1086,12 +1078,12 @@ mod tests {
     fn check_reports_both_ways() {
         let ctx = fig1_ctx();
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (rep, st) = check(&ctx, "s", &s, &CheckOpts::default());
+        let (rep, st) = cmd_check(&ctx, "s", &s, &CheckOpts::default());
         assert_eq!(st, Status::Ok);
         assert!(rep.contains("POTENTIALLY VALID"));
         assert!(rep.contains("memo:"), "memo telemetry line expected: {rep}");
         let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        let (rep, st) = check(&ctx, "w", &w, &CheckOpts::default());
+        let (rep, st) = cmd_check(&ctx, "w", &w, &CheckOpts::default());
         assert_eq!(st, Status::Failed);
         assert!(rep.contains("NOT potentially valid"));
         assert!(rep.contains("<c>"));
@@ -1102,7 +1094,7 @@ mod tests {
         let ctx = fig1_ctx();
         let json_opts = CheckOpts { json: true, ..CheckOpts::default() };
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (line, st) = check(&ctx, "s.xml", &s, &json_opts);
+        let (line, st) = cmd_check(&ctx, "s.xml", &s, &json_opts);
         assert_eq!(st, Status::Ok);
         let v = json::parse(line.trim_end()).unwrap();
         assert_eq!(v.get("potentially_valid").unwrap().as_bool(), Some(true));
@@ -1113,7 +1105,7 @@ mod tests {
         assert!(v.get("memo").unwrap().get("hits").is_some());
 
         let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        let (line, st) = check(&ctx, "w.xml", &w, &json_opts);
+        let (line, st) = cmd_check(&ctx, "w.xml", &w, &json_opts);
         assert_eq!(st, Status::Failed);
         let v = json::parse(line.trim_end()).unwrap();
         assert_eq!(v.get("potentially_valid").unwrap().as_bool(), Some(false));
@@ -1129,39 +1121,22 @@ mod tests {
     fn check_memo_off_drops_telemetry_but_keeps_the_verdict() {
         let ctx = fig1_ctx();
         let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (with_memo, st1) = check(&ctx, "s", &s, &CheckOpts::default());
-        let (without, st2) = check(&ctx, "s", &s, &CheckOpts { memo: false, ..CheckOpts::default() });
+        let (with_memo, st1) = cmd_check(&ctx, "s", &s, &CheckOpts::default());
+        let memo_off = CheckOpts { memo: false, ..CheckOpts::default() };
+        let (without, st2) = cmd_check(&ctx, "s", &s, &memo_off);
         assert_eq!(st1, st2);
         assert!(!without.contains("memo:"), "{without}");
         assert_eq!(strip_memo_lines(&with_memo), without);
     }
 
-    /// Drops the `memo:` telemetry line (its hit/miss counters are
-    /// scheduling-dependent under parallel checking; the verdict is not).
+    /// Drops the `memo:` telemetry line (the tree path's cache counters,
+    /// which a streaming or memo-off check does not report).
     fn strip_memo_lines(report: &str) -> String {
         report
             .lines()
             .filter(|l| !l.trim_start().starts_with("memo:"))
             .map(|l| format!("{l}\n"))
             .collect()
-    }
-
-    #[test]
-    fn check_reports_identically_at_any_job_count() {
-        let ctx = fig1_ctx();
-        let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        for doc in [&s, &w] {
-            let (rep1, st1) = check(&ctx, "d", doc, &CheckOpts::default());
-            for jobs in [0usize, 2, 8] {
-                let (rep, st) = check(&ctx, "d", doc, &CheckOpts { jobs, ..CheckOpts::default() });
-                assert_eq!(
-                    (strip_memo_lines(&rep), st),
-                    (strip_memo_lines(&rep1), st1),
-                    "jobs={jobs}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1177,7 +1152,7 @@ mod tests {
             let doc = pv_xml::parse(xml).unwrap();
             for json in [false, true] {
                 let opts = CheckOpts { json, ..CheckOpts::default() };
-                let (tree_rep, tree_st) = check(&ctx, "d", &doc, &opts);
+                let (tree_rep, tree_st) = cmd_check(&ctx, "d", &doc, &opts);
                 for chunk in [1usize, 7, xml.len()] {
                     let mut input = xml.as_bytes();
                     let (rep, st) = cmd_check_stream(

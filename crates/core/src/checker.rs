@@ -12,7 +12,6 @@ use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::{ChildSym, NameTable, Tokens};
 use pv_xml::{Document, NodeId};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why a document failed the potential-validity check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,14 +91,15 @@ impl PvOutcome {
 /// child-symbol buffer (refilled per node via
 /// [`Tokens::children_into`]), so checking a node allocates nothing in
 /// steady state, plus the scan's memo switch. Create one per document
-/// scan — or one per pool worker — with [`CheckEngine::scratch`]; the
-/// document and batch entry points do so internally.
+/// scan — or one per pool worker of a batch — with
+/// [`CheckEngine::scratch`]; the document and batch entry points do so
+/// internally.
 pub struct CheckScratch<'s> {
     rec: EcRecognizer<'s>,
     syms: Vec<ChildSym>,
     /// Whether this scan consults the engine's shape cache (the per-call
-    /// `memo` flag of the pooled entry points; outcomes are identical
-    /// either way).
+    /// `memo` flag of [`CheckEngine::check_document_pooled`]; outcomes
+    /// are identical either way).
     pub(crate) memo: bool,
 }
 
@@ -119,24 +119,6 @@ impl CheckEngine {
         }
     }
 
-    /// Definition 3's root condition `root(w) = r`, shared verbatim by the
-    /// sequential, pooled and batch document checks (the bit-identity
-    /// guarantee between them depends on all using exactly this).
-    pub(crate) fn check_root(&self, doc: &Document) -> Option<PvViolation> {
-        let analysis = self.analysis();
-        let root_name = doc.name(doc.root()).unwrap_or("");
-        if analysis.id(root_name) != Some(analysis.root) {
-            return Some(PvViolation {
-                node: doc.root(),
-                kind: PvViolationKind::RootMismatch {
-                    found: root_name.to_owned(),
-                    expected: analysis.name(analysis.root).to_owned(),
-                },
-            });
-        }
-        None
-    }
-
     /// Checks Problem PV for the whole document on the calling thread.
     pub fn check_document(&self, doc: &Document) -> PvOutcome {
         let mut scratch = self.scratch();
@@ -144,19 +126,25 @@ impl CheckEngine {
     }
 
     /// [`CheckEngine::check_document`] with a caller-provided scratch, for
-    /// drivers scanning many documents that want to reuse the buffers.
+    /// drivers scanning many documents that want to reuse the buffers —
+    /// the one document-check body of the sequential, pooled and batch
+    /// entry points. Definition 3's root condition `root(w) = r` comes
+    /// first; then every element's ECPV instance runs in document order,
+    /// stopping at the first violation.
     pub fn check_document_with(&self, doc: &Document, scratch: &mut CheckScratch<'_>) -> PvOutcome {
-        // Root element type must match r.
-        if let Some(v) = self.check_root(doc) {
-            return PvOutcome { violation: Some(v), stats: RecognizerStats::default() };
+        let analysis = self.analysis();
+        let root_name = doc.name(doc.root()).unwrap_or("");
+        if analysis.id(root_name) != Some(analysis.root) {
+            let violation = PvViolation {
+                node: doc.root(),
+                kind: PvViolationKind::RootMismatch {
+                    found: root_name.to_owned(),
+                    expected: analysis.name(analysis.root).to_owned(),
+                },
+            };
+            return PvOutcome { violation: Some(violation), stats: RecognizerStats::default() };
         }
-        self.check_elements(doc, scratch)
-    }
-
-    /// Every element's ECPV instance in document order, stopping at the
-    /// first violation (the root check is the caller's).
-    fn check_elements(&self, doc: &Document, scratch: &mut CheckScratch<'_>) -> PvOutcome {
-        let names = NameTable::new(doc, &self.analysis().dtd);
+        let names = NameTable::new(doc, &analysis.dtd);
         let mut stats = RecognizerStats::default();
         for node in doc.elements() {
             if let Some(v) = self.check_node_with(doc, node, Some(&names), &mut stats, scratch) {
@@ -164,55 +152,6 @@ impl CheckEngine {
             }
         }
         PvOutcome { violation: None, stats }
-    }
-
-    /// How one document of a pooled check is scheduled (see
-    /// [`CheckEngine::check_batch_pooled`]); `split` is the split rule's
-    /// verdict on its node count.
-    pub(crate) fn plan_document(&self, doc: &Document, split: bool) -> DocPlan {
-        match self.check_root(doc) {
-            Some(v) => DocPlan::RootFailed(v),
-            None if !split => DocPlan::Whole,
-            None => {
-                let names = NameTable::new(doc, &self.analysis().dtd);
-                DocPlan::PerNode(doc.elements().collect(), names)
-            }
-        }
-    }
-
-    /// One task of a pooled region: the whole document, or one node of a
-    /// split document. A node is pruned (`None`) when it lies after a
-    /// known violation; a found violation lowers `first_bad` (it only
-    /// ever decreases, so no node at or before the final first failure is
-    /// ever pruned).
-    pub(crate) fn run_task(
-        &self,
-        doc: &Document,
-        plan: &DocPlan,
-        first_bad: &AtomicUsize,
-        i: usize,
-        scratch: &mut CheckScratch<'_>,
-    ) -> Option<(Option<PvViolation>, RecognizerStats)> {
-        match plan {
-            DocPlan::RootFailed(_) => unreachable!("root-failed documents have no tasks"),
-            DocPlan::Whole => {
-                debug_assert_eq!(i, 0);
-                let outcome = self.check_elements(doc, scratch);
-                Some((outcome.violation, outcome.stats))
-            }
-            DocPlan::PerNode(nodes, names) => {
-                if i > first_bad.load(Ordering::Relaxed) {
-                    return None; // after a known violation: result unreachable
-                }
-                let mut stats = RecognizerStats::default();
-                let node = nodes[i];
-                let violation = self.check_node_with(doc, node, Some(names), &mut stats, scratch);
-                if violation.is_some() {
-                    first_bad.fetch_min(i, Ordering::Relaxed);
-                }
-                Some((violation, stats))
-            }
-        }
     }
 
     /// Checks Problem ECPV for a single node's content (used by the
@@ -335,62 +274,6 @@ impl CheckEngine {
         scratch.rec.reset(elem, self.depth());
         let failing = scratch.rec.advance_run(syms, &mut delta);
         (failing.map(|i| i as u32), delta)
-    }
-}
-
-/// How one document of a pooled check is scheduled: no tasks at all
-/// (root violation, found in the planning pre-pass), one whole-document
-/// task (documents the split rule keeps whole — no per-node scheduling
-/// overhead), or one task per element node (documents idle workers may
-/// join). The reduction produces outcomes bit-identical to the sequential
-/// checker in every variant.
-pub(crate) enum DocPlan {
-    /// The root check already failed; zero tasks.
-    RootFailed(PvViolation),
-    /// One task running every node sequentially with early exit (the
-    /// task iterates `doc.elements()` directly — no node list is
-    /// materialized).
-    Whole,
-    /// One task per node, document-order reduction. Only this plan needs
-    /// random access by task index, so only it collects the node ids; its
-    /// tasks share the document's resolved name table.
-    PerNode(Vec<NodeId>, NameTable),
-}
-
-impl DocPlan {
-    /// Number of tasks this document contributes to the region.
-    pub(crate) fn task_count(&self) -> usize {
-        match self {
-            DocPlan::RootFailed(_) => 0,
-            DocPlan::Whole => 1,
-            DocPlan::PerNode(nodes, _) => nodes.len(),
-        }
-    }
-
-    /// Folds the document's task results into its outcome: in document
-    /// order, stopping at the first violation exactly as the sequential
-    /// scan would (a whole-document task already did so — its single
-    /// result *is* the outcome). `None` entries are nodes pruned *after*
-    /// a known violation; the fold never reaches them, which the pruning
-    /// protocol guarantees (the known first-failure index only ever
-    /// decreases).
-    pub(crate) fn reduce(
-        &self,
-        results: Vec<Option<(Option<PvViolation>, RecognizerStats)>>,
-    ) -> PvOutcome {
-        if let DocPlan::RootFailed(v) = self {
-            return PvOutcome { violation: Some(v.clone()), stats: RecognizerStats::default() };
-        }
-        let mut stats = RecognizerStats::default();
-        for entry in results {
-            let (violation, node_stats) =
-                entry.expect("nodes up to the first violation are never pruned");
-            stats.merge(&node_stats);
-            if violation.is_some() {
-                return PvOutcome { violation, stats };
-            }
-        }
-        PvOutcome { violation: None, stats }
     }
 }
 
@@ -553,46 +436,57 @@ mod tests {
         pv_xml::parse(&xml).unwrap()
     }
 
+    /// Checks `docs` one by one and as a batch (which reaches the pool's
+    /// workers) at every `jobs`, against the sequential outcomes.
+    fn assert_pooled_identical(
+        checker: &Arc<CheckEngine>,
+        pool: &Pool,
+        docs: Vec<Document>,
+        jobs: &[usize],
+    ) -> Vec<PvOutcome> {
+        let seq: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+        for (doc, seq) in docs.iter().zip(&seq) {
+            let doc = Arc::new(doc.clone());
+            for &jobs in jobs {
+                let pooled = checker.check_document_pooled(&doc, pool, jobs, true);
+                assert_eq!(&pooled, seq, "jobs={jobs}");
+            }
+        }
+        let docs = Arc::new(docs);
+        for &jobs in jobs {
+            assert_eq!(checker.check_batch_pooled(&docs, pool, jobs), seq, "batch jobs={jobs}");
+        }
+        seq
+    }
+
     #[test]
     fn pooled_outcome_bit_identical_on_valid_docs() {
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(3);
-        for doc in [pv_xml::parse(S).unwrap(), wide_doc(150, false)] {
-            let seq = checker.check_document(&doc);
-            assert!(seq.is_potentially_valid());
-            let doc = Arc::new(doc);
-            for jobs in [1usize, 2, 3, 8] {
-                let pooled = checker.check_document_pooled(&doc, &pool, jobs, true);
-                assert_eq!(pooled, seq, "jobs={jobs}");
-            }
-        }
+        let docs = vec![pv_xml::parse(S).unwrap(), wide_doc(150, false)];
+        let seq = assert_pooled_identical(&checker, &pool, docs, &[1, 2, 3, 8]);
+        assert!(seq.iter().all(PvOutcome::is_potentially_valid));
     }
 
     #[test]
     fn pooled_outcome_bit_identical_on_failing_docs() {
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(3);
-        for doc in [
+        let docs = vec![
             pv_xml::parse(W).unwrap(),
             wide_doc(150, true),
             pv_xml::parse("<a><b/></a>").unwrap(), // root mismatch
             pv_xml::parse("<r><zzz/></r>").unwrap(), // undeclared element
-        ] {
-            let seq = checker.check_document(&doc);
-            assert!(!seq.is_potentially_valid());
-            let doc = Arc::new(doc);
-            for jobs in [1usize, 2, 3, 8] {
-                let pooled = checker.check_document_pooled(&doc, &pool, jobs, true);
-                assert_eq!(pooled, seq, "jobs={jobs}");
-            }
-        }
+        ];
+        let seq = assert_pooled_identical(&checker, &pool, docs, &[1, 2, 3, 8]);
+        assert!(seq.iter().all(|o| !o.is_potentially_valid()));
     }
 
     #[test]
     fn batch_matches_per_document_checks() {
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(4);
-        // Eleven whole-document tasks and one document split per node.
+        // Twelve whole-document tasks, one of them much larger.
         let docs: Arc<Vec<Document>> = Arc::new(
             (0..12).map(|i| wide_doc(if i == 5 { 150 } else { 10 + i }, i % 3 == 0)).collect(),
         );
@@ -680,15 +574,23 @@ mod tests {
         let plain = memo_off(analysis.clone());
         let memoized = CheckEngine::new(analysis);
         let pool = Pool::new(3);
-        for doc in [wide_doc(150, false), wide_doc(150, true)] {
-            let expect = plain.check_document(&doc);
-            let doc = Arc::new(doc);
+        let docs = vec![wide_doc(150, false), wide_doc(150, true)];
+        let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+        for (doc, expect) in docs.iter().zip(&expect) {
+            let doc = Arc::new(doc.clone());
             for jobs in [1usize, 2, 8] {
                 // Cold-ish and warm passes both must match.
                 for _ in 0..2 {
                     let got = memoized.check_document_pooled(&doc, &pool, jobs, true);
-                    assert_eq!(got, expect, "jobs={jobs}");
+                    assert_eq!(&got, expect, "jobs={jobs}");
                 }
+            }
+        }
+        // Both documents as one batch share the cache across workers.
+        let docs = Arc::new(docs);
+        for jobs in [1usize, 2, 8] {
+            for _ in 0..2 {
+                assert_eq!(memoized.check_batch_pooled(&docs, &pool, jobs), expect, "jobs={jobs}");
             }
         }
     }

@@ -12,10 +12,12 @@
 //!
 //! Constructors hand the engine out in an `Arc` so it can be shared with
 //! the workers of a persistent [`pv_par::Pool`] (pool regions are
-//! `'static`). Sequential checks ([`CheckEngine::check_document`], the
-//! incremental guards, the stream checker, the suggestion queries) run on
-//! the calling thread through the same per-node code as the pooled paths;
-//! the differential suites hold the resulting bit-identity.
+//! `'static`). The unit of parallel work is the **document**: a batch
+//! check ([`CheckEngine::check_batch_pooled`]) runs each document as one
+//! pool task through the same calling-thread body as
+//! [`CheckEngine::check_document`], and a single document is always
+//! checked on the calling thread. The differential suites hold the
+//! resulting bit-identity.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -24,13 +26,16 @@
 //!
 //! let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
 //! let pool = pv_par::Pool::new(2);
-//! let doc = Arc::new(pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap());
+//! let docs = Arc::new(vec![
+//!     pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap(),
+//!     pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap(),
+//! ]);
 //!
-//! let pooled = engine.check_document_pooled(&doc, &pool, 0, true);
-//! assert_eq!(pooled, engine.check_document(&doc));
+//! let pooled = engine.check_batch_pooled(&docs, &pool, 0);
+//! assert_eq!(pooled, [engine.check_document(&docs[0]), engine.check_document(&docs[1])]);
 //! ```
 
-use crate::checker::{DocPlan, PvOutcome};
+use crate::checker::PvOutcome;
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
 use crate::memo::{MemoStats, ShapeCache};
@@ -39,17 +44,16 @@ use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
 use pv_par::Pool;
 use pv_xml::Document;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The engine's metric handles (`pv_engine_*`). Default is all no-ops;
 /// [`CheckEngine::with_policy_observed`] registers live ones. Recording
-/// happens once per pooled document or batch check only — the per-node
-/// hot path is never touched.
+/// happens once per document or batch of the `*_pooled` entry points
+/// only — the per-node hot path is never touched.
 #[derive(Default, Clone)]
 struct EngineObs {
-    /// Wall-clock of one document check (recognize + memo + reduction).
+    /// Wall-clock of one document check (tokens + memo + recognizer).
     check_us: Histogram,
     /// Wall-clock of one pooled batch check.
     batch_us: Histogram,
@@ -107,10 +111,10 @@ impl EngineObs {
 /// are bit-identical with the memo on or off (`tests/memo_differential.rs`
 /// enforces this). Repetitive document-centric corpora drop from a
 /// recognizer walk per node to a hash lookup per node; see
-/// [`crate::memo`] for the sharding and capacity rules. The pooled entry
-/// points take a per-call `memo` flag (the `pvx check --no-memo` and wire
-/// `memo=0` paths); [`CheckEngine::set_memo_enabled`] switches the cache
-/// for every check.
+/// [`crate::memo`] for the sharding and capacity rules.
+/// [`CheckEngine::check_document_pooled`] takes a per-call `memo` flag
+/// (the wire `memo=0` path); [`CheckEngine::set_memo_enabled`] switches
+/// the cache for every check.
 pub struct CheckEngine {
     analysis: DtdAnalysis,
     dags: DagSet,
@@ -120,15 +124,6 @@ pub struct CheckEngine {
 }
 
 impl CheckEngine {
-    /// The floor of the split rule: a document below this many element
-    /// nodes is never split per node. A pooled check splits a document
-    /// only at `max(SPLIT_MIN_NODES, total / (4·workers))` element nodes
-    /// (`total` over every document of the check), so a split document
-    /// is both large and a real share of the work; every other document
-    /// is one whole-document task. Per-node tasks cost scheduling and
-    /// shared-cache traffic that only a document this size repays.
-    pub const SPLIT_MIN_NODES: usize = 512;
-
     /// Builds an engine with the default (automatic) depth policy and
     /// shape memoization on.
     pub fn new(analysis: DtdAnalysis) -> Arc<CheckEngine> {
@@ -250,52 +245,33 @@ impl CheckEngine {
         }
     }
 
-    /// Checks one document on the pool (`jobs` caps participation; `0` =
-    /// all of them, `1` = the calling thread). `memo` toggles the shape
-    /// cache for this check (outcomes are identical either way).
+    /// Checks one document on the calling thread, with the shape cache
+    /// on or off for this check (`memo`; outcomes are identical either
+    /// way), and records the check's engine telemetry. This is the
+    /// one-document case of [`CheckEngine::check_batch_pooled`]: a single
+    /// document is never split, so the check never dispatches and `pool`
+    /// and `jobs` do not change it. The outcome is
+    /// [`CheckEngine::check_document`]'s.
     ///
-    /// This is the one-document case of [`CheckEngine::check_batch_pooled`]:
-    /// a document of at least [`CheckEngine::SPLIT_MIN_NODES`] element
-    /// nodes is split per node — element nodes are independent ECPV
-    /// instances (paper Section 4) — and the per-node results are
-    /// **reduced in document order**, so the returned [`PvOutcome`] — the
-    /// violation (first failing node in document order, same node, same
-    /// symbol index) *and* the work counters — is bit-identical to
-    /// [`CheckEngine::check_document`]'s regardless of worker count or
-    /// scheduling. Counter identity holds because sequential stats are a
-    /// prefix sum of per-node stats and [`RecognizerStats::merge`] is
-    /// commutative: the reduction folds exactly the nodes the sequential
-    /// checker would have visited. A smaller document is a single task,
-    /// and a single task runs on the calling thread.
-    ///
-    /// On an already-failing document, workers that observe a known
-    /// violation skip nodes *after* it (the known first-failure index only
-    /// ever moves earlier, so no node at or before the final first failure
-    /// is ever skipped); a potentially valid document gets no such
-    /// shortcut and every node is checked, just as sequentially.
-    ///
-    /// The streaming checker ([`CheckEngine::stream_checker`]) shares this
-    /// contract from the other direction: where the pooled path pays a
-    /// `fetch_min` race so concurrently-found violations agree on the
-    /// document-order-first one, the streaming path's candidate protocol
-    /// only ever *replaces* its frozen violation with a preorder-earlier
-    /// one, converging on the same node. All three — sequential
-    /// stop-at-first, pooled `fetch_min`, streaming candidate — report the
-    /// identical violation (node, kind, symbol index) and counters;
-    /// `tests/stream_differential.rs` asserts exactly this
+    /// The streaming checker ([`CheckEngine::stream_checker`]) shares the
+    /// first-violation contract from the other direction: where the tree
+    /// scan stops at the preorder-first failing node, the streaming
+    /// path's candidate protocol only ever *replaces* its frozen violation
+    /// with a preorder-earlier one, converging on the same node. Both
+    /// report the identical violation (node, kind, symbol index) and
+    /// counters; `tests/stream_differential.rs` asserts exactly this
     /// (`early_exit_reports_the_same_violation_everywhere`).
-    ///
-    /// [`RecognizerStats::merge`]: crate::recognizer::RecognizerStats::merge
     pub fn check_document_pooled(
-        self: &Arc<Self>,
+        &self,
         doc: &Arc<Document>,
-        pool: &Pool,
-        jobs: usize,
+        _pool: &Pool,
+        _jobs: usize,
         memo: bool,
     ) -> PvOutcome {
         let t0 = self.obs.check_us.start();
-        let mut outcomes = self.check_pooled(Docs::One(Arc::clone(doc)), pool, jobs, memo);
-        let outcome = outcomes.pop().expect("one outcome per document");
+        let mut scratch = self.scratch();
+        scratch.memo = memo;
+        let outcome = self.check_document_with(doc, &mut scratch);
         self.obs.record(t0, doc, &outcome);
         outcome
     }
@@ -304,22 +280,14 @@ impl CheckEngine {
     /// document in input order — outcome `i` is bit-identical to
     /// `check_document(&docs[i])`.
     ///
-    /// Scheduling is **two-level** ([`Pool::run`]): each document is a
-    /// group, and whole documents are stolen first (the right granularity
-    /// while documents outnumber idle workers — a worker scans its
-    /// documents' nodes in order, cache-local); a worker that finds no
-    /// untouched document left *joins* the started document with the most
-    /// nodes remaining, claiming chunks of its node range. Only documents
-    /// big enough to bottleneck the batch are node-granular (joinable) at
-    /// all — at least `max(`[`CheckEngine::SPLIT_MIN_NODES`]`,
-    /// total/4·workers)` nodes; the rest run as single whole-document
-    /// tasks with zero per-node scheduling overhead. A batch mixing one
-    /// giant document with many small ones therefore pipelines instead of
-    /// serializing on the giant one. Per-node results are reduced per
-    /// document in document order, exactly as in
-    /// [`CheckEngine::check_document_pooled`]. A batch that plans to a
-    /// single task, or `jobs` resolving to one participant, runs on the
-    /// calling thread.
+    /// Each document is one pool task ([`Pool::run`]), root check
+    /// included, run by [`CheckEngine::check_document_with`] against a
+    /// scratch built once per worker; workers claim the next unstarted
+    /// document as they finish one. `jobs` caps participation (`0` = all
+    /// pool workers); a batch of at most one document, or `jobs`
+    /// resolving to one participant, runs on the calling thread. Workers
+    /// share the engine's shape cache (sharded, read-mostly; a hit
+    /// replays the recorded stats delta, so every outcome stays exact).
     pub fn check_batch_pooled(
         self: &Arc<Self>,
         docs: &Arc<Vec<Document>>,
@@ -327,79 +295,23 @@ impl CheckEngine {
         jobs: usize,
     ) -> Vec<PvOutcome> {
         let t0 = self.obs.batch_us.start();
-        let outcomes = self.check_pooled(Docs::Batch(Arc::clone(docs)), pool, jobs, true);
+        let outcomes = if docs.len() <= 1 || pool.participants(jobs) <= 1 {
+            let mut scratch = self.scratch();
+            docs.iter().map(|d| self.check_document_with(d, &mut scratch)).collect()
+        } else {
+            let (engine, batch) = (Arc::clone(self), Arc::clone(docs));
+            pool.run(jobs, docs.len(), move |scope| {
+                let mut scratch = engine.scratch();
+                while let Some(i) = scope.claim() {
+                    scope.put(i, engine.check_document_with(&batch[i], &mut scratch));
+                }
+            })
+        };
         self.obs.batch_us.observe_since(t0);
         for (doc, outcome) in docs.iter().zip(&outcomes) {
             self.obs.record(None, doc, outcome);
         }
         outcomes
-    }
-
-    /// The one pooled check body. `jobs` resolving to one participant is
-    /// tested first and checks every document on the calling thread
-    /// without planning. Otherwise every document is planned by the split
-    /// rule ([`CheckEngine::SPLIT_MIN_NODES`]) — its root checked up
-    /// front, leaving only ECPV work to shard — and the planned tasks run
-    /// as one region, one group per document, unless they are a single
-    /// task, which again runs on the calling thread.
-    fn check_pooled(
-        self: &Arc<Self>,
-        docs: Docs,
-        pool: &Pool,
-        jobs: usize,
-        memo: bool,
-    ) -> Vec<PvOutcome> {
-        let on_caller = || {
-            let mut scratch = self.scratch();
-            scratch.memo = memo;
-            docs.docs().iter().map(|d| self.check_document_with(d, &mut scratch)).collect()
-        };
-        let workers = pool.participants(jobs);
-        if workers <= 1 {
-            return on_caller();
-        }
-        let counts: Vec<usize> = docs.docs().iter().map(Document::element_count).collect();
-        let split = Self::SPLIT_MIN_NODES.max(counts.iter().sum::<usize>() / (4 * workers));
-        let plans: Vec<DocPlan> =
-            docs.docs().iter().zip(&counts).map(|(d, &n)| self.plan_document(d, n >= split)).collect();
-        let plans = Arc::new(plans);
-        let sizes: Vec<usize> = plans.iter().map(DocPlan::task_count).collect();
-        if sizes.iter().sum::<usize>() <= 1 {
-            return on_caller();
-        }
-        let first_bad: Vec<AtomicUsize> =
-            sizes.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let engine = Arc::clone(self);
-        let task_plans = Arc::clone(&plans);
-        let per_doc = pool.run(jobs, &sizes, move |scope| {
-            // Once per worker per region: a fresh scratch. Workers share
-            // the engine's shape cache (sharded, read-mostly; a hit
-            // replays the recorded stats delta, so the reduction stays
-            // bit-identical).
-            let mut scratch = engine.scratch();
-            scratch.memo = memo;
-            while let Some((g, i)) = scope.claim() {
-                let doc = &docs.docs()[g];
-                let r = engine.run_task(doc, &task_plans[g], &first_bad[g], i, &mut scratch);
-                scope.put(g, i, r);
-            }
-        });
-        plans.iter().zip(per_doc).map(|(plan, results)| plan.reduce(results)).collect()
-    }
-}
-
-/// The documents of one pooled check: one shared document, or a batch.
-enum Docs {
-    One(Arc<Document>),
-    Batch(Arc<Vec<Document>>),
-}
-
-impl Docs {
-    fn docs(&self) -> &[Document] {
-        match self {
-            Docs::One(doc) => std::slice::from_ref(&**doc),
-            Docs::Batch(docs) => docs,
-        }
     }
 }
 
@@ -426,23 +338,29 @@ mod tests {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(4);
         let plain = memo_off();
-        for doc in [
-            wide_doc(150, false), // 601 element nodes: split per node
+        let docs = vec![
+            wide_doc(150, false), // 601 element nodes
             wide_doc(150, true),
-            wide_doc(60, true), // 241: one task, on the calling thread
+            wide_doc(60, true),
             pv_xml::parse("<a><b/></a>").unwrap(), // root mismatch
             pv_xml::parse("<r><zzz/></r>").unwrap(), // undeclared element
-            pv_xml::parse("<r/>").unwrap(),        // tiny: sequential path
-        ] {
-            let doc = Arc::new(doc);
-            let expect = plain.check_document(&doc);
+            pv_xml::parse("<r/>").unwrap(),
+        ];
+        let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+        for (doc, expect) in docs.iter().zip(&expect) {
+            let doc = Arc::new(doc.clone());
             for jobs in [0usize, 1, 2, 8] {
                 assert_eq!(
-                    engine.check_document_pooled(&doc, &pool, jobs, true),
+                    &engine.check_document_pooled(&doc, &pool, jobs, true),
                     expect,
                     "jobs={jobs}"
                 );
             }
+        }
+        // The same documents as one batch reach the pool's workers.
+        let docs = Arc::new(docs);
+        for jobs in [0usize, 1, 2, 8] {
+            assert_eq!(engine.check_batch_pooled(&docs, &pool, jobs), expect, "batch jobs={jobs}");
         }
     }
 
@@ -456,9 +374,7 @@ mod tests {
                     if i == 4 {
                         pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
                     } else if i == 7 {
-                        // Above SPLIT_MIN_NODES: exercises the
-                        // node-granular (joinable) plan, poisoned.
-                        wide_doc(400, true)
+                        wide_doc(400, true) // one large poisoned document
                     } else {
                         wide_doc(30 + i, i % 3 == 0)
                     }
@@ -497,40 +413,31 @@ mod tests {
         }
     }
 
-    /// A potentially valid Figure 1 document of exactly `nodes` element
-    /// nodes: `<r>`, four-node `<a>` blocks, then empty `<a/>` padding.
-    fn sized_doc(nodes: usize) -> Document {
-        let mut xml = String::from("<r>");
-        let mut left = nodes - 1;
-        while left >= 4 {
-            xml.push_str("<a><b/><c>text</c><d/></a>");
-            left -= 4;
-        }
-        xml.push_str(&"<a/>".repeat(left));
-        xml.push_str("</r>");
-        pv_xml::parse(&xml).unwrap()
-    }
-
-    /// The split floor on an observed pool at jobs 2: one node below it
-    /// the check is a single task on the calling thread (no region); at
-    /// it the document is split into one task per element node.
+    /// The unit of parallel work is the document, on an observed pool
+    /// at jobs 2: one document of 8,000 element nodes runs on the
+    /// calling thread (no region), and a batch of it plus three small
+    /// documents is one region of four tasks.
     #[test]
-    fn split_floor_boundary() {
+    fn one_document_never_dispatches_and_a_batch_is_one_task_per_document() {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let plain = memo_off();
-        let floor = CheckEngine::SPLIT_MIN_NODES;
-        for (nodes, regions) in [(floor - 1, 0), (floor, 1)] {
-            let doc = Arc::new(sized_doc(nodes));
-            assert_eq!(doc.element_count(), nodes);
-            let reg = Registry::new();
-            let pool = Pool::try_new(2, &reg).unwrap();
-            let expect = plain.check_document(&doc);
-            assert_eq!(engine.check_document_pooled(&doc, &pool, 2, true), expect, "nodes={nodes}");
-            let snap = reg.snapshot();
-            assert_eq!(snap.counters["pv_pool_regions_total"], regions, "nodes={nodes}");
-            let tasks = if regions == 0 { 0 } else { nodes as u64 };
-            assert_eq!(snap.counters["pv_pool_tasks_total"], tasks, "nodes={nodes}");
-        }
+        let big = wide_doc(2_000, true);
+        assert!(big.element_count() >= 8_000);
+        let reg = Registry::new();
+        let pool = Pool::try_new(2, &reg).unwrap();
+
+        let doc = Arc::new(big.clone());
+        assert_eq!(engine.check_document_pooled(&doc, &pool, 2, true), plain.check_document(&doc));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["pv_pool_regions_total"], 0);
+        assert_eq!(snap.counters["pv_pool_tasks_total"], 0);
+
+        let docs = Arc::new(vec![big, wide_doc(3, false), wide_doc(5, true), wide_doc(8, false)]);
+        let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+        assert_eq!(engine.check_batch_pooled(&docs, &pool, 2), expect);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["pv_pool_regions_total"], 1);
+        assert_eq!(snap.counters["pv_pool_tasks_total"], 4);
     }
 
     /// A Figure 1 engine with shape memoization off.

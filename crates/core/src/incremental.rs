@@ -72,7 +72,8 @@ impl CheckEngine {
     /// is necessary but not sufficient: with `x → (c)`, `c → (#PCDATA)`
     /// and the document `<x><c/>text</x>`, `x ⇝ PCDATA` holds yet the σ
     /// after the explicit `<c/>` can never be wrapped into the single `c`
-    /// slot. (Found by property testing; recorded in DESIGN.md.) For that
+    /// slot. (Found by property testing; `tests/properties.rs` holds the
+    /// guard exact.) For that
     /// case we fall back to one ECPV run over the parent's hypothetical
     /// child sequence — `O(children)`, still far cheaper than a document
     /// re-check.

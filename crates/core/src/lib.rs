@@ -31,8 +31,8 @@
 //!   in `O(k·D)` per input symbol (Theorem 4).
 //! * [`engine`] — [`CheckEngine`], the one checker: it owns the compiled
 //!   DTD, its DAGs, the shape cache and the depth budget, is shared via
-//!   `Arc`, and checks on the calling thread or on a persistent
-//!   [`pv_par::Pool`].
+//!   `Arc`, and checks a document on the calling thread or a batch on a
+//!   persistent [`pv_par::Pool`], one document per task.
 //! * [`checker`] — whole-document potential validity (Problem PV) by
 //!   running ECPV at every element node, with diagnostics pointing at the
 //!   offending node and symbol.

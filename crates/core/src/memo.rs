@@ -26,8 +26,8 @@
 //!
 //! ## Concurrency
 //!
-//! The cache is shared by reference across the pool workers of a pooled
-//! check ([`CheckEngine::check_document_pooled`](crate::engine::CheckEngine::check_document_pooled)),
+//! The cache is shared by reference across the pool workers of a batch
+//! check ([`CheckEngine::check_batch_pooled`](crate::engine::CheckEngine::check_batch_pooled)),
 //! so it is sharded: a deterministic hash of the symbol sequence picks one
 //! of [`SHARD_COUNT`] shards, each behind its own `RwLock` — hits take a
 //! read lock (read-mostly by design), only misses write. Races are benign:
@@ -186,7 +186,7 @@ pub struct ShapeCache {
 /// Telemetry snapshot of a [`ShapeCache`] (see
 /// [`CheckEngine::memo_stats`](crate::engine::CheckEngine::memo_stats)).
 ///
-/// Hit/miss counts are telemetry, not semantics: under pooled checking
+/// Hit/miss counts are telemetry, not semantics: under batch checking
 /// two workers can race to the same cold shape and both count a miss, so
 /// these numbers may vary across schedules while outcomes never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

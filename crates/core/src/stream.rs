@@ -61,11 +61,10 @@
 //! ## Early exit
 //!
 //! First-violation early exit is *free* here — once a candidate freezes,
-//! no recognizer below the spine ever runs again — whereas the pooled
-//! tree path pays a `fetch_min` race to agree on the document-order-first
-//! violation. Both converge on the same node; see
-//! `CheckEngine::check_document_pooled` and the `stream_differential`
-//! suite.
+//! no recognizer below the spine ever runs again — just as the tree scan
+//! stops at its preorder-first failing node. Both converge on the same
+//! node; see `CheckEngine::check_document_pooled` and the
+//! `stream_differential` suite.
 //!
 //! ## Batched dispatch
 //!
@@ -400,7 +399,7 @@ impl<'c> StreamChecker<'c> {
 
     fn start_root(&mut self, node: NodeId, name: &str, self_closing: bool) {
         if self.analysis.id(name) != Some(self.analysis.root) {
-            // Same precondition check as `check_root`: decided before any
+            // The tree checker's root precondition: decided before any
             // recognizer runs, with zero stats.
             self.state = State::RootFailed(PvViolation {
                 node,

@@ -50,7 +50,7 @@ impl From<XmlError> for EditError {
 }
 
 /// Work counters for a session — the numbers behind the incremental-cost
-/// claims in EXPERIMENTS.md.
+/// claims of table X4 (`experiments --table incremental`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
     /// Operations applied successfully.

@@ -1,4 +1,4 @@
-//! The **persistent** work-stealing pool and its one region kind.
+//! The **persistent** pool and its one region kind.
 //!
 //! [`Pool`] keeps its workers alive and **parked on a condvar** between
 //! regions: dispatching a region costs one mutex/notify round-trip
@@ -9,51 +9,46 @@
 //! Persistent workers outlive every caller frame, and the workspace
 //! forbids `unsafe` (so the lifetime-erasure trick every scoped-pool crate
 //! uses is off the table) — pool regions therefore require `'static`
-//! closures and share state via `Arc`. The check engine, its documents
-//! and batches are held in `Arc`s for exactly this reason.
+//! closures and share state via `Arc`. The check engine and its batches
+//! are held in `Arc`s for exactly this reason.
 //!
 //! ## Region model
 //!
-//! A region ([`Pool::run`]) is a list of **groups** — `sizes[g]` tasks in
-//! group `g`, a document of the checker's batch or the one document of a
-//! single check — scheduled by the two-level queues (`queue` internals):
-//! whole groups are stolen first, and a worker with no unstarted group
-//! left joins a started one, claiming chunks of its index range. The
-//! closure is **drain-style**: the pool calls it once per participating
-//! worker, and it pulls `(group, index)` tasks from the [`Scope`] it is
-//! handed —
+//! A region ([`Pool::run`]) is `n` independent tasks `0..n` — the
+//! documents of the checker's batch — handed out by one shared atomic
+//! cursor: every claim takes the next unclaimed index, so a slow task
+//! holds back only the worker running it. The closure is
+//! **drain-style**: the pool calls it once per participating worker, and
+//! it pulls task indices from the [`Scope`] it is handed —
 //!
 //! ```
 //! use std::sync::Arc;
 //! let pool = pv_par::Pool::new(2);
 //! let data = Arc::new((0..100).collect::<Vec<u64>>());
-//! let out = pool.run(0, &[100], move |scope| {
+//! let out = pool.run(0, 100, move |scope| {
 //!     // Per-region setup runs once per worker, not once per task…
 //!     let mut acc = 0u64;
-//!     while let Some((g, i)) = scope.claim() {
+//!     while let Some(i) = scope.claim() {
 //!         acc += data[i]; // …and tasks may keep borrowing it.
-//!         scope.put(g, i, data[i] * 2);
+//!         scope.put(i, data[i] * 2);
 //!     }
 //!     let _ = acc;
 //! });
-//! assert_eq!(out[0][7], 14);
+//! assert_eq!(out[7], 14);
 //! ```
 //!
 //! — which is what lets a checker build its borrowed scratch once per
 //! worker per region from `Arc`ed parts and run every claimed task
 //! against it.
 //!
-//! Results come back in task order, one `Vec` per group; a panicking task
-//! propagates to the dispatching caller (workers survive: the pool stays
-//! usable), and concurrent dispatchers are serialized — one region runs
-//! at a time.
+//! Results come back in task order; a panicking task propagates to the
+//! dispatching caller (workers survive: the pool stays usable), and
+//! concurrent dispatchers are serialized — one region runs at a time.
 
-use crate::queue::{GroupCounters, GroupQueues};
 use pv_obs::{Counter, Gauge, Histogram, Registry};
 use std::any::Any;
 use std::io;
-use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -67,10 +62,6 @@ struct PoolObs {
     regions: Counter,
     /// Tasks scheduled across all regions.
     tasks: Counter,
-    /// Whole-group steals.
-    steals: Counter,
-    /// Range joins of a started group.
-    joins: Counter,
     /// Worker park episodes (a worker began waiting for work).
     parks: Counter,
     /// Worker unpark episodes (a parked worker woke to a region).
@@ -88,8 +79,6 @@ impl PoolObs {
         PoolObs {
             regions: reg.counter("pv_pool_regions_total"),
             tasks: reg.counter("pv_pool_tasks_total"),
-            steals: reg.counter("pv_pool_steals_total"),
-            joins: reg.counter("pv_pool_group_joins_total"),
             parks: reg.counter("pv_pool_parks_total"),
             unparks: reg.counter("pv_pool_unparks_total"),
             region_us: reg.histogram("pv_pool_region_us"),
@@ -100,7 +89,7 @@ impl PoolObs {
 }
 
 /// What a worker thread executes for one region: a type-erased wrapper
-/// around the region's queues, result sink, and user closure.
+/// around the region's cursor, result sink, and user closure.
 trait Work: Send + Sync {
     fn work(&self, worker: usize);
 }
@@ -153,10 +142,10 @@ impl Pool {
     /// Spawns a pool of [`crate::effective_jobs`]`(jobs)` parked workers,
     /// returning the spawn error when the OS refuses a thread (the
     /// workers already started are shut down and joined first). Pool
-    /// telemetry (`pv_pool_*`: regions, tasks, steals, group joins,
-    /// park/unpark episodes, region wall-clock and size histograms, an
-    /// active-worker gauge) records into `registry`; a disabled registry
-    /// makes every handle a no-op.
+    /// telemetry (`pv_pool_*`: regions, tasks, park/unpark episodes,
+    /// region wall-clock and size histograms, an active-worker gauge)
+    /// records into `registry`; a disabled registry makes every handle a
+    /// no-op.
     pub fn try_new(jobs: usize, registry: &Registry) -> io::Result<Pool> {
         let workers = crate::effective_jobs(jobs).max(1);
         let shared = Arc::new(Shared {
@@ -190,34 +179,27 @@ impl Pool {
         self.workers
     }
 
-    /// Dispatches a region of `sizes[g]` tasks in group `g`. Scheduling is
-    /// group-first: whole groups are seeded over the workers' deques and
-    /// stolen whole, and only a worker that finds no unstarted group
-    /// anywhere *joins* a started group's remaining index range, claiming
-    /// chunks of it — so a batch mixing one giant group with many small
-    /// ones drains the small ones as cache-local units while the giant one
-    /// ends up shared. `f` runs once per participating worker and must
-    /// drain its [`Scope`]. Results come back as one ordered `Vec<R>` per
-    /// group.
+    /// Dispatches a region of `n` tasks, handed out in index order to
+    /// whichever participant claims next. `f` runs once per participating
+    /// worker and must drain its [`Scope`]. Results come back as one
+    /// `Vec<R>` in task order.
     ///
     /// `jobs` caps how many of the pool's workers participate (`0` = all
     /// of them); capping does not change results, only scheduling. A
     /// region without tasks dispatches nothing.
-    pub fn run<R, F>(&self, jobs: usize, sizes: &[usize], f: F) -> Vec<Vec<R>>
+    pub fn run<R, F>(&self, jobs: usize, n: usize, f: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(&mut Scope<'_, R>) + Send + Sync + 'static,
     {
-        let total: usize = sizes.iter().sum();
-        if total == 0 {
-            return sizes.iter().map(|_| Vec::new()).collect();
+        if n == 0 {
+            return Vec::new();
         }
-        let participants = self.participants(jobs).min(total);
         let region = Arc::new(Region {
-            participants,
-            queues: GroupQueues::split(participants, sizes),
-            counters: GroupCounters::new(),
-            out: Mutex::new(Vec::with_capacity(total)),
+            participants: self.participants(jobs).min(n),
+            n,
+            next: AtomicUsize::new(0),
+            out: Mutex::new(Vec::with_capacity(n)),
             f,
         });
         let obs = &self.shared.obs;
@@ -225,30 +207,18 @@ impl Pool {
         self.dispatch(region.clone());
         obs.region_us.observe_since(t0);
         obs.regions.inc();
-        obs.tasks.add(total as u64);
-        obs.region_tasks.observe(total as u64);
-        obs.steals.add(region.counters.steals.load(Ordering::Relaxed));
-        obs.joins.add(region.counters.joins.load(Ordering::Relaxed));
-        let mut slots: Vec<Vec<Option<R>>> = sizes
-            .iter()
-            .map(|&len| {
-                let mut v = Vec::with_capacity(len);
-                v.resize_with(len, || None);
-                v
-            })
-            .collect();
-        for (g, i, r) in std::mem::take(&mut *region.out.lock().unwrap()) {
-            debug_assert!(slots[g][i].is_none(), "task ({g}, {i}) executed twice");
-            slots[g][i] = Some(r);
+        obs.tasks.add(n as u64);
+        obs.region_tasks.observe(n as u64);
+        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
+        slots.resize_with(n, || None);
+        let out = std::mem::take(&mut *region.out.lock().expect("no task runs under this lock"));
+        for (i, r) in out {
+            debug_assert!(slots[i].is_none(), "task {i} executed twice");
+            slots[i] = Some(r);
         }
         slots
             .into_iter()
-            .map(|group| {
-                group
-                    .into_iter()
-                    .map(|r| r.expect("region closure must drain its scope and put every result"))
-                    .collect()
-            })
+            .map(|r| r.expect("region closure must drain its scope and put every result"))
             .collect()
     }
 
@@ -358,16 +328,12 @@ fn worker_main(shared: &Shared, w: usize) {
 }
 
 /// The task source and result sink one worker sees inside a
-/// [`Pool::run`] region. Tasks are `(group, index)` pairs.
+/// [`Pool::run`] region. Tasks are indices `0..n`.
 pub struct Scope<'r, R> {
     worker: usize,
-    queues: &'r GroupQueues,
-    counters: &'r GroupCounters,
-    /// The group this worker is currently attached to.
-    current: Option<usize>,
-    /// The claimed-but-unyielded rest of the last chunk, and its group.
-    chunk: (usize, Range<usize>),
-    buf: Vec<(usize, usize, R)>,
+    next: &'r AtomicUsize,
+    n: usize,
+    buf: Vec<(usize, R)>,
 }
 
 impl<R> Scope<'_, R> {
@@ -377,27 +343,28 @@ impl<R> Scope<'_, R> {
         self.worker
     }
 
-    /// Claims the next `(group, index)` task. Every claimed task **must**
-    /// be answered with [`Scope::put`] before the closure returns.
-    pub fn claim(&mut self) -> Option<(usize, usize)> {
-        if self.chunk.1.is_empty() {
-            self.chunk = self.queues.next_chunk(self.worker, &mut self.current, self.counters)?;
-        }
-        let i = self.chunk.1.next()?;
-        Some((self.chunk.0, i))
+    /// Claims the next unclaimed task. Every claimed task **must** be
+    /// answered with [`Scope::put`] before the closure returns.
+    #[inline]
+    pub fn claim(&mut self) -> Option<usize> {
+        // Relaxed: the cursor only hands out distinct indices. Task inputs
+        // were published by `dispatch`'s lock, results travel under `out`'s.
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.n).then_some(i)
     }
 
-    /// Stores the result of task `(g, i)`.
-    pub fn put(&mut self, g: usize, i: usize, r: R) {
-        self.buf.push((g, i, r));
+    /// Stores the result of task `i`.
+    pub fn put(&mut self, i: usize, r: R) {
+        self.buf.push((i, r));
     }
 }
 
 struct Region<R, F> {
     participants: usize,
-    queues: GroupQueues,
-    counters: GroupCounters,
-    out: Mutex<Vec<(usize, usize, R)>>,
+    n: usize,
+    /// The next unclaimed task index, shared by every participant.
+    next: AtomicUsize,
+    out: Mutex<Vec<(usize, R)>>,
     f: F,
 }
 
@@ -410,17 +377,10 @@ where
         if worker >= self.participants {
             return;
         }
-        let mut scope = Scope {
-            worker,
-            queues: &self.queues,
-            counters: &self.counters,
-            current: None,
-            chunk: (0, 0..0),
-            buf: Vec::new(),
-        };
+        let mut scope = Scope { worker, next: &self.next, n: self.n, buf: Vec::new() };
         (self.f)(&mut scope);
         if !scope.buf.is_empty() {
-            self.out.lock().unwrap().append(&mut scope.buf);
+            self.out.lock().expect("no task runs under this lock").append(&mut scope.buf);
         }
     }
 }
@@ -429,32 +389,26 @@ where
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    /// Drains a region of `sizes`, recording `(g, i) -> f(g, i)`.
-    fn map(
-        pool: &Pool,
-        jobs: usize,
-        sizes: &[usize],
-        f: fn(usize, usize) -> usize,
-    ) -> Vec<Vec<usize>> {
-        pool.run(jobs, sizes, move |scope| {
-            while let Some((g, i)) = scope.claim() {
-                scope.put(g, i, f(g, i));
+    /// Drains a region of `n` tasks, recording `i -> f(i)`.
+    fn map(pool: &Pool, jobs: usize, n: usize, f: fn(usize) -> usize) -> Vec<usize> {
+        pool.run(jobs, n, move |scope| {
+            while let Some(i) = scope.claim() {
+                scope.put(i, f(i));
             }
         })
     }
 
     /// The distinct `scope.worker()` values that entered the region
     /// closure — the region's participants.
-    fn entered(pool: &Pool, jobs: usize, sizes: &[usize]) -> BTreeSet<usize> {
+    fn entered(pool: &Pool, jobs: usize, n: usize) -> BTreeSet<usize> {
         let seen = Arc::new(Mutex::new(BTreeSet::new()));
         let s = Arc::clone(&seen);
-        pool.run(jobs, sizes, move |scope| {
+        pool.run(jobs, n, move |scope| {
             s.lock().unwrap().insert(scope.worker());
-            while let Some((g, i)) = scope.claim() {
-                scope.put(g, i, ());
+            while let Some(i) = scope.claim() {
+                scope.put(i, ());
             }
         });
         let out = seen.lock().unwrap().clone();
@@ -464,41 +418,36 @@ mod tests {
     #[test]
     fn pool_matches_sequential_across_regions() {
         let pool = Pool::new(4);
-        for sizes in [&[0usize][..], &[1], &[3], &[257], &[5, 0, 40, 1], &[]] {
-            let out = map(&pool, 0, sizes, |g, i| g * 1000 + i * 3 + 1);
-            assert_eq!(out.len(), sizes.len());
-            for (g, &len) in sizes.iter().enumerate() {
-                let expect: Vec<usize> = (0..len).map(|i| g * 1000 + i * 3 + 1).collect();
-                assert_eq!(out[g], expect, "sizes={sizes:?} group {g}");
-            }
+        for n in [0usize, 1, 3, 257, 46] {
+            let out = map(&pool, 0, n, |i| i * 3 + 1);
+            assert_eq!(out, (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>(), "n={n}");
         }
     }
 
     #[test]
     fn jobs_cap_limits_participants() {
         let pool = Pool::new(4);
-        assert_eq!(entered(&pool, 2, &[100]), BTreeSet::from([0, 1]));
-        assert_eq!(entered(&pool, 0, &[100]).len(), 4);
-        let out = map(&pool, 2, &[100], |_, i| i);
-        assert_eq!(out, vec![(0..100).collect::<Vec<_>>()]);
+        assert_eq!(entered(&pool, 2, 100), BTreeSet::from([0, 1]));
+        assert_eq!(entered(&pool, 0, 100).len(), 4);
+        assert_eq!(map(&pool, 2, 100, |i| i), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn workers_capped_by_task_count() {
         let pool = Pool::new(16);
-        assert_eq!(entered(&pool, 0, &[3]).len(), 3);
-        assert_eq!(entered(&pool, 0, &[1, 0, 1]).len(), 2);
+        assert_eq!(entered(&pool, 0, 3).len(), 3);
+        assert_eq!(entered(&pool, 0, 2).len(), 2);
     }
 
     #[test]
     fn task_panic_propagates_and_pool_survives() {
         let pool = Pool::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map(&pool, 0, &[32], |_, i| if i == 17 { panic!("boom at 17") } else { i })
+            map(&pool, 0, 32, |i| if i == 17 { panic!("boom at 17") } else { i })
         }));
         assert!(result.is_err());
         // The pool keeps working after a panicked region.
-        assert_eq!(map(&pool, 0, &[8], |_, i| i + 1), vec![(1..9).collect::<Vec<_>>()]);
+        assert_eq!(map(&pool, 0, 8, |i| i + 1), (1..9).collect::<Vec<_>>());
     }
 
     #[test]
@@ -510,13 +459,12 @@ mod tests {
                 s.spawn(move || {
                     for round in 0..8 {
                         let base = t * 1000 + round;
-                        let out = pool.run(0, &[50, 3], move |scope| {
-                            while let Some((g, i)) = scope.claim() {
-                                scope.put(g, i, base + g * 100 + i);
+                        let out = pool.run(0, 53, move |scope| {
+                            while let Some(i) = scope.claim() {
+                                scope.put(i, base + i);
                             }
                         });
-                        assert_eq!(out[0], (base..base + 50).collect::<Vec<_>>());
-                        assert_eq!(out[1], (base + 100..base + 103).collect::<Vec<_>>());
+                        assert_eq!(out, (base..base + 53).collect::<Vec<_>>());
                     }
                 });
             }
@@ -527,9 +475,9 @@ mod tests {
     fn observed_pool_records_region_telemetry() {
         let reg = Registry::new();
         let pool = Pool::try_new(2, &reg).unwrap();
-        assert_eq!(map(&pool, 0, &[100], |_, i| i)[0].len(), 100);
-        map(&pool, 0, &[3, 4], |g, i| g + i);
-        map(&pool, 0, &[0, 0], |g, i| g + i); // no tasks: nothing dispatched
+        assert_eq!(map(&pool, 0, 100, |i| i).len(), 100);
+        map(&pool, 0, 7, |i| i);
+        map(&pool, 0, 0, |i| i); // no tasks: nothing dispatched
         let snap = reg.snapshot();
         assert_eq!(snap.counters["pv_pool_regions_total"], 2);
         assert_eq!(snap.counters["pv_pool_tasks_total"], 107);
@@ -543,66 +491,50 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let pool = Pool::new(4);
-        let sizes = [500usize, 1, 77];
-        let counters: Arc<Vec<Vec<AtomicUsize>>> = Arc::new(
-            sizes.iter().map(|&len| (0..len).map(|_| AtomicUsize::new(0)).collect()).collect(),
-        );
+        let n = 578;
+        let counters: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
         let c = Arc::clone(&counters);
-        pool.run(4, &sizes, move |scope| {
-            while let Some((g, i)) = scope.claim() {
-                c[g][i].fetch_add(1, Ordering::Relaxed);
-                scope.put(g, i, ());
+        pool.run(4, n, move |scope| {
+            while let Some(i) = scope.claim() {
+                c[i].fetch_add(1, Ordering::Relaxed);
+                scope.put(i, ());
             }
         });
-        assert!(counters.iter().flatten().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
-    fn unbalanced_load_triggers_stealing() {
-        // 64 one-task groups, seeded 16 per worker; the first worker's
-        // whole block is slow, the rest instant. Even on a single-CPU host
-        // the OS interleaves the workers, so the fast ones drain their
-        // blocks and then steal whole groups from the slow one.
-        let reg = Registry::new();
-        let pool = Pool::try_new(4, &reg).unwrap();
-        let out = pool.run(0, &[1; 64], |scope| {
-            while let Some((g, i)) = scope.claim() {
-                if g < 16 {
-                    std::thread::sleep(Duration::from_millis(2));
+    fn slow_first_task_does_not_hold_back_the_rest() {
+        // Task 0 blocks until every other task has run (or a 10 s
+        // deadline passes). Tasks come from one shared cursor, so the
+        // other participant must claim all of them meanwhile — even on a
+        // single-CPU host, where the OS interleaves the two workers.
+        let pool = Pool::new(2);
+        let n = 32;
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&done);
+        let ran_on = pool.run(2, n, move |scope| {
+            while let Some(i) = scope.claim() {
+                if i == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while d.load(Ordering::Acquire) < n - 1 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                } else {
+                    d.fetch_add(1, Ordering::Release);
                 }
-                scope.put(g, i, g);
+                scope.put(i, scope.worker());
             }
         });
-        assert_eq!(out, (0..64).map(|g| vec![g]).collect::<Vec<_>>());
-        let steals = reg.snapshot().counters["pv_pool_steals_total"];
-        assert!(steals > 0, "expected steals, got {steals}");
-    }
-
-    #[test]
-    fn mixed_batch_pipelines_through_joins() {
-        // One giant slow group among small ones: the registry must show
-        // the idle workers joining the giant group's range.
-        let reg = Registry::new();
-        let pool = Pool::try_new(4, &reg).unwrap();
-        let out = pool.run(0, &[2000, 8, 8, 8], |scope| {
-            while let Some((g, i)) = scope.claim() {
-                if g == 0 {
-                    std::thread::sleep(Duration::from_micros(20));
-                }
-                scope.put(g, i, g + i);
-            }
-        });
-        assert_eq!(out.iter().map(Vec::len).collect::<Vec<_>>(), vec![2000, 8, 8, 8]);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["pv_pool_tasks_total"], 2024);
-        let joins = snap.counters["pv_pool_group_joins_total"];
-        assert!(joins > 0, "expected range joins, got {joins}");
+        assert_eq!(done.load(Ordering::Acquire), n - 1);
+        assert!(ran_on[1..].iter().all(|&w| w != ran_on[0]), "{ran_on:?}");
     }
 
     #[test]
     fn drop_joins_workers() {
         let pool = Pool::new(3);
-        assert_eq!(map(&pool, 0, &[10], |_, i| i)[0].len(), 10);
+        assert_eq!(map(&pool, 0, 10, |i| i).len(), 10);
         drop(pool); // must not hang
     }
 }

@@ -183,9 +183,9 @@ impl Client {
         })
     }
 
-    /// Checks one document; `jobs` caps the server-side workers (`1` =
-    /// sequential), `memo` toggles the shared shape cache for this
-    /// request.
+    /// Checks one document; `memo` toggles the shared shape cache for
+    /// this request. The server checks one document on the connection
+    /// thread, so `jobs` (still sent as `jobs=N`) does not change it.
     pub fn check(
         &mut self,
         handle: &str,
@@ -274,7 +274,9 @@ impl Client {
         })
     }
 
-    /// Checks a batch; outcome `i` corresponds to `xmls[i]`.
+    /// Checks a batch; outcome `i` corresponds to `xmls[i]`. `jobs` caps
+    /// the server-side workers, one document per task (`0` = every pool
+    /// worker, `1` = the connection thread).
     pub fn check_batch(
         &mut self,
         handle: &str,

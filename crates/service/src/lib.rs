@@ -7,7 +7,7 @@
 //! checking. This crate keeps all of that **resident**:
 //!
 //! * a [`Server`] holding a persistent [`pv_par::Pool`] (parked workers —
-//!   a parallel region costs a condvar round-trip, not thread spawns) and
+//!   a `BATCH` region costs a condvar round-trip, not thread spawns) and
 //!   one [`pv_core::engine::CheckEngine`] per loaded DTD (pre-compiled
 //!   DAGs and a **warm shape cache** shared across requests and
 //!   connections);

@@ -18,9 +18,9 @@
 //! | `PING` | — | liveness probe |
 //! | `LOAD <root>` | 1 (DTD source) | compile + intern a DTD, reply with its handle (idempotent: same source + root ⇒ same handle, warm cache kept) |
 //! | `BUILTIN <name>` | — | same, for a built-in DTD |
-//! | `CHECK <handle> [jobs=N] [memo=0]` | 1 (XML) | potential-validity check of one document |
+//! | `CHECK <handle> [jobs=N] [memo=0]` | 1 (XML) | potential-validity check of one document, on the connection thread (`jobs=N` parses but has no effect on one document) |
 //! | `CHECK_STREAM <handle>` | chunked (see below) | streaming check: raw byte chunks, validated as they arrive |
-//! | `BATCH <handle> <count> [jobs=N]` | `count` (XML each) | check a document batch on the two-level scheduler |
+//! | `BATCH <handle> <count> [jobs=N]` | `count` (XML each) | check a document batch on the pool, one task per document (`jobs=0` = every worker, `1` = the connection thread) |
 //! | `STATS` | — | server telemetry (uptime, request/work counters, per-DTD memo) |
 //! | `METRICS` | — | metrics-registry snapshot: counters, gauges, histogram percentiles, slow traces |
 //! | `RESET <handle>` | — | clear the handle's shape cache **and** zero the server's telemetry window (stats totals, memo counters, metrics registry) |
@@ -115,7 +115,7 @@ pub enum Request {
     Check {
         /// Handle from a previous `LOAD`/`BUILTIN`.
         handle: String,
-        /// Worker cap (`0` = all pool workers, `1` = sequential).
+        /// Parsed but unused: one document runs on the connection thread.
         jobs: usize,
         /// Shape memoization toggle for this request.
         memo: bool,
@@ -134,7 +134,7 @@ pub enum Request {
     Batch {
         /// Handle from a previous `LOAD`/`BUILTIN`.
         handle: String,
-        /// Worker cap (`0` = all pool workers, `1` = sequential).
+        /// Worker cap (`0` = all pool workers, `1` = the connection thread).
         jobs: usize,
         /// The document texts.
         xmls: Vec<String>,

@@ -5,7 +5,8 @@
 //! DAGs and **warm shape cache** outlive every request — and serves the
 //! [`crate::proto`] protocol over a unix socket or a loopback TCP port.
 //! Each connection gets a thread (requests within a connection are
-//! sequential; the pool serializes parallel regions across connections),
+//! sequential; a `CHECK` runs on it, and the pool serializes `BATCH`
+//! regions across connections),
 //! and every check flows through exactly the same `pv-core` code as the
 //! in-process entry points, so outcomes are bit-identical to
 //! `CheckEngine::check_document` — `tests/service_differential.rs` holds
@@ -1190,11 +1191,9 @@ fn handle_request(
                 }
                 match parsed {
                     Ok(doc) => {
-                        // Everything runs on the resident pool (never a
-                        // per-request thread spawn); `jobs` follows the
-                        // documented semantics (0 = all pool workers, 1 =
-                        // sequential) and `memo=0` detaches the shared cache
-                        // without changing the scheduling.
+                        // One document is never split: it runs on this
+                        // connection thread whatever `jobs` says, and
+                        // `memo=0` detaches the shared cache.
                         let rt = m.recognize_us.start();
                         let outcome = entry.engine.check_document_pooled(
                             &Arc::new(doc),

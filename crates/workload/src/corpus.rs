@@ -294,10 +294,10 @@ pub fn for_builtin(b: BuiltinDtd, target_elements: usize) -> Option<Document> {
 /// many-document workload behind the `CheckEngine::check_batch_pooled`
 /// benchmarks and tests. Document `i` targets a size jittered over
 /// `[target_elements/2, 3·target_elements/2)` by a fixed Weyl sequence, so
-/// batches are irregular enough to exercise work stealing (equal-sized
-/// documents would never leave a worker idle) while staying bit-identical
-/// across runs and machines. Returns `None` for DTDs without a corpus
-/// builder (see [`for_builtin`]).
+/// batches are irregular enough that pool workers finish their documents
+/// at different times, while staying bit-identical across runs and
+/// machines. Returns `None` for DTDs without a corpus builder (see
+/// [`for_builtin`]).
 pub fn batch(b: BuiltinDtd, docs: usize, target_elements: usize) -> Option<Vec<Document>> {
     let spread = target_elements.max(1);
     (0..docs)

@@ -15,9 +15,9 @@
 //! * [`core`] ([`pv_core`]) — the paper's contribution: `δ_T`/`Δ_T`,
 //!   the per-element DAG model, the ECRecognizer, whole-document and
 //!   incremental potential-validity checking;
-//! * [`par`] ([`pv_par`]) — the work-stealing parallelism layer: one
-//!   persistent [`pv_par::Pool`] of parked workers per process, behind
-//!   `pvx check --jobs` and the resident service alike;
+//! * [`par`] ([`pv_par`]) — the parallelism layer: one persistent
+//!   [`pv_par::Pool`] of parked workers per process, behind batch checks
+//!   and the resident service's `BATCH` verb;
 //! * [`service`] ([`pv_service`]) — the resident validation server and
 //!   its client (`pvx serve` / `pvx check --remote`): warm caches,
 //!   parked workers, a newline-framed length-prefixed wire protocol;
@@ -40,12 +40,13 @@
 //!
 //! ## Parallel quickstart
 //!
-//! Element nodes are independent ECPV instances, so big documents and
-//! corpora shard across the workers of one persistent pool — with
-//! outcomes **bit-identical** to the sequential checker (same
+//! Documents are independent Problem PV instances, so corpora shard
+//! across the workers of one persistent pool, one task per document —
+//! with outcomes **bit-identical** to the sequential checker (same
 //! first-failing node in document order, same work counters), so
-//! parallelism is purely a wall-clock decision. Pool regions are
-//! `'static`, so documents travel in an `Arc`:
+//! parallelism is purely a wall-clock decision. A single document is
+//! never split. Pool regions are `'static`, so batches travel in an
+//! `Arc`:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -53,17 +54,12 @@
 //!
 //! let checker = CheckEngine::new(BuiltinDtd::Play.analysis());
 //! let pool = Pool::new(0); // one parked worker per CPU
-//! let play = Arc::new(pv_workload::corpus::play(2_000));
-//!
-//! // One large document, split per node over every pool worker.
-//! let outcome = checker.check_document_pooled(&play, &pool, 0, true);
-//! assert!(outcome.is_potentially_valid());
-//! assert_eq!(outcome, checker.check_document(&play));
 //!
 //! // A corpus, one task per document: outcome i == check_document(&docs[i]).
 //! let docs = Arc::new(pv_workload::corpus::batch(BuiltinDtd::Play, 8, 300).unwrap());
 //! let outcomes = checker.check_batch_pooled(&docs, &pool, 0);
 //! assert!(outcomes.iter().all(|o| o.is_potentially_valid()));
+//! assert_eq!(outcomes[3], checker.check_document(&docs[3]));
 //! ```
 
 pub use pv_core as core;

@@ -6,7 +6,8 @@
 //! round can park more than `B ≤ (m+1)²` requests, so the default budget
 //! every check runs with is never used up: every check of every document
 //! ends with `specs_denied == 0`. This suite holds the analyzer to that
-//! claim — sequential and pooled at jobs ∈ {1, 2, 8}, memo on and off —
+//! claim — one document at a time at jobs ∈ {1, 2, 8}, memo on and off,
+//! and each case's documents as one pooled batch at the same job counts —
 //! across:
 //!
 //! 1. the builtin DTD corpus (the certified seven, with their generated
@@ -47,7 +48,8 @@ fn pool() -> &'static Pool {
 
 /// The certificate's whole claim, for one (analysis, documents) pair: if
 /// the DTD is certified, every check at the default budget records zero
-/// denied speculation requests — sequential and pooled, memo on and off.
+/// denied speculation requests — one document at a time at both memo
+/// settings, and the documents as one batch on the pool (memo on).
 /// Flagged DTDs claim nothing.
 fn assert_certificate_holds(analysis: &DtdAnalysis, docs: &[Document], ctx: &str) {
     let BudgetVerdict::Certified { budget: b } = budget::certify(analysis).verdict else {
@@ -65,6 +67,17 @@ fn assert_certificate_holds(analysis: &DtdAnalysis, docs: &[Document], ctx: &str
                     out.stats.specs_denied, 0,
                     "{ctx}: doc {i} denied speculation under a certificate \
                      (jobs {jobs}, memo {memo})"
+                );
+            }
+        }
+    }
+    if docs.len() > 1 {
+        let batch = Arc::new(docs.to_vec());
+        for jobs in JOBS {
+            for (i, out) in engine.check_batch_pooled(&batch, pool(), jobs).iter().enumerate() {
+                assert_eq!(
+                    out.stats.specs_denied, 0,
+                    "{ctx}: batch doc {i} denied speculation under a certificate (jobs {jobs})"
                 );
             }
         }

@@ -4,12 +4,10 @@
 
 use pv_cli::{
     cmd_analyze, cmd_check, cmd_check_stream_remote, cmd_classify, cmd_complete, cmd_lint,
-    cmd_validate, resolve_dtd, CheckOpts, DtdContext, Status,
+    cmd_validate, resolve_dtd, CheckOpts, Status,
 };
 use pv_core::depth::DepthPolicy;
-use pv_par::Pool;
 use pv_service::{Client, Endpoint, Server};
-use std::sync::Arc;
 
 const FIG1_SUBSET: &str = "
 <!ELEMENT r (a+)><!ELEMENT a (b?, (c | f), d)><!ELEMENT b (d | f)>
@@ -20,22 +18,12 @@ fn doc_with_subset(body: &str) -> pv_xml::Document {
     pv_xml::parse(&format!("<!DOCTYPE r [{FIG1_SUBSET}]>\n{body}")).unwrap()
 }
 
-/// `pvx check` on one document, on a two-worker pool.
-fn check(
-    ctx: &DtdContext,
-    name: &str,
-    doc: &pv_xml::Document,
-    opts: &CheckOpts,
-) -> (String, Status) {
-    cmd_check(ctx, name, &Arc::new(doc.clone()), opts, &Pool::new(2))
-}
-
 #[test]
 fn check_via_internal_subset() {
     let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
     assert_eq!(ctx.source, "internal subset");
-    let (report, status) = check(&ctx, "s.xml", &doc, &CheckOpts::default());
+    let (report, status) = cmd_check(&ctx, "s.xml", &doc, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
     assert!(report.contains("POTENTIALLY VALID"));
     assert!(report.contains("non-recursive"));
@@ -45,7 +33,7 @@ fn check_via_internal_subset() {
 fn check_failure_names_the_symbol() {
     let doc = doc_with_subset("<r><a><b>x</b><e/><c>y</c></a></r>");
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let (report, status) = check(&ctx, "w.xml", &doc, &CheckOpts { jobs: 2, ..CheckOpts::default() });
+    let (report, status) = cmd_check(&ctx, "w.xml", &doc, &CheckOpts::default());
     assert_eq!(status, Status::Failed);
     assert!(report.contains("<c>"), "{report}");
     assert!(report.contains("deletion or renaming"), "{report}");
@@ -92,7 +80,7 @@ fn explicit_root_respects_usability() {
     ))
     .unwrap();
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let (_, status) = check(&ctx, "frag", &doc, &CheckOpts::default());
+    let (_, status) = cmd_check(&ctx, "frag", &doc, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
 }
 
@@ -167,15 +155,10 @@ fn analyze_json_schema_is_stable() {
 fn check_verbose_appends_analysis_summary() {
     let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let quiet = check(&ctx, "s.xml", &doc, &CheckOpts::default()).0;
+    let quiet = cmd_check(&ctx, "s.xml", &doc, &CheckOpts::default()).0;
     assert!(!quiet.contains("analysis:"), "{quiet}");
-    let verbose = check(
-        &ctx,
-        "s.xml",
-        &doc,
-        &CheckOpts { verbose: true, ..CheckOpts::default() },
-    )
-    .0;
+    let verbose_opts = CheckOpts { verbose: true, ..CheckOpts::default() };
+    let verbose = cmd_check(&ctx, "s.xml", &doc, &verbose_opts).0;
     assert!(verbose.contains("analysis:"), "{verbose}");
     assert!(verbose.contains("certified budget"), "{verbose}");
     assert!(verbose.contains("deterministic"), "{verbose}");
@@ -188,20 +171,10 @@ fn bounded_depth_flag_reaches_the_checker() {
     )
     .unwrap();
     let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    assert_eq!(
-        check(&ctx, "t", &doc, &CheckOpts { depth: DepthPolicy::Bounded(0), ..CheckOpts::default() }).1,
-        Status::Failed
-    );
-    assert_eq!(
-        check(
-            &ctx,
-            "t",
-            &doc,
-            &CheckOpts { depth: DepthPolicy::Bounded(1), memo: false, ..CheckOpts::default() }
-        )
-        .1,
-        Status::Ok
-    );
+    let bounded =
+        |depth, memo| CheckOpts { depth: DepthPolicy::Bounded(depth), memo, ..CheckOpts::default() };
+    assert_eq!(cmd_check(&ctx, "t", &doc, &bounded(0, true)).1, Status::Failed);
+    assert_eq!(cmd_check(&ctx, "t", &doc, &bounded(1, false)).1, Status::Ok);
 }
 
 /// `pvx check --stream --remote` with a zero chunk size is an error, not

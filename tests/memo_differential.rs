@@ -10,9 +10,10 @@
 //!
 //! The suite sweeps the builtin DTD corpus in several states of
 //! (dis)repair, proptest-generated DTD/document/mutation families, the
-//! pooled and batch paths at jobs ∈ {1, 2, 8}, editor sessions replaying
-//! identical edit scripts, and an eviction guard on the adversarial
-//! all-distinct-shapes corpus family.
+//! pooled and batch paths at jobs ∈ {1, 2, 8} (each case's documents also
+//! run as one batch, so the pool's workers share the cache), editor
+//! sessions replaying identical edit scripts, and an eviction guard on
+//! the adversarial all-distinct-shapes corpus family.
 
 use proptest::prelude::*;
 use potential_validity::prelude::*;
@@ -67,6 +68,21 @@ fn assert_memo_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) {
     }
 }
 
+/// Asserts a memoized batch of one case's documents == plain, cold and
+/// warm, at every job count: the workers share one cache.
+fn assert_memo_batch_identical(analysis: &DtdAnalysis, docs: Vec<Document>, ctx: &str) {
+    let reference = plain(analysis);
+    let expect: Vec<PvOutcome> = docs.iter().map(|d| reference.check_document(d)).collect();
+    let docs = Arc::new(docs);
+    for jobs in JOBS {
+        let memoized = CheckEngine::new(analysis.clone());
+        for pass in ["cold", "warm"] {
+            let got = memoized.check_batch_pooled(&docs, pool(), jobs);
+            assert_eq!(got, expect, "{ctx}: {pass} batch diverged at jobs={jobs}");
+        }
+    }
+}
+
 /// The builtin corpus documents, in several states of (dis)repair
 /// (mirrors `tests/parallel_differential.rs`).
 fn corpus_scenarios(b: BuiltinDtd) -> Vec<(String, Document)> {
@@ -90,8 +106,13 @@ fn corpus_scenarios(b: BuiltinDtd) -> Vec<(String, Document)> {
 fn corpus_documents_check_identically_with_memo() {
     for b in BuiltinDtd::ALL {
         let analysis = b.analysis();
+        let mut docs = Vec::new();
         for (label, doc) in corpus_scenarios(b) {
             assert_memo_identical(&analysis, &doc, &format!("{}:{label}", b.name()));
+            docs.push(doc);
+        }
+        if !docs.is_empty() {
+            assert_memo_batch_identical(&analysis, docs, b.name());
         }
     }
 }
@@ -99,10 +120,13 @@ fn corpus_documents_check_identically_with_memo() {
 #[test]
 fn repetitive_family_checks_identically_across_hit_rate_regimes() {
     let analysis = corpus::repetitive_analysis();
+    let mut docs = Vec::new();
     for distinct in [1usize, 16, 256, usize::MAX] {
         let doc = corpus::repetitive(3_000, distinct);
         assert_memo_identical(&analysis, &doc, &format!("repetitive:{distinct}"));
+        docs.push(doc);
     }
+    assert_memo_batch_identical(&analysis, docs, "repetitive");
 }
 
 #[test]

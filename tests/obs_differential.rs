@@ -26,9 +26,8 @@ use pv_workload::mutate::Mutator;
 use std::sync::Arc;
 
 /// Builtin corpus documents in several states of (dis)repair — the same
-/// scenario shapes the service differential uses, sized so a pooled check
-/// at jobs ≥ 2 splits them per node (stripped: above
-/// `CheckEngine::SPLIT_MIN_NODES`).
+/// scenario shapes the service differential uses, checked one by one and
+/// as one batch (which reaches the pool's workers).
 fn scenarios(b: BuiltinDtd) -> Vec<String> {
     let mut out = Vec::new();
     if let Some(valid) = corpus::for_builtin(b, 600) {
@@ -55,17 +54,18 @@ fn outcomes_bit_identical_with_metrics_on_and_off() {
         let plain = CheckEngine::new(b.analysis());
         let pool_observed = Pool::try_new(4, &registry).unwrap();
         let pool_plain = Pool::new(4);
+        let mut batch = Vec::new();
         for xml in scenarios(b) {
             let Ok(doc) = pv_xml::parse(&xml) else { continue };
+            batch.push(doc.clone());
             let doc = Arc::new(doc);
             // Sequential, both memo settings.
             for memo in [true, false] {
                 let seq_plain = plain.check_document_pooled(&doc, &pool_plain, 1, memo);
                 let seq_obs = observed.check_document_pooled(&doc, &pool_observed, 1, memo);
                 assert_eq!(seq_obs, seq_plain, "sequential memo={memo} {}", b.name());
-                // Pooled-parallel at several widths against the
-                // sequential verdict: instrumented pool and engine
-                // must not perturb the reduction.
+                // The pooled entry at several widths against the
+                // sequential verdict.
                 for jobs in [2, 4] {
                     let par = observed.check_document_pooled(&doc, &pool_observed, jobs, memo);
                     assert_eq!(par, seq_plain, "jobs={jobs} memo={memo} {}", b.name());
@@ -82,6 +82,14 @@ fn outcomes_bit_identical_with_metrics_on_and_off() {
                 let got = stream.finish().expect("well-formed");
                 assert_eq!(got, expect, "stream chunk={chunk} {}", b.name());
             }
+        }
+        // The scenarios as one batch on the observed pool: instrumented
+        // pool and engine must not perturb any worker's outcome.
+        let expect: Vec<PvOutcome> = batch.iter().map(|d| plain.check_document(d)).collect();
+        let batch = Arc::new(batch);
+        for jobs in [2, 4] {
+            let par = observed.check_batch_pooled(&batch, &pool_observed, jobs);
+            assert_eq!(par, expect, "batch jobs={jobs} {}", b.name());
         }
     }
 }
@@ -119,28 +127,35 @@ fn registry_counters_mirror_recognizer_stats_totals() {
     let engine =
         CheckEngine::with_policy_observed(BuiltinDtd::Play.analysis(), DepthPolicy::Auto, &registry);
     let pool = Pool::try_new(2, &registry).unwrap();
-    let docs = scenarios(BuiltinDtd::Play);
-    let mut checks = 0u64;
+    let docs: Vec<Document> = scenarios(BuiltinDtd::Play)
+        .iter()
+        .filter_map(|xml| pv_xml::parse(xml).ok())
+        .collect();
+    let mut outcomes = Vec::new();
+    for doc in &docs {
+        outcomes.push(engine.check_document_pooled(&Arc::new(doc.clone()), &pool, 2, true));
+    }
+    // The same documents as one batch: every worker's outcome is mirrored.
+    outcomes.extend(engine.check_batch_pooled(&Arc::new(docs.clone()), &pool, 2));
     let mut totals = (0u64, 0u64, 0u64, 0u64); // symbols, visits, subs, denied
-    for xml in &docs {
-        let Ok(doc) = pv_xml::parse(xml) else { continue };
-        let doc = Arc::new(doc);
-        let outcome = engine.check_document_pooled(&doc, &pool, 2, true);
-        checks += 1;
+    for outcome in &outcomes {
         totals.0 += outcome.stats.symbols;
         totals.1 += outcome.stats.node_visits;
         totals.2 += outcome.stats.subs_created;
         totals.3 += outcome.stats.specs_denied;
     }
-    assert!(checks > 0 && totals.0 > 0, "scenario set must exercise the recognizer");
+    assert!(docs.len() > 1 && totals.0 > 0, "scenario set must exercise the recognizer");
     let snap = registry.snapshot();
-    assert_eq!(snap.counters["pv_engine_checks_total"], checks);
+    assert_eq!(snap.counters["pv_engine_checks_total"], outcomes.len() as u64);
     assert_eq!(snap.counters["pv_engine_symbols_total"], totals.0);
     assert_eq!(snap.counters["pv_engine_node_visits_total"], totals.1);
     assert_eq!(snap.counters["pv_engine_subs_created_total"], totals.2);
     assert_eq!(snap.counters["pv_engine_specs_denied_total"], totals.3);
-    // The check-latency histogram saw exactly one observation per check.
-    assert_eq!(snap.histograms["pv_engine_check_us"].count, checks);
+    // One check-latency observation per single-document check, one batch
+    // observation for the batch, which ran as one region.
+    assert_eq!(snap.histograms["pv_engine_check_us"].count, docs.len() as u64);
+    assert_eq!(snap.histograms["pv_engine_batch_us"].count, 1);
+    assert_eq!(snap.counters["pv_pool_regions_total"], 1);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! cross-checked by all engines (ECRecognizer, Earley on G', standard
 //! validator, brute-force oracle, witness construction).
 //!
-//! Index (see DESIGN.md §5): F1 Figure 1 DTD · F2/E1/E2 Examples 1–2 with
-//! Figure 2 DOM trees and Figure 3 completion · F4 Figure 4 DAGs ·
-//! F5/F6 recognizer traces · E5/F7 Example 5 (T1) · E6 Example 6 (T2).
+//! Index (the artifacts of `experiments --table examples`): F1 Figure 1
+//! DTD · F2/E1/E2 Examples 1–2 with Figure 2 DOM trees and Figure 3
+//! completion · F4 Figure 4 DAGs · F5/F6 recognizer traces · E5/F7
+//! Example 5 (T1) · E6 Example 6 (T2).
 
 use potential_validity::prelude::*;
 use pv_core::dag::DagSet;

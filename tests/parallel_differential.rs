@@ -1,19 +1,15 @@
-//! Parallel/sequential differential: `check_document_pooled` and
-//! `check_batch_pooled` must return **bit-identical** outcomes to the
+//! Parallel/sequential differential: `check_batch_pooled` and
+//! `check_document_pooled` must return **bit-identical** outcomes to the
 //! sequential checker — same verdict, same first failing node (in document order),
 //! same failing symbol index, same work counters — at every job count.
 //!
-//! Counter identity is the strong part of the claim: it holds because the
-//! pooled checker reduces per-node results in document order and merges
-//! per-node stats with a commutative addition, folding exactly the nodes
-//! the sequential checker would have visited (nodes after the first
-//! violation are skipped on both sides). These tests sweep the builtin DTD
-//! corpus (realistic documents, stripped and broken variants) and
-//! proptest-generated DTD/document families at jobs ∈ {1, 2, 8}. A pooled
-//! check splits a document per node only from
-//! `CheckEngine::SPLIT_MIN_NODES` element nodes on (smaller ones run on
-//! the calling thread), so every test here checks documents above that
-//! floor.
+//! The unit of parallel work is the document: a batch runs each document
+//! as one pool task through the sequential checker's own body, and a
+//! single document is always checked on the calling thread. These tests
+//! sweep the builtin DTD corpus (realistic documents, stripped and broken
+//! variants) and proptest-generated DTD/document families at jobs ∈ {1,
+//! 2, 8}, checking each case's documents one by one and as a batch, so
+//! the pool's workers run every one of them.
 
 use proptest::prelude::*;
 use potential_validity::prelude::*;
@@ -32,60 +28,45 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool::new(8))
 }
 
-/// A DTD of `params.class` drawn from `seed`, with a generated valid
-/// document big enough that the pooled check splits it per node even
-/// after a dozen deletions. Not every DTD yields one (a non-recursive DTD
-/// may have little repeatable content), so the DTD and document are
-/// redrawn from derived seeds until one does; every seed the strategies
-/// below draw (`0..5000`) succeeds within the first 64 draws.
-fn dtd_with_split_size_doc(params: &DtdGenParams, seed: u64) -> (DtdAnalysis, Document) {
-    for attempt in 0..128u64 {
-        let analysis = DtdGen::new(seed + 5000 * attempt, params.clone()).generate();
-        let doc = DocGen::new(&analysis, (seed ^ 0xB16) + attempt).generate(600);
-        if doc.element_count() >= CheckEngine::SPLIT_MIN_NODES + 16 {
-            return (analysis, doc);
+/// Asserts pooled == sequential for one case's documents, one by one
+/// and as one batch.
+fn assert_parallel_identical(analysis: &DtdAnalysis, docs: Vec<Document>, ctx: &str) {
+    let checker = CheckEngine::new(analysis.clone());
+    let seq: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+    for (i, doc) in docs.iter().enumerate() {
+        let doc = Arc::new(doc.clone());
+        for jobs in JOBS {
+            let par = checker.check_document_pooled(&doc, pool(), jobs, true);
+            assert_eq!(par, seq[i], "{ctx}: document {i} diverged at jobs={jobs}");
         }
     }
-    panic!("no split-size document for seed {seed}");
-}
-
-/// Asserts pooled == sequential for one (analysis, document) pair.
-fn assert_parallel_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) {
-    let checker = CheckEngine::new(analysis.clone());
-    let seq = checker.check_document(doc);
-    let doc = Arc::new(doc.clone());
+    let docs = Arc::new(docs);
     for jobs in JOBS {
-        let par = checker.check_document_pooled(&doc, pool(), jobs, true);
-        assert_eq!(par, seq, "{ctx}: outcome diverged at jobs={jobs}");
+        let par = checker.check_batch_pooled(&docs, pool(), jobs);
+        assert_eq!(par, seq, "{ctx}: batch diverged at jobs={jobs}");
     }
 }
 
-/// The builtin corpus documents, in several states of (dis)repair, every
-/// one above the split floor.
-fn corpus_scenarios(b: BuiltinDtd) -> Vec<(String, Document)> {
-    let mut docs = Vec::new();
-    if let Some(valid) = corpus::for_builtin(b, 800) {
-        let mut stripped = valid.clone();
-        Mutator::new(11).delete_random_markup(&mut stripped, 80);
-        assert!(stripped.element_count() >= CheckEngine::SPLIT_MIN_NODES, "{}", b.name());
-        let mut swapped = stripped.clone();
-        Mutator::new(12).swap_random_siblings(&mut swapped);
-        let mut renamed = stripped.clone();
-        Mutator::new(13).rename_random_element(&mut renamed, &b.analysis().dtd);
-        docs.push(("valid".to_owned(), valid));
-        docs.push(("stripped".to_owned(), stripped));
-        docs.push(("swapped".to_owned(), swapped));
-        docs.push(("renamed".to_owned(), renamed));
-    }
-    docs
+/// The builtin corpus documents, in several states of (dis)repair:
+/// valid, stripped, swapped and renamed, in that order (none when the
+/// builtin has no corpus builder).
+fn corpus_scenarios(b: BuiltinDtd) -> Vec<Document> {
+    let Some(valid) = corpus::for_builtin(b, 800) else { return Vec::new() };
+    let mut stripped = valid.clone();
+    Mutator::new(11).delete_random_markup(&mut stripped, 80);
+    let mut swapped = stripped.clone();
+    Mutator::new(12).swap_random_siblings(&mut swapped);
+    let mut renamed = stripped.clone();
+    Mutator::new(13).rename_random_element(&mut renamed, &b.analysis().dtd);
+    vec![valid, stripped, swapped, renamed]
 }
 
 #[test]
 fn corpus_documents_check_identically_in_parallel() {
     for b in BuiltinDtd::ALL {
-        let analysis = b.analysis();
-        for (label, doc) in corpus_scenarios(b) {
-            assert_parallel_identical(&analysis, &doc, &format!("{}:{label}", b.name()));
+        let docs = corpus_scenarios(b);
+        if !docs.is_empty() {
+            assert_parallel_identical(&b.analysis(), docs, b.name());
         }
     }
 }
@@ -93,10 +74,7 @@ fn corpus_documents_check_identically_in_parallel() {
 #[test]
 fn builtin_dtds_with_generated_documents_check_identically() {
     // Builtins without a realistic corpus builder still get coverage via
-    // the grammar-walking generator + PV-breaking mutations. At 600
-    // elements its documents clear the split floor for every builtin whose
-    // grammar allows one that wide (all but figure1, t1, t2 and
-    // dissertation, whose documents stay on the calling thread).
+    // the grammar-walking generator + PV-breaking mutations.
     for b in BuiltinDtd::ALL {
         let analysis = b.analysis();
         for seed in 0..4u64 {
@@ -107,11 +85,8 @@ fn builtin_dtds_with_generated_documents_check_identically() {
             Mutator::new(seed ^ 1).swap_random_siblings(&mut swapped);
             let mut renamed = stripped.clone();
             Mutator::new(seed ^ 2).rename_random_element(&mut renamed, &analysis.dtd);
-            for (label, doc) in
-                [("valid", valid), ("stripped", stripped), ("swapped", swapped), ("renamed", renamed)]
-            {
-                assert_parallel_identical(&analysis, &doc, &format!("{}:{label}:{seed}", b.name()));
-            }
+            let docs = vec![valid, stripped, swapped, renamed];
+            assert_parallel_identical(&analysis, docs, &format!("{}:{seed}", b.name()));
         }
     }
 }
@@ -121,7 +96,7 @@ fn batch_checking_matches_per_document_sequential() {
     let analysis = BuiltinDtd::Play.analysis();
     let checker = CheckEngine::new(analysis.clone());
     // A batch mixing healthy, stripped, and broken documents of ~300 to
-    // ~900 elements: whole-document tasks and documents split per node.
+    // ~900 elements, one pool task each.
     let mut docs = corpus::batch(BuiltinDtd::Play, 10, 600).unwrap();
     for (i, doc) in docs.iter_mut().enumerate() {
         Mutator::new(i as u64).delete_random_markup(doc, 40);
@@ -141,14 +116,14 @@ fn batch_checking_matches_per_document_sequential() {
 
 #[test]
 fn mixed_batch_with_giant_document_checks_identically() {
-    // One document above the node-granular threshold among many small
-    // ones: the two-level scheduler lets idle workers join the giant
-    // document's node range. Outcomes must stay bit-identical to the
-    // per-document sequential checks — healthy and poisoned variants.
+    // One giant document among many small ones: one worker checks the
+    // giant one while the others drain the rest. Outcomes must stay
+    // bit-identical to the per-document sequential checks — healthy and
+    // poisoned variants.
     let analysis = BuiltinDtd::Play.analysis();
     let checker = CheckEngine::new(analysis.clone());
     for poison_giant in [false, true] {
-        let mut docs = vec![corpus::play(3_000)]; // >> SPLIT_MIN_NODES
+        let mut docs = vec![corpus::play(3_000)];
         docs.extend((0..6).map(|i| corpus::play(60 + 10 * i)));
         if poison_giant {
             // An undeclared element deep in the giant document.
@@ -188,8 +163,8 @@ proptest! {
 
     /// Random DTD families × random documents × random mutations: the
     /// pooled checker is observationally equal to the sequential one, on
-    /// a ~40-element document (the calling thread) and one above the
-    /// split floor (split per node).
+    /// a ~40-element and a ~600-element document, one by one and as a
+    /// batch.
     #[test]
     fn parallel_checking_is_bit_identical(
         class in class_strategy(),
@@ -198,34 +173,47 @@ proptest! {
     ) {
         let break_it = seed % 2 == 0;
         let params = DtdGenParams { class, elements: 7, max_model_atoms: 4, ..Default::default() };
-        let (analysis, big) = dtd_with_split_size_doc(&params, seed);
+        let analysis = DtdGen::new(seed, params).generate();
+        let big = DocGen::new(&analysis, seed ^ 0xB16).generate(600);
         let small = DocGen::new(&analysis, seed ^ 0x5EED).generate(40);
         let checker = CheckEngine::new(analysis.clone());
-        for mut doc in [small, big] {
-            Mutator::new(seed).delete_random_markup(&mut doc, dels);
+        let mut docs = vec![small, big];
+        for doc in &mut docs {
+            Mutator::new(seed).delete_random_markup(doc, dels);
             if break_it {
-                Mutator::new(seed ^ 3).swap_random_siblings(&mut doc);
-                Mutator::new(seed ^ 4).rename_random_element(&mut doc, &analysis.dtd);
+                Mutator::new(seed ^ 3).swap_random_siblings(doc);
+                Mutator::new(seed ^ 4).rename_random_element(doc, &analysis.dtd);
             }
-            let seq = checker.check_document(&doc);
-            let doc = Arc::new(doc);
+        }
+        let seq: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+        for (doc, seq) in docs.iter().zip(&seq) {
+            let doc = Arc::new(doc.clone());
             for jobs in JOBS {
                 prop_assert_eq!(
                     &checker.check_document_pooled(&doc, pool(), jobs, true),
-                    &seq,
+                    seq,
                     "jobs={} class={:?} seed={} nodes={}", jobs, class, seed, doc.element_count()
                 );
             }
         }
+        let docs = Arc::new(docs);
+        for jobs in JOBS {
+            prop_assert_eq!(
+                &checker.check_batch_pooled(&docs, pool(), jobs),
+                &seq,
+                "batch jobs={} class={:?} seed={}", jobs, class, seed
+            );
+        }
     }
 
-    /// Batches of generated documents, one of them above the split floor
-    /// at a seed-chosen position: `check_batch_pooled` outcome `i` equals
-    /// `check_document(&docs[i])`, at any job count.
+    /// Batches of generated documents, one ~600-element document among
+    /// them at a seed-chosen position: `check_batch_pooled` outcome `i`
+    /// equals `check_document(&docs[i])`, at any job count.
     #[test]
     fn batch_is_bit_identical(class in class_strategy(), seed in 0u64..5000) {
         let params = DtdGenParams { class, elements: 6, ..Default::default() };
-        let (analysis, mut big) = dtd_with_split_size_doc(&params, seed);
+        let analysis = DtdGen::new(seed, params).generate();
+        let mut big = DocGen::new(&analysis, seed ^ 0xB16).generate(600);
         Mutator::new(seed).delete_random_markup(&mut big, 4);
         if seed % 2 == 1 {
             Mutator::new(seed ^ 5).swap_random_siblings(&mut big);

@@ -238,13 +238,14 @@ fn markup_edge_shapes_stream_identically() {
     }
 }
 
-/// Satellite: the tree checkers' first-violation early exit (sequential
-/// stop-at-first, pooled `fetch_min` reduction) and the streaming
-/// candidate protocol must all report the **same violation node** — the
-/// first in document order — even when a preorder-later node fails first
-/// in event order. Here the undeclared `<zzz/>` (inside `<b>`) freezes
-/// the stream first, but ancestor `<a>`'s content model `(b,(c|σ)*,e)`
-/// rejects at the `<c>` symbol, and `<a>` (node #1) is preorder-earlier.
+/// Satellite: the tree checker's first-violation early exit (stop at the
+/// first failing node, on the calling thread or as one pool task of a
+/// batch) and the streaming candidate protocol must all report the
+/// **same violation node** — the first in document order — even when a
+/// preorder-later node fails first in event order. Here the undeclared
+/// `<zzz/>` (inside `<b>`) freezes the stream first, but ancestor `<a>`'s
+/// content model `(b,(c|σ)*,e)` rejects at the `<c>` symbol, and `<a>`
+/// (node #1) is preorder-earlier.
 #[test]
 fn early_exit_reports_the_same_violation_everywhere() {
     let analysis = BuiltinDtd::Figure1.analysis();
@@ -255,10 +256,16 @@ fn early_exit_reports_the_same_violation_everywhere() {
     let violation = seq.violation.as_ref().expect("document is not PV");
     assert_eq!(violation.node.index(), 1, "first violation is <a>, in document order");
     let shared = Arc::new(doc.clone());
+    let valid = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
+    let batch = Arc::new(vec![doc.clone(), valid.clone()]);
+    let expect = vec![seq.clone(), checker.check_document(&valid)];
     for jobs in [1usize, 2, 8] {
         let par = checker.check_document_pooled(&shared, pool(), jobs, true);
         assert_eq!(par.violation.as_ref().map(|v| v.node), Some(violation.node));
         assert_eq!(par, seq, "jobs={jobs}");
+        let batched = checker.check_batch_pooled(&batch, pool(), jobs);
+        assert_eq!(batched[0].violation.as_ref().map(|v| v.node), Some(violation.node));
+        assert_eq!(batched, expect, "batch jobs={jobs}");
     }
     for (i, chunks) in chunkings(xml).into_iter().enumerate() {
         let streamed = stream_outcome(&checker, &chunks);
