@@ -31,7 +31,6 @@ pub fn all_tables() -> &'static [&'static str] {
         "parallel",
         "memo",
         "completeness",
-        "stream",
         "analyze",
     ]
 }
@@ -49,7 +48,6 @@ pub fn run_table(name: &str) {
         "parallel" => table_parallel(),
         "memo" => table_memo(),
         "completeness" => table_completeness(),
-        "stream" => table_stream(),
         "analyze" => table_analyze(),
         other => eprintln!("unknown table {other:?}; known: {:?}", all_tables()),
     }
@@ -630,101 +628,6 @@ fn table_completeness() {
     println!();
 }
 
-/// X10 — the streaming front end: whole-document throughput vs the tree
-/// pipeline, O(depth) peak residency, and first-violation latency
-/// (claim: batched lexing + sibling-run dispatch makes constant-memory
-/// streaming tree-competitive).
-fn table_stream() {
-    use pv_core::stream::StreamCheck;
-
-    const CHUNK: usize = 64 << 10;
-    let analysis = BuiltinDtd::Figure1.analysis();
-    let checker = CheckEngine::new(analysis.clone());
-
-    println!("## Table X10 — streaming front end (batched lexing + sibling-run dispatch)\n");
-    println!("| document | path | time | MiB/s | peak resident | outcome identical |");
-    println!("|---|---|---|---|---|---|");
-
-    for groups in [2_000usize, 20_000] {
-        let xml = crate::workloads::stream_doc(groups);
-        let mib = xml.len() as f64 / (1024.0 * 1024.0);
-
-        // Residency probe: tiny chunks expose the construct-bound part
-        // of the lexer's high-water mark (a timed 64 KiB chunk would
-        // dominate it — bytes drain after every feed).
-        let mut probe = StreamCheck::new(checker.stream_checker());
-        for chunk in xml.as_bytes().chunks(512) {
-            probe.feed(chunk).unwrap();
-        }
-        let peak = probe.parser().peak_buffered();
-        let depth = probe.checker().peak_depth();
-        let expect = probe.finish().unwrap();
-
-        let stream_once = || {
-            let mut s = StreamCheck::new(checker.stream_checker());
-            for chunk in xml.as_bytes().chunks(CHUNK) {
-                s.feed(chunk).unwrap();
-            }
-            s.finish().unwrap()
-        };
-        let stream_out = stream_once();
-        let t_stream = median(5, || {
-            std::hint::black_box(stream_once());
-        });
-        let tree_out = checker.check_document(&pv_xml::parse(&xml).unwrap());
-        let t_tree = median(5, || {
-            let doc = pv_xml::parse(&xml).unwrap();
-            std::hint::black_box(checker.check_document(&doc));
-        });
-        println!(
-            "| {mib:.2} MiB wide figure1 | stream ({} KiB chunks) | {} | {:.1} | {peak} B lexer + {depth} recognizers | {} |",
-            CHUNK >> 10,
-            fmt_dur(t_stream),
-            mib / t_stream.as_secs_f64().max(f64::EPSILON),
-            stream_out == expect
-        );
-        println!(
-            "| {mib:.2} MiB wide figure1 | tree (parse + check) | {} | {:.1} | whole document | {} |",
-            fmt_dur(t_tree),
-            mib / t_tree.as_secs_f64().max(f64::EPSILON),
-            tree_out == expect
-        );
-    }
-
-    // First-violation latency: an undeclared element ~1% in. The
-    // streaming verdict is final at the first freeze, so the stream
-    // stops after a small prefix; the tree pipeline parses everything.
-    let poisoned = crate::workloads::stream_doc_poisoned(20_000);
-    let early_once = || {
-        let mut s = StreamCheck::new(checker.stream_checker());
-        let mut consumed = 0usize;
-        for chunk in poisoned.as_bytes().chunks(CHUNK) {
-            s.feed(chunk).unwrap();
-            consumed += chunk.len();
-            if s.decided() {
-                break;
-            }
-        }
-        assert!(s.decided(), "the planted violation must freeze the stream");
-        consumed
-    };
-    let consumed = early_once();
-    let t_early = median(9, || {
-        std::hint::black_box(early_once());
-    });
-    let t_tree = median(5, || {
-        let doc = pv_xml::parse(&poisoned).unwrap();
-        std::hint::black_box(checker.check_document(&doc));
-    });
-    println!(
-        "\nfirst-violation latency (undeclared element ~1% in): stream decided after \
-         {consumed} of {} bytes in {}; tree parse+check takes {}\n",
-        poisoned.len(),
-        fmt_dur(t_early),
-        fmt_dur(t_tree)
-    );
-}
-
 /// X11 — the static analyzer (`pvx analyze`): per-builtin class,
 /// determinism and budget certificate, and the certificate's claim held
 /// on a speculation-heavy document: a certified DTD's check at the
@@ -784,11 +687,10 @@ mod tests {
 
     #[test]
     fn table_names_resolve() {
-        assert_eq!(all_tables().len(), 12);
+        assert_eq!(all_tables().len(), 11);
         assert!(all_tables().contains(&"parallel"));
         assert!(all_tables().contains(&"memo"));
         assert!(all_tables().contains(&"completeness"));
-        assert!(all_tables().contains(&"stream"));
     }
 
     #[test]

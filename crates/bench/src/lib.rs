@@ -29,9 +29,13 @@
 //! * `experiments --table completeness` — recognizer completeness against
 //!   the exact Earley oracle (claim X9): exhaustive bounded sweeps plus
 //!   adversarial recursive families, with budget-exactness telemetry;
-//! * `experiments --table stream` — the streaming front end (claim X10):
-//!   MiB/s vs the tree pipeline, O(depth) peak residency, and
-//!   first-violation latency, each row with an outcome-identity column.
+//! * `experiments --table analyze` — the static DTD analyzer (claim X11).
+//!
+//! Table X10 (the streaming front end) is retired: the repository
+//! benchmark's `stream_corpus` workload measures streaming throughput
+//! against `tree_corpus`, and its traced run reports residency
+//! (`stream.peak_buffered_bytes`, `stream.peak_depth`) and how early a
+//! poisoned stream decides (`stream.decided_bytes_ratio`).
 //!
 //! The same workloads back the Criterion benches under `benches/`
 //! (including `parallel_scaling`; the service's wire round trips are

@@ -50,34 +50,6 @@ pub fn memo_doc(distinct: usize) -> Document {
 /// regimes from ~100% (one shape) down to 0% (all distinct).
 pub const MEMO_DISTINCT_SWEEP: [usize; 4] = [1, 16, 256, usize::MAX];
 
-/// The streaming workload: `groups` repeated figure1-valid `<a>`
-/// subtrees under one `<r>` — a wide document (depth-4 spine, ~93 bytes
-/// per group) thousands of times larger than the streaming checker's
-/// O(depth) resident state. Shared by the `stream` criterion bench and
-/// table X10.
-pub fn stream_doc(groups: usize) -> String {
-    let mut s = String::with_capacity(groups * 96 + 8);
-    s.push_str("<r>");
-    for i in 0..groups {
-        s.push_str("<a><b><d>lorem ipsum dolor sit amet ");
-        s.push_str(&i.to_string());
-        s.push_str("</d></b><c>consectetur</c><d>adipiscing elit</d></a>");
-    }
-    s.push_str("</r>");
-    s
-}
-
-/// [`stream_doc`] with an undeclared `<zzz/>` planted ~1% of the way in:
-/// the first-violation-latency workload (the streaming verdict is final
-/// there; the tree pipeline still parses the remaining 99%).
-pub fn stream_doc_poisoned(groups: usize) -> String {
-    let mut s = stream_doc(groups);
-    let marker = format!("<a><b><d>lorem ipsum dolor sit amet {}<", groups / 100);
-    let at = s.find(&marker).expect("poison marker present");
-    s.insert_str(at, "<zzz/>");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,9 +58,11 @@ use std::sync::RwLock;
 /// multiplies per symbol, deterministic (shard selection needs the same
 /// hash on every thread), and its non-resistance to crafted collisions is
 /// irrelevant here: a collision only degrades a bounded, flushable cache's
-/// hit rate, never an outcome.
+/// hit rate, never an outcome. The stream checker's transition cache
+/// ([`crate::stream`]) hashes its configurations and transition keys
+/// with it for the same reasons.
 #[derive(Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -107,7 +109,7 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxBuild = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// One interner bucket: the (in practice singleton) list of shapes whose
 /// sequences share a hash value.

@@ -274,6 +274,84 @@ impl<'a> EcRecognizer<'a> {
         }
     }
 
+    /// Appends this recognizer's **configuration** to `out`: the element,
+    /// the elision budget, and the active list in order, each entry's
+    /// nested recognizer encoded recursively. The words are opaque to
+    /// every caller; [`EcRecognizer::load`] is their only reader.
+    ///
+    /// It relies on the between-round invariant: outside a `validate` /
+    /// `advance_run` call, every round buffer (`advanced`, `stayed`,
+    /// `pending`, `holders`, `parked_round`) is empty, the generation
+    /// bitmaps and `matched`/`sub_min` are rewritten before they are next
+    /// read, and every nested recognizer on the active list is between
+    /// rounds too. The active list is then the whole state, so two
+    /// recognizers with equal configurations answer every future symbol
+    /// with the same verdict and the same [`RecognizerStats`] delta.
+    ///
+    /// Returns `false`, leaving `out` partly written, as soon as `out`
+    /// would hold more than `cap` words.
+    pub(crate) fn encode(&self, out: &mut Vec<u32>, cap: usize) -> bool {
+        out.extend([self.elem.0, self.depth]);
+        self.encode_active(out, cap)
+    }
+
+    /// The active list after `encode`'s header. A nested recognizer's
+    /// element and budget are implied by its holder (the holder's simple
+    /// node names the element; the budget is one less), so they are not
+    /// written.
+    fn encode_active(&self, out: &mut Vec<u32>, cap: usize) -> bool {
+        out.push(self.active.len() as u32);
+        for entry in &self.active {
+            if out.len() >= cap {
+                return false;
+            }
+            out.push(entry.node << 1 | u32::from(entry.sub.is_some()));
+            if let Some(sub) = &entry.sub {
+                if !sub.encode_active(out, cap) {
+                    return false;
+                }
+            }
+        }
+        out.len() <= cap
+    }
+
+    /// Re-arms this recognizer (reusing its buffers, as
+    /// [`EcRecognizer::reset`] does) into the configuration `config`
+    /// written by [`EcRecognizer::encode`] of a recognizer over the same
+    /// [`RecCtx`]. Afterwards it is between rounds and behaves exactly as
+    /// the encoded recognizer would (see `encode` for the invariant).
+    pub(crate) fn load(&mut self, config: &[u32]) {
+        self.reset(ElemId(config[0]), config[1]);
+        self.active.clear();
+        let used = self.load_active(&config[2..]);
+        debug_assert_eq!(used + 2, config.len(), "configuration has trailing words");
+    }
+
+    /// Rebuilds the active list from `encode_active`'s words; returns how
+    /// many words it read.
+    fn load_active(&mut self, words: &[u32]) -> usize {
+        let dag = self.dag;
+        let mut at = 1;
+        for _ in 0..words[0] {
+            let word = words[at];
+            at += 1;
+            let node = word >> 1;
+            let sub = if word & 1 == 1 {
+                let DagNodeKind::Simple(y) = dag.node(node).kind else {
+                    unreachable!("only simple nodes hold nested recognizers")
+                };
+                let mut sub = Box::new(EcRecognizer::new(self.ctx, y, self.depth - 1));
+                sub.active.clear();
+                at += sub.load_active(&words[at..]);
+                Some(sub)
+            } else {
+                None
+            };
+            self.active.push(Entry { node, sub });
+        }
+        at
+    }
+
     /// `true` once every DAG position has been consumed or skipped — the
     /// elided element's content cannot take further symbols, so the parent
     /// may advance past it (Example 4: "f is removed from the active node
@@ -767,8 +845,8 @@ impl<'a> EcRecognizer<'a> {
     /// the non-speculating common case — short-circuits the agenda
     /// driver and bottom-up resolution entirely, staying on the FIFO
     /// lane for the whole run. The tree checker feeds each node's whole
-    /// child sequence through it, the streaming checker each buffered
-    /// sibling run (see [`crate::stream`]).
+    /// child sequence through it, the streaming checker each symbol its
+    /// transition cache misses on (see [`crate::stream`]).
     pub fn advance_run(
         &mut self,
         syms: &[ChildSym],
@@ -1039,20 +1117,11 @@ mod tests {
         }
     }
 
-    /// Distilled gap (a) — **committed-sub budget drain on a k ≥ 32
-    /// recursive DTD** (the `corpus::recursive(8, 4)` family shape,
-    /// inlined here because `pv-core` cannot depend on `pv-workload`):
-    /// 8 levels × 4 columns of braided chains, a recursive re-entry at
-    /// the middle level, mixed stars at the bottom — `k = 32` pushes the
-    /// per-symbol budget into its scaled regime. After `x1_0` commits a
-    /// nested recognizer, absorbing a following `x0_0` needs an elision
-    /// chain to the bottom star; the old scheduler ran the committed
-    /// subtree's internal speculation ahead of it unconditionally and
-    /// drained the budget, rejecting a potentially-valid sequence
-    /// (completion: both children inside one elided chain's bottom star).
-    #[test]
-    fn regression_gap_a_committed_sub_drain_on_k32_recursive_dtd() {
-        let (depth, fanout) = (8usize, 4usize);
+    /// The `corpus::recursive_analysis(depth, fanout)` family (fanout ≥
+    /// 2), inlined because `pv-core` cannot depend on `pv-workload`:
+    /// `depth` levels of `fanout` braided chains, a recursive re-entry at
+    /// the middle level, mixed stars at the bottom.
+    fn recursive_analysis(depth: usize, fanout: usize) -> DtdAnalysis {
         let mut src = String::new();
         for l in 0..depth {
             for j in 0..fanout {
@@ -1068,7 +1137,23 @@ mod tests {
                 }
             }
         }
-        let analysis = DtdAnalysis::parse(&src, "x0_0").unwrap();
+        DtdAnalysis::parse(&src, "x0_0").unwrap()
+    }
+
+    /// Distilled gap (a) — **committed-sub budget drain on a k ≥ 32
+    /// recursive DTD** (the `corpus::recursive(8, 4)` family shape,
+    /// inlined here because `pv-core` cannot depend on `pv-workload`):
+    /// 8 levels × 4 columns of braided chains, a recursive re-entry at
+    /// the middle level, mixed stars at the bottom — `k = 32` pushes the
+    /// per-symbol budget into its scaled regime. After `x1_0` commits a
+    /// nested recognizer, absorbing a following `x0_0` needs an elision
+    /// chain to the bottom star; the old scheduler ran the committed
+    /// subtree's internal speculation ahead of it unconditionally and
+    /// drained the budget, rejecting a potentially-valid sequence
+    /// (completion: both children inside one elided chain's bottom star).
+    #[test]
+    fn regression_gap_a_committed_sub_drain_on_k32_recursive_dtd() {
+        let analysis = recursive_analysis(8, 4);
         assert_eq!(analysis.stats.m, 32, "the regression requires k >= 32");
         assert!(ecpv(&analysis, "x0_0", &["x1_0", "x0_0"], 64));
         assert!(ecpv(&analysis, "x0_0", &["x1_0", "x1_0"], 64));
@@ -1207,6 +1292,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `encode`/`load` contract: a recognizer encoded after every symbol
+    /// and loaded into a fresh recognizer (built for another element and
+    /// budget, so `load` must re-arm it whole) answers every symbol as
+    /// the uninterrupted recognizer does — the same verdict and the same
+    /// [`RecognizerStats`], symbol by symbol. Seeded random sequences are
+    /// drawn mostly from what each parent can reach (so runs get long and
+    /// open nested recognizers) and fed until a rejection, for every
+    /// element of every builtin DTD and of two `corpus::recursive`
+    /// families.
+    #[test]
+    fn encode_load_round_trip_matches_uninterrupted_run() {
+        let mut analyses: Vec<(String, DtdAnalysis)> =
+            BuiltinDtd::ALL.iter().map(|b| (b.name().to_owned(), b.analysis())).collect();
+        for (depth, fanout) in [(4, 2), (6, 3)] {
+            analyses
+                .push((format!("recursive({depth},{fanout})"), recursive_analysis(depth, fanout)));
+        }
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let (mut steps, mut nested) = (0usize, 0usize);
+        for (name, analysis) in &analyses {
+            let dags = DagSet::new(analysis);
+            let ctx = RecCtx::new(analysis, &dags);
+            let budget = crate::depth::DepthPolicy::Auto.resolve(analysis);
+            let elems: Vec<ElemId> = analysis.dtd.ids().collect();
+            for &parent in &elems {
+                let mut reachable = vec![ChildSym::Sigma];
+                reachable.extend(
+                    elems
+                        .iter()
+                        .filter(|&&y| analysis.reach.reaches(parent, y))
+                        .map(|&y| ChildSym::Elem(y)),
+                );
+                for _ in 0..4 {
+                    let mut whole = EcRecognizer::new(ctx, parent, budget);
+                    let mut words = Vec::new();
+                    assert!(whole.encode(&mut words, usize::MAX));
+                    for i in 0..24 {
+                        let x = if next(8) == 0 {
+                            ChildSym::Elem(elems[next(elems.len())])
+                        } else {
+                            reachable[next(reachable.len())]
+                        };
+                        let other = elems[next(elems.len())];
+                        let mut resumed = EcRecognizer::new(ctx, other, 3);
+                        resumed.load(&words);
+                        let mut again = Vec::new();
+                        assert!(resumed.encode(&mut again, usize::MAX));
+                        assert_eq!(again, words, "{name}: load/encode is not the identity");
+                        nested += usize::from(resumed.active.iter().any(|e| e.sub.is_some()));
+                        let (mut a, mut b) =
+                            (RecognizerStats::default(), RecognizerStats::default());
+                        let got = whole.advance_run(&[x], &mut a);
+                        let expect = resumed.advance_run(&[x], &mut b);
+                        assert_eq!(got, expect, "{name}: verdict at symbol {i} ({x:?})");
+                        assert_eq!(a, b, "{name}: stats at symbol {i} ({x:?})");
+                        steps += 1;
+                        if got.is_some() {
+                            break;
+                        }
+                        words.clear();
+                        assert!(resumed.encode(&mut words, usize::MAX));
+                    }
+                }
+            }
+        }
+        assert!(steps > 5_000 && nested > 1_000, "{steps} steps, {nested} with nested recognizers");
+
+        // Figure 1's `a` over `b, e` (figure6_subrecognizer_count) leaves
+        // a committed nested recognizer active; it survives the round trip.
+        let analysis = BuiltinDtd::Figure1.analysis();
+        let dags = DagSet::new(&analysis);
+        let ctx = RecCtx::new(&analysis, &dags);
+        let id = |n: &str| analysis.id(n).unwrap();
+        let mut whole = EcRecognizer::new(ctx, id("a"), u32::MAX);
+        let mut stats = RecognizerStats::default();
+        let b_e = [ChildSym::Elem(id("b")), ChildSym::Elem(id("e"))];
+        assert_eq!(whole.advance_run(&b_e, &mut stats), None);
+        let mut words = Vec::new();
+        assert!(whole.encode(&mut words, usize::MAX));
+        let mut resumed = EcRecognizer::new(ctx, id("r"), u32::MAX);
+        resumed.load(&words);
+        assert!(resumed.active.iter().any(|e| e.sub.is_some()), "a nested recognizer is active");
+        for x in [ChildSym::Sigma, ChildSym::Elem(id("e")), ChildSym::Elem(id("c"))] {
+            let (mut a, mut b) = (RecognizerStats::default(), RecognizerStats::default());
+            assert_eq!(whole.advance_run(&[x], &mut a), resumed.advance_run(&[x], &mut b));
+            assert_eq!(a, b, "{x:?}");
+        }
+    }
+
+    /// `encode` gives up past its word cap instead of writing on.
+    #[test]
+    fn encode_stops_at_the_word_cap() {
+        let analysis = BuiltinDtd::Figure1.analysis();
+        let dags = DagSet::new(&analysis);
+        let ctx = RecCtx::new(&analysis, &dags);
+        let rec = EcRecognizer::new(ctx, analysis.id("a").unwrap(), u32::MAX);
+        let mut words = Vec::new();
+        assert!(rec.encode(&mut words, usize::MAX));
+        let len = words.len();
+        words.clear();
+        assert!(rec.encode(&mut words, len));
+        words.clear();
+        assert!(!rec.encode(&mut words, len - 1));
+        assert!(words.len() <= len);
     }
 
     #[test]

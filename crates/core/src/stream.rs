@@ -4,9 +4,11 @@
 //! time; the element tree every other entry point builds first is an
 //! artifact of the front end, not of the algorithm. [`StreamChecker`]
 //! removes the artifact: it is fed [`pv_xml::Event`]s as the push parser
-//! produces them and holds only the **open ancestor spine** — one
-//! [`EcRecognizer`] plus a handful of counters per open element — so
-//! residency is O(depth), independent of document size.
+//! produces them and holds only the **open ancestor spine** — a
+//! recognizer configuration id plus a handful of counters per open
+//! element, one recognizer slot per depth — and a constant-bounded
+//! transition cache, so residency is O(depth), independent of document
+//! size.
 //!
 //! ## Bit-identity with the tree checker
 //!
@@ -68,56 +70,281 @@
 //!
 //! ## Batched dispatch
 //!
-//! Feeding the parent recognizer one symbol per event would read and
-//! write the whole per-level state machine once per child. Instead each
-//! open level *queues* its sibling run — `σ` for text (collapsed at
-//! queue time, so repeated pieces and whole repeated runs across
-//! comments cost one branch each and do zero recognizer work) and one
-//! symbol per self-closing declared child — and the run is drained in a
-//! single [`EcRecognizer::advance_run`] call at the next point whose
-//! outcome can matter: a non-self-closing or undeclared child start, or
-//! the level's own end tag. `advance_run` stops at the first rejected
-//! symbol with per-symbol-identical stats, so the candidate freezes at
-//! exactly the position the per-symbol protocol would have frozen it;
-//! queued symbols after the rejection are discarded, which is also
-//! per-symbol-identical (they are later siblings inside the frozen
-//! node, which the protocol never feeds — undeclared children are never
-//! queued: one freezes, or preempts into, an `UndeclaredElement`
-//! candidate directly, exactly as the per-symbol watch would). The one
-//! observable difference is *when* [`StreamChecker::decided`] flips for
-//! a rejected **self-closing** child: the verdict surfaces at the next
-//! flush point instead of the child's own start tag. Undeclared
-//! children — the common first-violation shape — still decide
-//! immediately, and final outcomes are bit-identical everywhere.
+//! The parent's recognizer is not stepped on every child event. Instead
+//! the top level *queues* its sibling run — `σ` for text
+//! (collapsed at queue time, so repeated pieces and whole repeated runs
+//! across comments cost one branch each and do zero recognizer work)
+//! and one symbol per self-closing declared child — and the run is
+//! drained at the next point whose outcome can matter: a non-self-closing
+//! or undeclared child start, or the level's own end tag. Draining steps
+//! the symbols in order and stops at the first rejected one with
+//! per-symbol-identical stats, so the candidate freezes at exactly the
+//! position the per-symbol protocol would have frozen it; queued symbols
+//! after the rejection are discarded, which is also per-symbol-identical
+//! (they are later siblings inside the frozen node, which the protocol
+//! never feeds — undeclared children are never queued: one freezes, or
+//! preempts into, an `UndeclaredElement` candidate directly, exactly as
+//! the per-symbol watch would). The one observable difference is *when*
+//! [`StreamChecker::decided`] flips for a rejected **self-closing**
+//! child: the verdict surfaces at the next flush point instead of the
+//! child's own start tag. Undeclared children — the common
+//! first-violation shape — still decide immediately, and final outcomes
+//! are bit-identical everywhere.
+//!
+//! ## Transition cache
+//!
+//! Between two symbols a recognizer is in a **configuration**: its
+//! element, its elision budget and its active list in order, with every
+//! nested recognizer's active list inside it (the round buffers are
+//! empty then; see [`EcRecognizer`]'s `encode`). The recognizer is
+//! deterministic, so a configuration and the next symbol fix the verdict,
+//! the next configuration and the exact [`RecognizerStats`] delta of the
+//! step. Each stream checker therefore keeps a lazy transition table in
+//! the manner of a lazy DFA: configurations are hash-consed into ids,
+//! and `(id, symbol) → (next id or rejected, delta)` is filled in on
+//! first use. An open level holds only its configuration id; a hit
+//! replays the recorded delta and moves the id — one table probe per
+//! streamed symbol — which is exact for the reason the shape memo's
+//! replay is: the delta *is* what the uncached step adds. A miss runs the
+//! level's **slot**, the recognizer kept for that depth, reloading it
+//! from the stored configuration first if hits have moved the level past
+//! it, and caches the step. A corpus document of a few thousand
+//! elements revisits a few dozen configurations, and about 99% of its
+//! symbols hit.
+//!
+//! The cache is bounded by private constants. A configuration longer than
+//! 256 words is never interned: its level runs its slot directly until
+//! it closes, the uncached path. The table holds at most 2,048
+//! transitions (56 bytes each, in a hash table of 4,096 slots: 228 KiB),
+//! 2,048 configurations (an index of 68 KiB and 24 KiB of spans) and
+//! 32,768 configuration words (128 KiB, up to 256 KiB of vector
+//! capacity) — under 600 KiB in all, plus one entry per element type.
+//! When any bound would be exceeded the cache clears itself; every open
+//! level then keeps its state in its slot and interns afresh on its next
+//! step. The cache is cold for every checker, so a document gains from
+//! its own repetition only, and it is private to the checker: no locks,
+//! atomics or shared writes.
 
 use crate::checker::{PvOutcome, PvViolation, PvViolationKind};
 use crate::engine::CheckEngine;
+use crate::memo::{FxBuild, FxHasher};
 use crate::recognizer::{EcRecognizer, RecCtx, RecognizerStats};
 use crate::token::ChildSym;
 use pv_dtd::{DtdAnalysis, ElemId};
 use pv_xml::{Event, NodeId, PushParser};
+use std::collections::HashMap;
+use std::hash::Hasher;
+
+/// Longest configuration the transition cache interns, in 4-byte words.
+/// A level whose configuration outgrows it runs its slot directly until
+/// it closes.
+const CONFIG_WORDS: usize = 256;
+
+/// Transitions, and separately configurations, the cache holds before it
+/// clears itself.
+const CACHE_ENTRIES: usize = 2048;
+
+/// Configuration words the cache holds before it clears itself.
+const CACHE_WORDS: usize = 1 << 15;
+
+/// The transition cache's bounds: the constants above (tests shrink
+/// them).
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    /// Longest internable configuration, in words.
+    config_words: usize,
+    /// Most transitions, and most configurations, held at once.
+    entries: usize,
+    /// Most configuration words held at once.
+    words: usize,
+}
+
+impl Bounds {
+    const DEFAULT: Bounds =
+        Bounds { config_words: CONFIG_WORDS, entries: CACHE_ENTRIES, words: CACHE_WORDS };
+}
+
+/// No configuration id (end of a hash chain, element not yet opened).
+const NO_ID: u32 = u32::MAX;
+
+/// One interned configuration: its words are
+/// `words[start .. start + len]`; `next` is the previous id with the same
+/// hash (the collision chain), `NO_ID` at its end.
+#[derive(Clone, Copy)]
+struct Interned {
+    start: u32,
+    len: u32,
+    next: u32,
+}
+
+/// One cached recognizer step from a configuration on a symbol.
+#[derive(Clone, Copy)]
+struct Transition {
+    /// The configuration after the step, `None` when the symbol was
+    /// rejected.
+    next: Option<u32>,
+    /// Everything the step added to the level's stats, `symbols`
+    /// included; a hit replays it.
+    delta: RecognizerStats,
+}
+
+/// The lazy transition cache of one [`StreamChecker`]: configurations
+/// hash-consed into ids, and `(id, symbol) → transition`. Configurations
+/// are opaque words written and read only by [`EcRecognizer`].
+struct TransitionCache {
+    bounds: Bounds,
+    /// Interned configurations, back to back.
+    words: Vec<u32>,
+    /// Per configuration id: where its words are.
+    configs: Vec<Interned>,
+    /// Configuration hash → the newest id with that hash.
+    index: HashMap<u64, u32, FxBuild>,
+    transitions: HashMap<(u32, ChildSym), Transition, FxBuild>,
+    /// Per element: the id of a fresh recognizer's configuration, `NO_ID`
+    /// until the element first opens after the last flush.
+    initial: Vec<u32>,
+    /// Scratch for encoding a configuration.
+    scratch: Vec<u32>,
+    #[cfg(test)]
+    flushes: u64,
+}
+
+impl TransitionCache {
+    fn new(bounds: Bounds) -> Self {
+        TransitionCache {
+            bounds,
+            words: Vec::new(),
+            configs: Vec::new(),
+            index: HashMap::default(),
+            transitions: HashMap::default(),
+            initial: Vec::new(),
+            scratch: Vec::new(),
+            #[cfg(test)]
+            flushes: 0,
+        }
+    }
+
+    fn get(&self, id: u32, x: ChildSym) -> Option<Transition> {
+        self.transitions.get(&(id, x)).copied()
+    }
+
+    fn config(&self, id: u32) -> &[u32] {
+        let c = self.configs[id as usize];
+        &self.words[c.start as usize..(c.start + c.len) as usize]
+    }
+
+    fn initial(&self, elem: ElemId) -> Option<u32> {
+        self.initial.get(elem.0 as usize).copied().filter(|&id| id != NO_ID)
+    }
+
+    fn set_initial(&mut self, elem: ElemId, id: u32) {
+        let i = elem.0 as usize;
+        if self.initial.len() <= i {
+            self.initial.resize(i + 1, NO_ID);
+        }
+        self.initial[i] = id;
+    }
+
+    /// `true` when one more configuration and one more transition might
+    /// not fit: the caller must [`clear`](Self::clear) first.
+    fn full(&self) -> bool {
+        self.transitions.len() >= self.bounds.entries
+            || self.configs.len() >= self.bounds.entries
+            || self.words.len() + self.bounds.config_words > self.bounds.words
+    }
+
+    /// The id of `rec`'s configuration, interning it if it is new; `None`
+    /// when it is longer than the word cap. The caller has made room.
+    fn key(&mut self, rec: &EcRecognizer<'_>) -> Option<u32> {
+        let mut words = std::mem::take(&mut self.scratch);
+        words.clear();
+        let id = rec.encode(&mut words, self.bounds.config_words).then(|| self.intern(&words));
+        self.scratch = words;
+        id
+    }
+
+    fn intern(&mut self, words: &[u32]) -> u32 {
+        let mut h = FxHasher::default();
+        for &w in words {
+            h.write_u32(w);
+        }
+        let hash = h.finish();
+        let head = self.index.get(&hash).copied().unwrap_or(NO_ID);
+        let mut id = head;
+        while id != NO_ID {
+            if self.config(id) == words {
+                return id;
+            }
+            id = self.configs[id as usize].next;
+        }
+        let id = self.configs.len() as u32;
+        self.configs.push(Interned {
+            start: self.words.len() as u32,
+            len: words.len() as u32,
+            next: head,
+        });
+        self.words.extend_from_slice(words);
+        self.index.insert(hash, id);
+        debug_assert!(self.within_bounds());
+        id
+    }
+
+    fn record(&mut self, id: u32, x: ChildSym, t: Transition) {
+        self.transitions.insert((id, x), t);
+        debug_assert!(self.within_bounds());
+    }
+
+    fn within_bounds(&self) -> bool {
+        self.transitions.len() <= self.bounds.entries
+            && self.configs.len() <= self.bounds.entries
+            && self.words.len() <= self.bounds.words
+    }
+
+    /// Drops every id and transition (allocations are kept).
+    fn clear(&mut self) {
+        self.words.clear();
+        self.configs.clear();
+        self.index.clear();
+        self.transitions.clear();
+        self.initial.fill(NO_ID);
+        #[cfg(test)]
+        {
+            self.flushes += 1;
+        }
+    }
+}
+
+/// Where an open level's recognizer state lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Key {
+    /// Interned configuration `id`. The level's slot holds it too only
+    /// when `synced`: hits move the id, not the slot.
+    Config { id: u32, synced: bool },
+    /// Only in the slot: a flush dropped the level's id. The next step
+    /// runs the slot and interns the result.
+    Slot,
+    /// Only in the slot, for good: the configuration outgrew the word
+    /// cap, so the slot runs every step until the level closes.
+    Direct,
+}
 
 /// One open element on the ancestor spine.
-struct Level<'c> {
+struct Level {
     /// The node id this element would get in the arena built by
     /// [`pv_xml::parse`] (document order).
     node: NodeId,
-    /// Recognizer for this element's content, fed incrementally.
-    rec: EcRecognizer<'c>,
-    /// Stats delta accumulated by `rec` so far.
+    /// The state of this element's recognizer, fed incrementally: a
+    /// configuration id, or the level's slot.
+    key: Key,
+    /// Stats delta accumulated by this element's recognizer so far.
     partial: RecognizerStats,
     /// Snapshot of the global `done` accumulator when this level opened:
     /// the deltas of every node whose check completed before this node
     /// existed.
     before: RecognizerStats,
-    /// Child symbols fed to `rec` so far (= the failing index + 1 when
-    /// the last fed symbol was rejected).
+    /// Child symbols fed so far (= the failing index + 1 when the last
+    /// fed symbol was rejected).
     count: usize,
-    /// Queued sibling run: symbols appended since the last flush, fed to
-    /// `rec` in one [`EcRecognizer::advance_run`] call at the next flush
-    /// point (see the module docs on batched dispatch). Only the top
-    /// level's run is ever non-empty — descending flushes the parent.
-    run: Vec<ChildSym>,
     /// Whether the last symbol of the fed-plus-queued sequence was `σ` —
     /// mirrors the `out.last() != Some(&ChildSym::Sigma)` collapse in
     /// [`Tokens::children_into`](crate::token::Tokens::children_into),
@@ -174,21 +401,24 @@ enum State {
 /// assert!(stream.finish().unwrap().is_potentially_valid());
 /// ```
 ///
-/// Residency is O(depth): one recognizer per open element (recycled
-/// through a spare pool as elements close), no tree, no memo.
+/// Residency is O(depth) plus a constant-bounded cache: per open element
+/// a configuration id and a few counters, one recognizer slot per depth,
+/// and this checker's own [transition cache](self#transition-cache); no
+/// tree, no shape memo.
 pub struct StreamChecker<'c> {
     analysis: &'c DtdAnalysis,
     ctx: RecCtx<'c>,
     depth: u32,
-    levels: Vec<Level<'c>>,
-    /// Depth-indexed spare pool: `spare[d]` holds recognizers (plus their
-    /// run buffers) retired by levels that lived at depth `d`. Opening a
-    /// level at depth `d` re-arms one via [`EcRecognizer::reset`] instead
-    /// of allocating, and indexing by depth means a recycled recognizer's
-    /// warmed buffer capacities (active lists, generation bitmaps) were
-    /// sized by an element that actually occurs at that depth — on
-    /// regular documents, usually the *same* element.
-    spare: Vec<Vec<(EcRecognizer<'c>, Vec<ChildSym>)>>,
+    levels: Vec<Level>,
+    /// `slots[d]` runs the recognizer of the level open at depth `d`, on
+    /// cache misses only. A slot stays at its depth for the whole check,
+    /// so its buffers keep the capacity an element at that depth needed.
+    slots: Vec<EcRecognizer<'c>>,
+    /// The top level's queued sibling run (see the module docs on batched
+    /// dispatch). Only the top level ever has one: descending flushes the
+    /// parent.
+    run: Vec<ChildSym>,
+    cache: TransitionCache,
     /// Deltas of all cleanly completed node checks (normal mode only).
     done: RecognizerStats,
     state: State,
@@ -208,13 +438,23 @@ impl<'c> StreamChecker<'c> {
             ctx,
             depth,
             levels: Vec::new(),
-            spare: Vec::new(),
+            slots: Vec::new(),
+            run: Vec::new(),
+            cache: TransitionCache::new(Bounds::DEFAULT),
             done: RecognizerStats::default(),
             state: State::Normal,
             skip_depth: 0,
             next_node: 0,
             peak_depth: 0,
         }
+    }
+
+    /// A checker whose cache has `bounds` instead of the constants.
+    #[cfg(test)]
+    fn with_bounds(analysis: &'c DtdAnalysis, ctx: RecCtx<'c>, depth: u32, bounds: Bounds) -> Self {
+        let mut checker = Self::new(analysis, ctx, depth);
+        checker.cache.bounds = bounds;
+        checker
     }
 
     /// Dispatches a parser event to the matching handler.
@@ -264,7 +504,7 @@ impl<'c> StreamChecker<'c> {
                 if let Some(level) = self.levels.last_mut() {
                     if !level.last_sigma {
                         level.last_sigma = true;
-                        level.run.push(ChildSym::Sigma);
+                        self.run.push(ChildSym::Sigma);
                     }
                 }
             }
@@ -281,29 +521,25 @@ impl<'c> StreamChecker<'c> {
 
     /// Handles an element end tag (also the implicit end of `<e/>`).
     pub fn on_end(&mut self) {
-        let popped = match &mut self.state {
-            State::Normal => return self.close_top_normal(),
+        match &mut self.state {
+            State::Normal => self.close_top_normal(),
             State::Candidate(c) => {
                 if self.skip_depth > 0 {
                     self.skip_depth -= 1;
                     return;
                 }
-                if self.levels.len() == c.frozen + 1 {
-                    // The frozen level itself closes: its delta is already
-                    // captured (or deliberately discarded) in `own`.
-                    self.levels.pop().expect("frozen level open")
-                } else {
+                let level = self.levels.pop().expect("level open");
+                if self.levels.len() != c.frozen {
                     // A live ancestor closes cleanly: the tree checker
                     // completed this node's check before descending to
-                    // the candidate, so its full delta counts.
-                    let level = self.levels.pop().expect("live level open");
+                    // the candidate, so its full delta counts. (When the
+                    // frozen level itself closes, its delta is already
+                    // captured, or deliberately discarded, in `own`.)
                     c.spine.merge(&level.partial);
-                    level
                 }
             }
-            State::RootFailed(_) => return,
-        };
-        self.recycle(popped);
+            State::RootFailed(_) => {}
+        }
     }
 
     /// Handles a comment (allocates its arena node id; comments are
@@ -365,36 +601,110 @@ impl<'c> StreamChecker<'c> {
     }
 
     fn push_level(&mut self, node: NodeId, elem: ElemId) {
-        let (rec, run) = match self.spare.get_mut(self.levels.len()).and_then(Vec::pop) {
-            Some((mut rec, run)) => {
-                rec.reset(elem, self.depth);
-                (rec, run)
+        let d = self.levels.len();
+        let fresh = d == self.slots.len();
+        if fresh {
+            self.slots.push(EcRecognizer::new(self.ctx, elem, self.depth));
+        }
+        let key = match self.cache.initial(elem) {
+            Some(id) => Key::Config { id, synced: fresh },
+            None => {
+                if !fresh {
+                    self.slots[d].reset(elem, self.depth);
+                }
+                if self.cache.full() {
+                    self.flush();
+                }
+                let key = self.key_slot(d);
+                if let Key::Config { id, .. } = key {
+                    self.cache.set_initial(elem, id);
+                }
+                key
             }
-            None => (EcRecognizer::new(self.ctx, elem, self.depth), Vec::new()),
         };
         self.levels.push(Level {
             node,
-            rec,
+            key,
             partial: RecognizerStats::default(),
             before: self.done,
             count: 0,
-            run,
             last_sigma: false,
         });
         self.peak_depth = self.peak_depth.max(self.levels.len());
     }
 
-    /// Returns a popped level's recognizer and run buffer to the spare
-    /// slot for the depth it lived at. Must be called *after* the pop so
-    /// `self.levels.len()` is that depth.
-    fn recycle(&mut self, level: Level<'c>) {
-        let depth = self.levels.len();
-        if self.spare.len() <= depth {
-            self.spare.resize_with(depth + 1, Vec::new);
+    /// Interns the configuration slot `d` holds: a synced id, or `Direct`
+    /// when it is longer than the word cap. The cache has room.
+    fn key_slot(&mut self, d: usize) -> Key {
+        match self.cache.key(&self.slots[d]) {
+            Some(id) => Key::Config { id, synced: true },
+            None => Key::Direct,
         }
-        let mut run = level.run;
-        run.clear();
-        self.spare[depth].push((level.rec, run));
+    }
+
+    /// Clears the full cache. Every open level that still has an id keeps
+    /// its state in its slot instead (loading the slot first if hits had
+    /// moved the level past it) and interns afresh on its next step, so
+    /// the bound holds however deep the spine is.
+    fn flush(&mut self) {
+        for (level, slot) in self.levels.iter_mut().zip(&mut self.slots) {
+            if let Key::Config { id, synced } = level.key {
+                if !synced {
+                    slot.load(self.cache.config(id));
+                }
+                level.key = Key::Slot;
+            }
+        }
+        self.cache.clear();
+    }
+
+    /// Feeds one symbol to the top level's recognizer and counts it in
+    /// the level's stats, rejected or not. A cached transition replays its
+    /// delta and moves the level's id; a miss runs the level's slot
+    /// (reloaded first if hits moved the level past it) and caches the
+    /// step.
+    fn step_top(&mut self, x: ChildSym) -> bool {
+        let d = self.levels.len() - 1;
+        let level = &mut self.levels[d];
+        if let Key::Config { id, synced } = level.key {
+            if let Some(t) = self.cache.get(id, x) {
+                level.partial.merge(&t.delta);
+                if let Some(next) = t.next {
+                    // A self-loop leaves a synced slot in step.
+                    level.key = Key::Config { id: next, synced: synced && next == id };
+                }
+                return t.next.is_some();
+            }
+        }
+        if level.key != Key::Direct && self.cache.full() {
+            self.flush();
+        }
+        let level = &mut self.levels[d];
+        let slot = &mut self.slots[d];
+        let from = level.key;
+        if let Key::Config { id, synced: false } = from {
+            slot.load(self.cache.config(id));
+        }
+        let mut delta = RecognizerStats::default();
+        let accepted = slot.advance_run(std::slice::from_ref(&x), &mut delta).is_none();
+        level.partial.merge(&delta);
+        if from == Key::Direct {
+            return accepted;
+        }
+        if !accepted {
+            // The level freezes and is never stepped again: cache the
+            // verdict, keep no configuration.
+            if let Key::Config { id, .. } = from {
+                self.cache.record(id, x, Transition { next: None, delta });
+            }
+            return false;
+        }
+        let to = self.key_slot(d);
+        if let (Key::Config { id, .. }, Key::Config { id: next, .. }) = (from, to) {
+            self.cache.record(id, x, Transition { next: Some(next), delta });
+        }
+        self.levels[d].key = to;
+        true
     }
 
     fn start_root(&mut self, node: NodeId, name: &str, self_closing: bool) {
@@ -427,8 +737,8 @@ impl<'c> StreamChecker<'c> {
             // this very child — see the candidate-path preemption
             // branch), the frozen candidate comes out identical.
             let parent = self.levels.len() - 1;
-            let level = &mut self.levels[parent];
-            level.run.clear();
+            let level = &self.levels[parent];
+            self.run.clear();
             self.state = State::Candidate(Candidate {
                 violation: PvViolation {
                     node,
@@ -539,29 +849,29 @@ impl<'c> StreamChecker<'c> {
     fn queue_symbol_top(&mut self, sym: ChildSym) {
         let level = self.levels.last_mut().expect("open level");
         level.last_sigma = matches!(sym, ChildSym::Sigma);
-        level.run.push(sym);
+        self.run.push(sym);
     }
 
-    /// Drains the top level's queued sibling run into its recognizer in
-    /// one [`EcRecognizer::advance_run`] call. Returns `false` if a
-    /// symbol was rejected; the candidate is then frozen at exactly the
-    /// position — index, partial delta, stats — the per-symbol protocol
-    /// would have frozen it, and the symbols queued after the rejection
-    /// are discarded (only `σ` and *declared* self-closing children are
-    /// ever queued, and the per-symbol protocol feeds neither to a
-    /// frozen level).
+    /// Drains the top level's queued sibling run into its recognizer,
+    /// stopping at the first rejected symbol. Returns `false` if a symbol
+    /// was rejected; the candidate is then frozen at exactly the position
+    /// — index, partial delta, stats — the per-symbol protocol would have
+    /// frozen it, and the symbols queued after the rejection are
+    /// discarded (only `σ` and *declared* self-closing children are ever
+    /// queued, and the per-symbol protocol feeds neither to a frozen
+    /// level).
     fn flush_top(&mut self) -> bool {
-        let parent = self.levels.len() - 1;
-        let level = &mut self.levels[parent];
-        if level.run.is_empty() {
+        if self.run.is_empty() {
             return true;
         }
-        let mut run = std::mem::take(&mut level.run);
-        let rejected = level.rec.advance_run(&run, &mut level.partial);
+        let mut run = std::mem::take(&mut self.run);
+        let rejected = run.iter().position(|&x| !self.step_top(x));
+        let parent = self.levels.len() - 1;
+        let level = &mut self.levels[parent];
         level.count += rejected.map_or(run.len(), |i| i + 1);
         let sym = rejected.map(|i| run[i]);
         run.clear();
-        level.run = run;
+        self.run = run;
         let Some(sym) = sym else { return true };
         let level = &self.levels[parent];
         self.state = State::Candidate(Candidate {
@@ -585,9 +895,8 @@ impl<'c> StreamChecker<'c> {
     /// `run_symbols`: the symbol is counted (and the recognizer's stats
     /// mutate) even when it is rejected.
     fn feed_symbol_top(&mut self, sym: ChildSym) -> bool {
+        let accepted = self.step_top(sym);
         let level = self.levels.last_mut().expect("open level");
-        level.partial.symbols += 1;
-        let accepted = level.rec.validate(sym, &mut level.partial);
         level.count += 1;
         level.last_sigma = matches!(sym, ChildSym::Sigma);
         accepted
@@ -630,17 +939,17 @@ impl<'c> StreamChecker<'c> {
         }
         // On a rejection the freeze already captured `own = partial` and
         // this pop is the frozen level's own close: nothing to merge.
-        self.recycle(level);
     }
 }
 
 impl CheckEngine {
     /// Creates a [`StreamChecker`] sharing this engine's compiled DAGs
-    /// and depth policy. The stream checker holds O(depth) state and
+    /// and depth policy. The stream checker holds O(depth) state plus its
+    /// own constant-bounded transition cache, cold for every checker, and
     /// produces outcomes bit-identical to
     /// [`check_document`](Self::check_document); it never touches the
-    /// shape memo (the memo replays exact deltas, so all three paths
-    /// coincide).
+    /// shape memo (both caches replay exact deltas, so every path
+    /// coincides).
     pub fn stream_checker(&self) -> StreamChecker<'_> {
         StreamChecker::new(self.analysis(), self.rec_ctx(), self.depth())
     }
@@ -808,6 +1117,28 @@ mod tests {
         assert_eq!(got, tree_outcome(&analysis, &full));
     }
 
+    /// `corpus::repetitive_analysis()`'s DTD, inlined because `pv-core`
+    /// cannot depend on `pv-workload`.
+    const REPETITIVE_DTD: &str = "<!ELEMENT r (s*)>
+        <!ELEMENT s (t?, t?, t?, t?, t?, t?, t?, t?, t?, t?, t?, t?, t?, t?, t?, t?)>
+        <!ELEMENT t (u)><!ELEMENT u (v?, x?)><!ELEMENT v EMPTY><!ELEMENT x EMPTY>";
+
+    /// `corpus::repetitive(elements, usize::MAX)`: `<s>` blocks of 16
+    /// leaves whose `v`/`x` pattern spells the block number, so no two
+    /// blocks share a shape.
+    fn repetitive_all_distinct(elements: usize) -> String {
+        let mut xml = String::from("<r>");
+        for code in 0..(elements - 1) / 17 {
+            xml.push_str("<s>");
+            for bit in 0..16 {
+                xml.push_str(if (code >> bit) & 1 == 1 { "<x/>" } else { "<v/>" });
+            }
+            xml.push_str("</s>");
+        }
+        xml.push_str("</r>");
+        xml
+    }
+
     #[test]
     fn residency_is_depth_bounded_on_wide_documents() {
         let analysis = BuiltinDtd::Figure1.analysis();
@@ -822,5 +1153,109 @@ mod tests {
         assert!(stream.parser().peak_buffered() < 4096, "lexer buffers one construct");
         let got = stream.finish().unwrap();
         assert!(got.is_potentially_valid());
+
+        // Every block a distinct shape (the shape memo's adversarial
+        // regime): the transition cache stays within its bound.
+        let analysis = DtdAnalysis::parse(REPETITIVE_DTD, "r").unwrap();
+        let xml = repetitive_all_distinct(20_000);
+        let checker = CheckEngine::new(analysis.clone());
+        let mut stream = StreamCheck::new(checker.stream_checker());
+        for chunk in xml.as_bytes().chunks(4096) {
+            stream.feed(chunk).unwrap();
+            assert!(stream.checker().cache.within_bounds());
+        }
+        assert!(stream.checker().peak_depth() <= 2);
+        assert_eq!(stream.finish().unwrap(), tree_outcome(&analysis, &xml));
+    }
+
+    /// Wide Figure 1 documents — valid, poisoned with an undeclared
+    /// element, and content-rejected (`b, e, c` under one `a`); Figure 1
+    /// documents whose `a`s reach one configuration along different
+    /// paths, so that levels take hits between misses and meet a full
+    /// cache while they are ahead of their slots (the second is rejected
+    /// at an explicit `d` after the `σ` an elided `d` absorbed); and T2
+    /// documents (PV-strong: elision chains under the default depth bound
+    /// of 16). The last T2 document fails twice: its first `b` holds text
+    /// (`b` is EMPTY), and preorder-earlier its `a` would need 18
+    /// elisions for twenty `b`s.
+    fn bounded_cases() -> Vec<(DtdAnalysis, String)> {
+        let group = "<a><b>x</b><c>y</c> dog<e/></a>";
+        let wide =
+            |planted: &str| format!("<r>{}{planted}{}</r>", group.repeat(40), group.repeat(40));
+        let short = "<a><c>y</c></a>".repeat(8);
+        let figure1 = BuiltinDtd::Figure1.analysis();
+        let t2 = BuiltinDtd::T2.analysis();
+        let mut cases = vec![
+            (figure1.clone(), wide("")),
+            (figure1.clone(), wide("<a><b>x<zzz/></b></a>")),
+            (figure1.clone(), wide("<a><b>x</b><e/><c>y</c></a>")),
+            (
+                figure1.clone(),
+                format!(
+                    "<r>{short}<a><f><c>y</c><e/></f></a>{short}<a><c>y</c>z<e/></a>{group}{short}</r>"
+                ),
+            ),
+            (
+                figure1,
+                format!("<r>{short}<a><c>y</c>z<e/></a><a><b>x</b><c>y</c>z<d>q</d></a>{group}</r>"),
+            ),
+        ];
+        for xml in [
+            format!("<a>{}</a>", "<b/>".repeat(12)),
+            format!("<a><a>{}</a>{}</a>", "<b/>".repeat(6), "<b/>".repeat(9)),
+            format!("<a>{}</a>", "<b>t</b>".repeat(20)),
+        ] {
+            cases.push((t2.clone(), xml));
+        }
+        cases
+    }
+
+    /// Streams `xml` in 7-byte chunks through a checker with the given
+    /// cache bounds, asserting the bounds after every chunk; returns the
+    /// outcome, how often the cache flushed and how many configurations
+    /// it holds at the end.
+    fn bounded_outcome(
+        analysis: &DtdAnalysis,
+        xml: &str,
+        bounds: Bounds,
+    ) -> (PvOutcome, u64, usize) {
+        let engine = CheckEngine::new(analysis.clone());
+        let checker =
+            StreamChecker::with_bounds(engine.analysis(), engine.rec_ctx(), engine.depth(), bounds);
+        let mut stream = StreamCheck::new(checker);
+        for chunk in xml.as_bytes().chunks(7) {
+            stream.feed(chunk).unwrap();
+            assert!(stream.checker().cache.within_bounds(), "cache over {bounds:?}");
+        }
+        let cache = &stream.checker().cache;
+        let (flushes, configs) = (cache.flushes, cache.configs.len());
+        (stream.finish().unwrap(), flushes, configs)
+    }
+
+    #[test]
+    fn levels_over_the_word_cap_run_their_slots_directly() {
+        // No configuration fits in 2 words (the header alone takes 3):
+        // every level runs its recognizer slot, today's uncached path.
+        let bounds = Bounds { config_words: 2, ..Bounds::DEFAULT };
+        for (analysis, xml) in bounded_cases() {
+            let (got, flushes, configs) = bounded_outcome(&analysis, &xml, bounds);
+            assert_eq!(got, tree_outcome(&analysis, &xml), "{xml}");
+            assert_eq!((flushes, configs), (0, 0), "nothing is ever interned");
+        }
+    }
+
+    #[test]
+    fn a_full_cache_flushes_while_levels_are_open() {
+        // The smallest capacities flush on almost every step; larger ones
+        // flush where a novel group meets a cache that the repeated ones
+        // filled exactly.
+        for entries in 2..=16 {
+            let bounds = Bounds { config_words: 64, entries, words: 4096 };
+            for (analysis, xml) in bounded_cases() {
+                let (got, flushes, _) = bounded_outcome(&analysis, &xml, bounds);
+                assert_eq!(got, tree_outcome(&analysis, &xml), "entries={entries}: {xml}");
+                assert!(entries > 3 || flushes > 0, "entries={entries}: {xml}");
+            }
+        }
     }
 }

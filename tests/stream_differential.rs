@@ -215,6 +215,20 @@ fn recursive_stress_families_stream_identically() {
     }
 }
 
+/// The shape memo's two extremes: one shape repeated, and every `<s>`
+/// block its own shape. All-distinct shapes defeat the tree path's memo,
+/// but the stream checker's transition cache keys recognizer
+/// configurations, which both documents revisit; its replayed deltas
+/// must reproduce the tree checker's counters exactly.
+#[test]
+fn repetitive_shapes_stream_identically() {
+    let analysis = corpus::repetitive_analysis();
+    for distinct in [1usize, usize::MAX] {
+        let xml = corpus::repetitive(2_000, distinct).to_xml();
+        assert_stream_identical(&analysis, &xml, &format!("repetitive(2000, {distinct})"));
+    }
+}
+
 /// Streaming-specific markup shapes: doctype prefixes, comments and
 /// processing instructions splitting text runs (the σ-collapse edge),
 /// CDATA-style empty text, attributes with entities, multi-byte UTF-8
