@@ -1,13 +1,14 @@
-//! X8 — shape-memoized checking: ns/node with the verdict cache off, warm,
-//! and cold, on corpora sweeping the hit-rate regime from repetitive
-//! (hits dominate) to adversarial all-distinct (every lookup misses).
+//! X8 — memoized checking: ns/node with the transition cache off, warm,
+//! and cold, on corpora from repetitive (16 distinct `s` shapes) to
+//! adversarial (every `s` shape distinct; the transition cache still
+//! revisits a few dozen configurations).
 //!
 //! `*_off` disables the cache, `*_on_warm` measures the steady state after
-//! one warming pass (the editor regime: re-checks of unchanged shapes),
+//! one warming pass (the editor regime: re-checks of unchanged content),
 //! `*_on_cold` clears the cache inside the timed loop — the honest
-//! overhead of interning + missing on every shape. A real-corpus pair
-//! (the stripped 10k-node play document shared with `parallel_scaling`)
-//! anchors the numbers outside the synthetic family.
+//! overhead of interning + missing on a document's first steps. A
+//! real-corpus pair (the stripped 10k-node play document shared with
+//! `parallel_scaling`) anchors the numbers outside the synthetic family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pv_bench::workloads;
@@ -17,7 +18,7 @@ use pv_dtd::DtdAnalysis;
 use pv_workload::corpus;
 use std::sync::Arc;
 
-/// An engine with shape memoization off.
+/// An engine with memoization off.
 fn memo_off(analysis: DtdAnalysis) -> Arc<CheckEngine> {
     let mut engine = CheckEngine::new(analysis);
     Arc::get_mut(&mut engine)

@@ -16,20 +16,24 @@
 //! * `experiments --table incremental` — per-operation costs of the
 //!   editing guards (claim X4, Theorem 2 + Proposition 3);
 //! * `experiments --table classes` — DTD classes at fixed size (claim X5);
-//! * `experiments --table real-dtds` — realistic corpora (claim X6);
 //! * `experiments --table parallel` — batched checking on one persistent
 //!   pv-par pool, one document per task: an irregular batch and a mixed
 //!   batch led by one large document, with speedup vs. jobs 1 and an
 //!   outcome-identity column (claim X7 — this reproduction's own
 //!   addition; the paper is purely sequential);
-//! * `experiments --table memo` — shape-memoized checking (claim X8, also
-//!   an addition): ns/node with the verdict cache off / warm / cold over
-//!   the `repetitive` corpus family's hit-rate sweep, with hit rate,
-//!   resident cache entries, and a bit-identity column per row;
+//! * `experiments --table memo` — memoized checking (claim X8, also an
+//!   addition): ns/node with the transition cache off / warm / cold over
+//!   the `repetitive` corpus family's distinct-shape sweep, with the
+//!   per-symbol hit rate, resident transitions, and a bit-identity column
+//!   per row;
 //! * `experiments --table completeness` — recognizer completeness against
 //!   the exact Earley oracle (claim X9): exhaustive bounded sweeps plus
 //!   adversarial recursive families, with budget-exactness telemetry;
 //! * `experiments --table analyze` — the static DTD analyzer (claim X11).
+//!
+//! Table X6 (realistic corpora) is retired: the repository benchmark's
+//! `tree_corpus` workload checks the same corpus builders' documents, in
+//! progress, end to end, and `edit_session` replays editorial traces.
 //!
 //! Table X10 (the streaming front end) is retired: the repository
 //! benchmark's `stream_corpus` workload measures streaming throughput

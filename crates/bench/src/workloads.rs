@@ -46,8 +46,9 @@ pub fn memo_doc(distinct: usize) -> Document {
     corpus::repetitive(MEMO_NODES, distinct)
 }
 
-/// Distinct-shape counts swept by the memo bench and table X8: hit-rate
-/// regimes from ~100% (one shape) down to 0% (all distinct).
+/// Distinct-shape counts swept by the memo bench and table X8, from one
+/// `s` shape to all distinct (the transition cache hits ~99% of symbols
+/// at every setting; see `pv_workload::corpus::repetitive`).
 pub const MEMO_DISTINCT_SWEEP: [usize; 4] = [1, 16, 256, usize::MAX];
 
 #[cfg(test)]

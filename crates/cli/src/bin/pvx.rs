@@ -38,10 +38,11 @@ tei-lite, play, docbook-like, dissertation, docbook-article, tei-drama.
 
 `check` checks each document on the calling thread: a single document
 is never split over threads, so --jobs belongs to `serve` alone and is
-refused elsewhere (exit 2). `check` memoizes repeated (element,
-child-shape) verdicts and reports cache telemetry on a trailing `memo:`
-line; --no-memo disables the cache. The verdict and the diagnosis are
-identical either way.
+refused elsewhere (exit 2). `check` memoizes repeated recognizer steps
+(configuration, child symbol) in a transition cache and reports its
+telemetry on a trailing `memo:` line (symbols hit and missed, cached
+transitions); --no-memo disables the cache. The verdict and the
+diagnosis are identical either way.
 
 --json makes `check` print one machine-readable JSON line per document
 (verdict, first violation, memo/speculation counters) instead of text.
@@ -66,11 +67,12 @@ upload as CHECK_STREAM requests while the server validates them
 `pvx serve` runs the resident validation server: a persistent pool of
 --jobs N parked workers (default 0 = one per CPU; a worker the OS cannot
 start is an error, exit 2) that checks each BATCH request one document
-per task, and, per loaded DTD, pre-compiled DAGs plus a warm shape
-cache shared across requests. `pvx check --remote ADDR` ships documents
-to such a server (ADDR is the socket path or host:port) and renders the
-bit-identical outcome; the DTD resolves locally as usual and is loaded
-(idempotently) into the server on first use.
+per task, and, per loaded DTD, pre-compiled DAGs plus a warm
+transition cache lent to one check at a time across requests.
+`pvx check --remote ADDR` ships documents to such a server (ADDR is the
+socket path or host:port) and renders the bit-identical outcome; the DTD
+resolves locally as usual and is loaded (idempotently) into the server
+on first use.
 
 `pvx serve` governance: --max-conns caps concurrent connections (excess
 gets a clean BUSY error; 0 = unlimited), --max-inflight caps concurrent

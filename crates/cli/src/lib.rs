@@ -131,7 +131,7 @@ pub fn resolve_dtd_doctype(
 pub struct CheckOpts {
     /// The depth policy (`--depth N` ⇒ `Bounded(N)`).
     pub depth: DepthPolicy,
-    /// Shape memoization (`--no-memo` passes `false`).
+    /// Memoization (`--no-memo` passes `false`).
     pub memo: bool,
     /// Emit one machine-readable JSON line per document instead of text.
     pub json: bool,
@@ -228,7 +228,7 @@ pub fn render_check(name: &str, r: &CheckReport, json_out: bool) -> (String, Sta
     if let Some(stats) = &r.memo {
         let _ = writeln!(
             report,
-            "  memo: {} hits / {} misses ({:.1}% hit rate), {} cached shapes",
+            "  memo: {} hits / {} misses ({:.1}% hit rate), {} cached transitions",
             stats.hits,
             stats.misses,
             100.0 * stats.hit_rate(),
@@ -289,7 +289,7 @@ pub fn render_check_error(name: &str, msg: &str, json_out: bool) -> String {
 }
 
 /// `pvx check`: potential validity with diagnosis, in-process, on the
-/// calling thread, against a fresh engine whose shape cache `opts.memo`
+/// calling thread, against a fresh engine whose memo `opts.memo`
 /// switches. Returns the report text (or JSON line) and status. The
 /// verdict and diagnosis are bit-identical at either `memo` setting;
 /// only the `memo:` telemetry line comes and goes.
@@ -357,7 +357,7 @@ fn render_remote(
 /// the open ancestor spine plus one lexer construct, so arbitrarily
 /// large documents check in O(depth) memory. The verdict, diagnosis and
 /// counters are bit-identical to [`cmd_check`]'s tree path (streaming
-/// never consults the shape memo, so no `memo:` telemetry is shown).
+/// never consults the engine's memo, so no `memo:` telemetry is shown).
 ///
 /// The DTD resolves exactly like the tree path — `--dtd`, `--builtin`,
 /// or the document's own internal subset: by the time the root start

@@ -5,9 +5,14 @@
 //! document, over the `Δ_T` child-symbol view of that node. A document is
 //! potentially valid iff its root carries the designated root element type
 //! and every node's content is potentially valid.
+//!
+//! With the memo on, each node's ECPV instance steps through the scan's
+//! transition cache ([`crate::memo`]) one child symbol at a time: a
+//! repeated step is one table probe that replays its recorded stats
+//! delta, so the outcome is the same with the memo on or off.
 
 use crate::engine::CheckEngine;
-use crate::memo::MemoVerdict;
+use crate::memo::{Lease, Memo};
 use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::{ChildSym, NameTable, Tokens};
 use pv_xml::{Document, NodeId};
@@ -86,21 +91,29 @@ impl PvOutcome {
     }
 }
 
-/// Reusable per-scan buffers for the checker's per-node hot path: one
-/// recognizer (re-armed per node via [`EcRecognizer::reset`]) and one
-/// child-symbol buffer (refilled per node via
-/// [`Tokens::children_into`]), so checking a node allocates nothing in
-/// steady state, plus the scan's memo switch. Create one per document
-/// scan — or one per pool worker of a batch — with
-/// [`CheckEngine::scratch`]; the document and batch entry points do so
-/// internally.
+/// Reusable per-scan state for the checker's per-node hot path: one
+/// recognizer (re-armed per node via [`EcRecognizer::reset`], or loaded
+/// from a cached configuration on a memo miss), one child-symbol buffer
+/// (refilled per node via [`Tokens::children_into`]), so checking a node
+/// allocates nothing in steady state, and the scan's transition cache.
+/// Create one per document scan — or one per pool worker of a batch —
+/// with [`CheckEngine::scratch`]; the document and batch entry points do
+/// so internally.
+///
+/// With the memo on, the scratch takes the engine's transition cache at
+/// its first non-empty child sequence, or a private cold one if another
+/// scan holds it, and gives it back when it drops, folding the scan's
+/// hit/miss/flush counts into [`CheckEngine::memo_stats`] once (see
+/// [`crate::memo`]).
 pub struct CheckScratch<'s> {
     rec: EcRecognizer<'s>,
     syms: Vec<ChildSym>,
-    /// Whether this scan consults the engine's shape cache (the per-call
-    /// `memo` flag of [`CheckEngine::check_document_pooled`]; outcomes
-    /// are identical either way).
-    pub(crate) memo: bool,
+    /// The engine's memo, when it is on and this scan consults it (the
+    /// per-call `memo` flag of [`CheckEngine::check_document_pooled`];
+    /// outcomes are identical either way).
+    memo: Option<&'s Memo>,
+    /// The scan's transition cache, leased from `memo` when first needed.
+    lease: Option<Lease<'s>>,
 }
 
 /// Problem PV on a [`CheckEngine`]: document, node and symbol-sequence
@@ -108,14 +121,20 @@ pub struct CheckScratch<'s> {
 /// document check is then `O(k·D·n)` (Theorem 4), linear in the document
 /// for a fixed DTD.
 impl CheckEngine {
-    /// Builds a per-scan scratch (recognizer + symbol buffer) borrowing
-    /// this engine's DAGs. The recognizer context is created here — once
-    /// per scan or per pool worker, not once per node.
+    /// Builds a per-scan scratch (recognizer + symbol buffer + memo
+    /// access) borrowing this engine. The recognizer context is created
+    /// here — once per scan or per pool worker, not once per node.
     pub fn scratch(&self) -> CheckScratch<'_> {
+        self.scratch_with(true)
+    }
+
+    /// [`CheckEngine::scratch`], consulting the memo only if `memo`.
+    pub(crate) fn scratch_with(&self, memo: bool) -> CheckScratch<'_> {
         CheckScratch {
             rec: EcRecognizer::new(self.rec_ctx(), self.analysis().root, self.depth()),
             syms: Vec::new(),
-            memo: true,
+            memo: self.memo().filter(|_| memo),
+            lease: None,
         }
     }
 
@@ -171,9 +190,10 @@ impl CheckEngine {
     /// `names`, the document's resolved name table, when the caller built
     /// one for a whole-document check; with `None` (single-node guards)
     /// each name is looked up in the DTD. The hot path performs no
-    /// allocation: the child-symbol buffer is refilled in place, a memo
-    /// hit replays the cached stats delta, and a miss re-arms the scratch
-    /// recognizer.
+    /// allocation in steady state: the child-symbol buffer is refilled in
+    /// place, a memo hit replays the cached stats delta, and a miss runs
+    /// the scratch recognizer, re-armed or loaded from a cached
+    /// configuration.
     pub(crate) fn check_node_with(
         &self,
         doc: &Document,
@@ -228,11 +248,10 @@ impl CheckEngine {
         self.check_symbols_with(elem, syms, stats, &mut scratch)
     }
 
-    /// [`CheckEngine::check_symbols`] against a reusable scratch, memoized
-    /// by `(elem, shape)` when the shape cache is on for this engine and
-    /// this scan. The violation's display string is re-rendered from
-    /// `syms` on a hit (the failing *index* is shape-intrinsic, so it
-    /// caches; the string is not stored).
+    /// [`CheckEngine::check_symbols`] against a reusable scratch, stepped
+    /// through the scan's transition cache when the memo is on for this
+    /// engine and this scan. The violation's display string is rendered
+    /// from `syms`.
     pub fn check_symbols_with(
         &self,
         elem: pv_dtd::ElemId,
@@ -246,34 +265,18 @@ impl CheckEngine {
         if syms.is_empty() {
             return None;
         }
-        let render = |i: u32| (i as usize, syms[i as usize].display(&self.analysis().dtd));
-        if let Some(memo) = self.memo().filter(|_| scratch.memo) {
-            if let Some(hit) = memo.lookup(elem, syms) {
-                stats.merge(&hit.stats);
-                return hit.failing.map(render);
+        let CheckScratch { rec, memo, lease, .. } = scratch;
+        let failing = match memo {
+            Some(memo) => {
+                let cache = lease.get_or_insert_with(|| memo.lease()).cache();
+                cache.run(elem, self.depth(), rec, syms, stats)
             }
-            let (failing, delta) = self.run_symbols(elem, syms, scratch);
-            memo.insert(elem, syms, MemoVerdict { failing, stats: delta });
-            stats.merge(&delta);
-            return failing.map(render);
-        }
-        let (failing, delta) = self.run_symbols(elem, syms, scratch);
-        stats.merge(&delta);
-        failing.map(render)
-    }
-
-    /// The uncached ECPV run, returning the failing index and the exact
-    /// stats delta the run accumulated (what the memo stores and replays).
-    fn run_symbols(
-        &self,
-        elem: pv_dtd::ElemId,
-        syms: &[ChildSym],
-        scratch: &mut CheckScratch<'_>,
-    ) -> (Option<u32>, RecognizerStats) {
-        let mut delta = RecognizerStats::default();
-        scratch.rec.reset(elem, self.depth());
-        let failing = scratch.rec.advance_run(syms, &mut delta);
-        (failing.map(|i| i as u32), delta)
+            None => {
+                rec.reset(elem, self.depth());
+                rec.advance_run(syms, stats)
+            }
+        };
+        failing.map(|i| (i, syms[i].display(&self.analysis().dtd)))
     }
 }
 
@@ -281,6 +284,7 @@ impl CheckEngine {
 mod tests {
     use super::*;
     use crate::depth::DepthPolicy;
+    use crate::memo::Bounds;
     use pv_dtd::builtin::BuiltinDtd;
     use pv_dtd::DtdAnalysis;
     use pv_par::Pool;
@@ -292,7 +296,7 @@ mod tests {
         checker.check_document(&doc)
     }
 
-    /// An engine with shape memoization off.
+    /// An engine with memoization off.
     fn memo_off(analysis: DtdAnalysis) -> Arc<CheckEngine> {
         let mut engine = CheckEngine::new(analysis);
         Arc::get_mut(&mut engine).unwrap().set_memo_enabled(false);
@@ -536,8 +540,8 @@ mod tests {
         let doc = wide_doc(100, false);
         assert!(checker.check_document(&doc).is_potentially_valid());
         let stats = checker.memo_stats().unwrap();
-        // 100 identical <a> blocks: one miss per distinct shape, the other
-        // ~99 <a> nodes hit. (Childless nodes bypass the memo entirely.)
+        // 100 identical <a> blocks: each distinct step misses once, every
+        // repeat of it hits. (Childless nodes bypass the memo entirely.)
         assert!(stats.hits >= 90, "{stats:?}");
         assert!(stats.entries <= 16, "{stats:?}");
         // Clearing keeps telemetry but drops entries.
@@ -548,24 +552,35 @@ mod tests {
     #[test]
     fn memo_capacity_bounds_adversarial_growth() {
         let analysis = BuiltinDtd::Figure1.analysis();
-        let mut checker = CheckEngine::new(analysis.clone());
-        Arc::get_mut(&mut checker).unwrap().set_memo_capacity(64);
+        let plain = memo_off(analysis.clone());
+        let mut checker = CheckEngine::new(analysis);
+        let bounds = Bounds { config_words: 64, entries: 4, words: 256 };
+        Arc::get_mut(&mut checker).unwrap().set_memo_bounds(bounds);
         // Many <d> nodes with distinct mixed-content shapes (x e … e),
-        // each wrapped in its own legal <a> block under r → (a+).
-        let mut xml = String::from("<r>");
-        for i in 0..400 {
-            xml.push_str("<a><d>x");
-            for _ in 0..(i % 40) {
-                xml.push_str("<e/>");
+        // each wrapped in its own legal <a> block under r → (a+), and a
+        // rejected one (<e> holds text) in the last document.
+        for (blocks, poison) in [(40, false), (400, false), (400, true)] {
+            let mut xml = String::from("<r>");
+            for i in 0..blocks {
+                xml.push_str("<a><d>x");
+                for _ in 0..(i % 40) {
+                    xml.push_str("<e/>");
+                }
+                xml.push_str("</d></a>");
             }
-            xml.push_str("</d></a>");
+            if poison {
+                xml.push_str("<a><d><e>boom</e></d></a>");
+            }
+            xml.push_str("</r>");
+            let doc = pv_xml::parse(&xml).unwrap();
+            assert_eq!(checker.check_document(&doc), plain.check_document(&doc), "{blocks}");
+            let stats = checker.memo_stats().unwrap();
+            assert!(
+                stats.entries <= bounds.entries && stats.shapes <= bounds.entries,
+                "bounds not honored: {stats:?}"
+            );
         }
-        xml.push_str("</r>");
-        let doc = pv_xml::parse(&xml).unwrap();
-        let out = checker.check_document(&doc);
-        assert_eq!(out, memo_off(analysis).check_document(&doc));
-        let stats = checker.memo_stats().unwrap();
-        assert!(stats.entries <= 64, "capacity not honored: {stats:?}");
+        assert!(checker.memo_stats().unwrap().flushes > 0, "the bounds never engaged");
     }
 
     #[test]

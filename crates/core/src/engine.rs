@@ -4,9 +4,9 @@
 //!
 //! * the compiled [`DtdAnalysis`],
 //! * the per-element DAG set (compiled **once**, at construction),
-//! * the shape-memo [`ShapeCache`] — in the service, the **warm cache**:
-//!   it outlives every request, so repeated shapes across requests cost
-//!   one hash lookup even on a cold connection,
+//! * the memo: one transition cache ([`crate::memo`]) that the engine
+//!   lends to one scan at a time — in the service and the editor it
+//!   outlives every request and edit, so a scan that gets it starts warm,
 //! * the resolved depth budget,
 //! * its telemetry handles.
 //!
@@ -38,7 +38,7 @@
 use crate::checker::PvOutcome;
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
-use crate::memo::{MemoStats, ShapeCache};
+use crate::memo::{Bounds, Memo, MemoStats};
 use crate::recognizer::RecCtx;
 use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
@@ -102,30 +102,33 @@ impl EngineObs {
 /// [module docs](self). Construct once per DTD, share via `Arc`, check
 /// documents from any thread.
 ///
-/// ## Shape memoization
+/// ## Memoization
 ///
-/// The engine carries a [`ShapeCache`] (on by default): every ECPV run is
-/// keyed by `(element type, child-symbol shape)` and repeated shapes are
-/// answered from the cache with their recorded stats delta replayed, so
+/// The engine carries a memo (on by default): one lazy transition cache
+/// over recognizer configurations, `(configuration, child symbol) →
+/// (next configuration or rejected, stats delta)`. A repeated step is
+/// answered from the cache with its recorded stats delta replayed, so
 /// outcomes — verdict, failing node/index/symbol, *and every counter* —
 /// are bit-identical with the memo on or off (`tests/memo_differential.rs`
 /// enforces this). Repetitive document-centric corpora drop from a
-/// recognizer walk per node to a hash lookup per node; see
-/// [`crate::memo`] for the sharding and capacity rules.
+/// recognizer round per child symbol to one table probe. Each scan
+/// borrows the engine's cache, or runs on a private cold one while
+/// another scan holds it, and folds its counts in once when it ends; see
+/// [`crate::memo`] for lending and the bounds.
 /// [`CheckEngine::check_document_pooled`] takes a per-call `memo` flag
 /// (the wire `memo=0` path); [`CheckEngine::set_memo_enabled`] switches
-/// the cache for every check.
+/// the memo for every check.
 pub struct CheckEngine {
     analysis: DtdAnalysis,
     dags: DagSet,
     depth: u32,
-    memo: Option<ShapeCache>,
+    memo: Option<Memo>,
     obs: EngineObs,
 }
 
 impl CheckEngine {
     /// Builds an engine with the default (automatic) depth policy and
-    /// shape memoization on.
+    /// memoization on.
     pub fn new(analysis: DtdAnalysis) -> Arc<CheckEngine> {
         Self::with_policy(analysis, DepthPolicy::Auto)
     }
@@ -137,8 +140,8 @@ impl CheckEngine {
 
     /// [`CheckEngine::with_policy`], recording engine telemetry
     /// (`pv_engine_*`: per-document check wall-clock and node-count
-    /// histograms, recognizer work counters, memo hit/miss/flush
-    /// mirrors) into `registry`. Instrumentation observes and never
+    /// histograms, recognizer work counters, memo hit/miss/flush counts
+    /// folded once per scan) into `registry`. Instrumentation observes and never
     /// steers: outcomes are bit-identical to an unobserved engine's,
     /// held by `tests/obs_differential.rs`.
     pub fn with_policy_observed(
@@ -148,13 +151,11 @@ impl CheckEngine {
     ) -> Arc<CheckEngine> {
         let depth = policy.resolve(&analysis);
         let dags = DagSet::new(&analysis);
-        let mut memo = ShapeCache::new();
-        memo.instrument(registry);
         Arc::new(CheckEngine {
             analysis,
             dags,
             depth,
-            memo: Some(memo),
+            memo: Some(Memo::new(Bounds::DEFAULT, registry)),
             obs: EngineObs::registered(registry),
         })
     }
@@ -190,63 +191,65 @@ impl CheckEngine {
         RecCtx::new(&self.analysis, &self.dags)
     }
 
-    /// The shape cache, when memoization is on.
+    /// The engine's memo, when it is on.
     #[inline]
-    pub(crate) fn memo(&self) -> Option<&ShapeCache> {
+    pub(crate) fn memo(&self) -> Option<&Memo> {
         self.memo.as_ref()
     }
 
-    /// Enables or disables shape memoization. Turning it off drops the
-    /// cache; turning it back on starts cold. Outcomes are identical
-    /// either way — this is purely a time/space knob.
+    /// Enables or disables memoization. Turning it off drops the
+    /// transition cache; turning it back on starts cold. Outcomes are
+    /// identical either way — this is purely a time/space knob.
     pub fn set_memo_enabled(&mut self, enabled: bool) {
         match (enabled, self.memo.is_some()) {
-            (true, false) => self.memo = Some(ShapeCache::new()),
+            (true, false) => self.memo = Some(Memo::new(Bounds::DEFAULT, &Registry::disabled())),
             (false, true) => self.memo = None,
             _ => {}
         }
     }
 
-    /// `true` while shape memoization is active.
+    /// `true` while memoization is active.
     #[inline]
     pub fn memo_enabled(&self) -> bool {
         self.memo.is_some()
     }
 
-    /// Replaces the memo with a fresh cache bounded to roughly `entries`
-    /// verdicts (the capacity divides over the cache's shards; a full
-    /// shard flushes rather than grows — see [`crate::memo`]).
-    pub fn set_memo_capacity(&mut self, entries: usize) {
-        self.memo = Some(ShapeCache::with_capacity(entries));
+    /// Replaces the memo with a cold one whose caches have `bounds`
+    /// instead of the constants.
+    #[cfg(test)]
+    pub(crate) fn set_memo_bounds(&mut self, bounds: Bounds) {
+        self.memo = Some(Memo::new(bounds, &Registry::disabled()));
     }
 
-    /// Telemetry snapshot of the shape cache, or `None` when memoization
-    /// is disabled. Hit/miss counts are scheduling-dependent under pooled
-    /// checking (see [`MemoStats`]); outcomes never are.
+    /// Telemetry snapshot of the memo, or `None` when memoization is
+    /// disabled: the hit/miss/flush counts every finished scan folded in
+    /// (scheduling-dependent under pooled checking, see [`MemoStats`];
+    /// outcomes never are) and the engine cache's size.
     pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.memo.as_ref().map(|m| m.stats())
+        self.memo.as_ref().map(Memo::stats)
     }
 
-    /// Drops every cached verdict (telemetry counters survive) — for
-    /// cold-cache benchmarking.
+    /// Drops every cached transition (telemetry counters survive) — for
+    /// cold-cache benchmarking. Waits for a scan that holds the engine's
+    /// cache to give it back.
     pub fn memo_clear(&self) {
         if let Some(m) = &self.memo {
             m.clear();
         }
     }
 
-    /// Drops every cached verdict **and** zeroes the memo's hit/miss/
+    /// Drops every cached transition **and** zeroes the memo's hit/miss/
     /// flush counters — the service's `RESET` verb, which opens a fresh
     /// uptime window.
     pub fn memo_reset(&self) {
         if let Some(m) = &self.memo {
             m.clear();
-            m.reset_telemetry();
+            m.reset_counts();
         }
     }
 
-    /// Checks one document on the calling thread, with the shape cache
-    /// on or off for this check (`memo`; outcomes are identical either
+    /// Checks one document on the calling thread, with the memo on or
+    /// off for this check (`memo`; outcomes are identical either
     /// way), and records the check's engine telemetry. This is the
     /// one-document case of [`CheckEngine::check_batch_pooled`]: a single
     /// document is never split, so the check never dispatches and `pool`
@@ -269,8 +272,7 @@ impl CheckEngine {
         memo: bool,
     ) -> PvOutcome {
         let t0 = self.obs.check_us.start();
-        let mut scratch = self.scratch();
-        scratch.memo = memo;
+        let mut scratch = self.scratch_with(memo);
         let outcome = self.check_document_with(doc, &mut scratch);
         self.obs.record(t0, doc, &outcome);
         outcome
@@ -285,9 +287,11 @@ impl CheckEngine {
     /// scratch built once per worker; workers claim the next unstarted
     /// document as they finish one. `jobs` caps participation (`0` = all
     /// pool workers); a batch of at most one document, or `jobs`
-    /// resolving to one participant, runs on the calling thread. Workers
-    /// share the engine's shape cache (sharded, read-mostly; a hit
-    /// replays the recorded stats delta, so every outcome stays exact).
+    /// resolving to one participant, runs on the calling thread. The
+    /// first worker to need a cache borrows the engine's for the whole
+    /// region and the others run on private cold ones, so no lookup
+    /// writes shared memory (a hit replays the recorded stats delta, so
+    /// every outcome stays exact either way).
     pub fn check_batch_pooled(
         self: &Arc<Self>,
         docs: &Arc<Vec<Document>>,
@@ -408,7 +412,7 @@ mod tests {
             for jobs in [1usize, 2] {
                 assert_eq!(engine.check_document_pooled(&doc, &pool, jobs, false), expect);
             }
-            // memo=false leaves the shared cache untouched.
+            // memo=false leaves the engine's memo untouched.
             assert_eq!(engine.memo_stats().unwrap(), before);
         }
     }
@@ -440,7 +444,91 @@ mod tests {
         assert_eq!(snap.counters["pv_pool_tasks_total"], 4);
     }
 
-    /// A Figure 1 engine with shape memoization off.
+    /// A scan that finds the engine's cache taken runs on a private cold
+    /// one: a second scratch on the same thread, and the second worker of
+    /// a batch at jobs 2. Outcomes are the memo-off engine's either way.
+    #[test]
+    fn a_scan_that_finds_the_cache_taken_runs_on_a_private_one() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let plain = memo_off();
+        let docs = vec![wide_doc(150, false), wide_doc(150, true), wide_doc(7, false)];
+        let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+
+        let mut held = engine.scratch();
+        let mut stats = crate::RecognizerStats::default();
+        let a = engine.analysis().id("a").unwrap();
+        let b = crate::ChildSym::Elem(engine.analysis().id("b").unwrap());
+        assert_eq!(engine.check_symbols_with(a, &[b], &mut stats, &mut held), None);
+        for (doc, expect) in docs.iter().zip(&expect) {
+            assert_eq!(&engine.check_document(doc), expect);
+        }
+        // The private caches folded their counts, not their size.
+        let during = engine.memo_stats().unwrap();
+        assert!(during.hits > 0 && during.misses > 0, "{during:?}");
+        assert_eq!((during.entries, during.shapes), (0, 0), "{during:?}");
+        drop(held);
+        let after = engine.memo_stats().unwrap();
+        assert!(after.entries > 0 && after.shapes > 0, "the lent cache came back: {after:?}");
+
+        let pool = Pool::new(2);
+        let docs = Arc::new(docs);
+        for _ in 0..3 {
+            assert_eq!(engine.check_batch_pooled(&docs, &pool, 2), expect);
+        }
+    }
+
+    /// `memo_clear` empties the cache, so the next check misses exactly
+    /// as a cold one does; `memo_reset` also zeroes the counters.
+    #[test]
+    fn memo_clear_starts_cold_and_memo_reset_zeroes_counters() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let doc = wide_doc(60, false);
+        engine.check_document(&doc);
+        let cold = engine.memo_stats().unwrap();
+        assert!(cold.entries > 0 && cold.misses > 0, "{cold:?}");
+        engine.check_document(&doc);
+        let warm = engine.memo_stats().unwrap();
+        assert_eq!(warm.misses, cold.misses, "a warm check hits every step");
+
+        engine.memo_clear();
+        let cleared = engine.memo_stats().unwrap();
+        assert_eq!((cleared.entries, cleared.shapes), (0, 0), "{cleared:?}");
+        assert_eq!((cleared.hits, cleared.misses), (warm.hits, warm.misses));
+        engine.check_document(&doc);
+        let again = engine.memo_stats().unwrap();
+        assert_eq!(again.misses - cleared.misses, cold.misses, "misses again as cold");
+        assert_eq!(again.hits - cleared.hits, cold.hits);
+        assert_eq!(again.entries, cold.entries);
+
+        engine.memo_reset();
+        assert_eq!(engine.memo_stats().unwrap(), MemoStats::default());
+    }
+
+    /// A scan that panics while it holds the engine's cache poisons its
+    /// lock; later checks recover it and stay exact.
+    #[test]
+    fn a_panicking_scan_leaves_the_engine_usable() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let plain = memo_off();
+        let docs = vec![wide_doc(40, false), wide_doc(40, true)];
+        let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut scratch = engine.scratch();
+            engine.check_document_with(&docs[0], &mut scratch);
+            panic!("a scan fails while it holds the cache");
+        }));
+        assert!(panicked.is_err());
+        for (doc, expect) in docs.iter().zip(&expect) {
+            assert_eq!(&engine.check_document(doc), expect);
+            assert_eq!(&engine.check_document(doc), expect);
+        }
+        engine.memo_clear();
+        let docs = Arc::new(docs);
+        assert_eq!(engine.check_batch_pooled(&docs, &Pool::new(2), 2), expect);
+        assert!(engine.memo_stats().unwrap().hits > 0);
+    }
+
+    /// A Figure 1 engine with memoization off.
     fn memo_off() -> Arc<CheckEngine> {
         let mut engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         Arc::get_mut(&mut engine).unwrap().set_memo_enabled(false);

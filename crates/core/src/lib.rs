@@ -30,17 +30,19 @@
 //!   depth-bounded recognizer solving Element Content Potential Validity
 //!   in `O(k·D)` per input symbol (Theorem 4).
 //! * [`engine`] — [`CheckEngine`], the one checker: it owns the compiled
-//!   DTD, its DAGs, the shape cache and the depth budget, is shared via
+//!   DTD, its DAGs, the memo and the depth budget, is shared via
 //!   `Arc`, and checks a document on the calling thread or a batch on a
 //!   persistent [`pv_par::Pool`], one document per task.
 //! * [`checker`] — whole-document potential validity (Problem PV) by
 //!   running ECPV at every element node, with diagnostics pointing at the
 //!   offending node and symbol.
-//! * [`memo`] — shape-memoized verdicts: child-symbol sequences are
-//!   hash-consed into interned shapes and `(element, shape)` ECPV results
-//!   are cached with their stats delta, so repetitive markup checks in
-//!   amortized O(1) per node with outcomes bit-identical to the uncached
-//!   checker.
+//! * [`memo`] — the transition cache: recognizer configurations are
+//!   hash-consed into ids and `(configuration, child symbol)` steps are
+//!   cached with their stats delta, so repetitive markup checks in one
+//!   table probe per child symbol, with outcomes bit-identical to the
+//!   uncached checker. Tree scans, editor guards, batch workers and
+//!   stream checkers all step through it; an engine lends its one cache
+//!   to one scan at a time.
 //! * [`incremental`] — update-time checks for editors: O(1) character-data
 //!   insertion (Proposition 3), free deletions and data updates
 //!   (Theorem 2), and two-node checks for markup insertion.
@@ -88,7 +90,7 @@ pub use checker::{CheckScratch, PvOutcome, PvViolation, PvViolationKind};
 pub use engine::CheckEngine;
 pub use dag::{DagNode, DagNodeKind, DagSet, ElementDag};
 pub use depth::DepthPolicy;
-pub use memo::{MemoStats, ShapeCache};
+pub use memo::MemoStats;
 pub use recognizer::{EcRecognizer, RecognizerStats};
 pub use stream::{StreamCheck, StreamChecker};
 pub use token::{ChildSym, Tok, TokenError, Tokens};

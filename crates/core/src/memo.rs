@@ -1,66 +1,90 @@
-//! Shape-memoized ECPV verdicts: the checker's cache layer.
+//! The transition cache: the one memo of every check.
 //!
-//! Real document-centric markup is massively repetitive — thousands of
-//! element nodes share the same **shape** `(element type, child-symbol
-//! sequence)`, and Problem ECPV is a pure function of exactly that pair
-//! (plus the checker's fixed DTD analysis and depth budget). This module
-//! hash-conses child-symbol sequences into interned [`ShapeId`]s and caches
-//! `(ElemId, ShapeId) → (verdict, stats delta)` so a repeated shape costs
-//! one hash lookup instead of a recognizer walk.
+//! Problem PV runs the ECPV recognizer at every element node, and
+//! document-centric markup repeats itself: a corpus document of a few
+//! thousand elements revisits a few dozen recognizer states. This module
+//! caches the recognizer's steps, for tree scans, editor guards, batch
+//! workers and stream checkers alike.
+//!
+//! ## Configurations and transitions
+//!
+//! Between two symbols a recognizer is in a **configuration**: its
+//! element, its elision budget and its active list in order, with every
+//! nested recognizer's active list inside it (the round buffers are
+//! empty then; see [`EcRecognizer`]'s `encode`). The recognizer is
+//! deterministic, so a configuration and the next symbol fix the verdict,
+//! the next configuration and the exact [`RecognizerStats`] delta of the
+//! step. A `TransitionCache` is a lazy transition table in the manner of
+//! a lazy DFA (Cox, "Regular Expression Matching in the Wild",
+//! swtch.com/~rsc/regexp/regexp3.html): configurations are hash-consed
+//! into ids, and `(id, symbol) → (next id or rejected, delta)` is filled
+//! in on first use. A checked sequence holds only a `Key`, normally a
+//! configuration id. A hit replays the recorded delta and moves the id —
+//! one table probe per symbol. A miss runs the caller's recognizer
+//! **slot**, reloading it from the stored configuration first if hits
+//! moved the key past it, and caches the step.
 //!
 //! ## Bit-identity
 //!
-//! A cache hit must be observationally invisible: the checker's
-//! [`PvOutcome`](crate::checker::PvOutcome) — including every
-//! [`RecognizerStats`] counter — has to come out identical with the memo
-//! on, off, cold, or warm. Two properties make that hold:
+//! A hit is observationally invisible: the delta it replays *is* what the
+//! uncached step adds, and the step's verdict is a function of the
+//! configuration and the symbol. So a check's
+//! [`PvOutcome`](crate::checker::PvOutcome) — verdict, failing node,
+//! symbol and index, and every counter — is the same with the memo on,
+//! off, cold or warm, on a lent or a private cache, and on the tree or the
+//! stream path (`tests/memo_differential.rs`, `tests/stream_differential.rs`).
 //!
-//! 1. the recognizer is deterministic, so for a fixed checker the verdict
-//!    *and the work counters* of a `(elem, shape)` run are a function of
-//!    the key; the cache stores the counters as a **stats delta** and a hit
-//!    *replays* the delta into the caller's accumulator, reproducing
-//!    exactly what the uncached run would have added;
-//! 2. the failing position of a rejected shape is a symbol index into the
-//!    sequence, which is node-independent; the caller re-renders the
-//!    failing symbol's display string from its own sequence.
+//! ## Who holds a cache
 //!
-//! ## Concurrency
+//! * A [`CheckEngine`](crate::engine::CheckEngine) with the memo on owns
+//!   one cache behind a `Mutex` and **lends** it: a scan (the
+//!   [`CheckScratch`](crate::checker::CheckScratch) of a document check,
+//!   a guard, a palette query, a batch worker) takes it with `try_lock`
+//!   at its first non-empty child sequence and gives it back when the
+//!   scratch drops. Editor guards and repeated requests therefore start
+//!   warm. A scan that finds it taken — a second batch worker, a
+//!   concurrent connection — runs on a private cold cache instead, so no
+//!   lookup, hit or miss, ever writes shared memory. A lock poisoned by a
+//!   panicking scan is recovered with its entries dropped.
+//! * A [`StreamChecker`](crate::stream::StreamChecker) keeps a private
+//!   cache, cold for every checker.
 //!
-//! The cache is shared by reference across the pool workers of a batch
-//! check ([`CheckEngine::check_batch_pooled`](crate::engine::CheckEngine::check_batch_pooled)),
-//! so it is sharded: a deterministic hash of the symbol sequence picks one
-//! of [`SHARD_COUNT`] shards, each behind its own `RwLock` — hits take a
-//! read lock (read-mostly by design), only misses write. Races are benign:
-//! two workers missing on the same shape insert the *same* entry (the
-//! recognizer is deterministic), so insertion order can only affect the
-//! hit/miss telemetry, never an outcome.
+//! ## Counting once per scan
 //!
-//! ## Bounded growth
+//! A cache counts its own hits (symbols answered by a probe), misses
+//! (symbols the recognizer ran on) and flushes in plain fields. When a
+//! scan's lease drops, those counts fold into the engine's [`MemoStats`]
+//! and its `pv_engine_memo_*` registry counters once, and a lent cache
+//! also publishes its size. Counts depend on which scan held the engine's
+//! cache, so they are schedule-dependent telemetry; outcomes never are.
 //!
-//! Adversarial inputs (every node a distinct shape) would otherwise grow
-//! the cache without limit, so each shard holds at most its share of the
-//! configured capacity; inserting into a full shard flushes that shard
-//! (interner and verdicts together — the interned ids are shard-local) and
-//! starts it over. Flushing only costs re-derivation, never correctness.
+//! ## Bounds
+//!
+//! Every cache is bounded in bytes by private constants. A configuration
+//! longer than 256 words is never interned: its sequence runs its slot
+//! directly, the uncached path. A cache holds at most 2,048 transitions
+//! (56 bytes each, in a hash table of 4,096 slots: 228 KiB), 2,048
+//! configurations (an index of 68 KiB and 24 KiB of spans) and 32,768
+//! configuration words (128 KiB, up to 256 KiB of vector capacity) —
+//! under 600 KiB in all, plus one entry per element type. When any bound
+//! would be exceeded the cache clears itself; the sequences in flight
+//! keep their state in their slots and intern afresh on their next step
+//! (each caller's flush policy). So an engine's memory stays constant
+//! however many distinct child sequences it checks.
 
-use crate::recognizer::RecognizerStats;
+use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::ChildSym;
 use pv_dtd::ElemId;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
-/// rustc-style Fx hash. The cache hashes a node's whole child-symbol
-/// sequence on *every* lookup, so hashing is the dominant cost of both a
-/// hit and the adversarial all-miss regime; SipHash there costs more than
-/// the bound the benchmarks budget for cache overhead. Fx is a few
-/// multiplies per symbol, deterministic (shard selection needs the same
-/// hash on every thread), and its non-resistance to crafted collisions is
-/// irrelevant here: a collision only degrades a bounded, flushable cache's
-/// hit rate, never an outcome. The stream checker's transition cache
-/// ([`crate::stream`]) hashes its configurations and transition keys
-/// with it for the same reasons.
+/// rustc-style Fx hash: a few multiplies per word, deterministic, and
+/// cheaper than SipHash on the probe every symbol pays. Its
+/// non-resistance to crafted collisions is irrelevant here: a collision
+/// only lengthens a chain in a bounded, flushable cache, never changes an
+/// outcome.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -111,102 +135,385 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
-/// One interner bucket: the (in practice singleton) list of shapes whose
-/// sequences share a hash value.
-type ShapeChain = Vec<(Box<[ChildSym]>, ShapeId)>;
+/// Longest configuration a cache interns, in 4-byte words. A sequence
+/// whose configuration outgrows it runs its slot directly to its end.
+const CONFIG_WORDS: usize = 256;
 
-/// An interned child-symbol sequence (shard-local; see the module docs).
-/// Exposed only through [`ShapeCache`] internals and
-/// [`MemoStats::shapes`] — the id itself never leaves the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShapeId(u32);
+/// Transitions, and separately configurations, a cache holds before it
+/// clears itself.
+const CACHE_ENTRIES: usize = 2048;
 
-/// Number of independently locked shards.
-pub const SHARD_COUNT: usize = 16;
+/// Configuration words a cache holds before it clears itself.
+const CACHE_WORDS: usize = 1 << 15;
 
-/// Default total capacity (entries across all shards) of a
-/// [`ShapeCache`]; see [`ShapeCache::with_capacity`].
-pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 16;
+/// A transition cache's bounds: the constants above (tests shrink them).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bounds {
+    /// Longest internable configuration, in words.
+    pub(crate) config_words: usize,
+    /// Most transitions, and most configurations, held at once.
+    pub(crate) entries: usize,
+    /// Most configuration words held at once.
+    pub(crate) words: usize,
+}
 
-/// The memoized result of one `(element, shape)` ECPV run.
+impl Bounds {
+    pub(crate) const DEFAULT: Bounds =
+        Bounds { config_words: CONFIG_WORDS, entries: CACHE_ENTRIES, words: CACHE_WORDS };
+}
+
+/// No configuration id (end of a hash chain, element not yet opened).
+const NO_ID: u32 = u32::MAX;
+
+/// One interned configuration: its words are
+/// `words[start .. start + len]`; `next` is the previous id with the same
+/// hash (the collision chain), `NO_ID` at its end.
+#[derive(Clone, Copy)]
+struct Interned {
+    start: u32,
+    len: u32,
+    next: u32,
+}
+
+/// One cached recognizer step from a configuration on a symbol.
+#[derive(Clone, Copy)]
+struct Transition {
+    /// The configuration after the step, `None` when the symbol was
+    /// rejected.
+    next: Option<u32>,
+    /// Everything the step added to the sequence's stats, `symbols`
+    /// included; a hit replays it.
+    delta: RecognizerStats,
+}
+
+/// Where the recognizer state of a sequence being checked lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoVerdict {
-    /// Index of the rejected symbol within the shape, or `None` when the
-    /// content is potentially valid.
-    pub failing: Option<u32>,
-    /// The exact [`RecognizerStats`] the uncached run accumulated; a hit
-    /// replays this delta so counters stay bit-identical.
-    pub stats: RecognizerStats,
+pub(crate) enum Key {
+    /// Interned configuration `id`. The sequence's slot holds it too only
+    /// when `synced`: hits move the id, not the slot.
+    Config { id: u32, synced: bool },
+    /// Only in the slot: a flush dropped the sequence's id. The next step
+    /// runs the slot and interns the result.
+    Slot,
+    /// Only in the slot, for good: the configuration outgrew the word
+    /// cap, so the slot runs every step until the sequence ends.
+    Direct,
 }
 
-#[derive(Default)]
-struct Shard {
-    /// The interner, keyed by the **precomputed** sequence hash so a probe
-    /// hashes the sequence exactly once (shard selection reuses the same
-    /// value; a `HashMap<Box<[ChildSym]>, _>` would re-hash the whole
-    /// sequence on every map operation). Each bucket is the — in practice
-    /// singleton — list of shapes sharing the hash; equality on the stored
-    /// sequence keeps a collision a slow path, never a wrong answer.
-    shapes: HashMap<u64, ShapeChain, FxBuild>,
-    /// The verdict table over interned shapes (8-byte keys: cheap to
-    /// hash).
-    verdicts: HashMap<(ElemId, ShapeId), MemoVerdict, FxBuild>,
-    /// Next shard-local [`ShapeId`]; reset on flush.
-    next_shape: u32,
+/// A lazy transition table over recognizer configurations (see the
+/// [module docs](self)): configurations hash-consed into ids, and
+/// `(id, symbol) → transition`. Configurations are opaque words written
+/// and read only by [`EcRecognizer`].
+pub(crate) struct TransitionCache {
+    bounds: Bounds,
+    /// Interned configurations, back to back.
+    words: Vec<u32>,
+    /// Per configuration id: where its words are.
+    configs: Vec<Interned>,
+    /// Configuration hash → the newest id with that hash.
+    index: HashMap<u64, u32, FxBuild>,
+    transitions: HashMap<(u32, ChildSym), Transition, FxBuild>,
+    /// Per element: the id of a fresh recognizer's configuration, `NO_ID`
+    /// until the element first opens after the last clear.
+    initial: Vec<u32>,
+    /// Scratch for encoding a configuration.
+    scratch: Vec<u32>,
+    /// Symbols of [`run`](Self::run) answered by a probe since the last
+    /// [`take_counts`](Self::take_counts) (counted per sequence, so the
+    /// hit path itself counts nothing).
+    hits: u64,
+    /// Symbols the recognizer ran on since then.
+    misses: u64,
+    /// Clears forced by the bounds since then.
+    pub(crate) flushes: u64,
 }
 
-impl Shard {
-    /// Finds the interned id of `syms` given its precomputed hash.
-    fn shape_of(&self, hash: u64, syms: &[ChildSym]) -> Option<ShapeId> {
-        let chain = self.shapes.get(&hash)?;
-        chain.iter().find(|(seq, _)| seq.as_ref() == syms).map(|&(_, sid)| sid)
+impl TransitionCache {
+    /// An empty cache; nothing is allocated until the first step.
+    pub(crate) fn new(bounds: Bounds) -> Self {
+        TransitionCache {
+            bounds,
+            words: Vec::new(),
+            configs: Vec::new(),
+            index: HashMap::default(),
+            transitions: HashMap::default(),
+            initial: Vec::new(),
+            scratch: Vec::new(),
+            hits: 0,
+            misses: 0,
+            flushes: 0,
+        }
+    }
+
+    #[inline]
+    fn config(&self, id: u32) -> &[u32] {
+        let c = self.configs[id as usize];
+        &self.words[c.start as usize..(c.start + c.len) as usize]
+    }
+
+    /// `true` when one more configuration and one more transition might
+    /// not fit: the caller must [`flush`](Self::flush) first.
+    #[inline]
+    fn full(&self) -> bool {
+        self.transitions.len() >= self.bounds.entries
+            || self.configs.len() >= self.bounds.entries
+            || self.words.len() + self.bounds.config_words > self.bounds.words
+    }
+
+    /// The key of a fresh recognizer for `elem` at elision budget `depth`:
+    /// its interned configuration, or else `slot` re-armed for it and
+    /// interned (`Direct` past the word cap). `None` when interning needs
+    /// room the cache lacks: the caller flushes and asks again.
+    #[inline]
+    pub(crate) fn open(
+        &mut self,
+        elem: ElemId,
+        depth: u32,
+        slot: &mut EcRecognizer<'_>,
+    ) -> Option<Key> {
+        let i = elem.0 as usize;
+        if let Some(&id) = self.initial.get(i).filter(|&&id| id != NO_ID) {
+            return Some(Key::Config { id, synced: false });
+        }
+        if self.full() {
+            return None;
+        }
+        slot.reset(elem, depth);
+        let key = self.key(slot);
+        if let Key::Config { id, .. } = key {
+            if self.initial.len() <= i {
+                self.initial.resize(i + 1, NO_ID);
+            }
+            self.initial[i] = id;
+        }
+        Some(key)
+    }
+
+    /// Feeds one symbol to the sequence whose state is `key` (and `slot`)
+    /// and counts it in `stats`, rejected or not; returns whether `x` was
+    /// accepted. A cached transition replays its delta and moves the key.
+    /// A miss runs `slot` — reloaded first if hits moved the key past it —
+    /// and caches the step. `None`, with nothing changed, when the step
+    /// missed and the cache is full: the caller flushes (its policy; the
+    /// sequence's own key included) and steps again.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        key: &mut Key,
+        slot: &mut EcRecognizer<'_>,
+        x: ChildSym,
+        stats: &mut RecognizerStats,
+    ) -> Option<bool> {
+        if let Key::Config { id, synced } = *key {
+            if let Some(&t) = self.transitions.get(&(id, x)) {
+                stats.merge(&t.delta);
+                let Some(next) = t.next else { return Some(false) };
+                // A self-loop leaves a synced slot in step.
+                *key = Key::Config { id: next, synced: synced && next == id };
+                return Some(true);
+            }
+        }
+        if *key != Key::Direct && self.full() {
+            return None;
+        }
+        Some(self.miss(key, slot, x, stats))
+    }
+
+    /// [`step`](Self::step)'s miss: runs `slot` on `x` and caches the step
+    /// unless the key is `Direct`. The cache has room.
+    fn miss(
+        &mut self,
+        key: &mut Key,
+        slot: &mut EcRecognizer<'_>,
+        x: ChildSym,
+        stats: &mut RecognizerStats,
+    ) -> bool {
+        self.misses += 1;
+        let from = *key;
+        if let Key::Config { id, synced: false } = from {
+            slot.load(self.config(id));
+        }
+        let mut delta = RecognizerStats::default();
+        let accepted = slot.advance_run(std::slice::from_ref(&x), &mut delta).is_none();
+        stats.merge(&delta);
+        if from == Key::Direct {
+            return accepted;
+        }
+        if !accepted {
+            // The sequence stops here: cache the verdict, keep no
+            // configuration.
+            if let Key::Config { id, .. } = from {
+                self.record(id, x, Transition { next: None, delta });
+            }
+            return false;
+        }
+        let to = self.key(slot);
+        if let (Key::Config { id, .. }, Key::Config { id: next, .. }) = (from, to) {
+            self.record(id, x, Transition { next: Some(next), delta });
+        }
+        *key = to;
+        true
+    }
+
+    /// Runs one whole child sequence of `elem` from a fresh recognizer,
+    /// `slot` taking the misses, and returns the index of the rejected
+    /// symbol, if any — [`EcRecognizer::advance_run`]'s answer, with the
+    /// same stats added to `stats`. The tree path's flush policy: only
+    /// this sequence is in flight, so a full cache keeps its state in
+    /// `slot` and clears.
+    pub(crate) fn run(
+        &mut self,
+        elem: ElemId,
+        depth: u32,
+        slot: &mut EcRecognizer<'_>,
+        syms: &[ChildSym],
+        stats: &mut RecognizerStats,
+    ) -> Option<usize> {
+        let misses = self.misses;
+        let mut key = loop {
+            match self.open(elem, depth, slot) {
+                Some(key) => break key,
+                None => self.flush(),
+            }
+        };
+        let mut failing = None;
+        for (i, &x) in syms.iter().enumerate() {
+            let accepted = loop {
+                match self.step(&mut key, slot, x, stats) {
+                    Some(accepted) => break accepted,
+                    None => {
+                        self.release(&mut key, slot);
+                        self.flush();
+                    }
+                }
+            };
+            if !accepted {
+                failing = Some(i);
+                break;
+            }
+        }
+        let stepped = failing.map_or(syms.len(), |i| i + 1) as u64;
+        self.hits += stepped - (self.misses - misses);
+        failing
+    }
+
+    /// Moves a sequence's state out of the cache into its `slot` (loading
+    /// the slot if hits moved the key past it), so that it survives a
+    /// [`flush`](Self::flush): a `Config` key becomes `Slot`.
+    pub(crate) fn release(&self, key: &mut Key, slot: &mut EcRecognizer<'_>) {
+        if let Key::Config { id, synced } = *key {
+            if !synced {
+                slot.load(self.config(id));
+            }
+            *key = Key::Slot;
+        }
+    }
+
+    /// Clears the cache because a bound was reached, counting a flush.
+    /// Every key still in flight must have been [released](Self::release).
+    pub(crate) fn flush(&mut self) {
+        self.flushes += 1;
+        self.clear();
+    }
+
+    /// The key of the configuration `slot` holds: a synced id, or
+    /// `Direct` when it is longer than the word cap. The cache has room.
+    fn key(&mut self, slot: &EcRecognizer<'_>) -> Key {
+        let mut words = std::mem::take(&mut self.scratch);
+        words.clear();
+        let key = if slot.encode(&mut words, self.bounds.config_words) {
+            Key::Config { id: self.intern(&words), synced: true }
+        } else {
+            Key::Direct
+        };
+        self.scratch = words;
+        key
+    }
+
+    fn intern(&mut self, words: &[u32]) -> u32 {
+        let mut h = FxHasher::default();
+        for &w in words {
+            h.write_u32(w);
+        }
+        let hash = h.finish();
+        let head = self.index.get(&hash).copied().unwrap_or(NO_ID);
+        let mut id = head;
+        while id != NO_ID {
+            if self.config(id) == words {
+                return id;
+            }
+            id = self.configs[id as usize].next;
+        }
+        let id = self.configs.len() as u32;
+        self.configs.push(Interned {
+            start: self.words.len() as u32,
+            len: words.len() as u32,
+            next: head,
+        });
+        self.words.extend_from_slice(words);
+        self.index.insert(hash, id);
+        debug_assert!(self.within_bounds());
+        id
+    }
+
+    fn record(&mut self, id: u32, x: ChildSym, t: Transition) {
+        self.transitions.insert((id, x), t);
+        debug_assert!(self.within_bounds());
+    }
+
+    pub(crate) fn within_bounds(&self) -> bool {
+        self.transitions.len() <= self.bounds.entries
+            && self.configs.len() <= self.bounds.entries
+            && self.words.len() <= self.bounds.words
+    }
+
+    /// Drops every id and transition (allocations are kept).
+    fn clear(&mut self) {
+        self.words.clear();
+        self.configs.clear();
+        self.index.clear();
+        self.transitions.clear();
+        self.initial.fill(NO_ID);
+    }
+
+    /// Configurations resident.
+    #[cfg(test)]
+    pub(crate) fn configs(&self) -> usize {
+        self.configs.len()
+    }
+
+    /// Hits, misses and flushes since the last call, zeroing them.
+    fn take_counts(&mut self) -> (u64, u64, u64) {
+        let counts = (self.hits, self.misses, self.flushes);
+        (self.hits, self.misses, self.flushes) = (0, 0, 0);
+        counts
     }
 }
 
-/// A sharded, bounded, read-mostly cache of ECPV verdicts keyed by
-/// `(element type, interned child-symbol shape)`.
-///
-/// One cache belongs to one [`CheckEngine`](crate::engine::CheckEngine)
-/// (verdicts depend on its DTD analysis and depth budget, both fixed at
-/// construction) and lives as long as the engine — which is what makes
-/// editor sessions amortized: the guards' re-checks of unchanged shapes
-/// become hash lookups across edits.
-pub struct ShapeCache {
-    shards: Vec<RwLock<Shard>>,
-    cap_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    flushes: AtomicU64,
-    /// Registry mirrors of the three counters above — no-op handles
-    /// unless [`ShapeCache::instrument`] was called, so the uninstrumented
-    /// lookup path pays a null-check and nothing more.
-    obs_hits: pv_obs::Counter,
-    obs_misses: pv_obs::Counter,
-    obs_flushes: pv_obs::Counter,
-}
-
-/// Telemetry snapshot of a [`ShapeCache`] (see
+/// Telemetry snapshot of an engine's memo (see
 /// [`CheckEngine::memo_stats`](crate::engine::CheckEngine::memo_stats)).
 ///
-/// Hit/miss counts are telemetry, not semantics: under batch checking
-/// two workers can race to the same cold shape and both count a miss, so
-/// these numbers may vary across schedules while outcomes never do.
+/// Counts are telemetry, not semantics: which scan held the engine's
+/// cache, and so what was warm, depends on the schedule, so these numbers
+/// may vary across runs while outcomes never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Lookups answered from the cache.
+    /// Child symbols answered from a transition cache.
     pub hits: u64,
-    /// Lookups that had to run the recognizer.
+    /// Child symbols the recognizer had to run on.
     pub misses: u64,
-    /// Verdict entries currently resident.
+    /// Transitions resident in the engine's cache, as of the last scan
+    /// that returned it.
     pub entries: usize,
-    /// Distinct interned shapes currently resident.
+    /// Distinct configurations resident in the engine's cache, as of the
+    /// last scan that returned it.
     pub shapes: usize,
-    /// Shard flushes forced by the capacity bound.
+    /// Cache clears forced by the bounds.
     pub flushes: u64,
 }
 
 impl MemoStats {
-    /// Fraction of lookups answered from the cache (0 when none ran).
+    /// Fraction of symbols answered from the cache (0 when none ran).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -217,203 +524,123 @@ impl MemoStats {
     }
 }
 
-impl ShapeCache {
-    /// A cache with the default capacity ([`DEFAULT_MEMO_CAPACITY`]).
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_MEMO_CAPACITY)
-    }
+/// An engine's memo: the transition cache it lends to one scan at a time,
+/// and the telemetry every scan folds into once, when it ends.
+pub(crate) struct Memo {
+    /// The bounds of the engine's cache and of every private one.
+    bounds: Bounds,
+    cache: Mutex<TransitionCache>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    flushes: AtomicU64,
+    entries: AtomicUsize,
+    configs: AtomicUsize,
+    /// Registry mirrors of the three counters above (no-op handles unless
+    /// the engine was built observed).
+    obs_hits: pv_obs::Counter,
+    obs_misses: pv_obs::Counter,
+    obs_flushes: pv_obs::Counter,
+}
 
-    /// A cache bounded to roughly `capacity` verdict entries in total
-    /// (each of the [`SHARD_COUNT`] shards gets an equal share, minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ShapeCache {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Shard::default())).collect(),
-            cap_per_shard: (capacity / SHARD_COUNT).max(1),
+impl Memo {
+    /// An empty memo whose counters mirror into `registry`
+    /// (`pv_engine_memo_{hits,misses,flushes}_total`, shared by every
+    /// engine observed by that registry).
+    pub(crate) fn new(bounds: Bounds, registry: &pv_obs::Registry) -> Memo {
+        Memo {
+            bounds,
+            cache: Mutex::new(TransitionCache::new(bounds)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
-            obs_hits: pv_obs::Counter::default(),
-            obs_misses: pv_obs::Counter::default(),
-            obs_flushes: pv_obs::Counter::default(),
+            entries: AtomicUsize::new(0),
+            configs: AtomicUsize::new(0),
+            obs_hits: registry.counter("pv_engine_memo_hits_total"),
+            obs_misses: registry.counter("pv_engine_memo_misses_total"),
+            obs_flushes: registry.counter("pv_engine_memo_flushes_total"),
         }
     }
 
-    /// Mirrors hit/miss/flush telemetry into `registry`
-    /// (`pv_engine_memo_{hits,misses,flushes}_total`). Every instrumented
-    /// cache in a process shares those registry cells, so the counters
-    /// aggregate across loaded DTDs. Adds one relaxed atomic add per
-    /// lookup when the registry is enabled; a disabled registry keeps
-    /// the handles as no-ops.
-    pub fn instrument(&mut self, registry: &pv_obs::Registry) {
-        self.obs_hits = registry.counter("pv_engine_memo_hits_total");
-        self.obs_misses = registry.counter("pv_engine_memo_misses_total");
-        self.obs_flushes = registry.counter("pv_engine_memo_flushes_total");
+    /// A cache for one scan: the engine's if no other scan holds it, else
+    /// a private cold one with the same bounds.
+    pub(crate) fn lease(&self) -> Lease<'_> {
+        let lent = match self.cache.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => {
+                // A scan panicked while it held the cache. Start it over
+                // rather than trust what the panic interrupted.
+                let mut guard = poisoned.into_inner();
+                guard.clear();
+                self.cache.clear_poison();
+                Some(guard)
+            }
+            Err(TryLockError::WouldBlock) => None,
+        };
+        Lease { memo: self, lent, own: TransitionCache::new(self.bounds) }
     }
 
-    /// Zeroes the hit/miss/flush counters (entries are untouched — use
-    /// [`ShapeCache::clear`] for those). The service's `RESET` verb uses
-    /// both to open a fresh telemetry window.
-    pub fn reset_telemetry(&self) {
+    /// The counters every finished scan folded in, and the engine cache's
+    /// size as its last holder left it.
+    pub(crate) fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.entries.load(Ordering::Relaxed),
+            shapes: self.configs.load(Ordering::Relaxed),
+            flushes: self.flushes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Drops every entry of the engine's cache, waiting for a scan that
+    /// holds it to give it back (so a thread must not call it while its
+    /// own scratch holds the cache).
+    pub(crate) fn clear(&self) {
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        cache.clear();
+        self.cache.clear_poison();
+        self.entries.store(0, Ordering::Relaxed);
+        self.configs.store(0, Ordering::Relaxed);
+    }
+
+    /// Zeroes the hit, miss and flush counters.
+    pub(crate) fn reset_counts(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.flushes.store(0, Ordering::Relaxed);
     }
+}
 
-    /// The deterministic sequence hash: seed-free Fx, identical on every
-    /// thread, computed **once** per cache operation and reused for both
-    /// shard selection and the interner probe.
-    fn seq_hash(syms: &[ChildSym]) -> u64 {
-        let mut h = FxHasher::default();
-        syms.hash(&mut h);
-        h.finish()
-    }
+/// One scan's transition cache (see [`Memo::lease`]). Dropping it folds
+/// the scan's counts into the engine's telemetry and returns a lent cache.
+pub(crate) struct Lease<'m> {
+    memo: &'m Memo,
+    /// The engine's cache, when no other scan held it.
+    lent: Option<MutexGuard<'m, TransitionCache>>,
+    /// The scan's own cache otherwise (empty until first used).
+    own: TransitionCache,
+}
 
-    /// Shard for a precomputed sequence hash. Fx mixes poorly in the low
-    /// bits; take the top ones so the shard index does not correlate with
-    /// the interner's in-map bucket index.
-    fn shard_for(&self, hash: u64) -> &RwLock<Shard> {
-        &self.shards[(hash >> 56) as usize % SHARD_COUNT]
-    }
-
-    /// Looks up the verdict for `(elem, syms)`. Counts a hit or a miss.
-    /// A hit costs one sequence hash, one read lock, and two 8-byte-key
-    /// probes.
-    pub fn lookup(&self, elem: ElemId, syms: &[ChildSym]) -> Option<MemoVerdict> {
-        let hash = Self::seq_hash(syms);
-        let shard = self.shard_for(hash).read().expect("memo shard poisoned");
-        let found = shard
-            .shape_of(hash, syms)
-            .and_then(|sid| shard.verdicts.get(&(elem, sid)))
-            .copied();
-        drop(shard);
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.inc();
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Records the verdict for `(elem, syms)`, interning the shape if it
-    /// is new. A full shard is flushed first (capacity bound).
-    pub fn insert(&self, elem: ElemId, syms: &[ChildSym], verdict: MemoVerdict) {
-        let hash = Self::seq_hash(syms);
-        let mut guard = self.shard_for(hash).write().expect("memo shard poisoned");
-        let shard = &mut *guard;
-        if shard.verdicts.len() >= self.cap_per_shard {
-            shard.shapes.clear();
-            shard.verdicts.clear();
-            shard.next_shape = 0;
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-            self.obs_flushes.inc();
-        }
-        let chain = shard.shapes.entry(hash).or_default();
-        let sid = match chain.iter().find(|(seq, _)| seq.as_ref() == syms) {
-            Some(&(_, sid)) => sid,
-            None => {
-                let sid = ShapeId(shard.next_shape);
-                shard.next_shape += 1;
-                chain.push((syms.to_vec().into_boxed_slice(), sid));
-                sid
-            }
-        };
-        shard.verdicts.insert((elem, sid), verdict);
-    }
-
-    /// Drops every entry (interner and verdicts), keeping the telemetry
-    /// counters. Used by benchmarks to measure cold-cache behaviour.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.write().expect("memo shard poisoned");
-            s.shapes.clear();
-            s.verdicts.clear();
-            s.next_shape = 0;
-        }
-    }
-
-    /// A telemetry snapshot (entry counts walk the shards under read
-    /// locks; counters are relaxed loads).
-    pub fn stats(&self) -> MemoStats {
-        let mut entries = 0usize;
-        let mut shapes = 0usize;
-        for shard in &self.shards {
-            let s = shard.read().expect("memo shard poisoned");
-            entries += s.verdicts.len();
-            shapes += s.shapes.values().map(Vec::len).sum::<usize>();
-        }
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-            shapes,
-            flushes: self.flushes.load(Ordering::Relaxed),
-        }
+impl Lease<'_> {
+    /// The cache this scan steps through.
+    #[inline]
+    pub(crate) fn cache(&mut self) -> &mut TransitionCache {
+        self.lent.as_deref_mut().unwrap_or(&mut self.own)
     }
 }
 
-impl Default for ShapeCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn seq(n: u32) -> Vec<ChildSym> {
-        (0..n).map(|i| ChildSym::Elem(ElemId(i))).collect()
-    }
-
-    fn verdict(failing: Option<u32>) -> MemoVerdict {
-        MemoVerdict {
-            failing,
-            stats: RecognizerStats { symbols: 3, node_visits: 7, subs_created: 1, specs_denied: 0 },
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let memo = self.memo;
+        let (hits, misses, flushes) = self.cache().take_counts();
+        memo.hits.fetch_add(hits, Ordering::Relaxed);
+        memo.misses.fetch_add(misses, Ordering::Relaxed);
+        memo.flushes.fetch_add(flushes, Ordering::Relaxed);
+        memo.obs_hits.add(hits);
+        memo.obs_misses.add(misses);
+        memo.obs_flushes.add(flushes);
+        if let Some(cache) = &self.lent {
+            memo.entries.store(cache.transitions.len(), Ordering::Relaxed);
+            memo.configs.store(cache.configs.len(), Ordering::Relaxed);
         }
-    }
-
-    #[test]
-    fn lookup_miss_then_hit_roundtrips() {
-        let cache = ShapeCache::new();
-        let syms = seq(4);
-        assert_eq!(cache.lookup(ElemId(0), &syms), None);
-        cache.insert(ElemId(0), &syms, verdict(Some(2)));
-        assert_eq!(cache.lookup(ElemId(0), &syms), Some(verdict(Some(2))));
-        // Same shape, different element type: still a miss.
-        assert_eq!(cache.lookup(ElemId(1), &syms), None);
-        cache.insert(ElemId(1), &syms, verdict(None));
-        assert_eq!(cache.lookup(ElemId(1), &syms), Some(verdict(None)));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 2));
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.shapes, 1, "one shape shared by two element types");
-    }
-
-    #[test]
-    fn capacity_bound_flushes_rather_than_grows() {
-        let cache = ShapeCache::with_capacity(SHARD_COUNT * 4);
-        for i in 0..10_000u32 {
-            cache.insert(ElemId(0), &seq(i % 97 + 1), verdict(None));
-        }
-        // Distinct lengths spread over shards; each shard stays at ≤ cap.
-        let stats = cache.stats();
-        assert!(stats.entries <= SHARD_COUNT * 4, "{stats:?}");
-        assert!(stats.flushes > 0);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn empty_and_sigma_shapes_are_distinct_keys() {
-        let cache = ShapeCache::new();
-        cache.insert(ElemId(0), &[], verdict(None));
-        assert_eq!(cache.lookup(ElemId(0), &[]), Some(verdict(None)));
-        assert_eq!(cache.lookup(ElemId(0), &[ChildSym::Sigma]), None);
     }
 }

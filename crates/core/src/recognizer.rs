@@ -844,9 +844,10 @@ impl<'a> EcRecognizer<'a> {
     /// round that `begin_round` resolves conclusively —
     /// the non-speculating common case — short-circuits the agenda
     /// driver and bottom-up resolution entirely, staying on the FIFO
-    /// lane for the whole run. The tree checker feeds each node's whole
-    /// child sequence through it, the streaming checker each symbol its
-    /// transition cache misses on (see [`crate::stream`]).
+    /// lane for the whole run. With the memo off the tree checker feeds
+    /// each node's whole child sequence through it; otherwise the tree and
+    /// streaming checkers feed it each symbol their transition cache
+    /// misses on (see [`crate::memo`]).
     pub fn advance_run(
         &mut self,
         syms: &[ChildSym],

@@ -57,9 +57,10 @@
 //! * [`StreamChecker::finalize`] then reports `base ⊕ spine ⊕ own`: the
 //!   exact stat set the preorder tree walk accumulates when it stops.
 //!
-//! Streaming never consults the shape memo: the memo replays exact stat
-//! deltas, so memoized, unmemoized and streaming outcomes all coincide.
-//!
+//! Each level steps its symbols through the checker's transition cache
+//! ([`crate::memo`]), which replays exact stat deltas, so cached,
+//! uncached and tree outcomes all coincide.
+
 //! ## Early exit
 //!
 //! First-violation early exit is *free* here — once a candidate freezes,
@@ -93,240 +94,27 @@
 //!
 //! ## Transition cache
 //!
-//! Between two symbols a recognizer is in a **configuration**: its
-//! element, its elision budget and its active list in order, with every
-//! nested recognizer's active list inside it (the round buffers are
-//! empty then; see [`EcRecognizer`]'s `encode`). The recognizer is
-//! deterministic, so a configuration and the next symbol fix the verdict,
-//! the next configuration and the exact [`RecognizerStats`] delta of the
-//! step. Each stream checker therefore keeps a lazy transition table in
-//! the manner of a lazy DFA: configurations are hash-consed into ids,
-//! and `(id, symbol) → (next id or rejected, delta)` is filled in on
-//! first use. An open level holds only its configuration id; a hit
-//! replays the recorded delta and moves the id — one table probe per
-//! streamed symbol — which is exact for the reason the shape memo's
-//! replay is: the delta *is* what the uncached step adds. A miss runs the
-//! level's **slot**, the recognizer kept for that depth, reloading it
-//! from the stored configuration first if hits have moved the level past
-//! it, and caches the step. A corpus document of a few thousand
+//! Each stream checker keeps a private transition cache ([`crate::memo`]),
+//! cold for every checker: a document gains from its own repetition only,
+//! with no locks, atomics or shared writes. An open level holds only its
+//! configuration key; a hit moves the key, and a miss runs the level's
+//! **slot**, the recognizer kept for that depth, reloading it first if
+//! hits moved the level past it. A corpus document of a few thousand
 //! elements revisits a few dozen configurations, and about 99% of its
 //! symbols hit.
 //!
-//! The cache is bounded by private constants. A configuration longer than
-//! 256 words is never interned: its level runs its slot directly until
-//! it closes, the uncached path. The table holds at most 2,048
-//! transitions (56 bytes each, in a hash table of 4,096 slots: 228 KiB),
-//! 2,048 configurations (an index of 68 KiB and 24 KiB of spans) and
-//! 32,768 configuration words (128 KiB, up to 256 KiB of vector
-//! capacity) — under 600 KiB in all, plus one entry per element type.
-//! When any bound would be exceeded the cache clears itself; every open
-//! level then keeps its state in its slot and interns afresh on its next
-//! step. The cache is cold for every checker, so a document gains from
-//! its own repetition only, and it is private to the checker: no locks,
-//! atomics or shared writes.
+//! The flush policy is the spine's: before a full cache clears, every
+//! open level that still has an id moves its state into its slot, and
+//! interns afresh on its next step. So the cache's constant bounds hold
+//! however deep the spine is.
 
 use crate::checker::{PvOutcome, PvViolation, PvViolationKind};
 use crate::engine::CheckEngine;
-use crate::memo::{FxBuild, FxHasher};
+use crate::memo::{Bounds, Key, TransitionCache};
 use crate::recognizer::{EcRecognizer, RecCtx, RecognizerStats};
 use crate::token::ChildSym;
 use pv_dtd::{DtdAnalysis, ElemId};
 use pv_xml::{Event, NodeId, PushParser};
-use std::collections::HashMap;
-use std::hash::Hasher;
-
-/// Longest configuration the transition cache interns, in 4-byte words.
-/// A level whose configuration outgrows it runs its slot directly until
-/// it closes.
-const CONFIG_WORDS: usize = 256;
-
-/// Transitions, and separately configurations, the cache holds before it
-/// clears itself.
-const CACHE_ENTRIES: usize = 2048;
-
-/// Configuration words the cache holds before it clears itself.
-const CACHE_WORDS: usize = 1 << 15;
-
-/// The transition cache's bounds: the constants above (tests shrink
-/// them).
-#[derive(Debug, Clone, Copy)]
-struct Bounds {
-    /// Longest internable configuration, in words.
-    config_words: usize,
-    /// Most transitions, and most configurations, held at once.
-    entries: usize,
-    /// Most configuration words held at once.
-    words: usize,
-}
-
-impl Bounds {
-    const DEFAULT: Bounds =
-        Bounds { config_words: CONFIG_WORDS, entries: CACHE_ENTRIES, words: CACHE_WORDS };
-}
-
-/// No configuration id (end of a hash chain, element not yet opened).
-const NO_ID: u32 = u32::MAX;
-
-/// One interned configuration: its words are
-/// `words[start .. start + len]`; `next` is the previous id with the same
-/// hash (the collision chain), `NO_ID` at its end.
-#[derive(Clone, Copy)]
-struct Interned {
-    start: u32,
-    len: u32,
-    next: u32,
-}
-
-/// One cached recognizer step from a configuration on a symbol.
-#[derive(Clone, Copy)]
-struct Transition {
-    /// The configuration after the step, `None` when the symbol was
-    /// rejected.
-    next: Option<u32>,
-    /// Everything the step added to the level's stats, `symbols`
-    /// included; a hit replays it.
-    delta: RecognizerStats,
-}
-
-/// The lazy transition cache of one [`StreamChecker`]: configurations
-/// hash-consed into ids, and `(id, symbol) → transition`. Configurations
-/// are opaque words written and read only by [`EcRecognizer`].
-struct TransitionCache {
-    bounds: Bounds,
-    /// Interned configurations, back to back.
-    words: Vec<u32>,
-    /// Per configuration id: where its words are.
-    configs: Vec<Interned>,
-    /// Configuration hash → the newest id with that hash.
-    index: HashMap<u64, u32, FxBuild>,
-    transitions: HashMap<(u32, ChildSym), Transition, FxBuild>,
-    /// Per element: the id of a fresh recognizer's configuration, `NO_ID`
-    /// until the element first opens after the last flush.
-    initial: Vec<u32>,
-    /// Scratch for encoding a configuration.
-    scratch: Vec<u32>,
-    #[cfg(test)]
-    flushes: u64,
-}
-
-impl TransitionCache {
-    fn new(bounds: Bounds) -> Self {
-        TransitionCache {
-            bounds,
-            words: Vec::new(),
-            configs: Vec::new(),
-            index: HashMap::default(),
-            transitions: HashMap::default(),
-            initial: Vec::new(),
-            scratch: Vec::new(),
-            #[cfg(test)]
-            flushes: 0,
-        }
-    }
-
-    fn get(&self, id: u32, x: ChildSym) -> Option<Transition> {
-        self.transitions.get(&(id, x)).copied()
-    }
-
-    fn config(&self, id: u32) -> &[u32] {
-        let c = self.configs[id as usize];
-        &self.words[c.start as usize..(c.start + c.len) as usize]
-    }
-
-    fn initial(&self, elem: ElemId) -> Option<u32> {
-        self.initial.get(elem.0 as usize).copied().filter(|&id| id != NO_ID)
-    }
-
-    fn set_initial(&mut self, elem: ElemId, id: u32) {
-        let i = elem.0 as usize;
-        if self.initial.len() <= i {
-            self.initial.resize(i + 1, NO_ID);
-        }
-        self.initial[i] = id;
-    }
-
-    /// `true` when one more configuration and one more transition might
-    /// not fit: the caller must [`clear`](Self::clear) first.
-    fn full(&self) -> bool {
-        self.transitions.len() >= self.bounds.entries
-            || self.configs.len() >= self.bounds.entries
-            || self.words.len() + self.bounds.config_words > self.bounds.words
-    }
-
-    /// The id of `rec`'s configuration, interning it if it is new; `None`
-    /// when it is longer than the word cap. The caller has made room.
-    fn key(&mut self, rec: &EcRecognizer<'_>) -> Option<u32> {
-        let mut words = std::mem::take(&mut self.scratch);
-        words.clear();
-        let id = rec.encode(&mut words, self.bounds.config_words).then(|| self.intern(&words));
-        self.scratch = words;
-        id
-    }
-
-    fn intern(&mut self, words: &[u32]) -> u32 {
-        let mut h = FxHasher::default();
-        for &w in words {
-            h.write_u32(w);
-        }
-        let hash = h.finish();
-        let head = self.index.get(&hash).copied().unwrap_or(NO_ID);
-        let mut id = head;
-        while id != NO_ID {
-            if self.config(id) == words {
-                return id;
-            }
-            id = self.configs[id as usize].next;
-        }
-        let id = self.configs.len() as u32;
-        self.configs.push(Interned {
-            start: self.words.len() as u32,
-            len: words.len() as u32,
-            next: head,
-        });
-        self.words.extend_from_slice(words);
-        self.index.insert(hash, id);
-        debug_assert!(self.within_bounds());
-        id
-    }
-
-    fn record(&mut self, id: u32, x: ChildSym, t: Transition) {
-        self.transitions.insert((id, x), t);
-        debug_assert!(self.within_bounds());
-    }
-
-    fn within_bounds(&self) -> bool {
-        self.transitions.len() <= self.bounds.entries
-            && self.configs.len() <= self.bounds.entries
-            && self.words.len() <= self.bounds.words
-    }
-
-    /// Drops every id and transition (allocations are kept).
-    fn clear(&mut self) {
-        self.words.clear();
-        self.configs.clear();
-        self.index.clear();
-        self.transitions.clear();
-        self.initial.fill(NO_ID);
-        #[cfg(test)]
-        {
-            self.flushes += 1;
-        }
-    }
-}
-
-/// Where an open level's recognizer state lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Key {
-    /// Interned configuration `id`. The level's slot holds it too only
-    /// when `synced`: hits move the id, not the slot.
-    Config { id: u32, synced: bool },
-    /// Only in the slot: a flush dropped the level's id. The next step
-    /// runs the slot and interns the result.
-    Slot,
-    /// Only in the slot, for good: the configuration outgrew the word
-    /// cap, so the slot runs every step until the level closes.
-    Direct,
-}
 
 /// One open element on the ancestor spine.
 struct Level {
@@ -373,6 +161,16 @@ struct Candidate {
     watch_undeclared: bool,
 }
 
+/// Why the top level's check fails (see `StreamChecker::freeze`).
+enum Cause<'n> {
+    /// It rejected this symbol, the last one it counted; the candidate
+    /// keeps its partial delta and watches for a later undeclared child.
+    Rejected(ChildSym),
+    /// Its child at this node has this undeclared name, which discards
+    /// the level's delta (children are resolved before recognition).
+    Undeclared(NodeId, &'n str),
+}
+
 enum State {
     /// No violation yet; `done` accumulates completed node checks.
     Normal,
@@ -404,7 +202,7 @@ enum State {
 /// Residency is O(depth) plus a constant-bounded cache: per open element
 /// a configuration id and a few counters, one recognizer slot per depth,
 /// and this checker's own [transition cache](self#transition-cache); no
-/// tree, no shape memo.
+/// tree.
 pub struct StreamChecker<'c> {
     analysis: &'c DtdAnalysis,
     ctx: RecCtx<'c>,
@@ -453,7 +251,7 @@ impl<'c> StreamChecker<'c> {
     #[cfg(test)]
     fn with_bounds(analysis: &'c DtdAnalysis, ctx: RecCtx<'c>, depth: u32, bounds: Bounds) -> Self {
         let mut checker = Self::new(analysis, ctx, depth);
-        checker.cache.bounds = bounds;
+        checker.cache = TransitionCache::new(bounds);
         checker
     }
 
@@ -602,24 +400,13 @@ impl<'c> StreamChecker<'c> {
 
     fn push_level(&mut self, node: NodeId, elem: ElemId) {
         let d = self.levels.len();
-        let fresh = d == self.slots.len();
-        if fresh {
+        if d == self.slots.len() {
             self.slots.push(EcRecognizer::new(self.ctx, elem, self.depth));
         }
-        let key = match self.cache.initial(elem) {
-            Some(id) => Key::Config { id, synced: fresh },
-            None => {
-                if !fresh {
-                    self.slots[d].reset(elem, self.depth);
-                }
-                if self.cache.full() {
-                    self.flush();
-                }
-                let key = self.key_slot(d);
-                if let Key::Config { id, .. } = key {
-                    self.cache.set_initial(elem, id);
-                }
-                key
+        let key = loop {
+            match self.cache.open(elem, self.depth, &mut self.slots[d]) {
+                Some(key) => break key,
+                None => self.flush(),
             }
         };
         self.levels.push(Level {
@@ -633,78 +420,55 @@ impl<'c> StreamChecker<'c> {
         self.peak_depth = self.peak_depth.max(self.levels.len());
     }
 
-    /// Interns the configuration slot `d` holds: a synced id, or `Direct`
-    /// when it is longer than the word cap. The cache has room.
-    fn key_slot(&mut self, d: usize) -> Key {
-        match self.cache.key(&self.slots[d]) {
-            Some(id) => Key::Config { id, synced: true },
-            None => Key::Direct,
-        }
-    }
-
-    /// Clears the full cache. Every open level that still has an id keeps
-    /// its state in its slot instead (loading the slot first if hits had
-    /// moved the level past it) and interns afresh on its next step, so
-    /// the bound holds however deep the spine is.
+    /// Clears the full cache: the stream's flush policy. Every open level
+    /// that still has an id keeps its state in its slot instead and
+    /// interns afresh on its next step, so the bound holds however deep
+    /// the spine is.
     fn flush(&mut self) {
         for (level, slot) in self.levels.iter_mut().zip(&mut self.slots) {
-            if let Key::Config { id, synced } = level.key {
-                if !synced {
-                    slot.load(self.cache.config(id));
-                }
-                level.key = Key::Slot;
-            }
+            self.cache.release(&mut level.key, slot);
         }
-        self.cache.clear();
+        self.cache.flush();
     }
 
-    /// Feeds one symbol to the top level's recognizer and counts it in
-    /// the level's stats, rejected or not. A cached transition replays its
-    /// delta and moves the level's id; a miss runs the level's slot
-    /// (reloaded first if hits moved the level past it) and caches the
-    /// step.
+    /// Feeds one symbol to the top level's recognizer through the cache
+    /// and counts it in the level's stats, rejected or not.
     fn step_top(&mut self, x: ChildSym) -> bool {
         let d = self.levels.len() - 1;
-        let level = &mut self.levels[d];
-        if let Key::Config { id, synced } = level.key {
-            if let Some(t) = self.cache.get(id, x) {
-                level.partial.merge(&t.delta);
-                if let Some(next) = t.next {
-                    // A self-loop leaves a synced slot in step.
-                    level.key = Key::Config { id: next, synced: synced && next == id };
-                }
-                return t.next.is_some();
+        loop {
+            let level = &mut self.levels[d];
+            match self.cache.step(&mut level.key, &mut self.slots[d], x, &mut level.partial) {
+                Some(accepted) => return accepted,
+                None => self.flush(),
             }
         }
-        if level.key != Key::Direct && self.cache.full() {
-            self.flush();
-        }
-        let level = &mut self.levels[d];
-        let slot = &mut self.slots[d];
-        let from = level.key;
-        if let Key::Config { id, synced: false } = from {
-            slot.load(self.cache.config(id));
-        }
-        let mut delta = RecognizerStats::default();
-        let accepted = slot.advance_run(std::slice::from_ref(&x), &mut delta).is_none();
-        level.partial.merge(&delta);
-        if from == Key::Direct {
-            return accepted;
-        }
-        if !accepted {
-            // The level freezes and is never stepped again: cache the
-            // verdict, keep no configuration.
-            if let Key::Config { id, .. } = from {
-                self.cache.record(id, x, Transition { next: None, delta });
+    }
+
+    /// Freezes the candidate at the top level, replacing any earlier one.
+    fn freeze(&mut self, cause: Cause<'_>) {
+        let frozen = self.levels.len() - 1;
+        let level = &self.levels[frozen];
+        let (violation, own, watch_undeclared) = match cause {
+            Cause::Rejected(sym) => {
+                let kind = PvViolationKind::ContentRejected {
+                    symbol: sym.display(&self.analysis.dtd),
+                    index: level.count - 1,
+                };
+                (PvViolation { node: level.node, kind }, level.partial, true)
             }
-            return false;
-        }
-        let to = self.key_slot(d);
-        if let (Key::Config { id, .. }, Key::Config { id: next, .. }) = (from, to) {
-            self.cache.record(id, x, Transition { next: Some(next), delta });
-        }
-        self.levels[d].key = to;
-        true
+            Cause::Undeclared(node, name) => {
+                let kind = PvViolationKind::UndeclaredElement { name: name.to_owned() };
+                (PvViolation { node, kind }, RecognizerStats::default(), false)
+            }
+        };
+        self.state = State::Candidate(Candidate {
+            violation,
+            base: level.before,
+            spine: RecognizerStats::default(),
+            own,
+            frozen,
+            watch_undeclared,
+        });
     }
 
     fn start_root(&mut self, node: NodeId, name: &str, self_closing: bool) {
@@ -736,20 +500,8 @@ impl<'c> StreamChecker<'c> {
             // rejected (the in-flight `ContentRejected` is preempted by
             // this very child — see the candidate-path preemption
             // branch), the frozen candidate comes out identical.
-            let parent = self.levels.len() - 1;
-            let level = &self.levels[parent];
             self.run.clear();
-            self.state = State::Candidate(Candidate {
-                violation: PvViolation {
-                    node,
-                    kind: PvViolationKind::UndeclaredElement { name: name.to_owned() },
-                },
-                base: level.before,
-                spine: RecognizerStats::default(),
-                own: RecognizerStats::default(),
-                frozen: parent,
-                watch_undeclared: false,
-            });
+            self.freeze(Cause::Undeclared(node, name));
             self.skip_depth = usize::from(!self_closing);
             return;
         };
@@ -801,40 +553,12 @@ impl<'c> StreamChecker<'c> {
         // The frozen level has popped; the top is a live ancestor whose
         // own check — performed in full by the tree checker before it
         // ever descends — must keep running.
-        let parent = self.levels.len() - 1;
         match self.analysis.id(name) {
-            None => {
-                let level = &self.levels[parent];
-                self.state = State::Candidate(Candidate {
-                    violation: PvViolation {
-                        node,
-                        kind: PvViolationKind::UndeclaredElement { name: name.to_owned() },
-                    },
-                    base: level.before,
-                    spine: RecognizerStats::default(),
-                    own: RecognizerStats::default(),
-                    frozen: parent,
-                    watch_undeclared: false,
-                });
-            }
+            None => self.freeze(Cause::Undeclared(node, name)),
             Some(elem) => {
-                let accepted = self.feed_symbol_top(ChildSym::Elem(elem));
-                if !accepted {
-                    let level = &self.levels[parent];
-                    self.state = State::Candidate(Candidate {
-                        violation: PvViolation {
-                            node: level.node,
-                            kind: PvViolationKind::ContentRejected {
-                                symbol: ChildSym::Elem(elem).display(&self.analysis.dtd),
-                                index: level.count - 1,
-                            },
-                        },
-                        base: level.before,
-                        spine: RecognizerStats::default(),
-                        own: level.partial,
-                        frozen: parent,
-                        watch_undeclared: true,
-                    });
+                let sym = ChildSym::Elem(elem);
+                if !self.feed_symbol_top(sym) {
+                    self.freeze(Cause::Rejected(sym));
                 }
             }
         }
@@ -866,33 +590,18 @@ impl<'c> StreamChecker<'c> {
         }
         let mut run = std::mem::take(&mut self.run);
         let rejected = run.iter().position(|&x| !self.step_top(x));
-        let parent = self.levels.len() - 1;
-        let level = &mut self.levels[parent];
+        let level = self.levels.last_mut().expect("open level");
         level.count += rejected.map_or(run.len(), |i| i + 1);
         let sym = rejected.map(|i| run[i]);
         run.clear();
         self.run = run;
         let Some(sym) = sym else { return true };
-        let level = &self.levels[parent];
-        self.state = State::Candidate(Candidate {
-            violation: PvViolation {
-                node: level.node,
-                kind: PvViolationKind::ContentRejected {
-                    symbol: sym.display(&self.analysis.dtd),
-                    index: level.count - 1,
-                },
-            },
-            base: level.before,
-            spine: RecognizerStats::default(),
-            own: level.partial,
-            frozen: parent,
-            watch_undeclared: true,
-        });
+        self.freeze(Cause::Rejected(sym));
         false
     }
 
-    /// Feeds one symbol to the top level's recognizer, replicating
-    /// `run_symbols`: the symbol is counted (and the recognizer's stats
+    /// Feeds one symbol to the top level's recognizer, replicating the
+    /// tree path's run: the symbol is counted (and the recognizer's stats
     /// mutate) even when it is rejected.
     fn feed_symbol_top(&mut self, sym: ChildSym) -> bool {
         let accepted = self.step_top(sym);
@@ -910,25 +619,9 @@ impl<'c> StreamChecker<'c> {
         if self.levels.last().expect("open level").last_sigma {
             return;
         }
-        if self.feed_symbol_top(ChildSym::Sigma) {
-            return;
+        if !self.feed_symbol_top(ChildSym::Sigma) {
+            self.freeze(Cause::Rejected(ChildSym::Sigma));
         }
-        let parent = self.levels.len() - 1;
-        let level = &self.levels[parent];
-        self.state = State::Candidate(Candidate {
-            violation: PvViolation {
-                node: level.node,
-                kind: PvViolationKind::ContentRejected {
-                    symbol: ChildSym::Sigma.display(&self.analysis.dtd),
-                    index: level.count - 1,
-                },
-            },
-            base: level.before,
-            spine: RecognizerStats::default(),
-            own: level.partial,
-            frozen: parent,
-            watch_undeclared: true,
-        });
     }
 
     fn close_top_normal(&mut self) {
@@ -948,8 +641,8 @@ impl CheckEngine {
     /// own constant-bounded transition cache, cold for every checker, and
     /// produces outcomes bit-identical to
     /// [`check_document`](Self::check_document); it never touches the
-    /// shape memo (both caches replay exact deltas, so every path
-    /// coincides).
+    /// engine's cache or memo telemetry (every cache replays exact
+    /// deltas, so every path coincides).
     pub fn stream_checker(&self) -> StreamChecker<'_> {
         StreamChecker::new(self.analysis(), self.rec_ctx(), self.depth())
     }
@@ -1154,8 +847,8 @@ mod tests {
         let got = stream.finish().unwrap();
         assert!(got.is_potentially_valid());
 
-        // Every block a distinct shape (the shape memo's adversarial
-        // regime): the transition cache stays within its bound.
+        // Every block a distinct child sequence: the transition cache
+        // stays within its bound.
         let analysis = DtdAnalysis::parse(REPETITIVE_DTD, "r").unwrap();
         let xml = repetitive_all_distinct(20_000);
         let checker = CheckEngine::new(analysis.clone());
@@ -1228,7 +921,7 @@ mod tests {
             assert!(stream.checker().cache.within_bounds(), "cache over {bounds:?}");
         }
         let cache = &stream.checker().cache;
-        let (flushes, configs) = (cache.flushes, cache.configs.len());
+        let (flushes, configs) = (cache.flushes, cache.configs());
         (stream.finish().unwrap(), flushes, configs)
     }
 

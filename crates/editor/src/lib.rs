@@ -24,8 +24,8 @@
 //! Undo (and guard rollback) is a **reverse-operation journal**: every
 //! applied edit records the O(edit-size) inverse ops that revert it, so no
 //! operation ever clones the document. The session's engine keeps its
-//! shape cache warm across edits, making repeated guards on unchanged
-//! shapes amortized hash lookups.
+//! transition cache warm across edits, so a guard's repeated recognizer
+//! steps are table probes.
 
 mod journal;
 pub mod session;

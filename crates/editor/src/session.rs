@@ -75,10 +75,10 @@ pub struct SessionStats {
 ///   guarded edit records the O(edit-size) inverse ops that revert it, so
 ///   applying, rejecting, or undoing an edit never clones the buffer.
 /// * The session's [`CheckEngine`] persists across edits with its
-///   **shape cache** warm, so the two-ECPV guards of markup
+///   **transition cache** warm, so the two-ECPV guards of markup
 ///   insertion/rename — and full [`EditorSession::verify_invariant`]
-///   sweeps — answer from the cache for every node shape the edit did not
-///   change.
+///   sweeps — answer every recognizer step an earlier check already took
+///   with one table probe.
 pub struct EditorSession<'a> {
     analysis: &'a DtdAnalysis,
     /// Built from a clone of `analysis` and never shared, so the session
@@ -115,7 +115,7 @@ impl<'a> EditorSession<'a> {
         }
     }
 
-    /// Enables or disables the engine's shape memoization for this
+    /// Enables or disables the engine's memoization for this
     /// session (on by default; see [`CheckEngine::set_memo_enabled`]).
     /// Guard verdicts are identical either way — this only trades cache
     /// memory for guard latency.
@@ -125,7 +125,7 @@ impl<'a> EditorSession<'a> {
             .set_memo_enabled(enabled);
     }
 
-    /// Telemetry of the session engine's shape cache, or `None` when
+    /// Telemetry of the session engine's memo, or `None` when
     /// memoization is disabled.
     pub fn memo_stats(&self) -> Option<MemoStats> {
         self.engine.memo_stats()
@@ -329,7 +329,7 @@ impl<'a> EditorSession<'a> {
     /// sequence) **purely at the symbol level**: the document is never
     /// touched, so a read-only palette query allocates no tree nodes and
     /// leaves the buffer byte-identical. Cost `O(m · |children|)`,
-    /// amortized further by the shape cache on repeat queries.
+    /// amortized further by the transition cache on repeat queries.
     pub fn allowed_wraps(&mut self, parent: NodeId, range: Range<usize>) -> Vec<String> {
         let analysis = self.analysis;
         if !self.doc.is_alive(parent) {

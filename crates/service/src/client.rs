@@ -183,8 +183,8 @@ impl Client {
         })
     }
 
-    /// Checks one document; `memo` toggles the shared shape cache for
-    /// this request. The server checks one document on the connection
+    /// Checks one document; `memo` toggles the engine's memo for this
+    /// request. The server checks one document on the connection
     /// thread, so `jobs` (still sent as `jobs=N`) does not change it.
     pub fn check(
         &mut self,
@@ -211,7 +211,7 @@ impl Client {
     /// chunk size upstream — ends the upload cleanly and reports
     /// [`ServiceError::Invalid`] instead of silently truncating. The
     /// outcome is bit-identical to [`Self::check`] (`memo` is always
-    /// `None`: streaming never consults the shape cache).
+    /// `None`: streaming never consults the engine's memo).
     pub fn check_stream<'a, I>(&mut self, handle: &str, chunks: I) -> Result<RemoteCheck>
     where
         I: IntoIterator<Item = &'a [u8]>,
@@ -308,7 +308,7 @@ impl Client {
         self.round_trip(&Request::Metrics)
     }
 
-    /// Clears the handle's server-side shape cache and zeroes the
+    /// Clears the handle's server-side transition cache and zeroes the
     /// server's telemetry window.
     pub fn reset(&mut self, handle: &str) -> Result<()> {
         self.round_trip(&Request::Reset { handle: handle.to_owned() }).map(|_| ())

@@ -9,8 +9,8 @@
 //! * a [`Server`] holding a persistent [`pv_par::Pool`] (parked workers —
 //!   a `BATCH` region costs a condvar round-trip, not thread spawns) and
 //!   one [`pv_core::engine::CheckEngine`] per loaded DTD (pre-compiled
-//!   DAGs and a **warm shape cache** shared across requests and
-//!   connections);
+//!   DAGs and a **warm transition cache** lent to one check at a time
+//!   across requests and connections);
 //! * a newline-framed, length-prefixed wire [`proto`]col over unix
 //!   sockets or loopback TCP (`PING`, `LOAD`/`BUILTIN`, `CHECK`,
 //!   `CHECK_STREAM`, `BATCH`, `STATS`, `METRICS`, `RESET`, `SHUTDOWN`);

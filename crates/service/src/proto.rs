@@ -23,7 +23,7 @@
 //! | `BATCH <handle> <count> [jobs=N]` | `count` (XML each) | check a document batch on the pool, one task per document (`jobs=0` = every worker, `1` = the connection thread) |
 //! | `STATS` | — | server telemetry (uptime, request/work counters, per-DTD memo) |
 //! | `METRICS` | — | metrics-registry snapshot: counters, gauges, histogram percentiles, slow traces |
-//! | `RESET <handle>` | — | clear the handle's shape cache **and** zero the server's telemetry window (stats totals, memo counters, metrics registry) |
+//! | `RESET <handle>` | — | clear the handle's transition cache **and** zero the server's telemetry window (stats totals, memo counters, metrics registry) |
 //! | `SHUTDOWN` | — | stop accepting connections |
 //!
 //! `CHECK_STREAM` is the one verb whose payload is **not** buffered by
@@ -117,7 +117,7 @@ pub enum Request {
         handle: String,
         /// Parsed but unused: one document runs on the connection thread.
         jobs: usize,
-        /// Shape memoization toggle for this request.
+        /// Memoization toggle for this request.
         memo: bool,
         /// The document text.
         xml: String,
@@ -145,7 +145,7 @@ pub enum Request {
     /// percentiles, slow-request traces) as one JSON object — the same
     /// registry `pvx serve --metrics-port` exposes as Prometheus text.
     Metrics,
-    /// Clear a handle's shape cache.
+    /// Clear a handle's transition cache.
     Reset {
         /// Handle from a previous `LOAD`/`BUILTIN`.
         handle: String,

@@ -2,7 +2,7 @@
 //!
 //! One process holds the expensive state — a persistent [`Pool`] of
 //! parked workers and, per loaded DTD, a [`CheckEngine`] whose compiled
-//! DAGs and **warm shape cache** outlive every request — and serves the
+//! DAGs and **warm transition cache** outlive every request — and serves the
 //! [`crate::proto`] protocol over a unix socket or a loopback TCP port.
 //! Each connection gets a thread (requests within a connection are
 //! sequential; a `CHECK` runs on it, and the pool serializes `BATCH`
@@ -1060,8 +1060,9 @@ fn handle_check_stream(
             Err(e) => err_response(&format!("document is not well-formed: {e}")),
             Ok(outcome) => {
                 state.record(1, &outcome.stats);
-                // Streaming never touches the shape memo, so the reply's
-                // memo field is always null (same JSON shape as CHECK).
+                // Streaming runs on its checker's private cache, not the
+                // engine's memo, so the reply's memo field is always null
+                // (same JSON shape as CHECK).
                 check_response(&outcome, entry, false)
             }
         },

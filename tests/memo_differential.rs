@@ -1,7 +1,8 @@
-//! Memo/no-memo differential: shape-memoized checking must be
-//! **observationally invisible**. For every (DTD, document) pair the
-//! memoized checker — cold cache, warm cache, sequential, pooled at any
-//! job count, batched, or driving an editor session — must produce
+//! Memo/no-memo differential: memoized checking (the engine's
+//! transition cache) must be **observationally invisible**. For every
+//! (DTD, document) pair the memoized checker — cold cache, warm cache,
+//! sequential, pooled at any job count, batched, or driving an editor
+//! session — must produce
 //! outcomes bit-identical to the memo-off checker (and so must a pooled
 //! check with the per-call memo flag off): same verdict, same
 //! first failing node in document order, same failing symbol index and
@@ -12,8 +13,8 @@
 //! (dis)repair, proptest-generated DTD/document/mutation families, the
 //! pooled and batch paths at jobs ∈ {1, 2, 8} (each case's documents also
 //! run as one batch, so the pool's workers share the cache), editor
-//! sessions replaying identical edit scripts, and an eviction guard on
-//! the adversarial all-distinct-shapes corpus family.
+//! sessions replaying identical edit scripts, and guards that the memo
+//! stays within its constant bounds on adversarial families.
 
 use proptest::prelude::*;
 use potential_validity::prelude::*;
@@ -129,26 +130,93 @@ fn repetitive_family_checks_identically_across_hit_rate_regimes() {
     assert_memo_batch_identical(&analysis, docs, "repetitive");
 }
 
+/// The constant bound of every transition cache (`pv_core::memo`): the
+/// most transitions, and the most configurations, it holds at once.
+const CACHE_ENTRIES: usize = 2048;
+
+/// Asserts the engine's memo is within [`CACHE_ENTRIES`].
+fn assert_within_bounds(engine: &CheckEngine, ctx: &str) {
+    let stats = engine.memo_stats().unwrap();
+    assert!(
+        stats.entries <= CACHE_ENTRIES && stats.shapes <= CACHE_ENTRIES,
+        "{ctx}: unbounded growth: {stats:?}"
+    );
+}
+
+/// A DTD whose `s` takes any of `letters` empty elements in any order,
+/// and a document spelling each of them once: every child symbol is a
+/// distinct transition from `s`'s one configuration.
+fn wide_alphabet(letters: usize) -> (DtdAnalysis, Document) {
+    let names: Vec<String> = (0..letters).map(|i| format!("e{i}")).collect();
+    let mut dtd = format!("<!ELEMENT r (s*)><!ELEMENT s ({})*>", names.join("|"));
+    let mut xml = String::from("<r>");
+    for chunk in names.chunks(50) {
+        xml.push_str("<s>");
+        for name in chunk {
+            dtd.push_str(&format!("<!ELEMENT {name} EMPTY>"));
+            xml.push_str(&format!("<{name}/>"));
+        }
+        xml.push_str("</s>");
+    }
+    xml.push_str("</r>");
+    (DtdAnalysis::parse(&dtd, "r").unwrap(), pv_xml::parse(&xml).unwrap())
+}
+
 #[test]
 fn adversarial_all_distinct_family_respects_the_capacity_bound() {
+    // ~580 distinct `s` shapes, and an alphabet wider than the cache:
+    // the cache must flush rather than grow, and outcomes must stay
+    // identical.
     let analysis = corpus::repetitive_analysis();
-    // ~580 distinct shapes against a 128-entry cache: the cache must
-    // flush rather than grow, and outcomes must stay identical.
     let doc = corpus::repetitive(10_000, usize::MAX);
     let expect = plain(&analysis).check_document(&doc);
-    let mut bounded = CheckEngine::new(analysis.clone());
-    Arc::get_mut(&mut bounded).unwrap().set_memo_capacity(128);
+    let bounded = CheckEngine::new(analysis.clone());
     for pass in 0..3 {
         assert_eq!(bounded.check_document(&doc), expect, "pass {pass}");
+        assert_within_bounds(&bounded, &format!("pass {pass}"));
+    }
+    let (analysis, doc) = wide_alphabet(CACHE_ENTRIES + 52);
+    let expect = plain(&analysis).check_document(&doc);
+    let bounded = CheckEngine::new(analysis);
+    for pass in 0..3 {
+        assert_eq!(bounded.check_document(&doc), expect, "wide pass {pass}");
+        assert_within_bounds(&bounded, &format!("wide pass {pass}"));
     }
     let stats = bounded.memo_stats().unwrap();
-    assert!(stats.entries <= 128, "unbounded growth: {stats:?}");
     assert!(stats.flushes > 0, "capacity bound never engaged: {stats:?}");
-    // Sanity: an unbounded cache on the same corpus holds every shape.
-    let unbounded = CheckEngine::new(analysis.clone());
-    unbounded.check_document(&doc);
-    let big = unbounded.memo_stats().unwrap();
-    assert!(big.entries > 128, "{big:?}");
+}
+
+/// One engine checks more than [`CACHE_ENTRIES`] distinct long child
+/// sequences: its memo stays within the constant bounds after every
+/// document, however many distinct sequences it has seen.
+#[test]
+fn distinct_long_child_sequences_keep_the_memo_bounded() {
+    let analysis = BuiltinDtd::Figure1.analysis();
+    let reference = plain(&analysis);
+    let engine = CheckEngine::new(analysis);
+    let mut sequences = 0;
+    for d in 0..4u32 {
+        // 600 `d` nodes, each spelling its number in `e σ` / `e e` pairs
+        // after a run of 40 `e`s: 64 children, no two sequences alike.
+        let mut xml = String::from("<r>");
+        for i in 0..600 {
+            let code = d * 600 + i;
+            xml.push_str("<a><d>");
+            xml.push_str(&"<e/>".repeat(40));
+            for bit in 0..12 {
+                xml.push_str(if code >> bit & 1 == 1 { "<e/>x" } else { "<e/><e/>" });
+            }
+            xml.push_str("</d></a>");
+            sequences += 1;
+        }
+        xml.push_str("</r>");
+        let doc = pv_xml::parse(&xml).unwrap();
+        let expect = reference.check_document(&doc);
+        assert!(expect.is_potentially_valid());
+        assert_eq!(engine.check_document(&doc), expect, "document {d}");
+        assert_within_bounds(&engine, &format!("after {sequences} distinct sequences"));
+    }
+    assert!(sequences > CACHE_ENTRIES);
 }
 
 #[test]
