@@ -418,24 +418,26 @@ pub fn cmd_check_stream(
     let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
     let mut stream = engine.stream_checker();
     stream.on_start(&root_name, root_self_closing);
+    // From here on the parser pushes every event a read completes.
     loop {
-        match parser.next_event() {
-            Err(e) => return wf_err(&e),
-            Ok(Some(event)) => stream.on_event(&event),
-            Ok(None) if eof => break,
-            Ok(None) => match input.read(&mut buf) {
-                Err(e) => {
-                    return (
-                        render_check_error(name, &format!("cannot read: {e}"), opts.json),
-                        Status::Error,
-                    )
-                }
-                Ok(0) => {
-                    parser.finish();
-                    eof = true;
-                }
-                Ok(n) => parser.push(&buf[..n]),
-            },
+        if let Err(e) = parser.drain(|event| stream.on_event(&event)) {
+            return wf_err(&e);
+        }
+        if eof {
+            break;
+        }
+        match input.read(&mut buf) {
+            Err(e) => {
+                return (
+                    render_check_error(name, &format!("cannot read: {e}"), opts.json),
+                    Status::Error,
+                )
+            }
+            Ok(0) => {
+                parser.finish();
+                eof = true;
+            }
+            Ok(n) => parser.push(&buf[..n]),
         }
     }
     let report = CheckReport {

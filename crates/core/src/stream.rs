@@ -699,10 +699,7 @@ impl<'c> StreamCheck<'c> {
     }
 
     fn drain(&mut self) -> pv_xml::Result<()> {
-        while let Some(event) = self.parser.next_event()? {
-            self.checker.on_event(&event);
-        }
-        Ok(())
+        self.parser.drain(|event| self.checker.on_event(&event))
     }
 }
 

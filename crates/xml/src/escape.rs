@@ -58,13 +58,28 @@ pub fn resolve_reference(body: &str, offset: usize) -> Result<char> {
 /// `_`, `:` and non-ASCII).
 #[inline]
 pub fn is_name_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_' || c == ':' || !c.is_ascii()
+    !c.is_ascii() || is_name_start_byte(c as u8)
 }
 
 /// `true` if `c` may continue an XML name.
 #[inline]
 pub fn is_name_char(c: char) -> bool {
-    is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
+    !c.is_ascii() || is_name_byte(c as u8)
+}
+
+/// The byte form of [`is_name_start`]. Every byte of a non-ASCII
+/// character is ≥ 0x80 and every non-ASCII character is a name
+/// character, so on UTF-8 a byte scan ends exactly where a character scan
+/// does.
+#[inline]
+pub(crate) fn is_name_start_byte(b: u8) -> bool {
+    matches!(b, b'a'..=b'z' | b'A'..=b'Z' | b'_' | b':' | 0x80..=0xFF)
+}
+
+/// The byte form of [`is_name_char`] (see [`is_name_start_byte`]).
+#[inline]
+pub(crate) fn is_name_byte(b: u8) -> bool {
+    is_name_start_byte(b) || matches!(b, b'0'..=b'9' | b'-' | b'.')
 }
 
 /// Checks that `name` is a syntactically plausible XML name.

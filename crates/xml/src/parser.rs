@@ -1,12 +1,13 @@
 //! Well-formedness XML parser producing a [`Document`] arena.
 //!
-//! [`parse`] is a small tree builder over the crate's one lexer, the
-//! resumable [`PushParser`]. The input is fed in slices (see `SLICE`) and
-//! each event becomes arena nodes in event order: the first start tag
-//! creates the root, later start tags allocate elements, a character-data
-//! run (or CDATA section) becomes one text node however many pieces it
-//! arrives in, and comments and PIs inside the root allocate nodes. The
-//! `<!DOCTYPE>` the lexer captured is attached last.
+//! [`parse`] is a small tree builder over the crate's one lexer (see
+//! [`crate::stream`]). The lexer runs over the caller's string in place,
+//! with end of input known from the start, and pushes each event into the
+//! builder, which turns it into arena nodes in event order: the first
+//! start tag creates the root, later start tags allocate elements, a
+//! character-data run (or CDATA section) becomes one text node however
+//! many pieces it arrives in, and comments and PIs inside the root
+//! allocate nodes. The `<!DOCTYPE>` the lexer captured is attached last.
 //!
 //! Node payloads go to the document's parse-time storage (see
 //! [`crate::tree`]): element names are interned, text, comment and PI
@@ -16,50 +17,23 @@
 //! list is written once, not grown one push at a time.
 //!
 //! The accepted language and every error (kind and byte offset) are
-//! therefore the lexer's — see [`crate::stream`]. The open-element stack is
-//! explicit, so arbitrarily deep documents (which the depth-bound
-//! experiments of `pv-bench` generate) parse fine.
+//! therefore the lexer's, the same as a [`crate::PushParser`] fed the
+//! input in any chunking. The open-element stack is explicit, so
+//! arbitrarily deep documents (which the depth-bound experiments of
+//! `pv-bench` generate) parse fine.
 
-use crate::stream::{Event, PushParser};
+use crate::stream::{lex_complete, Event};
 use crate::tree::{Data, Document, NodeId};
 use crate::Result;
-
-/// Bytes fed to the lexer per push (the streaming CLI's default chunk), so
-/// its buffer never holds a second full copy of the document the way one
-/// whole-input push would. A construct still in flight when a slice runs
-/// out (a long comment, CDATA section, start tag, doctype, or a `&` still
-/// waiting for its `;`) is re-lexed from its first byte on the next push,
-/// so the next slice is at least as long as that construct: every re-lex
-/// is paid for by as many new bytes, which keeps `parse` linear in the
-/// input however long one construct is.
-///
-/// `slice_boundaries_inside_text_tags_and_references` in
-/// `tests/stream_torture.rs` places straddlers at every power-of-two
-/// offset from 4 KiB to 256 KiB, so it covers any power-of-two value from
-/// 4 KiB to 64 KiB here.
-const SLICE: usize = 64 * 1024;
 
 /// Parses a complete XML document (one root element; prolog and trailing
 /// misc allowed).
 pub fn parse(input: &str) -> Result<Document> {
-    let mut lexer = PushParser::new();
     let mut tree = Builder::default();
-    let mut rest = input.as_bytes();
-    while !rest.is_empty() {
-        let (slice, tail) = rest.split_at(rest.len().min(SLICE.max(lexer.pending())));
-        rest = tail;
-        lexer.push(slice);
-        while let Some(event) = lexer.next_event()? {
-            tree.event(event);
-        }
-    }
-    lexer.finish();
-    while let Some(event) = lexer.next_event()? {
-        tree.event(event);
-    }
+    let doctype = lex_complete(input, |event| tree.event(event))?;
     let mut doc = tree.doc;
     assert!(!doc.nodes.is_empty(), "a complete event stream starts with the root's start tag");
-    doc.doctype = lexer.doctype().cloned();
+    doc.doctype = doctype;
     debug_assert!(doc.check_integrity().is_ok());
     Ok(doc)
 }

@@ -1,12 +1,18 @@
 //! Streaming (push/SAX-style) front end: the crate's one XML lexer.
 //!
 //! [`PushParser`] accepts the document as byte chunks ([`PushParser::push`])
-//! and emits [`Event`]s ([`PushParser::next_event`]) as soon as they are
-//! complete, holding only the open-element name stack plus the bytes of the
-//! one construct currently in flight. A chunk boundary may fall anywhere —
-//! mid-tag, mid-name, inside an attribute value, between the bytes of a
-//! UTF-8 sequence — and the lexer simply reports "need more input" until the
-//! construct completes.
+//! and hands out [`Event`]s as soon as they are complete, holding only the
+//! open-element name stack plus the bytes of the one construct currently
+//! in flight. A chunk boundary may fall anywhere — mid-tag, mid-name,
+//! inside an attribute value, between the bytes of a UTF-8 sequence — and
+//! the lexer simply reports "need more input" until the construct
+//! completes.
+//!
+//! Events reach the caller two ways, from one state machine:
+//! [`PushParser::drain`] pushes every event the buffered input completes
+//! into a sink closure, and [`PushParser::next_event`] pulls one at a time.
+//! Both give the same events and errors, and they may be mixed on one
+//! parser.
 //!
 //! ## Events and the tree
 //!
@@ -16,10 +22,12 @@
 //! character-data run, one per CDATA section, comments and PIs inside the
 //! root). Prolog and trailing misc are consumed but produce no events, so
 //! the tree has no nodes for them. Events and errors (kind and byte offset)
-//! do not depend on where the chunk boundaries fall.
+//! do not depend on where the chunk boundaries fall. `parse` runs the same
+//! machine over the caller's string in place, with end of input known from
+//! the start: one chunking among all the others.
 //! `tests/stream_torture.rs` holds all of this against an independent
 //! test-side reference lexer over random documents, all chunkings, and all
-//! truncations.
+//! truncations, through both entry points.
 //!
 //! ## Memory
 //!
@@ -33,16 +41,21 @@
 //! by a chunk boundary re-parse from their first byte when more input
 //! arrives, so fixed `c`-byte chunks cost O(construct²/c) time per
 //! construct (pathological 1-byte feeding O(construct²)) but never change
-//! the result; [`crate::parse`] avoids this by making each push at least
-//! as long as the construct in flight. Truncated input surfaces as a
-//! clean [`XmlErrorKind::UnexpectedEof`]-family error from
-//! [`PushParser::next_event`] after [`PushParser::finish`] — never as a
-//! wrong event stream.
+//! the result; [`crate::parse`] never re-parses, because its whole input
+//! is present from the start. Truncated input surfaces as a clean
+//! [`XmlErrorKind::UnexpectedEof`]-family error after
+//! [`PushParser::finish`] — never as a wrong event stream.
 //!
 //! ## Throughput
 //!
-//! The hot path is built around three techniques:
+//! The hot path is built around these techniques:
 //!
+//! * **Pushed events** — [`PushParser::drain`] runs the machine over
+//!   everything buffered and calls its sink once per event, with one
+//!   prologue per call (sticky error, compaction) instead of one
+//!   `Result<Option<Event>>` round trip per event. A failure
+//!   travels boxed inside the machine, so a step that yields a flag or a
+//!   byte returns in two words rather than seven.
 //! * **Amortized compaction** — consumed bytes are dropped from the input
 //!   buffer only when they outnumber the unconsumed remainder, so the
 //!   total bytes ever memmoved is bounded by the total bytes consumed
@@ -50,20 +63,22 @@
 //!   buffer's allocation stays within ~2× the unconsumed high-water mark;
 //!   [`PushParser::peak_buffered`] reports the unconsumed bytes, which is
 //!   the residency claim that matters.
-//! * **Skip-scanning** — character data (and attribute values) advance by
-//!   a single byte-level forward scan to the next delimiter (`<`/`&`, or
-//!   the closing quote) rather than per-character decoding; the needles
-//!   are ASCII, so scanning raw UTF-8 bytes is exact.
+//! * **Skip-scanning** — character data finds the next `<`/`&` eight bytes
+//!   at a time (a word-at-a-time zero-byte test in safe Rust), attribute
+//!   values scan bytes to the closing quote, and names scan bytes rather
+//!   than decode characters: every delimiter is ASCII and every non-ASCII
+//!   character is a name character, so byte scans are exact on UTF-8.
 //! * **Zero-copy text and a name arena** — a character-data segment with
-//!   no references is emitted as a borrowed range of the input buffer
-//!   (never copied into scratch), and open-element names live
-//!   concatenated in one rotating arena (`names` + per-level start
-//!   offsets) instead of one heap `String` per open element.
+//!   no references is emitted as a borrowed range of the input (never
+//!   copied into scratch), and open-element names live concatenated in
+//!   one rotating arena (`names` + per-level start offsets) instead of one
+//!   heap `String` per open element.
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::{is_name_char, is_name_start, resolve_reference, validate_name};
+use crate::escape::{is_name_byte, is_name_start_byte, resolve_reference};
 use crate::tree::{Attribute, Doctype};
 use crate::Result;
+use std::collections::HashSet;
 use std::ops::Range;
 
 /// One SAX-style event. Borrows from the parser's internal buffers; the
@@ -112,9 +127,10 @@ pub enum Event<'a> {
 }
 
 /// Where the state machine stands between events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Mode {
     /// At absolute offset 0: an XML declaration may start here.
+    #[default]
     Decl,
     /// Prolog misc + doctype, before the root element.
     Prolog,
@@ -132,18 +148,25 @@ enum Mode {
 enum Halt {
     /// The current construct extends past the buffered input.
     More,
-    /// A well-formedness error (final).
-    Fail(XmlError),
+    /// A well-formedness error (final), boxed so that a step yielding a
+    /// flag or a byte returns in two words rather than seven.
+    Fail(Box<XmlError>),
+}
+
+impl From<XmlError> for Halt {
+    fn from(e: XmlError) -> Self {
+        Halt::Fail(Box::new(e))
+    }
 }
 
 type Step<T> = std::result::Result<T, Halt>;
 
 /// An event with borrow-free payload locations, produced by the state
-/// machine and converted to a borrowing [`Event`] by [`PushParser`].
+/// machine and turned into a borrowing [`Event`] by [`Lexer::event`].
 enum Raw {
     Start { name: Range<usize>, self_closing: bool },
     /// End tag; `start` is the popped name's offset into the name arena
-    /// (the arena is truncated back to it on the *next* event, so the
+    /// (the arena is truncated back to it by the *next* step, so the
     /// borrow in [`Event::End`] stays valid).
     End { start: usize },
     TextScratch { first: bool },
@@ -152,19 +175,31 @@ enum Raw {
     Pi { target: Range<usize>, data: Range<usize> },
 }
 
-/// A resumable push parser: feed byte chunks, pull events. See the
-/// [module docs](self).
+/// A resumable push parser: feed byte chunks, drain or pull events. See
+/// the [module docs](self).
 pub struct PushParser {
-    /// Buffered, validated input not yet consumed. `base` is the absolute
-    /// offset of `buf[0]` in the original byte stream.
+    /// Buffered, validated input not yet compacted away; `lx.base` is the
+    /// absolute offset of `buf[0]` in the original byte stream.
     buf: String,
-    base: usize,
-    /// Committed cursor into `buf`: everything before it belongs to fully
-    /// parsed constructs. An attempt that runs out of input restarts here.
-    pos: usize,
     /// Up to 3 bytes of a UTF-8 sequence split by a chunk boundary.
     utf8_tail: Vec<u8>,
     eof: bool,
+    failed: Option<XmlError>,
+    peak_buffered: usize,
+    lx: Lexer,
+}
+
+/// Everything the state machine keeps between events, apart from the
+/// input itself: [`PushParser`] runs it over its buffer, [`lex_complete`]
+/// over a caller's string.
+#[derive(Default)]
+struct Lexer {
+    /// Absolute offset of the input's first byte.
+    base: usize,
+    /// Committed cursor into the input: everything before it belongs to
+    /// fully parsed constructs. An attempt that runs out of input
+    /// restarts here.
+    pos: usize,
     mode: Mode,
     /// Open element names, concatenated (the name arena): element `i`'s
     /// name spans `names[name_starts[i]..name_starts[i + 1]]` (to the
@@ -174,22 +209,27 @@ pub struct PushParser {
     /// Per-open-element start offsets into `names`.
     name_starts: Vec<usize>,
     /// Pending arena truncation: a popped end-tag name is kept alive for
-    /// the borrow in [`Event::End`] and reclaimed on the next event.
+    /// the borrow in [`Event::End`] and reclaimed by the next step.
     name_trunc: Option<usize>,
     root_seen: bool,
     doctype: Option<Doctype>,
-    failed: Option<XmlError>,
     /// Scratch for the text piece being assembled. Only reference
     /// resolution writes here; plain character data is emitted as a
-    /// borrowed range of `buf` without copying.
+    /// borrowed range of the input without copying.
     text: String,
     text_emitted: bool,
     /// `true` once the current character-data run has emitted a piece.
     run_started: bool,
     /// Scratch for the attribute list of the current start tag.
     attrs: Vec<Attribute>,
-    peak_buffered: usize,
+    /// The current start tag's attribute names, once it has
+    /// [`ATTR_SET_FROM`] of them (see [`Lexer::repeats_attr`]).
+    attr_names: HashSet<Box<str>>,
 }
+
+/// From this many attributes on, a start tag looks repeats up in a hash
+/// set instead of comparing against every earlier name.
+const ATTR_SET_FROM: usize = 8;
 
 impl Default for PushParser {
     fn default() -> Self {
@@ -202,82 +242,75 @@ impl PushParser {
     pub fn new() -> Self {
         PushParser {
             buf: String::new(),
-            base: 0,
-            pos: 0,
             utf8_tail: Vec::new(),
             eof: false,
-            mode: Mode::Decl,
-            names: String::new(),
-            name_starts: Vec::new(),
-            name_trunc: None,
-            root_seen: false,
-            doctype: None,
             failed: None,
-            text: String::new(),
-            text_emitted: false,
-            run_started: false,
-            attrs: Vec::new(),
             peak_buffered: 0,
+            lx: Lexer::default(),
         }
     }
 
     /// Appends a chunk of input. Invalid UTF-8 is reported by the next
-    /// [`PushParser::next_event`] call (chunk boundaries may split a
-    /// multi-byte sequence; only genuinely malformed bytes fail).
+    /// [`PushParser::drain`] or [`PushParser::next_event`] call (chunk
+    /// boundaries may split a multi-byte sequence; only genuinely
+    /// malformed bytes fail).
     pub fn push(&mut self, chunk: &[u8]) {
         debug_assert!(!self.eof, "push after finish");
         if self.failed.is_some() {
             return;
         }
-        let mut bytes = std::mem::take(&mut self.utf8_tail);
-        bytes.extend_from_slice(chunk);
-        match std::str::from_utf8(&bytes) {
-            Ok(s) => self.buf.push_str(s),
-            Err(e) => {
-                let valid = e.valid_up_to();
-                // from_utf8 already proved this prefix valid.
-                self.buf.push_str(std::str::from_utf8(&bytes[..valid]).unwrap());
-                if e.error_len().is_some() {
-                    self.failed = Some(XmlError::new(
-                        XmlErrorKind::Unexpected("invalid UTF-8".to_owned()),
-                        self.base + self.buf.len(),
-                    ));
-                } else {
-                    self.utf8_tail = bytes[valid..].to_vec();
-                }
-            }
+        if self.utf8_tail.is_empty() {
+            self.append(chunk);
+        } else {
+            let mut bytes = std::mem::take(&mut self.utf8_tail);
+            bytes.extend_from_slice(chunk);
+            self.append(&bytes);
         }
-        self.note_buffered();
-    }
-
-    /// Samples the current residency — unconsumed buffered bytes plus any
-    /// split UTF-8 tail — into the high-water mark. Called at every point
-    /// residency can grow (after a push) or is about to shrink (after an
-    /// event), so [`PushParser::peak_buffered`] is a true maximum.
-    #[inline]
-    fn note_buffered(&mut self) {
+        // Residency only grows here: events consume bytes and compaction
+        // drops consumed ones, so sampling after each push (split UTF-8
+        // tail included) catches the true maximum.
         self.peak_buffered = self.peak_buffered.max(self.pending());
     }
 
-    /// Buffered-but-unconsumed bytes, including any split UTF-8 tail.
-    /// Once [`PushParser::next_event`] has asked for more input, this is
-    /// the construct in flight, which the next attempt re-lexes from its
-    /// first byte.
-    #[inline]
-    pub(crate) fn pending(&self) -> usize {
-        self.buf.len() - self.pos + self.utf8_tail.len()
+    /// Validates `bytes` and appends them to the buffer, parking an
+    /// incomplete trailing UTF-8 sequence in the tail.
+    fn append(&mut self, bytes: &[u8]) {
+        match std::str::from_utf8(bytes) {
+            Ok(s) => self.buf.push_str(s),
+            Err(e) => {
+                let (valid, rest) = bytes.split_at(e.valid_up_to());
+                // from_utf8 already proved this prefix valid.
+                self.buf.push_str(std::str::from_utf8(valid).expect("validated prefix"));
+                if e.error_len().is_some() {
+                    self.failed = Some(XmlError::new(
+                        XmlErrorKind::Unexpected("invalid UTF-8".to_owned()),
+                        self.lx.base + self.buf.len(),
+                    ));
+                } else {
+                    self.utf8_tail = rest.to_vec();
+                }
+            }
+        }
     }
 
-    /// Signals end of input. Subsequent [`PushParser::next_event`] calls
-    /// drain the remaining events and then report completion (or the
-    /// truncation error).
+    /// Buffered-but-unconsumed bytes, including any split UTF-8 tail.
+    /// Once the lexer has asked for more input, this is the construct in
+    /// flight, which the next attempt re-lexes from its first byte.
+    #[inline]
+    fn pending(&self) -> usize {
+        self.buf.len() - self.lx.pos + self.utf8_tail.len()
+    }
+
+    /// Signals end of input. Later [`PushParser::drain`] or
+    /// [`PushParser::next_event`] calls deliver the remaining events and
+    /// then report completion (or the truncation error).
     pub fn finish(&mut self) {
         self.eof = true;
         if !self.utf8_tail.is_empty() && self.failed.is_none() {
             // The stream ended between the bytes of one character.
             self.failed = Some(XmlError::new(
                 XmlErrorKind::UnexpectedEof,
-                self.base + self.buf.len(),
+                self.lx.base + self.buf.len(),
             ));
         }
     }
@@ -286,14 +319,14 @@ impl PushParser {
     /// accepted. Only meaningful after [`PushParser::finish`].
     #[inline]
     pub fn is_complete(&self) -> bool {
-        self.mode == Mode::Done
+        self.lx.mode == Mode::Done
     }
 
     /// The captured `<!DOCTYPE>` (available once the prolog has been
     /// consumed — at the latest when the first event arrives).
     #[inline]
     pub fn doctype(&self) -> Option<&Doctype> {
-        self.doctype.as_ref()
+        self.lx.doctype.as_ref()
     }
 
     /// High-water mark of buffered-but-unconsumed bytes — including any
@@ -301,8 +334,8 @@ impl PushParser {
     /// parse, excluding the open-name arena. This is a true maximum:
     /// residency only grows inside [`PushParser::push`] and is sampled
     /// there after every append (even when bytes are parked in the UTF-8
-    /// tail), and again after every event. The buffer's *allocation* may
-    /// lag behind consumption by up to one compaction interval (~2× this
+    /// tail); events only consume. The buffer's *allocation* may lag
+    /// behind consumption by up to one compaction interval (~2× this
     /// figure); see the module docs on amortized compaction.
     #[inline]
     pub fn peak_buffered(&self) -> usize {
@@ -312,7 +345,23 @@ impl PushParser {
     /// Current open-element depth.
     #[inline]
     pub fn depth(&self) -> usize {
-        self.name_starts.len()
+        self.lx.name_starts.len()
+    }
+
+    /// Hands every event the buffered input completes to `sink`, in
+    /// order, and returns once the lexer needs more input or (after
+    /// [`PushParser::finish`]) the document is complete.
+    ///
+    /// Gives exactly the events [`PushParser::next_event`] would, and the
+    /// same sticky error, but with one entry per call instead of one per
+    /// event. Each event's borrow ends when `sink` returns.
+    pub fn drain(&mut self, sink: impl FnMut(Event<'_>)) -> Result<()> {
+        self.prologue()?;
+        let done = self.lx.drive(&self.buf, self.eof, sink);
+        if let Err(e) = &done {
+            self.failed = Some(e.clone());
+        }
+        done
     }
 
     /// Pulls the next complete event.
@@ -325,61 +374,95 @@ impl PushParser {
     /// * `Err(e)` — well-formedness error, the same (kind and byte offset)
     ///   at every chunking of the input. The error is sticky.
     pub fn next_event(&mut self) -> Result<Option<Event<'_>>> {
+        self.prologue()?;
+        match self.lx.step(&self.buf, self.eof) {
+            Ok(Some(raw)) => Ok(Some(self.lx.event(&self.buf, raw))),
+            Ok(None) => Ok(None),
+            Err(Halt::More) => {
+                debug_assert!(!self.eof, "More at eof is unreachable");
+                Ok(None)
+            }
+            Err(Halt::Fail(e)) => {
+                self.failed = Some((*e).clone());
+                Err(*e)
+            }
+        }
+    }
+
+    /// What every entry into the machine does first: replay a sticky
+    /// error, then compact the buffer.
+    fn prologue(&mut self) -> Result<()> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
         }
-        if let Some(n) = self.name_trunc.take() {
-            // Reclaim the end-tag name whose borrow ended with the
-            // previous event.
-            self.names.truncate(n);
-        }
         // Amortized compaction: drop consumed input only once it
         // outweighs the unconsumed remainder, so every byte is memmoved
-        // at most once on average (a per-event unconditional drain is
-        // O(remainder) per event — quadratic over a large document).
+        // at most once on average (an unconditional drain per entry is
+        // O(remainder) per entry — quadratic over a large document).
         // Absolute offsets survive via `base`.
-        if self.pos > 0 && self.pos >= self.buf.len() - self.pos {
-            self.buf.drain(..self.pos);
-            self.base += self.pos;
-            self.pos = 0;
+        let pos = self.lx.pos;
+        if pos > 0 && pos >= self.buf.len() - pos {
+            self.buf.drain(..pos);
+            self.lx.base += pos;
+            self.lx.pos = 0;
+        }
+        Ok(())
+    }
+}
+
+/// Lexes a complete document held in memory, handing each event to
+/// `sink`, and returns the captured `<!DOCTYPE>`. The machine runs over
+/// `input` in place with end of input known from the start, so nothing
+/// is copied, re-validated or re-lexed; events and errors are those of a
+/// [`PushParser`] fed `input` in any chunking.
+pub(crate) fn lex_complete(input: &str, sink: impl FnMut(Event<'_>)) -> Result<Option<Doctype>> {
+    let mut lx = Lexer::default();
+    lx.drive(input, true, sink)?;
+    debug_assert_eq!(lx.mode, Mode::Done);
+    Ok(lx.doctype)
+}
+
+impl Lexer {
+    /// Runs the machine over `s` (all of the input not yet compacted
+    /// away; `eof` once nothing follows it) and hands each event to
+    /// `sink`, until `s` runs dry, the document ends, or an error
+    /// surfaces.
+    fn drive(&mut self, s: &str, eof: bool, mut sink: impl FnMut(Event<'_>)) -> Result<()> {
+        loop {
+            match self.step(s, eof) {
+                Ok(Some(raw)) => sink(self.event(s, raw)),
+                Ok(None) => return Ok(()),
+                Err(Halt::More) => {
+                    debug_assert!(!eof, "More at eof is unreachable");
+                    return Ok(());
+                }
+                Err(Halt::Fail(e)) => return Err(*e),
+            }
+        }
+    }
+
+    /// Reclaims what the previous event borrowed, then runs the machine
+    /// from the committed cursor until one event is complete.
+    #[inline]
+    fn step(&mut self, s: &str, eof: bool) -> Step<Option<Raw>> {
+        if let Some(n) = self.name_trunc.take() {
+            self.names.truncate(n);
         }
         if self.text_emitted {
             self.text.clear();
             self.text_emitted = false;
         }
-        let mut m = Machine {
-            s: &self.buf,
-            eof: self.eof,
-            base: self.base,
-            p: self.pos,
-            pos: &mut self.pos,
-            mode: &mut self.mode,
-            names: &mut self.names,
-            name_starts: &mut self.name_starts,
-            root_seen: &mut self.root_seen,
-            doctype: &mut self.doctype,
-            text: &mut self.text,
-            run_started: &mut self.run_started,
-            attrs: &mut self.attrs,
-        };
-        let raw = match m.run() {
-            Ok(raw) => raw,
-            Err(Halt::More) => {
-                debug_assert!(!self.eof, "More at eof is unreachable");
-                return Ok(None);
+        Machine { s, eof, p: self.pos, lx: self }.run()
+    }
+
+    /// The event `raw` describes, borrowing `s` (the input the machine ran
+    /// over) and the lexer's arena and scratch until the next step.
+    #[inline]
+    fn event<'a>(&'a mut self, s: &'a str, raw: Raw) -> Event<'a> {
+        match raw {
+            Raw::Start { name, self_closing } => {
+                Event::Start { name: &s[name], attrs: &self.attrs, self_closing }
             }
-            Err(Halt::Fail(e)) => {
-                self.failed = Some(e.clone());
-                return Err(e);
-            }
-        };
-        self.note_buffered();
-        Ok(raw.map(|raw| match raw {
-            Raw::Start { name, self_closing } => Event::Start {
-                name: &self.buf[name],
-                attrs: &self.attrs,
-                self_closing,
-            },
             Raw::End { start } => {
                 self.name_trunc = Some(start);
                 Event::End { name: &self.names[start..] }
@@ -388,34 +471,61 @@ impl PushParser {
                 self.text_emitted = true;
                 Event::Text { piece: &self.text, first }
             }
-            Raw::TextBuf { piece, first } => Event::Text { piece: &self.buf[piece], first },
-            Raw::Comment { text } => Event::Comment { text: &self.buf[text] },
-            Raw::Pi { target, data } => {
-                Event::Pi { target: &self.buf[target], data: &self.buf[data] }
-            }
-        }))
+            Raw::TextBuf { piece, first } => Event::Text { piece: &s[piece], first },
+            Raw::Comment { text } => Event::Comment { text: &s[text] },
+            Raw::Pi { target, data } => Event::Pi { target: &s[target], data: &s[data] },
+        }
+    }
+
+    /// `true` if the start tag being lexed already has an attribute
+    /// called `name`. From [`ATTR_SET_FROM`] attributes on, the names go
+    /// into a hash set (the default hasher: names come from the
+    /// document), so a tag with N attributes costs O(N) rather than
+    /// O(N²).
+    fn repeats_attr(&mut self, name: &str) -> bool {
+        if self.attrs.len() < ATTR_SET_FROM {
+            return self.attrs.iter().any(|a| *a.name == *name);
+        }
+        if self.attr_names.is_empty() {
+            self.attr_names.extend(self.attrs.iter().map(|a| a.name.clone()));
+        }
+        !self.attr_names.insert(name.into())
     }
 }
 
-/// The borrow-split working state of one [`PushParser::next_event`] call:
-/// an immutable view of the buffered input plus mutable references to the
-/// parser state, with a local uncommitted cursor `p`.
+/// The index of the first `<` or `&` in `bytes`, testing eight bytes at
+/// a time: a word XORed with a needle repeated in every byte has a zero
+/// byte exactly where the needle is, and `(v - 0x01…01) & !v & 0x80…80`
+/// flags the lowest zero byte exactly (a borrow only runs toward higher
+/// bytes, so later flags may be spurious but never earlier ones). Words
+/// load little-endian, so the lowest flagged bit is the first match.
+fn find_markup(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const LT: u64 = ONES * b'<' as u64;
+    const AMP: u64 = ONES * b'&' as u64;
+    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        let hits = zero_bytes(w ^ LT) | zero_bytes(w ^ AMP);
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    words.remainder().iter().position(|&b| b == b'<' || b == b'&').map(|i| at + i)
+}
+
+/// The working state of one machine run: an immutable view of the input
+/// plus the lexer state, with a local uncommitted cursor `p`.
 struct Machine<'m> {
     s: &'m str,
     eof: bool,
-    base: usize,
     /// Working cursor (uncommitted).
     p: usize,
-    /// Committed cursor: restart point after [`Halt::More`].
-    pos: &'m mut usize,
-    mode: &'m mut Mode,
-    names: &'m mut String,
-    name_starts: &'m mut Vec<usize>,
-    root_seen: &'m mut bool,
-    doctype: &'m mut Option<Doctype>,
-    text: &'m mut String,
-    run_started: &'m mut bool,
-    attrs: &'m mut Vec<Attribute>,
+    lx: &'m mut Lexer,
 }
 
 impl Machine<'_> {
@@ -423,12 +533,12 @@ impl Machine<'_> {
 
     #[inline]
     fn abs(&self) -> usize {
-        self.base + self.p
+        self.lx.base + self.p
     }
 
     #[inline]
     fn commit(&mut self) {
-        *self.pos = self.p;
+        self.lx.pos = self.p;
     }
 
     #[inline]
@@ -471,15 +581,15 @@ impl Machine<'_> {
     }
 
     fn err_unexpected(&self, what: &str) -> Halt {
-        Halt::Fail(XmlError::new(XmlErrorKind::Unexpected(what.to_owned()), self.abs()))
+        self.fail(XmlErrorKind::Unexpected(what.to_owned()), self.abs())
     }
 
     fn err_eof(&self) -> Halt {
-        Halt::Fail(XmlError::new(XmlErrorKind::UnexpectedEof, self.abs()))
+        self.fail(XmlErrorKind::UnexpectedEof, self.abs())
     }
 
     fn fail(&self, kind: XmlErrorKind, at: usize) -> Halt {
-        Halt::Fail(XmlError::new(kind, at))
+        XmlError::new(kind, at).into()
     }
 
     fn skip_ws(&mut self) {
@@ -499,38 +609,33 @@ impl Machine<'_> {
         }
     }
 
-    /// Consumes an XML name, returning its byte range in the buffer.
+    /// Consumes an XML name, returning its byte range in the input.
     fn name(&mut self) -> Step<Range<usize>> {
         let start = self.p;
-        let rest = &self.s[self.p..];
-        let mut chars = rest.char_indices();
-        match chars.next() {
-            Some((_, c)) if is_name_start(c) => {}
-            _ => {
-                // The InvalidName message carries the next (up to) 8
-                // characters; wait for them (or eof) so the error does not
-                // depend on the chunking.
-                if !self.eof && rest.chars().take(8).count() < 8 {
-                    return Err(Halt::More);
-                }
-                return Err(self.fail(
-                    XmlErrorKind::InvalidName(rest.chars().take(8).collect()),
-                    self.abs(),
-                ));
+        let rest = &self.s.as_bytes()[start..];
+        if !rest.first().is_some_and(|&b| is_name_start_byte(b)) {
+            // The InvalidName message carries the next (up to) 8
+            // characters; wait for them (or eof) so the error does not
+            // depend on the chunking.
+            let rest = &self.s[start..];
+            if !self.eof && rest.chars().take(8).count() < 8 {
+                return Err(Halt::More);
             }
+            return Err(
+                self.fail(XmlErrorKind::InvalidName(rest.chars().take(8).collect()), self.abs())
+            );
         }
-        for (i, c) in chars {
-            if !is_name_char(c) {
-                self.p = start + i;
-                return Ok(start..self.p);
+        match rest[1..].iter().position(|&b| !is_name_byte(b)) {
+            Some(len) => {
+                self.p = start + 1 + len;
+                Ok(start..self.p)
             }
-        }
-        // The name runs to the end of buffered input: complete only at eof.
-        if self.eof {
-            self.p = self.s.len();
-            Ok(start..self.p)
-        } else {
-            Err(Halt::More)
+            // The name runs to the end of the input: complete only at eof.
+            None if self.eof => {
+                self.p = self.s.len();
+                Ok(start..self.p)
+            }
+            None => Err(Halt::More),
         }
     }
 
@@ -547,7 +652,7 @@ impl Machine<'_> {
             None => return Err(Halt::More),
         };
         let body = &self.s[self.p..self.p + semi];
-        let ch = resolve_reference(body, amp).map_err(Halt::Fail)?;
+        let ch = resolve_reference(body, amp)?;
         self.p += semi + 1;
         Ok(ch)
     }
@@ -558,7 +663,7 @@ impl Machine<'_> {
     /// or a well-formedness error surfaces.
     fn run(&mut self) -> Step<Option<Raw>> {
         loop {
-            match *self.mode {
+            match self.lx.mode {
                 Mode::Decl => self.decl()?,
                 Mode::Prolog => self.prolog()?,
                 Mode::Content => {
@@ -586,7 +691,7 @@ impl Machine<'_> {
             self.p += close + 2;
             self.commit();
         }
-        *self.mode = Mode::Prolog;
+        self.lx.mode = Mode::Prolog;
         Ok(())
     }
 
@@ -600,11 +705,11 @@ impl Machine<'_> {
                 self.comment_body()?;
                 self.commit();
             } else if self.lit("<!DOCTYPE")? {
-                if self.doctype.is_some() {
+                if self.lx.doctype.is_some() {
                     return Err(self.err_unexpected("second <!DOCTYPE"));
                 }
                 let dt = self.doctype_decl()?;
-                *self.doctype = Some(dt);
+                self.lx.doctype = Some(dt);
                 self.commit();
             } else if self.lit("<?")? {
                 self.pi_body()?;
@@ -617,7 +722,7 @@ impl Machine<'_> {
         self.commit();
         match self.peek_or()? {
             Some(b'<') => {
-                *self.mode = Mode::Content;
+                self.lx.mode = Mode::Content;
                 Ok(())
             }
             Some(_) => Err(self.err_unexpected("character data before the root element")),
@@ -632,20 +737,23 @@ impl Machine<'_> {
     fn content(&mut self) -> Step<Option<Raw>> {
         match self.peek_or()? {
             None => {
-                return Err(if let Some(&st) = self.name_starts.last() {
-                    self.fail(XmlErrorKind::UnclosedTag(self.names[st..].to_owned()), self.abs())
+                return Err(if let Some(&st) = self.lx.name_starts.last() {
+                    self.fail(
+                        XmlErrorKind::UnclosedTag(self.lx.names[st..].to_owned()),
+                        self.abs(),
+                    )
                 } else {
                     self.fail(XmlErrorKind::NoRootElement, self.abs())
                 });
             }
             Some(b'<') => {}
             Some(_) => {
-                if self.name_starts.is_empty() {
+                if self.lx.name_starts.is_empty() {
                     return Err(self.err_unexpected("character data outside the root"));
                 }
-                *self.mode = Mode::CharData;
-                *self.run_started = false;
-                self.text.clear();
+                self.lx.mode = Mode::CharData;
+                self.lx.run_started = false;
+                self.lx.text.clear();
                 return Ok(None);
             }
         }
@@ -655,28 +763,28 @@ impl Machine<'_> {
             let name = self.name()?;
             self.skip_ws();
             self.expect_lit(">")?;
-            let Some(&st) = self.name_starts.last() else {
+            let Some(&st) = self.lx.name_starts.last() else {
                 return Err(
                     self.fail(XmlErrorKind::UnopenedTag(self.s[name].to_owned()), close_pos)
                 );
             };
-            if self.names[st..] != self.s[name.clone()] {
-                let open = self.names[st..].to_owned();
+            if self.lx.names[st..] != self.s[name.clone()] {
+                let open = self.lx.names[st..].to_owned();
                 let close = self.s[name].to_owned();
                 return Err(self.fail(XmlErrorKind::MismatchedTag { open, close }, close_pos));
             }
-            self.name_starts.pop();
+            self.lx.name_starts.pop();
             self.commit();
-            if self.name_starts.is_empty() {
-                *self.mode = Mode::Epilog;
+            if self.lx.name_starts.is_empty() {
+                self.lx.mode = Mode::Epilog;
             }
             // The arena still holds the popped name (truncated by the
-            // caller after the event's borrow ends).
+            // next step, after the event's borrow ends).
             Ok(Some(Raw::End { start: st }))
         } else if self.lit("<!--")? {
             let text = self.comment_body()?;
             self.commit();
-            if self.name_starts.is_empty() {
+            if self.lx.name_starts.is_empty() {
                 // Unreachable (the prolog consumes pre-root comments and
                 // the epilog post-root ones); keep it an error, not a panic.
                 return Err(self.err_unexpected("comment outside root"));
@@ -687,7 +795,7 @@ impl Machine<'_> {
             let end = self.find("]]>")?;
             let piece = self.p..self.p + end;
             self.p += end + 3;
-            if self.name_starts.is_empty() {
+            if self.lx.name_starts.is_empty() {
                 return Err(self.err_unexpected("CDATA outside root"));
             }
             self.commit();
@@ -695,7 +803,7 @@ impl Machine<'_> {
         } else if self.lit("<?")? {
             let (target, data) = self.pi_body()?;
             self.commit();
-            if !self.name_starts.is_empty() {
+            if !self.lx.name_starts.is_empty() {
                 Ok(Some(Raw::Pi { target, data }))
             } else {
                 Ok(None)
@@ -707,7 +815,6 @@ impl Machine<'_> {
             self.p += 1;
             let name_pos = self.abs();
             let name = self.name()?;
-            validate_name(&self.s[name.clone()], name_pos).map_err(Halt::Fail)?;
             self.attributes()?;
             let self_closing = if self.lit("/>")? {
                 self.p += 2;
@@ -716,44 +823,44 @@ impl Machine<'_> {
                 self.expect_lit(">")?;
                 false
             };
-            if self.name_starts.is_empty() {
-                if *self.root_seen {
+            if self.lx.name_starts.is_empty() {
+                if self.lx.root_seen {
                     return Err(self.fail(XmlErrorKind::TrailingContent, name_pos));
                 }
-                *self.root_seen = true;
+                self.lx.root_seen = true;
             }
             self.commit();
             if !self_closing {
-                self.name_starts.push(self.names.len());
-                self.names.push_str(&self.s[name.clone()]);
-            } else if self.name_starts.is_empty() {
-                *self.mode = Mode::Epilog;
+                self.lx.name_starts.push(self.lx.names.len());
+                self.lx.names.push_str(&self.s[name.clone()]);
+            } else if self.lx.name_starts.is_empty() {
+                self.lx.mode = Mode::Epilog;
             }
             Ok(Some(Raw::Start { name, self_closing }))
         }
     }
 
     /// Advances a character-data run. A segment with no references is
-    /// emitted as a borrowed range of the input buffer in one byte-level
-    /// skip-scan (no copy); only reference resolution goes through the
-    /// text scratch, whose resolved progress is committed so a
-    /// multi-chunk run never re-parses.
+    /// emitted as a borrowed range of the input in one skip-scan (no
+    /// copy); only reference resolution goes through the text scratch,
+    /// whose resolved progress is committed so a multi-chunk run never
+    /// re-parses.
     fn char_data(&mut self) -> Step<Option<Raw>> {
         loop {
             match self.peek() {
                 Some(b'<') => {
-                    *self.mode = Mode::Content;
+                    self.lx.mode = Mode::Content;
                     self.commit();
                     return Ok(self.flush_piece());
                 }
                 Some(b'&') => match self.reference() {
                     Ok(ch) => {
-                        self.text.push(ch);
+                        self.lx.text.push(ch);
                         self.commit();
                     }
                     Err(Halt::More) => {
                         // Hold at the '&'; ship what we have so far.
-                        self.p = *self.pos;
+                        self.p = self.lx.pos;
                         return match self.flush_piece() {
                             Some(raw) => Ok(Some(raw)),
                             None => Err(Halt::More),
@@ -762,15 +869,12 @@ impl Machine<'_> {
                     Err(fail) => return Err(fail),
                 },
                 Some(_) => {
-                    // Skip-scan: one forward byte scan to the next
-                    // delimiter classifies the whole segment (the needles
-                    // are ASCII, so scanning raw UTF-8 bytes is exact).
+                    // Skip-scan to the next delimiter classifies the whole
+                    // segment (the needles are ASCII, so scanning raw
+                    // UTF-8 bytes is exact).
                     let rest = &self.s.as_bytes()[self.p..];
-                    let stop = rest
-                        .iter()
-                        .position(|&b| b == b'<' || b == b'&')
-                        .unwrap_or(rest.len());
-                    if self.text.is_empty() {
+                    let stop = find_markup(rest).unwrap_or(rest.len());
+                    if self.lx.text.is_empty() {
                         // No reference resolved into scratch: ship the
                         // segment as a borrowed range, zero-copy. The
                         // cursor state re-enters this match on the next
@@ -778,11 +882,11 @@ impl Machine<'_> {
                         let piece = self.p..self.p + stop;
                         self.p += stop;
                         self.commit();
-                        let first = !*self.run_started;
-                        *self.run_started = true;
+                        let first = !self.lx.run_started;
+                        self.lx.run_started = true;
                         return Ok(Some(Raw::TextBuf { piece, first }));
                     }
-                    self.text.push_str(&self.s[self.p..self.p + stop]);
+                    self.lx.text.push_str(&self.s[self.p..self.p + stop]);
                     self.p += stop;
                     self.commit();
                 }
@@ -795,7 +899,7 @@ impl Machine<'_> {
                 None => {
                     // True end of input mid-run: emit the tail piece, then
                     // let Content report the unclosed tag.
-                    *self.mode = Mode::Content;
+                    self.lx.mode = Mode::Content;
                     return Ok(self.flush_piece());
                 }
             }
@@ -804,11 +908,11 @@ impl Machine<'_> {
 
     /// Emits the pending text piece if it is non-empty.
     fn flush_piece(&mut self) -> Option<Raw> {
-        if self.text.is_empty() {
+        if self.lx.text.is_empty() {
             return None;
         }
-        let first = !*self.run_started;
-        *self.run_started = true;
+        let first = !self.lx.run_started;
+        self.lx.run_started = true;
         Some(Raw::TextScratch { first })
     }
 
@@ -818,7 +922,7 @@ impl Machine<'_> {
             self.skip_ws();
             self.commit();
             if self.peek_or()?.is_none() {
-                *self.mode = Mode::Done;
+                self.lx.mode = Mode::Done;
                 return Ok(());
             }
             if self.lit("<!--")? {
@@ -835,7 +939,10 @@ impl Machine<'_> {
 
     /// The attribute list of a start tag, filling the attribute scratch.
     fn attributes(&mut self) -> Step<()> {
-        self.attrs.clear();
+        self.lx.attrs.clear();
+        if !self.lx.attr_names.is_empty() {
+            self.lx.attr_names.clear();
+        }
         loop {
             let before = self.p;
             self.skip_ws();
@@ -849,11 +956,13 @@ impl Machine<'_> {
                     }
                     let name_pos = self.abs();
                     let name = self.name()?;
-                    let name = self.s[name].to_owned();
-                    if self.attrs.iter().any(|a| *a.name == name) {
-                        return Err(
-                            self.fail(XmlErrorKind::DuplicateAttribute(name), name_pos)
-                        );
+                    let s = self.s;
+                    let name = &s[name];
+                    if self.lx.repeats_attr(name) {
+                        return Err(self.fail(
+                            XmlErrorKind::DuplicateAttribute(name.to_owned()),
+                            name_pos,
+                        ));
                     }
                     self.skip_ws();
                     self.expect_lit("=")?;
@@ -886,7 +995,7 @@ impl Machine<'_> {
                             }
                         }
                     }
-                    self.attrs.push(Attribute { name: name.into(), value });
+                    self.lx.attrs.push(Attribute { name: name.into(), value });
                 }
             }
         }
@@ -986,6 +1095,7 @@ impl Machine<'_> {
         Ok(Doctype { name, internal_subset })
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -1124,6 +1234,85 @@ mod tests {
         assert!(text(&whole).contains('☺'));
         assert_eq!(text(&by_byte).matches('☺').count(), 1);
         assert_eq!(whole.first(), by_byte.first());
+    }
+
+    #[test]
+    fn next_event_and_drain_mix_on_one_parser_and_share_a_sticky_error() {
+        // Markup events verbatim, text as one concatenation: chunking
+        // moves text piece boundaries and nothing else.
+        fn record(ev: Event<'_>, marks: &mut Vec<String>, text: &mut String) {
+            match ev {
+                Event::Text { piece, .. } => text.push_str(piece),
+                ev => marks.push(format!("{ev:?}")),
+            }
+        }
+        let doc = "<r><a>x &amp; y</a><!--c--><b k='v'/>tail</r>";
+        let (mut marks, mut text) = (Vec::new(), String::new());
+        let mut p = PushParser::new();
+        p.push(doc.as_bytes());
+        p.finish();
+        p.drain(|ev| record(ev, &mut marks, &mut text)).unwrap();
+        assert_eq!(marks.len(), 6);
+        assert_eq!(text, "x & ytail");
+        for chunk in [1, 2, 5, doc.len()] {
+            // Alternate entry points chunk by chunk: pull one event, then
+            // drain the rest.
+            let (mut got, mut got_text) = (Vec::new(), String::new());
+            let mut p = PushParser::new();
+            for piece in doc.as_bytes().chunks(chunk) {
+                p.push(piece);
+                if let Some(ev) = p.next_event().unwrap() {
+                    record(ev, &mut got, &mut got_text);
+                }
+                p.drain(|ev| record(ev, &mut got, &mut got_text)).unwrap();
+            }
+            p.finish();
+            p.drain(|ev| record(ev, &mut got, &mut got_text)).unwrap();
+            assert!(p.is_complete());
+            assert_eq!((&got, &got_text), (&marks, &text), "chunk={chunk}");
+        }
+        // An error met by either entry point is replayed by both.
+        let bad = "<r><a></b></r>";
+        let expect = events(bad, bad.len()).unwrap_err();
+        let mut p = PushParser::new();
+        p.push(bad.as_bytes());
+        assert!(matches!(p.next_event(), Ok(Some(Event::Start { name: "r", .. }))));
+        let mut after = 0;
+        assert_eq!(p.drain(|_| after += 1).unwrap_err(), expect);
+        assert_eq!(after, 1, "<a> precedes the mismatch");
+        assert_eq!(p.next_event().unwrap_err(), expect);
+        assert_eq!(p.drain(|_| after += 1).unwrap_err(), expect);
+        let mut p = PushParser::new();
+        p.push(bad.as_bytes());
+        assert_eq!(p.drain(|_| {}).unwrap_err(), expect);
+        assert_eq!(p.next_event().unwrap_err(), expect);
+        assert_eq!(after, 1, "no event after the error");
+    }
+
+    #[test]
+    fn find_markup_matches_a_byte_scan() {
+        // Every needle position in every length from 0 to 24, with
+        // non-ASCII bytes (UTF-8 lead and continuation bytes, and 0xBC,
+        // 0xA6 — '<' and '&' with the high bit set) around the needles.
+        let filler = [b'a', 0xC3, 0xBC, 0xE8, 0xA9, 0xA6, b' ', 0xFF];
+        for len in 0..=24 {
+            let base: Vec<u8> = (0..len).map(|i| filler[i % filler.len()]).collect();
+            assert_eq!(find_markup(&base), None, "len={len}");
+            for at in 0..len {
+                for needle in [b'<', b'&'] {
+                    let mut bytes = base.clone();
+                    bytes[at] = needle;
+                    let expect = bytes.iter().position(|&b| b == b'<' || b == b'&');
+                    assert_eq!(find_markup(&bytes), expect, "len={len} at={at}");
+                    // A second needle later never moves the first match.
+                    for later in at + 1..len {
+                        let mut two = bytes.clone();
+                        two[later] = b'<' ^ b'&' ^ needle;
+                        assert_eq!(find_markup(&two), Some(at), "len={len} at={at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! text nodes, comments, PIs, in the same order), and the push parser's
 //! event trace at every chunking tried must be equal — and for a broken
 //! input all three must report the **same error** (kind and byte offset).
+//! The push parser's trace is taken through both of its entry points,
+//! pulled with `next_event` and drained into a sink with `drain`, and the
+//! two must agree at every chunking.
 
 mod support;
 
@@ -21,52 +24,73 @@ use pv_xml::{Event, NodeKind, PushParser};
 use pv_workload::corpus;
 use pv_workload::docgen::DocGen;
 
-/// Pumps `xml` through a push parser in `chunks`-byte chunks and renders
-/// a canonical event trace (multi-piece text runs collapsed to one text
-/// node, self-closing tags expanded to start+end — the tree's view).
-fn event_trace(xml: &str, chunk: usize) -> pv_xml::Result<String> {
-    let mut parser = PushParser::new();
-    let mut out = String::new();
-    let mut text: Option<String> = None;
-    let mut pieces = xml.as_bytes().chunks(chunk.max(1));
-    let mut eof = false;
-    let flush = |text: &mut Option<String>, out: &mut String| {
-        if let Some(t) = text.take() {
-            out.push_str(&format!("T:{t:?}\n"));
+/// A canonical event trace under construction (multi-piece text runs
+/// collapsed to one text node, self-closing tags expanded to start+end —
+/// the tree's view).
+#[derive(Default)]
+struct Trace {
+    out: String,
+    text: Option<String>,
+}
+
+impl Trace {
+    fn flush(&mut self) {
+        if let Some(t) = self.text.take() {
+            self.out.push_str(&format!("T:{t:?}\n"));
         }
-    };
+    }
+
+    fn event(&mut self, event: Event<'_>) {
+        match event {
+            Event::Start { name, attrs, self_closing } => {
+                self.flush();
+                self.out.push_str(&format!("S:{name}"));
+                for a in attrs {
+                    self.out.push_str(&format!(" {}={:?}", a.name, a.value));
+                }
+                self.out.push('\n');
+                if self_closing {
+                    self.out.push_str(&format!("E:{name}\n"));
+                }
+            }
+            Event::End { name } => {
+                self.flush();
+                self.out.push_str(&format!("E:{name}\n"));
+            }
+            Event::Text { piece, first } => {
+                if first {
+                    self.flush();
+                    self.text = Some(String::new());
+                }
+                self.text.as_mut().expect("continuation piece without a first").push_str(piece);
+            }
+            Event::Comment { text: c } => {
+                self.flush();
+                self.out.push_str(&format!("C:{c:?}\n"));
+            }
+            Event::Pi { target, data } => {
+                self.flush();
+                self.out.push_str(&format!("P:{target} {data:?}\n"));
+            }
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.out
+    }
+}
+
+/// Pulls `xml` through a push parser's `next_event` in `chunk`-byte
+/// chunks and renders its canonical trace.
+fn pull_trace(xml: &[u8], chunk: usize) -> pv_xml::Result<String> {
+    let mut parser = PushParser::new();
+    let mut trace = Trace::default();
+    let mut pieces = xml.chunks(chunk.max(1));
+    let mut eof = false;
     loop {
         match parser.next_event()? {
-            Some(Event::Start { name, attrs, self_closing }) => {
-                flush(&mut text, &mut out);
-                out.push_str(&format!("S:{name}"));
-                for a in attrs {
-                    out.push_str(&format!(" {}={:?}", a.name, a.value));
-                }
-                out.push('\n');
-                if self_closing {
-                    out.push_str(&format!("E:{name}\n"));
-                }
-            }
-            Some(Event::End { name }) => {
-                flush(&mut text, &mut out);
-                out.push_str(&format!("E:{name}\n"));
-            }
-            Some(Event::Text { piece, first }) => {
-                if first {
-                    flush(&mut text, &mut out);
-                    text = Some(String::new());
-                }
-                text.as_mut().expect("continuation piece without a first").push_str(piece);
-            }
-            Some(Event::Comment { text: c }) => {
-                flush(&mut text, &mut out);
-                out.push_str(&format!("C:{c:?}\n"));
-            }
-            Some(Event::Pi { target, data }) => {
-                flush(&mut text, &mut out);
-                out.push_str(&format!("P:{target} {data:?}\n"));
-            }
+            Some(event) => trace.event(event),
             None if eof => break,
             None => match pieces.next() {
                 Some(c) => parser.push(c),
@@ -78,7 +102,32 @@ fn event_trace(xml: &str, chunk: usize) -> pv_xml::Result<String> {
         }
     }
     assert!(parser.is_complete(), "event stream ended on an incomplete document");
-    Ok(out)
+    Ok(trace.finish())
+}
+
+/// The same trace with the parser pushing events into a sink: one
+/// `drain` after every chunk and one after `finish`.
+fn drain_trace(xml: &[u8], chunk: usize) -> pv_xml::Result<String> {
+    let mut parser = PushParser::new();
+    let mut trace = Trace::default();
+    for piece in xml.chunks(chunk.max(1)) {
+        parser.push(piece);
+        parser.drain(|event| trace.event(event))?;
+    }
+    parser.finish();
+    parser.drain(|event| trace.event(event))?;
+    assert!(parser.is_complete(), "drain ended on an incomplete document");
+    Ok(trace.finish())
+}
+
+/// The push parser's trace of `xml` in `chunk`-byte chunks, after
+/// checking that pulling events and draining them into a sink give the
+/// same trace, or the same error (kind and byte offset).
+fn event_trace(xml: &str, chunk: usize) -> pv_xml::Result<String> {
+    let pulled = pull_trace(xml.as_bytes(), chunk);
+    let drained = drain_trace(xml.as_bytes(), chunk);
+    assert_eq!(drained, pulled, "drain and next_event disagree on {xml:?} at chunk={chunk}");
+    pulled
 }
 
 /// The same canonical trace, derived from a built document.
@@ -166,12 +215,13 @@ fn corpus_documents_trace_identically() {
     }
 }
 
-/// `pv_xml::parse` feeds the lexer 64 KiB slices. A text run, a start tag
-/// and an `&amp;` straddle every power-of-two offset from 4 KiB to
-/// 256 KiB, in rotation, so any power-of-two slice size from 4 KiB to
-/// 64 KiB cuts through each kind at one of its own boundaries. They must
-/// come out as the reference reads them, both from the tree and at
-/// chunkings of those sizes.
+/// A text run, a start tag and an `&amp;` straddle every power-of-two
+/// offset from 4 KiB to 256 KiB, in rotation, so any power-of-two chunk
+/// size from 4 KiB to 64 KiB (the streaming CLI's default) cuts through
+/// each kind at one of its own boundaries. They must come out as the
+/// reference reads them, both from the tree `pv_xml::parse` builds over
+/// the whole input and from the push parser at chunkings of those sizes
+/// and a few odd ones.
 #[test]
 fn slice_boundaries_inside_text_tags_and_references() {
     let straddlers = ["text run", "<tag a=\"v\">t</tag>", "pre&amp;post"];
@@ -195,13 +245,14 @@ fn slice_boundaries_inside_text_tags_and_references() {
     }
 }
 
-/// Constructs many slices long — a comment, a CDATA section, attribute
+/// Constructs many chunks long — a comment, a CDATA section, attribute
 /// values, a PI, a doctype subset, a reference between two long text
 /// halves — must parse as the reference reads them, and ones the end of
 /// input cuts off (a comment, a CDATA section, an attribute value, a `&`
-/// that never meets its `;`) must give the reference's error. The lexer
-/// re-lexes a construct in flight from its first byte on every push, so
-/// this is also where a slice policy that turns quadratic would show.
+/// that never meets its `;`) must give the reference's error, both from
+/// `pv_xml::parse` and from the push parser. The push parser re-lexes a
+/// construct in flight from its first byte on every push, so this is
+/// also where chunked lexing that turns quadratic would show.
 #[test]
 fn constructs_spanning_many_slices() {
     let long = "y".repeat(200 * 1024);
@@ -231,6 +282,37 @@ fn constructs_spanning_many_slices() {
         let ref_err = reference(xml).expect_err("cut-off construct");
         let stream_err = event_trace(xml, 1 << 16).expect_err("push parser must reject too");
         assert_eq!(stream_err.to_string(), ref_err.to_string());
+    }
+}
+
+/// A start tag with 100,000 attributes whose first repeat comes at its
+/// end: `pv_xml::parse` and `StreamCheck` (whole, and in the streaming
+/// CLI's 64 KiB chunks, which re-lex the tag on every push) must report
+/// that repeat — its name at its byte offset — before the later repeat
+/// and the malformed attribute behind it. Checking each name against
+/// every earlier one would cost O(N²) here, seconds per pass.
+#[test]
+fn a_hundred_thousand_attributes_report_their_first_repeat() {
+    let mut xml = String::from("<r");
+    for i in 0..100_000 {
+        xml.push_str(&format!(" a{i}=\"\""));
+    }
+    let repeat = xml.len() + 1;
+    xml.push_str(" a50000=\"\" a3=\"\" b/>");
+    let expect = pv_xml::XmlError::new(
+        pv_xml::XmlErrorKind::DuplicateAttribute("a50000".to_owned()),
+        repeat,
+    );
+    assert_eq!(pv_xml::parse(&xml).unwrap_err(), expect);
+    let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+    for chunk in [1 << 16, xml.len()] {
+        let mut check = StreamCheck::new(checker.stream_checker());
+        let fed: Result<Vec<()>, _> = xml.as_bytes().chunks(chunk).map(|c| check.feed(c)).collect();
+        let err = match fed {
+            Err(e) => e,
+            Ok(_) => check.finish().expect_err("a repeated attribute is not well-formed"),
+        };
+        assert_eq!(err, expect, "chunk={chunk}");
     }
 }
 
@@ -368,6 +450,8 @@ fn byte_soup_never_panics() {
                 },
             }
         }
+        // Draining gives what pulling gives, invalid UTF-8 included.
+        assert_eq!(drain_trace(&soup, chunk), pull_trace(&soup, chunk), "soup={soup:?}");
         if let Ok(text) = std::str::from_utf8(&soup) {
             assert_eq!(event_trace(text, chunk), reference(text), "soup={text:?} chunk={chunk}");
         }
