@@ -222,14 +222,7 @@ struct Lexer {
     run_started: bool,
     /// Scratch for the attribute list of the current start tag.
     attrs: Vec<Attribute>,
-    /// The current start tag's attribute names, once it has
-    /// [`ATTR_SET_FROM`] of them (see [`Lexer::repeats_attr`]).
-    attr_names: HashSet<Box<str>>,
 }
-
-/// From this many attributes on, a start tag looks repeats up in a hash
-/// set instead of comparing against every earlier name.
-const ATTR_SET_FROM: usize = 8;
 
 impl Default for PushParser {
     fn default() -> Self {
@@ -475,21 +468,6 @@ impl Lexer {
             Raw::Comment { text } => Event::Comment { text: &s[text] },
             Raw::Pi { target, data } => Event::Pi { target: &s[target], data: &s[data] },
         }
-    }
-
-    /// `true` if the start tag being lexed already has an attribute
-    /// called `name`. From [`ATTR_SET_FROM`] attributes on, the names go
-    /// into a hash set (the default hasher: names come from the
-    /// document), so a tag with N attributes costs O(N) rather than
-    /// O(N²).
-    fn repeats_attr(&mut self, name: &str) -> bool {
-        if self.attrs.len() < ATTR_SET_FROM {
-            return self.attrs.iter().any(|a| *a.name == *name);
-        }
-        if self.attr_names.is_empty() {
-            self.attr_names.extend(self.attrs.iter().map(|a| a.name.clone()));
-        }
-        !self.attr_names.insert(name.into())
     }
 }
 
@@ -938,11 +916,12 @@ impl Machine<'_> {
     }
 
     /// The attribute list of a start tag, filling the attribute scratch.
+    /// Repeated names are caught in a hash set of the tag's names (the
+    /// default hasher: the names come from the document), so a tag with
+    /// N attributes costs O(N) rather than O(N²).
     fn attributes(&mut self) -> Step<()> {
         self.lx.attrs.clear();
-        if !self.lx.attr_names.is_empty() {
-            self.lx.attr_names.clear();
-        }
+        let mut seen = HashSet::new();
         loop {
             let before = self.p;
             self.skip_ws();
@@ -958,7 +937,7 @@ impl Machine<'_> {
                     let name = self.name()?;
                     let s = self.s;
                     let name = &s[name];
-                    if self.lx.repeats_attr(name) {
+                    if !seen.insert(name) {
                         return Err(self.fail(
                             XmlErrorKind::DuplicateAttribute(name.to_owned()),
                             name_pos,
