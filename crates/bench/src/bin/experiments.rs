@@ -1,55 +1,27 @@
-//! Experiment runner: prints the paper-claim tables (`pv_bench::all_tables`)
-//! as markdown.
+//! Experiment runner: prints the paper-claim tables (`pv_bench::TABLES`)
+//! as markdown, and with `--json DIR` writes their timed rows to
+//! `DIR/BENCH_*.json`.
 //!
 //! Usage:
 //!   cargo run --release -p pv-bench --bin experiments            # all tables
 //!   cargo run --release -p pv-bench --bin experiments -- --table scaling-n
+//!   cargo run --release -p pv-bench --bin experiments -- --json .  # re-capture every BENCH_*.json
+
+use pv_bench::Command;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut requested: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--table" | "-t" => {
-                i += 1;
-                match args.get(i) {
-                    Some(t) => requested.push(t.as_str()),
-                    None => {
-                        eprintln!("--table requires a name; known: {:?}", pv_bench::all_tables());
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--list" => {
-                for t in pv_bench::all_tables() {
-                    println!("{t}");
-                }
-                return;
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--table NAME]...  (default: all)\nknown tables: {:?}",
-                    pv_bench::all_tables()
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?} (try --help)");
-                std::process::exit(2);
+    match pv_bench::parse_args(std::env::args().skip(1)) {
+        Ok(Command::Run { tables, json }) => {
+            if let Err(e) = pv_bench::run_tables(&tables, json.as_deref()) {
+                eprintln!("experiments: {e}");
+                std::process::exit(1);
             }
         }
-        i += 1;
-    }
-
-    println!("# Potential-validity experiment tables\n");
-    if requested.is_empty() {
-        for t in pv_bench::all_tables() {
-            pv_bench::run_table(t);
-        }
-    } else {
-        for t in requested {
-            pv_bench::run_table(t);
+        Ok(Command::List) => pv_bench::TABLES.iter().for_each(|t| println!("{}", t.name)),
+        Ok(Command::Help) => eprintln!("{}", pv_bench::USAGE),
+        Err(msg) => {
+            eprintln!("experiments: {msg}");
+            std::process::exit(2);
         }
     }
 }

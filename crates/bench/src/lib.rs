@@ -9,7 +9,8 @@
 //! * `experiments --table examples` — Figures 1–7 / Examples 1–6 as
 //!   executable checks (expected vs. measured);
 //! * `experiments --table scaling-n` — wall-time vs. document size for
-//!   ECRecognizer / Earley / standard validation (claim X1, Theorem 4);
+//!   ECRecognizer / Earley / standard validation (claim X1, Theorem 4),
+//!   and what recording engine telemetry costs a check;
 //! * `experiments --table scaling-k` — vs. DTD size `k` (claim X2);
 //! * `experiments --table depth` — vs. depth bound `D` on PV-strong DTDs
 //!   (claim X3, Examples 5–6);
@@ -24,11 +25,12 @@
 //! * `experiments --table memo` — memoized checking (claim X8, also an
 //!   addition): ns/node with the transition cache off / warm / cold over
 //!   the `repetitive` corpus family's distinct-shape sweep, with the
-//!   per-symbol hit rate, resident transitions, and a bit-identity column
-//!   per row;
+//!   per-symbol hit rate and resident transitions, every outcome asserted
+//!   bit-identical to the memo-off check;
 //! * `experiments --table completeness` — recognizer completeness against
 //!   the exact Earley oracle (claim X9): exhaustive bounded sweeps plus
-//!   adversarial recursive families, with budget-exactness telemetry;
+//!   adversarial recursive families, with budget-exactness telemetry,
+//!   and the time a pass over each family or sweep takes;
 //! * `experiments --table analyze` — the static DTD analyzer (claim X11).
 //!
 //! Table X6 (realistic corpora) is retired: the repository benchmark's
@@ -41,16 +43,15 @@
 //! (`stream.peak_buffered_bytes`, `stream.peak_depth`) and how early a
 //! poisoned stream decides (`stream.decided_bytes_ratio`).
 //!
-//! The same workloads back the Criterion benches under `benches/`
-//! (including `parallel_scaling`; the service's wire round trips are
-//! timed by the repository benchmark's `serve_mixed` pass instead). Set
-//! `BENCH_JSON=path` while running
-//! `cargo bench` to also append machine-readable results to a JSON file —
-//! the repository's `BENCH_*.json` baselines are captured that way (see
-//! BENCHMARKS.md at the repo root).
+//! Every timed cell is a row of the one harness in [`timing`]: each
+//! table's rows are calibrated, then sampled together in ten interleaved
+//! rounds, and each cell prints its median with its min–max over rounds.
+//! `experiments --json DIR` also writes each table's rows to its
+//! `BENCH_*.json` file in `DIR`; the repository's checked-in baselines
+//! are captured that way (see BENCHMARKS.md at the repo root).
 
 pub mod experiments;
 pub mod timing;
 pub mod workloads;
 
-pub use experiments::{all_tables, run_table};
+pub use experiments::{parse_args, run_tables, Command, Table, TABLES, USAGE};

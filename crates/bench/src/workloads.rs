@@ -1,14 +1,14 @@
-//! Canonical workloads shared by the criterion benches and the
-//! `experiments` tables, so the checked-in `BENCH_*.json` baselines and
-//! the printed claim tables always measure **the same thing** — retuning
-//! a workload here retunes both consumers at once.
+//! Workloads that more than one `experiments` table checks: table X7's
+//! large document is also table X8's real-corpus anchor, and X7's mixed
+//! batch leads with it — retuning a workload here retunes every table
+//! and `BENCH_*.json` record that uses it.
 
 use pv_dtd::builtin::BuiltinDtd;
 use pv_workload::corpus;
 use pv_workload::mutate::Mutator;
 use pv_xml::Document;
 
-/// Worker counts swept by the parallel bench and table X7.
+/// Worker counts swept by table X7.
 pub const PARALLEL_JOBS: [usize; 4] = [1, 2, 4, 8];
 
 /// The large-document workload: one in-progress play document (~10k
@@ -46,7 +46,7 @@ pub fn memo_doc(distinct: usize) -> Document {
     corpus::repetitive(MEMO_NODES, distinct)
 }
 
-/// Distinct-shape counts swept by the memo bench and table X8, from one
+/// Distinct-shape counts swept by table X8, from one
 /// `s` shape to all distinct (the transition cache hits ~99% of symbols
 /// at every setting; see `pv_workload::corpus::repetitive`).
 pub const MEMO_DISTINCT_SWEEP: [usize; 4] = [1, 16, 256, usize::MAX];
