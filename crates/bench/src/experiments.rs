@@ -353,17 +353,37 @@ fn table_scaling_k() -> Vec<Timed> {
     timed
 }
 
+/// A valid dissertation of `elements` element nodes (at least 16): a
+/// tenth of them nested parts, each closed by its summary, around one
+/// unit of paragraphs — the DTD's one shape, since a part holds one part
+/// or one unit. (The grammar walk of `DocGen` takes `part | unit` at
+/// random, so its chains end after a few parts, at ~60 elements.)
+fn dissertation(elements: usize) -> Document {
+    let parts = elements / 10;
+    let paras = elements - 4 - 2 * parts;
+    let mut xml = String::from("<thesis><title>On potential validity</title>");
+    xml.push_str(&"<part>".repeat(parts));
+    xml.push_str("<unit><title>Results</title>");
+    xml.push_str(&"<para>text</para>".repeat(paras));
+    xml.push_str("</unit>");
+    xml.push_str(&"<summary>recap</summary></part>".repeat(parts));
+    xml.push_str("</thesis>");
+    pv_xml::parse(&xml).expect("well-formed")
+}
+
 /// X3 — cost vs. depth bound D on PV-strong DTDs: the adversarial T2
-/// chain (Example 6; 24 b-children need 22 elisions) and a generated
-/// dissertation document (1,000 elements asked of the generator, 200
-/// stripped).
+/// chain (Example 6; 24 b-children need 22 elisions) and a dissertation
+/// of 1,000 elements, 200 of them stripped, whose stripped parts need
+/// elisions through the part chain.
 fn table_depth() -> Vec<Timed> {
     println!("## Table X3 — depth bound D on PV-strong DTDs\n");
 
     let (t2, th) = (BuiltinDtd::T2.analysis(), BuiltinDtd::Dissertation.analysis());
     let chain = pv_xml::parse(&format!("<a>{}</a>", "<b/>".repeat(24))).unwrap();
-    let mut thesis = DocGen::new(&th, 3).generate(1000);
+    let mut thesis = dissertation(1000);
+    assert_eq!(thesis.element_count(), 1000, "dissertation1k is named for its size");
     Mutator::new(3).delete_random_markup(&mut thesis, 200);
+    assert_eq!(thesis.element_count(), 800, "a fifth of dissertation1k is stripped");
     let documents = [
         (&t2, &chain, "t2_chain24", &[2, 8, 22, 64][..]),
         (&th, &thesis, "dissertation1k", &[4, 16, 64]),
@@ -530,7 +550,10 @@ fn table_memo() -> Vec<Timed> {
 
 /// X5 — DTD classes at a fixed document size.
 fn table_classes() -> Vec<Timed> {
-    println!("## Table X5 — recognizer cost by DTD recursion class (generated 16-element DTDs)\n");
+    println!(
+        "## Table X5 — recognizer cost by DTD recursion class \
+         (generated 16-element DTDs, ~2,000-token documents)\n"
+    );
 
     let cases: Vec<_> = [
         (DtdClass::NonRecursive, "non_recursive"),
@@ -540,9 +563,14 @@ fn table_classes() -> Vec<Timed> {
     .into_iter()
     .map(|(class, label)| {
         let params = DtdGenParams { elements: 16, class, ..Default::default() };
-        let analysis = DtdGen::new(99, params).generate();
-        let doc = stripped(DocGen::new(&analysis, 17).generate(2000), 17);
+        // The grammar walk repeats a star at most 64 times, so a DTD
+        // without nested repetition caps its documents: seed 99's stop
+        // at 58 tokens. Seed 227 is the first whose three DTDs all give
+        // 1,800–2,300 tokens for 1,000 elements asked.
+        let analysis = DtdGen::new(227, params).generate();
+        let doc = stripped(DocGen::new(&analysis, 17).generate(1000), 17);
         let n = delta_len(&doc, &analysis);
+        assert!((1_800..=2_300).contains(&n), "{label}: {n} δ tokens, not ~2,000");
         let checker = CheckEngine::new(analysis);
         let out = checker.check_document(&doc);
         assert!(out.is_potentially_valid());
@@ -568,7 +596,8 @@ fn table_classes() -> Vec<Timed> {
 }
 
 /// X7 — batched checking on one persistent pool (pv-par), one document
-/// per task, against the sequential check of one large document.
+/// per task, against the sequential check of one large document; every
+/// row lexes its documents' text as it checks them.
 fn table_parallel() -> Vec<Timed> {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("## Table X7 — batched checking (persistent pool, one document per task, play DTD)\n");
@@ -581,8 +610,11 @@ fn table_parallel() -> Vec<Timed> {
     // One pool for the whole table, as in a process; `jobs` caps how many
     // of its workers a region uses.
     let pool = Pool::new(workloads::PARALLEL_JOBS.into_iter().max().unwrap_or(1));
+    // Every row takes text in, as `pvx check`, `CHECK` and `BATCH` do, so
+    // each time includes lexing.
     let doc = workloads::parallel_doc();
     let n = delta_len(&doc, checker.analysis());
+    let text = doc.to_xml();
     // Irregular documents, then the mixed batch whose first document is
     // about ten times the size of the others.
     let batches: Vec<_> = [
@@ -591,13 +623,14 @@ fn table_parallel() -> Vec<Timed> {
     ]
     .into_iter()
     .map(|(group, label, docs)| {
-        let docs = Arc::new(docs);
-        let expect: Vec<_> = docs.iter().map(|d| checker.check_document(d)).collect();
+        let total: usize = docs.iter().map(|d| d.element_count()).sum();
+        let docs: Arc<Vec<String>> = Arc::new(docs.iter().map(Document::to_xml).collect());
+        let expect: Vec<_> =
+            docs.iter().map(|d| Ok(checker.check_document(&pv_xml::parse(d).unwrap()))).collect();
         let identical: Vec<bool> = workloads::PARALLEL_JOBS
             .iter()
             .map(|&jobs| checker.check_batch_pooled(&docs, &pool, jobs) == expect)
             .collect();
-        let total: usize = docs.iter().map(|d| d.element_count()).sum();
         (group, label, docs, identical, total)
     })
     .collect();
@@ -605,9 +638,11 @@ fn table_parallel() -> Vec<Timed> {
     // The one-document row gets an engine of its own: its warm cache then
     // holds that document's transitions, not the batches' as well.
     let single = CheckEngine::new(checker.analysis().clone());
+    assert!(single.check_str(&text, true).is_ok_and(|o| o.is_potentially_valid()));
     let (checker, pool) = (&checker, &pool);
-    let sequential =
-        Row::new("parallel_scaling", format!("sequential/{n}"), || pv_of(&single, &doc));
+    let sequential = Row::new("parallel_scaling", format!("sequential/{n}"), || {
+        single.check_str(&text, true).is_ok_and(|o| o.is_potentially_valid())
+    });
     let mut rows = vec![sequential.elements(n)];
     for (group, _, docs, _, total) in &batches {
         for jobs in workloads::PARALLEL_JOBS {
@@ -621,7 +656,7 @@ fn table_parallel() -> Vec<Timed> {
 
     head("workload | jobs | time | speedup vs jobs 1 | outcome identical");
     println!(
-        "| one document, {n} δ tokens, `check_document` | — | {} | — | — |",
+        "| one document, {n} δ tokens, `check_str` | — | {} | — | — |",
         fmt_cell(&timed[0])
     );
     let chunks = timed[1..].chunks(workloads::PARALLEL_JOBS.len());

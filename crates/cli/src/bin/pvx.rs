@@ -5,7 +5,7 @@
 use pv_cli::{
     cmd_analyze, cmd_bench_serve, cmd_check, cmd_check_remote, cmd_check_stream,
     cmd_check_stream_remote, cmd_classify, cmd_complete, cmd_lint, cmd_top, cmd_validate,
-    render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, Status, TopOpts,
+    prolog_doctype, render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, Status, TopOpts,
 };
 use pv_core::depth::DepthPolicy;
 use pv_service::{metrics_http, Client, Endpoint, GovernorConfig, LogSink, Server};
@@ -36,7 +36,8 @@ Without --dtd/--builtin, documents must carry an internal DTD subset
 (<!DOCTYPE root [ ... ]>). Builtins: figure1, t1, t2, xhtml-basic,
 tei-lite, play, docbook-like, dissertation, docbook-article, tei-drama.
 
-`check` checks each document on the calling thread: a single document
+`check` checks each document on the calling thread, lexing its bytes
+straight into the checker without building a tree: a single document
 is never split over threads, so --jobs belongs to `serve` alone and is
 refused elsewhere (exit 2). `check` memoizes repeated recognizer steps
 (configuration, child symbol) in a transition cache and reports its
@@ -56,10 +57,10 @@ check runs with is never used up (`specs_denied == 0`). --json emits one
 stable machine-readable object. Exit codes: 0 = budget-certified,
 1 = flagged (analysis ran; certification refused), 2 = error.
 
---stream checks without building a tree: the document is pushed through
-the SAX-style event front end in chunks (default 64 KiB, --chunk-size N)
-and validated as it parses, in O(depth) memory, with a verdict and
-counters bit-identical to the tree path. With --remote the chunks
+--stream reads the document in chunks (default 64 KiB, --chunk-size N)
+instead of whole, pushing them through the SAX-style event front end
+and validating as it parses, in O(depth) memory, with a verdict and
+counters bit-identical to the default check. With --remote the chunks
 upload as CHECK_STREAM requests while the server validates them
 (requires --builtin/--dtd: the DTD cannot ride inside the byte stream).
 --no-memo does not apply to streaming checks.
@@ -70,9 +71,10 @@ start is an error, exit 2) that checks each BATCH request one document
 per task, and, per loaded DTD, pre-compiled DAGs plus a warm
 transition cache lent to one check at a time across requests.
 `pvx check --remote ADDR` ships documents to such a server (ADDR is the
-socket path or host:port) and renders the bit-identical outcome; the DTD
-resolves locally as usual and is loaded (idempotently) into the server
-on first use.
+socket path or host:port), which lexes and checks them, and renders the
+bit-identical outcome; the DTD (from the flags, or the internal subset
+of each document's prolog) is loaded (idempotently) into the server on
+first use.
 
 `pvx serve` governance: --max-conns caps concurrent connections (excess
 gets a clean BUSY error; 0 = unlimited), --max-inflight caps concurrent
@@ -425,7 +427,7 @@ fn cmd_bench(args: &Args) -> ! {
 
 /// Loads the `--builtin`/`--dtd` DTD into the server (idempotent),
 /// returning the handle — or `None` when the DTD comes from each
-/// document's internal subset (see [`remote_handle_for_doc`]). Resolved
+/// document's prolog (see [`remote_handle_for_doctype`]). Resolved
 /// **once** per run: the handle does not depend on the document, so
 /// re-shipping the DTD source per document would only waste round trips.
 fn remote_handle_fixed(
@@ -453,17 +455,15 @@ fn remote_handle_fixed(
     None
 }
 
-/// The per-document fallback: load the document's internal DTD subset
-/// (interned server-side, so repeated subsets share one engine).
-fn remote_handle_for_doc(
+/// The per-document fallback: load the internal DTD subset of the
+/// document's prolog (interned server-side, so repeated subsets share one
+/// engine).
+fn remote_handle_for_doctype(
     client: &mut Client,
     args: &Args,
-    doc: &pv_xml::Document,
+    doctype: Option<&pv_xml::Doctype>,
 ) -> Result<String, String> {
-    let dt = doc
-        .doctype
-        .as_ref()
-        .ok_or("document has no <!DOCTYPE …> and no --dtd/--builtin was given")?;
+    let dt = doctype.ok_or("document has no <!DOCTYPE …> and no --dtd/--builtin was given")?;
     let subset = dt
         .internal_subset
         .as_deref()
@@ -518,9 +518,9 @@ fn main() {
             die("--stream is only supported by `pvx check`");
         }
         if args.remote.is_some() && args.builtin.is_none() && args.dtd_file.is_none() {
-            // The tree path can fish the DTD out of the parsed document;
-            // a byte stream has no parsed document to fish it out of
-            // before the upload starts.
+            // A CHECK reads the DTD out of the prolog of the file it
+            // holds; a chunked upload commits to a handle before its
+            // first chunk is read.
             die("--stream --remote needs --builtin or --dtd (the DTD cannot ride inside the byte stream)");
         }
     }
@@ -601,13 +601,13 @@ fn main() {
                     json: args.json,
                     verbose: args.verbose,
                 };
-                // The streaming check path never materializes the tree:
-                // locally the file is read in chunks straight into the
-                // push parser; remotely the bytes upload as CHECK_STREAM
+                // The streaming check path never holds the whole file:
+                // locally it is read in chunks straight into the push
+                // parser; remotely the bytes upload as CHECK_STREAM
                 // chunks while the server validates them.
-                if args.stream {
+                let (report, status) = if args.stream {
                     let chunk = args.chunk_size.unwrap_or(64 * 1024);
-                    let (report, status) = if let Some(client) = remote.as_mut() {
+                    if let Some(client) = remote.as_mut() {
                         let handle = fixed_handle
                             .clone()
                             .expect("--stream --remote was checked to carry a fixed DTD");
@@ -639,63 +639,68 @@ fn main() {
                                 &opts,
                             ),
                         }
+                    }
+                } else {
+                    let text = match std::fs::read_to_string(path) {
+                        Ok(t) => t,
+                        Err(e) => {
+                            fail(format!("cannot read: {e}"), &mut worst);
+                            continue;
+                        }
                     };
-                    print!("{report}");
-                    if status.code() > worst.code() {
-                        worst = status;
-                    }
-                    continue;
-                }
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        fail(format!("cannot read: {e}"), &mut worst);
-                        continue;
-                    }
-                };
-                let doc = match pv_xml::parse(&text) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        fail(format!("not well-formed: {e}"), &mut worst);
-                        continue;
-                    }
-                };
-                // The remote check path: DTD resolves locally, loads
-                // (idempotently) into the server, the document ships over
-                // the wire, and the renderer is the same as local.
-                if args.command == "check" {
-                    if let Some(client) = remote.as_mut() {
+                    if args.command != "check" {
+                        // `validate` and `complete` work on the tree.
+                        let doc = match pv_xml::parse(&text) {
+                            Ok(d) => d,
+                            Err(e) => {
+                                fail(format!("not well-formed: {e}"), &mut worst);
+                                continue;
+                            }
+                        };
+                        let ctx = match resolve_dtd(
+                            dtd_src.as_deref(),
+                            args.root.as_deref(),
+                            args.builtin.as_deref(),
+                            Some(&doc),
+                        ) {
+                            Ok(c) => c,
+                            Err(e) => {
+                                fail(e, &mut worst);
+                                continue;
+                            }
+                        };
+                        match args.command.as_str() {
+                            "validate" => cmd_validate(&ctx, path, &doc, args.ignore_whitespace),
+                            _ => cmd_complete(&ctx, path, &doc),
+                        }
+                    } else if let Some(client) = remote.as_mut() {
+                        // The remote check path: the DTD loads
+                        // (idempotently) into the server, the document
+                        // ships over the wire unparsed, and the renderer
+                        // is the same as local. Without --dtd/--builtin
+                        // the DTD is the internal subset of the prolog.
                         let handle = match &fixed_handle {
                             Some(fixed) => fixed.clone(),
-                            None => remote_handle_for_doc(client, &args, &doc),
+                            None => prolog_doctype(&text).and_then(|doctype| {
+                                remote_handle_for_doctype(client, &args, doctype.as_ref())
+                            }),
                         };
-                        let (report, status) = match handle {
+                        match handle {
                             Err(e) => (render_check_error(path, &e, opts.json), Status::Error),
                             Ok(handle) => cmd_check_remote(client, &handle, path, &text, &opts),
-                        };
-                        print!("{report}");
-                        if status.code() > worst.code() {
-                            worst = status;
                         }
-                        continue;
+                    } else {
+                        // No tree: the document is lexed once, by the
+                        // checker.
+                        cmd_check(
+                            dtd_src.as_deref(),
+                            args.root.as_deref(),
+                            args.builtin.as_deref(),
+                            path,
+                            &text,
+                            &opts,
+                        )
                     }
-                }
-                let ctx = match resolve_dtd(
-                    dtd_src.as_deref(),
-                    args.root.as_deref(),
-                    args.builtin.as_deref(),
-                    Some(&doc),
-                ) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        fail(e, &mut worst);
-                        continue;
-                    }
-                };
-                let (report, status) = match args.command.as_str() {
-                    "check" => cmd_check(&ctx, path, &doc, &opts),
-                    "validate" => cmd_validate(&ctx, path, &doc, args.ignore_whitespace),
-                    _ => cmd_complete(&ctx, path, &doc),
                 };
                 print!("{report}");
                 if status.code() > worst.code() {

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! * `check` — potential validity (the paper's Problem PV) with a
-//!   node-precise diagnosis on failure;
+//!   node-precise diagnosis on failure, from the document's bytes with
+//!   no tree;
 //! * `validate` — standard DTD validity;
 //! * `complete` — print a valid extension with `•`-marked inserted tags
 //!   (Definition 2 / Figure 3 as a tool);
@@ -37,7 +38,6 @@ use pv_grammar::witness::{complete_document, complete_tokens};
 use pv_service::json;
 use pv_xml::Document;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Exit status of a command (mirrors the process exit code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,10 +84,11 @@ pub fn resolve_dtd(
     resolve_dtd_doctype(dtd_src, root, builtin, None)
 }
 
-/// [`resolve_dtd`] from a bare [`pv_xml::Doctype`] instead of a parsed document —
-/// the form the streaming path uses: by the time the push parser emits
-/// the root start tag, the `<!DOCTYPE …>` (internal subset included) has
-/// been seen, but no tree exists.
+/// [`resolve_dtd`] from a bare [`pv_xml::Doctype`] instead of a parsed
+/// document — the form `check` uses, streamed or not: by the time the
+/// push parser emits the root start tag, the `<!DOCTYPE …>` (internal
+/// subset included) has been seen, but no tree exists (see
+/// [`prolog_doctype`]).
 pub fn resolve_dtd_doctype(
     dtd_src: Option<&str>,
     root: Option<&str>,
@@ -288,27 +289,46 @@ pub fn render_check_error(name: &str, msg: &str, json_out: bool) -> String {
     }
 }
 
-/// `pvx check`: potential validity with diagnosis, in-process, on the
-/// calling thread, against a fresh engine whose memo `opts.memo`
-/// switches. Returns the report text (or JSON line) and status. The
-/// verdict and diagnosis are bit-identical at either `memo` setting;
-/// only the `memo:` telemetry line comes and goes.
+/// `pvx check`: potential validity with diagnosis, in-process, with no
+/// tree: the text is lexed in place straight into a fresh engine's
+/// checker ([`CheckEngine::check_str`]), which uses the engine's
+/// transition cache unless `opts.memo` is off (only the `memo:` line
+/// comes and goes). The DTD resolves like [`cmd_check_stream`]'s, from
+/// the flags or the prolog ([`prolog_doctype`]). Returns the report text
+/// (or JSON line) and status; a DTD that does not resolve or a malformed
+/// document is an error report (exit 2).
 pub fn cmd_check(
-    ctx: &DtdContext,
+    dtd_src: Option<&str>,
+    root: Option<&str>,
+    builtin: Option<&str>,
     name: &str,
-    doc: &Document,
+    xml: &str,
     opts: &CheckOpts,
 ) -> (String, Status) {
-    let mut engine = CheckEngine::with_policy(ctx.analysis.clone(), opts.depth);
-    Arc::get_mut(&mut engine).expect("a fresh engine").set_memo_enabled(opts.memo);
-    let outcome = engine.check_document(doc);
+    let fail = |msg: &str| (render_check_error(name, msg, opts.json), Status::Error);
+    let doctype = match (dtd_src, builtin) {
+        (None, None) => match prolog_doctype(xml) {
+            Ok(doctype) => doctype,
+            Err(msg) => return fail(&msg),
+        },
+        _ => None,
+    };
+    let ctx = match resolve_dtd_doctype(dtd_src, root, builtin, doctype.as_ref()) {
+        Ok(c) => c,
+        Err(e) => return fail(&e),
+    };
+    let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
+    let outcome = match engine.check_str(xml, opts.memo) {
+        Ok(outcome) => outcome,
+        Err(e) => return fail(&format!("not well-formed: {e}")),
+    };
     let report = CheckReport {
         outcome,
-        memo: engine.memo_stats(),
-        source: ctx.source.clone(),
-        class: ctx.analysis.rec.class.to_string(),
+        memo: engine.memo_stats().filter(|_| opts.memo),
+        source: ctx.source,
+        class: engine.analysis().rec.class.to_string(),
         depth: engine.depth(),
-        analysis: opts.verbose.then(|| analysis_summary(&ctx.analysis)),
+        analysis: opts.verbose.then(|| analysis_summary(engine.analysis())),
     };
     render_check(name, &report, opts.json)
 }
@@ -351,15 +371,35 @@ fn render_remote(
     }
 }
 
+/// The `<!DOCTYPE …>` of a document held in memory, read by the push
+/// parser up to the root start tag — where a check finds an
+/// internal-subset DTD without building a tree. `Err` carries the
+/// report's `not well-formed: …` message for a malformed prolog.
+pub fn prolog_doctype(xml: &str) -> Result<Option<pv_xml::Doctype>, String> {
+    let mut parser = pv_xml::PushParser::new();
+    let mut chunks = xml.as_bytes().chunks(64 * 1024);
+    loop {
+        match parser.next_event() {
+            Err(e) => return Err(format!("not well-formed: {e}")),
+            Ok(Some(_)) => break, // the root start tag: the prolog is read
+            Ok(None) => match chunks.next() {
+                Some(chunk) => parser.push(chunk),
+                None => parser.finish(),
+            },
+        }
+    }
+    Ok(parser.doctype().cloned())
+}
+
 /// `pvx check --stream`: potential validity over the push-parser event
 /// stream, in-process. The document is read from `input` in
 /// `chunk_size`-byte chunks and never materializes — resident state is
 /// the open ancestor spine plus one lexer construct, so arbitrarily
 /// large documents check in O(depth) memory. The verdict, diagnosis and
-/// counters are bit-identical to [`cmd_check`]'s tree path (streaming
-/// never consults the engine's memo, so no `memo:` telemetry is shown).
+/// counters are bit-identical to [`cmd_check`]'s (streaming never
+/// consults the engine's memo, so no `memo:` telemetry is shown).
 ///
-/// The DTD resolves exactly like the tree path — `--dtd`, `--builtin`,
+/// The DTD resolves exactly like [`cmd_check`]'s — `--dtd`, `--builtin`,
 /// or the document's own internal subset: by the time the root start
 /// tag is lexed, the `<!DOCTYPE …>` has been fully seen, so the checker
 /// is constructed between the doctype and the first element.
@@ -372,48 +412,44 @@ pub fn cmd_check_stream(
     chunk_size: usize,
     opts: &CheckOpts,
 ) -> (String, Status) {
+    let fail = |msg: &str| (render_check_error(name, msg, opts.json), Status::Error);
     if chunk_size == 0 {
         // A zero chunk size would read zero bytes forever; reject it
         // loudly instead of silently substituting some other size.
-        return (
-            render_check_error(name, "chunk size must be at least 1 byte", opts.json),
-            Status::Error,
-        );
+        return fail("chunk size must be at least 1 byte");
     }
-    let wf_err = |e: &dyn std::fmt::Display| {
-        (render_check_error(name, &format!("not well-formed: {e}"), opts.json), Status::Error)
-    };
     let mut parser = pv_xml::PushParser::new();
     let mut buf = vec![0u8; chunk_size];
     let mut eof = false;
+    let mut read = |parser: &mut pv_xml::PushParser| match input.read(&mut buf) {
+        Err(e) => Err(format!("cannot read: {e}")),
+        Ok(0) => {
+            parser.finish();
+            Ok(true)
+        }
+        Ok(n) => {
+            parser.push(&buf[..n]);
+            Ok(false)
+        }
+    };
     // Pump until the root start tag: the first event the parser can emit.
     let (root_name, root_self_closing) = loop {
         match parser.next_event() {
-            Err(e) => return wf_err(&e),
+            Err(e) => return fail(&format!("not well-formed: {e}")),
             Ok(Some(pv_xml::Event::Start { name, self_closing, .. })) => {
                 break (name.to_owned(), self_closing);
             }
             Ok(Some(_)) => continue, // unreachable: nothing precedes the root
-            Ok(None) if eof => return wf_err(&"missing root element"),
-            Ok(None) => match input.read(&mut buf) {
-                Err(e) => {
-                    return (
-                        render_check_error(name, &format!("cannot read: {e}"), opts.json),
-                        Status::Error,
-                    )
-                }
-                Ok(0) => {
-                    parser.finish();
-                    eof = true;
-                }
-                Ok(n) => parser.push(&buf[..n]),
+            Ok(None) if eof => return fail("not well-formed: missing root element"),
+            Ok(None) => match read(&mut parser) {
+                Ok(end) => eof = end,
+                Err(msg) => return fail(&msg),
             },
         }
     };
-    let doctype = parser.doctype().cloned();
-    let ctx = match resolve_dtd_doctype(dtd_src, root, builtin, doctype.as_ref()) {
+    let ctx = match resolve_dtd_doctype(dtd_src, root, builtin, parser.doctype()) {
         Ok(c) => c,
-        Err(e) => return (render_check_error(name, &e, opts.json), Status::Error),
+        Err(e) => return fail(&e),
     };
     let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
     let mut stream = engine.stream_checker();
@@ -421,23 +457,14 @@ pub fn cmd_check_stream(
     // From here on the parser pushes every event a read completes.
     loop {
         if let Err(e) = parser.drain(|event| stream.on_event(&event)) {
-            return wf_err(&e);
+            return fail(&format!("not well-formed: {e}"));
         }
         if eof {
             break;
         }
-        match input.read(&mut buf) {
-            Err(e) => {
-                return (
-                    render_check_error(name, &format!("cannot read: {e}"), opts.json),
-                    Status::Error,
-                )
-            }
-            Ok(0) => {
-                parser.finish();
-                eof = true;
-            }
-            Ok(n) => parser.push(&buf[..n]),
+        match read(&mut parser) {
+            Ok(end) => eof = end,
+            Err(msg) => return fail(&msg),
         }
     }
     let report = CheckReport {
@@ -684,9 +711,8 @@ fn top_frame(m: &json::Json, addr: &str, rps: Option<f64>) -> String {
     );
     let _ = writeln!(
         out,
-        "stage p95: read {} µs · parse {} µs · recognize {} µs · serialize {} µs",
+        "stage p95: read {} µs · recognize {} µs · serialize {} µs",
         top_hist(m, "pv_service_read_us").2,
-        top_hist(m, "pv_service_parse_us").2,
         top_hist(m, "pv_service_recognize_us").2,
         top_hist(m, "pv_service_serialize_us").2,
     );
@@ -1051,6 +1077,11 @@ mod tests {
         resolve_dtd(None, None, Some("figure1"), None).unwrap()
     }
 
+    /// `pvx check --builtin figure1` on `xml`.
+    fn check_fig1(name: &str, xml: &str, opts: &CheckOpts) -> (String, Status) {
+        cmd_check(None, None, Some("figure1"), name, xml, opts)
+    }
+
 
     #[test]
     fn resolve_builtin() {
@@ -1076,16 +1107,16 @@ mod tests {
         assert!(resolve_dtd(None, None, None, Some(&plain)).is_err());
     }
 
+    const S: &str = "<r><a><b>x</b><c>y</c> z<e/></a></r>";
+    const W: &str = "<r><a><b>x</b><e/><c>y</c></a></r>";
+
     #[test]
     fn check_reports_both_ways() {
-        let ctx = fig1_ctx();
-        let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (rep, st) = cmd_check(&ctx, "s", &s, &CheckOpts::default());
+        let (rep, st) = check_fig1("s", S, &CheckOpts::default());
         assert_eq!(st, Status::Ok);
         assert!(rep.contains("POTENTIALLY VALID"));
         assert!(rep.contains("memo:"), "memo telemetry line expected: {rep}");
-        let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        let (rep, st) = cmd_check(&ctx, "w", &w, &CheckOpts::default());
+        let (rep, st) = check_fig1("w", W, &CheckOpts::default());
         assert_eq!(st, Status::Failed);
         assert!(rep.contains("NOT potentially valid"));
         assert!(rep.contains("<c>"));
@@ -1093,10 +1124,8 @@ mod tests {
 
     #[test]
     fn check_json_line_is_parseable_and_complete() {
-        let ctx = fig1_ctx();
         let json_opts = CheckOpts { json: true, ..CheckOpts::default() };
-        let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (line, st) = cmd_check(&ctx, "s.xml", &s, &json_opts);
+        let (line, st) = check_fig1("s.xml", S, &json_opts);
         assert_eq!(st, Status::Ok);
         let v = json::parse(line.trim_end()).unwrap();
         assert_eq!(v.get("potentially_valid").unwrap().as_bool(), Some(true));
@@ -1106,8 +1135,7 @@ mod tests {
         assert!(v.get("outcome").unwrap().get("stats").is_some());
         assert!(v.get("memo").unwrap().get("hits").is_some());
 
-        let w = pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap();
-        let (line, st) = cmd_check(&ctx, "w.xml", &w, &json_opts);
+        let (line, st) = check_fig1("w.xml", W, &json_opts);
         assert_eq!(st, Status::Failed);
         let v = json::parse(line.trim_end()).unwrap();
         assert_eq!(v.get("potentially_valid").unwrap().as_bool(), Some(false));
@@ -1121,18 +1149,16 @@ mod tests {
 
     #[test]
     fn check_memo_off_drops_telemetry_but_keeps_the_verdict() {
-        let ctx = fig1_ctx();
-        let s = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-        let (with_memo, st1) = cmd_check(&ctx, "s", &s, &CheckOpts::default());
+        let (with_memo, st1) = check_fig1("s", S, &CheckOpts::default());
         let memo_off = CheckOpts { memo: false, ..CheckOpts::default() };
-        let (without, st2) = cmd_check(&ctx, "s", &s, &memo_off);
+        let (without, st2) = check_fig1("s", S, &memo_off);
         assert_eq!(st1, st2);
         assert!(!without.contains("memo:"), "{without}");
         assert_eq!(strip_memo_lines(&with_memo), without);
     }
 
-    /// Drops the `memo:` telemetry line (the tree path's cache counters,
-    /// which a streaming or memo-off check does not report).
+    /// Drops the `memo:` telemetry line (the cache counters, which a
+    /// streaming or memo-off check does not report).
     fn strip_memo_lines(report: &str) -> String {
         report
             .lines()
@@ -1142,8 +1168,7 @@ mod tests {
     }
 
     #[test]
-    fn check_stream_reports_match_the_tree_path() {
-        let ctx = fig1_ctx();
+    fn check_stream_reports_match_the_byte_check() {
         let docs = [
             "<r><a><b>x</b><c>y</c> z<e/></a></r>",
             "<r><a><b>x</b><e/><c>y</c></a></r>",
@@ -1151,10 +1176,9 @@ mod tests {
             "<wrong/>",
         ];
         for xml in docs {
-            let doc = pv_xml::parse(xml).unwrap();
             for json in [false, true] {
                 let opts = CheckOpts { json, ..CheckOpts::default() };
-                let (tree_rep, tree_st) = cmd_check(&ctx, "d", &doc, &opts);
+                let (byte_rep, byte_st) = check_fig1("d", xml, &opts);
                 for chunk in [1usize, 7, xml.len()] {
                     let mut input = xml.as_bytes();
                     let (rep, st) = cmd_check_stream(
@@ -1168,10 +1192,10 @@ mod tests {
                     );
                     // Streaming never consults the memo; everything else —
                     // verdict, diagnosis, counters — is bit-identical.
-                    assert_eq!(st, tree_st, "chunk={chunk} xml={xml}");
+                    assert_eq!(st, byte_st, "chunk={chunk} xml={xml}");
                     if json {
                         let a = json::parse(rep.trim_end()).unwrap();
-                        let b = json::parse(tree_rep.trim_end()).unwrap();
+                        let b = json::parse(byte_rep.trim_end()).unwrap();
                         assert!(a.get("memo").unwrap().is_null());
                         for key in ["doc", "verdict", "violation_text", "dtd", "class"] {
                             assert_eq!(
@@ -1186,7 +1210,7 @@ mod tests {
                             "chunk={chunk} xml={xml}"
                         );
                     } else {
-                        assert_eq!(rep, strip_memo_lines(&tree_rep), "chunk={chunk} xml={xml}");
+                        assert_eq!(rep, strip_memo_lines(&byte_rep), "chunk={chunk} xml={xml}");
                     }
                 }
             }

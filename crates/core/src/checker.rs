@@ -96,9 +96,8 @@ impl PvOutcome {
 /// from a cached configuration on a memo miss), one child-symbol buffer
 /// (refilled per node via [`Tokens::children_into`]), so checking a node
 /// allocates nothing in steady state, and the scan's transition cache.
-/// Create one per document scan — or one per pool worker of a batch —
-/// with [`CheckEngine::scratch`]; the document and batch entry points do
-/// so internally.
+/// Create one per document scan with [`CheckEngine::scratch`]; the
+/// document entry points do so internally.
 ///
 /// With the memo on, the scratch takes the engine's transition cache at
 /// its first non-empty child sequence, or a private cold one if another
@@ -456,9 +455,10 @@ mod tests {
                 assert_eq!(&pooled, seq, "jobs={jobs}");
             }
         }
-        let docs = Arc::new(docs);
+        let texts = Arc::new(docs.iter().map(Document::to_xml).collect());
+        let oks: Vec<_> = seq.iter().cloned().map(Ok).collect();
         for &jobs in jobs {
-            assert_eq!(checker.check_batch_pooled(&docs, pool, jobs), seq, "batch jobs={jobs}");
+            assert_eq!(checker.check_batch_pooled(&texts, pool, jobs), oks, "batch jobs={jobs}");
         }
         seq
     }
@@ -491,10 +491,10 @@ mod tests {
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(4);
         // Twelve whole-document tasks, one of them much larger.
-        let docs: Arc<Vec<Document>> = Arc::new(
-            (0..12).map(|i| wide_doc(if i == 5 { 150 } else { 10 + i }, i % 3 == 0)).collect(),
-        );
-        let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+        let docs: Vec<Document> =
+            (0..12).map(|i| wide_doc(if i == 5 { 150 } else { 10 + i }, i % 3 == 0)).collect();
+        let expect: Vec<_> = docs.iter().map(|d| Ok(checker.check_document(d))).collect();
+        let docs = Arc::new(docs.iter().map(Document::to_xml).collect());
         for jobs in [0usize, 1, 2, 8] {
             assert_eq!(checker.check_batch_pooled(&docs, &pool, jobs), expect, "jobs={jobs}");
         }
@@ -589,7 +589,7 @@ mod tests {
         let plain = memo_off(analysis.clone());
         let memoized = CheckEngine::new(analysis);
         let pool = Pool::new(3);
-        let docs = vec![wide_doc(150, false), wide_doc(150, true)];
+        let docs = [wide_doc(150, false), wide_doc(150, true)];
         let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
         for (doc, expect) in docs.iter().zip(&expect) {
             let doc = Arc::new(doc.clone());
@@ -602,7 +602,8 @@ mod tests {
             }
         }
         // Both documents as one batch share the cache across workers.
-        let docs = Arc::new(docs);
+        let docs = Arc::new(docs.iter().map(Document::to_xml).collect());
+        let expect: Vec<_> = expect.into_iter().map(Ok).collect();
         for jobs in [1usize, 2, 8] {
             for _ in 0..2 {
                 assert_eq!(memoized.check_batch_pooled(&docs, &pool, jobs), expect, "jobs={jobs}");

@@ -12,12 +12,14 @@
 //!
 //! Constructors hand the engine out in an `Arc` so it can be shared with
 //! the workers of a persistent [`pv_par::Pool`] (pool regions are
-//! `'static`). The unit of parallel work is the **document**: a batch
-//! check ([`CheckEngine::check_batch_pooled`]) runs each document as one
-//! pool task through the same calling-thread body as
-//! [`CheckEngine::check_document`], and a single document is always
-//! checked on the calling thread. The differential suites hold the
-//! resulting bit-identity.
+//! `'static`). A document's bytes are checked with no tree
+//! ([`CheckEngine::check_str`]: the in-place lexer feeds a stream
+//! checker); a parsed tree is checked by [`CheckEngine::check_document`].
+//! The unit of parallel work is the **document**: a batch check
+//! ([`CheckEngine::check_batch_pooled`]) runs each document's text as one
+//! pool task through the same body as `check_str`, and a single document
+//! is always checked on the calling thread. The differential suites hold
+//! the bit-identity of every path.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -27,19 +29,24 @@
 //! let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
 //! let pool = pv_par::Pool::new(2);
 //! let docs = Arc::new(vec![
-//!     pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap(),
-//!     pv_xml::parse("<r><a><b>x</b><e/><c>y</c></a></r>").unwrap(),
+//!     "<r><a><b>x</b><c>y</c> z<e/></a></r>".to_owned(),
+//!     "<r><a><b>x</b><e/><c>y</c></a></r>".to_owned(),
+//!     "<r><a>".to_owned(),
 //! ]);
 //!
 //! let pooled = engine.check_batch_pooled(&docs, &pool, 0);
-//! assert_eq!(pooled, [engine.check_document(&docs[0]), engine.check_document(&docs[1])]);
+//! let tree = engine.check_document(&pv_xml::parse(&docs[1]).unwrap());
+//! assert!(pooled[0].as_ref().unwrap().is_potentially_valid());
+//! assert_eq!(pooled[1], Ok(tree));
+//! assert_eq!(pooled[2], Err(pv_xml::parse(&docs[2]).unwrap_err()));
 //! ```
 
 use crate::checker::PvOutcome;
 use crate::dag::DagSet;
 use crate::depth::DepthPolicy;
-use crate::memo::{Bounds, Memo, MemoStats};
+use crate::memo::{Bounds, Lease, Memo, MemoStats};
 use crate::recognizer::RecCtx;
+use crate::stream::StreamChecker;
 use pv_dtd::DtdAnalysis;
 use pv_obs::{Counter, Histogram, Registry};
 use pv_par::Pool;
@@ -52,7 +59,7 @@ use std::time::Instant;
 /// happens once per document or batch of the `*_pooled` entry points
 /// only — the per-node hot path is never touched.
 #[derive(Default, Clone)]
-struct EngineObs {
+pub(crate) struct EngineObs {
     /// Wall-clock of one document check (tokens + memo + recognizer).
     check_us: Histogram,
     /// Wall-clock of one pooled batch check.
@@ -82,13 +89,18 @@ impl EngineObs {
         }
     }
 
-    /// Folds one finished document check into the registry. The node
-    /// count is a scan over the whole arena, so it is only taken when the
-    /// histogram records.
-    fn record(&self, t0: Option<Instant>, doc: &Document, outcome: &PvOutcome) {
+    /// Folds one finished document check into the registry. The element
+    /// count may be a scan over a whole arena, so it is only taken when
+    /// the histogram records.
+    pub(crate) fn record(
+        &self,
+        t0: Option<Instant>,
+        elements: impl FnOnce() -> usize,
+        outcome: &PvOutcome,
+    ) {
         self.check_us.observe_since(t0);
         if self.doc_nodes.is_live() {
-            self.doc_nodes.observe(doc.element_count() as u64);
+            self.doc_nodes.observe(elements() as u64);
         }
         self.checks.inc();
         self.symbols.add(outcome.stats.symbols);
@@ -123,7 +135,7 @@ pub struct CheckEngine {
     dags: DagSet,
     depth: u32,
     memo: Option<Memo>,
-    obs: EngineObs,
+    pub(crate) obs: EngineObs,
 }
 
 impl CheckEngine {
@@ -274,47 +286,74 @@ impl CheckEngine {
         let t0 = self.obs.check_us.start();
         let mut scratch = self.scratch_with(memo);
         let outcome = self.check_document_with(doc, &mut scratch);
-        self.obs.record(t0, doc, &outcome);
+        self.obs.record(t0, || doc.element_count(), &outcome);
         outcome
     }
 
-    /// Checks a batch of documents on the pool, returning one outcome per
-    /// document in input order — outcome `i` is bit-identical to
-    /// `check_document(&docs[i])`.
+    /// Checks one complete document held in memory without building a
+    /// tree: the in-place lexer ([`pv_xml::lex`]) drives a
+    /// [`StreamChecker`], and the check's engine telemetry is recorded as
+    /// [`CheckEngine::check_document_pooled`] records it. The outcome is
+    /// bit-identical to [`CheckEngine::check_document`] on
+    /// `pv_xml::parse(xml)`, and a malformed document fails with
+    /// `pv_xml::parse`'s error (kind and byte offset).
+    ///
+    /// With `memo` set (and the engine's memo on) the checker steps
+    /// through the engine's transition cache, leased exactly as a tree
+    /// scan leases it, so a warm cache helps and its hit/miss counts fold
+    /// into [`CheckEngine::memo_stats`]; otherwise it steps through a
+    /// private cold cache whose counts go nowhere.
+    pub fn check_str(&self, xml: &str, memo: bool) -> pv_xml::Result<PvOutcome> {
+        let t0 = self.obs.check_us.start();
+        self.byte_checker(memo).check_str(xml, t0)
+    }
+
+    /// A checker for documents in memory, leasing the engine's cache if
+    /// `memo` (see [`CheckEngine::check_str`]).
+    fn byte_checker(&self, memo: bool) -> StreamChecker<'_> {
+        let cache = match self.memo().filter(|_| memo) {
+            Some(memo) => memo.lease(),
+            None => Lease::private(Bounds::DEFAULT),
+        };
+        StreamChecker::new(self, cache)
+    }
+
+    /// Checks a batch of documents on the pool, returning one result per
+    /// document in input order — result `i` is
+    /// [`CheckEngine::check_str`]`(&docs[i], true)`'s, so its outcome is
+    /// bit-identical to `check_document(&pv_xml::parse(&docs[i])?)`, and a
+    /// malformed document is its own `Err` without stopping the others.
     ///
     /// Each document is one pool task ([`Pool::run`]), root check
-    /// included, run by [`CheckEngine::check_document_with`] against a
-    /// scratch built once per worker; workers claim the next unstarted
-    /// document as they finish one. `jobs` caps participation (`0` = all
-    /// pool workers); a batch of at most one document, or `jobs`
-    /// resolving to one participant, runs on the calling thread. The
-    /// first worker to need a cache borrows the engine's for the whole
-    /// region and the others run on private cold ones, so no lookup
-    /// writes shared memory (a hit replays the recorded stats delta, so
-    /// every outcome stays exact either way).
+    /// included, lexed and checked with no tree by a checker built once
+    /// per worker; workers claim the next unstarted document as they
+    /// finish one. `jobs` caps participation (`0` = all pool workers); a
+    /// batch of at most one document, or `jobs` resolving to one
+    /// participant, runs on the calling thread. The first worker to need
+    /// a cache leases the engine's for the whole region and the others
+    /// run on private cold ones, so no lookup writes shared memory (a hit
+    /// replays the recorded stats delta, so every outcome stays exact
+    /// either way).
     pub fn check_batch_pooled(
         self: &Arc<Self>,
-        docs: &Arc<Vec<Document>>,
+        docs: &Arc<Vec<String>>,
         pool: &Pool,
         jobs: usize,
-    ) -> Vec<PvOutcome> {
+    ) -> Vec<pv_xml::Result<PvOutcome>> {
         let t0 = self.obs.batch_us.start();
         let outcomes = if docs.len() <= 1 || pool.participants(jobs) <= 1 {
-            let mut scratch = self.scratch();
-            docs.iter().map(|d| self.check_document_with(d, &mut scratch)).collect()
+            let mut checker = self.byte_checker(true);
+            docs.iter().map(|d| checker.check_str(d, None)).collect()
         } else {
             let (engine, batch) = (Arc::clone(self), Arc::clone(docs));
             pool.run(jobs, docs.len(), move |scope| {
-                let mut scratch = engine.scratch();
+                let mut checker = engine.byte_checker(true);
                 while let Some(i) = scope.claim() {
-                    scope.put(i, engine.check_document_with(&batch[i], &mut scratch));
+                    scope.put(i, checker.check_str(&batch[i], None));
                 }
             })
         };
         self.obs.batch_us.observe_since(t0);
-        for (doc, outcome) in docs.iter().zip(&outcomes) {
-            self.obs.record(None, doc, outcome);
-        }
         outcomes
     }
 }
@@ -362,7 +401,7 @@ mod tests {
             }
         }
         // The same documents as one batch reach the pool's workers.
-        let docs = Arc::new(docs);
+        let (docs, expect) = (texts(&docs), oks(&expect));
         for jobs in [0usize, 1, 2, 8] {
             assert_eq!(engine.check_batch_pooled(&docs, &pool, jobs), expect, "batch jobs={jobs}");
         }
@@ -372,21 +411,20 @@ mod tests {
     fn pooled_batch_bit_identical_and_pool_reusable() {
         let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
         let pool = Pool::new(3);
-        let docs: Arc<Vec<Document>> = Arc::new(
-            (0..10)
-                .map(|i| {
-                    if i == 4 {
-                        pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
-                    } else if i == 7 {
-                        wide_doc(400, true) // one large poisoned document
-                    } else {
-                        wide_doc(30 + i, i % 3 == 0)
-                    }
-                })
-                .collect(),
-        );
+        let docs: Vec<Document> = (0..10)
+            .map(|i| {
+                if i == 4 {
+                    pv_xml::parse("<x><b/></x>").unwrap() // root mismatch
+                } else if i == 7 {
+                    wide_doc(400, true) // one large poisoned document
+                } else {
+                    wide_doc(30 + i, i % 3 == 0)
+                }
+            })
+            .collect();
         let plain = memo_off();
         let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
+        let (docs, expect) = (texts(&docs), oks(&expect));
         for round in 0..3 {
             for jobs in [0usize, 1, 2, 8] {
                 assert_eq!(
@@ -417,6 +455,49 @@ mod tests {
         }
     }
 
+    /// A byte check leases the engine's cache as a tree scan does: with
+    /// the memo its counts fold in and a warm repeat only hits; without
+    /// it the engine's memo is untouched.
+    #[test]
+    fn byte_checks_lease_the_engines_cache() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let xml = wide_doc(60, true).to_xml();
+        let expect = memo_off().check_document(&pv_xml::parse(&xml).unwrap());
+        assert_eq!(engine.check_str(&xml, false), Ok(expect.clone()));
+        assert_eq!(engine.memo_stats().unwrap(), MemoStats::default());
+        assert_eq!(engine.check_str(&xml, true), Ok(expect.clone()));
+        let cold = engine.memo_stats().unwrap();
+        assert!(cold.hits > 0 && cold.misses > 0 && cold.entries > 0, "{cold:?}");
+        assert_eq!(engine.check_str(&xml, true), Ok(expect));
+        let warm = engine.memo_stats().unwrap();
+        assert_eq!(warm.misses, cold.misses, "a warm check hits every step");
+        assert_eq!(warm.hits - cold.hits, cold.hits + cold.misses);
+        let truncated = &xml[..xml.len() - 2];
+        assert_eq!(engine.check_str(truncated, true), Err(pv_xml::parse(truncated).unwrap_err()));
+    }
+
+    /// Byte checks record each document's element count, also when one
+    /// checker checks a whole batch, one document after another.
+    #[test]
+    fn byte_checks_record_each_documents_size() {
+        let reg = Registry::new();
+        let analysis = BuiltinDtd::Figure1.analysis();
+        let engine = CheckEngine::with_policy_observed(analysis, DepthPolicy::Auto, &reg);
+        let docs = vec![wide_doc(10, false), wide_doc(20, true), wide_doc(5, false)];
+        let first = docs[0].element_count() as u64;
+        let all: u64 = docs.iter().map(|d| d.element_count() as u64).sum();
+        engine.check_str(&docs[0].to_xml(), true).unwrap();
+        let pool = Pool::new(2);
+        for jobs in [1, 2] {
+            engine.check_batch_pooled(&texts(&docs), &pool, jobs);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters["pv_engine_checks_total"], 7);
+        let nodes = &snap.histograms["pv_engine_doc_nodes"];
+        assert_eq!((nodes.count, nodes.sum), (7, first + 2 * all));
+        assert_eq!(snap.histograms["pv_engine_check_us"].count, 1, "batches time the batch");
+    }
+
     /// The unit of parallel work is the document, on an observed pool
     /// at jobs 2: one document of 8,000 element nodes runs on the
     /// calling thread (no region), and a batch of it plus three small
@@ -436,9 +517,9 @@ mod tests {
         assert_eq!(snap.counters["pv_pool_regions_total"], 0);
         assert_eq!(snap.counters["pv_pool_tasks_total"], 0);
 
-        let docs = Arc::new(vec![big, wide_doc(3, false), wide_doc(5, true), wide_doc(8, false)]);
+        let docs = vec![big, wide_doc(3, false), wide_doc(5, true), wide_doc(8, false)];
         let expect: Vec<PvOutcome> = docs.iter().map(|d| plain.check_document(d)).collect();
-        assert_eq!(engine.check_batch_pooled(&docs, &pool, 2), expect);
+        assert_eq!(engine.check_batch_pooled(&texts(&docs), &pool, 2), oks(&expect));
         let snap = reg.snapshot();
         assert_eq!(snap.counters["pv_pool_regions_total"], 1);
         assert_eq!(snap.counters["pv_pool_tasks_total"], 4);
@@ -471,7 +552,7 @@ mod tests {
         assert!(after.entries > 0 && after.shapes > 0, "the lent cache came back: {after:?}");
 
         let pool = Pool::new(2);
-        let docs = Arc::new(docs);
+        let (docs, expect) = (texts(&docs), oks(&expect));
         for _ in 0..3 {
             assert_eq!(engine.check_batch_pooled(&docs, &pool, 2), expect);
         }
@@ -523,9 +604,19 @@ mod tests {
             assert_eq!(&engine.check_document(doc), expect);
         }
         engine.memo_clear();
-        let docs = Arc::new(docs);
-        assert_eq!(engine.check_batch_pooled(&docs, &Pool::new(2), 2), expect);
+        assert_eq!(engine.check_batch_pooled(&texts(&docs), &Pool::new(2), 2), oks(&expect));
         assert!(engine.memo_stats().unwrap().hits > 0);
+    }
+
+    /// Parsed documents as a batch of their text (a parsed document
+    /// serializes to text that parses back to the same arena).
+    fn texts(docs: &[Document]) -> Arc<Vec<String>> {
+        Arc::new(docs.iter().map(Document::to_xml).collect())
+    }
+
+    /// Tree outcomes as the batch results they equal.
+    fn oks(outcomes: &[PvOutcome]) -> Vec<pv_xml::Result<PvOutcome>> {
+        outcomes.iter().cloned().map(Ok).collect()
     }
 
     /// A Figure 1 engine with memoization off.

@@ -31,8 +31,9 @@
 //!   in `O(k·D)` per input symbol (Theorem 4).
 //! * [`engine`] — [`CheckEngine`], the one checker: it owns the compiled
 //!   DTD, its DAGs, the memo and the depth budget, is shared via
-//!   `Arc`, and checks a document on the calling thread or a batch on a
-//!   persistent [`pv_par::Pool`], one document per task.
+//!   `Arc`, and checks a document's bytes (no tree) or a parsed tree on
+//!   the calling thread, or a batch of texts on a persistent
+//!   [`pv_par::Pool`], one document per task.
 //! * [`checker`] — whole-document potential validity (Problem PV) by
 //!   running ECPV at every element node, with diagnostics pointing at the
 //!   offending node and symbol.
@@ -67,10 +68,11 @@
 //! assert!(checker.check_document(&s).is_potentially_valid());
 //!
 //! // … while `w` is not: the order b, e, c contradicts the DTD.
-//! let w = pv_xml::parse(
-//!     "<r><a><b>A quick brown</b><e></e><c> fox jumps over a lazy</c> dog</a></r>",
-//! ).unwrap();
-//! assert!(!checker.check_document(&w).is_potentially_valid());
+//! let w = "<r><a><b>A quick brown</b><e></e><c> fox jumps over a lazy</c> dog</a></r>";
+//! assert!(!checker.check_document(&pv_xml::parse(w).unwrap()).is_potentially_valid());
+//!
+//! // The same check straight from the bytes, with no tree.
+//! assert!(!checker.check_str(w, true).unwrap().is_potentially_valid());
 //! ```
 
 #![warn(missing_docs)]

@@ -38,16 +38,18 @@
 //!
 //! * A [`CheckEngine`](crate::engine::CheckEngine) with the memo on owns
 //!   one cache behind a `Mutex` and **lends** it: a scan (the
-//!   [`CheckScratch`](crate::checker::CheckScratch) of a document check,
-//!   a guard, a palette query, a batch worker) takes it with `try_lock`
-//!   at its first non-empty child sequence and gives it back when the
-//!   scratch drops. Editor guards and repeated requests therefore start
-//!   warm. A scan that finds it taken — a second batch worker, a
-//!   concurrent connection — runs on a private cold cache instead, so no
-//!   lookup, hit or miss, ever writes shared memory. A lock poisoned by a
-//!   panicking scan is recovered with its entries dropped.
-//! * A [`StreamChecker`](crate::stream::StreamChecker) keeps a private
-//!   cache, cold for every checker.
+//!   [`CheckScratch`](crate::checker::CheckScratch) of a tree check, a
+//!   guard, a palette query, the stream checker of a byte check or of a
+//!   batch worker) takes it with `try_lock` when it starts stepping and
+//!   gives it back when it drops. Editor guards and repeated requests
+//!   therefore start warm. A scan that finds it taken — a second batch
+//!   worker, a concurrent connection — runs on a private cold cache
+//!   instead, so no lookup, hit or miss, ever writes shared memory. A lock
+//!   poisoned by a panicking scan is recovered with its entries dropped.
+//! * A chunked stream check
+//!   ([`CheckEngine::stream_checker`](crate::engine::CheckEngine::stream_checker))
+//!   keeps a private cache, cold for every checker and counted nowhere:
+//!   its sender sets its pace, so it must not hold the engine's.
 //!
 //! ## Counting once per scan
 //!
@@ -218,9 +220,8 @@ pub(crate) struct TransitionCache {
     initial: Vec<u32>,
     /// Scratch for encoding a configuration.
     scratch: Vec<u32>,
-    /// Symbols of [`run`](Self::run) answered by a probe since the last
-    /// [`take_counts`](Self::take_counts) (counted per sequence, so the
-    /// hit path itself counts nothing).
+    /// Symbols answered by a probe since the last
+    /// [`take_counts`](Self::take_counts).
     hits: u64,
     /// Symbols the recognizer ran on since then.
     misses: u64,
@@ -306,6 +307,7 @@ impl TransitionCache {
     ) -> Option<bool> {
         if let Key::Config { id, synced } = *key {
             if let Some(&t) = self.transitions.get(&(id, x)) {
+                self.hits += 1;
                 stats.merge(&t.delta);
                 let Some(next) = t.next else { return Some(false) };
                 // A self-loop leaves a synced slot in step.
@@ -369,14 +371,12 @@ impl TransitionCache {
         syms: &[ChildSym],
         stats: &mut RecognizerStats,
     ) -> Option<usize> {
-        let misses = self.misses;
         let mut key = loop {
             match self.open(elem, depth, slot) {
                 Some(key) => break key,
                 None => self.flush(),
             }
         };
-        let mut failing = None;
         for (i, &x) in syms.iter().enumerate() {
             let accepted = loop {
                 match self.step(&mut key, slot, x, stats) {
@@ -388,13 +388,10 @@ impl TransitionCache {
                 }
             };
             if !accepted {
-                failing = Some(i);
-                break;
+                return Some(i);
             }
         }
-        let stepped = failing.map_or(syms.len(), |i| i + 1) as u64;
-        self.hits += stepped - (self.misses - misses);
-        failing
+        None
     }
 
     /// Moves a sequence's state out of the cache into its `slot` (loading
@@ -576,7 +573,7 @@ impl Memo {
             }
             Err(TryLockError::WouldBlock) => None,
         };
-        Lease { memo: self, lent, own: TransitionCache::new(self.bounds) }
+        Lease { memo: Some(self), lent, own: TransitionCache::new(self.bounds) }
     }
 
     /// The counters every finished scan folded in, and the engine cache's
@@ -610,10 +607,12 @@ impl Memo {
     }
 }
 
-/// One scan's transition cache (see [`Memo::lease`]). Dropping it folds
-/// the scan's counts into the engine's telemetry and returns a lent cache.
+/// One scan's transition cache (see [`Memo::lease`]), or a cache that
+/// belongs to no engine ([`Lease::private`]). Dropping a lease folds the
+/// scan's counts into the engine's telemetry and returns a lent cache.
 pub(crate) struct Lease<'m> {
-    memo: &'m Memo,
+    /// The memo the counts fold into; `None` for a private cache.
+    memo: Option<&'m Memo>,
     /// The engine's cache, when no other scan held it.
     lent: Option<MutexGuard<'m, TransitionCache>>,
     /// The scan's own cache otherwise (empty until first used).
@@ -621,16 +620,28 @@ pub(crate) struct Lease<'m> {
 }
 
 impl Lease<'_> {
+    /// A cold cache of no engine, whose counts go nowhere: a chunked
+    /// stream check's, or a byte check's with the memo off.
+    pub(crate) fn private(bounds: Bounds) -> Self {
+        Lease { memo: None, lent: None, own: TransitionCache::new(bounds) }
+    }
+
     /// The cache this scan steps through.
     #[inline]
     pub(crate) fn cache(&mut self) -> &mut TransitionCache {
         self.lent.as_deref_mut().unwrap_or(&mut self.own)
     }
+
+    /// [`Lease::cache`], read-only.
+    #[cfg(test)]
+    pub(crate) fn peek(&self) -> &TransitionCache {
+        self.lent.as_deref().unwrap_or(&self.own)
+    }
 }
 
 impl Drop for Lease<'_> {
     fn drop(&mut self) {
-        let memo = self.memo;
+        let Some(memo) = self.memo else { return };
         let (hits, misses, flushes) = self.cache().take_counts();
         memo.hits.fetch_add(hits, Ordering::Relaxed);
         memo.misses.fetch_add(misses, Ordering::Relaxed);

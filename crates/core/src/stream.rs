@@ -69,39 +69,35 @@
 //! node; see `CheckEngine::check_document_pooled` and the
 //! `stream_differential` suite.
 //!
-//! ## Batched dispatch
+//! ## Dispatch
 //!
-//! The parent's recognizer is not stepped on every child event. Instead
-//! the top level *queues* its sibling run — `σ` for text
-//! (collapsed at queue time, so repeated pieces and whole repeated runs
-//! across comments cost one branch each and do zero recognizer work)
-//! and one symbol per self-closing declared child — and the run is
-//! drained at the next point whose outcome can matter: a non-self-closing
-//! or undeclared child start, or the level's own end tag. Draining steps
-//! the symbols in order and stops at the first rejected one with
-//! per-symbol-identical stats, so the candidate freezes at exactly the
-//! position the per-symbol protocol would have frozen it; queued symbols
-//! after the rejection are discarded, which is also per-symbol-identical
-//! (they are later siblings inside the frozen node, which the protocol
-//! never feeds — undeclared children are never queued: one freezes, or
-//! preempts into, an `UndeclaredElement` candidate directly, exactly as
-//! the per-symbol watch would). The one observable difference is *when*
-//! [`StreamChecker::decided`] flips for a rejected **self-closing**
-//! child: the verdict surfaces at the next flush point instead of the
-//! child's own start tag. Undeclared children — the common
-//! first-violation shape — still decide immediately, and final outcomes
-//! are bit-identical everywhere.
+//! Every child symbol is stepped as its event arrives: `σ` at the first
+//! piece of text after a non-`σ` symbol (the collapse of
+//! [`Tokens::children_into`](crate::token::Tokens::children_into), so
+//! further pieces and runs up to the next child element cost one branch
+//! each), and an element's symbol at its start tag, self-closing or not.
+//! A step is one cache probe on a hit, so there is nothing to gain from
+//! queueing siblings; the candidate freezes, and
+//! [`StreamChecker::decided`] flips, at the event that carries the
+//! rejected symbol.
 //!
 //! ## Transition cache
 //!
-//! Each stream checker keeps a private transition cache ([`crate::memo`]),
-//! cold for every checker: a document gains from its own repetition only,
-//! with no locks, atomics or shared writes. An open level holds only its
-//! configuration key; a hit moves the key, and a miss runs the level's
-//! **slot**, the recognizer kept for that depth, reloading it first if
-//! hits moved the level past it. A corpus document of a few thousand
-//! elements revisits a few dozen configurations, and about 99% of its
-//! symbols hit.
+//! An open level holds only its configuration key; a hit moves the key,
+//! and a miss runs the level's **slot**, the recognizer kept for that
+//! depth, reloading it first if hits moved the level past it. A corpus
+//! document of a few thousand elements revisits a few dozen
+//! configurations, and about 99% of its symbols hit. Which cache a
+//! checker steps through depends on who made it:
+//!
+//! * [`CheckEngine::check_str`] and the batch workers of
+//!   [`CheckEngine::check_batch_pooled`] have the whole document in
+//!   memory, so the check is short: with the memo on they **lease** the
+//!   engine's cache exactly as a tree scan does (a warm cache, folded
+//!   `memo` counts; a private cold one while another scan holds it).
+//! * [`CheckEngine::stream_checker`] — chunked uploads, whose pace the
+//!   sender sets — keeps a private cache, cold for every checker, so a
+//!   slow client never holds the engine's.
 //!
 //! The flush policy is the spine's: before a full cache clears, every
 //! open level that still has an id moves its state into its slot, and
@@ -110,11 +106,12 @@
 
 use crate::checker::{PvOutcome, PvViolation, PvViolationKind};
 use crate::engine::CheckEngine;
-use crate::memo::{Bounds, Key, TransitionCache};
-use crate::recognizer::{EcRecognizer, RecCtx, RecognizerStats};
+use crate::memo::{Bounds, Key, Lease};
+use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::ChildSym;
-use pv_dtd::{DtdAnalysis, ElemId};
+use pv_dtd::ElemId;
 use pv_xml::{Event, NodeId, PushParser};
+use std::time::Instant;
 
 /// One open element on the ancestor spine.
 struct Level {
@@ -133,8 +130,8 @@ struct Level {
     /// Child symbols fed so far (= the failing index + 1 when the last
     /// fed symbol was rejected).
     count: usize,
-    /// Whether the last symbol of the fed-plus-queued sequence was `σ` —
-    /// mirrors the `out.last() != Some(&ChildSym::Sigma)` collapse in
+    /// Whether the last fed symbol was `σ` — mirrors the
+    /// `out.last() != Some(&ChildSym::Sigma)` collapse in
     /// [`Tokens::children_into`](crate::token::Tokens::children_into),
     /// which merges text runs across comments and PIs.
     last_sigma: bool,
@@ -201,22 +198,15 @@ enum State {
 ///
 /// Residency is O(depth) plus a constant-bounded cache: per open element
 /// a configuration id and a few counters, one recognizer slot per depth,
-/// and this checker's own [transition cache](self#transition-cache); no
-/// tree.
+/// and a [transition cache](self#transition-cache); no tree.
 pub struct StreamChecker<'c> {
-    analysis: &'c DtdAnalysis,
-    ctx: RecCtx<'c>,
-    depth: u32,
+    engine: &'c CheckEngine,
     levels: Vec<Level>,
     /// `slots[d]` runs the recognizer of the level open at depth `d`, on
     /// cache misses only. A slot stays at its depth for the whole check,
     /// so its buffers keep the capacity an element at that depth needed.
     slots: Vec<EcRecognizer<'c>>,
-    /// The top level's queued sibling run (see the module docs on batched
-    /// dispatch). Only the top level ever has one: descending flushes the
-    /// parent.
-    run: Vec<ChildSym>,
-    cache: TransitionCache,
+    cache: Lease<'c>,
     /// Deltas of all cleanly completed node checks (normal mode only).
     done: RecognizerStats,
     state: State,
@@ -226,33 +216,26 @@ pub struct StreamChecker<'c> {
     /// Next arena node id, replicating [`pv_xml::parse`]'s allocation
     /// order so reported violation nodes match the tree checker's.
     next_node: u32,
+    /// Start tags seen (the engine's `pv_engine_doc_nodes` telemetry).
+    elements: usize,
     peak_depth: usize,
 }
 
 impl<'c> StreamChecker<'c> {
-    pub(crate) fn new(analysis: &'c DtdAnalysis, ctx: RecCtx<'c>, depth: u32) -> Self {
+    /// A checker of `engine`'s DTD stepping through `cache`.
+    pub(crate) fn new(engine: &'c CheckEngine, cache: Lease<'c>) -> Self {
         StreamChecker {
-            analysis,
-            ctx,
-            depth,
+            engine,
             levels: Vec::new(),
             slots: Vec::new(),
-            run: Vec::new(),
-            cache: TransitionCache::new(Bounds::DEFAULT),
+            cache,
             done: RecognizerStats::default(),
             state: State::Normal,
             skip_depth: 0,
             next_node: 0,
+            elements: 0,
             peak_depth: 0,
         }
-    }
-
-    /// A checker whose cache has `bounds` instead of the constants.
-    #[cfg(test)]
-    fn with_bounds(analysis: &'c DtdAnalysis, ctx: RecCtx<'c>, depth: u32, bounds: Bounds) -> Self {
-        let mut checker = Self::new(analysis, ctx, depth);
-        checker.cache = TransitionCache::new(bounds);
-        checker
     }
 
     /// Dispatches a parser event to the matching handler.
@@ -269,15 +252,41 @@ impl<'c> StreamChecker<'c> {
     /// Handles an element start tag (`self_closing` covers `<e/>`).
     pub fn on_start(&mut self, name: &str, self_closing: bool) {
         let node = self.alloc_node();
+        self.elements += 1;
         match &mut self.state {
-            State::Normal => {
-                if self.levels.is_empty() {
-                    self.start_root(node, name, self_closing);
-                } else {
-                    self.start_child_normal(node, name, self_closing);
+            State::Normal if self.levels.is_empty() => self.start_root(node, name, self_closing),
+            State::Normal => self.start_child(node, name, self_closing),
+            State::Candidate(c) => {
+                if self.skip_depth > 0 {
+                    if !self_closing {
+                        self.skip_depth += 1;
+                    }
+                    return;
                 }
+                if self.levels.len() == c.frozen + 1 {
+                    // A later sibling of the failing child, inside the
+                    // frozen node. Its recognizer is dead, but an
+                    // undeclared sibling preempts an in-flight
+                    // ContentRejected (children_into fails first,
+                    // discarding the node's delta).
+                    if c.watch_undeclared && self.engine.analysis().id(name).is_none() {
+                        c.violation = PvViolation {
+                            node,
+                            kind: PvViolationKind::UndeclaredElement { name: name.to_owned() },
+                        };
+                        c.own = RecognizerStats::default();
+                        c.watch_undeclared = false;
+                    }
+                    if !self_closing {
+                        self.skip_depth = 1;
+                    }
+                    return;
+                }
+                // The frozen level has popped; the top is a live ancestor
+                // whose own check — performed in full by the tree checker
+                // before it ever descends — must keep running.
+                self.start_child(node, name, self_closing);
             }
-            State::Candidate(_) => self.start_child_candidate(node, name, self_closing),
             State::RootFailed(_) => {}
         }
     }
@@ -293,27 +302,15 @@ impl<'c> StreamChecker<'c> {
             // symbol (children_into skips empty text).
             return;
         }
-        match &self.state {
-            State::Normal => {
-                // Queue one σ per run (collapse at queue time): once the
-                // sibling run ends in σ, every further piece — and every
-                // further run up to the next child element — does zero
-                // recognizer work, whatever the parent's content model.
-                if let Some(level) = self.levels.last_mut() {
-                    if !level.last_sigma {
-                        level.last_sigma = true;
-                        self.run.push(ChildSym::Sigma);
-                    }
-                }
-            }
-            State::Candidate(c) => {
-                // Text inside a skipped subtree or directly under the
-                // frozen node never reaches a live recognizer.
-                if self.skip_depth == 0 && self.levels.len() <= c.frozen {
-                    self.feed_sigma_top();
-                }
-            }
-            State::RootFailed(_) => {}
+        let live = match &self.state {
+            State::Normal => !self.levels.is_empty(),
+            // Text inside a skipped subtree or directly under the frozen
+            // node never reaches a live recognizer.
+            State::Candidate(c) => self.skip_depth == 0 && self.levels.len() <= c.frozen,
+            State::RootFailed(_) => false,
+        };
+        if live {
+            self.feed_sigma_top();
         }
     }
 
@@ -352,7 +349,10 @@ impl<'c> StreamChecker<'c> {
         self.alloc_node();
     }
 
-    /// `true` once the boolean verdict is final (a violation froze).
+    /// `true` once the boolean verdict is final (a violation froze). It
+    /// flips at the event that carries the first rejected symbol or
+    /// undeclared name: a text piece, or a child's start tag, self-closing
+    /// or not.
     ///
     /// The canonical violation *node* may still move preorder-earlier
     /// until the stream ends, but "not potentially valid" cannot be
@@ -367,18 +367,33 @@ impl<'c> StreamChecker<'c> {
         self.peak_depth
     }
 
-    /// Number of currently open elements.
-    pub fn open_depth(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Consumes the checker and produces the outcome for the completed
     /// stream. Bit-identical — violation and counters — to
     /// [`CheckEngine::check_document`](crate::engine::CheckEngine::check_document)
     /// on the tree built from the same bytes. Only meaningful after a
     /// complete event stream (all elements closed).
-    pub fn finalize(self) -> PvOutcome {
-        match self.state {
+    pub fn finalize(mut self) -> PvOutcome {
+        self.take_outcome()
+    }
+
+    /// Lexes one complete document in place ([`pv_xml::lex`]) into this
+    /// checker and returns its outcome, recording the engine's
+    /// per-document telemetry (its latency since `t0`, when set), or the
+    /// lexer's error. Either way the checker is ready for the next
+    /// document afterwards, with its slots and its cache kept.
+    pub(crate) fn check_str(&mut self, xml: &str, t0: Option<Instant>) -> pv_xml::Result<PvOutcome> {
+        let lexed = pv_xml::lex(xml, |event| self.on_event(&event));
+        let elements = self.elements;
+        let outcome = self.take_outcome();
+        lexed?;
+        self.engine.obs.record(t0, || elements, &outcome);
+        Ok(outcome)
+    }
+
+    /// The outcome of the stream fed so far, resetting every per-document
+    /// field for the next stream.
+    fn take_outcome(&mut self) -> PvOutcome {
+        let outcome = match std::mem::replace(&mut self.state, State::Normal) {
             State::Normal => PvOutcome { violation: None, stats: self.done },
             State::Candidate(c) => {
                 let mut stats = c.base;
@@ -389,7 +404,14 @@ impl<'c> StreamChecker<'c> {
             State::RootFailed(violation) => {
                 PvOutcome { violation: Some(violation), stats: RecognizerStats::default() }
             }
-        }
+        };
+        self.levels.clear();
+        self.done = RecognizerStats::default();
+        self.skip_depth = 0;
+        self.next_node = 0;
+        self.elements = 0;
+        self.peak_depth = 0;
+        outcome
     }
 
     fn alloc_node(&mut self) -> NodeId {
@@ -399,12 +421,12 @@ impl<'c> StreamChecker<'c> {
     }
 
     fn push_level(&mut self, node: NodeId, elem: ElemId) {
-        let d = self.levels.len();
+        let (d, depth) = (self.levels.len(), self.engine.depth());
         if d == self.slots.len() {
-            self.slots.push(EcRecognizer::new(self.ctx, elem, self.depth));
+            self.slots.push(EcRecognizer::new(self.engine.rec_ctx(), elem, depth));
         }
         let key = loop {
-            match self.cache.open(elem, self.depth, &mut self.slots[d]) {
+            match self.cache.cache().open(elem, depth, &mut self.slots[d]) {
                 Some(key) => break key,
                 None => self.flush(),
             }
@@ -425,23 +447,11 @@ impl<'c> StreamChecker<'c> {
     /// interns afresh on its next step, so the bound holds however deep
     /// the spine is.
     fn flush(&mut self) {
+        let cache = self.cache.cache();
         for (level, slot) in self.levels.iter_mut().zip(&mut self.slots) {
-            self.cache.release(&mut level.key, slot);
+            cache.release(&mut level.key, slot);
         }
-        self.cache.flush();
-    }
-
-    /// Feeds one symbol to the top level's recognizer through the cache
-    /// and counts it in the level's stats, rejected or not.
-    fn step_top(&mut self, x: ChildSym) -> bool {
-        let d = self.levels.len() - 1;
-        loop {
-            let level = &mut self.levels[d];
-            match self.cache.step(&mut level.key, &mut self.slots[d], x, &mut level.partial) {
-                Some(accepted) => return accepted,
-                None => self.flush(),
-            }
-        }
+        cache.flush();
     }
 
     /// Freezes the candidate at the top level, replacing any earlier one.
@@ -451,7 +461,7 @@ impl<'c> StreamChecker<'c> {
         let (violation, own, watch_undeclared) = match cause {
             Cause::Rejected(sym) => {
                 let kind = PvViolationKind::ContentRejected {
-                    symbol: sym.display(&self.analysis.dtd),
+                    symbol: sym.display(&self.engine.analysis().dtd),
                     index: level.count - 1,
                 };
                 (PvViolation { node: level.node, kind }, level.partial, true)
@@ -472,88 +482,35 @@ impl<'c> StreamChecker<'c> {
     }
 
     fn start_root(&mut self, node: NodeId, name: &str, self_closing: bool) {
-        if self.analysis.id(name) != Some(self.analysis.root) {
+        let analysis = self.engine.analysis();
+        if analysis.id(name) != Some(analysis.root) {
             // The tree checker's root precondition: decided before any
             // recognizer runs, with zero stats.
             self.state = State::RootFailed(PvViolation {
                 node,
                 kind: PvViolationKind::RootMismatch {
                     found: name.to_owned(),
-                    expected: self.analysis.name(self.analysis.root).to_owned(),
+                    expected: analysis.name(analysis.root).to_owned(),
                 },
             });
             return;
         }
-        self.push_level(node, self.analysis.root);
+        self.push_level(node, analysis.root);
         if self_closing {
             self.close_top_normal();
         }
     }
 
-    fn start_child_normal(&mut self, node: NodeId, name: &str, self_closing: bool) {
-        let Some(elem) = self.analysis.id(name) else {
-            // `children_into` is all-or-nothing *before* recognition: an
-            // undeclared child zeroes the parent's entire delta, however
-            // many symbols its recognizer had already accepted. That
-            // also means the queued run need not be drained: whether it
-            // would have been accepted (delta discarded with `own`) or
-            // rejected (the in-flight `ContentRejected` is preempted by
-            // this very child — see the candidate-path preemption
-            // branch), the frozen candidate comes out identical.
-            self.run.clear();
-            self.freeze(Cause::Undeclared(node, name));
-            self.skip_depth = usize::from(!self_closing);
-            return;
-        };
-        self.queue_symbol_top(ChildSym::Elem(elem));
-        if self_closing {
-            // Deferred verdict: an accepted self-closing child has an
-            // empty child sequence (no recognizer run, no counters — the
-            // tree checker skips empty sequences entirely), so there is
-            // nothing to open or merge; a rejected one freezes at the
-            // next flush point with a bit-identical candidate.
-            return;
-        }
-        if self.flush_top() {
-            self.push_level(node, elem);
-        } else {
-            self.skip_depth = 1;
-        }
-    }
-
-    fn start_child_candidate(&mut self, node: NodeId, name: &str, self_closing: bool) {
-        if self.skip_depth > 0 {
-            if !self_closing {
-                self.skip_depth += 1;
-            }
-            return;
-        }
-        let c = match &mut self.state {
-            State::Candidate(c) => c,
-            _ => unreachable!("start_child_candidate outside candidate state"),
-        };
-        if self.levels.len() == c.frozen + 1 {
-            // A later sibling of the failing child, inside the frozen
-            // node. Its recognizer is dead, but an undeclared sibling
-            // preempts an in-flight ContentRejected (children_into fails
-            // first, discarding the node's delta).
-            if c.watch_undeclared && self.analysis.id(name).is_none() {
-                c.violation = PvViolation {
-                    node,
-                    kind: PvViolationKind::UndeclaredElement { name: name.to_owned() },
-                };
-                c.own = RecognizerStats::default();
-                c.watch_undeclared = false;
-            }
-            if !self_closing {
-                self.skip_depth = 1;
-            }
-            return;
-        }
-        // The frozen level has popped; the top is a live ancestor whose
-        // own check — performed in full by the tree checker before it
-        // ever descends — must keep running.
-        match self.analysis.id(name) {
+    /// A child start tag under the live top level, in normal mode or at a
+    /// live ancestor of the candidate: the child's symbol is stepped now.
+    /// An undeclared child freezes at once: `children_into` is
+    /// all-or-nothing *before* recognition, so it zeroes the parent's
+    /// entire delta however many symbols were accepted. A subtree opens a
+    /// level only while no violation is frozen; every other subtree is
+    /// skipped.
+    fn start_child(&mut self, node: NodeId, name: &str, self_closing: bool) {
+        let elem = self.engine.analysis().id(name);
+        match elem {
             None => self.freeze(Cause::Undeclared(node, name)),
             Some(elem) => {
                 let sym = ChildSym::Elem(elem);
@@ -562,50 +519,33 @@ impl<'c> StreamChecker<'c> {
                 }
             }
         }
-        if !self_closing {
-            self.skip_depth = 1;
+        // An accepted self-closing child has an empty child sequence (no
+        // recognizer run, no counters — the tree checker skips empty
+        // sequences entirely), so there is nothing to open or merge.
+        if self_closing {
+            return;
+        }
+        match (&self.state, elem) {
+            (State::Normal, Some(elem)) => self.push_level(node, elem),
+            _ => self.skip_depth = 1,
         }
     }
 
-    /// Appends one symbol to the top level's queued sibling run — the
-    /// batched counterpart of [`feed_symbol_top`](Self::feed_symbol_top),
-    /// drained by [`flush_top`](Self::flush_top). Normal-mode only.
-    fn queue_symbol_top(&mut self, sym: ChildSym) {
-        let level = self.levels.last_mut().expect("open level");
-        level.last_sigma = matches!(sym, ChildSym::Sigma);
-        self.run.push(sym);
-    }
-
-    /// Drains the top level's queued sibling run into its recognizer,
-    /// stopping at the first rejected symbol. Returns `false` if a symbol
-    /// was rejected; the candidate is then frozen at exactly the position
-    /// — index, partial delta, stats — the per-symbol protocol would have
-    /// frozen it, and the symbols queued after the rejection are
-    /// discarded (only `σ` and *declared* self-closing children are ever
-    /// queued, and the per-symbol protocol feeds neither to a frozen
-    /// level).
-    fn flush_top(&mut self) -> bool {
-        if self.run.is_empty() {
-            return true;
-        }
-        let mut run = std::mem::take(&mut self.run);
-        let rejected = run.iter().position(|&x| !self.step_top(x));
-        let level = self.levels.last_mut().expect("open level");
-        level.count += rejected.map_or(run.len(), |i| i + 1);
-        let sym = rejected.map(|i| run[i]);
-        run.clear();
-        self.run = run;
-        let Some(sym) = sym else { return true };
-        self.freeze(Cause::Rejected(sym));
-        false
-    }
-
-    /// Feeds one symbol to the top level's recognizer, replicating the
-    /// tree path's run: the symbol is counted (and the recognizer's stats
-    /// mutate) even when it is rejected.
+    /// Feeds one symbol to the top level's recognizer through the cache,
+    /// replicating the tree path's run: the symbol is counted (and the
+    /// recognizer's stats mutate) even when it is rejected.
     fn feed_symbol_top(&mut self, sym: ChildSym) -> bool {
-        let accepted = self.step_top(sym);
-        let level = self.levels.last_mut().expect("open level");
+        let d = self.levels.len() - 1;
+        let accepted = loop {
+            let level = &mut self.levels[d];
+            let stepped =
+                self.cache.cache().step(&mut level.key, &mut self.slots[d], sym, &mut level.partial);
+            match stepped {
+                Some(accepted) => break accepted,
+                None => self.flush(),
+            }
+        };
+        let level = &mut self.levels[d];
         level.count += 1;
         level.last_sigma = matches!(sym, ChildSym::Sigma);
         accepted
@@ -624,27 +564,25 @@ impl<'c> StreamChecker<'c> {
         }
     }
 
+    /// Closes the top level in normal mode: its check completed cleanly
+    /// (a rejection would have frozen a candidate), so its delta counts.
     fn close_top_normal(&mut self) {
-        let clean = self.flush_top();
         let level = self.levels.pop().expect("open level");
-        if clean {
-            self.done.merge(&level.partial);
-        }
-        // On a rejection the freeze already captured `own = partial` and
-        // this pop is the frozen level's own close: nothing to merge.
+        self.done.merge(&level.partial);
     }
 }
 
 impl CheckEngine {
     /// Creates a [`StreamChecker`] sharing this engine's compiled DAGs
-    /// and depth policy. The stream checker holds O(depth) state plus its
-    /// own constant-bounded transition cache, cold for every checker, and
+    /// and depth policy, for event streams whose pace someone else sets
+    /// (chunked uploads). It holds O(depth) state plus its own
+    /// constant-bounded transition cache, cold for every checker, and
     /// produces outcomes bit-identical to
     /// [`check_document`](Self::check_document); it never touches the
     /// engine's cache or memo telemetry (every cache replays exact
     /// deltas, so every path coincides).
     pub fn stream_checker(&self) -> StreamChecker<'_> {
-        StreamChecker::new(self.analysis(), self.rec_ctx(), self.depth())
+        StreamChecker::new(self, Lease::private(Bounds::DEFAULT))
     }
 }
 
@@ -707,6 +645,7 @@ impl<'c> StreamCheck<'c> {
 mod tests {
     use super::*;
     use pv_dtd::builtin::BuiltinDtd;
+    use pv_dtd::DtdAnalysis;
 
     fn tree_outcome(analysis: &DtdAnalysis, xml: &str) -> PvOutcome {
         let checker = CheckEngine::new(analysis.clone());
@@ -807,6 +746,16 @@ mod tests {
         assert_eq!(got, tree_outcome(&analysis, &full));
     }
 
+    #[test]
+    fn a_rejected_self_closing_child_decides_at_its_own_tag() {
+        let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let mut stream = StreamCheck::new(checker.stream_checker());
+        stream.feed(b"<r><a><b>x</b><e/>").unwrap();
+        assert!(!stream.decided());
+        stream.feed(b"<c/>").unwrap();
+        assert!(stream.decided(), "decided at the <c/> tag itself, before <a> closes");
+    }
+
     /// `corpus::repetitive_analysis()`'s DTD, inlined because `pv-core`
     /// cannot depend on `pv-workload`.
     const REPETITIVE_DTD: &str = "<!ELEMENT r (s*)>
@@ -852,7 +801,7 @@ mod tests {
         let mut stream = StreamCheck::new(checker.stream_checker());
         for chunk in xml.as_bytes().chunks(4096) {
             stream.feed(chunk).unwrap();
-            assert!(stream.checker().cache.within_bounds());
+            assert!(stream.checker().cache.peek().within_bounds());
         }
         assert!(stream.checker().peak_depth() <= 2);
         assert_eq!(stream.finish().unwrap(), tree_outcome(&analysis, &xml));
@@ -910,14 +859,12 @@ mod tests {
         bounds: Bounds,
     ) -> (PvOutcome, u64, usize) {
         let engine = CheckEngine::new(analysis.clone());
-        let checker =
-            StreamChecker::with_bounds(engine.analysis(), engine.rec_ctx(), engine.depth(), bounds);
-        let mut stream = StreamCheck::new(checker);
+        let mut stream = StreamCheck::new(StreamChecker::new(&engine, Lease::private(bounds)));
         for chunk in xml.as_bytes().chunks(7) {
             stream.feed(chunk).unwrap();
-            assert!(stream.checker().cache.within_bounds(), "cache over {bounds:?}");
+            assert!(stream.checker().cache.peek().within_bounds(), "cache over {bounds:?}");
         }
-        let cache = &stream.checker().cache;
+        let cache = stream.checker().cache.peek();
         let (flushes, configs) = (cache.flushes, cache.configs());
         (stream.finish().unwrap(), flushes, configs)
     }

@@ -235,10 +235,10 @@ struct ServiceMetrics {
     stream_us: Histogram,
     load_us: Histogram,
     other_us: Histogram,
-    /// `CHECK` stage wall-clocks (the recognize stage also lands in the
-    /// engine's own `pv_engine_check_us`).
+    /// `CHECK` stage wall-clocks (the recognize stage, which lexes the
+    /// document as it checks it, also lands in the engine's own
+    /// `pv_engine_check_us`).
     read_us: Histogram,
-    parse_us: Histogram,
     recognize_us: Histogram,
     serialize_us: Histogram,
     /// Streaming ingest: one count/size/feed-latency sample per chunk.
@@ -255,7 +255,7 @@ struct ServiceMetrics {
     read_timeout: Counter,
     framing_error: Counter,
     drain_forced: Counter,
-    /// Lifetime totals (mirrors of the `STATS` counters).
+    /// Lifetime totals: the `STATS` reply reads these.
     requests: Counter,
     documents: Counter,
     /// Live state, refreshed from the governor at snapshot time.
@@ -272,7 +272,6 @@ impl ServiceMetrics {
             load_us: reg.histogram("pv_service_load_us"),
             other_us: reg.histogram("pv_service_other_us"),
             read_us: reg.histogram("pv_service_read_us"),
-            parse_us: reg.histogram("pv_service_parse_us"),
             recognize_us: reg.histogram("pv_service_recognize_us"),
             serialize_us: reg.histogram("pv_service_serialize_us"),
             stream_chunks: reg.counter("pv_stream_chunks_total"),
@@ -342,8 +341,6 @@ struct ServiceState {
     /// one client another client's engine.
     interned: RwLock<HashMap<String, String>>,
     next_handle: AtomicU64,
-    requests: AtomicU64,
-    documents: AtomicU64,
     /// Work counters merged over every check the server ran.
     totals: Mutex<RecognizerStats>,
     started: Instant,
@@ -404,7 +401,6 @@ impl ServiceState {
     }
 
     fn record(&self, docs: u64, stats: &RecognizerStats) {
-        self.documents.fetch_add(docs, Ordering::Relaxed);
         self.metrics.documents.add(docs);
         self.totals.lock().unwrap().merge(stats);
     }
@@ -569,8 +565,6 @@ impl Server {
             dtds: RwLock::new(HashMap::new()),
             interned: RwLock::new(HashMap::new()),
             next_handle: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            documents: AtomicU64::new(0),
             totals: Mutex::new(RecognizerStats::default()),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -835,7 +829,6 @@ fn connection_loop(
         let read_us = t0.elapsed().as_micros() as u64;
         state.metrics.read_us.observe(read_us);
         if matches!(frame, Frame::Req(_)) {
-            state.requests.fetch_add(1, Ordering::Relaxed);
             state.metrics.requests.inc();
         }
         match frame {
@@ -1072,8 +1065,8 @@ fn handle_check_stream(
 
 /// Serves one buffered request. `stages` accumulates named stage
 /// wall-clocks (microseconds) for the slow-trace ring — the handler
-/// appends `parse`/`recognize`/`serialize` entries for the verbs that
-/// have those stages and leaves it untouched otherwise.
+/// appends `recognize`/`serialize` entries for the verbs that have those
+/// stages and leaves it untouched otherwise.
 fn handle_request(
     req: Request,
     state: &Arc<ServiceState>,
@@ -1096,8 +1089,6 @@ fn handle_request(
                 // never hits.
                 entry.engine.memo_reset();
                 *state.totals.lock().unwrap() = RecognizerStats::default();
-                state.requests.store(0, Ordering::Relaxed);
-                state.documents.store(0, Ordering::Relaxed);
                 state.obs.reset();
                 "{\"ok\":true}".to_owned()
             }
@@ -1130,8 +1121,8 @@ fn handle_request(
                 out,
                 ",\"uptime_ms\":{},\"requests\":{},\"documents\":{},\"workers\":{}",
                 state.started.elapsed().as_millis(),
-                state.requests.load(Ordering::Relaxed),
-                state.documents.load(Ordering::Relaxed),
+                state.metrics.requests.get(),
+                state.metrics.documents.get(),
                 state.pool.workers(),
             );
             let _ = write!(
@@ -1182,29 +1173,19 @@ fn handle_request(
             out.push_str("]}");
             out
         }
-        Request::Check { handle, jobs, memo, xml } => match state.entry(&handle) {
+        // One document is never split: it is lexed and checked with no
+        // tree on this connection thread whatever `jobs` says, and
+        // `memo=0` detaches the shared cache.
+        Request::Check { handle, jobs: _, memo, xml } => match state.entry(&handle) {
             Ok(entry) => {
                 let m = &state.metrics;
-                let pt = m.parse_us.start();
-                let parsed = pv_xml::parse(&xml);
-                if let Some(us) = m.parse_us.observe_since(pt) {
-                    stages.push(("parse".to_owned(), us));
+                let rt = m.recognize_us.start();
+                let checked = entry.engine.check_str(&xml, memo);
+                if let Some(us) = m.recognize_us.observe_since(rt) {
+                    stages.push(("recognize".to_owned(), us));
                 }
-                match parsed {
-                    Ok(doc) => {
-                        // One document is never split: it runs on this
-                        // connection thread whatever `jobs` says, and
-                        // `memo=0` detaches the shared cache.
-                        let rt = m.recognize_us.start();
-                        let outcome = entry.engine.check_document_pooled(
-                            &Arc::new(doc),
-                            &state.pool,
-                            jobs,
-                            memo,
-                        );
-                        if let Some(us) = m.recognize_us.observe_since(rt) {
-                            stages.push(("recognize".to_owned(), us));
-                        }
+                match checked {
+                    Ok(outcome) => {
                         state.record(1, &outcome.stats);
                         let st = m.serialize_us.start();
                         let body = check_response(&outcome, &entry, memo);
@@ -1223,30 +1204,23 @@ fn handle_request(
         Request::CheckStream { .. } => {
             err_response("CHECK_STREAM is handled by the connection loop")
         }
+        // Each document is one pool task, lexed and checked with no tree;
+        // the reply names the malformed document of lowest index.
         Request::Batch { handle, jobs, xmls } => match state.entry(&handle) {
             Ok(entry) => {
                 let m = &state.metrics;
-                let pt = m.parse_us.start();
-                let mut docs = Vec::with_capacity(xmls.len());
-                for (i, xml) in xmls.iter().enumerate() {
-                    match pv_xml::parse(xml) {
-                        Ok(d) => docs.push(d),
-                        Err(e) => {
-                            return err_response(&format!(
-                                "document #{i} is not well-formed: {e}"
-                            ))
-                        }
-                    }
-                }
-                if let Some(us) = m.parse_us.observe_since(pt) {
-                    stages.push(("parse".to_owned(), us));
-                }
-                let docs = Arc::new(docs);
                 let rt = m.recognize_us.start();
-                let outcomes = entry.engine.check_batch_pooled(&docs, &state.pool, jobs);
+                let results = entry.engine.check_batch_pooled(&Arc::new(xmls), &state.pool, jobs);
                 if let Some(us) = m.recognize_us.observe_since(rt) {
                     stages.push(("recognize".to_owned(), us));
                 }
+                let indexed = results.into_iter().enumerate().map(|(i, r)| r.map_err(|e| (i, e)));
+                let outcomes = match indexed.collect::<Result<Vec<_>, _>>() {
+                    Ok(outcomes) => outcomes,
+                    Err((i, e)) => {
+                        return err_response(&format!("document #{i} is not well-formed: {e}"))
+                    }
+                };
                 let mut merged = RecognizerStats::default();
                 for o in &outcomes {
                     merged.merge(&o.stats);

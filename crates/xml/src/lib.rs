@@ -6,6 +6,7 @@
 //!
 //! * one **XML lexer**, the resumable push parser ([`PushParser`]), which
 //!   turns byte chunks into SAX-style [`Event`]s for streaming validation,
+//!   and runs in place over a complete document in memory ([`lex`]),
 //! * a **well-formedness parser** ([`parse`]): a small tree builder over the
 //!   push parser's events, producing an arena-based [`Document`] (the DOM
 //!   trees of the paper's Figure 2),
@@ -38,7 +39,7 @@ pub mod tree;
 
 pub use error::{XmlError, XmlErrorKind};
 pub use parser::parse;
-pub use stream::{Event, PushParser};
+pub use stream::{lex, Event, PushParser};
 pub use tree::{Attribute, Document, Doctype, NameId, NodeId, NodeKind};
 
 /// Result alias used across the crate.

@@ -22,7 +22,7 @@
 //! arbitrarily deep documents (which the depth-bound experiments of
 //! `pv-bench` generate) parse fine.
 
-use crate::stream::{lex_complete, Event};
+use crate::stream::{lex, Event};
 use crate::tree::{Data, Document, NodeId};
 use crate::Result;
 
@@ -30,7 +30,7 @@ use crate::Result;
 /// misc allowed).
 pub fn parse(input: &str) -> Result<Document> {
     let mut tree = Builder::default();
-    let doctype = lex_complete(input, |event| tree.event(event))?;
+    let doctype = lex(input, |event| tree.event(event))?;
     let mut doc = tree.doc;
     assert!(!doc.nodes.is_empty(), "a complete event stream starts with the root's start tag");
     doc.doctype = doctype;

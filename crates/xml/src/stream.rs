@@ -190,8 +190,8 @@ pub struct PushParser {
 }
 
 /// Everything the state machine keeps between events, apart from the
-/// input itself: [`PushParser`] runs it over its buffer, [`lex_complete`]
-/// over a caller's string.
+/// input itself: [`PushParser`] runs it over its buffer, [`lex`] over a
+/// caller's string.
 #[derive(Default)]
 struct Lexer {
     /// Absolute offset of the input's first byte.
@@ -407,8 +407,9 @@ impl PushParser {
 /// `sink`, and returns the captured `<!DOCTYPE>`. The machine runs over
 /// `input` in place with end of input known from the start, so nothing
 /// is copied, re-validated or re-lexed; events and errors are those of a
-/// [`PushParser`] fed `input` in any chunking.
-pub(crate) fn lex_complete(input: &str, sink: impl FnMut(Event<'_>)) -> Result<Option<Doctype>> {
+/// [`PushParser`] fed `input` in any chunking. [`crate::parse`] is this
+/// plus a tree builder.
+pub fn lex(input: &str, sink: impl FnMut(Event<'_>)) -> Result<Option<Doctype>> {
     let mut lx = Lexer::default();
     lx.drive(input, true, sink)?;
     debug_assert_eq!(lx.mode, Mode::Done);

@@ -55,11 +55,14 @@
 //! let checker = CheckEngine::new(BuiltinDtd::Play.analysis());
 //! let pool = Pool::new(0); // one parked worker per CPU
 //!
-//! // A corpus, one task per document: outcome i == check_document(&docs[i]).
-//! let docs = Arc::new(pv_workload::corpus::batch(BuiltinDtd::Play, 8, 300).unwrap());
+//! // A corpus as text, one task per document, each lexed straight into
+//! // its check: outcome i == check_document(&parse(&docs[i])?).
+//! let corpus = pv_workload::corpus::batch(BuiltinDtd::Play, 8, 300).unwrap();
+//! let docs = Arc::new(corpus.iter().map(Document::to_xml).collect());
 //! let outcomes = checker.check_batch_pooled(&docs, &pool, 0);
-//! assert!(outcomes.iter().all(|o| o.is_potentially_valid()));
-//! assert_eq!(outcomes[3], checker.check_document(&docs[3]));
+//! assert!(outcomes.iter().all(|o| o.as_ref().is_ok_and(PvOutcome::is_potentially_valid)));
+//! let tree = pv_xml::parse(&docs[3]).unwrap();
+//! assert_eq!(outcomes[3], Ok(checker.check_document(&tree)));
 //! ```
 
 pub use pv_core as core;

@@ -72,9 +72,10 @@ fn assert_certificate_holds(analysis: &DtdAnalysis, docs: &[Document], ctx: &str
         }
     }
     if docs.len() > 1 {
-        let batch = Arc::new(docs.to_vec());
+        let batch = Arc::new(docs.iter().map(Document::to_xml).collect());
         for jobs in JOBS {
-            for (i, out) in engine.check_batch_pooled(&batch, pool(), jobs).iter().enumerate() {
+            let outcomes = engine.check_batch_pooled(&batch, pool(), jobs);
+            for (i, out) in outcomes.iter().map(|r| r.as_ref().expect("serialized")).enumerate() {
                 assert_eq!(
                     out.stats.specs_denied, 0,
                     "{ctx}: batch doc {i} denied speculation under a certificate (jobs {jobs})"

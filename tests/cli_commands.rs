@@ -3,8 +3,8 @@
 //! subset — the self-contained file format the tool is built around).
 
 use pv_cli::{
-    cmd_analyze, cmd_check, cmd_check_stream_remote, cmd_classify, cmd_complete, cmd_lint,
-    cmd_validate, resolve_dtd, CheckOpts, Status,
+    cmd_analyze, cmd_check, cmd_check_remote, cmd_check_stream_remote, cmd_classify,
+    cmd_complete, cmd_lint, cmd_validate, resolve_dtd, CheckOpts, Status,
 };
 use pv_core::depth::DepthPolicy;
 use pv_service::{Client, Endpoint, Server};
@@ -14,16 +14,26 @@ const FIG1_SUBSET: &str = "
 <!ELEMENT c (#PCDATA)><!ELEMENT d (#PCDATA | e)*><!ELEMENT e EMPTY><!ELEMENT f (c, e)>
 ";
 
+/// `body` behind a DOCTYPE carrying Figure 1's DTD as its internal subset.
+fn with_subset(body: &str) -> String {
+    format!("<!DOCTYPE r [{FIG1_SUBSET}]>\n{body}")
+}
+
 fn doc_with_subset(body: &str) -> pv_xml::Document {
-    pv_xml::parse(&format!("<!DOCTYPE r [{FIG1_SUBSET}]>\n{body}")).unwrap()
+    pv_xml::parse(&with_subset(body)).unwrap()
+}
+
+/// `pvx check DOC` with no DTD flags: the DTD is the document's own.
+fn check(name: &str, xml: &str, opts: &CheckOpts) -> (String, Status) {
+    cmd_check(None, None, None, name, xml, opts)
 }
 
 #[test]
 fn check_via_internal_subset() {
-    let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
-    let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
+    let xml = with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
+    let ctx = resolve_dtd(None, None, None, Some(&pv_xml::parse(&xml).unwrap())).unwrap();
     assert_eq!(ctx.source, "internal subset");
-    let (report, status) = cmd_check(&ctx, "s.xml", &doc, &CheckOpts::default());
+    let (report, status) = check("s.xml", &xml, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
     assert!(report.contains("POTENTIALLY VALID"));
     assert!(report.contains("non-recursive"));
@@ -31,9 +41,8 @@ fn check_via_internal_subset() {
 
 #[test]
 fn check_failure_names_the_symbol() {
-    let doc = doc_with_subset("<r><a><b>x</b><e/><c>y</c></a></r>");
-    let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let (report, status) = cmd_check(&ctx, "w.xml", &doc, &CheckOpts::default());
+    let xml = with_subset("<r><a><b>x</b><e/><c>y</c></a></r>");
+    let (report, status) = check("w.xml", &xml, &CheckOpts::default());
     assert_eq!(status, Status::Failed);
     assert!(report.contains("<c>"), "{report}");
     assert!(report.contains("deletion or renaming"), "{report}");
@@ -75,12 +84,8 @@ fn explicit_root_respects_usability() {
         <!ELEMENT a (b?, (c | f), d)><!ELEMENT b (d | f)>
         <!ELEMENT c (#PCDATA)><!ELEMENT d (#PCDATA | e)*>
         <!ELEMENT e EMPTY><!ELEMENT f (c, e)>";
-    let doc = pv_xml::parse(&format!(
-        "<!DOCTYPE a [{frag_subset}]>\n<a><b>x</b><c>y</c><d/></a>"
-    ))
-    .unwrap();
-    let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let (_, status) = cmd_check(&ctx, "frag", &doc, &CheckOpts::default());
+    let xml = format!("<!DOCTYPE a [{frag_subset}]>\n<a><b>x</b><c>y</c><d/></a>");
+    let (_, status) = check("frag", &xml, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
 }
 
@@ -153,12 +158,11 @@ fn analyze_json_schema_is_stable() {
 /// flag the report is unchanged.
 #[test]
 fn check_verbose_appends_analysis_summary() {
-    let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
-    let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
-    let quiet = cmd_check(&ctx, "s.xml", &doc, &CheckOpts::default()).0;
+    let xml = with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
+    let quiet = check("s.xml", &xml, &CheckOpts::default()).0;
     assert!(!quiet.contains("analysis:"), "{quiet}");
     let verbose_opts = CheckOpts { verbose: true, ..CheckOpts::default() };
-    let verbose = cmd_check(&ctx, "s.xml", &doc, &verbose_opts).0;
+    let verbose = check("s.xml", &xml, &verbose_opts).0;
     assert!(verbose.contains("analysis:"), "{verbose}");
     assert!(verbose.contains("certified budget"), "{verbose}");
     assert!(verbose.contains("deterministic"), "{verbose}");
@@ -166,15 +170,59 @@ fn check_verbose_appends_analysis_summary() {
 
 #[test]
 fn bounded_depth_flag_reaches_the_checker() {
-    let doc = pv_xml::parse(
-        "<!DOCTYPE a [<!ELEMENT a ((a | b), b)><!ELEMENT b EMPTY>]>\n<a><b/><b/><b/></a>",
-    )
-    .unwrap();
-    let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
+    let doc = "<!DOCTYPE a [<!ELEMENT a ((a | b), b)><!ELEMENT b EMPTY>]>\n<a><b/><b/><b/></a>";
     let bounded =
         |depth, memo| CheckOpts { depth: DepthPolicy::Bounded(depth), memo, ..CheckOpts::default() };
-    assert_eq!(cmd_check(&ctx, "t", &doc, &bounded(0, true)).1, Status::Failed);
-    assert_eq!(cmd_check(&ctx, "t", &doc, &bounded(1, false)).1, Status::Ok);
+    assert_eq!(check("t", doc, &bounded(0, true)).1, Status::Failed);
+    assert_eq!(check("t", doc, &bounded(1, false)).1, Status::Ok);
+}
+
+/// A malformed document is an error (exit 2) however the DTD would have
+/// been found. With no DTD flags and no DOCTYPE, the missing DTD is
+/// reported first: the prolog is all that is read before the DTD
+/// resolves. A DOCTYPE cut short is malformed in the prolog itself, and
+/// a document with a DTD is reported at the lexer's byte offset.
+#[test]
+fn malformed_documents_without_a_dtd_exit_2() {
+    let opts = CheckOpts::default();
+    let (report, status) = check("m.xml", "<r><a><b>x</b></a>", &opts);
+    assert_eq!((status, status.code()), (Status::Error, 2));
+    assert_eq!(
+        report,
+        "m.xml: document has no <!DOCTYPE …> and no --dtd/--builtin was given\n"
+    );
+    let (report, status) = check("m.xml", "<!DOCTYPE r [<!ELEMENT r (a+)>", &opts);
+    assert_eq!((status, status.code()), (Status::Error, 2));
+    assert!(report.starts_with("m.xml: not well-formed: "), "{report}");
+    let xml = with_subset("<r><a><b>x</b></a>");
+    let (report, status) = check("m.xml", &xml, &opts);
+    assert_eq!((status, status.code()), (Status::Error, 2));
+    let expect = pv_xml::parse(&xml).unwrap_err();
+    assert_eq!(report, format!("m.xml: not well-formed: {expect}\n"));
+    let json = CheckOpts { json: true, ..CheckOpts::default() };
+    let (line, status) = check("m.xml", &xml, &json);
+    assert_eq!(status, Status::Error);
+    assert!(line.starts_with("{\"doc\":\"m.xml\",\"ok\":false,\"error\":\"not well-formed: "), "{line}");
+}
+
+/// `pvx check --remote` ships a malformed document unparsed: the server
+/// reports it, and the check still exits 2 with the server's message.
+#[test]
+fn malformed_remote_documents_exit_2() {
+    let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 1).unwrap();
+    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
+    let handle = client.load_builtin("figure1").unwrap().handle;
+    let xml = "<r><a><b>x</b></a>";
+    let expect = pv_xml::parse(xml).unwrap_err();
+    let (report, status) = cmd_check_remote(&mut client, &handle, "m.xml", xml, &CheckOpts::default());
+    assert_eq!((status, status.code()), (Status::Error, 2));
+    assert_eq!(report, format!("m.xml: server error: document is not well-formed: {expect}\n"));
+    // The connection stays usable.
+    let good = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
+    let (report, status) = cmd_check_remote(&mut client, &handle, "g.xml", good, &CheckOpts::default());
+    assert_eq!(status, Status::Ok, "{report}");
+    client.shutdown().unwrap();
+    server.join();
 }
 
 /// `pvx check --stream --remote` with a zero chunk size is an error, not

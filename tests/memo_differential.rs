@@ -69,16 +69,30 @@ fn assert_memo_identical(analysis: &DtdAnalysis, doc: &Document, ctx: &str) {
     }
 }
 
+/// A batch as `check_batch_pooled` takes it — the documents' text — and
+/// the trees parsed back from that text, which the expectations check:
+/// serializing merges adjacent text nodes, so node ids follow the text.
+fn text_batch(docs: &[Document]) -> (Arc<Vec<String>>, Vec<Document>) {
+    let texts: Vec<String> = docs.iter().map(Document::to_xml).collect();
+    let parsed = texts.iter().map(|t| pv_xml::parse(t).expect("serialized")).collect();
+    (Arc::new(texts), parsed)
+}
+
+/// A batch's outcomes, every document well-formed.
+fn well_formed(results: Vec<pv_xml::Result<PvOutcome>>) -> Vec<PvOutcome> {
+    results.into_iter().map(|r| r.expect("serialized documents are well-formed")).collect()
+}
+
 /// Asserts a memoized batch of one case's documents == plain, cold and
 /// warm, at every job count: the workers share one cache.
 fn assert_memo_batch_identical(analysis: &DtdAnalysis, docs: Vec<Document>, ctx: &str) {
     let reference = plain(analysis);
-    let expect: Vec<PvOutcome> = docs.iter().map(|d| reference.check_document(d)).collect();
-    let docs = Arc::new(docs);
+    let (docs, parsed) = text_batch(&docs);
+    let expect: Vec<PvOutcome> = parsed.iter().map(|d| reference.check_document(d)).collect();
     for jobs in JOBS {
         let memoized = CheckEngine::new(analysis.clone());
         for pass in ["cold", "warm"] {
-            let got = memoized.check_batch_pooled(&docs, pool(), jobs);
+            let got = well_formed(memoized.check_batch_pooled(&docs, pool(), jobs));
             assert_eq!(got, expect, "{ctx}: {pass} batch diverged at jobs={jobs}");
         }
     }
@@ -230,13 +244,14 @@ fn batch_checking_matches_memo_off_at_any_job_count() {
         }
     }
     let reference = plain(&analysis);
-    let expect: Vec<PvOutcome> = docs.iter().map(|d| reference.check_document(d)).collect();
+    let (docs, parsed) = text_batch(&docs);
+    let expect: Vec<PvOutcome> = parsed.iter().map(|d| reference.check_document(d)).collect();
     assert!(expect.iter().any(|o| o.is_potentially_valid()));
     assert!(expect.iter().any(|o| !o.is_potentially_valid()));
     let memoized = CheckEngine::new(analysis.clone());
-    let docs = Arc::new(docs);
     for jobs in [0usize, 1, 2, 8] {
-        assert_eq!(memoized.check_batch_pooled(&docs, pool(), jobs), expect, "jobs={jobs}");
+        let got = well_formed(memoized.check_batch_pooled(&docs, pool(), jobs));
+        assert_eq!(got, expect, "jobs={jobs}");
     }
 }
 
@@ -367,11 +382,12 @@ proptest! {
             })
             .collect();
         let reference = plain(&analysis);
-        let expect: Vec<PvOutcome> = docs.iter().map(|d| reference.check_document(d)).collect();
+        let (docs, parsed) = text_batch(&docs);
+        let expect: Vec<PvOutcome> = parsed.iter().map(|d| reference.check_document(d)).collect();
         let memoized = CheckEngine::new(analysis.clone());
-        let docs = Arc::new(docs);
         for jobs in JOBS {
-            prop_assert_eq!(&memoized.check_batch_pooled(&docs, pool(), jobs), &expect, "jobs={}", jobs);
+            let got = well_formed(memoized.check_batch_pooled(&docs, pool(), jobs));
+            prop_assert_eq!(&got, &expect, "jobs={}", jobs);
         }
     }
 }

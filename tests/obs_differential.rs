@@ -57,7 +57,7 @@ fn outcomes_bit_identical_with_metrics_on_and_off() {
         let mut batch = Vec::new();
         for xml in scenarios(b) {
             let Ok(doc) = pv_xml::parse(&xml) else { continue };
-            batch.push(doc.clone());
+            batch.push(xml.clone());
             let doc = Arc::new(doc);
             // Sequential, both memo settings.
             for memo in [true, false] {
@@ -85,10 +85,15 @@ fn outcomes_bit_identical_with_metrics_on_and_off() {
         }
         // The scenarios as one batch on the observed pool: instrumented
         // pool and engine must not perturb any worker's outcome.
-        let expect: Vec<PvOutcome> = batch.iter().map(|d| plain.check_document(d)).collect();
+        let expect: Vec<PvOutcome> =
+            batch.iter().map(|x| plain.check_document(&pv_xml::parse(x).unwrap())).collect();
         let batch = Arc::new(batch);
         for jobs in [2, 4] {
-            let par = observed.check_batch_pooled(&batch, &pool_observed, jobs);
+            let par: Vec<PvOutcome> = observed
+                .check_batch_pooled(&batch, &pool_observed, jobs)
+                .into_iter()
+                .map(|r| r.expect("well-formed"))
+                .collect();
             assert_eq!(par, expect, "batch jobs={jobs} {}", b.name());
         }
     }
@@ -127,16 +132,16 @@ fn registry_counters_mirror_recognizer_stats_totals() {
     let engine =
         CheckEngine::with_policy_observed(BuiltinDtd::Play.analysis(), DepthPolicy::Auto, &registry);
     let pool = Pool::try_new(2, &registry).unwrap();
-    let docs: Vec<Document> = scenarios(BuiltinDtd::Play)
-        .iter()
-        .filter_map(|xml| pv_xml::parse(xml).ok())
-        .collect();
+    let texts: Vec<String> =
+        scenarios(BuiltinDtd::Play).into_iter().filter(|xml| pv_xml::parse(xml).is_ok()).collect();
+    let docs: Vec<Document> = texts.iter().map(|xml| pv_xml::parse(xml).unwrap()).collect();
     let mut outcomes = Vec::new();
     for doc in &docs {
         outcomes.push(engine.check_document_pooled(&Arc::new(doc.clone()), &pool, 2, true));
     }
     // The same documents as one batch: every worker's outcome is mirrored.
-    outcomes.extend(engine.check_batch_pooled(&Arc::new(docs.clone()), &pool, 2));
+    let batch = engine.check_batch_pooled(&Arc::new(texts), &pool, 2);
+    outcomes.extend(batch.into_iter().map(|r| r.expect("well-formed")));
     let mut totals = (0u64, 0u64, 0u64, 0u64); // symbols, visits, subs, denied
     for outcome in &outcomes {
         totals.0 += outcome.stats.symbols;

@@ -40,11 +40,26 @@ fn assert_parallel_identical(analysis: &DtdAnalysis, docs: Vec<Document>, ctx: &
             assert_eq!(par, seq[i], "{ctx}: document {i} diverged at jobs={jobs}");
         }
     }
-    let docs = Arc::new(docs);
+    let (docs, parsed) = text_batch(&docs);
+    let seq: Vec<PvOutcome> = parsed.iter().map(|d| checker.check_document(d)).collect();
     for jobs in JOBS {
-        let par = checker.check_batch_pooled(&docs, pool(), jobs);
+        let par = well_formed(checker.check_batch_pooled(&docs, pool(), jobs));
         assert_eq!(par, seq, "{ctx}: batch diverged at jobs={jobs}");
     }
+}
+
+/// A batch as `check_batch_pooled` takes it — the documents' text — and
+/// the trees parsed back from that text, which the expectations check:
+/// serializing merges adjacent text nodes, so node ids follow the text.
+fn text_batch(docs: &[Document]) -> (Arc<Vec<String>>, Vec<Document>) {
+    let texts: Vec<String> = docs.iter().map(Document::to_xml).collect();
+    let parsed = texts.iter().map(|t| pv_xml::parse(t).expect("serialized")).collect();
+    (Arc::new(texts), parsed)
+}
+
+/// A batch's outcomes, every document well-formed.
+fn well_formed(results: Vec<pv_xml::Result<PvOutcome>>) -> Vec<PvOutcome> {
+    results.into_iter().map(|r| r.expect("serialized documents are well-formed")).collect()
 }
 
 /// The builtin corpus documents, in several states of (dis)repair:
@@ -104,13 +119,14 @@ fn batch_checking_matches_per_document_sequential() {
             Mutator::new(i as u64 ^ 7).swap_random_siblings(doc);
         }
     }
-    let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+    let (docs, parsed) = text_batch(&docs);
+    let expect: Vec<PvOutcome> = parsed.iter().map(|d| checker.check_document(d)).collect();
     // At least one of each verdict, or the scenario is too weak to matter.
     assert!(expect.iter().any(|o| o.is_potentially_valid()));
     assert!(expect.iter().any(|o| !o.is_potentially_valid()));
-    let docs = Arc::new(docs);
     for jobs in [0, 1, 2, 8] {
-        assert_eq!(checker.check_batch_pooled(&docs, pool(), jobs), expect, "jobs={jobs}");
+        let got = well_formed(checker.check_batch_pooled(&docs, pool(), jobs));
+        assert_eq!(got, expect, "jobs={jobs}");
     }
 }
 
@@ -133,16 +149,16 @@ fn mixed_batch_with_giant_document_checks_identically() {
                 .expect("giant doc has plenty of nodes");
             docs[0].rename_element(target, "NOT_IN_DTD").unwrap();
         }
-        let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
+        let (docs, parsed) = text_batch(&docs);
+        let expect: Vec<PvOutcome> = parsed.iter().map(|d| checker.check_document(d)).collect();
         assert_eq!(
             expect[0].is_potentially_valid(),
             !poison_giant,
             "scenario must exercise both verdicts"
         );
-        let docs = Arc::new(docs);
         for jobs in [2usize, 3, 8] {
             assert_eq!(
-                checker.check_batch_pooled(&docs, pool(), jobs),
+                well_formed(checker.check_batch_pooled(&docs, pool(), jobs)),
                 expect,
                 "poison={poison_giant} jobs={jobs}"
             );
@@ -196,10 +212,11 @@ proptest! {
                 );
             }
         }
-        let docs = Arc::new(docs);
+        let (docs, parsed) = text_batch(&docs);
+        let seq: Vec<PvOutcome> = parsed.iter().map(|d| checker.check_document(d)).collect();
         for jobs in JOBS {
             prop_assert_eq!(
-                &checker.check_batch_pooled(&docs, pool(), jobs),
+                &well_formed(checker.check_batch_pooled(&docs, pool(), jobs)),
                 &seq,
                 "batch jobs={} class={:?} seed={}", jobs, class, seed
             );
@@ -230,10 +247,11 @@ proptest! {
             .collect();
         docs.insert(seed as usize % 7, big);
         let checker = CheckEngine::new(analysis.clone());
-        let expect: Vec<PvOutcome> = docs.iter().map(|d| checker.check_document(d)).collect();
-        let docs = Arc::new(docs);
+        let (docs, parsed) = text_batch(&docs);
+        let expect: Vec<PvOutcome> = parsed.iter().map(|d| checker.check_document(d)).collect();
         for jobs in JOBS {
-            prop_assert_eq!(&checker.check_batch_pooled(&docs, pool(), jobs), &expect, "jobs={}", jobs);
+            let got = well_formed(checker.check_batch_pooled(&docs, pool(), jobs));
+            prop_assert_eq!(&got, &expect, "jobs={}", jobs);
         }
     }
 }

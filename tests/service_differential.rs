@@ -4,7 +4,7 @@
 //! same work counters — at every job count, on warm and cold caches, and
 //! across interleaved DTDs sharing one persistent pool.
 //!
-//! The server parses the same document text the in-process expectation
+//! The server lexes the same document text the in-process expectation
 //! parses, runs the same `pv-core` code (sequential, or pooled on parked
 //! workers), and ships the outcome as JSON; the client rebuilds a real
 //! `PvOutcome`. Anything lost or perturbed anywhere in that pipeline —
@@ -112,6 +112,53 @@ fn batch_over_the_wire_matches_per_document_in_process() {
         let got = client.check_batch(&dtd.handle, &xmls, jobs).unwrap();
         assert_eq!(got, expect, "jobs={jobs}");
     }
+    client.shutdown().unwrap();
+    drop(client);
+    server.join();
+}
+
+/// A `BATCH` holding malformed documents is refused with the one of
+/// lowest index, at any job count — not whichever a worker finished
+/// first.
+#[test]
+fn batch_names_its_first_malformed_document() {
+    let (server, mut client) = start_server();
+    let dtd = client.load_builtin("play").unwrap();
+    let mut xmls: Vec<String> =
+        corpus::batch(BuiltinDtd::Play, 8, 200).unwrap().iter().map(|d| d.to_xml()).collect();
+    xmls[2] = "<PLAY><TITLE>cut short".to_owned();
+    xmls[5] = "<PLAY></TITLE>".to_owned();
+    let first = pv_xml::parse(&xmls[2]).unwrap_err();
+    for jobs in [1, 2, 8] {
+        let err = client.check_batch(&dtd.handle, &xmls, jobs).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("document #2 is not well-formed: {first}")), "{msg}");
+    }
+    // The connection stays usable, and the well-formed rest checks.
+    xmls.retain(|x| pv_xml::parse(x).is_ok());
+    let expect: Vec<PvOutcome> =
+        xmls.iter().map(|x| expect_outcome(BuiltinDtd::Play, x)).collect();
+    assert_eq!(client.check_batch(&dtd.handle, &xmls, 2).unwrap(), expect);
+    client.shutdown().unwrap();
+    drop(client);
+    server.join();
+}
+
+/// A `CHECK` with `memo=1` steps through the handle's warm cache and
+/// reports its counts: a repeat hits every step it stepped before, so
+/// hits grow and misses do not.
+#[test]
+fn repeated_checks_hit_the_shared_cache() {
+    let (server, mut client) = start_server();
+    let dtd = client.load_builtin("play").unwrap();
+    let mut doc = corpus::play(400);
+    Mutator::new(9).delete_random_markup(&mut doc, 60);
+    let xml = doc.to_xml();
+    let first = client.check(&dtd.handle, &xml, 1, true).unwrap().memo.expect("memo=1");
+    let second = client.check(&dtd.handle, &xml, 1, true).unwrap().memo.expect("memo=1");
+    assert!(first.misses > 0, "{first:?}");
+    assert!(second.hits > first.hits, "{first:?} then {second:?}");
+    assert_eq!(second.misses, first.misses, "{first:?} then {second:?}");
     client.shutdown().unwrap();
     drop(client);
     server.join();

@@ -42,13 +42,13 @@ fn stream_outcome(checker: &CheckEngine, chunks: &[&[u8]]) -> PvOutcome {
     stream.finish().expect("document is well-formed")
 }
 
-/// The event-at-a-time oracle for the batched hot path: drives the same
-/// `StreamChecker` one tree-derived event at a time — no chunked lexing,
-/// no sibling-run batching upstream — with text shattered into 1-char
-/// pieces (maximal σ-collapse pressure) and childless elements encoded
-/// as `<e/>` (`expand_self_closing: false`) or `<e></e>` (`true`). The
-/// internal queue may batch however it likes; the outcome must be
-/// bit-identical to this dispatch.
+/// The event-at-a-time judge of lexer-driven dispatch: drives the same
+/// `StreamChecker` one tree-derived event at a time — no lexer at all —
+/// with text shattered into 1-char pieces (maximal σ-collapse pressure)
+/// and childless elements encoded as `<e/>` (`expand_self_closing:
+/// false`) or `<e></e>` (`true`). However the lexer cuts and groups the
+/// events of real bytes, the outcome must be bit-identical to this
+/// dispatch.
 fn event_at_a_time_outcome(
     checker: &CheckEngine,
     doc: &Document,
@@ -137,6 +137,22 @@ fn assert_stream_identical(analysis: &DtdAnalysis, xml: &str, ctx: &str) {
         let got = stream_outcome(&checker, &chunks);
         assert_eq!(got, tree, "{ctx}: streaming diverged at chunking #{i}");
     }
+    assert_bytes_identical(analysis, xml, &tree, ctx);
+}
+
+/// The in-place byte check (`check_str`) against the tree outcome: with
+/// the memo on and off, on a cold engine and on a warm one (the same
+/// engine again, whose leased cache the first check filled), and on an
+/// engine whose memo is switched off altogether.
+fn assert_bytes_identical(analysis: &DtdAnalysis, xml: &str, tree: &PvOutcome, ctx: &str) {
+    let engine = CheckEngine::new(analysis.clone());
+    for (pass, memo) in [("cold", true), ("warm", true), ("memo off", false), ("warm", true)] {
+        let got = engine.check_str(xml, memo).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(&got, tree, "{ctx}: byte check diverged ({pass}, memo={memo})");
+    }
+    let mut plain = CheckEngine::new(analysis.clone());
+    Arc::get_mut(&mut plain).unwrap().set_memo_enabled(false);
+    assert_eq!(&plain.check_str(xml, true).unwrap(), tree, "{ctx}: memo-off engine diverged");
 }
 
 /// The builtin corpus documents, in several states of (dis)repair,
@@ -270,14 +286,19 @@ fn early_exit_reports_the_same_violation_everywhere() {
     let violation = seq.violation.as_ref().expect("document is not PV");
     assert_eq!(violation.node.index(), 1, "first violation is <a>, in document order");
     let shared = Arc::new(doc.clone());
-    let valid = pv_xml::parse("<r><a><b>x</b><c>y</c> z<e/></a></r>").unwrap();
-    let batch = Arc::new(vec![doc.clone(), valid.clone()]);
+    let valid_xml = "<r><a><b>x</b><c>y</c> z<e/></a></r>";
+    let valid = pv_xml::parse(valid_xml).unwrap();
+    let batch = Arc::new(vec![xml.to_owned(), valid_xml.to_owned()]);
     let expect = vec![seq.clone(), checker.check_document(&valid)];
     for jobs in [1usize, 2, 8] {
         let par = checker.check_document_pooled(&shared, pool(), jobs, true);
         assert_eq!(par.violation.as_ref().map(|v| v.node), Some(violation.node));
         assert_eq!(par, seq, "jobs={jobs}");
-        let batched = checker.check_batch_pooled(&batch, pool(), jobs);
+        let batched: Vec<PvOutcome> = checker
+            .check_batch_pooled(&batch, pool(), jobs)
+            .into_iter()
+            .map(|r| r.expect("well-formed"))
+            .collect();
         assert_eq!(batched[0].violation.as_ref().map(|v| v.node), Some(violation.node));
         assert_eq!(batched, expect, "batch jobs={jobs}");
     }
@@ -290,6 +311,47 @@ fn early_exit_reports_the_same_violation_everywhere() {
         );
         assert_eq!(streamed, seq, "chunking #{i}");
     }
+}
+
+/// A truncated or malformed document fails the byte check with exactly
+/// `pv_xml::parse`'s error, kind and byte offset, memo on or off, alone
+/// or inside a batch — and the checker that met it checks the next
+/// document exactly.
+#[test]
+fn byte_check_errors_match_the_parser() {
+    let full = "<!DOCTYPE r [<!ELEMENT r (a)*><!ELEMENT a (#PCDATA)>]>\n\
+                <r><a><b>x &amp; ü</b><!--c--><?pi d?><c k=\"v\">y</c> z<e/></a></r>";
+    let mut cases: Vec<&str> =
+        (0..full.len()).filter(|&i| full.is_char_boundary(i)).map(|i| &full[..i]).collect();
+    cases.extend([
+        "<r></q>",
+        "<r><a></r>",
+        "<r>&bogus;</r>",
+        "<r a='1' a='2'/>",
+        "<r/><r/>",
+        "<r/>tail",
+        "text",
+        "<r><![CDATA[x</r>",
+        "<r><!-- a -- b --></r>",
+        "<r><a b=\"<\"/></r>",
+        "<?xml version=\"1.0\"?><!DOCTYPE r [<!ELEMENT r EMPTY>",
+    ]);
+    let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+    let valid = "<r><a><b>x</b><c>y</c> z<e/></a></r>";
+    let expect_valid = engine.check_document(&pv_xml::parse(valid).unwrap());
+    for xml in &cases {
+        let expect = pv_xml::parse(xml).expect_err("malformed");
+        for memo in [true, false] {
+            assert_eq!(engine.check_str(xml, memo), Err(expect.clone()), "memo={memo} {xml:?}");
+        }
+        let batch = Arc::new(vec![valid.to_owned(), xml.to_string(), valid.to_owned()]);
+        for jobs in [1usize, 2] {
+            let got = engine.check_batch_pooled(&batch, pool(), jobs);
+            let want = vec![Ok(expect_valid.clone()), Err(expect.clone()), Ok(expect_valid.clone())];
+            assert_eq!(got, want, "batch jobs={jobs} {xml:?}");
+        }
+    }
+    assert_eq!(engine.check_str(valid, true), Ok(expect_valid));
 }
 
 /// Memoization must be invisible: the tree checker with the shape memo
@@ -358,11 +420,16 @@ proptest! {
             &tree,
             "class={:?} seed={} chunk={}", class, seed, chunk
         );
+        prop_assert_eq!(
+            &checker.check_str(&xml, seed % 3 != 0).expect("well-formed"),
+            &tree,
+            "byte check class={:?} seed={}", class, seed
+        );
     }
 
-    /// Random DTD families × random documents: batched dispatch (chunked
-    /// bytes, sibling runs) is observationally equal to event-at-a-time
-    /// dispatch under both self-closing encodings.
+    /// Random DTD families × random documents: the tree checker, which
+    /// the lexer-driven paths equal, is observationally equal to
+    /// event-at-a-time dispatch under both self-closing encodings.
     #[test]
     fn batched_dispatch_matches_event_at_a_time(
         class in class_strategy(),
