@@ -42,8 +42,9 @@ is never split over threads, so --jobs belongs to `serve` alone and is
 refused elsewhere (exit 2). `check` memoizes repeated recognizer steps
 (configuration, child symbol) in a transition cache and reports its
 telemetry on a trailing `memo:` line (symbols hit and missed, cached
-transitions); --no-memo disables the cache. The verdict and the
-diagnosis are identical either way.
+transitions); with --no-memo the document is checked with no cache at
+all, locally or over --remote. The verdict and the diagnosis are
+identical either way.
 
 --json makes `check` print one machine-readable JSON line per document
 (verdict, first violation, memo/speculation counters) instead of text.

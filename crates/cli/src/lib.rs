@@ -38,6 +38,7 @@ use pv_grammar::witness::{complete_document, complete_tokens};
 use pv_service::json;
 use pv_xml::Document;
 use std::fmt::Write as _;
+use std::io::Read as _;
 
 /// Exit status of a command (mirrors the process exit code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,17 +420,22 @@ pub fn cmd_check_stream(
         return fail("chunk size must be at least 1 byte");
     }
     let mut parser = pv_xml::PushParser::new();
-    let mut buf = vec![0u8; chunk_size];
+    // The buffer grows only as bytes arrive, so a huge chunk size costs
+    // what the input holds, never an allocation of that size up front.
+    let mut buf = Vec::new();
     let mut eof = false;
-    let mut read = |parser: &mut pv_xml::PushParser| match input.read(&mut buf) {
-        Err(e) => Err(format!("cannot read: {e}")),
-        Ok(0) => {
-            parser.finish();
-            Ok(true)
-        }
-        Ok(n) => {
-            parser.push(&buf[..n]);
-            Ok(false)
+    let mut read = |parser: &mut pv_xml::PushParser| {
+        buf.clear();
+        match (&mut *input).take(chunk_size as u64).read_to_end(&mut buf) {
+            Err(e) => Err(format!("cannot read: {e}")),
+            Ok(0) => {
+                parser.finish();
+                Ok(true)
+            }
+            Ok(_) => {
+                parser.push(&buf);
+                Ok(false)
+            }
         }
     };
     // Pump until the root start tag: the first event the parser can emit.

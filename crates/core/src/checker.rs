@@ -6,13 +6,14 @@
 //! potentially valid iff its root carries the designated root element type
 //! and every node's content is potentially valid.
 //!
-//! With the memo on, each node's ECPV instance steps through the scan's
-//! transition cache ([`crate::memo`]) one child symbol at a time: a
-//! repeated step is one table probe that replays its recorded stats
-//! delta, so the outcome is the same with the memo on or off.
+//! Each node's ECPV instance steps through the scan's transition cache
+//! ([`crate::memo`]) one child symbol at a time: a repeated step is one
+//! table probe that replays its recorded stats delta, so the outcome is
+//! the same with the memo on or off. With the memo off the scan's lease
+//! has no cache, and each node's sequence is one recognizer run.
 
 use crate::engine::CheckEngine;
-use crate::memo::{Lease, Memo};
+use crate::memo::Lease;
 use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::{ChildSym, NameTable, Tokens};
 use pv_xml::{Document, NodeId};
@@ -91,28 +92,24 @@ impl PvOutcome {
     }
 }
 
-/// Reusable per-scan state for the checker's per-node hot path: one
-/// recognizer (re-armed per node via [`EcRecognizer::reset`], or loaded
-/// from a cached configuration on a memo miss), one child-symbol buffer
-/// (refilled per node via [`Tokens::children_into`]), so checking a node
-/// allocates nothing in steady state, and the scan's transition cache.
-/// Create one per document scan with [`CheckEngine::scratch`]; the
-/// document entry points do so internally.
+/// Reusable per-scan state for every ECPV instance an engine runs: one
+/// recognizer (re-armed per sequence, or loaded from a cached
+/// configuration on a memo miss), one child-symbol buffer (refilled per
+/// node via [`Tokens::children_into`]), so checking a node allocates
+/// nothing in steady state, and the scan's transition cache. Create one
+/// per document scan, guard or editor query with [`CheckEngine::scratch`];
+/// the document entry points do so internally.
 ///
-/// With the memo on, the scratch takes the engine's transition cache at
-/// its first non-empty child sequence, or a private cold one if another
-/// scan holds it, and gives it back when it drops, folding the scan's
-/// hit/miss/flush counts into [`CheckEngine::memo_stats`] once (see
-/// [`crate::memo`]).
+/// With the memo on, the scratch takes the engine's transition cache
+/// when it is made, or a private cold one if another scan holds it, and
+/// gives it back when it drops, folding the scan's hit/miss/flush counts
+/// into [`CheckEngine::memo_stats`] once (see [`crate::memo`]). With the
+/// memo off it holds no cache.
 pub struct CheckScratch<'s> {
     rec: EcRecognizer<'s>,
     syms: Vec<ChildSym>,
-    /// The engine's memo, when it is on and this scan consults it (the
-    /// per-call `memo` flag of [`CheckEngine::check_document_pooled`];
-    /// outcomes are identical either way).
-    memo: Option<&'s Memo>,
-    /// The scan's transition cache, leased from `memo` when first needed.
-    lease: Option<Lease<'s>>,
+    /// The scan's transition cache (see [`CheckEngine::lease`]).
+    lease: Lease<'s>,
 }
 
 /// Problem PV on a [`CheckEngine`]: document, node and symbol-sequence
@@ -120,9 +117,9 @@ pub struct CheckScratch<'s> {
 /// document check is then `O(k·D·n)` (Theorem 4), linear in the document
 /// for a fixed DTD.
 impl CheckEngine {
-    /// Builds a per-scan scratch (recognizer + symbol buffer + memo
-    /// access) borrowing this engine. The recognizer context is created
-    /// here — once per scan or per pool worker, not once per node.
+    /// Builds a per-scan scratch (recognizer + symbol buffer + cache
+    /// lease) borrowing this engine. The recognizer context is created
+    /// here — once per scan or per call, not once per node.
     pub fn scratch(&self) -> CheckScratch<'_> {
         self.scratch_with(true)
     }
@@ -132,8 +129,7 @@ impl CheckEngine {
         CheckScratch {
             rec: EcRecognizer::new(self.rec_ctx(), self.analysis().root, self.depth()),
             syms: Vec::new(),
-            memo: self.memo().filter(|_| memo),
-            lease: None,
+            lease: self.lease(memo),
         }
     }
 
@@ -172,20 +168,9 @@ impl CheckEngine {
         PvOutcome { violation: None, stats }
     }
 
-    /// Checks Problem ECPV for a single node's content (used by the
-    /// incremental layer after markup edits).
-    pub fn check_node(
-        &self,
-        doc: &Document,
-        node: NodeId,
-        stats: &mut RecognizerStats,
-    ) -> Option<PvViolation> {
-        let mut scratch = self.scratch();
-        self.check_node_with(doc, node, None, stats, &mut scratch)
-    }
-
-    /// [`CheckEngine::check_node`] against a reusable scratch — the
-    /// per-node body of every document scan. Names resolve through
+    /// Checks Problem ECPV for one node's content against a reusable
+    /// scratch — the per-node body of every document scan and of the
+    /// incremental layer's two-node guards. Names resolve through
     /// `names`, the document's resolved name table, when the caller built
     /// one for a whole-document check; with `None` (single-node guards)
     /// each name is looked up in the DTD. The hot path performs no
@@ -247,10 +232,9 @@ impl CheckEngine {
         self.check_symbols_with(elem, syms, stats, &mut scratch)
     }
 
-    /// [`CheckEngine::check_symbols`] against a reusable scratch, stepped
-    /// through the scan's transition cache when the memo is on for this
-    /// engine and this scan. The violation's display string is rendered
-    /// from `syms`.
+    /// [`CheckEngine::check_symbols`] against a reusable scratch: one
+    /// [`TransitionCache::run`](crate::memo) through the scratch's lease.
+    /// The violation's display string is rendered from `syms`.
     pub fn check_symbols_with(
         &self,
         elem: pv_dtd::ElemId,
@@ -258,24 +242,26 @@ impl CheckEngine {
         stats: &mut RecognizerStats,
         scratch: &mut CheckScratch<'_>,
     ) -> Option<(usize, String)> {
+        self.rejected_at(elem, syms, stats, scratch)
+            .map(|i| (i, syms[i].display(&self.analysis().dtd)))
+    }
+
+    /// [`CheckEngine::check_symbols_with`]'s failing index, unrendered:
+    /// the one way this crate runs an ECPV instance on a child sequence.
+    pub(crate) fn rejected_at(
+        &self,
+        elem: pv_dtd::ElemId,
+        syms: &[ChildSym],
+        stats: &mut RecognizerStats,
+        scratch: &mut CheckScratch<'_>,
+    ) -> Option<usize> {
         // Childless content is trivially potentially valid (every element
         // is nullable under G′ — Theorem 3) and the recognizer would touch
-        // no counter: skip it and the memo alike.
+        // no counter: skip it and the cache alike.
         if syms.is_empty() {
             return None;
         }
-        let CheckScratch { rec, memo, lease, .. } = scratch;
-        let failing = match memo {
-            Some(memo) => {
-                let cache = lease.get_or_insert_with(|| memo.lease()).cache();
-                cache.run(elem, self.depth(), rec, syms, stats)
-            }
-            None => {
-                rec.reset(elem, self.depth());
-                rec.advance_run(syms, stats)
-            }
-        };
-        failing.map(|i| (i, syms[i].display(&self.analysis().dtd)))
+        scratch.lease.cache().run(elem, self.depth(), &mut scratch.rec, syms, stats)
     }
 }
 
@@ -502,12 +488,63 @@ mod tests {
     }
 
     #[test]
-    fn check_node_reusable() {
+    fn one_scratch_checks_node_after_node() {
+        // The document scan's steps, taken one guard-style call at a time
+        // on one scratch: the root accepts, then <a> rejects at <c>.
         let checker = CheckEngine::new(BuiltinDtd::Figure1.analysis());
-        let doc = pv_xml::parse(S).unwrap();
+        let doc = pv_xml::parse(W).unwrap();
         let a = doc.children(doc.root())[0];
+        let mut scratch = checker.scratch();
         let mut stats = RecognizerStats::default();
-        assert!(checker.check_node(&doc, a, &mut stats).is_none());
+        let root = doc.root();
+        assert!(checker.check_node_with(&doc, root, None, &mut stats, &mut scratch).is_none());
+        let v = checker.check_node_with(&doc, a, None, &mut stats, &mut scratch).unwrap();
+        drop(scratch);
+        assert_eq!(checker.check_document(&doc), PvOutcome { violation: Some(v), stats });
+    }
+
+    /// Memo off is no cache on every path: a memo-off tree scan's lease
+    /// interns nothing, and neither it nor a memo-off byte check touches
+    /// the engine's memo.
+    #[test]
+    fn memo_off_interns_nothing() {
+        let engine = CheckEngine::new(BuiltinDtd::Figure1.analysis());
+        let doc = wide_doc(80, true);
+        let expect = engine.check_document(&doc);
+        let warm = engine.memo_stats().unwrap();
+        assert!(warm.entries > 0, "{warm:?}");
+        let mut scratch = engine.scratch_with(false);
+        assert_eq!(engine.check_document_with(&doc, &mut scratch), expect);
+        assert_eq!(scratch.lease.peek().configs(), 0);
+        drop(scratch);
+        assert_eq!(engine.check_str(&doc.to_xml(), false), Ok(expect));
+        assert_eq!(engine.memo_stats().unwrap(), warm);
+    }
+
+    /// A sequence whose configuration outgrows the word cap turns
+    /// `Direct`: it gives the memo-off outcome, and its tail counts one
+    /// miss per symbol it ran, so hits and misses still sum to the
+    /// symbols fed. Under 3 words nothing fits, and every symbol misses.
+    #[test]
+    fn over_cap_sequences_run_direct_and_miss_once_per_symbol() {
+        let analysis = BuiltinDtd::Figure1.analysis();
+        let plain = memo_off(analysis.clone());
+        for config_words in [2, 5, 6, 8] {
+            let mut engine = CheckEngine::new(analysis.clone());
+            let bounds = Bounds { config_words, ..Bounds::DEFAULT };
+            Arc::get_mut(&mut engine).unwrap().set_memo_bounds(bounds);
+            let mut symbols = 0;
+            for doc in [pv_xml::parse(S).unwrap(), pv_xml::parse(W).unwrap(), wide_doc(40, true)] {
+                let out = engine.check_document(&doc);
+                assert_eq!(out, plain.check_document(&doc), "config_words={config_words}");
+                symbols += out.stats.symbols;
+            }
+            let stats = engine.memo_stats().unwrap();
+            assert_eq!(stats.hits + stats.misses, symbols, "config_words={config_words}");
+            if config_words < 3 {
+                assert_eq!((stats.hits, stats.shapes), (0, 0), "{stats:?}");
+            }
+        }
     }
 
     #[test]

@@ -127,9 +127,10 @@ impl EngineObs {
 /// borrows the engine's cache, or runs on a private cold one while
 /// another scan holds it, and folds its counts in once when it ends; see
 /// [`crate::memo`] for lending and the bounds.
-/// [`CheckEngine::check_document_pooled`] takes a per-call `memo` flag
-/// (the wire `memo=0` path); [`CheckEngine::set_memo_enabled`] switches
-/// the memo for every check.
+/// [`CheckEngine::check_document_pooled`] and [`CheckEngine::check_str`]
+/// take a per-call `memo` flag (the wire `memo=0` path), and
+/// [`CheckEngine::set_memo_enabled`] switches the memo for every check;
+/// with the memo off a check, guard or query runs with no cache at all.
 pub struct CheckEngine {
     analysis: DtdAnalysis,
     dags: DagSet,
@@ -199,14 +200,17 @@ impl CheckEngine {
 
     /// The recognizer context every execution path of this engine uses:
     /// its DAGs, reachability, and the per-symbol speculation budget.
-    pub fn rec_ctx(&self) -> RecCtx<'_> {
+    pub(crate) fn rec_ctx(&self) -> RecCtx<'_> {
         RecCtx::new(&self.analysis, &self.dags)
     }
 
-    /// The engine's memo, when it is on.
-    #[inline]
-    pub(crate) fn memo(&self) -> Option<&Memo> {
-        self.memo.as_ref()
+    /// One scan's transition cache: the engine's, lent by [`Memo::lease`],
+    /// if `memo` and the engine's memo are on; else no cache at all.
+    pub(crate) fn lease(&self, memo: bool) -> Lease<'_> {
+        match self.memo.as_ref().filter(|_| memo) {
+            Some(memo) => memo.lease(),
+            None => Lease::private(Bounds::UNCACHED),
+        }
     }
 
     /// Enables or disables memoization. Turning it off drops the
@@ -301,8 +305,8 @@ impl CheckEngine {
     /// With `memo` set (and the engine's memo on) the checker steps
     /// through the engine's transition cache, leased exactly as a tree
     /// scan leases it, so a warm cache helps and its hit/miss counts fold
-    /// into [`CheckEngine::memo_stats`]; otherwise it steps through a
-    /// private cold cache whose counts go nowhere.
+    /// into [`CheckEngine::memo_stats`]; otherwise it runs with no cache,
+    /// as a memo-off tree scan does.
     pub fn check_str(&self, xml: &str, memo: bool) -> pv_xml::Result<PvOutcome> {
         let t0 = self.obs.check_us.start();
         self.byte_checker(memo).check_str(xml, t0)
@@ -310,12 +314,8 @@ impl CheckEngine {
 
     /// A checker for documents in memory, leasing the engine's cache if
     /// `memo` (see [`CheckEngine::check_str`]).
-    fn byte_checker(&self, memo: bool) -> StreamChecker<'_> {
-        let cache = match self.memo().filter(|_| memo) {
-            Some(memo) => memo.lease(),
-            None => Lease::private(Bounds::DEFAULT),
-        };
-        StreamChecker::new(self, cache)
+    pub(crate) fn byte_checker(&self, memo: bool) -> StreamChecker<'_> {
+        StreamChecker::new(self, self.lease(memo))
     }
 
     /// Checks a batch of documents on the pool, returning one result per

@@ -18,7 +18,7 @@
 //! validity; actually applying operations is `pv-xml`'s job, and the
 //! transactional wrapper lives in `pv-editor`.
 
-use crate::checker::PvViolation;
+use crate::checker::{PvViolation, PvViolationKind};
 use crate::engine::CheckEngine;
 use crate::recognizer::RecognizerStats;
 use crate::token::{ChildSym, Tokens};
@@ -44,6 +44,11 @@ impl IncrementalOutcome {
     pub fn preserves_pv(&self) -> bool {
         self.violation.is_none()
     }
+}
+
+/// A refusal decided before any recognizer work.
+fn refused(node: NodeId, kind: PvViolationKind) -> IncrementalOutcome {
+    IncrementalOutcome { violation: Some(PvViolation { node, kind }), ..IncrementalOutcome::ok() }
 }
 
 impl CheckEngine {
@@ -92,32 +97,16 @@ impl CheckEngine {
     ) -> IncrementalOutcome {
         let analysis = self.analysis();
         let Some(elem) = doc.name(parent).and_then(|n| analysis.id(n)) else {
-            return IncrementalOutcome {
-                violation: Some(PvViolation {
-                    node: parent,
-                    kind: crate::checker::PvViolationKind::UndeclaredElement {
-                        name: doc.name(parent).unwrap_or("").to_owned(),
-                    },
-                }),
-                stats: RecognizerStats::default(),
-            };
-        };
-        let reject = || IncrementalOutcome {
-            violation: Some(PvViolation {
-                node: parent,
-                kind: crate::checker::PvViolationKind::ContentRejected {
-                    symbol: "σ".to_owned(),
-                    index: 0,
-                },
-            }),
-            stats: RecognizerStats::default(),
+            let name = doc.name(parent).unwrap_or("").to_owned();
+            return refused(parent, PvViolationKind::UndeclaredElement { name });
         };
         // O(1) fast paths (Proposition 3 where it is exact).
         if analysis.dtd.element(elem).content.allows_pcdata() {
             return IncrementalOutcome::ok();
         }
         if !analysis.reach.reaches_pcdata(elem) {
-            return reject();
+            let kind = PvViolationKind::ContentRejected { symbol: "σ".to_owned(), index: 0 };
+            return refused(parent, kind);
         }
         // Element-content parent: exact check is one ECPV on the child
         // sequence the insertion would produce — the children before
@@ -132,20 +121,11 @@ impl CheckEngine {
         }
         let suffix = Tokens::siblings_into(doc, after, &analysis.dtd, &mut syms);
         if let Err(e) = prefix.and(suffix) {
-            return IncrementalOutcome {
-                violation: Some(PvViolation {
-                    node: e.node,
-                    kind: crate::checker::PvViolationKind::UndeclaredElement { name: e.name },
-                }),
-                stats: RecognizerStats::default(),
-            };
+            return refused(e.node, PvViolationKind::UndeclaredElement { name: e.name });
         }
         let mut stats = RecognizerStats::default();
-        let violation = self.check_symbols(elem, &syms, &mut stats).map(|(i, symbol)| {
-            PvViolation {
-                node: parent,
-                kind: crate::checker::PvViolationKind::ContentRejected { symbol, index: i },
-            }
+        let violation = self.check_symbols(elem, &syms, &mut stats).map(|(index, symbol)| {
+            PvViolation { node: parent, kind: PvViolationKind::ContentRejected { symbol, index } }
         });
         IncrementalOutcome { violation, stats }
     }
@@ -153,50 +133,42 @@ impl CheckEngine {
     /// **Markup insertion**: after wrapping children of `parent` in a new
     /// element `node`, the paper reduces the re-check to *two* ECPV
     /// instances — the inserted node's content and the parent's updated
-    /// child sequence (Section 4). Call this *after* applying the wrap.
+    /// child sequence (Section 4), run on one scratch. Call this *after*
+    /// applying the wrap.
     pub fn check_markup_insertion(
         &self,
         doc: &Document,
         node: NodeId,
         parent: NodeId,
     ) -> IncrementalOutcome {
-        let mut stats = RecognizerStats::default();
-        let violation = self
-            .check_node(doc, node, &mut stats)
-            .or_else(|| self.check_node(doc, parent, &mut stats));
-        IncrementalOutcome { violation, stats }
+        self.check_node_then_parent(doc, node, Some(parent))
     }
 
     /// **Element rename**: not PV-preserving in general; re-check the node
     /// and its parent (same shape as insertion). Renaming the *root* must
     /// additionally keep `root(w) = r` (Definition 3).
-    pub fn check_rename(
+    pub fn check_rename(&self, doc: &Document, node: NodeId) -> IncrementalOutcome {
+        let (analysis, name) = (self.analysis(), doc.name(node).unwrap_or(""));
+        if doc.parent(node).is_none() && analysis.id(name) != Some(analysis.root) {
+            let expected = analysis.name(analysis.root).to_owned();
+            let kind = PvViolationKind::RootMismatch { found: name.to_owned(), expected };
+            return refused(node, kind);
+        }
+        self.check_node_then_parent(doc, node, doc.parent(node))
+    }
+
+    /// The two ECPV instances of a markup guard, on one scratch: `node`'s
+    /// content, then, if it passes, `parent`'s child sequence.
+    fn check_node_then_parent(
         &self,
         doc: &Document,
         node: NodeId,
+        parent: Option<NodeId>,
     ) -> IncrementalOutcome {
-        let mut stats = RecognizerStats::default();
-        if doc.parent(node).is_none() {
-            let name = doc.name(node).unwrap_or("");
-            if self.analysis().id(name) != Some(self.analysis().root) {
-                return IncrementalOutcome {
-                    violation: Some(PvViolation {
-                        node,
-                        kind: crate::checker::PvViolationKind::RootMismatch {
-                            found: name.to_owned(),
-                            expected: self
-                                .analysis()
-                                .name(self.analysis().root)
-                                .to_owned(),
-                        },
-                    }),
-                    stats,
-                };
-            }
-        }
-        let violation = self.check_node(doc, node, &mut stats).or_else(|| {
-            doc.parent(node).and_then(|p| self.check_node(doc, p, &mut stats))
-        });
+        let (mut stats, mut scratch) = (RecognizerStats::default(), self.scratch());
+        let violation = self
+            .check_node_with(doc, node, None, &mut stats, &mut scratch)
+            .or_else(|| self.check_node_with(doc, parent?, None, &mut stats, &mut scratch));
         IncrementalOutcome { violation, stats }
     }
 }

@@ -41,14 +41,15 @@
 //!   hash-consed into ids and `(configuration, child symbol)` steps are
 //!   cached with their stats delta, so repetitive markup checks in one
 //!   table probe per child symbol, with outcomes bit-identical to the
-//!   uncached checker. Tree scans, editor guards, batch workers and
-//!   stream checkers all step through it; an engine lends its one cache
-//!   to one scan at a time.
+//!   uncached checker. Every check, guard and editor query steps through
+//!   it; an engine lends its one cache to one scan at a time, and with
+//!   the memo off a scan runs with no cache.
 //! * [`incremental`] — update-time checks for editors: O(1) character-data
 //!   insertion (Proposition 3), free deletions and data updates
 //!   (Theorem 2), and two-node checks for markup insertion.
-//! * [`suggest`] — editor guidance: which symbols may come next at a
-//!   position (the tag-palette query of the paper's xTagger editor \[10\]).
+//! * [`suggest`] — editor guidance (the paper's xTagger editor \[10\]):
+//!   which symbols may come next at a position (autocomplete), and which
+//!   elements may wrap a range of children (the tag palette).
 //! * [`depth`] — depth policies: `Unbounded` is proven safe for
 //!   non-PV-strong DTDs (elision chains follow strong edges only); the
 //!   paper's bound `D` applies to PV-strong DTDs (Section 4.3.1).

@@ -3,8 +3,8 @@
 //! Problem PV runs the ECPV recognizer at every element node, and
 //! document-centric markup repeats itself: a corpus document of a few
 //! thousand elements revisits a few dozen recognizer states. This module
-//! caches the recognizer's steps, for tree scans, editor guards, batch
-//! workers and stream checkers alike.
+//! caches the recognizer's steps, for tree scans, editor guards and
+//! queries, batch workers and stream checkers alike.
 //!
 //! ## Configurations and transitions
 //!
@@ -39,17 +39,21 @@
 //! * A [`CheckEngine`](crate::engine::CheckEngine) with the memo on owns
 //!   one cache behind a `Mutex` and **lends** it: a scan (the
 //!   [`CheckScratch`](crate::checker::CheckScratch) of a tree check, a
-//!   guard, a palette query, the stream checker of a byte check or of a
-//!   batch worker) takes it with `try_lock` when it starts stepping and
-//!   gives it back when it drops. Editor guards and repeated requests
-//!   therefore start warm. A scan that finds it taken — a second batch
-//!   worker, a concurrent connection — runs on a private cold cache
-//!   instead, so no lookup, hit or miss, ever writes shared memory. A lock
-//!   poisoned by a panicking scan is recovered with its entries dropped.
+//!   guard, a palette or autocomplete query, the stream checker of a
+//!   byte check or of a batch worker) takes it with `try_lock` when it is
+//!   made and gives it back when it drops. Editor guards and repeated
+//!   requests therefore start warm. A scan that finds it taken — a second
+//!   batch worker, a concurrent connection — runs on a private cold cache
+//!   instead, so no lookup, hit or miss, ever writes shared memory. A
+//!   lock poisoned by a panicking scan is recovered with its entries
+//!   dropped.
 //! * A chunked stream check
 //!   ([`CheckEngine::stream_checker`](crate::engine::CheckEngine::stream_checker))
 //!   keeps a private cache, cold for every checker and counted nowhere:
 //!   its sender sets its pace, so it must not hold the engine's.
+//! * With the memo off (the engine's, or one check's `memo` flag) a
+//!   scan's lease interns nothing, so every symbol runs the recognizer:
+//!   no cache on any path, and no counts.
 //!
 //! ## Counting once per scan
 //!
@@ -64,15 +68,15 @@
 //!
 //! Every cache is bounded in bytes by private constants. A configuration
 //! longer than 256 words is never interned: its sequence runs its slot
-//! directly, the uncached path. A cache holds at most 2,048 transitions
-//! (56 bytes each, in a hash table of 4,096 slots: 228 KiB), 2,048
-//! configurations (an index of 68 KiB and 24 KiB of spans) and 32,768
-//! configuration words (128 KiB, up to 256 KiB of vector capacity) —
-//! under 600 KiB in all, plus one entry per element type. When any bound
-//! would be exceeded the cache clears itself; the sequences in flight
-//! keep their state in their slots and intern afresh on their next step
-//! (each caller's flush policy). So an engine's memory stays constant
-//! however many distinct child sequences it checks.
+//! to its end (memo off is a cap of 0 words). A cache holds at most
+//! 2,048 transitions (56 bytes each, in a hash table of 4,096 slots:
+//! 228 KiB), 2,048 configurations (an index of 68 KiB and 24 KiB of
+//! spans) and 32,768 configuration words (128 KiB, up to 256 KiB of
+//! vector capacity) — under 600 KiB in all, plus one entry per element
+//! type. When any bound would be exceeded the cache clears itself; the
+//! sequences in flight keep their state in their slots and intern afresh
+//! on their next step (each caller's flush policy). So an engine's memory
+//! stays constant however many distinct child sequences it checks.
 
 use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::ChildSym;
@@ -162,6 +166,9 @@ pub(crate) struct Bounds {
 impl Bounds {
     pub(crate) const DEFAULT: Bounds =
         Bounds { config_words: CONFIG_WORDS, entries: CACHE_ENTRIES, words: CACHE_WORDS };
+
+    /// The memo off: no configuration fits, every key is `Direct`.
+    pub(crate) const UNCACHED: Bounds = Bounds { config_words: 0, ..Bounds::DEFAULT };
 }
 
 /// No configuration id (end of a hash chain, element not yet opened).
@@ -360,9 +367,9 @@ impl TransitionCache {
     /// Runs one whole child sequence of `elem` from a fresh recognizer,
     /// `slot` taking the misses, and returns the index of the rejected
     /// symbol, if any — [`EcRecognizer::advance_run`]'s answer, with the
-    /// same stats added to `stats`. The tree path's flush policy: only
-    /// this sequence is in flight, so a full cache keeps its state in
-    /// `slot` and clears.
+    /// same stats added to `stats`; a `Direct` key runs the rest in one
+    /// `advance_run`, a miss per symbol. The flush policy of a lone
+    /// sequence: a full cache keeps its state in `slot` and clears.
     pub(crate) fn run(
         &mut self,
         elem: ElemId,
@@ -378,6 +385,11 @@ impl TransitionCache {
             }
         };
         for (i, &x) in syms.iter().enumerate() {
+            if key == Key::Direct {
+                let failing = slot.advance_run(&syms[i..], stats);
+                self.misses += failing.map_or(syms.len() - i, |j| j + 1) as u64;
+                return failing.map(|j| i + j);
+            }
             let accepted = loop {
                 match self.step(&mut key, slot, x, stats) {
                     Some(accepted) => break accepted,
@@ -621,7 +633,7 @@ pub(crate) struct Lease<'m> {
 
 impl Lease<'_> {
     /// A cold cache of no engine, whose counts go nowhere: a chunked
-    /// stream check's, or a byte check's with the memo off.
+    /// stream check's, or with [`Bounds::UNCACHED`] a memo-off scan's.
     pub(crate) fn private(bounds: Bounds) -> Self {
         Lease { memo: None, lent: None, own: TransitionCache::new(bounds) }
     }

@@ -844,10 +844,10 @@ impl<'a> EcRecognizer<'a> {
     /// round that `begin_round` resolves conclusively —
     /// the non-speculating common case — short-circuits the agenda
     /// driver and bottom-up resolution entirely, staying on the FIFO
-    /// lane for the whole run. With the memo off the tree checker feeds
-    /// each node's whole child sequence through it; otherwise the tree and
-    /// streaming checkers feed it each symbol their transition cache
-    /// misses on (see [`crate::memo`]).
+    /// lane for the whole run. Only the transition cache calls it (see
+    /// [`crate::memo`]): with each symbol a step misses on, and with the
+    /// rest of a tree sequence whose configuration it does not intern
+    /// (every sequence, with the memo off).
     pub fn advance_run(
         &mut self,
         syms: &[ChildSym],
@@ -871,20 +871,6 @@ impl<'a> EcRecognizer<'a> {
     }
 }
 
-/// Convenience: does `elem` accept the child sequence `syms` with the given
-/// elision budget? One full ECPV instance.
-pub fn accepts_children(
-    analysis: &DtdAnalysis,
-    dags: &DagSet,
-    elem: ElemId,
-    syms: &[ChildSym],
-    depth: u32,
-) -> bool {
-    let ctx = RecCtx::new(analysis, dags);
-    let mut stats = RecognizerStats::default();
-    EcRecognizer::new(ctx, elem, depth).advance_run(syms, &mut stats).is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,7 +891,10 @@ mod tests {
                 }
             })
             .collect();
-        accepts_children(analysis, &dags, analysis.id(elem).unwrap(), &syms, depth)
+        let ctx = RecCtx::new(analysis, &dags);
+        let mut stats = RecognizerStats::default();
+        let elem = analysis.id(elem).unwrap();
+        EcRecognizer::new(ctx, elem, depth).advance_run(&syms, &mut stats).is_none()
     }
 
     #[test]

@@ -94,7 +94,8 @@
 //!   [`CheckEngine::check_batch_pooled`] have the whole document in
 //!   memory, so the check is short: with the memo on they **lease** the
 //!   engine's cache exactly as a tree scan does (a warm cache, folded
-//!   `memo` counts; a private cold one while another scan holds it).
+//!   `memo` counts; a private cold one while another scan holds it), and
+//!   with it off they run with no cache, every step a slot run.
 //! * [`CheckEngine::stream_checker`] — chunked uploads, whose pace the
 //!   sender sets — keeps a private cache, cold for every checker, so a
 //!   slow client never holds the engine's.
@@ -849,6 +850,20 @@ mod tests {
         cases
     }
 
+    /// A memo-off byte check runs with no cache: its checker interns no
+    /// configuration, where a memo-on one interns the steps it takes.
+    #[test]
+    fn memo_off_byte_checks_intern_nothing() {
+        let analysis = BuiltinDtd::Figure1.analysis();
+        let engine = CheckEngine::new(analysis.clone());
+        let xml = format!("<r>{}</r>", "<a><b>x</b><c>y</c> z<e/></a>".repeat(20));
+        for memo in [false, true] {
+            let mut checker = engine.byte_checker(memo);
+            assert_eq!(checker.check_str(&xml, None), Ok(tree_outcome(&analysis, &xml)));
+            assert_eq!(checker.cache.peek().configs() > 0, memo, "memo={memo}");
+        }
+    }
+
     /// Streams `xml` in 7-byte chunks through a checker with the given
     /// cache bounds, asserting the bounds after every chunk; returns the
     /// outcome, how often the cache flushed and how many configurations
@@ -871,13 +886,15 @@ mod tests {
 
     #[test]
     fn levels_over_the_word_cap_run_their_slots_directly() {
-        // No configuration fits in 2 words (the header alone takes 3):
-        // every level runs its recognizer slot, today's uncached path.
-        let bounds = Bounds { config_words: 2, ..Bounds::DEFAULT };
-        for (analysis, xml) in bounded_cases() {
-            let (got, flushes, configs) = bounded_outcome(&analysis, &xml, bounds);
-            assert_eq!(got, tree_outcome(&analysis, &xml), "{xml}");
-            assert_eq!((flushes, configs), (0, 0), "nothing is ever interned");
+        // No configuration fits in 2 words (the header alone takes 3), nor
+        // in the memo-off lease's 0: every level runs its recognizer slot.
+        let capped = Bounds { config_words: 2, ..Bounds::DEFAULT };
+        for bounds in [capped, Bounds::UNCACHED] {
+            for (analysis, xml) in bounded_cases() {
+                let (got, flushes, configs) = bounded_outcome(&analysis, &xml, bounds);
+                assert_eq!(got, tree_outcome(&analysis, &xml), "{xml}");
+                assert_eq!((flushes, configs), (0, 0), "nothing is ever interned");
+            }
         }
     }
 

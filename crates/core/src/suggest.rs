@@ -1,48 +1,42 @@
 //! Editing assistance queries — the guidance side of the paper's xTagger
 //! editor \[10\]: not just *"is this edit legal?"* but *"what could come
-//! next?"*.
+//! next?"* and *"which tags fit here?"*.
 //!
 //! [`expected_next`] answers: given the children already present under an
 //! element (a prefix the recognizer accepts), which symbols could be
-//! appended while staying potentially valid? A tag palette greys out
-//! everything else; σ in the result means "typing text here is fine".
+//! appended while staying potentially valid? σ in the result means
+//! "typing text here is fine". [`allowed_wraps`] answers the tag
+//! palette: which elements could wrap a range of a node's children?
 //!
-//! The query replays the prefix once per candidate symbol (`O(m·n)` per
-//! call); editor-scale nodes keep this interactive. A clever implementation
-//! could snapshot the recognizer state instead, but candidate counts are
-//! tiny (`m + 1`).
+//! Both run each candidate's ECPV instances on one scratch, through the
+//! engine's transition cache as the guards do: `m + 1` runs of the
+//! prefix plus a candidate for `m` declared elements (autocomplete), or
+//! `2m` runs of the wrapper's and the parent's sequences (palette). With
+//! the memo on, a step an earlier run took is one table probe; with it
+//! off, each run is one recognizer run.
 
 use crate::engine::CheckEngine;
-use crate::recognizer::{EcRecognizer, RecognizerStats};
+use crate::recognizer::RecognizerStats;
 use crate::token::{ChildSym, Tokens};
 use pv_dtd::ElemId;
 use pv_xml::{Document, NodeId};
+use std::ops::Range;
 
 /// Symbols that may follow `prefix` in the content of `elem` while keeping
 /// it potentially valid. σ is included when character data may follow.
 pub fn expected_next(checker: &CheckEngine, elem: ElemId, prefix: &[ChildSym]) -> Vec<ChildSym> {
-    let analysis = checker.analysis();
-    let ctx = checker.rec_ctx();
-    let mut out = Vec::new();
-    let candidates = analysis
-        .dtd
-        .ids()
-        .map(ChildSym::Elem)
-        .chain([ChildSym::Sigma]);
-    for cand in candidates {
-        // σσ is not a δ string; an appended σ merges with a trailing run.
-        if cand == ChildSym::Sigma && prefix.last() == Some(&ChildSym::Sigma) {
-            continue;
-        }
-        let mut stats = RecognizerStats::default();
-        let mut rec = EcRecognizer::new(ctx, elem, checker.depth());
-        if rec.advance_run(prefix, &mut stats).is_none()
-            && rec.advance_run(&[cand], &mut stats).is_none()
-        {
-            out.push(cand);
-        }
-    }
-    out
+    let (mut scratch, mut stats) = (checker.scratch(), RecognizerStats::default());
+    let mut seq = [prefix, &[ChildSym::Sigma]].concat();
+    let last = prefix.len();
+    let candidates = checker.analysis().dtd.ids().map(ChildSym::Elem).chain([ChildSym::Sigma]);
+    // σσ is not a δ string; an appended σ merges with a trailing run.
+    candidates
+        .filter(|&cand| cand != ChildSym::Sigma || prefix.last() != Some(&ChildSym::Sigma))
+        .filter(|&cand| {
+            seq[last] = cand;
+            checker.rejected_at(elem, &seq, &mut stats, &mut scratch).is_none()
+        })
+        .collect()
 }
 
 /// Convenience wrapper over a live document node: which symbols could be
@@ -56,6 +50,48 @@ pub fn expected_next_for_node(
     let elem = analysis.id(doc.name(node)?)?;
     let prefix = Tokens::children(doc, node, &analysis.dtd).ok()?;
     Some(expected_next(checker, elem, &prefix))
+}
+
+/// Element types, in declaration order, that could wrap children `range`
+/// of `parent` — the tag-palette query. Each candidate gets the two ECPV
+/// runs of a markup-insertion guard (its content, then the parent's
+/// updated child sequence, only if the content passes), simulated at the
+/// symbol level: the document is never touched. The runs' work is added
+/// to `stats`. A dead or undeclared parent, a bad range, or an undeclared
+/// child gives no candidates.
+pub fn allowed_wraps(
+    checker: &CheckEngine,
+    doc: &Document,
+    parent: NodeId,
+    range: Range<usize>,
+    stats: &mut RecognizerStats,
+) -> Vec<ElemId> {
+    let dtd = &checker.analysis().dtd;
+    let parent_elem = doc.is_alive(parent).then(|| doc.name(parent)).flatten();
+    let Some(parent_elem) = parent_elem.and_then(|n| dtd.id(n)) else { return Vec::new() };
+    let kids = doc.children(parent);
+    let Some(wrapped) = kids.get(range.clone()) else { return Vec::new() };
+    // Child symbols of the three spans, mirroring what a real wrap
+    // produces: σ runs merge within a span but never across the wrapper.
+    // Its slot holds an element placeholder, overwritten per candidate,
+    // so the suffix starts a fresh run.
+    let (mut inner, mut outer) = (Vec::new(), Vec::new());
+    let prefix = Tokens::siblings_into(doc, &kids[..range.start], dtd, &mut outer);
+    let wrapper_at = outer.len();
+    outer.push(ChildSym::Elem(parent_elem));
+    let suffix = Tokens::siblings_into(doc, &kids[range.end..], dtd, &mut outer);
+    let content = Tokens::siblings_into(doc, wrapped, dtd, &mut inner);
+    if prefix.and(suffix).and(content).is_err() {
+        return Vec::new();
+    }
+    let mut scratch = checker.scratch();
+    dtd.ids()
+        .filter(|&cand| {
+            outer[wrapper_at] = ChildSym::Elem(cand);
+            checker.rejected_at(cand, &inner, stats, &mut scratch).is_none()
+                && checker.rejected_at(parent_elem, &outer, stats, &mut scratch).is_none()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@ use crate::journal::{apply_unit, RevOp, UndoJournal};
 use pv_core::checker::PvViolation;
 use pv_core::memo::MemoStats;
 use pv_core::recognizer::RecognizerStats;
-use pv_core::token::{ChildSym, Tokens};
-use pv_core::CheckEngine;
+use pv_core::token::ChildSym;
+use pv_core::{suggest, CheckEngine};
 use pv_dtd::DtdAnalysis;
 use pv_xml::{Document, NodeId, XmlError};
 use std::fmt;
@@ -324,61 +324,17 @@ impl<'a> EditorSession<'a> {
     // --- queries ----------------------------------------------------------
 
     /// Element names that could legally wrap children `range` of `parent`
-    /// — the tag-palette query. Simulates each declared element with the
-    /// usual two ECPV runs (wrapper content + parent's updated child
-    /// sequence) **purely at the symbol level**: the document is never
-    /// touched, so a read-only palette query allocates no tree nodes and
-    /// leaves the buffer byte-identical. Cost `O(m · |children|)`,
-    /// amortized further by the transition cache on repeat queries.
+    /// — the tag-palette query ([`pv_core::suggest::allowed_wraps`]):
+    /// each declared element gets the two ECPV runs of the wrap guard,
+    /// simulated at the symbol level on one scratch. The document is never
+    /// touched, so a palette query allocates no tree nodes and leaves the
+    /// buffer byte-identical; its recognizer work counts in the session's
+    /// stats.
     pub fn allowed_wraps(&mut self, parent: NodeId, range: Range<usize>) -> Vec<String> {
-        let analysis = self.analysis;
-        if !self.doc.is_alive(parent) {
-            return Vec::new();
-        }
-        let Some(parent_elem) = self.doc.name(parent).and_then(|n| analysis.id(n)) else {
-            return Vec::new();
-        };
-        let kids = self.doc.children(parent);
-        if range.start > range.end || range.end > kids.len() {
-            return Vec::new();
-        }
-        // Child symbols of the three spans, mirroring what a real wrap
-        // produces: σ runs merge within a span but never across the
-        // wrapper (it is an element), and the suffix starts a fresh run.
-        let (doc, dtd) = (&self.doc, &analysis.dtd);
-        let mut inner: Vec<ChildSym> = Vec::new();
-        let mut outer: Vec<ChildSym> = Vec::new();
-        let prefix = Tokens::siblings_into(doc, &kids[..range.start], dtd, &mut outer);
-        let wrapper_at = outer.len();
-        // Element placeholder (overwritten per candidate): being an
-        // element, it correctly stops σ runs from merging across the
-        // wrapper, and keeps the suffix starting a fresh run.
-        outer.push(ChildSym::Elem(parent_elem));
-        let spans = [
-            prefix,
-            Tokens::siblings_into(doc, &kids[range.end..], dtd, &mut outer),
-            Tokens::siblings_into(doc, &kids[range], dtd, &mut inner),
-        ];
-        if spans.iter().any(Result::is_err) {
-            return Vec::new(); // undeclared child: no wrap can pass
-        }
-        let mut ok = Vec::new();
         let mut stats = RecognizerStats::default();
-        for (cand, decl) in analysis.dtd.iter() {
-            // The paper's two-ECPV guard, wrapper first; the parent check
-            // runs only when the wrapper content passes (same
-            // short-circuit as check_markup_insertion).
-            let inner_ok = self.engine.check_symbols(cand, &inner, &mut stats).is_none();
-            if !inner_ok {
-                continue;
-            }
-            outer[wrapper_at] = ChildSym::Elem(cand);
-            if self.engine.check_symbols(parent_elem, &outer, &mut stats).is_none() {
-                ok.push(decl.name.to_string());
-            }
-        }
+        let wraps = suggest::allowed_wraps(&self.engine, &self.doc, parent, range, &mut stats);
         self.absorb(stats);
-        ok
+        wraps.into_iter().map(|e| self.analysis.name(e).to_owned()).collect()
     }
 
     /// Can character data be inserted under `parent`? O(1).
@@ -391,13 +347,12 @@ impl<'a> EditorSession<'a> {
     /// autocomplete query (see [`pv_core::suggest`]). Names are returned
     /// ready for display; σ appears as `"#text"`.
     pub fn expected_next(&self, node: NodeId) -> Vec<String> {
-        let analysis = self.analysis;
-        pv_core::suggest::expected_next_for_node(&self.engine, &self.doc, node)
+        suggest::expected_next_for_node(&self.engine, &self.doc, node)
             .unwrap_or_default()
             .into_iter()
             .map(|s| match s {
-                pv_core::token::ChildSym::Elem(e) => analysis.name(e).to_owned(),
-                pv_core::token::ChildSym::Sigma => "#text".to_owned(),
+                ChildSym::Elem(e) => self.analysis.name(e).to_owned(),
+                ChildSym::Sigma => "#text".to_owned(),
             })
             .collect()
     }

@@ -1175,7 +1175,7 @@ fn handle_request(
         }
         // One document is never split: it is lexed and checked with no
         // tree on this connection thread whatever `jobs` says, and
-        // `memo=0` detaches the shared cache.
+        // `memo=0` checks it with no cache at all.
         Request::Check { handle, jobs: _, memo, xml } => match state.entry(&handle) {
             Ok(entry) => {
                 let m = &state.metrics;

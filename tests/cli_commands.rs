@@ -3,8 +3,8 @@
 //! subset — the self-contained file format the tool is built around).
 
 use pv_cli::{
-    cmd_analyze, cmd_check, cmd_check_remote, cmd_check_stream_remote, cmd_classify,
-    cmd_complete, cmd_lint, cmd_validate, resolve_dtd, CheckOpts, Status,
+    cmd_analyze, cmd_check, cmd_check_remote, cmd_check_stream, cmd_check_stream_remote,
+    cmd_classify, cmd_complete, cmd_lint, cmd_validate, resolve_dtd, CheckOpts, Status,
 };
 use pv_core::depth::DepthPolicy;
 use pv_service::{Client, Endpoint, Server};
@@ -246,4 +246,22 @@ fn remote_stream_check_rejects_zero_chunk_size() {
     assert!(report.contains("POTENTIALLY VALID"), "{report}");
     client.shutdown().unwrap();
     server.join();
+}
+
+/// `pvx check --stream --chunk-size N` reads chunks of at most N bytes
+/// into a buffer that grows only as bytes arrive: the largest chunk size
+/// is not an allocation of that size, and it gives the report a 64 KiB
+/// chunk gives, for a document that checks and for one that does not.
+#[test]
+fn stream_check_with_the_largest_chunk_size_reads_what_is_there() {
+    let opts = CheckOpts::default();
+    for body in ["<r><a><b>x</b><c>y</c> dog<e/></a></r>", "<r><a><b>x</b><e/><c>y</c></a></r>"] {
+        let xml = with_subset(body);
+        let stream = |chunk| {
+            cmd_check_stream(None, None, None, "s.xml", &mut xml.as_bytes(), chunk, &opts)
+        };
+        let (report, status) = stream(usize::MAX);
+        assert_eq!((report.clone(), status), stream(64 * 1024));
+        assert_ne!(status, Status::Error, "{report}");
+    }
 }

@@ -258,7 +258,7 @@ fn batch_checking_matches_memo_off_at_any_job_count() {
 /// Replays one edit script (accepted and rejected operations, palette and
 /// autocomplete queries, one undo) and returns every observable: the
 /// resulting XML, applied/rejected counts, and the recognizer counters +
-/// palette answer.
+/// palette and autocomplete answers.
 fn run_editor_script(session: &mut EditorSession<'_>) -> (String, u64, u64, String) {
     let doc_root = session.document().root();
     // A mix of accepted and rejected operations over the TEI corpus.
@@ -287,14 +287,14 @@ fn run_editor_script(session: &mut EditorSession<'_>) -> (String, u64, u64, Stri
     let _ = session.insert_markup(body, 0..2, "lb");
     let _ = session.rename(p, "head");
     let wraps = session.allowed_wraps(body, 0..1);
-    let _ = session.expected_next(body);
+    let next = session.expected_next(body);
     session.undo().unwrap();
     let stats = session.stats();
     (
         session.document().to_xml(),
         stats.applied,
         stats.rejected,
-        format!("{:?} wraps={wraps:?}", stats.recognizer),
+        format!("{:?} wraps={wraps:?} next={next:?}", stats.recognizer),
     )
 }
 

@@ -203,7 +203,9 @@ proptest! {
     }
 
     /// Every `expected_next` suggestion keeps the content potentially
-    /// valid, and every element symbol it omits really is hopeless.
+    /// valid, and every element symbol it omits really is hopeless. The
+    /// judge is a memo-off engine, whose every run is one recognizer run
+    /// with no cache, so it shares no cached step with the suggestions.
     #[test]
     fn suggestions_sound_and_complete(class in class_strategy(), seed in 0u64..5000, pick in 0usize..32) {
         use pv_core::recognizer::RecognizerStats;
@@ -213,6 +215,8 @@ proptest! {
         Mutator::new(seed).delete_random_markup(&mut doc, 4);
         let checker = CheckEngine::new(analysis.clone());
         prop_assume!(checker.check_document(&doc).is_potentially_valid());
+        let mut judge = CheckEngine::new(analysis.clone());
+        std::sync::Arc::get_mut(&mut judge).unwrap().set_memo_enabled(false);
         let elements: Vec<NodeId> = doc.elements().collect();
         let node = elements[pick % elements.len()];
         let elem = analysis.id(doc.name(node).unwrap()).unwrap();
@@ -225,7 +229,7 @@ proptest! {
             let mut seq = prefix.clone();
             seq.push(cand);
             let mut stats = RecognizerStats::default();
-            let accepted = checker.check_symbols(elem, &seq, &mut stats).is_none();
+            let accepted = judge.check_symbols(elem, &seq, &mut stats).is_none();
             prop_assert_eq!(
                 suggested.contains(&cand),
                 accepted,
@@ -233,6 +237,54 @@ proptest! {
                 cand.display(&analysis.dtd), analysis.name(elem), prefix
             );
         }
+    }
+
+    /// The tag palette is exact: `allowed_wraps(parent, range)` is the
+    /// set of declared names whose `insert_markup(parent, range, name)`
+    /// the session accepts, for random parents and ranges (empty and
+    /// full ones included). The palette query and every wrap attempt,
+    /// undone when accepted, leave the document byte-identical.
+    #[test]
+    fn palette_is_exactly_the_accepted_wraps(
+        class in class_strategy(),
+        seed in 0u64..5000,
+        pick in 0usize..64,
+        shape in 0u8..4,
+        a in 0usize..16,
+        b in 0usize..16,
+    ) {
+        let analysis = make_analysis(class, seed);
+        let mut doc = DocGen::new(&analysis, seed).generate(15);
+        Mutator::new(seed).delete_random_markup(&mut doc, 4);
+        let mut session = pv_editor::EditorSession::open(&analysis, doc).unwrap();
+        let elements: Vec<NodeId> = session.document().elements().collect();
+        let parent = elements[pick % elements.len()];
+        let n = session.document().children(parent).len();
+        let (lo, hi) = (a.min(b) % (n + 1), a.max(b) % (n + 1));
+        let range = match shape {
+            0 => lo..lo,
+            1 => 0..n,
+            _ => lo..hi.max(lo),
+        };
+        let before = session.document().to_xml();
+        let mut palette = session.allowed_wraps(parent, range.clone());
+        prop_assert_eq!(&session.document().to_xml(), &before, "the palette query edited");
+        let mut accepted = Vec::new();
+        for (_, decl) in analysis.dtd.iter() {
+            let name = decl.name.to_string();
+            if session.insert_markup(parent, range.clone(), &name).is_ok() {
+                session.undo().unwrap();
+                accepted.push(name);
+            }
+            prop_assert_eq!(&session.document().to_xml(), &before, "wrapping in <{}>", decl.name);
+        }
+        palette.sort();
+        accepted.sort();
+        prop_assert_eq!(
+            palette, accepted,
+            "<{}> children {:?}\n{}\n{}",
+            session.document().name(parent).unwrap_or("?"), range, analysis.dtd, before
+        );
     }
 
     /// The editor session never reaches a non-PV state, no matter what
