@@ -3,9 +3,9 @@
 //! See `pvx --help` or the crate docs of `pv-cli` for usage.
 
 use pv_cli::{
-    cmd_analyze, cmd_bench_serve, cmd_check, cmd_check_remote, cmd_check_stream,
-    cmd_check_stream_remote, cmd_classify, cmd_complete, cmd_lint, cmd_top, cmd_validate,
-    prolog_doctype, render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, Status, TopOpts,
+    cmd_analyze, cmd_bench_serve, cmd_classify, cmd_complete, cmd_lint, cmd_top, cmd_validate,
+    render_check_error, resolve_dtd, BenchServeOpts, CheckOpts, CheckRun, Status, TopOpts,
+    DEFAULT_CHUNK,
 };
 use pv_core::depth::DepthPolicy;
 use pv_service::{metrics_http, Client, Endpoint, GovernorConfig, LogSink, Server};
@@ -32,9 +32,10 @@ USAGE:
                [--requests N] [--concurrency N] [--flood N]
                [--stream [--chunk-size N]] [--json]
 
-Without --dtd/--builtin, documents must carry an internal DTD subset
-(<!DOCTYPE root [ ... ]>). Builtins: figure1, t1, t2, xhtml-basic,
-tei-lite, play, docbook-like, dissertation, docbook-article, tei-drama.
+The DTD comes from --builtin, else --dtd with --root, else the
+document's internal DTD subset (<!DOCTYPE root [ ... ]>, rooted at
+--root when given). Builtins: figure1, t1, t2, xhtml-basic, tei-lite,
+play, docbook-like, dissertation, docbook-article, tei-drama.
 
 `check` checks each document on the calling thread, lexing its bytes
 straight into the checker without building a tree: a single document
@@ -51,20 +52,27 @@ identical either way.
 -v adds a one-line `analysis:` summary (recursion class, determinism,
 speculation-budget certificate) to each text-mode `check` report.
 
+`pvx lint` judges determinism on the declared content models, as XML
+appendix E states it (so `(a?, a)` is 1-ambiguous); `pvx analyze` judges
+the PV-normalized models the recognizer runs (`?` dropped, `+` widened
+to `*`), where `(a?, a)` is deterministic.
+
 `pvx analyze` runs the static DTD analyzer: Glushkov 1-unambiguity per
-content model (with a concrete witness pair on ambiguity) and a static
-speculation-budget certificate — a proof that the full budget every
-check runs with is never used up (`specs_denied == 0`). --json emits one
-stable machine-readable object. Exit codes: 0 = budget-certified,
-1 = flagged (analysis ran; certification refused), 2 = error.
+PV-normalized content model (with a concrete witness pair on ambiguity)
+and a static speculation-budget certificate — a proof that the full
+budget every check runs with is never used up (`specs_denied == 0`).
+--json emits one stable machine-readable object. Exit codes:
+0 = budget-certified, 1 = flagged (analysis ran; certification
+refused), 2 = error.
 
 --stream reads the document in chunks (default 64 KiB, --chunk-size N)
 instead of whole, pushing them through the SAX-style event front end
 and validating as it parses, in O(depth) memory, with a verdict and
 counters bit-identical to the default check. With --remote the chunks
-upload as CHECK_STREAM requests while the server validates them
-(requires --builtin/--dtd: the DTD cannot ride inside the byte stream).
---no-memo does not apply to streaming checks.
+upload as one CHECK_STREAM request, each read from the file as the
+upload goes, while the server validates them. Either way the client
+holds at most one chunk plus the prolog, which is read first when it
+carries the DTD. --no-memo does not apply to streaming checks.
 
 `pvx serve` runs the resident validation server: a persistent pool of
 --jobs N parked workers (default 0 = one per CPU; a worker the OS cannot
@@ -418,62 +426,12 @@ fn cmd_bench(args: &Args) -> ! {
         requests: args.requests.unwrap_or(200),
         concurrency: args.concurrency.unwrap_or(4),
         flood: args.flood.unwrap_or(0),
-        stream_chunk: if args.stream { args.chunk_size.unwrap_or(64 * 1024) } else { 0 },
+        stream_chunk: if args.stream { args.chunk_size.unwrap_or(DEFAULT_CHUNK) } else { 0 },
         json: args.json,
     };
     let (report, status) = cmd_bench_serve(&opts);
     print!("{report}");
     std::process::exit(status.code());
-}
-
-/// Loads the `--builtin`/`--dtd` DTD into the server (idempotent),
-/// returning the handle — or `None` when the DTD comes from each
-/// document's prolog (see [`remote_handle_for_doctype`]). Resolved
-/// **once** per run: the handle does not depend on the document, so
-/// re-shipping the DTD source per document would only waste round trips.
-fn remote_handle_fixed(
-    client: &mut Client,
-    args: &Args,
-    dtd_src: Option<&str>,
-) -> Option<Result<String, String>> {
-    if let Some(name) = &args.builtin {
-        return Some(
-            client
-                .load_builtin(name)
-                .map(|i| i.handle)
-                .map_err(|e| e.to_string()),
-        );
-    }
-    if let Some(src) = dtd_src {
-        return Some(match args.root.as_deref() {
-            None => Err("--dtd requires --root NAME".to_owned()),
-            Some(root) => client
-                .load_dtd(root, src)
-                .map(|i| i.handle)
-                .map_err(|e| e.to_string()),
-        });
-    }
-    None
-}
-
-/// The per-document fallback: load the internal DTD subset of the
-/// document's prolog (interned server-side, so repeated subsets share one
-/// engine).
-fn remote_handle_for_doctype(
-    client: &mut Client,
-    args: &Args,
-    doctype: Option<&pv_xml::Doctype>,
-) -> Result<String, String> {
-    let dt = doctype.ok_or("document has no <!DOCTYPE …> and no --dtd/--builtin was given")?;
-    let subset = dt
-        .internal_subset
-        .as_deref()
-        .ok_or("document DOCTYPE has no internal subset; pass --dtd")?;
-    let root = args.root.clone().unwrap_or_else(|| dt.name.clone());
-    client
-        .load_dtd(&root, subset)
-        .map(|i| i.handle)
-        .map_err(|e| e.to_string())
 }
 
 fn main() {
@@ -514,16 +472,8 @@ fn main() {
         }
     }
 
-    if args.stream {
-        if args.command != "check" {
-            die("--stream is only supported by `pvx check`");
-        }
-        if args.remote.is_some() && args.builtin.is_none() && args.dtd_file.is_none() {
-            // A CHECK reads the DTD out of the prolog of the file it
-            // holds; a chunked upload commits to a handle before its
-            // first chunk is read.
-            die("--stream --remote needs --builtin or --dtd (the DTD cannot ride inside the byte stream)");
-        }
+    if args.stream && args.command != "check" {
+        die("--stream is only supported by `pvx check`");
     }
     if args.chunk_size.is_some() && !args.stream {
         die("--chunk-size requires --stream");
@@ -576,131 +526,73 @@ fn main() {
             // one object per document, success or not); other commands
             // keep plain stderr diagnostics.
             let json_errors = args.json && args.command == "check";
-            // With --remote and a fixed DTD (--builtin/--dtd), one LOAD
-            // round trip serves every document.
-            let fixed_handle = match remote.as_mut() {
-                Some(client) if args.command == "check" => {
-                    remote_handle_fixed(client, &args, dtd_src.as_deref())
+            let fail = |path: &str, msg: String, worst: &mut Status| {
+                if json_errors {
+                    print!("{}", render_check_error(path, &msg, true));
+                } else {
+                    eprintln!("{path}: {msg}");
                 }
-                _ => None,
+                *worst = Status::Error;
             };
+            let opts = CheckOpts {
+                depth: match args.depth {
+                    Some(d) => DepthPolicy::Bounded(d),
+                    None => DepthPolicy::Auto,
+                },
+                memo: args.memo,
+                json: args.json,
+                verbose: args.verbose,
+                stream: args.stream.then(|| args.chunk_size.unwrap_or(DEFAULT_CHUNK)),
+            };
+            let mut run = (args.command == "check").then(|| {
+                CheckRun::new(
+                    dtd_src.as_deref(),
+                    args.root.as_deref(),
+                    args.builtin.as_deref(),
+                    remote.as_mut(),
+                    opts,
+                )
+            });
             for path in &args.docs {
-                let fail = |msg: String, worst: &mut Status| {
-                    if json_errors {
-                        print!("{}", render_check_error(path, &msg, true));
-                    } else {
-                        eprintln!("{path}: {msg}");
-                    }
-                    *worst = Status::Error;
-                };
-                let opts = CheckOpts {
-                    depth: match args.depth {
-                        Some(d) => DepthPolicy::Bounded(d),
-                        None => DepthPolicy::Auto,
-                    },
-                    memo: args.memo,
-                    json: args.json,
-                    verbose: args.verbose,
-                };
-                // The streaming check path never holds the whole file:
-                // locally it is read in chunks straight into the push
-                // parser; remotely the bytes upload as CHECK_STREAM
-                // chunks while the server validates them.
-                let (report, status) = if args.stream {
-                    let chunk = args.chunk_size.unwrap_or(64 * 1024);
-                    if let Some(client) = remote.as_mut() {
-                        let handle = fixed_handle
-                            .clone()
-                            .expect("--stream --remote was checked to carry a fixed DTD");
-                        match (handle, std::fs::read_to_string(path)) {
-                            (Err(e), _) => {
-                                (render_check_error(path, &e, opts.json), Status::Error)
-                            }
-                            (_, Err(e)) => {
-                                fail(format!("cannot read: {e}"), &mut worst);
-                                continue;
-                            }
-                            (Ok(handle), Ok(text)) => cmd_check_stream_remote(
-                                client, &handle, path, &text, chunk, &opts,
-                            ),
-                        }
-                    } else {
-                        match std::fs::File::open(path) {
-                            Err(e) => {
-                                fail(format!("cannot read: {e}"), &mut worst);
-                                continue;
-                            }
-                            Ok(mut file) => cmd_check_stream(
-                                dtd_src.as_deref(),
-                                args.root.as_deref(),
-                                args.builtin.as_deref(),
-                                path,
-                                &mut file,
-                                chunk,
-                                &opts,
-                            ),
+                let (report, status) = if let Some(run) = run.as_mut() {
+                    match std::fs::File::open(path) {
+                        Ok(mut file) => run.check(path, &mut file),
+                        Err(e) => {
+                            fail(path, format!("cannot read: {e}"), &mut worst);
+                            continue;
                         }
                     }
                 } else {
+                    // `validate` and `complete` work on the tree.
                     let text = match std::fs::read_to_string(path) {
                         Ok(t) => t,
                         Err(e) => {
-                            fail(format!("cannot read: {e}"), &mut worst);
+                            fail(path, format!("cannot read: {e}"), &mut worst);
                             continue;
                         }
                     };
-                    if args.command != "check" {
-                        // `validate` and `complete` work on the tree.
-                        let doc = match pv_xml::parse(&text) {
-                            Ok(d) => d,
-                            Err(e) => {
-                                fail(format!("not well-formed: {e}"), &mut worst);
-                                continue;
-                            }
-                        };
-                        let ctx = match resolve_dtd(
-                            dtd_src.as_deref(),
-                            args.root.as_deref(),
-                            args.builtin.as_deref(),
-                            Some(&doc),
-                        ) {
-                            Ok(c) => c,
-                            Err(e) => {
-                                fail(e, &mut worst);
-                                continue;
-                            }
-                        };
-                        match args.command.as_str() {
-                            "validate" => cmd_validate(&ctx, path, &doc, args.ignore_whitespace),
-                            _ => cmd_complete(&ctx, path, &doc),
+                    let doc = match pv_xml::parse(&text) {
+                        Ok(d) => d,
+                        Err(e) => {
+                            fail(path, format!("not well-formed: {e}"), &mut worst);
+                            continue;
                         }
-                    } else if let Some(client) = remote.as_mut() {
-                        // The remote check path: the DTD loads
-                        // (idempotently) into the server, the document
-                        // ships over the wire unparsed, and the renderer
-                        // is the same as local. Without --dtd/--builtin
-                        // the DTD is the internal subset of the prolog.
-                        let handle = match &fixed_handle {
-                            Some(fixed) => fixed.clone(),
-                            None => prolog_doctype(&text).and_then(|doctype| {
-                                remote_handle_for_doctype(client, &args, doctype.as_ref())
-                            }),
-                        };
-                        match handle {
-                            Err(e) => (render_check_error(path, &e, opts.json), Status::Error),
-                            Ok(handle) => cmd_check_remote(client, &handle, path, &text, &opts),
+                    };
+                    let ctx = match resolve_dtd(
+                        dtd_src.as_deref(),
+                        args.root.as_deref(),
+                        args.builtin.as_deref(),
+                        doc.doctype.as_ref(),
+                    ) {
+                        Ok(c) => c,
+                        Err(e) => {
+                            fail(path, e, &mut worst);
+                            continue;
                         }
-                    } else {
-                        // No tree: the document is lexed once, by the
-                        // checker.
-                        cmd_check(
-                            dtd_src.as_deref(),
-                            args.root.as_deref(),
-                            args.builtin.as_deref(),
-                            path,
-                            &text,
-                            &opts,
-                        )
+                    };
+                    match args.command.as_str() {
+                        "validate" => cmd_validate(&ctx, path, &doc, args.ignore_whitespace),
+                        _ => cmd_complete(&ctx, path, &doc),
                     }
                 };
                 print!("{report}");

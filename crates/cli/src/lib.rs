@@ -3,7 +3,7 @@
 //! A front end over the potential-validity stack for shell use:
 //!
 //! ```text
-//! pvx check    [--dtd FILE --root NAME] [--depth N] DOC.xml…
+//! pvx check    [--dtd FILE --root NAME] [--depth N] [--stream] [--remote ADDR] DOC.xml…
 //! pvx validate [--dtd FILE --root NAME] [--ignore-whitespace] DOC.xml…
 //! pvx complete [--dtd FILE --root NAME] DOC.xml
 //! pvx classify (--dtd FILE --root NAME | --builtin NAME)
@@ -18,27 +18,35 @@
 //!   (Definition 2 / Figure 3 as a tool);
 //! * `classify` — DTD statistics and the recursion class (Definitions
 //!   6–8), which decides whether a depth bound is needed;
-//! * `lint` — DTD diagnostics: unusable elements, non-deterministic
-//!   (1-ambiguous) content models, PV-strong recursive elements.
+//! * `lint` — DTD diagnostics on the declared content models: unusable
+//!   elements, non-deterministic (1-ambiguous) models, PV-strong
+//!   recursive elements.
 //!
-//! Documents may carry their DTD in an internal subset
-//! (`<!DOCTYPE root [ … ]>`); `--dtd`/`--root` override it. The library
-//! part of this crate (this module) holds the testable command
-//! implementations; `src/bin/pvx.rs` is a thin argv wrapper.
+//! Every command finds its DTD by one rule ([`resolve_dtd`]): `--builtin`,
+//! then `--dtd` with `--root`, then the document's internal subset
+//! (`<!DOCTYPE root [ … ]>`), with `--root` as override. `check` has one
+//! per-document path, [`CheckRun::check`], for its four modes (local,
+//! `--stream`, `--remote`, `--stream --remote`): it reads the prolog
+//! with one push parser when the prolog carries the DTD, resolves the
+//! DTD, and hands the document to the mode's checker; the streamed modes
+//! read the file as they go. The library part of this crate (this
+//! module) holds the testable command implementations; `src/bin/pvx.rs`
+//! is a thin argv wrapper.
 
 use pv_core::checker::PvOutcome;
 use pv_core::depth::DepthPolicy;
 use pv_core::memo::MemoStats;
+use pv_core::stream::StreamCheck;
 use pv_core::token::Tokens;
 use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_dtd::{ContentSpec, Dtd, DtdAnalysis};
 use pv_grammar::validator::{validate_document_with, ContentAutomata, ValidateOptions};
 use pv_grammar::witness::{complete_document, complete_tokens};
-use pv_service::json;
-use pv_xml::Document;
+use pv_service::{json, Client};
+use pv_xml::{Doctype, Document};
 use std::fmt::Write as _;
-use std::io::Read as _;
+use std::io::Read;
 
 /// Exit status of a command (mirrors the process exit code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +71,7 @@ impl Status {
 }
 
 /// Resolved DTD context for a command.
+#[derive(Clone)]
 pub struct DtdContext {
     /// Compiled DTD.
     pub analysis: DtdAnalysis,
@@ -70,63 +79,95 @@ pub struct DtdContext {
     pub source: String,
 }
 
-/// Resolves the DTD for a document: explicit `--dtd` content wins, then a
-/// `--builtin` name, then the document's internal subset.
+/// Where a DTD comes from, by the one rule of [`dtd_source`].
+enum DtdSource<'a> {
+    /// `--builtin NAME`.
+    Builtin(&'a str),
+    /// The `--dtd` file's text, rooted at `--root`.
+    File { src: &'a str, root: &'a str },
+    /// A document's internal subset, rooted at `--root` or at the
+    /// DOCTYPE's name.
+    Subset { src: &'a str, root: &'a str },
+}
+
+/// The one DTD rule: `--builtin`, then `--dtd` (which needs `--root`),
+/// then the internal subset of `doctype`, with `--root` as override.
+fn dtd_source<'a>(
+    dtd_src: Option<&'a str>,
+    root: Option<&'a str>,
+    builtin: Option<&'a str>,
+    doctype: Option<&'a Doctype>,
+) -> Result<DtdSource<'a>, String> {
+    if let Some(name) = builtin {
+        return Ok(DtdSource::Builtin(name));
+    }
+    if let Some(src) = dtd_src {
+        let root = root.ok_or("--dtd requires --root NAME")?;
+        return Ok(DtdSource::File { src, root });
+    }
+    let dt = doctype.ok_or("document has no <!DOCTYPE …> and no --dtd/--builtin was given")?;
+    let src = dt
+        .internal_subset
+        .as_deref()
+        .ok_or("document DOCTYPE has no internal subset; pass --dtd")?;
+    Ok(DtdSource::Subset { src, root: root.unwrap_or(&dt.name) })
+}
+
+impl DtdSource<'_> {
+    /// Compiles the DTD here, for a local command.
+    fn analysis(self) -> Result<DtdContext, String> {
+        let (analysis, source) = match self {
+            DtdSource::Builtin(name) => {
+                let b = BuiltinDtd::ALL.iter().copied().find(|b| b.name() == name).ok_or_else(|| {
+                    format!(
+                        "unknown builtin {name:?}; known: {}",
+                        BuiltinDtd::ALL.map(|b| b.name()).join(", ")
+                    )
+                })?;
+                (b.analysis(), format!("builtin:{name}"))
+            }
+            DtdSource::File { src, root } => {
+                let analysis =
+                    DtdAnalysis::parse(src, root).map_err(|e| format!("DTD error: {e}"))?;
+                (analysis, "--dtd".to_owned())
+            }
+            DtdSource::Subset { src, root } => {
+                let dtd = Dtd::parse(src).map_err(|e| format!("internal-subset DTD error: {e}"))?;
+                let analysis = DtdAnalysis::new(dtd, root).map_err(|e| format!("DTD error: {e}"))?;
+                (analysis, "internal subset".to_owned())
+            }
+        };
+        Ok(DtdContext { analysis, source })
+    }
+
+    /// Loads the DTD into a server (idempotently: the server interns it
+    /// by content) and returns its handle, for a remote check.
+    fn load(self, client: &mut Client) -> Result<String, String> {
+        let loaded = match self {
+            DtdSource::Builtin(name) => client.load_builtin(name),
+            DtdSource::File { src, root } | DtdSource::Subset { src, root } => {
+                client.load_dtd(root, src)
+            }
+        };
+        loaded.map(|info| info.handle).map_err(|e| e.to_string())
+    }
+}
+
+/// Resolves the DTD of a local command by the one rule: `--builtin`,
+/// then `--dtd` with `--root`, then the internal subset of `doctype`
+/// (the document's, once its prolog is read), with `--root` as override.
 pub fn resolve_dtd(
     dtd_src: Option<&str>,
     root: Option<&str>,
     builtin: Option<&str>,
-    doc: Option<&Document>,
+    doctype: Option<&Doctype>,
 ) -> Result<DtdContext, String> {
-    if dtd_src.is_none() && builtin.is_none() {
-        let doc = doc.ok_or("no DTD given and no document to read one from")?;
-        return resolve_dtd_doctype(dtd_src, root, builtin, doc.doctype.as_ref());
-    }
-    resolve_dtd_doctype(dtd_src, root, builtin, None)
+    dtd_source(dtd_src, root, builtin, doctype)?.analysis()
 }
 
-/// [`resolve_dtd`] from a bare [`pv_xml::Doctype`] instead of a parsed
-/// document — the form `check` uses, streamed or not: by the time the
-/// push parser emits the root start tag, the `<!DOCTYPE …>` (internal
-/// subset included) has been seen, but no tree exists (see
-/// [`prolog_doctype`]).
-pub fn resolve_dtd_doctype(
-    dtd_src: Option<&str>,
-    root: Option<&str>,
-    builtin: Option<&str>,
-    doctype: Option<&pv_xml::Doctype>,
-) -> Result<DtdContext, String> {
-    if let Some(name) = builtin {
-        let b = BuiltinDtd::ALL
-            .iter()
-            .copied()
-            .find(|b| b.name() == name)
-            .ok_or_else(|| {
-                format!(
-                    "unknown builtin {name:?}; known: {}",
-                    BuiltinDtd::ALL.map(|b| b.name()).join(", ")
-                )
-            })?;
-        return Ok(DtdContext { analysis: b.analysis(), source: format!("builtin:{name}") });
-    }
-    if let Some(src) = dtd_src {
-        let root = root.ok_or("--dtd requires --root NAME")?;
-        let analysis =
-            DtdAnalysis::parse(src, root).map_err(|e| format!("DTD error: {e}"))?;
-        return Ok(DtdContext { analysis, source: "--dtd".to_owned() });
-    }
-    let dt =
-        doctype.ok_or("document has no <!DOCTYPE …> and no --dtd/--builtin was given")?;
-    let subset = dt
-        .internal_subset
-        .as_deref()
-        .ok_or("document DOCTYPE has no internal subset; pass --dtd")?;
-    let dtd = Dtd::parse(subset).map_err(|e| format!("internal-subset DTD error: {e}"))?;
-    let root_name = root.unwrap_or(&dt.name);
-    let analysis =
-        DtdAnalysis::new(dtd, root_name).map_err(|e| format!("DTD error: {e}"))?;
-    Ok(DtdContext { analysis, source: "internal subset".to_owned() })
-}
+/// Chunk size of `--stream` without `--chunk-size`, and of the prolog
+/// read of an in-memory document.
+pub const DEFAULT_CHUNK: usize = 64 * 1024;
 
 /// Options of a `pvx check` run (local or remote).
 #[derive(Debug, Clone, Copy)]
@@ -141,11 +182,20 @@ pub struct CheckOpts {
     /// certified budget) to text reports. Local checks only — remote
     /// reports carry the server's summary in `STATS` instead.
     pub verbose: bool,
+    /// `--stream [--chunk-size N]`: read and check the document `N`
+    /// bytes at a time instead of whole.
+    pub stream: Option<usize>,
 }
 
 impl Default for CheckOpts {
     fn default() -> Self {
-        CheckOpts { depth: DepthPolicy::Auto, memo: true, json: false, verbose: false }
+        CheckOpts {
+            depth: DepthPolicy::Auto,
+            memo: true,
+            json: false,
+            verbose: false,
+            stream: None,
+        }
     }
 }
 
@@ -290,225 +340,225 @@ pub fn render_check_error(name: &str, msg: &str, json_out: bool) -> String {
     }
 }
 
-/// `pvx check`: potential validity with diagnosis, in-process, with no
-/// tree: the text is lexed in place straight into a fresh engine's
-/// checker ([`CheckEngine::check_str`]), which uses the engine's
-/// transition cache unless `opts.memo` is off (only the `memo:` line
-/// comes and goes). The DTD resolves like [`cmd_check_stream`]'s, from
-/// the flags or the prolog ([`prolog_doctype`]). Returns the report text
-/// (or JSON line) and status; a DTD that does not resolve or a malformed
-/// document is an error report (exit 2).
-pub fn cmd_check(
-    dtd_src: Option<&str>,
-    root: Option<&str>,
-    builtin: Option<&str>,
-    name: &str,
-    xml: &str,
-    opts: &CheckOpts,
-) -> (String, Status) {
-    let fail = |msg: &str| (render_check_error(name, msg, opts.json), Status::Error);
-    let doctype = match (dtd_src, builtin) {
-        (None, None) => match prolog_doctype(xml) {
-            Ok(doctype) => doctype,
-            Err(msg) => return fail(&msg),
-        },
-        _ => None,
-    };
-    let ctx = match resolve_dtd_doctype(dtd_src, root, builtin, doctype.as_ref()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
-    let outcome = match engine.check_str(xml, opts.memo) {
-        Ok(outcome) => outcome,
-        Err(e) => return fail(&format!("not well-formed: {e}")),
-    };
-    let report = CheckReport {
-        outcome,
-        memo: engine.memo_stats().filter(|_| opts.memo),
-        source: ctx.source,
-        class: engine.analysis().rec.class.to_string(),
-        depth: engine.depth(),
-        analysis: opts.verbose.then(|| analysis_summary(engine.analysis())),
-    };
-    render_check(name, &report, opts.json)
-}
-
-/// `pvx check --remote`: ship the document to a resident `pvx serve` and
-/// render the (bit-identical) outcome with the same renderer as the local
-/// path. `handle` comes from a prior `load_builtin`/`load_dtd` on the
-/// same client.
-pub fn cmd_check_remote(
-    client: &mut pv_service::Client,
-    handle: &str,
-    name: &str,
-    xml: &str,
-    opts: &CheckOpts,
-) -> (String, Status) {
-    // The server checks one document on its connection thread at any
-    // `jobs`; 1 says so on the wire.
-    render_remote(name, client.check(handle, xml, 1, opts.memo), opts)
-}
-
-/// Renders a remote check result (or its failure) like a local report.
-fn render_remote(
-    name: &str,
-    result: pv_service::Result<pv_service::RemoteCheck>,
-    opts: &CheckOpts,
-) -> (String, Status) {
-    match result {
-        Err(e) => (render_check_error(name, &e.to_string(), opts.json), Status::Error),
-        Ok(remote) => {
-            let report = CheckReport {
-                outcome: remote.outcome,
-                memo: remote.memo,
-                source: remote.label,
-                class: remote.class,
-                depth: remote.depth,
-                analysis: None,
-            };
-            render_check(name, &report, opts.json)
-        }
+/// Reads the next chunk of at most `size` bytes of `input` into `buf`,
+/// replacing what it held; `Ok(false)` at the end of the input, `Err`
+/// the report's message for a failed read. Past one default chunk the
+/// buffer grows only as bytes arrive, so a huge `size` costs what the
+/// input holds, never an allocation of that size.
+fn read_chunk(input: &mut dyn Read, size: usize, buf: &mut Vec<u8>) -> Result<bool, String> {
+    buf.clear();
+    buf.reserve(size.min(DEFAULT_CHUNK));
+    match input.take(size as u64).read_to_end(buf) {
+        Ok(n) => Ok(n > 0),
+        Err(e) => Err(format!("cannot read: {e}")),
     }
 }
 
-/// The `<!DOCTYPE …>` of a document held in memory, read by the push
-/// parser up to the root start tag — where a check finds an
-/// internal-subset DTD without building a tree. `Err` carries the
-/// report's `not well-formed: …` message for a malformed prolog.
-pub fn prolog_doctype(xml: &str) -> Result<Option<pv_xml::Doctype>, String> {
+/// A streamed check's input: `head` (the bytes the prolog reader took),
+/// then each further chunk of `input`, read when it is asked for. A read
+/// error ends the chunks and is left in `failed`.
+fn chunks<'r>(
+    head: Vec<u8>,
+    input: &'r mut dyn Read,
+    size: usize,
+    failed: &'r mut Option<String>,
+) -> impl Iterator<Item = Vec<u8>> + 'r {
+    let rest = std::iter::from_fn(move || {
+        let mut buf = Vec::new();
+        match read_chunk(input, size, &mut buf) {
+            Ok(more) => more.then_some(buf),
+            Err(msg) => {
+                *failed = Some(msg);
+                None
+            }
+        }
+    });
+    (!head.is_empty()).then_some(head).into_iter().chain(rest)
+}
+
+/// The one prolog reader: pushes `input`, `chunk` bytes at a time, into a
+/// push parser until it emits the root start tag, by which point the
+/// `<!DOCTYPE …>` (internal subset included) has been seen. Returns the
+/// doctype and every byte read, for the checker to start from. `Err`
+/// carries the report's message for a malformed prolog or a failed read.
+fn read_prolog(input: &mut dyn Read, chunk: usize) -> Result<(Option<Doctype>, Vec<u8>), String> {
     let mut parser = pv_xml::PushParser::new();
-    let mut chunks = xml.as_bytes().chunks(64 * 1024);
+    let (mut head, mut buf) = (Vec::new(), Vec::new());
     loop {
         match parser.next_event() {
             Err(e) => return Err(format!("not well-formed: {e}")),
             Ok(Some(_)) => break, // the root start tag: the prolog is read
-            Ok(None) => match chunks.next() {
-                Some(chunk) => parser.push(chunk),
-                None => parser.finish(),
-            },
+            Ok(None) => {
+                if read_chunk(input, chunk, &mut buf)? {
+                    parser.push(&buf);
+                    head.extend_from_slice(&buf);
+                } else {
+                    // A finished parser emits the root or fails.
+                    parser.finish();
+                }
+            }
         }
     }
-    Ok(parser.doctype().cloned())
+    Ok((parser.doctype().cloned(), head))
 }
 
-/// `pvx check --stream`: potential validity over the push-parser event
-/// stream, in-process. The document is read from `input` in
-/// `chunk_size`-byte chunks and never materializes — resident state is
-/// the open ancestor spine plus one lexer construct, so arbitrarily
-/// large documents check in O(depth) memory. The verdict, diagnosis and
-/// counters are bit-identical to [`cmd_check`]'s (streaming never
-/// consults the engine's memo, so no `memo:` telemetry is shown).
+/// A resolved DTD, in the form the run's checker takes.
+#[derive(Clone)]
+enum CheckDtd {
+    /// Compiled here, for a local check.
+    Local(Box<DtdContext>),
+    /// A server's handle, for a remote one.
+    Remote(String),
+}
+
+/// One `pvx check` run over its documents: the DTD flags, the options,
+/// and with `--remote` the server connection. [`CheckRun::check`] is the
+/// one per-document path of all four modes, which differ only in the
+/// checker:
 ///
-/// The DTD resolves exactly like [`cmd_check`]'s — `--dtd`, `--builtin`,
-/// or the document's own internal subset: by the time the root start
-/// tag is lexed, the `<!DOCTYPE …>` has been fully seen, so the checker
-/// is constructed between the doctype and the first element.
-pub fn cmd_check_stream(
-    dtd_src: Option<&str>,
-    root: Option<&str>,
-    builtin: Option<&str>,
-    name: &str,
-    input: &mut dyn std::io::Read,
-    chunk_size: usize,
-    opts: &CheckOpts,
-) -> (String, Status) {
-    let fail = |msg: &str| (render_check_error(name, msg, opts.json), Status::Error);
-    if chunk_size == 0 {
-        // A zero chunk size would read zero bytes forever; reject it
-        // loudly instead of silently substituting some other size.
-        return fail("chunk size must be at least 1 byte");
-    }
-    let mut parser = pv_xml::PushParser::new();
-    // The buffer grows only as bytes arrive, so a huge chunk size costs
-    // what the input holds, never an allocation of that size up front.
-    let mut buf = Vec::new();
-    let mut eof = false;
-    let mut read = |parser: &mut pv_xml::PushParser| {
-        buf.clear();
-        match (&mut *input).take(chunk_size as u64).read_to_end(&mut buf) {
-            Err(e) => Err(format!("cannot read: {e}")),
-            Ok(0) => {
-                parser.finish();
-                Ok(true)
-            }
-            Ok(_) => {
-                parser.push(&buf);
-                Ok(false)
-            }
-        }
-    };
-    // Pump until the root start tag: the first event the parser can emit.
-    let (root_name, root_self_closing) = loop {
-        match parser.next_event() {
-            Err(e) => return fail(&format!("not well-formed: {e}")),
-            Ok(Some(pv_xml::Event::Start { name, self_closing, .. })) => {
-                break (name.to_owned(), self_closing);
-            }
-            Ok(Some(_)) => continue, // unreachable: nothing precedes the root
-            Ok(None) if eof => return fail("not well-formed: missing root element"),
-            Ok(None) => match read(&mut parser) {
-                Ok(end) => eof = end,
-                Err(msg) => return fail(&msg),
-            },
-        }
-    };
-    let ctx = match resolve_dtd_doctype(dtd_src, root, builtin, parser.doctype()) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
-    let mut stream = engine.stream_checker();
-    stream.on_start(&root_name, root_self_closing);
-    // From here on the parser pushes every event a read completes.
-    loop {
-        if let Err(e) = parser.drain(|event| stream.on_event(&event)) {
-            return fail(&format!("not well-formed: {e}"));
-        }
-        if eof {
-            break;
-        }
-        match read(&mut parser) {
-            Ok(end) => eof = end,
-            Err(msg) => return fail(&msg),
-        }
-    }
-    let report = CheckReport {
-        outcome: stream.finalize(),
-        memo: None,
-        source: ctx.source,
-        class: engine.analysis().rec.class.to_string(),
-        depth: engine.depth(),
-        analysis: opts.verbose.then(|| analysis_summary(engine.analysis())),
-    };
-    render_check(name, &report, opts.json)
+/// * local: [`CheckEngine::check_str`] on the whole text, lexed in place;
+/// * `--stream`: a [`StreamCheck`] fed one chunk at a time, with no
+///   cache telemetry (no `memo:` line);
+/// * `--remote`: one `CHECK` of the whole text;
+/// * `--stream --remote`: one `CHECK_STREAM`, uploading each chunk as it
+///   is read.
+///
+/// The verdict, diagnosis and counters are the same in every mode.
+/// Streamed modes hold at most one chunk plus the prolog of the file.
+pub struct CheckRun<'a> {
+    dtd_src: Option<&'a str>,
+    root: Option<&'a str>,
+    builtin: Option<&'a str>,
+    remote: Option<&'a mut Client>,
+    opts: CheckOpts,
+    /// The DTD the flags fix (`--builtin`, or `--dtd`), resolved once for
+    /// the run, so one `LOAD` serves every remote document; `None` when
+    /// each document's prolog carries its own.
+    fixed: Option<Result<CheckDtd, String>>,
 }
 
-/// `pvx check --stream --remote`: upload the document as `CHECK_STREAM`
-/// chunks to a resident `pvx serve` — the server validates while the
-/// client uploads, holding O(depth) state — and render the
-/// (bit-identical) outcome with the shared renderer.
-pub fn cmd_check_stream_remote(
-    client: &mut pv_service::Client,
-    handle: &str,
-    name: &str,
-    xml: &str,
-    chunk_size: usize,
-    opts: &CheckOpts,
-) -> (String, Status) {
-    if chunk_size == 0 {
-        // `chunks(0)` would panic, and on the wire a zero-length block is
-        // the terminator: reject it as `cmd_check_stream` does.
-        return (
-            render_check_error(name, "chunk size must be at least 1 byte", opts.json),
-            Status::Error,
-        );
+impl<'a> CheckRun<'a> {
+    /// A run with these DTD flags (`--dtd`'s text, `--root`,
+    /// `--builtin`), checking on `remote` when given.
+    pub fn new(
+        dtd_src: Option<&'a str>,
+        root: Option<&'a str>,
+        builtin: Option<&'a str>,
+        remote: Option<&'a mut Client>,
+        opts: CheckOpts,
+    ) -> Self {
+        let mut run = CheckRun { dtd_src, root, builtin, remote, opts, fixed: None };
+        if dtd_src.is_some() || builtin.is_some() {
+            run.fixed = Some(run.resolve(None));
+        }
+        run
     }
-    render_remote(
-        name,
-        client.check_stream(handle, xml.as_bytes().chunks(chunk_size)),
-        opts,
-    )
+
+    /// The DTD by the one rule, compiled or loaded as the run needs it.
+    fn resolve(&mut self, doctype: Option<&Doctype>) -> Result<CheckDtd, String> {
+        let source = dtd_source(self.dtd_src, self.root, self.builtin, doctype)?;
+        match self.remote.as_deref_mut() {
+            None => source.analysis().map(|ctx| CheckDtd::Local(Box::new(ctx))),
+            Some(client) => source.load(client).map(CheckDtd::Remote),
+        }
+    }
+
+    /// `pvx check` on one document read from `input`: its report (text,
+    /// or one JSON line) and status. A DTD that does not resolve, a
+    /// malformed document, a failed read or a remote failure is an error
+    /// report (exit 2).
+    pub fn check(&mut self, name: &str, input: &mut dyn Read) -> (String, Status) {
+        match self.check_document(input) {
+            Ok(report) => render_check(name, &report, self.opts.json),
+            Err(msg) => (render_check_error(name, &msg, self.opts.json), Status::Error),
+        }
+    }
+
+    fn check_document(&mut self, input: &mut dyn Read) -> Result<CheckReport, String> {
+        let opts = self.opts;
+        let chunk = opts.stream.unwrap_or(DEFAULT_CHUNK);
+        if chunk == 0 {
+            // A zero chunk size would read nothing forever, and on the
+            // wire a zero-length block ends the upload.
+            return Err("chunk size must be at least 1 byte".to_owned());
+        }
+        let text = match opts.stream {
+            Some(_) => None,
+            None => {
+                let mut text = String::new();
+                input.read_to_string(&mut text).map_err(|e| format!("cannot read: {e}"))?;
+                Some(text)
+            }
+        };
+        let (dtd, head) = match &self.fixed {
+            Some(fixed) => (fixed.clone()?, Vec::new()),
+            None => {
+                let (doctype, head) = match &text {
+                    Some(text) => read_prolog(&mut text.as_bytes(), chunk)?,
+                    None => read_prolog(input, chunk)?,
+                };
+                (self.resolve(doctype.as_ref())?, head)
+            }
+        };
+        let not_wf = |e: pv_xml::XmlError| format!("not well-formed: {e}");
+        match dtd {
+            CheckDtd::Local(ctx) => {
+                let engine = CheckEngine::with_policy(ctx.analysis, opts.depth);
+                let (outcome, memo) = match &text {
+                    Some(text) => {
+                        let outcome = engine.check_str(text, opts.memo).map_err(not_wf)?;
+                        (outcome, engine.memo_stats().filter(|_| opts.memo))
+                    }
+                    None => {
+                        let (mut stream, mut failed) =
+                            (StreamCheck::new(engine.stream_checker()), None);
+                        for bytes in chunks(head, input, chunk, &mut failed) {
+                            stream.feed(&bytes).map_err(not_wf)?;
+                        }
+                        if let Some(msg) = failed {
+                            return Err(msg);
+                        }
+                        (stream.finish().map_err(not_wf)?, None)
+                    }
+                };
+                Ok(CheckReport {
+                    outcome,
+                    memo,
+                    source: ctx.source,
+                    class: engine.analysis().rec.class.to_string(),
+                    depth: engine.depth(),
+                    analysis: opts.verbose.then(|| analysis_summary(engine.analysis())),
+                })
+            }
+            CheckDtd::Remote(handle) => {
+                let client = self.remote.as_deref_mut().expect("a remote DTD has a client");
+                let checked = match &text {
+                    // The server checks one document on its connection
+                    // thread at any `jobs`; 1 says so on the wire.
+                    Some(text) => client.check(&handle, text, 1, opts.memo),
+                    None => {
+                        let mut failed = None;
+                        let checked =
+                            client.check_stream(&handle, chunks(head, input, chunk, &mut failed));
+                        // A read error ended the upload: it is the report.
+                        if let Some(msg) = failed {
+                            return Err(msg);
+                        }
+                        checked
+                    }
+                };
+                let remote = checked.map_err(|e| e.to_string())?;
+                Ok(CheckReport {
+                    outcome: remote.outcome,
+                    memo: remote.memo,
+                    source: remote.label,
+                    class: remote.class,
+                    depth: remote.depth,
+                    analysis: None,
+                })
+            }
+        }
+    }
 }
 
 /// Options for the `pvx bench-serve` load generator.
@@ -896,7 +946,9 @@ pub fn cmd_classify(ctx: &DtdContext) -> (String, Status) {
     (report, Status::Ok)
 }
 
-/// `pvx lint`: DTD diagnostics.
+/// `pvx lint`: DTD diagnostics. Determinism is judged on the *declared*
+/// content models, as XML appendix E states it (`(a?, a)` is flagged);
+/// `pvx analyze` judges the PV-normalized ones instead.
 pub fn cmd_lint(ctx: &DtdContext) -> (String, Status) {
     let a = &ctx.analysis;
     let mut report = String::new();
@@ -909,8 +961,8 @@ pub fn cmd_lint(ctx: &DtdContext) -> (String, Status) {
             findings += 1;
             let _ = writeln!(
                 report,
-                "warning: content model of <{}> is not 1-unambiguous (XML appendix E \
-                 requires deterministic models): {}",
+                "warning: declared content model of <{}> is not 1-unambiguous (XML \
+                 appendix E requires deterministic models): {}",
                 a.name(x),
                 a.dtd.model_to_string(x)
             );
@@ -942,6 +994,10 @@ pub fn cmd_lint(ctx: &DtdContext) -> (String, Status) {
 
 /// `pvx analyze`: the full static-analysis report — recursion class,
 /// per-model determinism witnesses, and speculation-budget certification.
+/// Determinism is judged on the PV-normalized content models the
+/// recognizer runs (`?` dropped, `+` widened to `*`), so a declared
+/// ambiguity that normalizes away, such as `(a?, a)`, is not reported;
+/// `pvx lint` judges the declared models.
 ///
 /// Exit codes: `0` when the DTD is budget-certified, `1` when flagged
 /// (PV-strong recursive or static bound past the runtime budget), `2`
@@ -1025,13 +1081,13 @@ pub fn cmd_analyze(ctx: &DtdContext, json_out: bool) -> (String, Status) {
     if ambiguous == 0 {
         let _ = writeln!(
             out,
-            "  determinism: all {} content models 1-unambiguous",
+            "  determinism (PV-normalized models): all {} content models 1-unambiguous",
             a.stats.m
         );
     } else {
         let _ = writeln!(
             out,
-            "  determinism: {ambiguous} of {} content models 1-ambiguous",
+            "  determinism (PV-normalized models): {ambiguous} of {} content models 1-ambiguous",
             a.stats.m
         );
         for m in report.ambiguous() {
@@ -1083,11 +1139,22 @@ mod tests {
         resolve_dtd(None, None, Some("figure1"), None).unwrap()
     }
 
-    /// `pvx check --builtin figure1` on `xml`.
+    /// `pvx check --builtin figure1` on `xml`, in the mode `opts` asks for.
     fn check_fig1(name: &str, xml: &str, opts: &CheckOpts) -> (String, Status) {
-        cmd_check(None, None, Some("figure1"), name, xml, opts)
+        CheckRun::new(None, None, Some("figure1"), None, *opts).check(name, &mut xml.as_bytes())
     }
 
+    /// `pvx check --stream --chunk-size chunk` with these DTD flags.
+    fn check_stream(
+        builtin: Option<&str>,
+        name: &str,
+        xml: &str,
+        chunk: usize,
+        opts: &CheckOpts,
+    ) -> (String, Status) {
+        let opts = CheckOpts { stream: Some(chunk), ..*opts };
+        CheckRun::new(None, None, builtin, None, opts).check(name, &mut xml.as_bytes())
+    }
 
     #[test]
     fn resolve_builtin() {
@@ -1107,10 +1174,10 @@ mod tests {
     #[test]
     fn resolve_internal_subset() {
         let doc = pv_xml::parse("<!DOCTYPE r [<!ELEMENT r (#PCDATA)>]><r>x</r>").unwrap();
-        let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
+        let ctx = resolve_dtd(None, None, None, doc.doctype.as_ref()).unwrap();
         assert_eq!(ctx.source, "internal subset");
         let plain = pv_xml::parse("<r/>").unwrap();
-        assert!(resolve_dtd(None, None, None, Some(&plain)).is_err());
+        assert!(resolve_dtd(None, None, None, plain.doctype.as_ref()).is_err());
     }
 
     const S: &str = "<r><a><b>x</b><c>y</c> z<e/></a></r>";
@@ -1186,16 +1253,7 @@ mod tests {
                 let opts = CheckOpts { json, ..CheckOpts::default() };
                 let (byte_rep, byte_st) = check_fig1("d", xml, &opts);
                 for chunk in [1usize, 7, xml.len()] {
-                    let mut input = xml.as_bytes();
-                    let (rep, st) = cmd_check_stream(
-                        None,
-                        None,
-                        Some("figure1"),
-                        "d",
-                        &mut input,
-                        chunk,
-                        &opts,
-                    );
+                    let (rep, st) = check_stream(Some("figure1"), "d", xml, chunk, &opts);
                     // Streaming never consults the memo; everything else —
                     // verdict, diagnosis, counters — is bit-identical.
                     assert_eq!(st, byte_st, "chunk={chunk} xml={xml}");
@@ -1226,27 +1284,11 @@ mod tests {
     #[test]
     fn check_stream_resolves_the_internal_subset() {
         let xml = "<!DOCTYPE r [<!ELEMENT r (#PCDATA)>]><r>x</r>";
-        let (rep, st) = cmd_check_stream(
-            None,
-            None,
-            None,
-            "d",
-            &mut xml.as_bytes(),
-            3,
-            &CheckOpts::default(),
-        );
+        let (rep, st) = check_stream(None, "d", xml, 3, &CheckOpts::default());
         assert_eq!(st, Status::Ok, "{rep}");
         assert!(rep.contains("internal subset"), "{rep}");
         let plain = "<r/>";
-        let (rep, st) = cmd_check_stream(
-            None,
-            None,
-            None,
-            "d",
-            &mut plain.as_bytes(),
-            3,
-            &CheckOpts::default(),
-        );
+        let (rep, st) = check_stream(None, "d", plain, 3, &CheckOpts::default());
         assert_eq!(st, Status::Error);
         assert!(rep.contains("DOCTYPE"), "{rep}");
     }
@@ -1255,27 +1297,12 @@ mod tests {
     fn check_stream_rejects_malformed_and_truncated_input() {
         let full = "<r><a><b>x</b><c>y</c> z<e/></a></r>";
         for cut in [1, full.len() / 2, full.len() - 1] {
-            let (rep, st) = cmd_check_stream(
-                None,
-                None,
-                Some("figure1"),
-                "d",
-                &mut &full.as_bytes()[..cut],
-                4,
-                &CheckOpts::default(),
-            );
+            let (rep, st) =
+                check_stream(Some("figure1"), "d", &full[..cut], 4, &CheckOpts::default());
             assert_eq!(st, Status::Error, "cut={cut}: {rep}");
             assert!(rep.contains("not well-formed"), "cut={cut}: {rep}");
         }
-        let (rep, st) = cmd_check_stream(
-            None,
-            None,
-            Some("figure1"),
-            "d",
-            &mut "<r></q>".as_bytes(),
-            4,
-            &CheckOpts::default(),
-        );
+        let (rep, st) = check_stream(Some("figure1"), "d", "<r></q>", 4, &CheckOpts::default());
         assert_eq!(st, Status::Error);
         assert!(rep.contains("not well-formed"), "{rep}");
     }

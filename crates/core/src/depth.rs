@@ -22,18 +22,15 @@ pub const DEFAULT_STRONG_DEPTH: u32 = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[derive(Default)]
 pub enum DepthPolicy {
-    /// Choose automatically: `Unbounded` unless the DTD is PV-strong
-    /// recursive, in which case [`DEFAULT_STRONG_DEPTH`].
+    /// Choose automatically: no limit unless the DTD is PV-strong
+    /// recursive, in which case [`DEFAULT_STRONG_DEPTH`], since unbounded
+    /// speculation there would loop forever (Example 5).
     #[default]
     Auto,
     /// Never create a nested recognizer beyond `D` levels. For PV-strong
     /// DTDs the answer is then "potentially valid within completions whose
     /// nesting exceeds the input's by at most `D`"; it is monotone in `D`.
     Bounded(u32),
-    /// No limit. **Safe only for non-PV-strong DTDs** — selecting this for
-    /// a PV-strong DTD falls back to [`DEFAULT_STRONG_DEPTH`] instead of
-    /// looping forever (Example 5).
-    Unbounded,
 }
 
 
@@ -47,8 +44,8 @@ impl DepthPolicy {
         let strong = analysis.rec.class == DtdClass::PvStrongRecursive;
         match self {
             DepthPolicy::Bounded(d) => d,
-            DepthPolicy::Auto | DepthPolicy::Unbounded if strong => DEFAULT_STRONG_DEPTH,
-            DepthPolicy::Auto | DepthPolicy::Unbounded => u32::MAX,
+            DepthPolicy::Auto if strong => DEFAULT_STRONG_DEPTH,
+            DepthPolicy::Auto => u32::MAX,
         }
     }
 }
@@ -75,14 +72,6 @@ mod tests {
                 b.name()
             );
         }
-    }
-
-    #[test]
-    fn unbounded_refuses_to_loop_on_strong() {
-        assert_eq!(
-            DepthPolicy::Unbounded.resolve(&BuiltinDtd::T1.analysis()),
-            DEFAULT_STRONG_DEPTH
-        );
     }
 
     #[test]

@@ -50,9 +50,10 @@
 //! * [`suggest`] — editor guidance (the paper's xTagger editor \[10\]):
 //!   which symbols may come next at a position (autocomplete), and which
 //!   elements may wrap a range of children (the tag palette).
-//! * [`depth`] — depth policies: `Unbounded` is proven safe for
-//!   non-PV-strong DTDs (elision chains follow strong edges only); the
-//!   paper's bound `D` applies to PV-strong DTDs (Section 4.3.1).
+//! * [`depth`] — depth policies: the automatic one sets no limit for
+//!   non-PV-strong DTDs, whose elision chains follow strong edges only
+//!   and so end on their own; PV-strong DTDs get the paper's bound `D`
+//!   (Section 4.3.1).
 //!
 //! ## Quick start
 //!

@@ -383,12 +383,21 @@ impl<'c> StreamChecker<'c> {
     /// lexer's error. Either way the checker is ready for the next
     /// document afterwards, with its slots and its cache kept.
     pub(crate) fn check_str(&mut self, xml: &str, t0: Option<Instant>) -> pv_xml::Result<PvOutcome> {
-        let lexed = pv_xml::lex(xml, |event| self.on_event(&event));
+        if let Err(e) = pv_xml::lex(xml, |event| self.on_event(&event)) {
+            self.take_outcome();
+            return Err(e);
+        }
+        Ok(self.finish_document(t0))
+    }
+
+    /// The outcome of the complete document fed so far, recorded in the
+    /// engine's per-document telemetry (its latency since `t0`, when
+    /// set), with every per-document field reset for the next one.
+    fn finish_document(&mut self, t0: Option<Instant>) -> PvOutcome {
         let elements = self.elements;
         let outcome = self.take_outcome();
-        lexed?;
         self.engine.obs.record(t0, || elements, &outcome);
-        Ok(outcome)
+        outcome
     }
 
     /// The outcome of the stream fed so far, resetting every per-document
@@ -581,7 +590,9 @@ impl CheckEngine {
     /// produces outcomes bit-identical to
     /// [`check_document`](Self::check_document); it never touches the
     /// engine's cache or memo telemetry (every cache replays exact
-    /// deltas, so every path coincides).
+    /// deltas, so every path coincides). A [`StreamCheck`] that finishes
+    /// records the engine's per-document telemetry, as a batch document
+    /// does: every `pv_engine_*` metric but the check latency.
     pub fn stream_checker(&self) -> StreamChecker<'_> {
         StreamChecker::new(self, Lease::private(Bounds::DEFAULT))
     }
@@ -613,13 +624,15 @@ impl<'c> StreamCheck<'c> {
     }
 
     /// Signals end-of-input, drains the final events, and produces the
-    /// outcome. Fails with the tree parser's error if the stream is
-    /// truncated or malformed.
+    /// outcome, recording it in the engine's telemetry as a batch
+    /// document is recorded (no latency: the sender sets the pace).
+    /// Fails with the tree parser's error if the stream is truncated or
+    /// malformed.
     pub fn finish(mut self) -> pv_xml::Result<PvOutcome> {
         self.parser.finish();
         self.drain()?;
         debug_assert!(self.parser.is_complete());
-        Ok(self.checker.finalize())
+        Ok(self.checker.finish_document(None))
     }
 
     /// `true` once the verdict is final (see [`StreamChecker::decided`]).

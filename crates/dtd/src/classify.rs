@@ -53,8 +53,8 @@ pub struct RecursionInfo {
     pub class: DtdClass,
     /// Longest nested-recognizer chain possible through strong edges, or
     /// `None` when unbounded (PV-strong DTDs). A chain bound of `c` means a
-    /// recognizer never nests more than `c` levels via elision, so depth
-    /// policy `Unbounded` is safe.
+    /// recognizer never nests more than `c` levels via elision, so the
+    /// automatic depth policy needs no limit.
     strong_chain: Option<usize>,
 }
 

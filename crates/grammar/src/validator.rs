@@ -234,15 +234,18 @@ impl ContentAutomata {
         }
     }
 
-    /// XML "deterministic content model" (1-unambiguity) diagnostic: `true`
-    /// if no subset-state ever has two distinct targets for one symbol
-    /// during a breadth-first exploration of the determinized automaton.
+    /// XML "deterministic content model" (1-unambiguity) diagnostic on
+    /// the *declared* model: `true` if no state set reachable in the
+    /// determinized automaton has two edges for one symbol.
     pub fn is_deterministic(&self) -> bool {
         // A content model is 1-unambiguous iff its Glushkov automaton is
         // deterministic. Our Thompson NFA is not the Glushkov automaton,
-        // so we approximate via position markers: collect, per ε-closed
-        // state set, the set of (symbol, target-edge-identity) pairs;
-        // ambiguity = one symbol matched by two distinct non-ε edges.
+        // but each of its non-ε edges stands for one position of the
+        // model, so ambiguity is one symbol matched by two distinct edges
+        // out of one ε-closed state set. Edges are told apart by
+        // identity, not by their endpoints: a choice lowers every
+        // alternative between the same two states, so the two `a`s of
+        // `(a | a)` are two edges that join one pair of states.
         let mut start = vec![self.nfa.start];
         self.nfa.eps_closure(&mut start);
         let mut seen: Vec<Vec<u32>> = Vec::new();
@@ -251,10 +254,8 @@ impl ContentAutomata {
             if seen.contains(&cur) {
                 continue;
             }
-            // (symbol key, edge identity (from,to)) pairs.
-            let mut per_symbol: std::collections::HashMap<String, (u32, u32)> =
-                std::collections::HashMap::new();
-            let mut next_sets: std::collections::HashMap<String, Vec<u32>> =
+            // symbol key → the target of the one edge that matches it.
+            let mut next: std::collections::HashMap<String, u32> =
                 std::collections::HashMap::new();
             for &s in &cur {
                 for &(label, t) in &self.nfa.states[s as usize] {
@@ -263,20 +264,13 @@ impl ContentAutomata {
                         Edge::Term(pv_core::token::Tok::Sigma) => "σ".to_owned(),
                         _ => continue,
                     };
-                    if let Some(&(pf, pt)) = per_symbol.get(&key) {
-                        if (pf, pt) != (s, t) {
-                            return false;
-                        }
-                    } else {
-                        per_symbol.insert(key.clone(), (s, t));
-                    }
-                    let e = next_sets.entry(key).or_default();
-                    if !e.contains(&t) {
-                        e.push(t);
+                    if next.insert(key, t).is_some() {
+                        return false;
                     }
                 }
             }
-            for (_, mut set) in next_sets {
+            for t in next.into_values() {
+                let mut set = vec![t];
                 self.nfa.eps_closure(&mut set);
                 set.sort_unstable();
                 work.push(set);
@@ -407,12 +401,23 @@ mod tests {
     fn determinism_diagnostic() {
         let dtd = Dtd::parse(
             "<!ELEMENT det (a, b)><!ELEMENT amb ((a, b) | (a, c))>
+             <!ELEMENT twice (a | a)><!ELEMENT nested (a, (b | b))>
+             <!ELEMENT opt (a?, a)><!ELEMENT choice (a, (b | c))>
              <!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>",
         )
         .unwrap();
-        assert!(ContentAutomata::for_element(&dtd, dtd.id("det").unwrap()).is_deterministic());
+        let deterministic =
+            |name| ContentAutomata::for_element(&dtd, dtd.id(name).unwrap()).is_deterministic();
+        assert!(deterministic("det"));
+        assert!(deterministic("choice"));
         // ((a,b)|(a,c)) is the textbook 1-ambiguous model.
-        assert!(!ContentAutomata::for_element(&dtd, dtd.id("amb").unwrap()).is_deterministic());
+        assert!(!deterministic("amb"));
+        // A repeated alternative is two positions for one symbol, though
+        // both of its edges join the same pair of states.
+        assert!(!deterministic("twice"));
+        assert!(!deterministic("nested"));
+        // Declared `(a?, a)` is ambiguous; only its PV normalization is not.
+        assert!(!deterministic("opt"));
     }
 
     #[test]

@@ -211,16 +211,20 @@ impl Client {
     /// chunk size upstream — ends the upload cleanly and reports
     /// [`ServiceError::Invalid`] instead of silently truncating. The
     /// outcome is bit-identical to [`Self::check`] (`memo` is always
-    /// `None`: streaming never consults the engine's memo).
-    pub fn check_stream<'a, I>(&mut self, handle: &str, chunks: I) -> Result<RemoteCheck>
+    /// `None`: streaming never consults the engine's memo). Chunks are
+    /// taken one at a time, so an iterator that reads them as it is
+    /// asked uploads a file of any size in the memory of one chunk.
+    pub fn check_stream<I>(&mut self, handle: &str, chunks: I) -> Result<RemoteCheck>
     where
-        I: IntoIterator<Item = &'a [u8]>,
+        I: IntoIterator,
+        I::Item: AsRef<[u8]>,
     {
         let req = Request::CheckStream { handle: handle.to_owned() };
         let w = self.reader.get_mut();
         proto::write_request(w, &req)?;
         let mut empty_chunk = false;
         for chunk in chunks {
+            let chunk = chunk.as_ref();
             if chunk.is_empty() {
                 empty_chunk = true;
                 break;

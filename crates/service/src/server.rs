@@ -22,7 +22,6 @@ use crate::json::{self, Json};
 use crate::proto::{self, Frame, ReadError, Request};
 use pv_core::depth::DepthPolicy;
 use pv_core::engine::CheckEngine;
-use pv_core::recognizer::RecognizerStats;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_dtd::{DtdAnalysis, StaticReport};
 use pv_obs::{Counter, Gauge, Histogram, Registry, Trace};
@@ -341,8 +340,6 @@ struct ServiceState {
     /// one client another client's engine.
     interned: RwLock<HashMap<String, String>>,
     next_handle: AtomicU64,
-    /// Work counters merged over every check the server ran.
-    totals: Mutex<RecognizerStats>,
     started: Instant,
     shutdown: AtomicBool,
     /// A connectable form of the listen endpoint — a `SHUTDOWN` handler
@@ -398,11 +395,6 @@ impl ServiceState {
             .get(handle)
             .cloned()
             .ok_or_else(|| format!("unknown DTD handle {handle:?} (LOAD or BUILTIN first)"))
-    }
-
-    fn record(&self, docs: u64, stats: &RecognizerStats) {
-        self.metrics.documents.add(docs);
-        self.totals.lock().unwrap().merge(stats);
     }
 
     /// Brings the live-state gauges up to date from the governor. Called
@@ -565,7 +557,6 @@ impl Server {
             dtds: RwLock::new(HashMap::new()),
             interned: RwLock::new(HashMap::new()),
             next_handle: AtomicU64::new(0),
-            totals: Mutex::new(RecognizerStats::default()),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             endpoint: connectable(&endpoint),
@@ -1052,7 +1043,7 @@ fn handle_check_stream(
         (Ok(entry), None) => match stream.take().expect("stream built for live entry").finish() {
             Err(e) => err_response(&format!("document is not well-formed: {e}")),
             Ok(outcome) => {
-                state.record(1, &outcome.stats);
+                state.metrics.documents.inc();
                 // Streaming runs on its checker's private cache, not the
                 // engine's memo, so the reply's memo field is always null
                 // (same JSON shape as CHECK).
@@ -1082,13 +1073,11 @@ fn handle_request(
             Ok(entry) => {
                 // RESET opens a fresh telemetry window: the handle's
                 // cached verdicts AND its hit/miss counters go, along
-                // with the server-lifetime work totals, the request/
-                // document counters, and the metrics registry. Anything
-                // less leaves STATS mixing windows — old uptime totals
-                // against zeroed memo counters reads as a cache that
-                // never hits.
+                // with the metrics registry, whose counters STATS reads
+                // too. Anything less leaves STATS mixing windows — old
+                // uptime totals against zeroed memo counters reads as a
+                // cache that never hits.
                 entry.engine.memo_reset();
-                *state.totals.lock().unwrap() = RecognizerStats::default();
                 state.obs.reset();
                 "{\"ok\":true}".to_owned()
             }
@@ -1115,7 +1104,8 @@ fn handle_request(
             load_response(result)
         }
         Request::Stats => {
-            let totals = *state.totals.lock().unwrap();
+            // The engines' work counters, as METRICS reports them.
+            let work = |name| state.obs.counter(name).get();
             let mut out = String::from("{\"ok\":true");
             let _ = write!(
                 out,
@@ -1128,7 +1118,10 @@ fn handle_request(
             let _ = write!(
                 out,
                 ",\"speculation\":{{\"symbols\":{},\"node_visits\":{},\"subs_created\":{},\"specs_denied\":{}}}",
-                totals.symbols, totals.node_visits, totals.subs_created, totals.specs_denied
+                work("pv_engine_symbols_total"),
+                work("pv_engine_node_visits_total"),
+                work("pv_engine_subs_created_total"),
+                work("pv_engine_specs_denied_total"),
             );
             let g = state.gov.snapshot();
             let _ = write!(
@@ -1186,7 +1179,7 @@ fn handle_request(
                 }
                 match checked {
                     Ok(outcome) => {
-                        state.record(1, &outcome.stats);
+                        state.metrics.documents.inc();
                         let st = m.serialize_us.start();
                         let body = check_response(&outcome, &entry, memo);
                         if let Some(us) = m.serialize_us.observe_since(st) {
@@ -1221,11 +1214,7 @@ fn handle_request(
                         return err_response(&format!("document #{i} is not well-formed: {e}"))
                     }
                 };
-                let mut merged = RecognizerStats::default();
-                for o in &outcomes {
-                    merged.merge(&o.stats);
-                }
-                state.record(outcomes.len() as u64, &merged);
+                state.metrics.documents.add(outcomes.len() as u64);
                 let mut out = String::from("{\"ok\":true,\"outcomes\":[");
                 for (i, o) in outcomes.iter().enumerate() {
                     if i > 0 {

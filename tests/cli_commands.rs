@@ -3,8 +3,8 @@
 //! subset — the self-contained file format the tool is built around).
 
 use pv_cli::{
-    cmd_analyze, cmd_check, cmd_check_remote, cmd_check_stream, cmd_check_stream_remote,
-    cmd_classify, cmd_complete, cmd_lint, cmd_validate, resolve_dtd, CheckOpts, Status,
+    cmd_analyze, cmd_classify, cmd_complete, cmd_lint, cmd_validate, resolve_dtd, CheckOpts,
+    CheckRun, Status,
 };
 use pv_core::depth::DepthPolicy;
 use pv_service::{Client, Endpoint, Server};
@@ -25,13 +25,18 @@ fn doc_with_subset(body: &str) -> pv_xml::Document {
 
 /// `pvx check DOC` with no DTD flags: the DTD is the document's own.
 fn check(name: &str, xml: &str, opts: &CheckOpts) -> (String, Status) {
-    cmd_check(None, None, None, name, xml, opts)
+    CheckRun::new(None, None, None, None, *opts).check(name, &mut xml.as_bytes())
+}
+
+/// `pvx check --builtin figure1 --remote` on `client`'s server.
+fn remote_check(client: &mut Client, name: &str, xml: &str, opts: &CheckOpts) -> (String, Status) {
+    CheckRun::new(None, None, Some("figure1"), Some(client), *opts).check(name, &mut xml.as_bytes())
 }
 
 #[test]
 fn check_via_internal_subset() {
     let xml = with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
-    let ctx = resolve_dtd(None, None, None, Some(&pv_xml::parse(&xml).unwrap())).unwrap();
+    let ctx = resolve_dtd(None, None, None, pv_xml::parse(&xml).unwrap().doctype.as_ref()).unwrap();
     assert_eq!(ctx.source, "internal subset");
     let (report, status) = check("s.xml", &xml, &CheckOpts::default());
     assert_eq!(status, Status::Ok);
@@ -52,7 +57,7 @@ fn check_failure_names_the_symbol() {
 fn validate_and_complete_pipeline() {
     // An in-progress file: invalid, potentially valid, completable.
     let doc = doc_with_subset("<r><a><b>x</b><c>y</c> dog<e/></a></r>");
-    let ctx = resolve_dtd(None, None, None, Some(&doc)).unwrap();
+    let ctx = resolve_dtd(None, None, None, doc.doctype.as_ref()).unwrap();
     assert_eq!(cmd_validate(&ctx, "f", &doc, false).1, Status::Failed);
     let (report, status) = cmd_complete(&ctx, "f", &doc);
     assert_eq!(status, Status::Ok);
@@ -73,7 +78,7 @@ fn explicit_root_respects_usability() {
         "<!DOCTYPE r [{FIG1_SUBSET}]>\n<a><b>x</b><c>y</c><d/></a>"
     ))
     .unwrap();
-    let err = match resolve_dtd(None, Some("a"), None, Some(&doc)) {
+    let err = match resolve_dtd(None, Some("a"), None, doc.doctype.as_ref()) {
         Err(e) => e,
         Ok(_) => panic!("expected a usability error"),
     };
@@ -211,15 +216,14 @@ fn malformed_documents_without_a_dtd_exit_2() {
 fn malformed_remote_documents_exit_2() {
     let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 1).unwrap();
     let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
-    let handle = client.load_builtin("figure1").unwrap().handle;
     let xml = "<r><a><b>x</b></a>";
     let expect = pv_xml::parse(xml).unwrap_err();
-    let (report, status) = cmd_check_remote(&mut client, &handle, "m.xml", xml, &CheckOpts::default());
+    let (report, status) = remote_check(&mut client, "m.xml", xml, &CheckOpts::default());
     assert_eq!((status, status.code()), (Status::Error, 2));
     assert_eq!(report, format!("m.xml: server error: document is not well-formed: {expect}\n"));
     // The connection stays usable.
     let good = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
-    let (report, status) = cmd_check_remote(&mut client, &handle, "g.xml", good, &CheckOpts::default());
+    let (report, status) = remote_check(&mut client, "g.xml", good, &CheckOpts::default());
     assert_eq!(status, Status::Ok, "{report}");
     client.shutdown().unwrap();
     server.join();
@@ -232,16 +236,15 @@ fn malformed_remote_documents_exit_2() {
 fn remote_stream_check_rejects_zero_chunk_size() {
     let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 1).unwrap();
     let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
-    let handle = client.load_builtin("figure1").unwrap().handle;
     let xml = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
-    let opts = CheckOpts::default();
-    let (report, status) = cmd_check_stream_remote(&mut client, &handle, "z.xml", xml, 0, &opts);
+    let stream = |chunk| CheckOpts { stream: Some(chunk), ..CheckOpts::default() };
+    let (report, status) = remote_check(&mut client, "z.xml", xml, &stream(0));
     assert_eq!(status, Status::Error);
     assert!(
         report.contains("chunk size must be at least 1 byte"),
         "{report}"
     );
-    let (report, status) = cmd_check_stream_remote(&mut client, &handle, "z.xml", xml, 7, &opts);
+    let (report, status) = remote_check(&mut client, "z.xml", xml, &stream(7));
     assert_eq!(status, Status::Ok, "{report}");
     assert!(report.contains("POTENTIALLY VALID"), "{report}");
     client.shutdown().unwrap();
@@ -258,10 +261,206 @@ fn stream_check_with_the_largest_chunk_size_reads_what_is_there() {
     for body in ["<r><a><b>x</b><c>y</c> dog<e/></a></r>", "<r><a><b>x</b><e/><c>y</c></a></r>"] {
         let xml = with_subset(body);
         let stream = |chunk| {
-            cmd_check_stream(None, None, None, "s.xml", &mut xml.as_bytes(), chunk, &opts)
+            let opts = CheckOpts { stream: Some(chunk), ..opts };
+            CheckRun::new(None, None, None, None, opts).check("s.xml", &mut xml.as_bytes())
         };
         let (report, status) = stream(usize::MAX);
         assert_eq!((report.clone(), status), stream(64 * 1024));
         assert_ne!(status, Status::Error, "{report}");
     }
+}
+
+/// `pvx lint` judges the declared content models, as XML appendix E
+/// states determinism: a repeated alternative is two positions for one
+/// symbol, and `(a?, a)` is ambiguous too, though `pvx analyze`, which
+/// judges the PV-normalized models, calls it deterministic. Each report
+/// says which model it judged.
+#[test]
+fn lint_judges_declared_models() {
+    for (model, ambiguous) in [
+        ("(a | a)", true),
+        ("(a, (b | b))", true),
+        ("(a?, a)", true),
+        ("((a, b) | (a, c))", true),
+        ("(a, (b | c))", false),
+    ] {
+        let src = format!(
+            "<!ELEMENT top (r, a, b, c)><!ELEMENT r {model}>
+             <!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>"
+        );
+        let ctx = resolve_dtd(Some(&src), Some("top"), None, None).unwrap();
+        let (report, status) = cmd_lint(&ctx);
+        assert_eq!(status, Status::Ok, "{model}: {report}");
+        assert_eq!(
+            report.contains("declared content model of <r> is not 1-unambiguous"),
+            ambiguous,
+            "{model}: {report}"
+        );
+        assert_eq!(report.contains("clean: no findings"), !ambiguous, "{model}: {report}");
+        let (analysis, _) = cmd_analyze(&ctx, false);
+        assert!(analysis.contains("determinism (PV-normalized models):"), "{analysis}");
+        if model == "(a?, a)" {
+            assert!(analysis.contains("all 5 content models 1-unambiguous"), "{analysis}");
+        }
+    }
+}
+
+/// `pvx check` in every mode (local, `--stream`, `--remote`, `--stream
+/// --remote`), with the DTD from every source (`--builtin`, `--dtd` with
+/// `--root`, the internal subset), on a potentially valid document, one
+/// that is not, a malformed one and one with no DOCTYPE: every mode
+/// gives the local check's verdict, violation, counters and status. The
+/// DTD rule runs on the client, so a document with no DTD is refused
+/// with the same report everywhere.
+#[test]
+fn every_mode_and_dtd_source_gives_the_local_verdict() {
+    let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 1).unwrap();
+    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
+    let pv = "<r><a><b>x</b><c>y</c> dog<e/></a></r>";
+    let docs = [
+        with_subset(pv),
+        with_subset("<r><a><b>x</b><e/><c>y</c></a></r>"),
+        with_subset("<r><a><b>x</b></a>"),
+        pv.to_owned(),
+    ];
+    let sources = [
+        (Some("figure1"), None, None),
+        (None, Some(FIG1_SUBSET), Some("r")),
+        (None, None, None),
+    ];
+    for (builtin, dtd_src, root) in sources {
+        for xml in &docs {
+            for json in [false, true] {
+                let opts = |stream| CheckOpts { json, stream, ..CheckOpts::default() };
+                let (local, local_status) =
+                    CheckRun::new(dtd_src, root, builtin, None, opts(None))
+                        .check("d.xml", &mut xml.as_bytes());
+                let runs = [
+                    CheckRun::new(dtd_src, root, builtin, None, opts(Some(7)))
+                        .check("d.xml", &mut xml.as_bytes()),
+                    CheckRun::new(dtd_src, root, builtin, Some(&mut client), opts(None))
+                        .check("d.xml", &mut xml.as_bytes()),
+                    CheckRun::new(dtd_src, root, builtin, Some(&mut client), opts(Some(7)))
+                        .check("d.xml", &mut xml.as_bytes()),
+                ];
+                let case =
+                    format!("builtin={builtin:?} dtd={} json={json} xml={xml}", dtd_src.is_some());
+                let modes = ["--stream", "--remote", "--stream --remote"];
+                for (mode, (report, status)) in modes.iter().zip(runs) {
+                    assert_eq!(status, local_status, "{mode} {case}: {report} against {local}");
+                    if status == Status::Error {
+                        let no_dtd = builtin.is_none() && dtd_src.is_none();
+                        if no_dtd && !xml.starts_with("<!DOCTYPE") {
+                            assert_eq!(report, local, "{mode} {case}");
+                        }
+                        continue;
+                    }
+                    if json {
+                        let (got, want) = (
+                            pv_service::json::parse(report.trim_end()).unwrap(),
+                            pv_service::json::parse(local.trim_end()).unwrap(),
+                        );
+                        let keys = ["potentially_valid", "verdict", "violation_text"];
+                        for key in keys.into_iter().chain(["class", "depth"]) {
+                            assert_eq!(
+                                format!("{:?}", got.get(key)),
+                                format!("{:?}", want.get(key)),
+                                "{mode} {case}: {key}"
+                            );
+                        }
+                        let outcome = |v: &pv_service::json::Json| {
+                            pv_service::json::read_outcome(v.get("outcome").unwrap()).unwrap()
+                        };
+                        assert_eq!(outcome(&got), outcome(&want), "{mode} {case}");
+                    }
+                }
+            }
+        }
+    }
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// A document generated as it is read: Figure 1's DTD in the prolog, then
+/// `<r>`, `groups` groups (one of them not potentially valid) and `</r>`.
+/// It records the largest read it is asked for.
+struct Generated {
+    groups: usize,
+    /// The next piece: 0 is the prolog and `<r>`, `1..=groups` the
+    /// groups, `groups + 1` the end tag.
+    step: usize,
+    pending: Vec<u8>,
+    at: usize,
+    largest: usize,
+}
+
+impl Generated {
+    fn new(groups: usize) -> Self {
+        Generated { groups, step: 0, pending: Vec::new(), at: 0, largest: 0 }
+    }
+
+    fn piece(&self, step: usize) -> Option<Vec<u8>> {
+        let bytes = match step {
+            0 => with_subset("<r>"),
+            s if s == self.groups - self.groups / 10 => "<a><b>x</b><e/><c>y</c></a>".to_owned(),
+            s if s <= self.groups => "<a><b>lorem ipsum</b><c>dolor</c> sit<e/></a>".to_owned(),
+            s if s == self.groups + 1 => "</r>".to_owned(),
+            _ => return None,
+        };
+        Some(bytes.into_bytes())
+    }
+}
+
+impl std::io::Read for Generated {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest = self.largest.max(buf.len());
+        while self.at == self.pending.len() {
+            let Some(piece) = self.piece(self.step) else { return Ok(0) };
+            (self.pending, self.at) = (piece, 0);
+            self.step += 1;
+        }
+        let n = buf.len().min(self.pending.len() - self.at);
+        buf[..n].copy_from_slice(&self.pending[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// Both streamed modes read a multi-MiB document as they go, never more
+/// than one chunk at a time, and report what the in-memory check of the
+/// same bytes reports: verdict, violation and counters.
+#[test]
+fn streamed_checks_read_one_chunk_at_a_time() {
+    const GROUPS: usize = 60_000;
+    const CHUNK: usize = 4096;
+    let mut xml = String::new();
+    std::io::Read::read_to_string(&mut Generated::new(GROUPS), &mut xml).unwrap();
+    assert!(xml.len() > 2 << 20, "{} bytes", xml.len());
+    let opts = |stream| CheckOpts { json: true, stream, ..CheckOpts::default() };
+    let (whole, status) =
+        CheckRun::new(None, None, None, None, opts(None)).check("g.xml", &mut xml.as_bytes());
+    assert_eq!(status, Status::Failed, "{whole}");
+    let whole = pv_service::json::parse(whole.trim_end()).unwrap();
+
+    let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 1).unwrap();
+    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
+    for remote in [false, true] {
+        let mut input = Generated::new(GROUPS);
+        let client = remote.then_some(&mut client);
+        let (report, status) =
+            CheckRun::new(None, None, None, client, opts(Some(CHUNK))).check("g.xml", &mut input);
+        assert_eq!(status, Status::Failed, "remote={remote}: {report}");
+        assert!(input.largest <= CHUNK, "remote={remote}: a read of {} bytes", input.largest);
+        let got = pv_service::json::parse(report.trim_end()).unwrap();
+        for key in ["verdict", "violation_text", "class", "depth"] {
+            let (got, want) = (format!("{:?}", got.get(key)), format!("{:?}", whole.get(key)));
+            assert_eq!(got, want, "remote={remote}: {key}");
+        }
+        let outcome = |v: &pv_service::json::Json| {
+            pv_service::json::read_outcome(v.get("outcome").unwrap()).unwrap()
+        };
+        assert_eq!(outcome(&got), outcome(&whole), "remote={remote}");
+    }
+    client.shutdown().unwrap();
+    server.join();
 }

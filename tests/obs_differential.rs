@@ -14,7 +14,9 @@
 //!   below 16), through the public `Registry` API;
 //! * the wire protocol's `RESET` opens a fresh telemetry window
 //!   atomically: recognizer totals, memo telemetry, and the metrics
-//!   registry all read zero afterwards — no mixed-window STATS.
+//!   registry all read zero afterwards — no mixed-window STATS;
+//! * `STATS` and `METRICS` keep one set of books: STATS' work totals are
+//!   the registry's `pv_engine_*` counters, streamed checks included.
 
 use potential_validity::prelude::*;
 use pv_core::stream::StreamCheck;
@@ -268,6 +270,47 @@ fn reset_opens_a_fresh_telemetry_window_atomically() {
     client.check(&dtd.handle, "<ACT><TITLE>t</TITLE></ACT>", 1, true).unwrap();
     let metrics = client.metrics().unwrap();
     assert_eq!(metric(&metrics, "pv_engine_checks_total"), 1);
+
+    client.shutdown().unwrap();
+    drop(client);
+    server.join();
+}
+
+/// `STATS` reads the registry's engine counters, so it and `METRICS`
+/// agree after every verb: a `CHECK`, a `CHECK_STREAM` (a finished
+/// stream check records its document like a batch document), and a
+/// `BATCH` refused for its malformed document #1, whose two well-formed
+/// documents were still checked.
+#[test]
+fn stats_and_metrics_keep_one_set_of_books() {
+    let server = Server::bind(&Endpoint::parse("127.0.0.1:0"), 2).expect("bind");
+    let mut client = Client::connect_endpoint(server.endpoint()).expect("connect");
+    let dtd = client.load_builtin("play").unwrap();
+    let xml = scenarios(BuiltinDtd::Play).into_iter().find(|x| pv_xml::parse(x).is_ok()).unwrap();
+    client.check(&dtd.handle, &xml, 1, true).unwrap();
+    client.check_stream(&dtd.handle, xml.as_bytes().chunks(7)).unwrap();
+    let batch = vec![xml.clone(), "<ACT><TITLE>".to_owned(), xml.clone()];
+    assert!(client.check_batch(&dtd.handle, &batch, 2).is_err());
+
+    let stats = client.stats().unwrap();
+    let spec = stats.get("speculation").expect("speculation block");
+    let metrics = client.metrics().unwrap();
+    for (key, counter) in [
+        ("symbols", "pv_engine_symbols_total"),
+        ("node_visits", "pv_engine_node_visits_total"),
+        ("subs_created", "pv_engine_subs_created_total"),
+        ("specs_denied", "pv_engine_specs_denied_total"),
+    ] {
+        assert_eq!(
+            spec.get(key).and_then(pv_service::json::Json::as_u64),
+            Some(metric(&metrics, counter)),
+            "STATS {key} against {counter}"
+        );
+    }
+    assert!(metric(&metrics, "pv_engine_symbols_total") > 0);
+    // The CHECK, the CHECK_STREAM and the batch's two well-formed
+    // documents.
+    assert_eq!(metric(&metrics, "pv_engine_checks_total"), 4);
 
     client.shutdown().unwrap();
     drop(client);
