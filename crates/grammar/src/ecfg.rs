@@ -229,13 +229,18 @@ fn lower_cp(cp: &Cp, nfa: &mut Nfa, from: u32, to: u32) {
             nfa.edge(hub, Edge::Eps, to);
         }
         Cp::Plus(c) => {
-            // e+ = e, e*
-            let mid = nfa.add_state();
-            lower_cp(c, nfa, from, mid);
-            let hub = nfa.add_state();
-            nfa.edge(mid, Edge::Eps, hub);
-            lower_cp(c, nfa, hub, hub);
-            nfa.edge(hub, Edge::Eps, to);
+            // One copy of e between fresh entry and exit states, the exit
+            // looping back to the entry (fresh, so the loop reaches none
+            // of `from`'s or `to`'s other edges). Each of e's edges
+            // appears once: a nullable e cannot put two copies of one
+            // position in an ε-closed state set, where the determinism
+            // check would count them as two.
+            let entry = nfa.add_state();
+            let exit = nfa.add_state();
+            nfa.edge(from, Edge::Eps, entry);
+            lower_cp(c, nfa, entry, exit);
+            nfa.edge(exit, Edge::Eps, entry);
+            nfa.edge(exit, Edge::Eps, to);
         }
     }
 }

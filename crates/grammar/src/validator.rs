@@ -403,6 +403,7 @@ mod tests {
             "<!ELEMENT det (a, b)><!ELEMENT amb ((a, b) | (a, c))>
              <!ELEMENT twice (a | a)><!ELEMENT nested (a, (b | b))>
              <!ELEMENT opt (a?, a)><!ELEMENT choice (a, (b | c))>
+             <!ELEMENT optplus (a?)+><!ELEMENT starplus (b*)+>
              <!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>",
         )
         .unwrap();
@@ -410,6 +411,10 @@ mod tests {
             |name| ContentAutomata::for_element(&dtd, dtd.id(name).unwrap()).is_deterministic();
         assert!(deterministic("det"));
         assert!(deterministic("choice"));
+        // One Glushkov position each: `c+` lowers one copy of `c`, so a
+        // nullable `c` does not meet itself.
+        assert!(deterministic("optplus"));
+        assert!(deterministic("starplus"));
         // ((a,b)|(a,c)) is the textbook 1-ambiguous model.
         assert!(!deterministic("amb"));
         // A repeated alternative is two positions for one symbol, though

@@ -44,7 +44,7 @@ mod hist;
 mod trace;
 
 pub use hist::HistSnapshot;
-pub use trace::Trace;
+pub use trace::{Trace, SLOW_THRESHOLD_US};
 
 use hist::HistCell;
 use std::collections::{BTreeMap, HashMap};
@@ -59,10 +59,6 @@ const NAME_SHARDS: usize = 8;
 
 /// Slow-trace ring capacity.
 const TRACE_CAP: usize = 32;
-
-/// Default slow-trace threshold: requests at or above this total are
-/// kept in the ring (10 ms).
-const DEFAULT_SLOW_US: u64 = 10_000;
 
 struct CounterCell(AtomicU64);
 struct GaugeCell(AtomicI64);
@@ -92,7 +88,7 @@ impl Registry {
         Registry {
             inner: Some(Arc::new(Inner {
                 shards: (0..NAME_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-                traces: TraceRing::new(TRACE_CAP, DEFAULT_SLOW_US),
+                traces: TraceRing::new(TRACE_CAP),
             })),
         }
     }
@@ -189,21 +185,8 @@ impl Registry {
         ))
     }
 
-    /// Sets the slow-trace threshold (total request microseconds at or
-    /// above which a trace is kept).
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        if let Some(inner) = &self.inner {
-            inner.traces.set_threshold_us(us);
-        }
-    }
-
-    /// The current slow-trace threshold (0 when disabled).
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.traces.threshold_us())
-    }
-
     /// Offers a stage-level trace to the slow ring; kept only if
-    /// `trace.total_us` meets the threshold.
+    /// `trace.total_us` meets [`SLOW_THRESHOLD_US`].
     pub fn record_trace(&self, trace: Trace) {
         if let Some(inner) = &self.inner {
             inner.traces.record(trace);

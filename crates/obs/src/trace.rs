@@ -1,14 +1,20 @@
 //! Slow-request traces: a bounded ring of stage-level timing breakdowns.
 //!
-//! The registry keeps the last N requests whose total wall-clock met the
-//! slow threshold, each with its per-stage breakdown (read/parse/
-//! recognize/serialize for CHECK, lex/dispatch per chunk for streams).
-//! The ring is a Mutex'd VecDeque — traces are recorded at most once per
-//! *slow* request, so the lock is off every fast path by construction.
+//! The registry keeps the last N requests whose total wall-clock met
+//! [`SLOW_THRESHOLD_US`], each with the stages its server path timed:
+//! `read`, `recognize` and `serialize` for `CHECK`, `read` and
+//! `recognize` for `BATCH`, `read` alone for the other buffered verbs;
+//! a `CHECK_STREAM` reads its payload as it checks it and records no
+//! stages. The ring is a Mutex'd VecDeque — traces are recorded at most
+//! once per *slow* request, so the lock is off every fast path by
+//! construction.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Requests whose total wall-clock is at or above this (10 ms) are kept
+/// in the slow ring.
+pub const SLOW_THRESHOLD_US: u64 = 10_000;
 
 /// One slow request: which op it was, its total wall-clock, and how that
 /// time split over the pipeline stages.
@@ -24,29 +30,16 @@ pub struct Trace {
 
 pub(crate) struct TraceRing {
     cap: usize,
-    threshold_us: AtomicU64,
     ring: Mutex<VecDeque<Trace>>,
 }
 
 impl TraceRing {
-    pub(crate) fn new(cap: usize, threshold_us: u64) -> Self {
-        TraceRing {
-            cap,
-            threshold_us: AtomicU64::new(threshold_us),
-            ring: Mutex::new(VecDeque::with_capacity(cap)),
-        }
-    }
-
-    pub(crate) fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_threshold_us(&self, us: u64) {
-        self.threshold_us.store(us, Ordering::Relaxed);
+    pub(crate) fn new(cap: usize) -> Self {
+        TraceRing { cap, ring: Mutex::new(VecDeque::with_capacity(cap)) }
     }
 
     pub(crate) fn record(&self, trace: Trace) {
-        if trace.total_us < self.threshold_us() {
+        if trace.total_us < SLOW_THRESHOLD_US {
             return;
         }
         let mut ring = self.ring.lock().expect("trace ring poisoned");
@@ -70,28 +63,20 @@ mod tests {
     use super::*;
 
     fn t(op: &str, us: u64) -> Trace {
-        Trace { op: op.into(), total_us: us, stages: vec![("parse".into(), us / 2)] }
+        Trace { op: op.into(), total_us: us, stages: vec![("recognize".into(), us / 2)] }
     }
 
     #[test]
     fn ring_keeps_last_n_over_threshold() {
-        let ring = TraceRing::new(2, 100);
-        ring.record(t("CHECK", 50)); // below threshold: dropped
-        ring.record(t("CHECK", 100));
-        ring.record(t("CHECK", 200));
-        ring.record(t("CHECK", 300)); // evicts the 100
+        let ring = TraceRing::new(2);
+        ring.record(t("CHECK", SLOW_THRESHOLD_US - 1)); // below threshold: dropped
+        ring.record(t("CHECK", SLOW_THRESHOLD_US));
+        ring.record(t("CHECK", 2 * SLOW_THRESHOLD_US));
+        ring.record(t("CHECK", 3 * SLOW_THRESHOLD_US)); // evicts the first
         let got = ring.snapshot();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].total_us, 200);
-        assert_eq!(got[1].total_us, 300);
-    }
-
-    #[test]
-    fn threshold_is_adjustable() {
-        let ring = TraceRing::new(4, 1000);
-        ring.set_threshold_us(10);
-        ring.record(t("CHECK", 20));
-        assert_eq!(ring.snapshot().len(), 1);
+        assert_eq!(got[0].total_us, 2 * SLOW_THRESHOLD_US);
+        assert_eq!(got[1].total_us, 3 * SLOW_THRESHOLD_US);
         ring.clear();
         assert!(ring.snapshot().is_empty());
     }

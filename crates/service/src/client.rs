@@ -136,6 +136,11 @@ impl Client {
 
     fn round_trip(&mut self, req: &Request) -> Result<Json> {
         proto::write_request(self.reader.get_mut(), req)?;
+        self.reply()
+    }
+
+    /// Flushes the request written so far and reads its reply.
+    fn reply(&mut self) -> Result<Json> {
         self.reader.get_mut().flush()?;
         let line = proto::read_line(&mut self.reader)?
             .ok_or_else(|| ServiceError::Protocol("server closed the connection".into()))?;
@@ -193,13 +198,8 @@ impl Client {
         jobs: usize,
         memo: bool,
     ) -> Result<RemoteCheck> {
-        let v = self.round_trip(&Request::Check {
-            handle: handle.to_owned(),
-            jobs,
-            memo,
-            xml: xml.to_owned(),
-        })?;
-        Self::remote_check(&v)
+        proto::write_check(self.reader.get_mut(), handle, jobs, memo, xml)?;
+        Self::remote_check(&self.reply()?)
     }
 
     /// Checks one document streamed as raw byte chunks (`CHECK_STREAM`):
@@ -287,11 +287,8 @@ impl Client {
         xmls: &[String],
         jobs: usize,
     ) -> Result<Vec<PvOutcome>> {
-        let v = self.round_trip(&Request::Batch {
-            handle: handle.to_owned(),
-            jobs,
-            xmls: xmls.to_vec(),
-        })?;
+        proto::write_batch(self.reader.get_mut(), handle, jobs, xmls)?;
+        let v = self.reply()?;
         let arr = v
             .get("outcomes")
             .and_then(Json::as_arr)

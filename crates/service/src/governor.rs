@@ -2,10 +2,11 @@
 //! that keeps a hostile or merely slow client from parking server
 //! resources forever.
 //!
-//! The [`Governor`] is deliberately dumb — a handful of atomic counters
-//! and two RAII permits. All *policy* lives in [`GovernorConfig`]; all
-//! *enforcement* lives in the server's accept and connection loops,
-//! which consult the governor at three choke points:
+//! The [`Governor`] is deliberately dumb — two occupancy counts behind
+//! two RAII permits, and nothing else: it keeps no tally of what it
+//! refuses. All *policy* lives in [`GovernorConfig`]; all *enforcement*
+//! lives in the server's accept and connection loops, which consult the
+//! governor at three choke points:
 //!
 //! 1. **Accept**: [`Governor::try_conn`] — over `max_connections` the
 //!    acceptor writes one clean `BUSY` error line and closes, so a
@@ -18,12 +19,15 @@
 //!    responses go out under `write_timeout`. A tripped deadline closes
 //!    the connection with its disposition logged.
 //!
-//! Every request (and every turned-away connection) emits one access-log
-//! line through [`LogSink`], so dispositions are observable — the fault
-//! tests assert on them rather than on timing.
+//! Every request (and every turned-away connection) ends in the server's
+//! one `record` step: one access-log line through [`LogSink`] and one
+//! bump of the registry's counter for its disposition. Those counters
+//! are the only books — `STATS`' `"governance"` block and `METRICS` both
+//! read them, and `RESET` zeroes them — and the fault tests assert on
+//! the logged dispositions rather than on timing.
 
 use crate::proto::Limits;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -106,27 +110,12 @@ impl Default for GovernorConfig {
     }
 }
 
-/// Counter snapshot for `STATS` (the `"governance"` block).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GovernorSnapshot {
-    pub active: usize,
-    pub inflight: usize,
-    pub conns_shed: u64,
-    pub reqs_shed: u64,
-    pub timeouts: u64,
-    pub drains_forced: u64,
-}
-
-/// Shared enforcement state. Cheap to clone behind an `Arc`; the server
-/// holds one per listener.
+/// Shared admission state: the live connection and in-flight request
+/// counts the permits hold, the policy, and the log sink.
 pub(crate) struct Governor {
     pub(crate) config: GovernorConfig,
     active: Arc<AtomicUsize>,
     inflight: Arc<AtomicUsize>,
-    conns_shed: AtomicU64,
-    reqs_shed: AtomicU64,
-    timeouts: AtomicU64,
-    drains_forced: AtomicU64,
 }
 
 impl Governor {
@@ -135,55 +124,35 @@ impl Governor {
             config,
             active: Arc::new(AtomicUsize::new(0)),
             inflight: Arc::new(AtomicUsize::new(0)),
-            conns_shed: AtomicU64::new(0),
-            reqs_shed: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            drains_forced: AtomicU64::new(0),
         }
     }
 
     /// Admit one connection, or refuse if at `max_connections`.
     pub(crate) fn try_conn(&self) -> Option<ConnPermit> {
-        admit(&self.active, self.config.max_connections).map(ConnPermit).or_else(|| {
-            self.conns_shed.fetch_add(1, Ordering::Relaxed);
-            None
-        })
+        admit(&self.active, self.config.max_connections).map(ConnPermit)
     }
 
     /// Admit one pool-bound request, or refuse if at `max_inflight`.
     pub(crate) fn try_inflight(&self) -> Option<InflightPermit> {
-        admit(&self.inflight, self.config.max_inflight).map(InflightPermit).or_else(|| {
-            self.reqs_shed.fetch_add(1, Ordering::Relaxed);
-            None
-        })
+        admit(&self.inflight, self.config.max_inflight).map(InflightPermit)
     }
 
+    /// Live connections.
     pub(crate) fn active(&self) -> usize {
         self.active.load(Ordering::Acquire)
     }
 
-    pub(crate) fn note_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
+    /// Pool-bound requests in flight.
+    pub(crate) fn inflight(&self) -> usize {
+        self.inflight.load(Ordering::Acquire)
     }
 
-    pub(crate) fn note_drain_forced(&self) {
-        self.drains_forced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> GovernorSnapshot {
-        GovernorSnapshot {
-            active: self.active.load(Ordering::Acquire),
-            inflight: self.inflight.load(Ordering::Acquire),
-            conns_shed: self.conns_shed.load(Ordering::Relaxed),
-            reqs_shed: self.reqs_shed.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            drains_forced: self.drains_forced.load(Ordering::Relaxed),
-        }
-    }
-
-    /// One access-log line for a request (or an attempt at one).
-    /// `disposition` is the interesting column: `ok`, `app_error`,
-    /// `shed`, `idle_timeout`, `read_timeout`, `framing_error`.
+    /// One access-log line for a request or a connection-level event (a
+    /// refusal, a reap). `disposition` is the interesting column (see
+    /// the server's `Disposition`). `dur` is real on **every** line, not
+    /// just the served ones: the idle wait before a reaped connection,
+    /// the time spent delivering a refusal — refusal latencies are
+    /// exactly what an overload investigation needs.
     pub(crate) fn log_request(&self, conn: u64, access: &Access<'_>, disposition: &str) {
         if matches!(self.config.log, LogSink::Null) {
             return;
@@ -197,28 +166,19 @@ impl Governor {
             access.verdict,
         ));
     }
-
-    /// One access-log line for a connection-level event with no request
-    /// context (`busy`, `draining`, `idle_timeout`, `drain_forced`).
-    /// `dur` is how long the event took from the server's point of view
-    /// — the idle wait before a reaped connection, the time spent
-    /// delivering a refusal — so `dur_us` is real on **every** access-log
-    /// line, not just the served ones (refusal latencies are exactly
-    /// what an overload investigation needs).
-    pub(crate) fn log_event(&self, conn: u64, dur: Duration, disposition: &str) {
-        self.log_request(conn, &Access { dur, ..Access::default() }, disposition);
-    }
 }
 
 /// The per-request columns of one access-log line.
 pub(crate) struct Access<'a> {
-    /// Protocol verb (`CHECK`, `LOAD`, …).
+    /// Protocol verb (`CHECK`, `LOAD`, …), `-` for a connection-level
+    /// event.
     pub op: &'a str,
     /// DTD handle the request named, `-` if none.
     pub handle: &'a str,
     /// Payload bytes carried.
     pub bytes: usize,
-    /// Wall time from verb line to response.
+    /// Wall time from verb line to response (for an event, how long it
+    /// took).
     pub dur: Duration,
     /// `pv`, `not-pv`, `error`, or `-`.
     pub verdict: &'a str,
@@ -278,7 +238,6 @@ mod tests {
         let a = gov.try_conn().unwrap();
         let b = gov.try_conn().unwrap();
         assert!(gov.try_conn().is_none());
-        assert_eq!(gov.snapshot().conns_shed, 1);
         drop(a);
         let _c = gov.try_conn().unwrap();
         drop(b);
@@ -286,7 +245,7 @@ mod tests {
 
         let p = gov.try_inflight().unwrap();
         assert!(gov.try_inflight().is_none());
-        assert_eq!(gov.snapshot().reqs_shed, 1);
+        assert_eq!(gov.inflight(), 1);
         drop(p);
         assert!(gov.try_inflight().is_some());
     }
@@ -316,7 +275,8 @@ mod tests {
             verdict: "pv",
         };
         gov.log_request(7, &access, "ok");
-        gov.log_event(8, Duration::from_micros(137), "busy");
+        let event = Access { dur: Duration::from_micros(137), ..Access::default() };
+        gov.log_request(8, &event, "busy");
         let lines = buf.lock().unwrap();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("conn=7"));

@@ -23,11 +23,11 @@
 //! | `BATCH <handle> <count> [jobs=N]` | `count` (XML each) | check a document batch on the pool, one task per document (`jobs=0` = every worker, `1` = the connection thread) |
 //! | `STATS` | — | server telemetry (uptime, request/work counters, per-DTD memo) |
 //! | `METRICS` | — | metrics-registry snapshot: counters, gauges, histogram percentiles, slow traces |
-//! | `RESET <handle>` | — | clear the handle's transition cache **and** zero the server's telemetry window (stats totals, memo counters, metrics registry) |
+//! | `RESET <handle>` | — | clear the handle's transition cache **and** zero the server's telemetry window (STATS' totals and governance counts, memo counters, metrics registry) |
 //! | `SHUTDOWN` | — | stop accepting connections |
 //!
 //! `CHECK_STREAM` is the one verb whose payload is **not** buffered by
-//! [`read_request`]: after the verb line the client sends a sequence of
+//! [`finish_request`]: after the verb line the client sends a sequence of
 //! non-empty length-prefixed chunks terminated by a zero-length block
 //! (`0\n`). The server feeds each chunk to the streaming checker as it
 //! arrives — the document never materializes on either side, and the
@@ -86,12 +86,6 @@ pub enum ReadError {
     Io(io::Error),
     /// The bytes on the wire violate the framing.
     Frame(String),
-}
-
-impl ReadError {
-    fn frame(msg: impl Into<String>) -> ReadError {
-        ReadError::Frame(msg.into())
-    }
 }
 
 /// A parsed request.
@@ -157,8 +151,6 @@ pub enum Request {
 /// What one attempt to read a request produced.
 #[derive(Debug)]
 pub enum Frame {
-    /// Clean end of stream (client disconnected between requests).
-    Eof,
     /// A framing/parse error — the connection must close (see module
     /// docs: payload boundaries are unknowable after a bad line).
     Bad(String),
@@ -186,33 +178,37 @@ pub fn write_block(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
     w.write_all(bytes)
 }
 
-/// Reads one length-prefixed payload block as UTF-8 text, bounded by
-/// `max_payload`.
-pub fn read_block(r: &mut impl BufRead, max_payload: usize) -> Result<String, ReadError> {
+/// Reads one length-prefixed block of at most `max` bytes; `what` names
+/// it (`payload`, `chunk`) in framing errors.
+fn read_prefixed(r: &mut impl BufRead, max: usize, what: &str) -> Result<Vec<u8>, ReadError> {
     let line = match read_line(r) {
         Ok(Some(l)) => l,
-        Ok(None) => return Err(ReadError::frame("eof before payload length")),
+        Ok(None) => return Err(ReadError::Frame(format!("eof before {what} length"))),
         Err(e) => return Err(ReadError::Io(e)),
     };
     let len: usize = line
         .trim()
         .parse()
-        .map_err(|_| ReadError::Frame(format!("bad payload length {line:?}")))?;
-    if len > max_payload {
-        return Err(ReadError::Frame(format!(
-            "payload of {len} bytes exceeds the {max_payload}-byte limit"
-        )));
+        .map_err(|_| ReadError::Frame(format!("bad {what} length {line:?}")))?;
+    if len > max {
+        return Err(ReadError::Frame(format!("{what} of {len} bytes exceeds the {max}-byte limit")));
     }
     // Read incrementally (`take` + `read_to_end`): memory grows with the
     // bytes that actually arrive, so a client *claiming* a huge payload
     // and then stalling cannot make the server pre-allocate it.
     let mut buf = Vec::new();
     match r.take(len as u64).read_to_end(&mut buf) {
-        Ok(n) if n == len => {}
-        Ok(n) => return Err(ReadError::Frame(format!("short payload: got {n} of {len} bytes"))),
-        Err(e) => return Err(ReadError::Io(e)),
+        Ok(n) if n == len => Ok(buf),
+        Ok(n) => Err(ReadError::Frame(format!("short {what}: got {n} of {len} bytes"))),
+        Err(e) => Err(ReadError::Io(e)),
     }
-    String::from_utf8(buf).map_err(|_| ReadError::frame("payload is not UTF-8"))
+}
+
+/// Reads one length-prefixed payload block as UTF-8 text, bounded by
+/// `max_payload`.
+pub fn read_block(r: &mut impl BufRead, max_payload: usize) -> Result<String, ReadError> {
+    let buf = read_prefixed(r, max_payload, "payload")?;
+    String::from_utf8(buf).map_err(|_| ReadError::Frame("payload is not UTF-8".into()))
 }
 
 /// Reads one raw chunk of a `CHECK_STREAM` body: `Ok(Some(bytes))` for a
@@ -220,29 +216,7 @@ pub fn read_block(r: &mut impl BufRead, max_payload: usize) -> Result<String, Re
 /// [`read_block`], chunks are raw bytes — a boundary may split a UTF-8
 /// sequence (the streaming lexer reassembles it).
 pub fn read_chunk(r: &mut impl BufRead, max_payload: usize) -> Result<Option<Vec<u8>>, ReadError> {
-    let line = match read_line(r) {
-        Ok(Some(l)) => l,
-        Ok(None) => return Err(ReadError::frame("eof before chunk length")),
-        Err(e) => return Err(ReadError::Io(e)),
-    };
-    let len: usize = line
-        .trim()
-        .parse()
-        .map_err(|_| ReadError::Frame(format!("bad chunk length {line:?}")))?;
-    if len == 0 {
-        return Ok(None);
-    }
-    if len > max_payload {
-        return Err(ReadError::Frame(format!(
-            "chunk of {len} bytes exceeds the {max_payload}-byte limit"
-        )));
-    }
-    let mut buf = Vec::new();
-    match r.take(len as u64).read_to_end(&mut buf) {
-        Ok(n) if n == len => Ok(Some(buf)),
-        Ok(n) => Err(ReadError::Frame(format!("short chunk: got {n} of {len} bytes"))),
-        Err(e) => Err(ReadError::Io(e)),
-    }
+    read_prefixed(r, max_payload, "chunk").map(|chunk| Some(chunk).filter(|c| !c.is_empty()))
 }
 
 /// Writes the zero-length block ending a `CHECK_STREAM` chunk sequence.
@@ -262,24 +236,9 @@ fn parse_kv(args: &[&str], key: &str) -> Result<Option<u64>, String> {
     Ok(None)
 }
 
-/// Reads and parses one request from the stream, under the default
-/// [`Limits`].
-pub fn read_request(r: &mut impl BufRead) -> io::Result<Frame> {
-    read_request_limited(r, &Limits::default())
-}
-
-/// Reads and parses one request from the stream under explicit limits.
-pub fn read_request_limited(r: &mut impl BufRead, limits: &Limits) -> io::Result<Frame> {
-    let line = match read_line(r)? {
-        None => return Ok(Frame::Eof),
-        Some(l) => l,
-    };
-    finish_request(&line, r, limits)
-}
-
-/// Parses an already-read verb line and consumes any payload blocks it
-/// announces. Split from [`read_request`] so a server can read the verb
-/// line under an **idle** timeout and the payload under a (tighter)
+/// Parses a verb line (read with [`read_line`]) and consumes any payload
+/// blocks it announces. The two steps are split so a server can read the
+/// verb line under an **idle** timeout and the payload under a (tighter)
 /// **read** timeout: the gap between requests is idleness, the gap
 /// inside one is a slow or stalled client. Transport errors (including
 /// timeouts) propagate as `Err`; framing violations become
@@ -399,21 +358,38 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
             writeln!(w, "LOAD {root}")?;
             write_block(w, source.as_bytes())
         }
-        Request::Check { handle, jobs, memo, xml } => {
-            writeln!(w, "CHECK {handle} jobs={jobs} memo={}", u8::from(*memo))?;
-            write_block(w, xml.as_bytes())
-        }
+        Request::Check { handle, jobs, memo, xml } => write_check(w, handle, *jobs, *memo, xml),
         // Chunks follow separately (write_block per chunk, then
         // write_stream_end) — see Client::check_stream.
         Request::CheckStream { handle } => writeln!(w, "CHECK_STREAM {handle}"),
-        Request::Batch { handle, jobs, xmls } => {
-            writeln!(w, "BATCH {handle} {} jobs={jobs}", xmls.len())?;
-            for xml in xmls {
-                write_block(w, xml.as_bytes())?;
-            }
-            Ok(())
-        }
+        Request::Batch { handle, jobs, xmls } => write_batch(w, handle, *jobs, xmls),
     }
+}
+
+/// Writes a `CHECK` request from borrowed text.
+pub fn write_check(
+    w: &mut impl Write,
+    handle: &str,
+    jobs: usize,
+    memo: bool,
+    xml: &str,
+) -> io::Result<()> {
+    writeln!(w, "CHECK {handle} jobs={jobs} memo={}", u8::from(memo))?;
+    write_block(w, xml.as_bytes())
+}
+
+/// Writes a `BATCH` request from borrowed texts.
+pub fn write_batch(
+    w: &mut impl Write,
+    handle: &str,
+    jobs: usize,
+    xmls: &[String],
+) -> io::Result<()> {
+    writeln!(w, "BATCH {handle} {} jobs={jobs}", xmls.len())?;
+    for xml in xmls {
+        write_block(w, xml.as_bytes())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -421,12 +397,20 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Reads one request as the server does: the verb line with
+    /// [`read_line`], then its payload with [`finish_request`]. `None` is a
+    /// clean end of stream before any verb line.
+    fn read(wire: &[u8], limits: &Limits) -> Option<Frame> {
+        let mut r = BufReader::new(wire);
+        let line = read_line(&mut r).unwrap()?;
+        Some(finish_request(&line, &mut r, limits).unwrap())
+    }
+
     fn round_trip(req: Request) {
         let mut wire = Vec::new();
         write_request(&mut wire, &req).unwrap();
-        let mut r = BufReader::new(wire.as_slice());
-        match read_request(&mut r).unwrap() {
-            Frame::Req(back) => assert_eq!(back, req),
+        match read(&wire, &Limits::default()) {
+            Some(Frame::Req(back)) => assert_eq!(back, req),
             other => panic!("{other:?}"),
         }
     }
@@ -480,27 +464,22 @@ mod tests {
 
     #[test]
     fn framing_errors_are_reported_not_fatal_to_the_reader() {
-        let mut r = BufReader::new("NOPE x\n".as_bytes());
-        assert!(matches!(read_request(&mut r).unwrap(), Frame::Bad(_)));
-        let mut r = BufReader::new("CHECK\n".as_bytes());
-        assert!(matches!(read_request(&mut r).unwrap(), Frame::Bad(_)));
-        let mut r = BufReader::new("CHECK d0\nnot-a-length\n".as_bytes());
-        assert!(matches!(read_request(&mut r).unwrap(), Frame::Bad(_)));
+        let limits = Limits::default();
+        assert!(matches!(read(b"NOPE x\n", &limits), Some(Frame::Bad(_))));
+        assert!(matches!(read(b"CHECK\n", &limits), Some(Frame::Bad(_))));
+        assert!(matches!(read(b"CHECK d0\nnot-a-length\n", &limits), Some(Frame::Bad(_))));
         // A retired verb is refused like any other unknown one.
-        let mut r = BufReader::new("BATCH_STREAM d0 2\n".as_bytes());
-        match read_request(&mut r).unwrap() {
-            Frame::Bad(e) => assert!(e.contains("unknown verb"), "{e}"),
+        match read(b"BATCH_STREAM d0 2\n", &limits) {
+            Some(Frame::Bad(e)) => assert!(e.contains("unknown verb"), "{e}"),
             other => panic!("{other:?}"),
         }
-        let mut r = BufReader::new("".as_bytes());
-        assert!(matches!(read_request(&mut r).unwrap(), Frame::Eof));
+        assert!(read(b"", &limits).is_none());
     }
 
     #[test]
     fn oversized_payload_rejected() {
         let wire = format!("CHECK d0\n{}\n", MAX_PAYLOAD + 1);
-        let mut r = BufReader::new(wire.as_bytes());
-        assert!(matches!(read_request(&mut r).unwrap(), Frame::Bad(_)));
+        assert!(matches!(read(wire.as_bytes(), &Limits::default()), Some(Frame::Bad(_))));
     }
 
     #[test]
@@ -513,8 +492,7 @@ mod tests {
             &Request::Check { handle: "d0".into(), jobs: 1, memo: true, xml: "<r>xx</r>".into() },
         )
         .unwrap();
-        let mut r = BufReader::new(wire.as_slice());
-        assert!(matches!(read_request_limited(&mut r, &limits).unwrap(), Frame::Bad(_)));
+        assert!(matches!(read(&wire, &limits), Some(Frame::Bad(_))));
         // Two 7-byte batch documents clear max_payload but trip the
         // 12-byte aggregate.
         let mut wire = Vec::new();
@@ -527,7 +505,6 @@ mod tests {
             },
         )
         .unwrap();
-        let mut r = BufReader::new(wire.as_slice());
-        assert!(matches!(read_request_limited(&mut r, &limits).unwrap(), Frame::Bad(_)));
+        assert!(matches!(read(&wire, &limits), Some(Frame::Bad(_))));
     }
 }

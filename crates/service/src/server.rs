@@ -16,12 +16,25 @@
 //! compiled DTD under a hash of `(root, source)` and return the same
 //! handle — with its warm cache — for the same input, so reconnecting
 //! clients keep hitting the cache they warmed.
+//!
+//! Every request takes one path: [`proto::finish_request`] reads its
+//! frame, `handle_request` serves every verb (`CHECK_STREAM` reads its
+//! chunks there) and reports a `Reply` — the response line plus its
+//! disposition and verdict — and `ServiceState::record` books it. That
+//! one step also ends every counted refusal (a connection turned away
+//! `busy` or `draining`, an idle reap, a forced drain): it writes the
+//! access-log line and bumps the disposition's registry counter, and for
+//! a request it observes the verb latency and offers the slow trace.
+//! The registry is the only set of books, so `STATS` and `METRICS` read
+//! the same numbers and `RESET` restarts both.
 
-use crate::governor::{Access, ConnPermit, Governor, GovernorConfig, InflightPermit};
+use crate::governor::{Access, ConnPermit, Governor, GovernorConfig};
 use crate::json::{self, Json};
 use crate::proto::{self, Frame, ReadError, Request};
+use pv_core::checker::PvOutcome;
 use pv_core::depth::DepthPolicy;
 use pv_core::engine::CheckEngine;
+use pv_core::stream::StreamCheck;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_dtd::{DtdAnalysis, StaticReport};
 use pv_obs::{Counter, Gauge, Histogram, Registry, Trace};
@@ -244,16 +257,8 @@ struct ServiceMetrics {
     stream_chunks: Counter,
     stream_bytes: Counter,
     stream_feed_us: Histogram,
-    /// One counter per access-log disposition.
-    ok: Counter,
-    app_error: Counter,
-    shed: Counter,
-    busy: Counter,
-    draining: Counter,
-    idle_timeout: Counter,
-    read_timeout: Counter,
-    framing_error: Counter,
-    drain_forced: Counter,
+    /// One counter per [`Disposition`], indexed by it.
+    dispositions: [Counter; 9],
     /// Lifetime totals: the `STATS` reply reads these.
     requests: Counter,
     documents: Counter,
@@ -276,15 +281,7 @@ impl ServiceMetrics {
             stream_chunks: reg.counter("pv_stream_chunks_total"),
             stream_bytes: reg.counter("pv_stream_bytes_total"),
             stream_feed_us: reg.histogram("pv_stream_feed_us"),
-            ok: reg.counter("pv_service_ok_total"),
-            app_error: reg.counter("pv_service_app_error_total"),
-            shed: reg.counter("pv_service_shed_total"),
-            busy: reg.counter("pv_service_busy_total"),
-            draining: reg.counter("pv_service_draining_total"),
-            idle_timeout: reg.counter("pv_service_idle_timeout_total"),
-            read_timeout: reg.counter("pv_service_read_timeout_total"),
-            framing_error: reg.counter("pv_service_framing_error_total"),
-            drain_forced: reg.counter("pv_service_drain_forced_total"),
+            dispositions: DISPOSITIONS.map(|(_, counter)| reg.counter(counter)),
             requests: reg.counter("pv_service_requests_total"),
             documents: reg.counter("pv_service_documents_total"),
             connections: reg.gauge("pv_service_connections"),
@@ -303,22 +300,43 @@ impl ServiceMetrics {
         }
     }
 
-    /// Counts one access-log disposition.
-    fn disposition(&self, disp: &str) {
-        match disp {
-            "ok" => self.ok.inc(),
-            "app_error" => self.app_error.inc(),
-            "shed" => self.shed.inc(),
-            "busy" => self.busy.inc(),
-            "draining" => self.draining.inc(),
-            "idle_timeout" => self.idle_timeout.inc(),
-            "read_timeout" => self.read_timeout.inc(),
-            "framing_error" => self.framing_error.inc(),
-            "drain_forced" => self.drain_forced.inc(),
-            _ => {}
-        }
+    /// The one counter of a disposition.
+    fn count(&self, disposition: Disposition) -> &Counter {
+        &self.dispositions[disposition as usize]
     }
 }
+
+/// The access log's disposition column: how a request or a counted
+/// refusal ended. [`ServiceState::record`] counts each in its own
+/// registry counter and nowhere else: `METRICS` reads them all, `STATS`'
+/// `"governance"` block reads the refusals and timeouts, and `RESET`
+/// zeroes them with the rest of the registry.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Disposition {
+    Ok,
+    AppError,
+    Shed,
+    Busy,
+    Draining,
+    IdleTimeout,
+    ReadTimeout,
+    FramingError,
+    DrainForced,
+}
+
+/// Each [`Disposition`]'s access-log name and counter, in declaration
+/// order.
+const DISPOSITIONS: [(&str, &str); 9] = [
+    ("ok", "pv_service_ok_total"),
+    ("app_error", "pv_service_app_error_total"),
+    ("shed", "pv_service_shed_total"),
+    ("busy", "pv_service_busy_total"),
+    ("draining", "pv_service_draining_total"),
+    ("idle_timeout", "pv_service_idle_timeout_total"),
+    ("read_timeout", "pv_service_read_timeout_total"),
+    ("framing_error", "pv_service_framing_error_total"),
+    ("drain_forced", "pv_service_drain_forced_total"),
+];
 
 /// Shared server state.
 struct ServiceState {
@@ -328,7 +346,7 @@ struct ServiceState {
     /// record into it.
     obs: Registry,
     metrics: ServiceMetrics,
-    /// Admission control, deadlines, shedding counters, access log.
+    /// Admission permits, deadlines and limits, the access-log sink.
     gov: Governor,
     /// Live connections by id — the drain path severs these.
     conns: Mutex<HashMap<u64, ConnCtl>>,
@@ -402,19 +420,28 @@ impl ServiceState {
     /// scrape always sees current connection/inflight occupancy without
     /// the request path paying gauge traffic.
     fn refresh_gauges(&self) {
-        let g = self.gov.snapshot();
-        self.metrics.connections.set(g.active as i64);
-        self.metrics.inflight.set(g.inflight as i64);
+        self.metrics.connections.set(self.gov.active() as i64);
+        self.metrics.inflight.set(self.gov.inflight() as i64);
     }
 
-    /// One request's telemetry epilogue: disposition counter, per-verb
-    /// latency observation, and — when the request was slow enough — a
-    /// stage trace into the slow ring.
-    fn observe_request(&self, op: &str, disp: &str, t0: Instant, stages: Vec<(String, u64)>) {
-        self.metrics.disposition(disp);
-        let total_us = t0.elapsed().as_micros() as u64;
-        self.metrics.verb_hist(op).observe(total_us);
-        self.obs.record_trace(Trace { op: op.to_owned(), total_us, stages });
+    /// Ends one request or counted refusal, the one place either is
+    /// booked: its access-log line, its disposition counter and, for a
+    /// request (`stages` is `Some`), its verb's latency and the offer of
+    /// its stage trace to the slow ring.
+    fn record(
+        &self,
+        conn: u64,
+        access: &Access<'_>,
+        disposition: Disposition,
+        stages: Option<Vec<(String, u64)>>,
+    ) {
+        self.gov.log_request(conn, access, DISPOSITIONS[disposition as usize].0);
+        self.metrics.count(disposition).inc();
+        if let Some(stages) = stages {
+            let total_us = access.dur.as_micros() as u64;
+            self.metrics.verb_hist(access.op).observe(total_us);
+            self.obs.record_trace(Trace { op: access.op.to_owned(), total_us, stages });
+        }
     }
 }
 
@@ -622,8 +649,8 @@ fn accept_loop(listener: &Listener, state: &Arc<ServiceState>) {
                         // delivery time, not zero.
                         let t0 = Instant::now();
                         deny(&mut stream, state, "busy", "server is at its connection limit");
-                        state.gov.log_event(conn_id, t0.elapsed(), "busy");
-                        state.metrics.disposition("busy");
+                        let access = Access { dur: t0.elapsed(), ..Access::default() };
+                        state.record(conn_id, &access, Disposition::Busy, None);
                     }
                 }
             }
@@ -673,10 +700,9 @@ fn drain(listener: &Listener, state: &Arc<ServiceState>) {
     if gov.active() > 0 {
         let conns = state.conns.lock().unwrap();
         for (id, ctl) in conns.iter() {
-            gov.note_drain_forced();
             // dur_us = how long this connection was given to finish.
-            gov.log_event(*id, drain_t0.elapsed(), "drain_forced");
-            state.metrics.disposition("drain_forced");
+            let access = Access { dur: drain_t0.elapsed(), ..Access::default() };
+            state.record(*id, &access, Disposition::DrainForced, None);
             let _ = ctl.ctl.shutdown_both();
         }
         drop(conns);
@@ -715,20 +741,6 @@ fn err_response_kind(kind: &str, msg: &str) -> String {
     out
 }
 
-/// The access-log verdict column, recovered from the response we just
-/// generated (trusted shape — no JSON parse needed).
-fn verdict_of(body: &str) -> &'static str {
-    if body.contains("\"potentially_valid\":true") {
-        "pv"
-    } else if body.contains("\"potentially_valid\":false") {
-        "not-pv"
-    } else if body.starts_with("{\"ok\":true") {
-        "-"
-    } else {
-        "error"
-    }
-}
-
 /// Registers the connection's control block, runs the request loop, and
 /// deregisters on any exit path.
 fn serve_connection(
@@ -763,12 +775,12 @@ fn connection_loop(
     loop {
         busy.store(false, Ordering::SeqCst);
         if state.shutdown.load(Ordering::SeqCst) {
-            // The server began draining between our requests. Logged
+            // The server began draining between our requests. Recorded
             // after the refusal goes out so dur_us is its delivery time.
             let t0 = Instant::now();
             let _ = respond(reader.get_mut(), err_response_kind("draining", "server is draining"));
-            gov.log_event(conn_id, t0.elapsed(), "draining");
-            state.metrics.disposition("draining");
+            let access = Access { dur: t0.elapsed(), ..Access::default() };
+            state.record(conn_id, &access, Disposition::Draining, None);
             return Ok(());
         }
         // The gap between requests is idleness; the verb line read waits
@@ -779,11 +791,10 @@ fn connection_loop(
             Ok(None) => return Ok(()), // clean EOF between requests
             Ok(Some(l)) => l,
             Err(e) if is_timeout(&e) => {
-                gov.note_timeout();
                 // dur_us = how long the connection sat idle before the
                 // reaper took it.
-                gov.log_event(conn_id, idle_t0.elapsed(), "idle_timeout");
-                state.metrics.disposition("idle_timeout");
+                let access = Access { dur: idle_t0.elapsed(), ..Access::default() };
+                state.record(conn_id, &access, Disposition::IdleTimeout, None);
                 return Ok(());
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -792,8 +803,8 @@ fn connection_loop(
                 // then close.
                 let t0 = Instant::now();
                 let _ = respond(reader.get_mut(), err_response("request line is not UTF-8"));
-                gov.log_event(conn_id, t0.elapsed(), "framing_error");
-                state.metrics.disposition("framing_error");
+                let access = Access { dur: t0.elapsed(), ..Access::default() };
+                state.record(conn_id, &access, Disposition::FramingError, None);
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -804,137 +815,62 @@ fn connection_loop(
         // Inside a request the clock tightens: payload bytes must keep
         // arriving under the read deadline.
         let _ = reader.get_ref().set_read_timeout(gov.config.read_timeout);
-        let frame = match proto::finish_request(&line, &mut reader, &gov.config.limits) {
-            Ok(f) => f,
+        let mut handle = "-".to_owned();
+        let mut stages = Vec::new();
+        let mut shutdown = false;
+        let frame = proto::finish_request(&line, &mut reader, &gov.config.limits);
+        let served = frame.and_then(|frame| {
+            // The time spent in finish_request is the request's read stage
+            // (payload bytes off the wire into memory).
+            let read_us = t0.elapsed().as_micros() as u64;
+            state.metrics.read_us.observe(read_us);
+            match frame {
+                Frame::Bad(msg) => Ok(Reply::framing(&msg)),
+                Frame::Req(req) => {
+                    state.metrics.requests.inc();
+                    handle = request_handle(&req).unwrap_or("-").to_owned();
+                    shutdown = matches!(req, Request::Shutdown);
+                    // A stream's payload is read as it is checked, so its
+                    // trace has no read stage.
+                    if !matches!(req, Request::CheckStream { .. }) {
+                        stages.push(("read".to_owned(), read_us));
+                    }
+                    handle_request(req, &mut reader, state, &mut stages)
+                }
+            }
+        });
+        let reply = match served {
+            Ok(reply) => reply,
             Err(e) if is_timeout(&e) => {
-                gov.note_timeout();
-                let access = Access { op: &op, dur: t0.elapsed(), ..Access::default() };
-                gov.log_request(conn_id, &access, "read_timeout");
-                state.observe_request(&op, "read_timeout", t0, Vec::new());
+                // A payload or stream stalled past its deadline: no
+                // reply, the connection closes.
+                let access =
+                    Access { op: &op, handle: &handle, dur: t0.elapsed(), ..Access::default() };
+                state.record(conn_id, &access, Disposition::ReadTimeout, Some(stages));
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
-        // The time spent in finish_request is the request's read stage
-        // (payload bytes off the wire into memory).
-        let read_us = t0.elapsed().as_micros() as u64;
-        state.metrics.read_us.observe(read_us);
-        if matches!(frame, Frame::Req(_)) {
-            state.metrics.requests.inc();
+        let access = Access {
+            op: &op,
+            handle: &handle,
+            bytes: reply.bytes,
+            dur: t0.elapsed(),
+            verdict: reply.verdict,
+        };
+        state.record(conn_id, &access, reply.disposition, Some(stages));
+        respond(reader.get_mut(), reply.body)?;
+        if reply.disposition == Disposition::FramingError {
+            // A framing error poisons the payload boundary: report and
+            // close (module docs).
+            return Ok(());
         }
-        match frame {
-            Frame::Eof => return Ok(()),
-            Frame::Bad(msg) => {
-                // A framing error poisons the payload boundary: report and
-                // close (module docs).
-                let access = Access { op: &op, dur: t0.elapsed(), ..Access::default() };
-                gov.log_request(conn_id, &access, "framing_error");
-                state.observe_request(&op, "framing_error", t0, Vec::new());
-                let _ = respond(reader.get_mut(), err_response(&msg));
-                return Ok(());
-            }
-            Frame::Req(Request::CheckStream { handle }) => {
-                // The chunks are still on the wire: consume them here,
-                // feeding the streaming checker as they arrive, so the
-                // client's upload and the server's validation overlap.
-                // The gap between chunks is idleness (a trickling client
-                // is fine); each read waits under the idle deadline.
-                let inflight = gov.try_inflight();
-                let shed = inflight.is_none();
-                let _ = reader.get_ref().set_read_timeout(gov.config.idle_timeout);
-                match handle_check_stream(&mut reader, &handle, state, inflight) {
-                    Err(e) if is_timeout(&e) => {
-                        gov.note_timeout();
-                        let access =
-                            Access { op: &op, handle: &handle, dur: t0.elapsed(), ..Access::default() };
-                        gov.log_request(conn_id, &access, "read_timeout");
-                        state.observe_request(&op, "read_timeout", t0, Vec::new());
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                    Ok((StreamBody::Done(body), bytes)) => {
-                        let disp = if shed { "shed" } else { disposition_of(&body) };
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: verdict_of(&body),
-                        };
-                        gov.log_request(conn_id, &access, disp);
-                        state.observe_request(&op, disp, t0, Vec::new());
-                        respond(reader.get_mut(), body)?;
-                    }
-                    Ok((StreamBody::Abort(msg), bytes)) => {
-                        // A chunk framing error poisons the boundary,
-                        // exactly like a bad verb line: report and close.
-                        let access = Access {
-                            op: &op,
-                            handle: &handle,
-                            bytes,
-                            dur: t0.elapsed(),
-                            verdict: "-",
-                        };
-                        gov.log_request(conn_id, &access, "framing_error");
-                        state.observe_request(&op, "framing_error", t0, Vec::new());
-                        let _ = respond(reader.get_mut(), err_response(&msg));
-                        return Ok(());
-                    }
-                }
-            }
-            Frame::Req(req) => {
-                let shutdown = matches!(req, Request::Shutdown);
-                let handle = request_handle(&req).unwrap_or("-").to_owned();
-                let bytes = request_bytes(&req);
-                let mut stages = vec![("read".to_owned(), read_us)];
-                let (body, disp) = match req {
-                    // Pool-bound work honours the in-flight cap: past it
-                    // the request is shed with a clean `busy` error and
-                    // the connection stays usable.
-                    Request::Check { .. } | Request::Batch { .. } => match gov.try_inflight() {
-                        Some(_permit) => {
-                            let body = handle_request(req, state, &mut stages);
-                            let disp = disposition_of(&body);
-                            (body, disp)
-                        }
-                        None => (
-                            err_response_kind("busy", "server is at its in-flight request limit"),
-                            "shed",
-                        ),
-                    },
-                    req => {
-                        let body = handle_request(req, state, &mut stages);
-                        let disp = disposition_of(&body);
-                        (body, disp)
-                    }
-                };
-                let access = Access {
-                    op: &op,
-                    handle: &handle,
-                    bytes,
-                    dur: t0.elapsed(),
-                    verdict: verdict_of(&body),
-                };
-                gov.log_request(conn_id, &access, disp);
-                state.observe_request(&op, disp, t0, stages);
-                respond(reader.get_mut(), body)?;
-                if shutdown {
-                    // The acceptor blocks in `accept`; one self-connect
-                    // makes it re-check the flag and start draining.
-                    let _ = connect(&state.endpoint);
-                    return Ok(());
-                }
-            }
+        if shutdown {
+            // The acceptor blocks in `accept`; one self-connect makes it
+            // re-check the flag and start draining.
+            let _ = connect(&state.endpoint);
+            return Ok(());
         }
-    }
-}
-
-/// The access-log disposition for a response that was actually served.
-fn disposition_of(body: &str) -> &'static str {
-    if body.starts_with("{\"ok\":true") {
-        "ok"
-    } else {
-        "app_error"
     }
 }
 
@@ -949,125 +885,72 @@ fn request_handle(req: &Request) -> Option<&str> {
     }
 }
 
-/// How many payload bytes a request carried, for the access log.
-fn request_bytes(req: &Request) -> usize {
-    match req {
-        Request::Check { xml, .. } => xml.len(),
-        Request::Load { source, .. } => source.len(),
-        Request::Batch { xmls, .. } => xmls.iter().map(String::len).sum(),
-        _ => 0,
+/// How a request ended: its response line, and the access log's
+/// disposition, verdict and payload-bytes columns for it, as the handler
+/// that served it reports them.
+struct Reply {
+    body: String,
+    disposition: Disposition,
+    /// `pv`, `not-pv`, `error`, or `-`.
+    verdict: &'static str,
+    bytes: usize,
+}
+
+impl Reply {
+    fn new(body: String, disposition: Disposition, verdict: &'static str) -> Reply {
+        Reply { body, disposition, verdict, bytes: 0 }
+    }
+
+    /// Served, with no verdict.
+    fn ok(body: String) -> Reply {
+        Reply::new(body, Disposition::Ok, "-")
+    }
+
+    /// Served with a verdict.
+    fn checked(body: String, potentially_valid: bool) -> Reply {
+        Reply::new(body, Disposition::Ok, if potentially_valid { "pv" } else { "not-pv" })
+    }
+
+    /// An application error; the connection stays usable.
+    fn error(msg: &str) -> Reply {
+        Reply::new(err_response(msg), Disposition::AppError, "error")
+    }
+
+    /// A pool-bound request refused at the in-flight cap with a clean
+    /// `busy` error; the connection stays usable.
+    fn shed() -> Reply {
+        let body = err_response_kind("busy", "server is at its in-flight request limit");
+        Reply::new(body, Disposition::Shed, "error")
+    }
+
+    /// A framing error: the connection closes after this reply.
+    fn framing(msg: &str) -> Reply {
+        Reply::new(err_response(msg), Disposition::FramingError, "-")
+    }
+
+    /// The same reply, for a request that carried `bytes` of payload.
+    fn carrying(self, bytes: usize) -> Reply {
+        Reply { bytes, ..self }
     }
 }
 
-/// How a `CHECK_STREAM` body ended.
-enum StreamBody {
-    /// All chunks consumed cleanly; respond and keep the connection.
-    Done(String),
-    /// Chunk framing broke; respond and close the connection.
-    Abort(String),
-}
-
-/// Consumes a `CHECK_STREAM` chunk sequence, validating incrementally.
-///
-/// The streaming checker holds only the open ancestor spine (O(depth)),
-/// so a multi-gigabyte upload costs the server a few kilobytes of
-/// resident state. Application errors — unknown handle, malformed
-/// document, a shed request (`inflight` is `None`) — still drain every
-/// remaining chunk up to the terminator before responding, so the
-/// connection stays usable; only transport errors (`Err`, including a
-/// tripped read deadline) and framing errors (`Abort`) end it. Returns
-/// the body disposition plus the chunk bytes consumed (access log).
-fn handle_check_stream(
-    reader: &mut BufReader<Stream>,
-    handle: &str,
-    state: &Arc<ServiceState>,
-    inflight: Option<InflightPermit>,
-) -> io::Result<(StreamBody, usize)> {
-    let limits = state.gov.config.limits;
-    let entry = state.entry(handle);
-    // A shed request drains its chunks but never builds a checker: the
-    // whole point is to do no pool-bound work.
-    let engine = if inflight.is_some() {
-        entry.as_ref().ok().map(|e| &e.engine)
-    } else {
-        None
-    };
-    let mut stream = engine.map(|e| pv_core::stream::StreamCheck::new(e.stream_checker()));
-    let mut parse_err: Option<pv_xml::XmlError> = None;
-    let mut total = 0usize;
-    loop {
-        match proto::read_chunk(reader, limits.max_payload) {
-            Err(ReadError::Io(e)) => return Err(e),
-            Err(ReadError::Frame(msg)) => return Ok((StreamBody::Abort(msg), total)),
-            Ok(None) => break,
-            Ok(Some(chunk)) => {
-                total += chunk.len();
-                state.metrics.stream_chunks.inc();
-                state.metrics.stream_bytes.add(chunk.len() as u64);
-                if total > limits.max_request {
-                    return Ok((
-                        StreamBody::Abort(format!(
-                            "stream exceeds the {}-byte aggregate limit",
-                            limits.max_request
-                        )),
-                        total,
-                    ));
-                }
-                if parse_err.is_none() {
-                    if let Some(s) = stream.as_mut() {
-                        let ft = state.metrics.stream_feed_us.start();
-                        let fed = s.feed(&chunk);
-                        state.metrics.stream_feed_us.observe_since(ft);
-                        if let Err(e) = fed {
-                            // Keep draining (the framing is intact), but
-                            // stop feeding: the error is final.
-                            parse_err = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if inflight.is_none() {
-        return Ok((
-            StreamBody::Done(err_response_kind(
-                "busy",
-                "server is at its in-flight request limit",
-            )),
-            total,
-        ));
-    }
-    let body = match (&entry, parse_err) {
-        (Err(e), _) => err_response(e),
-        (Ok(_), Some(e)) => err_response(&format!("document is not well-formed: {e}")),
-        (Ok(entry), None) => match stream.take().expect("stream built for live entry").finish() {
-            Err(e) => err_response(&format!("document is not well-formed: {e}")),
-            Ok(outcome) => {
-                state.metrics.documents.inc();
-                // Streaming runs on its checker's private cache, not the
-                // engine's memo, so the reply's memo field is always null
-                // (same JSON shape as CHECK).
-                check_response(&outcome, entry, false)
-            }
-        },
-    };
-    Ok((StreamBody::Done(body), total))
-}
-
-/// Serves one buffered request. `stages` accumulates named stage
-/// wall-clocks (microseconds) for the slow-trace ring — the handler
-/// appends `recognize`/`serialize` entries for the verbs that have those
-/// stages and leaves it untouched otherwise.
+/// Serves one request. `CHECK_STREAM` reads its chunks from `reader`;
+/// every other verb's payload was read with its frame. `stages`
+/// accumulates named stage wall-clocks (microseconds) for the slow-trace
+/// ring — `CHECK` and `BATCH` append their `recognize`/`serialize`
+/// stages. `Err` is a transport failure, a stalled stream included, and
+/// ends the connection.
 fn handle_request(
     req: Request,
-    state: &Arc<ServiceState>,
+    reader: &mut BufReader<Stream>,
+    state: &ServiceState,
     stages: &mut Vec<(String, u64)>,
-) -> String {
-    match req {
-        Request::Ping => "{\"ok\":true,\"pong\":true}".to_owned(),
+) -> io::Result<Reply> {
+    Ok(match req {
+        Request::Ping => Reply::ok("{\"ok\":true,\"pong\":true}".to_owned()),
         Request::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
-            "{\"ok\":true,\"shutting_down\":true}".to_owned()
+            Reply::ok("{\"ok\":true,\"shutting_down\":true}".to_owned())
         }
         Request::Reset { handle } => match state.entry(&handle) {
             Ok(entry) => {
@@ -1079,11 +962,12 @@ fn handle_request(
                 // cache that never hits.
                 entry.engine.memo_reset();
                 state.obs.reset();
-                "{\"ok\":true}".to_owned()
+                Reply::ok("{\"ok\":true}".to_owned())
             }
-            Err(e) => err_response(&e),
+            Err(e) => Reply::error(&e),
         },
-        Request::Metrics => metrics_response(state),
+        Request::Metrics => Reply::ok(metrics_response(state)),
+        Request::Stats => Reply::ok(stats_response(state)),
         Request::Builtin { name } => {
             let result = state.intern(&format!("builtin\u{0}{name}"), || {
                 let b = BuiltinDtd::ALL
@@ -1101,133 +985,239 @@ fn handle_request(
                     .map_err(|e| format!("DTD error: {e}"))?;
                 Ok((analysis, format!("loaded:{root}")))
             });
-            load_response(result)
+            load_response(result).carrying(source.len())
         }
-        Request::Stats => {
-            // The engines' work counters, as METRICS reports them.
-            let work = |name| state.obs.counter(name).get();
-            let mut out = String::from("{\"ok\":true");
-            let _ = write!(
-                out,
-                ",\"uptime_ms\":{},\"requests\":{},\"documents\":{},\"workers\":{}",
-                state.started.elapsed().as_millis(),
-                state.metrics.requests.get(),
-                state.metrics.documents.get(),
-                state.pool.workers(),
-            );
-            let _ = write!(
-                out,
-                ",\"speculation\":{{\"symbols\":{},\"node_visits\":{},\"subs_created\":{},\"specs_denied\":{}}}",
-                work("pv_engine_symbols_total"),
-                work("pv_engine_node_visits_total"),
-                work("pv_engine_subs_created_total"),
-                work("pv_engine_specs_denied_total"),
-            );
-            let g = state.gov.snapshot();
-            let _ = write!(
-                out,
-                ",\"governance\":{{\"draining\":{},\"active\":{},\"max_connections\":{},\
-                 \"conns_shed\":{},\"inflight\":{},\"max_inflight\":{},\"reqs_shed\":{},\
-                 \"timeouts\":{},\"drains_forced\":{}}}",
-                state.shutdown.load(Ordering::SeqCst),
-                g.active,
-                state.gov.config.max_connections,
-                g.conns_shed,
-                g.inflight,
-                state.gov.config.max_inflight,
-                g.reqs_shed,
-                g.timeouts,
-                g.drains_forced,
-            );
-            out.push_str(",\"dtds\":[");
-            let dtds = state.dtds.read().unwrap();
-            let mut handles: Vec<&String> = dtds.keys().collect();
-            handles.sort();
-            for (i, handle) in handles.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let entry = &dtds[*handle];
-                out.push_str("{\"handle\":");
-                json::write_str(&mut out, handle);
-                out.push_str(",\"label\":");
-                json::write_str(&mut out, &entry.label);
-                out.push_str(",\"class\":");
-                json::write_str(&mut out, &entry.engine.analysis().rec.class.to_string());
-                out.push_str(",\"memo\":");
-                match entry.engine.memo_stats() {
-                    Some(m) => json::write_memo(&mut out, &m),
-                    None => out.push_str("null"),
-                }
-                out.push_str(",\"analysis\":");
-                write_analysis(&mut out, &entry.report);
-                out.push('}');
-            }
-            out.push_str("]}");
-            out
+        Request::Check { handle, jobs: _, memo, xml } => {
+            check(state, &handle, memo, &xml, stages).carrying(xml.len())
         }
-        // One document is never split: it is lexed and checked with no
-        // tree on this connection thread whatever `jobs` says, and
-        // `memo=0` checks it with no cache at all.
-        Request::Check { handle, jobs: _, memo, xml } => match state.entry(&handle) {
-            Ok(entry) => {
-                let m = &state.metrics;
-                let rt = m.recognize_us.start();
-                let checked = entry.engine.check_str(&xml, memo);
-                if let Some(us) = m.recognize_us.observe_since(rt) {
-                    stages.push(("recognize".to_owned(), us));
-                }
-                match checked {
-                    Ok(outcome) => {
-                        state.metrics.documents.inc();
-                        let st = m.serialize_us.start();
-                        let body = check_response(&outcome, &entry, memo);
-                        if let Some(us) = m.serialize_us.observe_since(st) {
-                            stages.push(("serialize".to_owned(), us));
-                        }
-                        body
-                    }
-                    Err(e) => err_response(&format!("document is not well-formed: {e}")),
-                }
-            }
-            Err(e) => err_response(&e),
-        },
-        // Intercepted by serve_connection (its chunks live on the wire,
-        // interleaved with validation); it can never reach this point.
-        Request::CheckStream { .. } => {
-            err_response("CHECK_STREAM is handled by the connection loop")
+        Request::CheckStream { handle } => return check_stream(reader, &handle, state),
+        Request::Batch { handle, jobs, xmls } => {
+            let bytes = xmls.iter().map(String::len).sum();
+            batch(state, &handle, jobs, xmls, stages).carrying(bytes)
         }
-        // Each document is one pool task, lexed and checked with no tree;
-        // the reply names the malformed document of lowest index.
-        Request::Batch { handle, jobs, xmls } => match state.entry(&handle) {
-            Ok(entry) => {
-                let m = &state.metrics;
-                let rt = m.recognize_us.start();
-                let results = entry.engine.check_batch_pooled(&Arc::new(xmls), &state.pool, jobs);
-                if let Some(us) = m.recognize_us.observe_since(rt) {
-                    stages.push(("recognize".to_owned(), us));
-                }
-                let indexed = results.into_iter().enumerate().map(|(i, r)| r.map_err(|e| (i, e)));
-                let outcomes = match indexed.collect::<Result<Vec<_>, _>>() {
-                    Ok(outcomes) => outcomes,
-                    Err((i, e)) => {
-                        return err_response(&format!("document #{i} is not well-formed: {e}"))
-                    }
-                };
-                state.metrics.documents.add(outcomes.len() as u64);
-                let mut out = String::from("{\"ok\":true,\"outcomes\":[");
-                for (i, o) in outcomes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_outcome(&mut out, o);
-                }
-                out.push_str("]}");
-                out
-            }
-            Err(e) => err_response(&e),
-        },
+    })
+}
+
+/// `CHECK`: one document is never split — it is lexed and checked with
+/// no tree on this connection thread, and `memo=0` checks it with no
+/// cache at all.
+fn check(
+    state: &ServiceState,
+    handle: &str,
+    memo: bool,
+    xml: &str,
+    stages: &mut Vec<(String, u64)>,
+) -> Reply {
+    // Pool-bound work honours the in-flight cap.
+    let Some(_permit) = state.gov.try_inflight() else { return Reply::shed() };
+    let entry = match state.entry(handle) {
+        Ok(entry) => entry,
+        Err(e) => return Reply::error(&e),
+    };
+    let m = &state.metrics;
+    let rt = m.recognize_us.start();
+    let checked = entry.engine.check_str(xml, memo);
+    if let Some(us) = m.recognize_us.observe_since(rt) {
+        stages.push(("recognize".to_owned(), us));
     }
+    match checked {
+        Ok(outcome) => {
+            m.documents.inc();
+            let st = m.serialize_us.start();
+            let body = check_response(&outcome, &entry, memo);
+            if let Some(us) = m.serialize_us.observe_since(st) {
+                stages.push(("serialize".to_owned(), us));
+            }
+            Reply::checked(body, outcome.is_potentially_valid())
+        }
+        Err(e) => Reply::error(&format!("document is not well-formed: {e}")),
+    }
+}
+
+/// `CHECK_STREAM`: consumes the chunk sequence that follows the verb
+/// line, feeding each chunk to the streaming checker as it arrives, so
+/// the client's upload and the server's validation overlap.
+///
+/// The streaming checker holds only the open ancestor spine (O(depth)),
+/// so a multi-gigabyte upload costs the server a few kilobytes of
+/// resident state. Application errors — unknown handle, malformed
+/// document, a request shed at the in-flight cap — still drain every
+/// remaining chunk up to the terminator before replying, so the
+/// connection stays usable; only transport errors (`Err`, including a
+/// tripped deadline) and framing errors end it.
+fn check_stream(
+    reader: &mut BufReader<Stream>,
+    handle: &str,
+    state: &ServiceState,
+) -> io::Result<Reply> {
+    let limits = state.gov.config.limits;
+    let inflight = state.gov.try_inflight();
+    // The gap between chunks is idleness (a trickling client is fine):
+    // each read waits under the idle deadline.
+    let _ = reader.get_ref().set_read_timeout(state.gov.config.idle_timeout);
+    let entry = state.entry(handle);
+    // A shed request drains its chunks but never builds a checker: the
+    // whole point is to do no pool-bound work.
+    let mut stream = entry
+        .as_ref()
+        .ok()
+        .filter(|_| inflight.is_some())
+        .map(|e| StreamCheck::new(e.engine.stream_checker()));
+    let mut parse_err = None;
+    let mut total = 0usize;
+    loop {
+        match proto::read_chunk(reader, limits.max_payload) {
+            Err(ReadError::Io(e)) => return Err(e),
+            Err(ReadError::Frame(msg)) => return Ok(Reply::framing(&msg).carrying(total)),
+            Ok(None) => break,
+            Ok(Some(chunk)) => {
+                total += chunk.len();
+                state.metrics.stream_chunks.inc();
+                state.metrics.stream_bytes.add(chunk.len() as u64);
+                if total > limits.max_request {
+                    let msg =
+                        format!("stream exceeds the {}-byte aggregate limit", limits.max_request);
+                    return Ok(Reply::framing(&msg).carrying(total));
+                }
+                if let (None, Some(s)) = (&parse_err, stream.as_mut()) {
+                    let ft = state.metrics.stream_feed_us.start();
+                    let fed = s.feed(&chunk);
+                    state.metrics.stream_feed_us.observe_since(ft);
+                    // Keep draining (the framing is intact), but stop
+                    // feeding: the error is final.
+                    parse_err = fed.err();
+                }
+            }
+        }
+    }
+    let reply = match &entry {
+        _ if inflight.is_none() => Reply::shed(),
+        Err(e) => Reply::error(e),
+        Ok(entry) => {
+            let stream = stream.expect("stream built for live entry");
+            match parse_err.map_or_else(|| stream.finish(), Err) {
+                Err(e) => Reply::error(&format!("document is not well-formed: {e}")),
+                Ok(outcome) => {
+                    state.metrics.documents.inc();
+                    // Streaming runs on its checker's private cache, not
+                    // the engine's memo, so the reply's memo field is
+                    // always null (same JSON shape as CHECK).
+                    let body = check_response(&outcome, entry, false);
+                    Reply::checked(body, outcome.is_potentially_valid())
+                }
+            }
+        }
+    };
+    Ok(reply.carrying(total))
+}
+
+/// `BATCH`: each document is one pool task, lexed and checked with no
+/// tree; the reply names the malformed document of lowest index.
+fn batch(
+    state: &ServiceState,
+    handle: &str,
+    jobs: usize,
+    xmls: Vec<String>,
+    stages: &mut Vec<(String, u64)>,
+) -> Reply {
+    // Pool-bound work honours the in-flight cap.
+    let Some(_permit) = state.gov.try_inflight() else { return Reply::shed() };
+    let entry = match state.entry(handle) {
+        Ok(entry) => entry,
+        Err(e) => return Reply::error(&e),
+    };
+    let m = &state.metrics;
+    let rt = m.recognize_us.start();
+    let results = entry.engine.check_batch_pooled(&Arc::new(xmls), &state.pool, jobs);
+    if let Some(us) = m.recognize_us.observe_since(rt) {
+        stages.push(("recognize".to_owned(), us));
+    }
+    let indexed = results.into_iter().enumerate().map(|(i, r)| r.map_err(|e| (i, e)));
+    let outcomes = match indexed.collect::<Result<Vec<_>, _>>() {
+        Ok(outcomes) => outcomes,
+        Err((i, e)) => return Reply::error(&format!("document #{i} is not well-formed: {e}")),
+    };
+    m.documents.add(outcomes.len() as u64);
+    let mut out = String::from("{\"ok\":true,\"outcomes\":[");
+    for (i, o) in outcomes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_outcome(&mut out, o);
+    }
+    out.push_str("]}");
+    // The access log's verdict for a batch: `pv` if any document is.
+    if outcomes.is_empty() {
+        Reply::ok(out)
+    } else {
+        Reply::checked(out, outcomes.iter().any(PvOutcome::is_potentially_valid))
+    }
+}
+
+/// Renders the `STATS` reply. Its counters are the registry's, so it and
+/// `METRICS` keep one set of books and `RESET` restarts both.
+fn stats_response(state: &ServiceState) -> String {
+    // The engines' work counters, as METRICS reports them.
+    let work = |name| state.obs.counter(name).get();
+    let count = |disposition| state.metrics.count(disposition).get();
+    let mut out = String::from("{\"ok\":true");
+    let _ = write!(
+        out,
+        ",\"uptime_ms\":{},\"requests\":{},\"documents\":{},\"workers\":{}",
+        state.started.elapsed().as_millis(),
+        state.metrics.requests.get(),
+        state.metrics.documents.get(),
+        state.pool.workers(),
+    );
+    let _ = write!(
+        out,
+        ",\"speculation\":{{\"symbols\":{},\"node_visits\":{},\"subs_created\":{},\"specs_denied\":{}}}",
+        work("pv_engine_symbols_total"),
+        work("pv_engine_node_visits_total"),
+        work("pv_engine_subs_created_total"),
+        work("pv_engine_specs_denied_total"),
+    );
+    let _ = write!(
+        out,
+        ",\"governance\":{{\"draining\":{},\"active\":{},\"max_connections\":{},\
+         \"conns_shed\":{},\"inflight\":{},\"max_inflight\":{},\"reqs_shed\":{},\
+         \"timeouts\":{},\"drains_forced\":{}}}",
+        state.shutdown.load(Ordering::SeqCst),
+        state.gov.active(),
+        state.gov.config.max_connections,
+        count(Disposition::Busy),
+        state.gov.inflight(),
+        state.gov.config.max_inflight,
+        count(Disposition::Shed),
+        count(Disposition::IdleTimeout) + count(Disposition::ReadTimeout),
+        count(Disposition::DrainForced),
+    );
+    out.push_str(",\"dtds\":[");
+    let dtds = state.dtds.read().unwrap();
+    let mut handles: Vec<&String> = dtds.keys().collect();
+    handles.sort();
+    for (i, handle) in handles.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let entry = &dtds[*handle];
+        out.push_str("{\"handle\":");
+        json::write_str(&mut out, handle);
+        out.push_str(",\"label\":");
+        json::write_str(&mut out, &entry.label);
+        out.push_str(",\"class\":");
+        json::write_str(&mut out, &entry.engine.analysis().rec.class.to_string());
+        out.push_str(",\"memo\":");
+        match entry.engine.memo_stats() {
+            Some(m) => json::write_memo(&mut out, &m),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"analysis\":");
+        write_analysis(&mut out, &entry.report);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Renders the `METRICS` reply: the registry snapshot as one JSON line
@@ -1236,7 +1226,7 @@ fn handle_request(
 /// trace ring (oldest first). Deterministic: metrics appear in name
 /// order, so two scrapes with no traffic between them are bytewise
 /// identical apart from `uptime_ms`.
-fn metrics_response(state: &Arc<ServiceState>) -> String {
+fn metrics_response(state: &ServiceState) -> String {
     state.refresh_gauges();
     let snap = state.obs.snapshot();
     let mut out = String::from("{\"ok\":true");
@@ -1244,7 +1234,7 @@ fn metrics_response(state: &Arc<ServiceState>) -> String {
         out,
         ",\"uptime_ms\":{},\"slow_threshold_us\":{}",
         state.started.elapsed().as_millis(),
-        state.obs.slow_threshold_us(),
+        pv_obs::SLOW_THRESHOLD_US,
     );
     out.push_str(",\"counters\":{");
     for (i, (name, v)) in snap.counters.iter().enumerate() {
@@ -1301,9 +1291,9 @@ fn metrics_response(state: &Arc<ServiceState>) -> String {
     out
 }
 
-fn load_response(result: Result<(String, Arc<DtdEntry>), String>) -> String {
+fn load_response(result: Result<(String, Arc<DtdEntry>), String>) -> Reply {
     match result {
-        Err(e) => err_response(&e),
+        Err(e) => Reply::error(&e),
         Ok((handle, entry)) => {
             let a = entry.engine.analysis();
             let mut out = String::from("{\"ok\":true,\"handle\":");
@@ -1321,7 +1311,7 @@ fn load_response(result: Result<(String, Arc<DtdEntry>), String>) -> String {
             out.push_str(",\"analysis\":");
             write_analysis(&mut out, &entry.report);
             out.push('}');
-            out
+            Reply::ok(out)
         }
     }
 }
@@ -1343,7 +1333,7 @@ fn write_analysis(out: &mut String, report: &StaticReport) {
     );
 }
 
-fn check_response(outcome: &pv_core::checker::PvOutcome, entry: &DtdEntry, memo: bool) -> String {
+fn check_response(outcome: &PvOutcome, entry: &DtdEntry, memo: bool) -> String {
     let mut out = String::from("{\"ok\":true,\"outcome\":");
     json::write_outcome(&mut out, outcome);
     out.push_str(",\"memo\":");

@@ -283,6 +283,8 @@ fn lint_judges_declared_models() {
         ("(a?, a)", true),
         ("((a, b) | (a, c))", true),
         ("(a, (b | c))", false),
+        ("(a?)+", false),
+        ("(b*)+", false),
     ] {
         let src = format!(
             "<!ELEMENT top (r, a, b, c)><!ELEMENT r {model}>

@@ -16,16 +16,22 @@
 //!   atomically: recognizer totals, memo telemetry, and the metrics
 //!   registry all read zero afterwards — no mixed-window STATS;
 //! * `STATS` and `METRICS` keep one set of books: STATS' work totals are
-//!   the registry's `pv_engine_*` counters, streamed checks included.
+//!   the registry's `pv_engine_*` counters, streamed checks included,
+//!   and its governance counts are the registry's disposition counters,
+//!   so `RESET` restarts both.
 
 use potential_validity::prelude::*;
 use pv_core::stream::StreamCheck;
 use pv_obs::Registry;
 use pv_par::Pool;
-use pv_service::{Client, Endpoint, Server};
+use pv_service::json::Json;
+use pv_service::{Client, Endpoint, GovernorConfig, Server, ServiceError};
 use pv_workload::corpus;
 use pv_workload::mutate::Mutator;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Builtin corpus documents in several states of (dis)repair — the same
 /// scenario shapes the service differential uses, checked one by one and
@@ -311,6 +317,102 @@ fn stats_and_metrics_keep_one_set_of_books() {
     // The CHECK, the CHECK_STREAM and the batch's two well-formed
     // documents.
     assert_eq!(metric(&metrics, "pv_engine_checks_total"), 4);
+
+    client.shutdown().unwrap();
+    drop(client);
+    server.join();
+}
+
+/// A field of STATS' `"governance"` block.
+fn governance(stats: &Json, key: &str) -> u64 {
+    stats
+        .get("governance")
+        .and_then(|g| g.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("governance block missing {key:?}"))
+}
+
+/// STATS' `"governance"` counts against the `METRICS` counters that hold
+/// the same events, in pairs.
+fn governance_books(client: &mut Client) -> Vec<(u64, u64)> {
+    let stats = client.stats().unwrap();
+    let metrics = client.metrics().unwrap();
+    let timeouts = metric(&metrics, "pv_service_idle_timeout_total")
+        + metric(&metrics, "pv_service_read_timeout_total");
+    vec![
+        (governance(&stats, "conns_shed"), metric(&metrics, "pv_service_busy_total")),
+        (governance(&stats, "reqs_shed"), metric(&metrics, "pv_service_shed_total")),
+        (governance(&stats, "timeouts"), timeouts),
+        (governance(&stats, "drains_forced"), metric(&metrics, "pv_service_drain_forced_total")),
+    ]
+}
+
+/// STATS' `"governance"` block and `METRICS` keep one set of books for
+/// refusals and timeouts too, and `RESET` restarts both: one connection
+/// turned away over `max_connections`, one request shed over
+/// `max_inflight`, one idle reap and one stalled stream upload.
+#[test]
+fn governance_counters_keep_one_set_of_books() {
+    let config = GovernorConfig {
+        max_connections: 3,
+        max_inflight: 1,
+        idle_timeout: Some(Duration::from_secs(1)),
+        ..GovernorConfig::default()
+    };
+    let server = Server::bind_with(&Endpoint::parse("127.0.0.1:0"), 1, config).expect("bind");
+    let addr = server.endpoint().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let dtd = client.load_builtin("figure1").unwrap();
+
+    // A stream that stalls after its first chunk holds the only in-flight
+    // permit; its chunk gap runs under the idle deadline and then ends as
+    // a read timeout. A connection that never sends a verb line is
+    // reaped idle.
+    let mut holder = TcpStream::connect(&addr).unwrap();
+    write!(holder, "CHECK_STREAM {}\n3\n<r>", dtd.handle).unwrap();
+    holder.flush().unwrap();
+    let _idler = TcpStream::connect(&addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = client.stats().unwrap();
+        if governance(&stats, "active") == 3 && governance(&stats, "inflight") == 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "holder and idler never settled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A fourth connection is turned away busy, and a check past the
+    // in-flight cap is shed.
+    let refused = TcpStream::connect(&addr).unwrap();
+    let mut line = String::new();
+    BufReader::new(refused).read_line(&mut line).unwrap();
+    assert!(line.contains("\"kind\":\"busy\""), "{line}");
+    match client.check(&dtd.handle, "<r/>", 1, true) {
+        Err(ServiceError::Unavailable { kind, .. }) => assert_eq!(kind, "busy"),
+        other => panic!("expected a shed check, got {other:?}"),
+    }
+
+    // Wait, keeping this connection busy, until the registry has counted
+    // the refusal, the shed, the reap and the stalled upload; then both
+    // faces must read the same numbers.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let counted = loop {
+        let books = governance_books(&mut client);
+        if books.iter().map(|&(_, m)| m).eq([1, 1, 2, 0]) {
+            break books;
+        }
+        assert!(Instant::now() < deadline, "the four events were never counted: {books:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    for (stats, metrics) in counted {
+        assert_eq!(stats, metrics, "STATS against METRICS before RESET");
+    }
+
+    client.reset(&dtd.handle).unwrap();
+    for (stats, metrics) in governance_books(&mut client) {
+        assert_eq!((stats, metrics), (0, 0), "STATS and METRICS after RESET");
+    }
 
     client.shutdown().unwrap();
     drop(client);
