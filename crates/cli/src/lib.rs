@@ -18,9 +18,9 @@
 //!   (Definition 2 / Figure 3 as a tool);
 //! * `classify` — DTD statistics and the recursion class (Definitions
 //!   6–8), which decides whether a depth bound is needed;
-//! * `lint` — DTD diagnostics on the declared content models: unusable
-//!   elements, non-deterministic (1-ambiguous) models, PV-strong
-//!   recursive elements.
+//! * `lint` — DTD diagnostics on the declared content models: models
+//!   that are not 1-unambiguous (judged by [`pv_dtd::glushkov`]),
+//!   PV-strong recursive elements and `ANY` content.
 //!
 //! Every command finds its DTD by one rule ([`resolve_dtd`]): `--builtin`,
 //! then `--dtd` with `--root`, then the document's internal subset
@@ -30,8 +30,10 @@
 //! with one push parser when the prolog carries the DTD, resolves the
 //! DTD, and hands the document to the mode's checker; the streamed modes
 //! read the file as they go. The library part of this crate (this
-//! module) holds the testable command implementations; `src/bin/pvx.rs`
-//! is a thin argv wrapper.
+//! module) holds the testable command implementations and the argv
+//! reader: every flag is declared once in one table (`FLAGS`) with what
+//! it takes and the commands that take it, and [`Args::parse`] refuses
+//! any other use. `src/bin/pvx.rs` is a thin wrapper.
 
 use pv_core::checker::PvOutcome;
 use pv_core::depth::DepthPolicy;
@@ -41,7 +43,7 @@ use pv_core::token::Tokens;
 use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
 use pv_dtd::{ContentSpec, Dtd, DtdAnalysis};
-use pv_grammar::validator::{validate_document_with, ContentAutomata, ValidateOptions};
+use pv_grammar::validator::{validate_document_with, ValidateOptions};
 use pv_grammar::witness::{complete_document, complete_tokens};
 use pv_service::{json, Client};
 use pv_xml::{Doctype, Document};
@@ -67,6 +69,323 @@ impl Status {
             Status::Failed => 1,
             Status::Error => 2,
         }
+    }
+}
+
+/// The `pvx` usage text.
+pub const USAGE: &str = "\
+pvx — potential validity of document-centric XML (ICDE 2006)
+
+USAGE:
+  pvx check    [--dtd FILE --root NAME | --builtin NAME] [--depth N] [--no-memo]
+               [--json] [-v] [--stream [--chunk-size N]] [--remote ADDR] DOC.xml...
+  pvx validate [--dtd FILE --root NAME | --builtin NAME] [--ignore-whitespace] DOC.xml...
+  pvx complete [--dtd FILE --root NAME | --builtin NAME] DOC.xml
+  pvx classify (--dtd FILE --root NAME | --builtin NAME)
+  pvx lint     (--dtd FILE --root NAME | --builtin NAME)
+  pvx analyze  (--dtd FILE --root NAME | --builtin NAME) [--json]
+  pvx serve    (--socket PATH | --port N) [--jobs N] [--max-conns N]
+               [--max-inflight N] [--idle-timeout-ms N] [--read-timeout-ms N]
+               [--write-timeout-ms N] [--drain-ms N] [--max-payload BYTES]
+               [--max-request BYTES] [--access-log] [--strict-load]
+               [--metrics-port N]
+  pvx top      ADDR [--interval-ms N] [--count N]
+  pvx bench-serve --remote ADDR [--builtin NAME] [--doc FILE]
+               [--requests N] [--concurrency N] [--flood N]
+               [--stream [--chunk-size N]] [--json]
+
+The DTD comes from --builtin, else --dtd with --root, else the
+document's internal DTD subset (<!DOCTYPE root [ ... ]>, rooted at
+--root when given). Builtins: figure1, t1, t2, xhtml-basic, tei-lite,
+play, docbook-like, dissertation, docbook-article, tei-drama.
+
+`check` checks each document on the calling thread, lexing its bytes
+straight into the checker without building a tree: a single document
+is never split over threads, so --jobs belongs to `serve` alone and is
+refused elsewhere (exit 2). `check` memoizes repeated recognizer steps
+(configuration, child symbol) in a transition cache and reports its
+telemetry on a trailing `memo:` line (symbols hit and missed, cached
+transitions); with --no-memo the document is checked with no cache at
+all, locally or over --remote. The verdict and the diagnosis are
+identical either way.
+
+--json makes `check` print one machine-readable JSON line per document
+(verdict, first violation, memo/speculation counters) instead of text.
+-v adds a one-line `analysis:` summary (recursion class, determinism,
+speculation-budget certificate) to each text-mode `check` report.
+
+Each command takes only the flags on its lines above; any other flag is
+refused (exit 2) with a message naming the commands that take it.
+
+`pvx lint` judges determinism on the declared content models, as XML
+appendix E states it (so `(a?, a)` is 1-ambiguous); `pvx analyze` judges
+the PV-normalized models the recognizer runs (`?` dropped, `+` widened
+to `*`), where `(a?, a)` is deterministic. Both run one Glushkov
+construction.
+
+`pvx analyze` runs the static DTD analyzer: Glushkov 1-unambiguity per
+PV-normalized content model (with a concrete witness pair on ambiguity)
+and a static speculation-budget certificate — a proof that the full
+budget every check runs with is never used up (`specs_denied == 0`).
+--json emits one stable machine-readable object. Exit codes:
+0 = budget-certified, 1 = flagged (analysis ran; certification
+refused), 2 = error.
+
+--stream reads the document in chunks (default 64 KiB, --chunk-size N)
+instead of whole, pushing them through the SAX-style event front end
+and validating as it parses, in O(depth) memory, with a verdict and
+counters bit-identical to the default check. With --remote the chunks
+upload as one CHECK_STREAM request, each read from the file as the
+upload goes, while the server validates them. Either way the client
+holds at most one chunk plus the prolog, which is read first when it
+carries the DTD. --no-memo does not apply to streaming checks.
+
+`pvx serve` runs the resident validation server: a persistent pool of
+--jobs N parked workers (default 0 = one per CPU; a worker the OS cannot
+start is an error, exit 2) that checks each BATCH request one document
+per task, and, per loaded DTD, pre-compiled DAGs plus a warm
+transition cache lent to one check at a time across requests.
+`pvx check --remote ADDR` ships documents to such a server (ADDR is the
+socket path or host:port), which lexes and checks them, and renders the
+bit-identical outcome; the DTD (from the flags, or the internal subset
+of each document's prolog) is loaded (idempotently) into the server on
+first use.
+
+`pvx serve` governance: --max-conns caps concurrent connections (excess
+gets a clean BUSY error; 0 = unlimited), --max-inflight caps concurrent
+pool-bound checks (excess is shed per request), --idle-timeout-ms reaps
+connections idle between requests, --read/--write-timeout-ms bound each
+transfer, --drain-ms bounds the graceful drain after SHUTDOWN, and
+--max-payload/--max-request cap request sizes. A timeout value of 0
+disables that deadline. --access-log prints one structured line per
+request (op, handle, bytes, duration, verdict, disposition) to stderr.
+--strict-load refuses LOAD/BUILTIN of DTDs the static analyzer cannot
+budget-certify (see `pvx analyze`).
+
+`pvx serve --metrics-port N` additionally serves the telemetry registry
+over HTTP on 127.0.0.1:N: GET /metrics answers in the Prometheus text
+exposition format, GET /metrics.json mirrors the wire protocol's
+METRICS verb (counters, gauges, latency histograms with
+p50/p95/p99/max, recent slow-request traces). `pvx top ADDR` polls
+METRICS and renders a live terminal view of the same data — request
+rate, stage-level latency, memo hit rate, pool and governor pressure
+(--interval-ms, default 1000; --count N prints N frames and exits,
+0 = until interrupted).
+
+`pvx bench-serve` measures a server honestly: every request counts as
+exactly one of ok / shed (server said busy or draining) / error, so
+throughput and shed rate are real. Completed checks feed a latency
+histogram reported as p50/p95/p99/max. --flood holds N extra idle
+connections open to push a --max-conns-limited server into shedding.
+With --stream each request uploads the document as CHECK_STREAM chunks
+(default 64 KiB, --chunk-size N); --concurrency N runs N such uploads
+at once, one connection each, measuring the streaming path at service
+scale.
+
+EXIT CODES: 0 ok / potentially valid · 1 check failed · 2 usage or parse error";
+
+/// What a `pvx` flag takes after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// A word: a path, a name or an address.
+    Word,
+    /// A whole number from `min` to `max` (the range of what reads it).
+    Number {
+        /// Smallest value taken.
+        min: u64,
+        /// Largest value taken.
+        max: u64,
+    },
+}
+
+/// One `pvx` flag: its name, what it takes, and the commands [`USAGE`]
+/// lists it under, which are the only ones that take it.
+#[derive(Debug)]
+pub(crate) struct Flag {
+    /// The flag as typed.
+    name: &'static str,
+    /// What follows it.
+    takes: Takes,
+    /// The commands that take it.
+    commands: &'static [&'static str],
+}
+
+const fn flag(name: &'static str, takes: Takes, commands: &'static [&'static str]) -> Flag {
+    Flag { name, takes, commands }
+}
+
+const fn upto(max: u64) -> Takes {
+    Takes::Number { min: 0, max }
+}
+
+const DTD_COMMANDS: &[&str] = &["check", "validate", "complete", "classify", "lint", "analyze"];
+const BUILTIN_COMMANDS: &[&str] =
+    &["check", "validate", "complete", "classify", "lint", "analyze", "bench-serve"];
+const CHECK_OR_BENCH: &[&str] = &["check", "bench-serve"];
+const SIZE: u64 = usize::MAX as u64;
+
+/// Every `pvx` flag, each declared once. `-v` is also spelled
+/// `--verbose`.
+pub(crate) const FLAGS: &[Flag] = &[
+    flag("--dtd", Takes::Word, DTD_COMMANDS),
+    flag("--root", Takes::Word, DTD_COMMANDS),
+    flag("--builtin", Takes::Word, BUILTIN_COMMANDS),
+    flag("--depth", upto(u32::MAX as u64), &["check"]),
+    flag("--no-memo", Takes::Nothing, &["check"]),
+    flag("--json", Takes::Nothing, &["check", "analyze", "bench-serve"]),
+    flag("-v", Takes::Nothing, &["check"]),
+    flag("--stream", Takes::Nothing, CHECK_OR_BENCH),
+    flag("--chunk-size", Takes::Number { min: 1, max: SIZE }, CHECK_OR_BENCH),
+    flag("--remote", Takes::Word, CHECK_OR_BENCH),
+    flag("--ignore-whitespace", Takes::Nothing, &["validate"]),
+    flag("--socket", Takes::Word, &["serve"]),
+    flag("--port", upto(u16::MAX as u64), &["serve"]),
+    flag("--jobs", upto(SIZE), &["serve"]),
+    flag("--max-conns", upto(SIZE), &["serve"]),
+    flag("--max-inflight", upto(SIZE), &["serve"]),
+    flag("--idle-timeout-ms", upto(u64::MAX), &["serve"]),
+    flag("--read-timeout-ms", upto(u64::MAX), &["serve"]),
+    flag("--write-timeout-ms", upto(u64::MAX), &["serve"]),
+    flag("--drain-ms", upto(u64::MAX), &["serve"]),
+    flag("--max-payload", upto(SIZE), &["serve"]),
+    flag("--max-request", upto(SIZE), &["serve"]),
+    flag("--access-log", Takes::Nothing, &["serve"]),
+    flag("--strict-load", Takes::Nothing, &["serve"]),
+    flag("--metrics-port", upto(u16::MAX as u64), &["serve"]),
+    flag("--interval-ms", Takes::Number { min: 1, max: u64::MAX }, &["top"]),
+    flag("--count", upto(SIZE), &["top"]),
+    flag("--doc", Takes::Word, &["bench-serve"]),
+    flag("--requests", upto(SIZE), &["bench-serve"]),
+    flag("--concurrency", upto(SIZE), &["bench-serve"]),
+    flag("--flood", upto(SIZE), &["bench-serve"]),
+];
+
+/// Every `pvx` command.
+pub(crate) const COMMANDS: &[&str] = &[
+    "check",
+    "validate",
+    "complete",
+    "classify",
+    "lint",
+    "analyze",
+    "serve",
+    "top",
+    "bench-serve",
+];
+
+/// Why a `pvx` command line cannot run.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// A malformed command line; the usage text follows the message.
+    Usage(String),
+    /// A flag the command does not take, or a pair of flags it cannot
+    /// combine.
+    Refused(String),
+}
+
+/// A `pvx` command line read through the flag table (`FLAGS`).
+#[derive(Debug)]
+pub struct Args {
+    /// The command.
+    pub command: String,
+    /// The flags given, in order, each with its value (empty for a
+    /// switch).
+    given: Vec<(&'static Flag, String)>,
+    /// The positional arguments: documents, or `top`'s address.
+    pub docs: Vec<String>,
+}
+
+impl Args {
+    /// Reads `argv` (program name excluded): each flag must be in the
+    /// flag table, carry the value it takes and belong to the command.
+    /// `Ok(None)` asks for the usage text (`--help`, `-h`).
+    pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, ArgError> {
+        let usage = |msg: String| Err(ArgError::Usage(msg));
+        let mut argv = argv.into_iter();
+        let Some(command) = argv.next() else { return usage("missing command".to_owned()) };
+        let mut args = Args { command, given: Vec::new(), docs: Vec::new() };
+        while let Some(arg) = argv.next() {
+            let name = if arg == "--verbose" { "-v" } else { arg.as_str() };
+            if matches!(name, "--help" | "-h") {
+                return Ok(None);
+            }
+            let Some(flag) = FLAGS.iter().find(|f| f.name == name) else {
+                if name.starts_with('-') {
+                    return usage(format!("unknown flag {arg}"));
+                }
+                args.docs.push(arg);
+                continue;
+            };
+            let value = match flag.takes {
+                Takes::Nothing => String::new(),
+                takes => {
+                    let Some(v) = argv.next() else {
+                        return usage(format!("{name} requires a value"));
+                    };
+                    if let Takes::Number { min, max } = takes {
+                        match v.parse::<u64>() {
+                            Ok(n) if n > max => return usage(format!("bad {name} {v:?}")),
+                            Ok(n) if n < min => {
+                                return usage(format!("{name} must be at least {min}"))
+                            }
+                            Ok(_) => {}
+                            Err(_) => return usage(format!("bad {name} {v:?}")),
+                        }
+                    }
+                    v
+                }
+            };
+            args.given.push((flag, value));
+        }
+        if !COMMANDS.contains(&args.command.as_str()) {
+            return usage(format!("unknown command {:?}", args.command));
+        }
+        let refuse = |msg: String| Err(ArgError::Refused(msg));
+        let command = args.command.as_str();
+        if let Some((flag, _)) = args.given.iter().find(|(f, _)| !f.commands.contains(&command)) {
+            let mut names: Vec<String> =
+                flag.commands.iter().map(|c| format!("`pvx {c}`")).collect();
+            let last = names.pop().unwrap_or_default();
+            let list = match names.len() {
+                0 => last,
+                _ => format!("{} and {last}", names.join(", ")),
+            };
+            return refuse(format!("{} is only supported by {list}", flag.name));
+        }
+        if args.has("--remote") && args.has("--depth") {
+            // The wire protocol has no depth parameter: the server's
+            // engines run under their automatic depth policy. A silently
+            // different verdict would be worse than an error.
+            return refuse(
+                "--depth cannot be combined with --remote (the server uses its automatic \
+                 depth policy)"
+                    .to_owned(),
+            );
+        }
+        if args.has("--chunk-size") && !args.has("--stream") {
+            return refuse("--chunk-size requires --stream".to_owned());
+        }
+        Ok(Some(args))
+    }
+
+    /// The value given for flag `name` (the last, if given twice; empty
+    /// for a switch).
+    pub fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "{name} is not in FLAGS");
+        self.given.iter().rev().find(|(f, _)| f.name == name).map(|(_, v)| v.as_str())
+    }
+
+    /// `true` if flag `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The number given for flag `name`, in a type as wide as the range
+    /// the flag table gives it (checked when parsed).
+    pub fn number<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).and_then(|v| v.parse().ok())
     }
 }
 
@@ -955,9 +1274,11 @@ pub fn cmd_lint(ctx: &DtdContext) -> (String, Status) {
     let mut findings = 0usize;
 
     for x in a.dtd.ids() {
-        if matches!(a.dtd.element(x).content, ContentSpec::Children(_))
-            && !ContentAutomata::for_element(&a.dtd, x).is_deterministic()
-        {
+        let declared = match &a.dtd.element(x).content {
+            ContentSpec::Children(cp) => pv_dtd::glushkov::declared_determinism(&a.dtd, cp),
+            _ => pv_dtd::Determinism::Deterministic,
+        };
+        if !declared.is_deterministic() {
             findings += 1;
             let _ = writeln!(
                 report,
@@ -1134,6 +1455,113 @@ pub fn cmd_analyze(ctx: &DtdContext, json_out: bool) -> (String, Status) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<Option<Args>, ArgError> {
+        Args::parse(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn every_command_refuses_a_flag_it_does_not_take() {
+        for (line, refused) in [
+            (
+                "check --max-conns 3 --metrics-port 9 d.xml",
+                "--max-conns is only supported by `pvx serve`",
+            ),
+            ("validate --no-memo d.xml", "--no-memo is only supported by `pvx check`"),
+            (
+                "complete --ignore-whitespace d.xml",
+                "--ignore-whitespace is only supported by `pvx validate`",
+            ),
+            (
+                "classify --json --builtin t1",
+                "--json is only supported by `pvx check`, `pvx analyze` and `pvx bench-serve`",
+            ),
+            ("lint --depth 4 --builtin t1", "--depth is only supported by `pvx check`"),
+            (
+                "analyze --stream --builtin t1",
+                "--stream is only supported by `pvx check` and `pvx bench-serve`",
+            ),
+            ("serve --depth 4 --port 7", "--depth is only supported by `pvx check`"),
+            ("top 127.0.0.1:7 --jobs 2", "--jobs is only supported by `pvx serve`"),
+            ("bench-serve --remote a --verbose", "-v is only supported by `pvx check`"),
+            (
+                "validate --remote a d.xml",
+                "--remote is only supported by `pvx check` and `pvx bench-serve`",
+            ),
+        ] {
+            match parse(line) {
+                Err(ArgError::Refused(msg)) => assert_eq!(msg, refused, "{line}"),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn flags_parse_once_with_their_rules() {
+        let args = parse("check --builtin play --depth 4 -v --stream --chunk-size 9 a.xml b.xml")
+            .unwrap()
+            .unwrap();
+        assert_eq!(args.value("--builtin"), Some("play"));
+        assert_eq!(args.number::<u32>("--depth"), Some(4));
+        assert!(args.has("-v") && args.has("--stream") && !args.has("--no-memo"));
+        assert_eq!(args.number::<usize>("--chunk-size"), Some(9));
+        assert_eq!(args.docs, ["a.xml", "b.xml"]);
+        let twice = parse("check --depth 3 --depth 5 d").unwrap().unwrap();
+        assert_eq!(twice.number("--depth"), Some(5u32));
+        assert!(parse("lint --builtin t1 -h").unwrap().is_none());
+        for (line, usage) in [
+            ("", "missing command"),
+            ("check --depth x d", "bad --depth \"x\""),
+            ("serve --port 70000", "bad --port \"70000\""),
+            ("check --dtd", "--dtd requires a value"),
+            ("check --stream --chunk-size 0 d", "--chunk-size must be at least 1"),
+            ("top a --interval-ms 0", "--interval-ms must be at least 1"),
+            ("check --frob d", "unknown flag --frob"),
+            ("frob d", "unknown command \"frob\""),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), ArgError::Usage(usage.to_owned()), "{line}");
+        }
+        for (line, refused) in [
+            (
+                "check --remote a --depth 3 d",
+                "--depth cannot be combined with --remote (the server uses its automatic depth policy)",
+            ),
+            ("check --chunk-size 3 d", "--chunk-size requires --stream"),
+            ("bench-serve --remote a --chunk-size 3", "--chunk-size requires --stream"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), ArgError::Refused(refused.to_owned()), "{line}");
+        }
+    }
+
+    /// Each command's lines in [`USAGE`] name exactly the flags [`FLAGS`]
+    /// gives it.
+    #[test]
+    fn usage_lists_each_flag_under_its_commands() {
+        let mut listed: Vec<(String, Vec<String>)> = Vec::new();
+        let lines = USAGE.lines().skip_while(|l| l != &"USAGE:").skip(1);
+        for line in lines.take_while(|l| !l.is_empty()) {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"pvx") {
+                words.next();
+                listed.push((words.next().unwrap().to_owned(), Vec::new()));
+            }
+            let flags = &mut listed.last_mut().unwrap().1;
+            for w in words {
+                let w = w.trim_matches(|c| matches!(c, '[' | ']' | '(' | ')'));
+                if w.starts_with('-') && !flags.iter().any(|f| f == w) {
+                    flags.push(w.to_owned());
+                }
+            }
+        }
+        assert_eq!(listed.iter().map(|(c, _)| c.as_str()).collect::<Vec<_>>(), COMMANDS);
+        for (command, mut flags) in listed {
+            flags.sort();
+            let mut table: Vec<&str> =
+                FLAGS.iter().filter(|f| f.commands.contains(&&*command)).map(|f| f.name).collect();
+            table.sort();
+            assert_eq!(flags, table, "{command}");
+        }
+    }
 
     fn fig1_ctx() -> DtdContext {
         resolve_dtd(None, None, Some("figure1"), None).unwrap()

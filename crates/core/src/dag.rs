@@ -363,7 +363,8 @@ fn build_cascade_hints(
 }
 
 /// Builds the minimal-elision-distance table by Bellman–Ford-style
-/// relaxation over strong (simple-node) edges.
+/// relaxation over the DTD's strong edges
+/// ([`pv_dtd::RecursionInfo::strong_edges`]).
 fn build_probe_table(analysis: &DtdAnalysis, dags: &[ElementDag]) -> Vec<u32> {
     let m = dags.len();
     let cols = m + 1;
@@ -399,24 +400,16 @@ fn build_probe_table(analysis: &DtdAnalysis, dags: &[ElementDag]) -> Vec<u32> {
         }
     }
 
-    // Strong adjacency: y → z when z is a simple node of DAG_y.
-    let mut strong: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (y, dag) in dags.iter().enumerate() {
-        for node in &dag.nodes {
-            if let DagNodeKind::Simple(z) = &node.kind {
-                if !strong[y].contains(&z.index()) {
-                    strong[y].push(z.index());
-                }
-            }
-        }
-    }
-
-    // Relax until fixpoint: md[y][x] ≤ 1 + md[z][x] for strong y → z.
+    // Relax until fixpoint: md[y][x] ≤ 1 + md[z][x] for strong y → z
+    // (z a simple node of DAG_y). In bottom-up order one pass settles an
+    // acyclic strong graph; strong cycles take a pass per extra step.
+    let rec = &analysis.rec;
     let mut changed = true;
     while changed {
         changed = false;
-        for y in 0..m {
-            for &z in &strong[y] {
+        for &y in rec.bottom_up() {
+            for z in rec.strong_edges(y) {
+                let (y, z) = (y.index(), z.index());
                 for x in 0..cols {
                     let via = md[z * cols + x].saturating_add(1);
                     if via < md[y * cols + x] {

@@ -188,11 +188,11 @@ pub struct EcRecognizer<'a> {
     /// Scratch: same, for the next generation (successors of consumed
     /// nodes — available only from the following symbol on).
     nxt: Vec<bool>,
-    /// Scratch for one `validate` round: entries consumed this symbol whose
+    /// Scratch for one round: entries consumed this symbol whose
     /// successors activate for the next one. Kept as a field (emptied
     /// between rounds) so the steady-state hot path never allocates.
     advanced: Vec<Entry<'a>>,
-    /// Scratch for one `validate` round: entries that matched and stay
+    /// Scratch for one round: entries that matched and stay
     /// active (star-groups, partial subs).
     stayed: Vec<Entry<'a>>,
     /// Round state: parked speculation requests `(1 + md(y, x), node)`,
@@ -279,7 +279,7 @@ impl<'a> EcRecognizer<'a> {
     /// nested recognizer encoded recursively. The words are opaque to
     /// every caller; [`EcRecognizer::load`] is their only reader.
     ///
-    /// It relies on the between-round invariant: outside a `validate` /
+    /// It relies on the between-round invariant: outside an
     /// `advance_run` call, every round buffer (`advanced`, `stayed`,
     /// `pending`, `holders`, `parked_round`) is empty, the generation
     /// bitmaps and `matched`/`sub_min` are rewritten before they are next
@@ -381,26 +381,6 @@ impl<'a> EcRecognizer<'a> {
     /// flagged via [`RecognizerStats::specs_denied`] (`0` over a corpus
     /// certifies every verdict is budget-independent).
     pub const SPEC_BUDGET_PER_SYMBOL: u32 = pv_dtd::budget::SPEC_FLOOR;
-
-    /// Figure 5's `validate(x)`: feeds one symbol, returns `true` iff the
-    /// content so far is still potentially valid.
-    ///
-    /// One symbol is one **round** over the whole nested-recognizer tree
-    /// (see the module docs): FIFO work first, then the driver loop below
-    /// opens parked speculation requests strictly cheapest-first across
-    /// the entire tree until the agenda empties or the budget runs out,
-    /// then resolution runs bottom-up.
-    pub fn validate(&mut self, x: ChildSym, stats: &mut RecognizerStats) -> bool {
-        // Every finite md value is < k, so k + 1 covers the globally
-        // cheapest elision chain; (k + 1)² additionally covers the
-        // side requests accompanying each chain level (see const docs).
-        let mut budget = self.ctx.spec_budget();
-        if self.begin_round(x, stats) {
-            return self.matched;
-        }
-        self.drive(x, stats, &mut budget, u32::MAX);
-        self.finish_round(stats)
-    }
 
     /// Phase 1: drain this recognizer's FIFO work for symbol `x`.
     ///
@@ -829,22 +809,23 @@ impl<'a> EcRecognizer<'a> {
         self.matched
     }
 
-    /// Figure 5's `recognize(x1 … xn)`, and the only multi-symbol entry
-    /// point: feeds a whole run of sibling symbols in one call, returning
-    /// the index of the first rejected symbol (`None` = every symbol
-    /// accepted; symbols after a rejection are not fed). Runs compose:
-    /// feeding a sequence in several consecutive calls is the same as
-    /// feeding it in one.
+    /// Figure 5's `recognize(x1 … xn)`, and the only entry point: feeds a
+    /// whole run of sibling symbols in one call, returning the index of
+    /// the first rejected symbol (`None` = every symbol accepted; symbols
+    /// after a rejection are not fed). Runs compose: feeding a sequence in
+    /// several consecutive calls — one symbol per call included — is the
+    /// same as feeding it in one, verdicts, stopping point and every
+    /// [`RecognizerStats`] counter alike (the contract `tests` pin
+    /// exhaustively).
     ///
-    /// Observationally identical — verdicts, stopping point, and every
-    /// [`RecognizerStats`] counter — to counting and feeding each symbol
-    /// through [`EcRecognizer::validate`] (the contract
-    /// `tests` pin exhaustively): the per-symbol budget bound is hoisted
-    /// out of the loop (it depends only on the immutable context), and a
-    /// round that `begin_round` resolves conclusively —
-    /// the non-speculating common case — short-circuits the agenda
-    /// driver and bottom-up resolution entirely, staying on the FIFO
-    /// lane for the whole run. Only the transition cache calls it (see
+    /// Each symbol is Figure 5's `validate(x)`: one **round** over the
+    /// whole nested-recognizer tree (see the module docs). FIFO work runs
+    /// first; a round that `begin_round` resolves conclusively — the
+    /// non-speculating common case — stays on that lane. Otherwise the
+    /// agenda driver opens parked speculation requests strictly
+    /// cheapest-first across the entire tree until the agenda empties or
+    /// the per-symbol budget runs out, then resolution runs bottom-up.
+    /// Only the transition cache calls it (see
     /// [`crate::memo`]): with each symbol a step misses on, and with the
     /// rest of a tree sequence whose configuration it does not intern
     /// (every sequence, with the memo off).
@@ -924,8 +905,7 @@ mod tests {
         let e = analysis.id("e").unwrap();
         let b = analysis.id("b").unwrap();
         let mut rec = EcRecognizer::new(ctx, a, u32::MAX);
-        assert!(rec.validate(ChildSym::Elem(b), &mut stats));
-        assert!(rec.validate(ChildSym::Elem(e), &mut stats));
+        assert_eq!(rec.advance_run(&[ChildSym::Elem(b), ChildSym::Elem(e)], &mut stats), None);
         assert!(stats.subs_created >= 2, "expected d and f recognizers, got {stats:?}");
     }
 
@@ -1058,7 +1038,7 @@ mod tests {
         let mut stats = RecognizerStats::default();
         let r = analysis.id("r").unwrap();
         let mut rec = EcRecognizer::new(ctx, r, u32::MAX);
-        assert!(rec.validate(ChildSym::Sigma, &mut stats));
+        assert_eq!(rec.advance_run(&[ChildSym::Sigma], &mut stats), None);
         // Group matching needs no sub-recognizers (Proposition 2).
         assert_eq!(stats.subs_created, 0);
     }
@@ -1203,30 +1183,23 @@ mod tests {
         assert_eq!(stats.specs_denied, 0, "{stats:?}");
     }
 
-    /// Feeds `syms` one at a time through `validate`, counting each fed
-    /// symbol, and returns the first rejected index — the per-symbol
-    /// reference `advance_run` is held to.
-    fn repeated_validate(
+    /// Feeds `syms` as one-symbol runs and returns the first rejected
+    /// index — the per-symbol reference a whole run is held to.
+    fn one_run_at_a_time(
         rec: &mut EcRecognizer<'_>,
         syms: &[ChildSym],
         stats: &mut RecognizerStats,
     ) -> Option<usize> {
-        for (i, &x) in syms.iter().enumerate() {
-            stats.symbols += 1;
-            if !rec.validate(x, stats) {
-                return Some(i);
-            }
-        }
-        None
+        (0..syms.len()).find(|&i| rec.advance_run(&syms[i..=i], stats).is_some())
     }
 
-    /// `advance_run` contract: identical stopping point *and* identical
-    /// stats to repeated `validate`, over every symbol sequence of
-    /// bounded length for several parents across the builtin DTDs —
-    /// including sequences that reject mid-run and runs fed in several
-    /// consecutive `advance_run` calls.
+    /// `advance_run` contract: one run stops where the same symbols fed
+    /// one run at a time stop, with identical stats, over every symbol
+    /// sequence of bounded length for several parents across the builtin
+    /// DTDs — including sequences that reject mid-run and accepted
+    /// sequences split into two runs.
     #[test]
-    fn advance_run_matches_repeated_validate() {
+    fn one_run_equals_the_same_symbols_fed_one_run_at_a_time() {
         for (builtin, parents, depth) in [
             (BuiltinDtd::Figure1, &["a", "r", "d", "c", "e"][..], u32::MAX),
             (BuiltinDtd::T2, &["a", "b"][..], 8),
@@ -1257,7 +1230,7 @@ mod tests {
                         let mut batch = EcRecognizer::new(ctx, e, depth);
                         let mut step = EcRecognizer::new(ctx, e, depth);
                         let got = batch.advance_run(&syms, &mut batch_stats);
-                        let expect = repeated_validate(&mut step, &syms, &mut step_stats);
+                        let expect = one_run_at_a_time(&mut step, &syms, &mut step_stats);
                         assert_eq!(got, expect, "{parent}: {syms:?}");
                         assert_eq!(batch_stats, step_stats, "{parent}: {syms:?}");
                         // Split runs compose: feeding the same accepted

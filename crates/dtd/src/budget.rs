@@ -13,7 +13,7 @@
 //! A speculation round for symbol `x` parks one request per live
 //! elision-lattice hypothesis. Hypotheses are nested-recognizer chains,
 //! and chains follow **strong edges** only: `y → z` when `z` occurs as an
-//! [`Atom::Simple`] in the normalized model `r_y` (star-group members
+//! [`Atom::Simple`](crate::Atom::Simple) in the normalized model `r_y` (star-group members
 //! never elide — skipping a star-group is free). For a DTD that is not
 //! PV-strong recursive the strong-edge graph is **acyclic**, so the
 //! closure
@@ -23,13 +23,17 @@
 //! ```
 //!
 //! is well defined and counts every node of `y`'s unrolled elision tree,
-//! occurrence multiplicity included (classify's adjacency dedups; the
-//! bound must not). Each generation of the agenda holds each DAG position
-//! of each live recognizer at most once (the `cur` set is a bitmap), so
-//! the parks opened in one round are at most
+//! occurrence multiplicity included:
+//! [`strong_edges`](crate::RecursionInfo::strong_edges) keeps one edge
+//! per occurrence, and one pass in
+//! [`bottom_up`](crate::RecursionInfo::bottom_up) order computes every
+//! `C`. Each generation of the agenda holds each DAG position of each
+//! live recognizer at most once (the `cur` set is a bitmap), so the
+//! parks opened in one round are at most
 //!
 //! ```text
 //! B_static = (m+1) + 2 · Σ over elements y of Σ over occurrences z (1 + C(z))
+//!          = (m+1) + 2 · Σ over elements y of C(y)
 //! ```
 //!
 //! — the `(m+1)` term covering the root-level recognizer's own positions
@@ -49,7 +53,6 @@ use crate::analysis::DtdAnalysis;
 use crate::ast::ElemId;
 use crate::classify::DtdClass;
 use crate::glushkov::{model_determinism, Determinism};
-use crate::normalize::{Atom, NormModel};
 
 /// Minimum speculation budget per symbol, matching the recognizer's
 /// historical floor: tiny DTDs always run with at least this much, so
@@ -146,18 +149,20 @@ pub fn certify(analysis: &DtdAnalysis) -> BudgetReport {
         };
     }
 
-    // Simple-atom occurrence multisets (classify's adjacency dedups — the
-    // bound needs multiplicity, so re-walk the normalized models).
-    let occ = simple_occurrences(analysis);
-
-    // C(y) over the acyclic strong graph, bottom-up (iterative DFS).
-    let closures = elision_closures(&occ);
-
-    let total: u64 = occ
-        .iter()
-        .map(|row| row.iter().map(|&z| 1 + closures[z]).sum::<u64>())
-        .sum();
-    let b_static_raw = (m as u64 + 1).saturating_add(2 * total);
+    // C(y) over the acyclic strong graph, one pass bottom-up. Each
+    // strong edge y → z adds 1 + C(z) to C(y), so Σ_y C(y) is the sum
+    // over every occurrence z of (1 + C(z)).
+    let rec = &analysis.rec;
+    let mut closures = vec![0u64; m];
+    for &y in rec.bottom_up() {
+        closures[y.index()] = rec
+            .strong_edges(y)
+            .iter()
+            .map(|z| 1u64.saturating_add(closures[z.index()]))
+            .fold(0, u64::saturating_add);
+    }
+    let total = closures.iter().copied().fold(0u64, u64::saturating_add);
+    let b_static_raw = (m as u64 + 1).saturating_add(total.saturating_mul(2));
     let b_static = u32::try_from(b_static_raw).unwrap_or(u32::MAX);
     let candidate = SPEC_FLOOR.max(b_static);
 
@@ -177,84 +182,36 @@ pub fn certify(analysis: &DtdAnalysis) -> BudgetReport {
             reason: format!(
                 "static speculation bound {b_static} exceeds the runtime budget {full}"
             ),
-            witness: heaviest_chain(analysis, &occ, &closures),
+            witness: heaviest_chain(analysis, &closures),
         }
     };
 
     BudgetReport { full_budget: full, static_bound: Some(b_static), verdict, bounds }
 }
 
-/// Per-element multiset of `Atom::Simple` occurrence targets.
-fn simple_occurrences(analysis: &DtdAnalysis) -> Vec<Vec<usize>> {
-    let m = analysis.dtd.len();
-    let mut occ: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut atoms = Vec::new();
-    for (x, row) in occ.iter_mut().enumerate() {
-        if let NormModel::Expr(e) = &analysis.norm.models[x] {
-            atoms.clear();
-            e.atoms(&mut atoms);
-            for a in &atoms {
-                if let Atom::Simple(z) = a {
-                    row.push(z.index());
-                }
-            }
-        }
-    }
-    occ
-}
-
-/// `C(y)` for every element, assuming the strong graph is acyclic.
-fn elision_closures(occ: &[Vec<usize>]) -> Vec<u64> {
-    let n = occ.len();
-    let mut memo = vec![u64::MAX; n];
-    for start in 0..n {
-        if memo[start] != u64::MAX {
-            continue;
-        }
-        let mut stack = vec![start];
-        while let Some(&v) = stack.last() {
-            if memo[v] != u64::MAX {
-                stack.pop();
-                continue;
-            }
-            if let Some(&w) = occ[v].iter().find(|&&w| memo[w] == u64::MAX && w != v) {
-                stack.push(w);
-            } else {
-                memo[v] = occ[v]
-                    .iter()
-                    .map(|&w| 1u64.saturating_add(if w == v { 0 } else { memo[w] }))
-                    .fold(0u64, u64::saturating_add);
-                stack.pop();
-            }
-        }
-    }
-    memo
-}
-
 /// A strong cycle through some PV-strong element, as element names (the
 /// first element repeated at the end to close the loop).
 fn strong_cycle_witness(analysis: &DtdAnalysis) -> Vec<String> {
-    let occ = simple_occurrences(analysis);
-    let Some(start) = (0..occ.len()).find(|&i| analysis.rec.strong[i]) else {
+    let rec = &analysis.rec;
+    let name = |i: usize| analysis.name(ElemId(i as u32)).to_owned();
+    let Some(start) = (0..rec.strong.len()).find(|&i| rec.strong[i]) else {
         return Vec::new();
     };
     // DFS over strong vertices from `start`, looking for a path back.
     let mut path = vec![start];
-    let mut seen = vec![false; occ.len()];
+    let mut seen = vec![false; rec.strong.len()];
     seen[start] = true;
     let mut cursors = vec![0usize];
     while let Some(&v) = path.last() {
         let c = cursors.last_mut().expect("cursor per frame");
-        if *c < occ[v].len() {
-            let w = occ[v][*c];
+        if let Some(w) = rec.strong_edges(ElemId(v as u32)).get(*c).map(|w| w.index()) {
             *c += 1;
             if w == start {
-                let mut names: Vec<String> =
-                    path.iter().map(|&i| analysis.name(ElemId(i as u32)).to_owned()).collect();
-                names.push(analysis.name(ElemId(start as u32)).to_owned());
+                let mut names: Vec<String> = path.iter().map(|&i| name(i)).collect();
+                names.push(name(start));
                 return names;
             }
-            if analysis.rec.strong[w] && !seen[w] {
+            if rec.strong[w] && !seen[w] {
                 seen[w] = true;
                 path.push(w);
                 cursors.push(0);
@@ -264,20 +221,27 @@ fn strong_cycle_witness(analysis: &DtdAnalysis) -> Vec<String> {
             cursors.pop();
         }
     }
-    vec![analysis.name(ElemId(start as u32)).to_owned()]
+    vec![name(start)]
 }
 
 /// The heaviest elision chain: greedy descent from the element with the
 /// largest closure, always into the child with the largest closure.
-fn heaviest_chain(analysis: &DtdAnalysis, occ: &[Vec<usize>], closures: &[u64]) -> Vec<String> {
-    let Some(mut v) = (0..occ.len()).max_by_key(|&i| closures[i]) else {
+fn heaviest_chain(analysis: &DtdAnalysis, closures: &[u64]) -> Vec<String> {
+    let Some(mut v) = (0..closures.len()).max_by_key(|&i| closures[i]) else {
         return Vec::new();
     };
     let mut names = vec![analysis.name(ElemId(v as u32)).to_owned()];
-    while let Some(&w) = occ[v].iter().filter(|&&w| w != v).max_by_key(|&&w| closures[w]) {
+    while let Some(w) = analysis
+        .rec
+        .strong_edges(ElemId(v as u32))
+        .iter()
+        .map(|w| w.index())
+        .filter(|&w| w != v)
+        .max_by_key(|&w| closures[w])
+    {
         names.push(analysis.name(ElemId(w as u32)).to_owned());
         v = w;
-        if names.len() > occ.len() {
+        if names.len() > closures.len() {
             break; // defensive: never loop even on unexpected input
         }
     }
@@ -438,6 +402,22 @@ mod tests {
         let BudgetVerdict::Flagged { witness, .. } = &r.verdict else { panic!() };
         assert_eq!(witness.first().map(String::as_str), Some("e0"));
         assert_eq!(witness.last().map(String::as_str), Some(&*format!("e{depth}")));
+    }
+
+    #[test]
+    fn saturated_closures_finish_and_flag() {
+        // 70 doubling levels push C past u64::MAX: the closures saturate,
+        // and the pass still ends with the bound pinned at u32::MAX.
+        let depth = 70;
+        let mut src = String::new();
+        for i in 0..depth {
+            src.push_str(&format!("<!ELEMENT e{i} (e{}, e{})>", i + 1, i + 1));
+        }
+        src.push_str(&format!("<!ELEMENT e{depth} EMPTY>"));
+        let r = report(&src, "e0");
+        assert_eq!(r.static_bound, Some(u32::MAX));
+        assert!(!r.is_certified());
+        assert_eq!(r.bounds[0].closure, u32::MAX);
     }
 
     #[test]

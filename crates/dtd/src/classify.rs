@@ -42,7 +42,8 @@ impl std::fmt::Display for DtdClass {
     }
 }
 
-/// Per-element recursion facts plus the overall class.
+/// Per-element recursion facts plus the overall class, and the
+/// strong-edge graph they are decided on.
 #[derive(Debug, Clone)]
 pub struct RecursionInfo {
     /// `recursive[i]`: element `i` is recursive (Definition 6).
@@ -56,6 +57,12 @@ pub struct RecursionInfo {
     /// recognizer never nests more than `c` levels via elision, so the
     /// automatic depth policy needs no limit.
     strong_chain: Option<usize>,
+    /// Strong edges, flat: `x`'s targets are
+    /// `edge_to[edge_start[x]..edge_start[x + 1]]`.
+    edge_start: Vec<usize>,
+    edge_to: Vec<ElemId>,
+    /// Every element, in the order Tarjan's pass closes them.
+    bottom_up: Vec<ElemId>,
 }
 
 impl RecursionInfo {
@@ -63,44 +70,55 @@ impl RecursionInfo {
     pub fn new(dtd: &Dtd, norm: &NormalizedDtd, reach: &Reachability) -> Self {
         let m = dtd.len();
 
-        // Strong edges: x → y when y occurs as a Simple atom in norm(r_x).
-        let mut strong_adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (x, row) in strong_adj.iter_mut().enumerate() {
-            if let NormModel::Expr(e) = &norm.models[x] {
-                let mut atoms = Vec::new();
+        // Strong edges: x → y for each Simple atom y of norm(r_x).
+        let mut edge_start = Vec::with_capacity(m + 1);
+        let mut edge_to = Vec::new();
+        let mut atoms = Vec::new();
+        for model in &norm.models {
+            edge_start.push(edge_to.len());
+            if let NormModel::Expr(e) = model {
+                atoms.clear();
                 e.atoms(&mut atoms);
-                for a in atoms {
-                    if let Atom::Simple(y) = a {
-                        row.push(y.index());
-                    }
-                }
-                row.sort_unstable();
-                row.dedup();
+                edge_to.extend(atoms.iter().filter_map(|a| match a {
+                    Atom::Simple(y) => Some(*y),
+                    _ => None,
+                }));
             }
         }
+        edge_start.push(edge_to.len());
 
         // Recursive elements: cycles of R_T (closure already computed).
-        let recursive: Vec<bool> =
-            (0..m).map(|i| reach.self_reachable(ElemId(i as u32))).collect();
+        let recursive: Vec<bool> = (0..m).map(|i| reach.self_reachable(ElemId(i as u32))).collect();
 
+        let mut info = RecursionInfo {
+            recursive,
+            strong: Vec::new(),
+            class: DtdClass::NonRecursive,
+            strong_chain: None,
+            edge_start,
+            edge_to,
+            bottom_up: Vec::with_capacity(m),
+        };
         // PV-strong recursive: vertices on cycles of the strong-edge graph.
-        let strong = on_cycle(&strong_adj);
-
-        let class = if strong.iter().any(|&b| b) {
+        info.strong = info.tarjan();
+        info.class = if info.strong.iter().any(|&b| b) {
             DtdClass::PvStrongRecursive
-        } else if recursive.iter().any(|&b| b) {
+        } else if info.recursive.iter().any(|&b| b) {
             DtdClass::PvWeakRecursive
         } else {
             DtdClass::NonRecursive
         };
-
-        let strong_chain = if class == DtdClass::PvStrongRecursive {
-            None
-        } else {
-            Some(longest_path(&strong_adj))
-        };
-
-        RecursionInfo { recursive, strong, class, strong_chain }
+        if info.class != DtdClass::PvStrongRecursive {
+            // Longest path in edges: the graph is acyclic, so bottom-up
+            // order settles every target before its sources.
+            let mut longest = vec![0usize; m];
+            for &x in &info.bottom_up {
+                longest[x.index()] =
+                    info.strong_edges(x).iter().map(|z| longest[z.index()] + 1).max().unwrap_or(0);
+            }
+            info.strong_chain = Some(longest.into_iter().max().unwrap_or(0));
+        }
+        info
     }
 
     /// See type docs: `Some(bound)` when elision chains are finite.
@@ -120,110 +138,92 @@ impl RecursionInfo {
     pub fn is_strong(&self, x: ElemId) -> bool {
         self.strong[x.index()]
     }
-}
 
-/// Marks vertices lying on a cycle (including self-loops) via Tarjan SCC.
-fn on_cycle(adj: &[Vec<usize>]) -> Vec<bool> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut result = vec![false; n];
-
-    // Iterative Tarjan (explicit call stack) to survive deep DTD graphs.
-    #[derive(Clone, Copy)]
-    struct Frame {
-        v: usize,
-        child: usize,
+    /// The targets of `x`'s strong edges (Definition 7): one per
+    /// [`Atom::Simple`] occurrence in the normalized `r_x`, in model
+    /// order, repeats kept.
+    #[inline]
+    pub fn strong_edges(&self, x: ElemId) -> &[ElemId] {
+        &self.edge_to[self.edge_start[x.index()]..self.edge_start[x.index() + 1]]
     }
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<Frame> = vec![Frame { v: start, child: 0 }];
-        index[start] = next_index;
-        lowlink[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
 
-        while let Some(frame) = call.last_mut() {
-            let v = frame.v;
-            if frame.child < adj[v].len() {
-                let w = adj[v][frame.child];
-                frame.child += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push(Frame { v: w, child: 0 });
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                // Root check & pop.
-                if lowlink[v] == index[v] {
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let cyclic =
-                        members.len() > 1 || adj[v].contains(&v) /* self-loop */;
-                    if cyclic {
-                        for w in members {
-                            result[w] = true;
-                        }
-                    }
-                }
-                let finished = call.pop().expect("frame");
-                if let Some(parent) = call.last() {
-                    lowlink[parent.v] = lowlink[parent.v].min(lowlink[finished.v]);
-                }
-            }
-        }
+    /// Every element, each after every element its strong edges reach
+    /// outside its own strongly connected component (Tarjan's closing
+    /// order). On an acyclic strong graph (any DTD that is not PV-strong
+    /// recursive) one pass in this order sees every edge target first.
+    #[inline]
+    pub fn bottom_up(&self) -> &[ElemId] {
+        &self.bottom_up
     }
-    result
-}
 
-/// Longest path (in edges) of a DAG given by `adj`; assumes acyclicity
-/// (callers only use it on cycle-free strong graphs).
-fn longest_path(adj: &[Vec<usize>]) -> usize {
-    let n = adj.len();
-    let mut memo = vec![usize::MAX; n];
-    let mut best = 0usize;
-    for start in 0..n {
-        // Iterative DFS with memoization.
-        let mut stack = vec![(start, 0usize)];
-        while let Some(&(v, child)) = stack.last() {
-            if memo[v] != usize::MAX {
-                stack.pop();
+    /// Tarjan SCC over the strong edges: fills `bottom_up` and marks the
+    /// vertices lying on a cycle (self-loops included). Iterative, with
+    /// an explicit call stack, to survive deep DTD graphs.
+    fn tarjan(&mut self) -> Vec<bool> {
+        let n = self.edge_start.len() - 1;
+        let mut index = vec![usize::MAX; n];
+        let mut lowlink = vec![0usize; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        let mut next_index = 0usize;
+        let mut result = vec![false; n];
+        // (vertex, next edge to follow)
+        let mut call: Vec<(usize, usize)> = Vec::new();
+        for start in 0..n {
+            if index[start] != usize::MAX {
                 continue;
             }
-            if child < adj[v].len() {
-                stack.last_mut().unwrap().1 += 1;
-                let w = adj[v][child];
-                if memo[w] == usize::MAX {
-                    stack.push((w, 0));
+            call.push((start, self.edge_start[start]));
+            index[start] = next_index;
+            lowlink[start] = next_index;
+            next_index += 1;
+            stack.push(start);
+            on_stack[start] = true;
+
+            while let Some(frame) = call.last_mut() {
+                let v = frame.0;
+                if frame.1 < self.edge_start[v + 1] {
+                    let w = self.edge_to[frame.1].index();
+                    frame.1 += 1;
+                    if index[w] == usize::MAX {
+                        index[w] = next_index;
+                        lowlink[w] = next_index;
+                        next_index += 1;
+                        stack.push(w);
+                        on_stack[w] = true;
+                        call.push((w, self.edge_start[w]));
+                    } else if on_stack[w] {
+                        lowlink[v] = lowlink[v].min(index[w]);
+                    }
+                    continue;
                 }
-            } else {
-                let longest =
-                    adj[v].iter().map(|&w| memo[w] + 1).max().unwrap_or(0);
-                memo[v] = longest;
-                best = best.max(longest);
-                stack.pop();
+                call.pop();
+                if let Some(&(parent, _)) = call.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
+                if lowlink[v] != index[v] {
+                    continue;
+                }
+                // v roots a component: pop it, in closing order.
+                let first = self.bottom_up.len();
+                loop {
+                    let w = stack.pop().expect("tarjan stack underflow");
+                    on_stack[w] = false;
+                    self.bottom_up.push(ElemId(w as u32));
+                    if w == v {
+                        break;
+                    }
+                }
+                let vid = ElemId(v as u32);
+                if self.bottom_up.len() - first > 1 || self.strong_edges(vid).contains(&vid) {
+                    for w in &self.bottom_up[first..] {
+                        result[w.index()] = true;
+                    }
+                }
             }
         }
+        result
     }
-    best
 }
 
 /// Convenience: classify straight from a [`Dtd`].
@@ -336,6 +336,28 @@ mod tests {
         let info = classify(&Dtd::parse(src).unwrap());
         // a ANY-contains itself, but only weakly.
         assert_eq!(info.class, DtdClass::PvWeakRecursive);
+    }
+
+    #[test]
+    fn strong_edges_keep_model_order_and_repeats() {
+        // r → (b, a, b?, c*): Simple b, a, b in model order; c* is a
+        // star-group and adds no strong edge.
+        let src = "<!ELEMENT r (b, a, b?, c*)><!ELEMENT a (b)><!ELEMENT b EMPTY>
+                   <!ELEMENT c EMPTY>";
+        let dtd = Dtd::parse(src).unwrap();
+        let info = classify(&dtd);
+        let id = |n| dtd.id(n).unwrap();
+        assert_eq!(info.strong_edges(id("r")), [id("b"), id("a"), id("b")]);
+        assert_eq!(info.strong_edges(id("a")), [id("b")]);
+        assert!(info.strong_edges(id("c")).is_empty());
+        // Bottom-up: each element after every target of its strong edges.
+        let pos = |x: ElemId| info.bottom_up().iter().position(|&y| y == x).unwrap();
+        assert_eq!(info.bottom_up().len(), 4);
+        for x in dtd.ids() {
+            for &z in info.strong_edges(x) {
+                assert!(pos(z) < pos(x), "{} before {}", dtd.name(z), dtd.name(x));
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Glushkov follow-set construction and 1-unambiguity classification of
-//! PV-normalized content models.
+//! content models, declared or PV-normalized.
 //!
 //! XML appendix E requires *deterministic* (1-unambiguous) content
 //! models: while matching children left to right, each next symbol must
@@ -9,23 +9,32 @@
 //! positions with overlapping symbol sets compete in the same `first` or
 //! `follow` set.
 //!
-//! This module runs that construction over the **normalized** model
-//! ([`NormCp`]): positions are [`Atom`]s (simple elements, `#PCDATA`, or
-//! flattened star-groups), and a star-group position is nullable with a
-//! self-loop in its own follow set (it denotes `(a1|…|an)*`). Because
-//! normalization drops `?` and widens `+` to `*` (Corollary 3.1 — both
-//! language-preserving under the PV grammar), the verdict describes the
-//! normalized model the recognizer actually executes; a handful of
-//! source-level ambiguities (e.g. `(a, a?)`) normalize away, which is
-//! exactly the right notion for certifying recognizer behaviour.
+//! One construction judges both forms of a model:
+//!
+//! * [`declared_determinism`] runs over the **declared** particle
+//!   ([`Cp`]), as appendix E states the rule: positions are element
+//!   names, `?` makes its operand nullable, and `*` and `+` wire the
+//!   operand's last positions to its first ones (`*` also nullable).
+//!   `pvx lint` reports this verdict, so `(a?, a)` is flagged.
+//! * [`model_determinism`] runs over the **normalized** model
+//!   ([`NormCp`]): positions are [`Atom`]s (simple elements, `#PCDATA`,
+//!   or flattened star-groups), and a star-group is the star of one
+//!   position — nullable, with a self-loop in its own follow set.
+//!   Because normalization drops `?` and widens `+` to `*` (Corollary
+//!   3.1 — both language-preserving under the PV grammar), this verdict
+//!   describes the normalized model the recognizer actually executes; a
+//!   handful of source-level ambiguities (e.g. `(a, a?)`) normalize away,
+//!   which is exactly the right notion for certifying recognizer
+//!   behaviour. `pvx analyze` reports it.
 //!
 //! On ambiguity the classifier returns a concrete [`AmbiguityWitness`]:
 //! the overlapping symbol plus the two competing positions, so `pvx
 //! analyze` can print *why* a model is non-deterministic instead of a
 //! bare boolean.
 
-use crate::ast::{Dtd, ElemId};
+use crate::ast::{Cp, Dtd, ElemId};
 use crate::normalize::{Atom, NormCp, NormModel};
+use std::borrow::Cow;
 
 /// The 1-unambiguity verdict for one content model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,21 +88,16 @@ impl std::fmt::Display for AmbiguityWitness {
 /// Classifies one normalized model. `ANY` models are trivially
 /// deterministic (they match by element-set membership, no positions).
 pub fn model_determinism(dtd: &Dtd, model: &NormModel) -> Determinism {
-    let NormModel::Expr(expr) = model else {
-        return Determinism::Deterministic;
-    };
-    let mut g = Glushkov { positions: Vec::new(), follow: Vec::new() };
-    let unit = g.build(expr);
-    // Conflicts in `first`, then in each position's follow set.
-    if let Some(w) = g.conflict(dtd, &unit.first, None) {
-        return Determinism::Ambiguous(w);
+    match model {
+        NormModel::Expr(expr) => Glushkov::judge(dtd, |g| g.normalized(expr)),
+        NormModel::Any => Determinism::Deterministic,
     }
-    for p in 0..g.positions.len() {
-        if let Some(w) = g.conflict(dtd, &g.follow[p], Some(p)) {
-            return Determinism::Ambiguous(w);
-        }
-    }
-    Determinism::Deterministic
+}
+
+/// Classifies one declared `children` particle, as XML appendix E
+/// states determinism: `?` is nullable, `*` and `+` repeat.
+pub fn declared_determinism(dtd: &Dtd, cp: &Cp) -> Determinism {
+    Glushkov::judge(dtd, |g| g.declared(cp))
 }
 
 /// Nullable/first/last summary of one subexpression during construction.
@@ -106,55 +110,104 @@ struct Unit {
 /// Construction state: `positions[p]` is atom `p` in walk order, and
 /// `follow[p]` its accumulated follow set.
 struct Glushkov<'a> {
-    positions: Vec<&'a Atom>,
+    positions: Vec<Cow<'a, Atom>>,
     follow: Vec<Vec<usize>>,
 }
 
 impl<'a> Glushkov<'a> {
-    fn build(&mut self, cp: &'a NormCp) -> Unit {
+    fn normalized(&mut self, cp: &'a NormCp) -> Unit {
         match cp {
-            NormCp::Atom(a) => {
-                let p = self.positions.len();
-                self.positions.push(a);
-                self.follow.push(Vec::new());
-                // A star-group matches any member sequence including ε:
-                // nullable, and it follows itself.
-                let group = matches!(a, Atom::Group(_));
-                if group {
-                    self.follow[p].push(p);
-                }
-                Unit { nullable: group, first: vec![p], last: vec![p] }
+            // A star-group matches any member sequence including ε: the
+            // star of one position.
+            NormCp::Atom(a @ Atom::Group(_)) => {
+                let u = self.position(Cow::Borrowed(a));
+                self.repeat(u, true)
             }
-            NormCp::Seq(cs) => {
-                let mut acc = Unit { nullable: true, first: Vec::new(), last: Vec::new() };
-                for c in cs {
-                    let u = self.build(c);
-                    for &p in &acc.last {
-                        self.follow[p].extend_from_slice(&u.first);
-                    }
-                    if acc.nullable {
-                        acc.first.extend_from_slice(&u.first);
-                    }
-                    if u.nullable {
-                        acc.last.extend_from_slice(&u.last);
-                    } else {
-                        acc.last = u.last;
-                    }
-                    acc.nullable &= u.nullable;
-                }
-                acc
+            NormCp::Atom(a) => self.position(Cow::Borrowed(a)),
+            NormCp::Seq(cs) => self.seq(cs, Self::normalized),
+            NormCp::Choice(cs) => self.choice(cs, Self::normalized),
+        }
+    }
+
+    fn declared(&mut self, cp: &'a Cp) -> Unit {
+        match cp {
+            Cp::Name(x) => self.position(Cow::Owned(Atom::Simple(*x))),
+            Cp::Seq(cs) => self.seq(cs, Self::declared),
+            Cp::Choice(cs) => self.choice(cs, Self::declared),
+            Cp::Opt(c) => Unit { nullable: true, ..self.declared(c) },
+            Cp::Star(c) => {
+                let u = self.declared(c);
+                self.repeat(u, true)
             }
-            NormCp::Choice(cs) => {
-                let mut acc = Unit { nullable: false, first: Vec::new(), last: Vec::new() };
-                for c in cs {
-                    let u = self.build(c);
-                    acc.nullable |= u.nullable;
-                    acc.first.extend(u.first);
-                    acc.last.extend(u.last);
-                }
-                acc
+            Cp::Plus(c) => {
+                let u = self.declared(c);
+                self.repeat(u, false)
             }
         }
+    }
+
+    /// A fresh position: first and last are itself.
+    fn position(&mut self, atom: Cow<'a, Atom>) -> Unit {
+        let p = self.positions.len();
+        self.positions.push(atom);
+        self.follow.push(Vec::new());
+        Unit { nullable: false, first: vec![p], last: vec![p] }
+    }
+
+    /// `u*` (`star`) or `u+`: each last position is followed by every
+    /// first one.
+    fn repeat(&mut self, u: Unit, star: bool) -> Unit {
+        for &p in &u.last {
+            self.follow[p].extend_from_slice(&u.first);
+        }
+        Unit { nullable: u.nullable || star, ..u }
+    }
+
+    fn seq<T>(&mut self, items: &'a [T], build: fn(&mut Self, &'a T) -> Unit) -> Unit {
+        let mut acc = Unit { nullable: true, first: Vec::new(), last: Vec::new() };
+        for item in items {
+            let u = build(self, item);
+            for &p in &acc.last {
+                self.follow[p].extend_from_slice(&u.first);
+            }
+            if acc.nullable {
+                acc.first.extend_from_slice(&u.first);
+            }
+            if u.nullable {
+                acc.last.extend_from_slice(&u.last);
+            } else {
+                acc.last = u.last;
+            }
+            acc.nullable &= u.nullable;
+        }
+        acc
+    }
+
+    fn choice<T>(&mut self, items: &'a [T], build: fn(&mut Self, &'a T) -> Unit) -> Unit {
+        let mut acc = Unit { nullable: false, first: Vec::new(), last: Vec::new() };
+        for item in items {
+            let u = build(self, item);
+            acc.nullable |= u.nullable;
+            acc.first.extend(u.first);
+            acc.last.extend(u.last);
+        }
+        acc
+    }
+
+    /// Builds the automaton with `build`, then looks for conflicts in
+    /// `first`, then in each position's follow set.
+    fn judge(dtd: &Dtd, build: impl FnOnce(&mut Self) -> Unit) -> Determinism {
+        let mut g = Glushkov { positions: Vec::new(), follow: Vec::new() };
+        let unit = build(&mut g);
+        if let Some(w) = g.conflict(dtd, &unit.first, None) {
+            return Determinism::Ambiguous(w);
+        }
+        for p in 0..g.positions.len() {
+            if let Some(w) = g.conflict(dtd, &g.follow[p], Some(p)) {
+                return Determinism::Ambiguous(w);
+            }
+        }
+        Determinism::Deterministic
     }
 
     /// First overlapping pair among distinct positions of `set`, if any.
@@ -164,12 +217,12 @@ impl<'a> Glushkov<'a> {
                 if p == q {
                     continue;
                 }
-                if let Some(symbol) = shared_symbol(dtd, self.positions[p], self.positions[q]) {
+                if let Some(symbol) = shared_symbol(dtd, &self.positions[p], &self.positions[q]) {
                     return Some(AmbiguityWitness {
                         symbol,
-                        first: render_atom(dtd, self.positions[p.min(q)]),
-                        second: render_atom(dtd, self.positions[p.max(q)]),
-                        after: after.map(|a| render_atom(dtd, self.positions[a])),
+                        first: render_atom(dtd, &self.positions[p.min(q)]),
+                        second: render_atom(dtd, &self.positions[p.max(q)]),
+                        after: after.map(|a| render_atom(dtd, &self.positions[a])),
                     });
                 }
             }
@@ -227,6 +280,7 @@ fn render_atom(dtd: &Dtd, a: &Atom) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::ContentSpec;
     use crate::normalize::normalize;
 
     fn det_of(src: &str, elem: &str) -> Determinism {
@@ -308,5 +362,54 @@ mod tests {
         let d = model_determinism(&dtd, &NormModel::Expr(expr));
         let Determinism::Ambiguous(w) = d else { panic!("{d:?}") };
         assert_eq!(w.symbol, "#PCDATA");
+    }
+
+    #[test]
+    fn determinism_diagnostic() {
+        let dtd = Dtd::parse(
+            "<!ELEMENT det (a, b)><!ELEMENT amb ((a, b) | (a, c))>
+             <!ELEMENT twice (a | a)><!ELEMENT nested (a, (b | b))>
+             <!ELEMENT opt (a?, a)><!ELEMENT choice (a, (b | c))>
+             <!ELEMENT optplus (a?)+><!ELEMENT starplus (b*)+>
+             <!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>",
+        )
+        .unwrap();
+        let deterministic = |name| {
+            let ContentSpec::Children(cp) = &dtd.element(dtd.id(name).unwrap()).content else {
+                panic!("{name} has no children model")
+            };
+            declared_determinism(&dtd, cp).is_deterministic()
+        };
+        assert!(deterministic("det"));
+        assert!(deterministic("choice"));
+        // One position each: `c+` repeats `c`'s one position, so a
+        // nullable `c` does not meet itself.
+        assert!(deterministic("optplus"));
+        assert!(deterministic("starplus"));
+        // ((a,b)|(a,c)) is the textbook 1-ambiguous model.
+        assert!(!deterministic("amb"));
+        // A repeated alternative is two positions for one symbol.
+        assert!(!deterministic("twice"));
+        assert!(!deterministic("nested"));
+        // Declared `(a?, a)` is ambiguous; only its PV normalization is not.
+        assert!(!deterministic("opt"));
+    }
+
+    #[test]
+    fn builtin_dtds_are_deterministic() {
+        // Our realistic corpus should be XML-legal (deterministic models).
+        for b in crate::builtin::BuiltinDtd::ALL {
+            let dtd = b.dtd();
+            for id in dtd.ids() {
+                if let ContentSpec::Children(cp) = &dtd.element(id).content {
+                    assert!(
+                        declared_determinism(&dtd, cp).is_deterministic(),
+                        "{}: element {} has a non-deterministic model",
+                        b.name(),
+                        dtd.name(id)
+                    );
+                }
+            }
+        }
     }
 }

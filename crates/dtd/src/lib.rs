@@ -26,7 +26,8 @@
 //! On top of it sits the static analyzer ([`budget::StaticReport`]):
 //! Glushkov determinism classification ([`glushkov`]) and speculation-budget
 //! certification ([`budget`]), reported by `pvx analyze`, `pvx check -v`
-//! and the service at `LOAD` time.
+//! and the service at `LOAD` time. The same Glushkov construction judges
+//! the declared models for `pvx lint`.
 
 #![warn(missing_docs)]
 

@@ -29,16 +29,6 @@ impl Dtd {
         let raw = scan_declarations(&expanded)?;
         resolve(raw)
     }
-
-    /// Parses the DTD embedded in an XML document's `<!DOCTYPE … [ … ]>`.
-    pub fn from_document(doc: &pv_xml::Document) -> Result<Dtd> {
-        let subset = doc
-            .doctype
-            .as_ref()
-            .and_then(|d| d.internal_subset.as_deref())
-            .unwrap_or("");
-        Dtd::parse(subset)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -653,14 +643,6 @@ mod tests {
     fn general_entity_passes_through() {
         let d = Dtd::parse(r#"<!ENTITY copy "&#169;"><!ELEMENT a EMPTY>"#).unwrap();
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn from_document_reads_internal_subset() {
-        let doc = pv_xml::parse("<!DOCTYPE r [<!ELEMENT r EMPTY>]><r/>").unwrap();
-        let dtd = Dtd::from_document(&doc).unwrap();
-        assert_eq!(dtd.len(), 1);
-        assert_eq!(dtd.id("r"), Some(ElemId(0)));
     }
 
     #[test]

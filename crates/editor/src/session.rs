@@ -337,11 +337,6 @@ impl<'a> EditorSession<'a> {
         wraps.into_iter().map(|e| self.analysis.name(e).to_owned()).collect()
     }
 
-    /// Can character data be inserted under `parent`? O(1).
-    pub fn can_insert_text(&self, parent: NodeId) -> bool {
-        self.engine.check_text_insertion(&self.doc, parent).preserves_pv()
-    }
-
     /// Which symbols (child elements, or σ for text) could be appended to
     /// `node` while keeping the document potentially valid? The
     /// autocomplete query (see [`pv_core::suggest`]). Names are returned

@@ -231,10 +231,7 @@ fn lower_cp(cp: &Cp, nfa: &mut Nfa, from: u32, to: u32) {
         Cp::Plus(c) => {
             // One copy of e between fresh entry and exit states, the exit
             // looping back to the entry (fresh, so the loop reaches none
-            // of `from`'s or `to`'s other edges). Each of e's edges
-            // appears once: a nullable e cannot put two copies of one
-            // position in an ε-closed state set, where the determinism
-            // check would count them as two.
+            // of `from`'s or `to`'s other edges).
             let entry = nfa.add_state();
             let exit = nfa.add_state();
             nfa.edge(from, Edge::Eps, entry);

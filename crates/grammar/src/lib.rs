@@ -9,8 +9,7 @@
 //!   edges for nested elements. `G'` is `G` plus the tag-elision bypass
 //!   `X → X̂`. Includes the nullability analysis behind Theorem 3.
 //! * [`validator`] — a standard DTD validator (is `δ_T(w) ∈ L(G)`?) via NFA
-//!   subset simulation, linear-time; also the 1-unambiguity diagnostic for
-//!   content models.
+//!   subset simulation, linear-time.
 //! * [`earley`] — an Earley recognizer for the (highly ambiguous) `G'`,
 //!   with the nullable-completion fix that Theorem 3 makes mandatory. This
 //!   is the paper's "standard CFG parsing" baseline that ECRecognizer is

@@ -9,11 +9,6 @@
 //! document invalid (the paper's `δ_T` has no "ignorable whitespace"
 //! notion). [`ValidateOptions::ignore_whitespace`] relaxes this for
 //! real-world documents.
-//!
-//! The module also provides the XML 1-unambiguity ("deterministic content
-//! model") diagnostic: the paper's machinery never requires deterministic
-//! models, which is worth surfacing because real DTDs must be
-//! deterministic per XML appendix E.
 
 use crate::ecfg::{Edge, Grammar, GrammarMode};
 use pv_core::token::ChildSym;
@@ -233,52 +228,6 @@ impl ContentAutomata {
             Err(syms.len())
         }
     }
-
-    /// XML "deterministic content model" (1-unambiguity) diagnostic on
-    /// the *declared* model: `true` if no state set reachable in the
-    /// determinized automaton has two edges for one symbol.
-    pub fn is_deterministic(&self) -> bool {
-        // A content model is 1-unambiguous iff its Glushkov automaton is
-        // deterministic. Our Thompson NFA is not the Glushkov automaton,
-        // but each of its non-ε edges stands for one position of the
-        // model, so ambiguity is one symbol matched by two distinct edges
-        // out of one ε-closed state set. Edges are told apart by
-        // identity, not by their endpoints: a choice lowers every
-        // alternative between the same two states, so the two `a`s of
-        // `(a | a)` are two edges that join one pair of states.
-        let mut start = vec![self.nfa.start];
-        self.nfa.eps_closure(&mut start);
-        let mut seen: Vec<Vec<u32>> = Vec::new();
-        let mut work = vec![start];
-        while let Some(cur) = work.pop() {
-            if seen.contains(&cur) {
-                continue;
-            }
-            // symbol key → the target of the one edge that matches it.
-            let mut next: std::collections::HashMap<String, u32> =
-                std::collections::HashMap::new();
-            for &s in &cur {
-                for &(label, t) in &self.nfa.states[s as usize] {
-                    let key = match label {
-                        Edge::Call(y) => format!("e{}", y.0),
-                        Edge::Term(pv_core::token::Tok::Sigma) => "σ".to_owned(),
-                        _ => continue,
-                    };
-                    if next.insert(key, t).is_some() {
-                        return false;
-                    }
-                }
-            }
-            for t in next.into_values() {
-                let mut set = vec![t];
-                self.nfa.eps_closure(&mut set);
-                set.sort_unstable();
-                work.push(set);
-            }
-            seen.push(cur);
-        }
-        true
-    }
 }
 
 /// Validates a δ token string directly against the grammar — used by the
@@ -395,52 +344,6 @@ mod tests {
     fn xhtml_document_validates() {
         let xml = "<html><head><title>t</title></head><body><p>hello <b>world</b></p></body></html>";
         validate(BuiltinDtd::XhtmlBasic, xml).unwrap();
-    }
-
-    #[test]
-    fn determinism_diagnostic() {
-        let dtd = Dtd::parse(
-            "<!ELEMENT det (a, b)><!ELEMENT amb ((a, b) | (a, c))>
-             <!ELEMENT twice (a | a)><!ELEMENT nested (a, (b | b))>
-             <!ELEMENT opt (a?, a)><!ELEMENT choice (a, (b | c))>
-             <!ELEMENT optplus (a?)+><!ELEMENT starplus (b*)+>
-             <!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>",
-        )
-        .unwrap();
-        let deterministic =
-            |name| ContentAutomata::for_element(&dtd, dtd.id(name).unwrap()).is_deterministic();
-        assert!(deterministic("det"));
-        assert!(deterministic("choice"));
-        // One Glushkov position each: `c+` lowers one copy of `c`, so a
-        // nullable `c` does not meet itself.
-        assert!(deterministic("optplus"));
-        assert!(deterministic("starplus"));
-        // ((a,b)|(a,c)) is the textbook 1-ambiguous model.
-        assert!(!deterministic("amb"));
-        // A repeated alternative is two positions for one symbol, though
-        // both of its edges join the same pair of states.
-        assert!(!deterministic("twice"));
-        assert!(!deterministic("nested"));
-        // Declared `(a?, a)` is ambiguous; only its PV normalization is not.
-        assert!(!deterministic("opt"));
-    }
-
-    #[test]
-    fn builtin_dtds_are_deterministic() {
-        // Our realistic corpus should be XML-legal (deterministic models).
-        for b in BuiltinDtd::ALL {
-            let dtd = b.dtd();
-            for id in dtd.ids() {
-                if matches!(dtd.element(id).content, ContentSpec::Children(_)) {
-                    assert!(
-                        ContentAutomata::for_element(&dtd, id).is_deterministic(),
-                        "{}: element {} has a non-deterministic model",
-                        b.name(),
-                        dtd.name(id)
-                    );
-                }
-            }
-        }
     }
 
     #[test]

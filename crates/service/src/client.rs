@@ -135,8 +135,25 @@ impl Client {
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Json> {
-        proto::write_request(self.reader.get_mut(), req)?;
+        self.send(|w| proto::write_request(w, req))?;
         self.reply()
+    }
+
+    /// Writes a request with `write`. A server that turns a connection
+    /// away (`busy`, `draining`) answers and closes without reading, so
+    /// a write can then fail (`BrokenPipe`, `ConnectionReset`) while the
+    /// refusal waits to be read: that refusal is the answer, and it
+    /// reads as [`ServiceError::Unavailable`] like any other.
+    fn send(&mut self, write: impl FnOnce(&mut Stream) -> io::Result<()>) -> Result<()> {
+        let Err(e) = write(self.reader.get_mut()) else { return Ok(()) };
+        if matches!(e.kind(), io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset) {
+            if let Ok(Some(line)) = proto::read_line(&mut self.reader) {
+                if let Err(fail) = parse_response(&line) {
+                    return Err(map_failure(&line, fail));
+                }
+            }
+        }
+        Err(ServiceError::Io(e))
     }
 
     /// Flushes the request written so far and reads its reply.
@@ -198,7 +215,7 @@ impl Client {
         jobs: usize,
         memo: bool,
     ) -> Result<RemoteCheck> {
-        proto::write_check(self.reader.get_mut(), handle, jobs, memo, xml)?;
+        self.send(|w| proto::write_check(w, handle, jobs, memo, xml))?;
         Self::remote_check(&self.reply()?)
     }
 
@@ -220,21 +237,22 @@ impl Client {
         I::Item: AsRef<[u8]>,
     {
         let req = Request::CheckStream { handle: handle.to_owned() };
-        let w = self.reader.get_mut();
-        proto::write_request(w, &req)?;
         let mut empty_chunk = false;
-        for chunk in chunks {
-            let chunk = chunk.as_ref();
-            if chunk.is_empty() {
-                empty_chunk = true;
-                break;
+        self.send(|w| {
+            proto::write_request(w, &req)?;
+            for chunk in chunks {
+                let chunk = chunk.as_ref();
+                if chunk.is_empty() {
+                    empty_chunk = true;
+                    break;
+                }
+                proto::write_block(w, chunk)?;
+                // Flush per chunk so the server validates while we upload.
+                w.flush()?;
             }
-            proto::write_block(w, chunk)?;
-            // Flush per chunk so the server validates while we upload.
-            w.flush()?;
-        }
-        proto::write_stream_end(w)?;
-        w.flush()?;
+            proto::write_stream_end(w)?;
+            w.flush()
+        })?;
         // Read (and on misuse discard) the response either way, so the
         // connection stays in sync for the next request.
         let line = proto::read_line(&mut self.reader)?
@@ -287,7 +305,7 @@ impl Client {
         xmls: &[String],
         jobs: usize,
     ) -> Result<Vec<PvOutcome>> {
-        proto::write_batch(self.reader.get_mut(), handle, jobs, xmls)?;
+        self.send(|w| proto::write_batch(w, handle, jobs, xmls))?;
         let v = self.reply()?;
         let arr = v
             .get("outcomes")

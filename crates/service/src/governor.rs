@@ -180,7 +180,9 @@ pub(crate) struct Access<'a> {
     /// Wall time from verb line to response (for an event, how long it
     /// took).
     pub dur: Duration,
-    /// `pv`, `not-pv`, `error`, or `-`.
+    /// `pv`, `not-pv`, `error`, or `-`. A `BATCH` reads `pv` only when
+    /// every document is potentially valid, `not-pv` otherwise, and `-`
+    /// when it carries no document.
     pub verdict: &'a str,
 }
 

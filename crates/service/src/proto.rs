@@ -174,8 +174,27 @@ pub fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
 
 /// Writes one length-prefixed payload block.
 pub fn write_block(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
-    writeln!(w, "{}", bytes.len())?;
-    w.write_all(bytes)
+    write_frame(w, String::new(), [bytes])
+}
+
+/// Writes `head` (a verb line, or nothing), then each payload as a
+/// length-prefixed block. Each header — `head` with the first length
+/// line, or a later block's length line — goes out in one write, and
+/// each payload in one more, uncopied, so on an unbuffered socket a
+/// request costs one `write(2)` per header and per payload.
+fn write_frame<'p>(
+    w: &mut impl Write,
+    mut head: String,
+    payloads: impl IntoIterator<Item = &'p [u8]>,
+) -> io::Result<()> {
+    for payload in payloads {
+        head.push_str(&payload.len().to_string());
+        head.push('\n');
+        w.write_all(head.as_bytes())?;
+        head.clear();
+        w.write_all(payload)?;
+    }
+    w.write_all(head.as_bytes())
 }
 
 /// Reads one length-prefixed block of at most `max` bytes; `what` names
@@ -221,7 +240,7 @@ pub fn read_chunk(r: &mut impl BufRead, max_payload: usize) -> Result<Option<Vec
 
 /// Writes the zero-length block ending a `CHECK_STREAM` chunk sequence.
 pub fn write_stream_end(w: &mut impl Write) -> io::Result<()> {
-    writeln!(w, "0")
+    w.write_all(b"0\n")
 }
 
 fn parse_kv(args: &[&str], key: &str) -> Result<Option<u64>, String> {
@@ -347,21 +366,21 @@ pub fn finish_request(line: &str, r: &mut impl BufRead, limits: &Limits) -> io::
 
 /// Writes a request in wire form (the client half).
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
+    let mut line = |verb: &str| w.write_all(verb.as_bytes());
     match req {
-        Request::Ping => writeln!(w, "PING"),
-        Request::Stats => writeln!(w, "STATS"),
-        Request::Metrics => writeln!(w, "METRICS"),
-        Request::Shutdown => writeln!(w, "SHUTDOWN"),
-        Request::Reset { handle } => writeln!(w, "RESET {handle}"),
-        Request::Builtin { name } => writeln!(w, "BUILTIN {name}"),
+        Request::Ping => line("PING\n"),
+        Request::Stats => line("STATS\n"),
+        Request::Metrics => line("METRICS\n"),
+        Request::Shutdown => line("SHUTDOWN\n"),
+        Request::Reset { handle } => line(&format!("RESET {handle}\n")),
+        Request::Builtin { name } => line(&format!("BUILTIN {name}\n")),
         Request::Load { root, source } => {
-            writeln!(w, "LOAD {root}")?;
-            write_block(w, source.as_bytes())
+            write_frame(w, format!("LOAD {root}\n"), [source.as_bytes()])
         }
         Request::Check { handle, jobs, memo, xml } => write_check(w, handle, *jobs, *memo, xml),
         // Chunks follow separately (write_block per chunk, then
         // write_stream_end) — see Client::check_stream.
-        Request::CheckStream { handle } => writeln!(w, "CHECK_STREAM {handle}"),
+        Request::CheckStream { handle } => line(&format!("CHECK_STREAM {handle}\n")),
         Request::Batch { handle, jobs, xmls } => write_batch(w, handle, *jobs, xmls),
     }
 }
@@ -374,8 +393,8 @@ pub fn write_check(
     memo: bool,
     xml: &str,
 ) -> io::Result<()> {
-    writeln!(w, "CHECK {handle} jobs={jobs} memo={}", u8::from(memo))?;
-    write_block(w, xml.as_bytes())
+    let head = format!("CHECK {handle} jobs={jobs} memo={}\n", u8::from(memo));
+    write_frame(w, head, [xml.as_bytes()])
 }
 
 /// Writes a `BATCH` request from borrowed texts.
@@ -385,11 +404,8 @@ pub fn write_batch(
     jobs: usize,
     xmls: &[String],
 ) -> io::Result<()> {
-    writeln!(w, "BATCH {handle} {} jobs={jobs}", xmls.len())?;
-    for xml in xmls {
-        write_block(w, xml.as_bytes())?;
-    }
-    Ok(())
+    let head = format!("BATCH {handle} {} jobs={jobs}\n", xmls.len());
+    write_frame(w, head, xmls.iter().map(String::as_bytes))
 }
 
 #[cfg(test)]

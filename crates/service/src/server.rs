@@ -891,7 +891,7 @@ fn request_handle(req: &Request) -> Option<&str> {
 struct Reply {
     body: String,
     disposition: Disposition,
-    /// `pv`, `not-pv`, `error`, or `-`.
+    /// `pv`, `not-pv`, `error`, or `-` (see `Access::verdict`).
     verdict: &'static str,
     bytes: usize,
 }
@@ -1146,11 +1146,11 @@ fn batch(
         json::write_outcome(&mut out, o);
     }
     out.push_str("]}");
-    // The access log's verdict for a batch: `pv` if any document is.
+    // The access log's verdict for a batch: `pv` only if every document is.
     if outcomes.is_empty() {
         Reply::ok(out)
     } else {
-        Reply::checked(out, outcomes.iter().any(PvOutcome::is_potentially_valid))
+        Reply::checked(out, outcomes.iter().all(PvOutcome::is_potentially_valid))
     }
 }
 

@@ -11,7 +11,7 @@
 //! * **PV-strong**: an optional back-reference in sequence position
 //!   (`x?`) — a strong edge, since `?` sits outside any star.
 
-use pv_dtd::{Cp, Dtd, DtdAnalysis, DtdClass, ElemId};
+use pv_dtd::{DtdAnalysis, DtdClass};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -264,14 +264,6 @@ fn atomish(cp: &CpT) -> String {
         format!("({r})")
     }
 }
-
-/// Convenience: ensure an arbitrary DTD reference exists for doctests.
-pub fn example_ids(dtd: &Dtd) -> Vec<ElemId> {
-    dtd.ids().collect()
-}
-
-/// Re-export used by generator internals (documented for completeness).
-pub type GeneratedCp = Cp;
 
 #[cfg(test)]
 mod tests {

@@ -147,6 +147,51 @@ fn batch_names_its_first_malformed_document() {
 /// A `CHECK` with `memo=1` steps through the handle's warm cache and
 /// reports its counts: a repeat hits every step it stepped before, so
 /// hits grow and misses do not.
+/// The access log's verdict for a `BATCH` is `pv` only when every
+/// document is potentially valid: a batch with one document that is not
+/// logs `not-pv` wherever that document sits, and an empty batch `-`.
+#[test]
+fn batch_access_log_verdict_needs_every_document() {
+    let (sink, log) = LogSink::memory();
+    let server = Server::bind_with(
+        &Endpoint::parse("127.0.0.1:0"),
+        2,
+        GovernorConfig { log: sink, ..GovernorConfig::default() },
+    )
+    .expect("bind governed");
+    let mut client = Client::connect_endpoint(server.endpoint()).unwrap();
+    let dtd = client.load_builtin("figure1").unwrap();
+    let pv = "<r><a><b>x</b><c>y</c> dog<e/></a></r>".to_owned();
+    let not_pv = "<r><e>x</e></r>".to_owned();
+    assert!(expect_outcome(BuiltinDtd::Figure1, &pv).is_potentially_valid());
+    assert!(!expect_outcome(BuiltinDtd::Figure1, &not_pv).is_potentially_valid());
+    let cases = [
+        (vec![pv.clone(), not_pv.clone(), pv.clone()], "not-pv"),
+        (vec![not_pv.clone(), pv.clone()], "not-pv"),
+        (vec![pv.clone(), pv.clone()], "pv"),
+        (vec![not_pv.clone()], "not-pv"),
+        (Vec::new(), "-"),
+    ];
+    for (i, (batch, verdict)) in cases.iter().enumerate() {
+        client.check_batch(&dtd.handle, batch, 1).unwrap();
+        // The line is booked as the reply goes out; wait for it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let line = loop {
+            let lines: Vec<String> =
+                log.lock().unwrap().iter().filter(|l| l.contains("op=BATCH")).cloned().collect();
+            if lines.len() > i {
+                break lines[i].clone();
+            }
+            assert!(std::time::Instant::now() < deadline, "batch {i} was never logged");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert!(line.contains(&format!(" verdict={verdict} ")), "batch {i}: {line}");
+    }
+    client.shutdown().unwrap();
+    drop(client);
+    server.join();
+}
+
 #[test]
 fn repeated_checks_hit_the_shared_cache() {
     let (server, mut client) = start_server();

@@ -188,6 +188,58 @@ fn connection_flood_sheds_cleanly_and_recovers() {
     shutdown(server, &addr);
 }
 
+/// A connection turned away `busy` reads as a refusal on the client, also
+/// when the server has answered and closed before the request went out:
+/// a write that then fails (`BrokenPipe`, `ConnectionReset`) still finds
+/// the refusal waiting. With both slots held, 200 concurrent attempts to
+/// load a DTD must each end in `ServiceError::Unavailable`, none in a
+/// transport error.
+#[test]
+fn refused_loads_read_as_unavailable() {
+    let (server, _log) =
+        governed(GovernorConfig { max_connections: 2, ..GovernorConfig::default() });
+    let addr = tcp_addr(&server);
+    let mut a = Client::connect(&addr).unwrap();
+    let mut b = Client::connect(&addr).unwrap();
+    a.ping().unwrap();
+    b.ping().unwrap();
+
+    let (threads, per_thread) = (20, 10);
+    let workers: Vec<_> = (0..threads)
+        .map(|t| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut wrong = Vec::new();
+                for i in 0..per_thread {
+                    let mut c = match Client::connect(&addr) {
+                        Ok(c) => c,
+                        Err(e) => {
+                            wrong.push(format!("connect: {e}"));
+                            continue;
+                        }
+                    };
+                    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    let got = if (t + i) % 2 == 0 {
+                        c.load_builtin("play").map(|_| ())
+                    } else {
+                        c.load_dtd("r", "<!ELEMENT r (#PCDATA)>").map(|_| ())
+                    };
+                    match got {
+                        Err(ServiceError::Unavailable { kind, .. }) if kind == "busy" => {}
+                        other => wrong.push(format!("{other:?}")),
+                    }
+                }
+                wrong
+            })
+        })
+        .collect();
+    let wrong: Vec<String> = workers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+    assert!(wrong.is_empty(), "{} of {} attempts: {wrong:?}", wrong.len(), threads * per_thread);
+    drop(a);
+    drop(b);
+    shutdown(server, &addr);
+}
+
 /// Pool saturation: with `max_inflight: 1` held by a parked stream, a
 /// second check is shed with a `busy` app error while its connection
 /// stays usable — and the shed is logged. A shed `CHECK_STREAM` still
