@@ -4,6 +4,8 @@
 use crate::timing::{self, fmt_cell, fmt_per_item, fmt_ratio, json_array, Row, Timed};
 use crate::workloads;
 use pv_core::depth::DepthPolicy;
+use pv_core::recognizer::RecognizerStats;
+use pv_core::suggest::{allowed_wraps, expected_next_for_node};
 use pv_core::token::Tokens;
 use pv_core::CheckEngine;
 use pv_dtd::builtin::BuiltinDtd;
@@ -420,7 +422,9 @@ fn table_depth() -> Vec<Timed> {
 /// guarded edits applied through an editor session, undo journal
 /// included: one text update, and a 1,000-edit trace. Since the journal
 /// replaced whole-document snapshots an edit costs O(edit), so the
-/// per-edit cells must stay flat as the document grows 100×.
+/// per-edit cells must stay flat as the document grows 100×. The two
+/// editor queries run on the markup guard's parent: the tag palette over
+/// its middle child, and autocomplete after its last.
 fn table_incremental() -> Vec<Timed> {
     println!("## Table X4 — incremental guard costs on a growing TEI document\n");
 
@@ -465,13 +469,22 @@ fn table_incremental() -> Vec<Timed> {
                 trace.update_text(t, text).expect("text update never rejected");
             }
         }));
+        let middle = doc.children(parent).len() / 2;
+        rows.push(Row::new("incremental", id("palette"), move || {
+            let mut stats = RecognizerStats::default();
+            allowed_wraps(c, doc, parent, middle..middle + 1, &mut stats)
+        }));
+        rows.push(Row::new("incremental", id("autocomplete"), move || {
+            expected_next_for_node(c, doc, parent)
+        }));
     }
     let timed = timing::run(rows);
 
-    head("doc elements | text update (O(1)) | text insert (O(1)) | markup insert (2×ECPV) | full recheck | applied text update | 1k-edit trace, per edit");
-    for (doc, t) in docs.iter().zip(timed.chunks(6)) {
+    head("doc elements | text update (O(1)) | text insert (O(1)) | markup insert (2×ECPV) | full recheck | applied text update | 1k-edit trace, per edit | palette | autocomplete");
+    for (doc, t) in docs.iter().zip(timed.chunks(8)) {
         let mut cells: Vec<String> = t[..5].iter().map(fmt_cell).collect();
         cells.push(fmt_per_item(&t[5], 1000));
+        cells.extend(t[6..].iter().map(fmt_cell));
         println!("| {} | {} |", doc.element_count(), cells.join(" | "));
     }
     println!();

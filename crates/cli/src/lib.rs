@@ -305,6 +305,9 @@ impl Args {
         let usage = |msg: String| Err(ArgError::Usage(msg));
         let mut argv = argv.into_iter();
         let Some(command) = argv.next() else { return usage("missing command".to_owned()) };
+        if matches!(command.as_str(), "--help" | "-h") {
+            return Ok(None);
+        }
         let mut args = Args { command, given: Vec::new(), docs: Vec::new() };
         while let Some(arg) = argv.next() {
             let name = if arg == "--verbose" { "-v" } else { arg.as_str() };
@@ -1494,6 +1497,15 @@ mod tests {
                 other => panic!("{line}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_leading_help_flag_asks_for_the_usage() {
+        for line in ["--help", "-h", "--help check", "-h --frob", "check --help", "frob -h"] {
+            assert!(matches!(parse(line), Ok(None)), "{line}");
+        }
+        let unknown = ArgError::Usage("unknown command \"--verbose\"".to_owned());
+        assert_eq!(parse("--verbose").unwrap_err(), unknown);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! has no cache, and each node's sequence is one recognizer run.
 
 use crate::engine::CheckEngine;
-use crate::memo::Lease;
+use crate::memo::{Key, Lease, State};
 use crate::recognizer::{EcRecognizer, RecognizerStats};
 use crate::token::{ChildSym, NameTable, Tokens};
+use pv_dtd::ElemId;
 use pv_xml::{Document, NodeId};
 use std::fmt;
 
@@ -105,11 +106,81 @@ impl PvOutcome {
 /// gives it back when it drops, folding the scan's hit/miss/flush counts
 /// into [`CheckEngine::memo_stats`] once (see [`crate::memo`]). With the
 /// memo off it holds no cache.
+///
+/// It is also the crate's state handle: a query steps one sequence
+/// ([`start`](Self::start), [`walk`](Self::walk)), saves where it got
+/// ([`save`](Self::save)) and branches from there
+/// ([`resume`](Self::resume)) as often as it likes, with the memo on or
+/// off (see [`crate::memo`]'s saved states).
 pub struct CheckScratch<'s> {
     rec: EcRecognizer<'s>,
     syms: Vec<ChildSym>,
     /// The scan's transition cache (see [`CheckEngine::lease`]).
     lease: Lease<'s>,
+    /// The engine's elision budget, for every sequence started here.
+    depth: u32,
+    /// Where the sequence being stepped is (with `rec`).
+    key: Key,
+    /// The states saved so far, indexed by [`Saved`].
+    saved: Vec<State>,
+}
+
+/// A state a [`CheckScratch`] saved: valid, across flushes, for the
+/// scratch's life.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Saved(usize);
+
+impl CheckScratch<'_> {
+    /// Runs one ECPV instance: `syms`, the whole child sequence of an
+    /// `elem` node, walked from the fresh state. Returns the index of the
+    /// rejected symbol, if any.
+    pub(crate) fn run(
+        &mut self,
+        elem: ElemId,
+        syms: &[ChildSym],
+        stats: &mut RecognizerStats,
+    ) -> Option<usize> {
+        // Childless content is trivially potentially valid (every element
+        // is nullable under G′ — Theorem 3) and the recognizer would touch
+        // no counter: skip it and the cache alike.
+        if syms.is_empty() {
+            return None;
+        }
+        let (rec, saved) = (&mut self.rec, &mut self.saved);
+        let failing;
+        (self.key, failing) = self.lease.cache().run(elem, self.depth, rec, syms, stats, saved);
+        failing
+    }
+
+    /// Puts the scratch's sequence at the fresh state of `elem`.
+    pub(crate) fn start(&mut self, elem: ElemId) {
+        self.key = self.lease.cache().start(elem, self.depth, &mut self.rec, &mut self.saved);
+    }
+
+    /// Steps the sequence through `syms`, adding the work to `stats`, and
+    /// returns the index of the rejected symbol, if any. A rejected
+    /// sequence must be started or resumed before it steps again.
+    #[inline]
+    pub(crate) fn walk(&mut self, syms: &[ChildSym], stats: &mut RecognizerStats) -> Option<usize> {
+        self.lease.cache().walk(&mut self.key, &mut self.rec, syms, stats, &mut self.saved)
+    }
+
+    /// Saves the state the sequence is in.
+    pub(crate) fn save(&mut self) -> Saved {
+        let state = self.lease.cache().save(self.key, &self.rec);
+        self.saved.push(state);
+        Saved(self.saved.len() - 1)
+    }
+
+    /// Puts the sequence back in a state saved earlier.
+    pub(crate) fn resume(&mut self, at: Saved) {
+        self.key = self.lease.cache().resume(&self.saved[at.0], &mut self.rec);
+    }
+
+    /// Whether the sequence is in the state saved as `at`.
+    pub(crate) fn is_at(&mut self, at: Saved) -> bool {
+        self.lease.cache().is_at(self.key, &self.rec, &self.saved[at.0])
+    }
 }
 
 /// Problem PV on a [`CheckEngine`]: document, node and symbol-sequence
@@ -130,6 +201,9 @@ impl CheckEngine {
             rec: EcRecognizer::new(self.rec_ctx(), self.analysis().root, self.depth()),
             syms: Vec::new(),
             lease: self.lease(memo),
+            depth: self.depth(),
+            key: Key::Direct,
+            saved: Vec::new(),
         }
     }
 
@@ -224,7 +298,7 @@ impl CheckEngine {
     /// Runs one ECPV instance; returns the failing index/symbol, if any.
     pub fn check_symbols(
         &self,
-        elem: pv_dtd::ElemId,
+        elem: ElemId,
         syms: &[ChildSym],
         stats: &mut RecognizerStats,
     ) -> Option<(usize, String)> {
@@ -232,36 +306,18 @@ impl CheckEngine {
         self.check_symbols_with(elem, syms, stats, &mut scratch)
     }
 
-    /// [`CheckEngine::check_symbols`] against a reusable scratch: one
-    /// [`TransitionCache::run`](crate::memo) through the scratch's lease.
-    /// The violation's display string is rendered from `syms`.
+    /// [`CheckEngine::check_symbols`] against a reusable scratch: the one
+    /// way this crate runs an ECPV instance on a whole child sequence
+    /// (`CheckScratch::run`). The violation's display string is rendered
+    /// from `syms`.
     pub fn check_symbols_with(
         &self,
-        elem: pv_dtd::ElemId,
+        elem: ElemId,
         syms: &[ChildSym],
         stats: &mut RecognizerStats,
         scratch: &mut CheckScratch<'_>,
     ) -> Option<(usize, String)> {
-        self.rejected_at(elem, syms, stats, scratch)
-            .map(|i| (i, syms[i].display(&self.analysis().dtd)))
-    }
-
-    /// [`CheckEngine::check_symbols_with`]'s failing index, unrendered:
-    /// the one way this crate runs an ECPV instance on a child sequence.
-    pub(crate) fn rejected_at(
-        &self,
-        elem: pv_dtd::ElemId,
-        syms: &[ChildSym],
-        stats: &mut RecognizerStats,
-        scratch: &mut CheckScratch<'_>,
-    ) -> Option<usize> {
-        // Childless content is trivially potentially valid (every element
-        // is nullable under G′ — Theorem 3) and the recognizer would touch
-        // no counter: skip it and the cache alike.
-        if syms.is_empty() {
-            return None;
-        }
-        scratch.lease.cache().run(elem, self.depth(), &mut scratch.rec, syms, stats)
+        scratch.run(elem, syms, stats).map(|i| (i, syms[i].display(&self.analysis().dtd)))
     }
 }
 

@@ -24,6 +24,20 @@
 //! **slot**, reloading it from the stored configuration first if hits
 //! moved the key past it, and caches the step.
 //!
+//! ## Saved states
+//!
+//! A query that tries many continuations of one prefix (the tag palette,
+//! autocomplete) steps the prefix once and saves the [`State`] it
+//! reached, then resumes from it per continuation. A saved state is the
+//! configuration's id while the cache holds it, and its encoded words
+//! otherwise: with the memo off, past the word cap, or after a flush,
+//! which turns every saved id of the stepping sequence into words
+//! first. Resuming words loads them into the slot, so a state outlives
+//! every flush and needs no cache at all. A sequence is at a saved state
+//! iff their configurations are equal, whatever form each is in; a
+//! query's sharing decisions are therefore the same with the memo on or
+//! off.
+//!
 //! ## Bit-identity
 //!
 //! A hit is observationally invisible: the delta it replays *is* what the
@@ -209,6 +223,16 @@ pub(crate) enum Key {
     Direct,
 }
 
+/// A recognizer state saved between two symbols, to resume any number of
+/// times (see the [module docs](self#saved-states)).
+#[derive(Debug, Clone)]
+pub(crate) enum State {
+    /// Interned configuration `id`, valid until the cache's next flush.
+    Config(u32),
+    /// The configuration's words, as [`EcRecognizer::encode`] writes them.
+    Words(Vec<u32>),
+}
+
 /// A lazy transition table over recognizer configurations (see the
 /// [module docs](self)): configurations hash-consed into ids, and
 /// `(id, symbol) → transition`. Configurations are opaque words written
@@ -364,12 +388,9 @@ impl TransitionCache {
         true
     }
 
-    /// Runs one whole child sequence of `elem` from a fresh recognizer,
-    /// `slot` taking the misses, and returns the index of the rejected
-    /// symbol, if any — [`EcRecognizer::advance_run`]'s answer, with the
-    /// same stats added to `stats`; a `Direct` key runs the rest in one
-    /// `advance_run`, a miss per symbol. The flush policy of a lone
-    /// sequence: a full cache keeps its state in `slot` and clears.
+    /// Runs one whole child sequence of `elem`: a [`walk`](Self::walk)
+    /// from the fresh state ([`start`](Self::start)). Returns the key
+    /// where the walk stopped, and the walk's answer.
     pub(crate) fn run(
         &mut self,
         elem: ElemId,
@@ -377,33 +398,135 @@ impl TransitionCache {
         slot: &mut EcRecognizer<'_>,
         syms: &[ChildSym],
         stats: &mut RecognizerStats,
-    ) -> Option<usize> {
-        let mut key = loop {
+        saved: &mut [State],
+    ) -> (Key, Option<usize>) {
+        let mut key = self.start(elem, depth, slot, saved);
+        let failing = self.walk(&mut key, slot, syms, stats, saved);
+        (key, failing)
+    }
+
+    /// The key of a fresh recognizer for `elem` at elision budget `depth`
+    /// ([`open`](Self::open)), flushing when the cache is full — after
+    /// moving the `saved` states out of it.
+    #[inline]
+    pub(crate) fn start(
+        &mut self,
+        elem: ElemId,
+        depth: u32,
+        slot: &mut EcRecognizer<'_>,
+        saved: &mut [State],
+    ) -> Key {
+        loop {
             match self.open(elem, depth, slot) {
-                Some(key) => break key,
-                None => self.flush(),
+                Some(key) => return key,
+                None => self.flush_saved(saved),
             }
-        };
+        }
+    }
+
+    /// Feeds `syms` to the sequence whose state is `key` (and `slot`) and
+    /// returns the index of the rejected symbol, if any —
+    /// [`EcRecognizer::advance_run`]'s answer, with the same stats added
+    /// to `stats`; a `Direct` key runs the rest in one `advance_run`, a
+    /// miss per symbol. The crate's one stepping loop: a whole child
+    /// sequence is a walk from [`start`](Self::start). The flush policy
+    /// of a lone sequence and the states it saved: a full cache keeps the
+    /// sequence's state in `slot`, turns each `saved` id into its words,
+    /// and clears.
+    #[inline]
+    pub(crate) fn walk(
+        &mut self,
+        key: &mut Key,
+        slot: &mut EcRecognizer<'_>,
+        syms: &[ChildSym],
+        stats: &mut RecognizerStats,
+        saved: &mut [State],
+    ) -> Option<usize> {
+        let (mut at, mut failing) = (*key, None);
         for (i, &x) in syms.iter().enumerate() {
-            if key == Key::Direct {
-                let failing = slot.advance_run(&syms[i..], stats);
-                self.misses += failing.map_or(syms.len() - i, |j| j + 1) as u64;
-                return failing.map(|j| i + j);
+            if at == Key::Direct {
+                let tail = slot.advance_run(&syms[i..], stats);
+                self.misses += tail.map_or(syms.len() - i, |j| j + 1) as u64;
+                failing = tail.map(|j| i + j);
+                break;
             }
             let accepted = loop {
-                match self.step(&mut key, slot, x, stats) {
+                match self.step(&mut at, slot, x, stats) {
                     Some(accepted) => break accepted,
                     None => {
-                        self.release(&mut key, slot);
-                        self.flush();
+                        self.release(&mut at, slot);
+                        self.flush_saved(saved);
                     }
                 }
             };
             if !accepted {
-                return Some(i);
+                failing = Some(i);
+                break;
             }
         }
-        None
+        *key = at;
+        failing
+    }
+
+    /// The state a sequence is in, saved to [`resume`](Self::resume)
+    /// later: its id while it has one, else `slot`'s words.
+    pub(crate) fn save(&self, key: Key, slot: &EcRecognizer<'_>) -> State {
+        match key {
+            Key::Config { id, .. } => State::Config(id),
+            Key::Slot | Key::Direct => {
+                let mut words = Vec::new();
+                slot.encode(&mut words, usize::MAX);
+                State::Words(words)
+            }
+        }
+    }
+
+    /// The key of a sequence put back in `state`; words are loaded into
+    /// `slot` and interned on the next step if they fit the word cap.
+    pub(crate) fn resume(&self, state: &State, slot: &mut EcRecognizer<'_>) -> Key {
+        match state {
+            &State::Config(id) => Key::Config { id, synced: false },
+            State::Words(words) => {
+                slot.load(words);
+                if words.len() <= self.bounds.config_words {
+                    Key::Slot
+                } else {
+                    Key::Direct
+                }
+            }
+        }
+    }
+
+    /// Whether the sequence at `key` (and `slot`) is in the saved
+    /// `state`: the same configuration, whatever form each is in. Ids are
+    /// hash-consed, so two ids are equal iff their words are.
+    pub(crate) fn is_at(&mut self, key: Key, slot: &EcRecognizer<'_>, state: &State) -> bool {
+        if let Key::Config { id, .. } = key {
+            return match state {
+                &State::Config(saved) => id == saved,
+                State::Words(words) => self.config(id) == words.as_slice(),
+            };
+        }
+        let mut words = std::mem::take(&mut self.scratch);
+        words.clear();
+        slot.encode(&mut words, usize::MAX);
+        let at = match state {
+            &State::Config(id) => self.config(id) == words.as_slice(),
+            State::Words(saved) => *saved == words,
+        };
+        self.scratch = words;
+        at
+    }
+
+    /// Turns every `saved` id into its words, then clears the cache,
+    /// counting a flush.
+    fn flush_saved(&mut self, saved: &mut [State]) {
+        for state in saved {
+            if let State::Config(id) = *state {
+                *state = State::Words(self.config(id).to_vec());
+            }
+        }
+        self.flush();
     }
 
     /// Moves a sequence's state out of the cache into its `slot` (loading

@@ -8,13 +8,30 @@
 //! "typing text here is fine". [`allowed_wraps`] answers the tag
 //! palette: which elements could wrap a range of a node's children?
 //!
-//! Both run each candidate's ECPV instances on one scratch, through the
-//! engine's transition cache as the guards do: `m + 1` runs of the
-//! prefix plus a candidate for `m` declared elements (autocomplete), or
-//! `2m` runs of the wrapper's and the parent's sequences (palette). With
-//! the memo on, a step an earlier run took is one table probe; with it
-//! off, each run is one recognizer run.
+//! Both step a shared prefix once on one
+//! [`CheckScratch`](crate::checker::CheckScratch), save the state it
+//! reaches and branch from it, as an incremental parser resumes from a
+//! saved state instead of re-parsing an unchanged prefix (Wagner &
+//! Graham, "Efficient and Flexible Incremental Parsing", ACM TOPLAS
+//! 1998). For a prefix of `n` symbols and `m` declared elements:
+//!
+//! * autocomplete steps the prefix once, then each candidate one step
+//!   from its end: `n + m + 1` steps;
+//! * the palette steps the parent's children before the range once, then
+//!   per candidate the wrapper symbol from there and, if that passes, the
+//!   wrapped content. The children after the range run at most once per
+//!   distinct configuration the wrapper steps reach: a candidate that
+//!   reaches one an earlier candidate reached takes its verdict, and is
+//!   dropped without running its content when that verdict was a
+//!   rejection.
+//!
+//! A step goes through the engine's transition cache as the guards' do:
+//! with the memo on, a step an earlier check took is one table probe.
+//! With it off the queries take the same steps, sharing by configuration
+//! equality, so their answers and work counters are the same either way.
+//! A rejected prefix gives no candidates.
 
+use crate::checker::Saved;
 use crate::engine::CheckEngine;
 use crate::recognizer::RecognizerStats;
 use crate::token::{ChildSym, Tokens};
@@ -24,17 +41,27 @@ use std::ops::Range;
 
 /// Symbols that may follow `prefix` in the content of `elem` while keeping
 /// it potentially valid. σ is included when character data may follow.
-pub fn expected_next(checker: &CheckEngine, elem: ElemId, prefix: &[ChildSym]) -> Vec<ChildSym> {
-    let (mut scratch, mut stats) = (checker.scratch(), RecognizerStats::default());
-    let mut seq = [prefix, &[ChildSym::Sigma]].concat();
-    let last = prefix.len();
+/// The prefix is stepped once and each candidate once from its end; the
+/// work is added to `stats`.
+pub fn expected_next(
+    checker: &CheckEngine,
+    elem: ElemId,
+    prefix: &[ChildSym],
+    stats: &mut RecognizerStats,
+) -> Vec<ChildSym> {
+    let mut scratch = checker.scratch();
+    scratch.start(elem);
+    if scratch.walk(prefix, stats).is_some() {
+        return Vec::new();
+    }
+    let end = scratch.save();
     let candidates = checker.analysis().dtd.ids().map(ChildSym::Elem).chain([ChildSym::Sigma]);
     // σσ is not a δ string; an appended σ merges with a trailing run.
     candidates
         .filter(|&cand| cand != ChildSym::Sigma || prefix.last() != Some(&ChildSym::Sigma))
         .filter(|&cand| {
-            seq[last] = cand;
-            checker.rejected_at(elem, &seq, &mut stats, &mut scratch).is_none()
+            scratch.resume(end);
+            scratch.walk(&[cand], stats).is_none()
         })
         .collect()
 }
@@ -49,16 +76,17 @@ pub fn expected_next_for_node(
     let analysis = checker.analysis();
     let elem = analysis.id(doc.name(node)?)?;
     let prefix = Tokens::children(doc, node, &analysis.dtd).ok()?;
-    Some(expected_next(checker, elem, &prefix))
+    Some(expected_next(checker, elem, &prefix, &mut RecognizerStats::default()))
 }
 
 /// Element types, in declaration order, that could wrap children `range`
-/// of `parent` — the tag-palette query. Each candidate gets the two ECPV
-/// runs of a markup-insertion guard (its content, then the parent's
-/// updated child sequence, only if the content passes), simulated at the
-/// symbol level: the document is never touched. The runs' work is added
-/// to `stats`. A dead or undeclared parent, a bad range, or an undeclared
-/// child gives no candidates.
+/// of `parent` — the tag-palette query. A candidate fits when a
+/// markup-insertion guard would accept it: its content passes, and so
+/// does the parent's updated child sequence, simulated at the symbol
+/// level (the document is never touched) from the saved state after the
+/// children before the range (see the [module docs](self)). The work is
+/// added to `stats`. A dead or undeclared parent, a bad range, or an
+/// undeclared child gives no candidates.
 pub fn allowed_wraps(
     checker: &CheckEngine,
     doc: &Document,
@@ -73,23 +101,45 @@ pub fn allowed_wraps(
     let Some(wrapped) = kids.get(range.clone()) else { return Vec::new() };
     // Child symbols of the three spans, mirroring what a real wrap
     // produces: σ runs merge within a span but never across the wrapper.
-    // Its slot holds an element placeholder, overwritten per candidate,
-    // so the suffix starts a fresh run.
-    let (mut inner, mut outer) = (Vec::new(), Vec::new());
-    let prefix = Tokens::siblings_into(doc, &kids[..range.start], dtd, &mut outer);
-    let wrapper_at = outer.len();
-    outer.push(ChildSym::Elem(parent_elem));
-    let suffix = Tokens::siblings_into(doc, &kids[range.end..], dtd, &mut outer);
-    let content = Tokens::siblings_into(doc, wrapped, dtd, &mut inner);
-    if prefix.and(suffix).and(content).is_err() {
+    let (mut before, mut content, mut after) = (Vec::new(), Vec::new(), Vec::new());
+    let prefix = Tokens::siblings_into(doc, &kids[..range.start], dtd, &mut before);
+    let suffix = Tokens::siblings_into(doc, &kids[range.end..], dtd, &mut after);
+    let inner = Tokens::siblings_into(doc, wrapped, dtd, &mut content);
+    if prefix.and(suffix).and(inner).is_err() {
         return Vec::new();
     }
     let mut scratch = checker.scratch();
+    scratch.start(parent_elem);
+    if scratch.walk(&before, stats).is_some() {
+        return Vec::new();
+    }
+    let wrapper_at = scratch.save();
+    // Each configuration a wrapper step reached, with the verdict of the
+    // children after the range from there once a candidate needed it.
+    let mut reached: Vec<(Saved, Option<bool>)> = Vec::new();
     dtd.ids()
         .filter(|&cand| {
-            outer[wrapper_at] = ChildSym::Elem(cand);
-            checker.rejected_at(cand, &inner, stats, &mut scratch).is_none()
-                && checker.rejected_at(parent_elem, &outer, stats, &mut scratch).is_none()
+            scratch.resume(wrapper_at);
+            if scratch.walk(&[ChildSym::Elem(cand)], stats).is_some() {
+                return false;
+            }
+            let i = match reached.iter().position(|&(at, _)| scratch.is_at(at)) {
+                Some(i) => i,
+                None => {
+                    reached.push((scratch.save(), None));
+                    reached.len() - 1
+                }
+            };
+            let (at, verdict) = reached[i];
+            if verdict == Some(false) || scratch.run(cand, &content, stats).is_some() {
+                return false;
+            }
+            verdict.unwrap_or_else(|| {
+                scratch.resume(at);
+                let ok = scratch.walk(&after, stats).is_none();
+                reached[i].1 = Some(ok);
+                ok
+            })
         })
         .collect()
 }
@@ -115,15 +165,15 @@ mod tests {
 
         // Empty prefix: everything reachable can start (b, c, f directly;
         // d; e and σ through elisions).
-        let start = expected_next(&checker, a, &[]);
+        let start = expected_next(&checker, a, &[], &mut RecognizerStats::default());
         let labels = names(&analysis, &start);
         assert!(labels.contains(&"<b>".to_owned()));
         assert!(labels.contains(&"<c>".to_owned()));
         assert!(labels.contains(&"σ".to_owned()));
 
         // After b, e: Figure 6(A) says c can no longer come.
-        let after_be =
-            expected_next(&checker, a, &[ChildSym::Elem(b), ChildSym::Elem(e)]);
+        let after_be = [ChildSym::Elem(b), ChildSym::Elem(e)];
+        let after_be = expected_next(&checker, a, &after_be, &mut RecognizerStats::default());
         let labels = names(&analysis, &after_be);
         assert!(!labels.contains(&"<c>".to_owned()), "{labels:?}");
         assert!(!labels.contains(&"<f>".to_owned()), "{labels:?}");
@@ -137,7 +187,7 @@ mod tests {
         let analysis = BuiltinDtd::Figure1.analysis();
         let checker = CheckEngine::new(analysis.clone());
         let e = analysis.id("e").unwrap();
-        assert!(expected_next(&checker, e, &[]).is_empty());
+        assert!(expected_next(&checker, e, &[], &mut RecognizerStats::default()).is_empty());
     }
 
     #[test]
@@ -145,7 +195,8 @@ mod tests {
         let analysis = BuiltinDtd::Figure1.analysis();
         let checker = CheckEngine::new(analysis.clone());
         let d = analysis.id("d").unwrap();
-        let next = expected_next(&checker, d, &[ChildSym::Sigma]);
+        let next =
+            expected_next(&checker, d, &[ChildSym::Sigma], &mut RecognizerStats::default());
         assert!(!next.contains(&ChildSym::Sigma));
         assert!(next.contains(&ChildSym::Elem(analysis.id("e").unwrap())));
     }
@@ -162,6 +213,77 @@ mod tests {
         assert!(!labels.contains(&"<b>".to_owned()), "b cannot repeat: {labels:?}");
     }
 
+    /// A parent with many children, and a range of them in its middle:
+    /// a TEI-lite `p` whose phrase content several wrappers fit in the
+    /// same way, and a Figure 1 `r` whose children need elided `a`s.
+    fn wide_parents() -> Vec<(BuiltinDtd, Document, NodeId, Range<usize>)> {
+        let p = ["a <hi>b</hi>", "<name>n</name>", "<ref>see <note>x</note></ref>", "<lb/>"];
+        let r = ["<a><b/><c>x</c><d/></a>", "text", "<c>y</c>", "<e/>"];
+        let cases = [
+            (BuiltinDtd::TeiLite, "p", 11..13, p, "<TEI><text><body><p>{}</p></body></text></TEI>"),
+            (BuiltinDtd::Figure1, "r", 10..12, r, "<r>{}</r>"),
+        ];
+        cases
+            .into_iter()
+            .map(|(dtd, parent, range, kids, frame)| {
+                let body: String = kids.iter().cycle().take(24).copied().collect();
+                let doc = pv_xml::parse(&frame.replace("{}", &body)).unwrap();
+                let node = doc.elements().find(|&n| doc.name(n) == Some(parent)).unwrap();
+                assert!(doc.children(node).len() >= 24);
+                (dtd, doc, node, range)
+            })
+            .collect()
+    }
+
+    /// Both queries' answers and work counters on `parent`, and the
+    /// flushes each query forced.
+    fn queries(
+        engine: &CheckEngine,
+        doc: &Document,
+        parent: NodeId,
+        range: Range<usize>,
+    ) -> (String, [u64; 2]) {
+        let flushes = || engine.memo_stats().map_or(0, |m| m.flushes);
+        let (mut wrap_stats, mut next_stats) = Default::default();
+        let before = flushes();
+        let wraps = allowed_wraps(engine, doc, parent, range, &mut wrap_stats);
+        let between = flushes();
+        let analysis = engine.analysis();
+        let elem = analysis.id(doc.name(parent).unwrap()).unwrap();
+        let prefix = Tokens::children(doc, parent, &analysis.dtd).unwrap();
+        let next = expected_next(engine, elem, &prefix, &mut next_stats);
+        let seen = format!("{wraps:?} {wrap_stats:?} {next:?} {next_stats:?}");
+        (seen, [between - before, flushes() - between])
+    }
+
+    /// Shrinking the cache until flushes land inside one palette query and
+    /// inside one autocomplete query changes no answer and no counter: the
+    /// states the queries saved outlive every flush.
+    #[test]
+    fn flushes_inside_a_query_keep_answers_and_counters() {
+        use crate::memo::Bounds;
+        use std::sync::Arc;
+        let mut flushed = [false; 2];
+        for (dtd, doc, parent, range) in wide_parents() {
+            let mut off = CheckEngine::new(dtd.analysis());
+            Arc::get_mut(&mut off).unwrap().set_memo_enabled(false);
+            let (expect, _) = queries(&off, &doc, parent, range.clone());
+            let warm = CheckEngine::new(dtd.analysis());
+            assert_eq!(queries(&warm, &doc, parent, range.clone()), (expect.clone(), [0, 0]));
+            for entries in (1..=16).rev() {
+                let mut engine = CheckEngine::new(dtd.analysis());
+                let bounds = Bounds { entries, ..Bounds::DEFAULT };
+                Arc::get_mut(&mut engine).unwrap().set_memo_bounds(bounds);
+                let (seen, flushes) = queries(&engine, &doc, parent, range.clone());
+                assert_eq!(seen, expect, "{dtd:?} entries={entries}");
+                for (flushed, n) in flushed.iter_mut().zip(flushes) {
+                    *flushed |= n > 0;
+                }
+            }
+        }
+        assert_eq!(flushed, [true, true], "no flush landed inside a query");
+    }
+
     #[test]
     fn suggestions_are_sound() {
         // Every suggested symbol, when appended, must keep the content
@@ -171,7 +293,7 @@ mod tests {
         let div = analysis.id("div").unwrap();
         let head = analysis.id("head").unwrap();
         let prefix = vec![ChildSym::Elem(head)];
-        for cand in expected_next(&checker, div, &prefix) {
+        for cand in expected_next(&checker, div, &prefix, &mut RecognizerStats::default()) {
             let mut seq = prefix.clone();
             seq.push(cand);
             let mut stats = RecognizerStats::default();

@@ -225,11 +225,13 @@ fn strong_cycle_witness(analysis: &DtdAnalysis) -> Vec<String> {
 }
 
 /// The heaviest elision chain: greedy descent from the element with the
-/// largest closure, always into the child with the largest closure.
+/// largest closure, always into the child with the largest closure. Of
+/// tied elements (saturated closures tie at `u64::MAX`) it starts from the
+/// last in bottom-up order, which no other tied element's chain runs into.
 fn heaviest_chain(analysis: &DtdAnalysis, closures: &[u64]) -> Vec<String> {
-    let Some(mut v) = (0..closures.len()).max_by_key(|&i| closures[i]) else {
-        return Vec::new();
-    };
+    let Some(&max) = closures.iter().max() else { return Vec::new() };
+    let mut tied = analysis.rec.bottom_up().iter().rev().map(|y| y.index());
+    let Some(mut v) = tied.find(|&i| closures[i] == max) else { return Vec::new() };
     let mut names = vec![analysis.name(ElemId(v as u32)).to_owned()];
     while let Some(w) = analysis
         .rec
@@ -418,6 +420,24 @@ mod tests {
         assert_eq!(r.static_bound, Some(u32::MAX));
         assert!(!r.is_certified());
         assert_eq!(r.bounds[0].closure, u32::MAX);
+    }
+
+    /// Saturated closures tie from the root down; the witness still
+    /// starts at the root `e0`, whichever order the levels are declared in.
+    #[test]
+    fn saturated_chain_witness_starts_at_the_root() {
+        let depth = 70;
+        let mut decls: Vec<String> = (0..depth)
+            .map(|i| format!("<!ELEMENT e{i} (e{}, e{})>", i + 1, i + 1))
+            .chain([format!("<!ELEMENT e{depth} EMPTY>")])
+            .collect();
+        for _ in 0..2 {
+            let r = report(&decls.concat(), "e0");
+            let BudgetVerdict::Flagged { witness, .. } = &r.verdict else { panic!("{r:?}") };
+            assert_eq!(witness[..2], ["e0", "e1"], "{witness:?}");
+            assert_eq!(witness.len(), depth + 1, "{witness:?}");
+            decls.reverse();
+        }
     }
 
     #[test]

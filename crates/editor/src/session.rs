@@ -325,11 +325,14 @@ impl<'a> EditorSession<'a> {
 
     /// Element names that could legally wrap children `range` of `parent`
     /// — the tag-palette query ([`pv_core::suggest::allowed_wraps`]):
-    /// each declared element gets the two ECPV runs of the wrap guard,
-    /// simulated at the symbol level on one scratch. The document is never
-    /// touched, so a palette query allocates no tree nodes and leaves the
-    /// buffer byte-identical; its recognizer work counts in the session's
-    /// stats.
+    /// exactly the names the wrap guard would accept, simulated at the
+    /// symbol level on one scratch. The children before the range are
+    /// stepped once and saved; each declared element then steps from that
+    /// state as the wrapper, and the children after the range run at most
+    /// once per distinct configuration the wrapper steps reach. With the memo
+    /// off the query takes the same steps. The document is never touched,
+    /// so a palette query allocates no tree nodes and leaves the buffer
+    /// byte-identical; its recognizer work counts in the session's stats.
     pub fn allowed_wraps(&mut self, parent: NodeId, range: Range<usize>) -> Vec<String> {
         let mut stats = RecognizerStats::default();
         let wraps = suggest::allowed_wraps(&self.engine, &self.doc, parent, range, &mut stats);
@@ -339,8 +342,11 @@ impl<'a> EditorSession<'a> {
 
     /// Which symbols (child elements, or σ for text) could be appended to
     /// `node` while keeping the document potentially valid? The
-    /// autocomplete query (see [`pv_core::suggest`]). Names are returned
-    /// ready for display; σ appears as `"#text"`.
+    /// autocomplete query (see [`pv_core::suggest`]): `node`'s children
+    /// are stepped once, then each candidate one step from where they
+    /// end, O(n + m) steps for n children and m declared elements, memo
+    /// on or off. Names are returned ready for display; σ appears as
+    /// `"#text"`.
     pub fn expected_next(&self, node: NodeId) -> Vec<String> {
         suggest::expected_next_for_node(&self.engine, &self.doc, node)
             .unwrap_or_default()

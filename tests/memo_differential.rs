@@ -258,7 +258,8 @@ fn batch_checking_matches_memo_off_at_any_job_count() {
 /// Replays one edit script (accepted and rejected operations, palette and
 /// autocomplete queries, one undo) and returns every observable: the
 /// resulting XML, applied/rejected counts, and the recognizer counters +
-/// palette and autocomplete answers.
+/// palette and autocomplete answers. The widest parent's queries branch
+/// from a long shared prefix: the palette wraps two middle children.
 fn run_editor_script(session: &mut EditorSession<'_>) -> (String, u64, u64, String) {
     let doc_root = session.document().root();
     // A mix of accepted and rejected operations over the TEI corpus.
@@ -288,20 +289,29 @@ fn run_editor_script(session: &mut EditorSession<'_>) -> (String, u64, u64, Stri
     let _ = session.rename(p, "head");
     let wraps = session.allowed_wraps(body, 0..1);
     let next = session.expected_next(body);
+    let doc = session.document();
+    let widest = doc.elements().max_by_key(|&n| doc.children(n).len()).unwrap();
+    let kids = doc.children(widest).len();
+    assert!(kids >= 20, "the widest parent has {kids} children");
+    let wide_wraps = session.allowed_wraps(widest, kids / 2..kids / 2 + 2);
+    let wide_next = session.expected_next(widest);
     session.undo().unwrap();
     let stats = session.stats();
     (
         session.document().to_xml(),
         stats.applied,
         stats.rejected,
-        format!("{:?} wraps={wraps:?} next={next:?}", stats.recognizer),
+        format!(
+            "{:?} wraps={wraps:?} next={next:?} wide_wraps={wide_wraps:?} wide_next={wide_next:?}",
+            stats.recognizer
+        ),
     )
 }
 
 #[test]
 fn editor_sessions_behave_identically_with_and_without_memo() {
     let analysis = BuiltinDtd::TeiLite.analysis();
-    let doc = corpus::tei(300);
+    let doc = corpus::tei(1000);
     let mut with_memo = EditorSession::open(&analysis, doc.clone()).unwrap();
     let mut without = EditorSession::open(&analysis, doc).unwrap();
     without.set_memo(false);
@@ -360,6 +370,48 @@ proptest! {
                 "jobs={} class={:?} seed={}", jobs, class, seed
             );
         }
+    }
+
+    /// Random parents and ranges, in documents that may not be
+    /// potentially valid: the tag palette and autocomplete give the same
+    /// answers and add the same work counters with the memo off, cold and
+    /// warm (they step their shared prefix once and share suffix verdicts
+    /// by configuration equality on every path).
+    #[test]
+    fn editor_queries_are_bit_identical(
+        class in class_strategy(),
+        seed in 0u64..5000,
+        pick in 0usize..64,
+        a in 0usize..16,
+        b in 0usize..16,
+    ) {
+        use pv_core::suggest::{allowed_wraps, expected_next};
+        let analysis = DtdGen::new(
+            seed,
+            DtdGenParams { class, elements: 7, max_model_atoms: 4, ..Default::default() },
+        )
+        .generate();
+        let mut doc = DocGen::new(&analysis, seed ^ 0x5EED).generate(40);
+        Mutator::new(seed).delete_random_markup(&mut doc, 6);
+        if seed % 2 == 0 {
+            Mutator::new(seed ^ 3).swap_random_siblings(&mut doc);
+        }
+        let elements: Vec<NodeId> = doc.elements().collect();
+        let parent = elements[pick % elements.len()];
+        let n = doc.children(parent).len();
+        let range = a.min(b) % (n + 1)..a.max(b) % (n + 1);
+        let elem = analysis.id(doc.name(parent).unwrap()).unwrap();
+        let prefix = Tokens::children(&doc, parent, &analysis.dtd).unwrap();
+        let queries = |engine: &CheckEngine| {
+            let (mut wrap_stats, mut next_stats) = Default::default();
+            let wraps = allowed_wraps(engine, &doc, parent, range.clone(), &mut wrap_stats);
+            let next = expected_next(engine, elem, &prefix, &mut next_stats);
+            (wraps, wrap_stats, next, next_stats)
+        };
+        let expect = queries(&plain(&analysis));
+        let memoized = CheckEngine::new(analysis.clone());
+        prop_assert_eq!(&queries(&memoized), &expect, "cold, class={:?} seed={}", class, seed);
+        prop_assert_eq!(&queries(&memoized), &expect, "warm, class={:?} seed={}", class, seed);
     }
 
     /// Random batches: memoized `check_batch_pooled` equals per-document memo-off
